@@ -39,7 +39,7 @@ def main():
 
     speech = synth_speech(16000, args.seed)
     noise = np.random.default_rng(args.seed + 1).standard_normal(16000)
-    x, s = make_mixture(MixtureRecipe("s", "n", 0, 0, args.snr, args.seed),
+    x, s = make_mixture(MixtureRecipe("s", "n", 0, 0, args.snr),
                         speech, noise, 16000)
     print(f"mixture at {losses.snr(s, x):+.2f} dB SNR, "
           f"si-snr of noisy input: {losses.si_snr(s, x):+.2f} dB")

@@ -2,9 +2,10 @@
 
 Library layout:
 
-- ``arn.tensor``: numpy-backed reverse-mode autograd
+- ``arn.tensor``: numpy-backed reverse-mode autograd, including the framing
+  and overlap-add ops
 - ``arn.optim``: Adam optimizer
-- ``arn.dsp``: framing, overlap-add, STFT planes, RMS normalization
+- ``arn.dsp``: STFT planes, RMS normalization
 - ``arn.model``: the network and its configuration
 - ``arn.losses``: MSE / phase-constrained-magnitude losses, SNR metrics
 - ``arn.mixing``: deterministic dynamic-mixing data pipeline

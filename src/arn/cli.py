@@ -1,8 +1,9 @@
 """Command-line surface: train, enhance, evaluate, mix.
 
-Exit codes: 0 success, 2 usage error, 3 malformed/unsupported WAV,
-4 model/checkpoint problem, 1 anything else. The environment variable
-``ARN_SEED`` overrides the default seed 0.
+Exit codes: 0 success, 2 usage error or malformed list file (evaluate
+manifest, corpus index), 3 malformed/unsupported WAV (including non-finite
+samples), 4 model/checkpoint problem, 1 anything else. The environment
+variable ``ARN_SEED`` overrides the default seed 0.
 
 ``evaluate`` reads a manifest of ``<clean path>\\t<degraded-or-enhanced
 path>`` lines and prints one tab-separated record per pair
@@ -21,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import losses, mixing, model, training, wavio
-from .mixing import CorpusIndex, DynamicMixer, MixtureRecipe
+from .mixing import CorpusIndex, DynamicMixer, ListFileError, MixtureRecipe
 from .model import ARNConfig, ConfigurationError
 from .training import CheckpointError, TrainConfig
 from .wavio import WavFormatError
@@ -38,20 +39,20 @@ def _seed() -> int:
 def _load_model(ckpt_path):
     ckpt = training.load_checkpoint(ckpt_path)
     params = training.params_from_checkpoint(ckpt, dtype=np.float32)
-    return params, ckpt.model_cfg, ckpt.v_cache
+    return params, ckpt.model_cfg
 
 
-def _enhance_signal(x: np.ndarray, params, cfg, v_cache) -> np.ndarray:
+def _enhance_signal(x: np.ndarray, params, cfg) -> np.ndarray:
     # the model is trained on unit-RMS mixtures: normalize in, scale back out
     r = mixing.rms(x)
     if r == 0.0:
         return np.zeros_like(x)
-    y = model.enhance(x * (1.0 / r), params, cfg, v_cache)
+    y = model.enhance(x * (1.0 / r), params, cfg)
     return y * r
 
 
 def cmd_enhance(args) -> int:
-    params, cfg, v_cache = _load_model(args.model)
+    params, cfg = _load_model(args.model)
     src = Path(args.input)
     dst = Path(args.output)
     if src.is_dir():
@@ -62,7 +63,7 @@ def cmd_enhance(args) -> int:
     encoding = "pcm16" if args.pcm16 else "float32"
     for in_path, out_path in pairs:
         wav = wavio.read_wav(in_path)
-        enhanced = _enhance_signal(wav.samples, params, cfg, v_cache)
+        enhanced = _enhance_signal(wav.samples, params, cfg)
         wavio.write_wav(out_path, enhanced, encoding=encoding)
     return 0
 
@@ -70,15 +71,10 @@ def cmd_enhance(args) -> int:
 def cmd_evaluate(args) -> int:
     enhancer = None
     if args.model:
-        params, cfg, v_cache = _load_model(args.model)
-        enhancer = lambda x: _enhance_signal(x, params, cfg, v_cache)
-    manifest = Path(args.pairs).read_text().splitlines()
+        params, cfg = _load_model(args.model)
+        enhancer = lambda x: _enhance_signal(x, params, cfg)
     snrs, sis = [], []
-    for line in manifest:
-        line = line.strip()
-        if not line:
-            continue
-        clean_path, other_path = line.split("\t")
+    for clean_path, other_path in mixing.read_list_file(args.pairs, (str, str)):
         clean = wavio.read_wav(clean_path).samples
         other = wavio.read_wav(other_path).samples
         if enhancer is not None:
@@ -101,7 +97,7 @@ def cmd_mix(args) -> int:
     target_len = min(speech.size, noise.size, mixing.CHUNK_LEN)
     recipe = MixtureRecipe(
         speech_id=os.fspath(args.speech), noise_id=os.fspath(args.noise),
-        speech_offset=0, noise_offset=0, snr_db=args.snr, seed=_seed())
+        speech_offset=0, noise_offset=0, snr_db=args.snr)
     x, s = mixing.make_mixture(recipe, speech[:target_len], noise, target_len)
     wavio.write_wav(f"{args.out}.noisy.wav", x)
     wavio.write_wav(f"{args.out}.clean.wav", s)
@@ -197,6 +193,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
+    except ListFileError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except WavFormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WAV

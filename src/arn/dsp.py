@@ -1,13 +1,12 @@
-"""Signal framing, overlap-add reconstruction, STFT planes, RMS normalization.
+"""STFT planes and RMS normalization.
 
-Frames are rectangular (no analysis window): row t of the frame matrix is
-``x[t*J : t*J + L]`` zero-padded past the end of the signal, with
-``T = ceil(M / J)`` frames. Overlap-add divides each sample by its overlap
-count, which makes ``overlap_add(frame_signal(x, L, J))`` an exact identity.
-
-The STFT is computed as a plain matmul against cached DFT basis matrices so
-that gradients flow through it like any other linear operation (needed by
-the spectral-magnitude training loss).
+The STFT frames the signal with ``tensor.frame_rows`` (row t is
+``x[t*hop : t*hop + win_len]``, zero-padded past the end), applies a
+periodic Hann window, and multiplies by cached DFT basis matrices, so that
+gradients flow through it like any other linear operation (needed by the
+spectral-magnitude training loss). The model frames and overlap-adds
+waveforms with the same tensor ops, ``tensor.frame_rows`` and
+``tensor.overlap_add_rows``.
 """
 
 from __future__ import annotations
@@ -36,31 +35,16 @@ class StftConfig:
     fft_size: int = 512
     win_len: int = 512
     hop: int = 256
-    window: str = "hann"  # "hann" or "rect"
 
     def __post_init__(self):
         if self.hop < 1 or self.win_len < 1:
             raise ValueError("win_len and hop must be positive")
         if self.win_len > self.fft_size:
             raise ValueError("win_len must not exceed fft_size")
-        if self.window not in ("hann", "rect"):
-            raise ValueError(f"unknown window {self.window!r}")
 
     @property
     def num_bins(self) -> int:
         return self.fft_size // 2 + 1
-
-
-@dataclass
-class FrameMatrix:
-    frames: Tensor          # (T, frame_len)
-    frame_len: int
-    shift: int
-    original_len: int
-
-    @property
-    def num_frames(self) -> int:
-        return self.frames.shape[0]
 
 
 @dataclass
@@ -74,40 +58,11 @@ def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
 
-def frame_signal(x, frame_len: int, shift: int) -> FrameMatrix:
-    """Chunk a 1-D signal into overlapping frames of length L with hop J."""
-    if shift < 1 or frame_len < shift:
-        raise ValueError(f"need frame_len >= shift >= 1, got L={frame_len} J={shift}")
-    xt = _as_tensor(x)
-    m = xt.data.shape[0] if xt.data.ndim == 1 else 0
-    if xt.data.ndim != 1 or m < 1:
-        raise ValueError("frame_signal needs a non-empty 1-D signal")
-    num_frames = math.ceil(m / shift)
-    frames = tensor.frame_rows(xt, frame_len, shift, num_frames)
-    return FrameMatrix(frames, frame_len, shift, m)
-
-
-def overlap_add(fm: FrameMatrix, offset: int = 0) -> Tensor:
-    """Reconstruct a signal from (possibly overlapping) frames.
-
-    ``offset`` shifts every frame's landing position; the enhancement model
-    uses it to place output frames at the trailing end of wider input frames.
-    Output is truncated to ``original_len``.
-    """
-    return tensor.overlap_add_rows(fm.frames, fm.shift, fm.original_len, offset)
-
-
 @lru_cache(maxsize=8)
-def _window_array_cached(window: str, win_len: int, dtype_name: str) -> np.ndarray:
-    if window == "rect":
-        return np.ones(win_len, dtype=dtype_name)
-    k = np.arange(win_len)
+def _hann_window(win_len: int, dtype_name: str) -> np.ndarray:
     # periodic Hann
+    k = np.arange(win_len)
     return (0.5 - 0.5 * np.cos(2.0 * np.pi * k / win_len)).astype(dtype_name)
-
-
-def _window_array(cfg: StftConfig, dtype) -> np.ndarray:
-    return _window_array_cached(cfg.window, cfg.win_len, np.dtype(dtype).name)
 
 
 @lru_cache(maxsize=8)
@@ -134,7 +89,7 @@ def stft_parts(s, cfg: StftConfig | None = None) -> SpectrogramParts:
     m = st.data.shape[0]
     num_frames = math.ceil(m / cfg.hop)
     frames = tensor.frame_rows(st, cfg.win_len, cfg.hop, num_frames)
-    win = Tensor(_window_array(cfg, st.data.dtype))
+    win = Tensor(_hann_window(cfg.win_len, st.data.dtype.name))
     windowed = tensor.mul(frames, win)
     cos_b, sin_b = _dft_bases(cfg.win_len, cfg.fft_size, st.data.dtype.name)
     real = tensor.matmul(windowed, Tensor(cos_b))

@@ -1,11 +1,11 @@
 """Dynamic mixing: deterministic construction of (noisy, clean) training pairs.
 
 Each pair is described by a recipe (speech id, noise id, chunk offsets,
-SNR in dB, seed) that fully determines the output bit-for-bit, so batches
-can be replayed and recipes materialized concurrently. Speech utterances
-are silence-trimmed before chunking; recipe offsets index the trimmed
-signal. Mixtures are RMS-normalized with the clean reference scaled by the
-same gain, which preserves the constructed SNR.
+SNR in dB) that fully determines the output bit-for-bit, so batches can be
+replayed and recipes materialized concurrently. Speech utterances are
+silence-trimmed before chunking; recipe offsets index the trimmed signal.
+Mixtures are RMS-normalized with the clean reference scaled by the same
+gain, which preserves the constructed SNR.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ class MixtureRecipe:
     speech_offset: int
     noise_offset: int
     snr_db: int
-    seed: int
 
 
 def trim_silence(x: np.ndarray, threshold_db: float = TRIM_THRESHOLD_DB,
@@ -96,6 +95,34 @@ def make_mixture(recipe: MixtureRecipe, speech: np.ndarray, noise: np.ndarray,
     return x, s
 
 
+class ListFileError(ValueError):
+    """A line of a tab-separated list file (corpus index, evaluation
+    manifest) does not have the expected fields."""
+
+
+def read_list_file(path, types) -> list:
+    """Rows of a tab-separated list file, one tuple per non-blank line.
+
+    Field ``i`` of each line is converted by ``types[i]``. A line with the
+    wrong number of fields, or a field that does not convert, raises
+    ``ListFileError`` naming the file and the 1-based line number.
+    """
+    rows = []
+    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        fields = line.split("\t")
+        try:
+            if len(fields) != len(types):
+                raise ValueError(f"expected {len(types)} tab-separated fields, "
+                                 f"found {len(fields)}")
+            rows.append(tuple(convert(f) for convert, f in zip(types, fields)))
+        except ValueError as exc:
+            raise ListFileError(f"{path}, line {number}: {exc}") from None
+    return rows
+
+
 class ArrayCorpus:
     """In-memory corpus of named utterances (tests, synthetic data)."""
 
@@ -117,13 +144,8 @@ class CorpusIndex:
     def __init__(self, index_path):
         self.index_path = Path(index_path)
         self.root = self.index_path.parent
-        self.entries = {}
-        for line in self.index_path.read_text().splitlines():
-            line = line.strip()
-            if not line:
-                continue
-            utt_id, rel_path, count = line.split("\t")
-            self.entries[utt_id] = (rel_path, int(count))
+        self.entries = {utt_id: (rel_path, count) for utt_id, rel_path, count
+                        in read_list_file(self.index_path, (str, str, int))}
         self.ids = sorted(self.entries)
 
     def load(self, utt_id: str) -> np.ndarray:
@@ -162,7 +184,6 @@ def sample_recipe(rng: np.random.Generator, speech_corpus, noise_corpus,
             speech_offset=int(rng.integers(speech.size - chunk + 1)),
             noise_offset=int(rng.integers(noise.size - chunk + 1)),
             snr_db=int(snr_choices[rng.integers(len(snr_choices))]),
-            seed=int(rng.integers(2 ** 31)),
         )
         x, s = make_mixture(recipe, speech, noise, target_len)
         return recipe, x, s

@@ -255,12 +255,6 @@ def rnn_sequence(x: Tensor, block_params: dict, cfg: ARNConfig) -> Tensor:
                           _sub(block_params, "blstm.bwd."))
 
 
-def compute_v_gate(attn_params: dict) -> np.ndarray:
-    """The constant value-gate vector sigma(Lin(v)) * tanh(Lin(v))."""
-    with tensor.no_grad():
-        return _v_gate_graph(attn_params).data.copy()
-
-
 def _v_gate_graph(p: dict) -> Tensor:
     n = p["v"].shape[0]
     v_row = tensor.reshape(p["v"], (1, n))
@@ -269,15 +263,15 @@ def _v_gate_graph(p: dict) -> Tensor:
     return sig * tnh
 
 
-def attention_block(q: Tensor, k: Tensor, v: Tensor, p: dict, causal: bool,
-                    mode: str = "train", v_gate: np.ndarray | None = None) -> Tensor:
+def attention_block(q: Tensor, k: Tensor, v: Tensor, p: dict, causal: bool) -> Tensor:
     """Single-head attention with per-vector gating.
 
     Keys are gated by sigma of a trainable vector, queries pass through a
-    linear map gated the same way, and values are scaled by a constant gate
-    derived from the third trainable vector. That value gate is recomputed
-    from the current parameters in train mode (so it is optimized) and taken
-    as a frozen constant in eval mode (``v_gate``, or recomputed on the fly).
+    linear map gated the same way, and values are scaled by the gate
+    sigma(Lin(v)) * tanh(Lin(v)) of the third trainable vector ``v``. The
+    value gate depends on no input, only on the parameters; it is recomputed
+    on every call, so training optimizes it and evaluation sees its current
+    value.
     """
     steps = q.shape[0]
     if steps == 0:
@@ -285,11 +279,7 @@ def attention_block(q: Tensor, k: Tensor, v: Tensor, p: dict, causal: bool,
     n = q.shape[1]
     k_gated = k * tensor.sigmoid(p["k"])
     q_gated = (q @ p["lin_q.w"] + p["lin_q.b"]) * tensor.sigmoid(p["q"])
-    if mode == "train":
-        gate = _v_gate_graph(p)
-    else:
-        gate = Tensor(v_gate if v_gate is not None else compute_v_gate(p))
-    v_gated = v * gate
+    v_gated = v * _v_gate_graph(p)
     scores = tensor.scale(q_gated @ tensor.transpose(k_gated), 1.0 / math.sqrt(n))
     if causal:
         scores = tensor.causal_mask(scores)
@@ -306,15 +296,14 @@ def feedforward_block(x: Tensor, w: Tensor, b: Tensor, dropout_rate: float,
 
 
 def arn_block_forward(x: Tensor, block_params: dict, cfg: ARNConfig,
-                      mode: str = "train", rng=None,
-                      v_gate: np.ndarray | None = None) -> Tensor:
+                      mode: str = "train", rng=None) -> Tensor:
     """One full block with both residual connections; (T, N) -> (T, N)."""
     ln = [(block_params[f"ln{j}.g"], block_params[f"ln{j}.b"]) for j in range(5)]
     y = rnn_sequence(layer_norm(x, *ln[0], cfg.ln_eps), block_params, cfg)
     q = layer_norm(y, *ln[1], cfg.ln_eps)
     kv = layer_norm(y, *ln[2], cfg.ln_eps)
     attn = _sub(block_params, "attn.")
-    a = attention_block(q, kv, kv, attn, cfg.causal, mode, v_gate) + q
+    a = attention_block(q, kv, kv, attn, cfg.causal) + q
     z1 = layer_norm(a, *ln[3], cfg.ln_eps)
     z2 = layer_norm(a, *ln[4], cfg.ln_eps)
     ff = feedforward_block(z1, block_params["ff.w"], block_params["ff.b"],
@@ -322,27 +311,17 @@ def arn_block_forward(x: Tensor, block_params: dict, cfg: ARNConfig,
     return ff + z2
 
 
-def compute_v_gate_cache(params: dict, cfg: ARNConfig) -> dict:
-    """Frozen value gates for every block, keyed like checkpoint entries."""
-    return {
-        f"block{i}.attn.v_gate": compute_v_gate(_sub(params, f"block{i}.attn."))
-        for i in range(cfg.num_blocks)
-    }
-
-
 def arn_forward_frames(frames: Tensor, params: dict, cfg: ARNConfig,
-                       mode: str = "train", rng=None,
-                       v_cache: dict | None = None) -> Tensor:
+                       mode: str = "train", rng=None) -> Tensor:
     """Frame-domain network: (T, frame_in) -> (T, frame_out)."""
     h = frames @ params["input_proj.w"] + params["input_proj.b"]
-    for i, block_params in enumerate(_block_views(params, cfg.num_blocks)):
-        gate = v_cache.get(f"block{i}.attn.v_gate") if v_cache else None
-        h = arn_block_forward(h, block_params, cfg, mode, rng, gate)
+    for block_params in _block_views(params, cfg.num_blocks):
+        h = arn_block_forward(h, block_params, cfg, mode, rng)
     return h @ params["output_proj.w"] + params["output_proj.b"]
 
 
 def arn_forward(x, params: dict, cfg: ARNConfig, mode: str = "eval",
-                rng=None, v_cache: dict | None = None) -> Tensor:
+                rng=None) -> Tensor:
     """Enhance a waveform; output has exactly the input's sample count.
 
     Output frame t is overlap-added at the trailing ``frame_out`` samples of
@@ -368,7 +347,7 @@ def arn_forward(x, params: dict, cfg: ARNConfig, mode: str = "eval",
         m = xt.data.shape[0]
         num_frames = math.ceil(m / cfg.shift)
         frames = tensor.frame_rows(xt, cfg.frame_in, cfg.shift, num_frames)
-        out_frames = arn_forward_frames(frames, params, cfg, mode, rng, v_cache)
+        out_frames = arn_forward_frames(frames, params, cfg, mode, rng)
         return tensor.overlap_add_rows(out_frames, cfg.shift, m,
                                        offset=cfg.frame_in - cfg.frame_out)
 
@@ -378,6 +357,6 @@ def arn_forward(x, params: dict, cfg: ARNConfig, mode: str = "eval",
     return run()
 
 
-def enhance(x, params: dict, cfg: ARNConfig, v_cache: dict | None = None) -> np.ndarray:
+def enhance(x, params: dict, cfg: ARNConfig) -> np.ndarray:
     """Eval-mode forward pass returning a plain array."""
-    return arn_forward(x, params, cfg, mode="eval", v_cache=v_cache).data
+    return arn_forward(x, params, cfg, mode="eval").data

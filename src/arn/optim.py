@@ -54,8 +54,3 @@ def adam_step(params: dict, state: AdamState, lr: float):
         v_hat = v / bc2
         p.data -= lr * m_hat / (np.sqrt(v_hat) + state.epsilon)
         p.grad = None
-
-
-def zero_grads(params: dict):
-    for p in params.values():
-        p.grad = None

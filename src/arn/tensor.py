@@ -75,24 +75,10 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def size(self):
-        return self.data.size
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def item(self) -> float:
         if self.data.size != 1:
             raise RankError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self):
-        self.grad = None
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def _acc(self, g):
         if self.grad is None:
@@ -521,8 +507,8 @@ def frame_rows(x: Tensor, frame_len: int, shift: int, num_frames: int) -> Tensor
     Positions past the end of the signal read as zero. The gather is linear,
     so gradients scatter-add back into the signal.
     """
-    if x.data.ndim != 1:
-        raise DimensionError("frame_rows needs a 1-D signal")
+    if x.data.ndim != 1 or x.data.shape[0] < 1:
+        raise DimensionError("frame_rows needs a non-empty 1-D signal")
     if shift < 1 or frame_len < 1 or num_frames < 1:
         raise DimensionError("frame_len, shift, num_frames must be positive")
     m = x.data.shape[0]

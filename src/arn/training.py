@@ -7,8 +7,10 @@ derived from (seed, epoch), making complete runs replayable bit-for-bit.
 
 Checkpoint format (version 1): a plain-text header of ``key=value`` lines
 and a tensor directory, terminated by a ``DATA <float_count>`` line, then
-raw little-endian float32 payloads in directory order. The value-gate
-cache of every attention block is recomputed and stored at save time.
+raw little-endian float32 payloads in directory order. Older checkpoints
+also hold ``cache.*`` tensors (a stored copy of each attention block's value
+gate); the loader skips them, since the gate is recomputed from the
+parameters.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -125,7 +127,7 @@ def train_epoch(params: dict, model_cfg: ARNConfig, adam: AdamState,
 
 def validate_and_select(params: dict, model_cfg: ARNConfig, val_pairs,
                         best_so_far: float, metric: str = "si_snr",
-                        enhance_fn=None, v_cache: dict | None = None):
+                        enhance_fn=None):
     """Mean selection metric over (noisy, clean) pairs in eval mode.
 
     Returns ``(score, improved)``; the caller persists a checkpoint when
@@ -135,9 +137,7 @@ def validate_and_select(params: dict, model_cfg: ARNConfig, val_pairs,
         raise ConfigurationError("validation set is empty")
     metric_fn = losses.METRIC_FNS[metric]
     if enhance_fn is None:
-        cache = v_cache if v_cache is not None else model.compute_v_gate_cache(
-            params, model_cfg)
-        enhance_fn = lambda x: model.enhance(x, params, model_cfg, cache)
+        enhance_fn = lambda x: model.enhance(x, params, model_cfg)
     scores = [metric_fn(s, enhance_fn(x)) for x, s in val_pairs]
     score = float(np.mean(scores))
     return score, score > best_so_far
@@ -155,11 +155,9 @@ _MAGIC = "ARNCKPT"
 class Checkpoint:
     model_cfg: ARNConfig
     tensors: dict                      # name -> float32 array (trainable)
-    v_cache: dict = field(default_factory=dict)
     adam: AdamState | None = None
     best_score: float = -math.inf
     epoch: int = 0
-    format_version: int = FORMAT_VERSION
 
 
 def checkpoint_from(params: dict, model_cfg: ARNConfig, adam: AdamState | None = None,
@@ -168,8 +166,6 @@ def checkpoint_from(params: dict, model_cfg: ARNConfig, adam: AdamState | None =
         model_cfg=model_cfg,
         tensors={k: np.ascontiguousarray(p.data, dtype="<f4")
                  for k, p in params.items()},
-        v_cache={k: np.ascontiguousarray(v, dtype="<f4")
-                 for k, v in model.compute_v_gate_cache(params, model_cfg).items()},
         adam=adam,
         best_score=best_score,
         epoch=epoch,
@@ -214,14 +210,13 @@ def _parse_value(raw: str):
 def save_checkpoint(ckpt: Checkpoint, path):
     """Atomic write: header + payload to a temp file, then rename."""
     entries = list(ckpt.tensors.items())
-    entries += [(f"cache.{k}", v) for k, v in ckpt.v_cache.items()]
     if ckpt.adam is not None:
         entries += [(f"adam.m.{k}", np.ascontiguousarray(v, dtype="<f4"))
                     for k, v in ckpt.adam.m.items()]
         entries += [(f"adam.v.{k}", np.ascontiguousarray(v, dtype="<f4"))
                     for k, v in ckpt.adam.v.items()]
 
-    lines = [f"{_MAGIC} {ckpt.format_version}"]
+    lines = [f"{_MAGIC} {FORMAT_VERSION}"]
     for key, value in ckpt.model_cfg.to_dict().items():
         lines.append(f"config.{key}={_format_value(value)}")
     lines.append(f"meta.epoch={ckpt.epoch}")
@@ -311,18 +306,18 @@ def load_checkpoint(path) -> Checkpoint:
     except (TypeError, ConfigurationError) as exc:
         raise CheckpointFormatError(f"bad config block: {exc}") from None
 
-    tensors, v_cache, adam_m, adam_v = {}, {}, {}, {}
+    tensors, adam_m, adam_v = {}, {}, {}
     for name, shape, offset, count in directory:
         if int(np.prod(shape)) != count:
             raise CheckpointShapeError(
                 f"{name}: shape {shape} does not hold {count} values")
         if (offset + count) * 4 > len(payload):
             raise CheckpointTruncatedError(f"{name}: payload ends early")
+        if name.startswith("cache."):
+            continue
         arr = np.frombuffer(payload, dtype="<f4", count=count,
                             offset=offset * 4).reshape(shape).copy()
-        if name.startswith("cache."):
-            v_cache[name[len("cache."):]] = arr
-        elif name.startswith("adam.m."):
+        if name.startswith("adam.m."):
             adam_m[name[len("adam.m."):]] = arr
         elif name.startswith("adam.v."):
             adam_v[name[len("adam.v."):]] = arr
@@ -336,8 +331,8 @@ def load_checkpoint(path) -> Checkpoint:
                          beta1=float(meta.get("adam.beta1", 0.9)),
                          beta2=float(meta.get("adam.beta2", 0.999)),
                          epsilon=float(meta.get("adam.epsilon", 1e-8)))
-    return Checkpoint(model_cfg=model_cfg, tensors=tensors, v_cache=v_cache,
-                      adam=adam, best_score=float(meta.get("best_score", -math.inf)),
+    return Checkpoint(model_cfg=model_cfg, tensors=tensors, adam=adam,
+                      best_score=float(meta.get("best_score", -math.inf)),
                       epoch=int(meta.get("epoch", 0)))
 
 

@@ -1,8 +1,9 @@
 """Minimal RIFF/WAVE reader and writer.
 
 Accepts mono 16 kHz files encoded as 16-bit PCM or 32-bit IEEE float;
-anything else is rejected. Unknown chunks are skipped and non-canonical
-chunk order is tolerated. PCM samples map to reals as ``int / 32768``;
+anything else is rejected, and so are float samples that are NaN or
+infinite. Unknown chunks are skipped and non-canonical chunk order is
+tolerated. PCM samples map to reals as ``int / 32768``;
 on write, reals are rounded and clamped symmetrically to +-32767.
 """
 
@@ -63,6 +64,10 @@ def read_wav(path) -> WavFile:
         encoding = "float32"
         floats = np.frombuffer(data[:len(data) - len(data) % 4], dtype="<f4")
         samples = floats.astype(np.float64)
+        if not np.isfinite(samples).all():
+            bad = np.flatnonzero(~np.isfinite(samples))
+            raise WavFormatError(
+                f"{path}: {bad.size} non-finite samples (first at index {bad[0]})")
     else:
         raise WavFormatError(
             f"{path}: unsupported encoding (format={audio_format}, bits={bits}); "

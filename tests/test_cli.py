@@ -129,6 +129,38 @@ class TestExitCodes:
         assert cli.main(["enhance", "--model", str(trained_ckpt),
                          "--in", str(bad), "--out", str(out)]) == 3
 
+    def test_non_finite_wav_exit_3_without_output(self, tmp_path, trained_ckpt,
+                                                  capsys):
+        src = tmp_path / "nan.wav"
+        x = tone(1600)
+        x[100] = np.nan
+        wavio.write_wav(src, x)
+        out = tmp_path / "out.wav"
+        assert cli.main(["enhance", "--model", str(trained_ckpt),
+                         "--in", str(src), "--out", str(out)]) == 3
+        assert "non-finite" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_malformed_manifest_line_exit_2(self, tmp_path, capsys):
+        clean = tmp_path / "clean.wav"
+        wavio.write_wav(clean, tone(1000))
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_text(f"{clean}\t{clean}\n\n{clean}\n")
+        assert cli.main(["evaluate", "--pairs", str(manifest)]) == 2
+        captured = capsys.readouterr()
+        assert f"{manifest}, line 3:" in captured.err
+        assert captured.out == ""
+
+    def test_malformed_index_line_exit_2(self, tmp_path, capsys):
+        config = tmp_path / "config.json"
+        config.write_text("{}")
+        index = tmp_path / "speech.idx"
+        index.write_text("s0\tspeech/s0.wav\t3200\ns1\tspeech/s1.wav\tmany\n")
+        assert cli.main(["train", "--config", str(config),
+                         "--speech-index", str(index), "--noise-index", str(index),
+                         "--out", str(tmp_path / "run")]) == 2
+        assert f"{index}, line 2:" in capsys.readouterr().err
+
     def test_corrupt_checkpoint_exit_4(self, tmp_path):
         src = tmp_path / "in.wav"
         wavio.write_wav(src, tone(1000))

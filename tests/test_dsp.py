@@ -1,4 +1,7 @@
-"""Framing, overlap-add, STFT planes, RMS normalization."""
+"""Framing and overlap-add (the tensor ops the model uses), STFT planes,
+RMS normalization."""
+
+import math
 
 import numpy as np
 import pytest
@@ -6,45 +9,55 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arn import dsp, tensor
-from arn.dsp import (
-    DegenerateSignalError,
-    StftConfig,
-    frame_signal,
-    overlap_add,
-    rms_normalize,
-    stft_parts,
-)
+from arn.dsp import DegenerateSignalError, StftConfig, rms_normalize, stft_parts
 from arn.tensor import Tensor
 
 from gradtools import check_grads, finite_diff
 
 
+def frame(x, frame_len, shift):
+    """Frame a 1-D signal as the model does: ceil(M / J) rows of L samples."""
+    x = np.asarray(x, dtype=np.float64)
+    return tensor.frame_rows(Tensor(x), frame_len, shift, math.ceil(x.size / shift))
+
+
+def round_trip(x, frame_len, shift):
+    return tensor.overlap_add_rows(frame(x, frame_len, shift), shift, len(x))
+
+
+def hann(win_len):
+    return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(win_len) / win_len)
+
+
 class TestFrameSignal:
     def test_short_signal_padding(self):
         x = np.arange(1.0, 8.0)  # M=7
-        fm = frame_signal(x, frame_len=4, shift=2)
-        assert fm.num_frames == 4  # ceil(7/2)
-        np.testing.assert_array_equal(fm.frames.data[3], [7.0, 0.0, 0.0, 0.0])
-        np.testing.assert_array_equal(fm.frames.data[0], [1.0, 2.0, 3.0, 4.0])
+        frames = frame(x, frame_len=4, shift=2)
+        assert frames.shape[0] == 4  # ceil(7/2)
+        np.testing.assert_array_equal(frames.data[3], [7.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(frames.data[0], [1.0, 2.0, 3.0, 4.0])
 
     def test_frame_count_at_four_seconds(self):
-        fm = frame_signal(np.zeros(64000), frame_len=512, shift=32)
-        assert fm.num_frames == 2000
+        frames = frame(np.zeros(64000), frame_len=512, shift=32)
+        assert frames.shape[0] == 2000
 
     def test_no_overlap_partitions_signal(self):
         x = np.random.default_rng(0).standard_normal(50)
-        fm = frame_signal(x, frame_len=8, shift=8)
-        flat = fm.frames.data.reshape(-1)
+        flat = frame(x, frame_len=8, shift=8).data.reshape(-1)
         np.testing.assert_array_equal(flat[:50], x)
         np.testing.assert_array_equal(flat[50:], np.zeros(6))
 
     def test_bad_parameters(self):
+        # frames wider than the hop are the model's contract, checked by
+        # ARNConfig; the op itself only needs positive sizes and a signal
         with pytest.raises(ValueError):
-            frame_signal(np.zeros(10), frame_len=4, shift=8)  # J > L
+            tensor.frame_rows(Tensor(np.zeros(10)), 0, 0, 3)
         with pytest.raises(ValueError):
-            frame_signal(np.zeros(10), frame_len=0, shift=0)
+            tensor.frame_rows(Tensor(np.zeros(10)), 4, 2, 0)
         with pytest.raises(ValueError):
-            frame_signal(np.zeros(0), frame_len=4, shift=2)
+            tensor.frame_rows(Tensor(np.zeros(0)), 4, 2, 1)
+        with pytest.raises(ValueError):
+            tensor.frame_rows(Tensor(np.zeros((2, 5))), 4, 2, 3)
 
     def test_row_depends_only_on_past_span(self):
         # changing samples at or beyond t*J + L must leave rows <= t intact
@@ -53,8 +66,8 @@ class TestFrameSignal:
         t, l, j = 3, 8, 4
         y = x.copy()
         y[t * j + l:] = rng.standard_normal(y[t * j + l:].shape)
-        a = frame_signal(x, l, j).frames.data
-        b = frame_signal(y, l, j).frames.data
+        a = frame(x, l, j).data
+        b = frame(y, l, j).data
         np.testing.assert_array_equal(a[: t + 1], b[: t + 1])
 
 
@@ -62,23 +75,22 @@ class TestOverlapAdd:
     @pytest.mark.parametrize("frame_len,shift", [(256, 32), (512, 32), (256, 256)])
     def test_round_trip(self, frame_len, shift):
         x = np.random.default_rng(2).standard_normal(1000).astype(np.float32)
-        back = overlap_add(frame_signal(x, frame_len, shift))
+        back = round_trip(x, frame_len, shift)
         assert back.data.shape == x.shape
         assert np.max(np.abs(back.data - x)) <= 1e-6
 
     def test_no_overlap_identity(self):
         x = np.random.default_rng(3).standard_normal(64)
-        back = overlap_add(frame_signal(x, 16, 16))
+        back = round_trip(x, 16, 16)
         np.testing.assert_array_equal(back.data, x)
 
     def test_zero_frames_give_zero_signal(self):
-        fm = frame_signal(np.ones(30), 8, 4)
-        fm.frames = Tensor(np.zeros_like(fm.frames.data))
-        np.testing.assert_array_equal(overlap_add(fm).data, np.zeros(30))
+        frames = Tensor(np.zeros_like(frame(np.ones(30), 8, 4).data))
+        out = tensor.overlap_add_rows(frames, 4, 30)
+        np.testing.assert_array_equal(out.data, np.zeros(30))
 
     def test_offset_shifts_landing_positions(self):
-        fm = frame_signal(np.ones(12), 4, 4)
-        out = overlap_add(fm, offset=2)
+        out = tensor.overlap_add_rows(frame(np.ones(12), 4, 4), 4, 12, offset=2)
         # first two samples are covered by no frame
         np.testing.assert_array_equal(out.data[:2], [0.0, 0.0])
         np.testing.assert_array_equal(out.data[2:], np.ones(10))
@@ -89,26 +101,29 @@ class TestOverlapAdd:
         rng = np.random.default_rng(seed)
         frame_len = shift + int(rng.integers(0, 64))
         x = rng.standard_normal(m)
-        back = overlap_add(frame_signal(x, frame_len, shift))
+        back = round_trip(x, frame_len, shift)
         np.testing.assert_allclose(back.data, x, atol=1e-9)
 
 
 class TestStftParts:
-    def test_dc_bin_with_rectangular_window(self):
-        cfg = StftConfig(fft_size=64, win_len=64, hop=64, window="rect")
+    def test_dc_bin_with_hann_window(self):
+        # a periodic Hann window of length N has DFT N/2 at bin 0, -N/4 at
+        # bin 1 and nothing above
+        cfg = StftConfig(fft_size=64, win_len=64, hop=64)
         c = 0.75
         parts = stft_parts(np.full(64, c), cfg)
         assert parts.real.shape == (1, 33)
-        assert parts.real.data[0, 0] == pytest.approx(c * 64)
-        np.testing.assert_allclose(parts.real.data[0, 1:], 0.0, atol=1e-9)
+        assert parts.real.data[0, 0] == pytest.approx(c * 32)
+        assert parts.real.data[0, 1] == pytest.approx(-c * 16)
+        np.testing.assert_allclose(parts.real.data[0, 2:], 0.0, atol=1e-9)
         np.testing.assert_allclose(parts.imag.data[0], 0.0, atol=1e-9)
 
     def test_matches_numpy_rfft(self):
         cfg = StftConfig(fft_size=64, win_len=48, hop=16)
         x = np.random.default_rng(4).standard_normal(100)
         parts = stft_parts(x, cfg)
-        frames = dsp.frame_signal(x, cfg.win_len, cfg.hop).frames.data
-        win = dsp._window_array(cfg, np.float64)
+        frames = frame(x, cfg.win_len, cfg.hop).data
+        win = hann(cfg.win_len)
         ref = np.fft.rfft(frames * win, n=cfg.fft_size, axis=1)
         np.testing.assert_allclose(parts.real.data, ref.real, atol=1e-9)
         np.testing.assert_allclose(parts.imag.data, ref.imag, atol=1e-9)
@@ -123,8 +138,8 @@ class TestStftParts:
         weights[0] = 1.0
         weights[-1] = 1.0
         spectral = (power * weights).sum()
-        frames = dsp.frame_signal(x, cfg.win_len, cfg.hop).frames.data
-        win = dsp._window_array(cfg, np.float64)
+        frames = frame(x, cfg.win_len, cfg.hop).data
+        win = hann(cfg.win_len)
         temporal = cfg.fft_size * ((frames * win) ** 2).sum()
         assert abs(spectral - temporal) / temporal < 1e-4
 

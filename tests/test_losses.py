@@ -153,7 +153,7 @@ class TestSnr:
         rng = np.random.default_rng(13)
         speech = rng.standard_normal(4000)
         noise = rng.standard_normal(4000)
-        recipe = MixtureRecipe("s", "n", 0, 0, snr_db=-5, seed=0)
+        recipe = MixtureRecipe("s", "n", 0, 0, snr_db=-5)
         x, s = make_mixture(recipe, speech, noise, target_len=4000)
         assert snr(s, x) == pytest.approx(-5.0, abs=0.01)
 

@@ -68,7 +68,7 @@ class TestMakeMixture:
         s = rng.standard_normal(1000)
         n = rng.standard_normal(1000)
         n *= rms(s) / rms(n)
-        recipe = MixtureRecipe("s", "n", 0, 0, snr_db=0, seed=0)
+        recipe = MixtureRecipe("s", "n", 0, 0, snr_db=0)
         x, s_out = make_mixture(recipe, s, n, 1000)
         # x = g2*(s + 1.0*n): removing the clean part leaves exactly g2*n
         residual = x - s_out
@@ -80,7 +80,7 @@ class TestMakeMixture:
         s = rng.standard_normal(2000)
         n = rng.standard_normal(2000)
         n *= rms(s) / rms(n)  # equal RMS
-        recipe = MixtureRecipe("s", "n", 0, 0, snr_db=-5, seed=0)
+        recipe = MixtureRecipe("s", "n", 0, 0, snr_db=-5)
         x, s_out = make_mixture(recipe, s, n, 2000)
         g2 = s_out[0] / s[0]
         implied_gain = (x - s_out)[0] / (g2 * n[0])
@@ -93,13 +93,13 @@ class TestMakeMixture:
             n = rng.standard_normal(5000)
             snr_db = int(TRAIN_SNRS_DB[i % len(TRAIN_SNRS_DB)])
             recipe = MixtureRecipe("s", "n", 0, int(rng.integers(0, 2000)),
-                                   snr_db=snr_db, seed=i)
+                                   snr_db=snr_db)
             x, s_out = make_mixture(recipe, s, n, 3000)
             assert snr(s_out, x) == pytest.approx(snr_db, abs=0.01)
 
     def test_mixture_is_rms_normalized(self):
         rng = np.random.default_rng(7)
-        x, _ = make_mixture(MixtureRecipe("s", "n", 0, 0, -3, 0),
+        x, _ = make_mixture(MixtureRecipe("s", "n", 0, 0, -3),
                             5.0 * rng.standard_normal(800),
                             rng.standard_normal(800), 800)
         assert rms(x) == pytest.approx(1.0)
@@ -108,28 +108,28 @@ class TestMakeMixture:
         rng = np.random.default_rng(8)
         s = rng.standard_normal(500)
         n = rng.standard_normal(4000)
-        x, s_out = make_mixture(MixtureRecipe("s", "n", 0, 0, 0, 0), s, n,
+        x, s_out = make_mixture(MixtureRecipe("s", "n", 0, 0, 0), s, n,
                                 target_len=64000)
         assert x.shape == s_out.shape == (500,)
 
     def test_silent_chunks_rejected(self):
         with pytest.raises(DegenerateSignalError):
-            make_mixture(MixtureRecipe("s", "n", 0, 0, 0, 0),
+            make_mixture(MixtureRecipe("s", "n", 0, 0, 0),
                          np.zeros(100), np.ones(100), 100)
         with pytest.raises(DegenerateSignalError):
-            make_mixture(MixtureRecipe("s", "n", 0, 0, 0, 0),
+            make_mixture(MixtureRecipe("s", "n", 0, 0, 0),
                          np.ones(100), np.zeros(100), 100)
 
     def test_noise_too_short_rejected(self):
         with pytest.raises(ValueError):
-            make_mixture(MixtureRecipe("s", "n", 0, 0, 0, 0),
+            make_mixture(MixtureRecipe("s", "n", 0, 0, 0),
                          np.ones(100), np.ones(50), 100)
 
     def test_recipe_is_bitwise_deterministic(self):
         rng = np.random.default_rng(9)
         s = speech_like(2000, 10)
         n = rng.standard_normal(3000)
-        recipe = MixtureRecipe("s", "n", 7, 101, -2, 42)
+        recipe = MixtureRecipe("s", "n", 7, 101, -2)
         x1, s1 = make_mixture(recipe, s, n, 1500)
         x2, s2 = make_mixture(recipe, s, n, 1500)
         assert x1.tobytes() == x2.tobytes()

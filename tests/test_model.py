@@ -192,6 +192,13 @@ def attn_params(n, seed, dtype=np.float64):
     return {k: Tensor(v.astype(dtype), requires_grad=True) for k, v in p.items()}
 
 
+def numpy_v_gate(p):
+    """The value gate sigma(Lin(v)) * tanh(Lin(v)) from raw arrays."""
+    v = p["v"].data
+    sig = 1.0 / (1.0 + np.exp(-(v @ p["lin_v_sig.w"].data + p["lin_v_sig.b"].data)))
+    return sig * np.tanh(v @ p["lin_v_tanh.w"].data + p["lin_v_tanh.b"].data)
+
+
 def naive_attention(q, k, v, p, causal):
     """Triple-loop scalar reference for the gated attention block."""
     steps, n = q.shape
@@ -239,9 +246,8 @@ class TestAttention:
         p = attn_params(n, 15)
         row = np.random.default_rng(16).standard_normal((1, n))
         out = attention_block(Tensor(row), Tensor(row), Tensor(row), p,
-                              causal=False, mode="train")
-        gate = model.compute_v_gate(p)
-        np.testing.assert_allclose(out.data, row * gate, atol=1e-12)
+                              causal=False)
+        np.testing.assert_allclose(out.data, row * numpy_v_gate(p), atol=1e-12)
 
     def test_causal_first_row_ignores_second(self):
         n = 3
@@ -251,11 +257,10 @@ class TestAttention:
         other = base.copy()
         other[1] = rng.standard_normal(n)
         a = attention_block(Tensor(base), Tensor(base), Tensor(base), p,
-                            causal=True, mode="train")
+                            causal=True)
         b = attention_block(Tensor(other), Tensor(other), Tensor(other), p,
-                            causal=True, mode="train")
-        gate = model.compute_v_gate(p)
-        np.testing.assert_allclose(a.data[0], (base[0] * gate).reshape(-1),
+                            causal=True)
+        np.testing.assert_allclose(a.data[0], base[0] * numpy_v_gate(p),
                                    atol=1e-12)
         np.testing.assert_array_equal(a.data[0], b.data[0])
 
@@ -270,7 +275,7 @@ class TestAttention:
             k = rng.standard_normal((steps, n))
             v = rng.standard_normal((steps, n))
             got = attention_block(Tensor(q), Tensor(k), Tensor(v), p,
-                                  causal=causal, mode="train")
+                                  causal=causal)
             want = naive_attention(q, k, v,
                                    {key: t.data for key, t in p.items()}, causal)
             np.testing.assert_allclose(got.data, want, atol=1e-6)
@@ -282,25 +287,18 @@ class TestAttention:
             attention_block(empty, empty, empty, p, causal=False)
 
     def test_eval_gate_matches_train_gate(self):
+        # recorded (training) and unrecorded (evaluation) passes agree
         n = 5
         p = attn_params(n, 22)
         x = np.random.default_rng(23).standard_normal((4, n))
         train_out = attention_block(Tensor(x), Tensor(x), Tensor(x), p,
-                                    causal=False, mode="train")
-        eval_out = attention_block(Tensor(x), Tensor(x), Tensor(x), p,
-                                   causal=False, mode="eval")
+                                    causal=False)
+        assert train_out.requires_grad
+        with tensor.no_grad():
+            eval_out = attention_block(Tensor(x), Tensor(x), Tensor(x), p,
+                                       causal=False)
+        assert eval_out._backward is None
         np.testing.assert_allclose(train_out.data, eval_out.data, atol=1e-12)
-
-    def test_eval_uses_supplied_cache(self):
-        n = 3
-        p = attn_params(n, 24)
-        x = np.random.default_rng(25).standard_normal((2, n))
-        stale = np.full((1, n), 0.5)
-        out = attention_block(Tensor(x), Tensor(x), Tensor(x), p,
-                              causal=False, mode="eval", v_gate=stale)
-        fresh = attention_block(Tensor(x), Tensor(x), Tensor(x), p,
-                                causal=False, mode="eval")
-        assert np.abs(out.data - fresh.data).max() > 1e-8
 
 
 class TestFeedforward:
@@ -478,19 +476,18 @@ class TestParameters:
         expected = (8 * n + n) + 2 * per_block + (n * 8 + 8)
         assert model.param_count(params) == expected
 
-    def test_v_gate_cache_matches_parameters(self):
+    def test_v_gate_matches_parameters(self):
+        # one row of ones attends only to itself, so the output is the gate
         cfg = toy_cfg(num_blocks=2)
         params = init_params(cfg, np.random.default_rng(45), dtype=np.float64)
-        cache = model.compute_v_gate_cache(params, cfg)
-        assert set(cache) == {"block0.attn.v_gate", "block1.attn.v_gate"}
-        p0 = {k.split("attn.", 1)[1]: v for k, v in params.items()
-              if k.startswith("block0.attn.")}
-        sig = 1.0 / (1.0 + np.exp(-(p0["v"].data @ p0["lin_v_sig.w"].data
-                                    + p0["lin_v_sig.b"].data)))
-        tnh = np.tanh(p0["v"].data @ p0["lin_v_tanh.w"].data
-                      + p0["lin_v_tanh.b"].data)
-        np.testing.assert_allclose(cache["block0.attn.v_gate"].reshape(-1),
-                                   sig * tnh, atol=1e-12)
+        ones = Tensor(np.ones((1, cfg.width)))
+        for i in range(cfg.num_blocks):
+            p = {k.split("attn.", 1)[1]: v for k, v in params.items()
+                 if k.startswith(f"block{i}.attn.")}
+            with tensor.no_grad():
+                out = attention_block(ones, ones, ones, p, cfg.causal)
+            np.testing.assert_allclose(out.data.reshape(-1), numpy_v_gate(p),
+                                       atol=1e-12)
 
     def test_init_respects_dtype(self):
         params = init_params(toy_cfg(), np.random.default_rng(46), dtype=np.float32)

@@ -207,8 +207,7 @@ class TestCheckpoint:
         assert set(loaded.tensors) == set(ckpt.tensors)
         for k, arr in ckpt.tensors.items():
             assert loaded.tensors[k].tobytes() == arr.tobytes()
-        for k, arr in ckpt.v_cache.items():
-            assert loaded.v_cache[k].tobytes() == arr.tobytes()
+        assert b"\ntensor cache." not in path.read_bytes()
         assert loaded.adam.step_count == 17
         for k in adam.m:
             assert loaded.adam.m[k].tobytes() == adam.m[k].astype("<f4").tobytes()
@@ -262,8 +261,26 @@ class TestCheckpoint:
         path = tmp_path / "model.ckpt"
         save_checkpoint(checkpoint_from(params, cfg), path)
         loaded = load_checkpoint(path)
-        after = model.enhance(x, params_from_checkpoint(loaded), cfg,
-                              loaded.v_cache)
+        after = model.enhance(x, params_from_checkpoint(loaded), cfg)
+        assert before.tobytes() == after.tobytes()
+
+    def test_stored_value_gate_entries_ignored(self, tmp_path):
+        # older checkpoints carry a copy of each block's value gate as a
+        # cache.* tensor after the trainable ones; the loader skips it (here
+        # a wrong value) because the gate is recomputed from the parameters
+        cfg, params, _ = self.make(seed=23)
+        x = np.random.default_rng(24).standard_normal(96)
+        before = model.enhance(x, params, cfg)
+        ckpt = checkpoint_from(params, cfg)
+        for i in range(cfg.num_blocks):
+            ckpt.tensors[f"cache.block{i}.attn.v_gate"] = np.full(
+                (1, cfg.width), 0.5, dtype="<f4")
+        path = tmp_path / "old.ckpt"
+        save_checkpoint(ckpt, path)
+        assert b"\ntensor cache.block0.attn.v_gate 1x8 " in path.read_bytes()
+        loaded = load_checkpoint(path)
+        assert set(loaded.tensors) == set(params)
+        after = model.enhance(x, params_from_checkpoint(loaded), loaded.model_cfg)
         assert before.tobytes() == after.tobytes()
 
 

@@ -94,3 +94,13 @@ def test_unsupported_encoding_rejected(tmp_path):
     path.write_bytes(blob)
     with pytest.raises(WavFormatError):
         read_wav(path)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_float_samples_rejected(tmp_path, bad):
+    x = np.zeros(1600)
+    x[700] = bad
+    path = tmp_path / "nonfinite.wav"
+    write_wav(path, x, encoding="float32")
+    with pytest.raises(WavFormatError, match="index 700"):
+        read_wav(path)
