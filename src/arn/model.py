@@ -191,50 +191,19 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     return tensor.layer_norm_rows(x, gamma, beta, eps)
 
 
-def lstm_step(x_t: Tensor, h_prev: Tensor, c_prev: Tensor, w: dict):
-    """One LSTM step with input, forget, and output gates.
-
-    ``x_t`` and the states are row vectors (1, n_in) / (1, hidden).
-    Returns (h_t, c_t).
-    """
-    i = tensor.sigmoid(x_t @ w["w_ix"] + h_prev @ w["w_ih"] + w["b_i"])
-    f = tensor.sigmoid(x_t @ w["w_fx"] + h_prev @ w["w_fh"] + w["b_f"])
-    g = tensor.tanh(x_t @ w["w_gx"] + h_prev @ w["w_gh"] + w["b_g"])
-    o = tensor.sigmoid(x_t @ w["w_ox"] + h_prev @ w["w_oh"] + w["b_o"])
-    c_t = f * c_prev + i * g
-    h_t = o * tensor.tanh(c_t)
-    return h_t, c_t
-
-
 def lstm_sequence(x: Tensor, w: dict) -> Tensor:
     """Run an LSTM over the rows of (T, n_in); initial state is zero.
 
-    The four gates are computed through concatenated weight views so the
-    whole input projection happens in one matmul; the result is step-for-step
-    identical to iterating ``lstm_step``.
+    The gates' input weights and biases are concatenated in gate order
+    i, f, g, o, so the whole input projection is one matmul; the recurrence
+    over all T steps is one recorded op, ``tensor.lstm_sequence``.
     """
-    steps = x.shape[0]
-    if steps == 0:
+    if x.shape[0] == 0:
         raise EmptySequenceError("lstm_sequence on zero time steps")
-    hidden = w["w_ih"].shape[0]
     w_x = tensor.concat([w["w_ix"], w["w_fx"], w["w_gx"], w["w_ox"]], axis=1)
     w_h = tensor.concat([w["w_ih"], w["w_fh"], w["w_gh"], w["w_oh"]], axis=1)
     bias = tensor.concat([w["b_i"], w["b_f"], w["b_g"], w["b_o"]], axis=0)
-    from_input = x @ w_x + bias      # (T, 4H)
-
-    h = Tensor(np.zeros((1, hidden), dtype=x.data.dtype))
-    c = Tensor(np.zeros((1, hidden), dtype=x.data.dtype))
-    rows = []
-    for t in range(steps):
-        z = tensor.slice_rows(from_input, t, t + 1) + h @ w_h
-        i = tensor.sigmoid(tensor.slice_cols(z, 0, hidden))
-        f = tensor.sigmoid(tensor.slice_cols(z, hidden, 2 * hidden))
-        g = tensor.tanh(tensor.slice_cols(z, 2 * hidden, 3 * hidden))
-        o = tensor.sigmoid(tensor.slice_cols(z, 3 * hidden, 4 * hidden))
-        c = f * c + i * g
-        h = o * tensor.tanh(c)
-        rows.append(h)
-    return tensor.concat(rows, axis=0) if steps > 1 else rows[0]
+    return tensor.lstm_sequence(x @ w_x + bias, w_h)
 
 
 def blstm_sequence(x: Tensor, fwd: dict, bwd: dict) -> Tensor:

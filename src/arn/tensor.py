@@ -3,20 +3,28 @@
 A minimal numpy-backed autograd engine covering exactly the operations the
 attentive recurrent enhancement network needs: matrix products,
 row-broadcast arithmetic, pointwise nonlinearities, masked row softmax,
-row-wise layer normalization, signal framing / overlap-add, and scalar
-reductions.
+row-wise layer normalization, signal framing / overlap-add, scalar
+reductions, and a whole LSTM recurrence as one fused op.
 
 Every operation that sees a gradient-requiring input records a backward
-closure on its output. ``backward`` runs one reverse topological sweep over
-the recorded graph; gradients accumulate additively (``+=``) into every
-reachable tensor that requires them, so a tensor feeding two consumers
-receives the sum of both adjoints. Explicit zeroing happens in the
-optimizer (see ``arn.optim``).
+closure on its output. The closure takes the output's gradient as its
+argument and holds the output itself only through a weak reference, so a
+graph contains no reference cycle: it is freed by reference counting as soon
+as its last tensor is dropped, whether or not ``backward`` ran on it.
+``backward`` runs one reverse topological sweep over the recorded graph;
+gradients accumulate additively (``+=``) into every reachable tensor that
+requires them, so a tensor feeding two consumers receives the sum of both
+adjoints. Explicit zeroing happens in the optimizer (see ``arn.optim``).
+
+``lstm_sequence`` records one node for all T time steps: its forward loop is
+plain numpy, and its backward pass runs backpropagation through time over
+the gate activations and cell states it kept.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import contextmanager
 
 import numpy as np
@@ -62,7 +70,8 @@ class Tensor:
     leaf ``data`` in place between steps.
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents")
+    __slots__ = ("data", "grad", "requires_grad", "_backward", "_parents",
+                 "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = data if isinstance(data, np.ndarray) else np.asarray(data)
@@ -109,11 +118,17 @@ class Tensor:
 
 
 def _record(out: Tensor, parents, fn) -> Tensor:
-    """Attach a backward closure when recording is on and any parent needs it."""
+    """Attach a backward closure when recording is on and any parent needs it.
+
+    ``fn(g)`` receives the output's gradient and must not capture ``out``.
+    The stored ``_backward`` takes no argument and reaches ``out`` through a
+    weak reference, so the graph holds no cycle.
+    """
     if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
-        out._backward = fn
+        ref = weakref.ref(out)
+        out._backward = lambda: fn(ref().grad)
     return out
 
 
@@ -179,8 +194,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     _check_binary(a, b)
     out = Tensor(a.data + b.data)
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         if a.requires_grad:
             a._acc(_reduce_to(g, a.data.shape))
         if b.requires_grad:
@@ -193,8 +207,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     _check_binary(a, b)
     out = Tensor(a.data - b.data)
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         if a.requires_grad:
             a._acc(_reduce_to(g, a.data.shape))
         if b.requires_grad:
@@ -207,8 +220,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_binary(a, b)
     out = Tensor(a.data * b.data)
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         if a.requires_grad:
             a._acc(_reduce_to(g * b.data, a.data.shape))
         if b.requires_grad:
@@ -221,8 +233,8 @@ def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a python scalar constant."""
     out = Tensor(a.data * c)
 
-    def _bw():
-        a._acc(out.grad * c)
+    def _bw(g):
+        a._acc(g * c)
 
     return _record(out, (a,), _bw)
 
@@ -239,8 +251,7 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"inner extents disagree: {a.data.shape} @ {b.data.shape}")
     out = Tensor(a.data @ b.data)
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         if a.requires_grad:
             a._acc(g @ b.data.T)
         if b.requires_grad:
@@ -254,8 +265,8 @@ def transpose(a: Tensor) -> Tensor:
         raise DimensionError("transpose needs a rank-2 operand")
     out = Tensor(a.data.T)
 
-    def _bw():
-        a._acc(out.grad.T)
+    def _bw(g):
+        a._acc(g.T)
 
     return _record(out, (a,), _bw)
 
@@ -263,8 +274,8 @@ def transpose(a: Tensor) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
 
-    def _bw():
-        a._acc(out.grad.reshape(a.data.shape))
+    def _bw(g):
+        a._acc(g.reshape(a.data.shape))
 
     return _record(out, (a,), _bw)
 
@@ -282,8 +293,8 @@ def sigmoid(a: Tensor) -> Tensor:
     y = _sigmoid(a.data)
     out = Tensor(y)
 
-    def _bw():
-        a._acc(out.grad * (y * (1.0 - y)))
+    def _bw(g):
+        a._acc(g * (y * (1.0 - y)))
 
     return _record(out, (a,), _bw)
 
@@ -292,8 +303,8 @@ def tanh(a: Tensor) -> Tensor:
     y = np.tanh(a.data)
     out = Tensor(y)
 
-    def _bw():
-        a._acc(out.grad * (1.0 - y * y))
+    def _bw(g):
+        a._acc(g * (1.0 - y * y))
 
     return _record(out, (a,), _bw)
 
@@ -308,11 +319,88 @@ def gelu(a: Tensor) -> Tensor:
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     out = Tensor(x * cdf)
 
-    def _bw():
+    def _bw(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        a._acc(out.grad * (cdf + x * pdf))
+        a._acc(g * (cdf + x * pdf))
 
     return _record(out, (a,), _bw)
+
+
+# ---------------------------------------------------------------------------
+# recurrence
+# ---------------------------------------------------------------------------
+
+def lstm_sequence(z_in: Tensor, w_h: Tensor) -> Tensor:
+    """LSTM recurrence over T steps from a zero state, as one recorded op.
+
+    ``z_in`` is the (T, 4H) input projection, bias included, and ``w_h`` the
+    (H, 4H) recurrent weights, both in gate order i, f, g, o. Row t of the
+    (T, H) output is h_t, where z_t = z_in[t] + h_{t-1} @ w_h,
+    c_t = f * c_{t-1} + i * g and h_t = o * tanh(c_t).
+
+    When recording, the gate activations and cell states are kept, and the
+    backward pass runs backpropagation through time: one (4H,) @ (4H, H)
+    product per step, then the ``w_h`` gradient as one matmul over all steps.
+    """
+    if z_in.data.ndim != 2 or w_h.data.ndim != 2:
+        raise DimensionError("lstm_sequence needs rank-2 operands")
+    steps, width = z_in.data.shape
+    hidden = w_h.data.shape[0]
+    if w_h.data.shape != (hidden, 4 * hidden) or width != 4 * hidden:
+        raise DimensionError(
+            f"need (T, 4H) and (H, 4H), got {z_in.data.shape} and {w_h.data.shape}")
+    if steps == 0:
+        raise DimensionError("lstm_sequence on zero time steps")
+    zx, wh = z_in.data, w_h.data
+    keep = _grad_enabled and (z_in.requires_grad or w_h.requires_grad)
+    gates, cells = [], []
+    h = np.zeros((1, hidden), dtype=zx.dtype)
+    c = np.zeros((1, hidden), dtype=zx.dtype)
+    hs = np.empty((steps, hidden), dtype=np.result_type(zx, wh))
+    for t in range(steps):
+        z = zx[t:t + 1] + h @ wh
+        i = _sigmoid(z[:, :hidden])
+        f = _sigmoid(z[:, hidden:2 * hidden])
+        g = np.tanh(z[:, 2 * hidden:3 * hidden])
+        o = _sigmoid(z[:, 3 * hidden:])
+        c = f * c + i * g
+        h = o * np.tanh(c)
+        hs[t] = h[0]
+        if keep:
+            gates.append((i, f, g, o))
+            cells.append(c)
+    out = Tensor(hs)
+    if not keep:
+        return out
+
+    def _bw(dy):
+        i, f, g, o = (np.concatenate(a) for a in zip(*gates))
+        c = np.concatenate(cells)
+        tc = np.tanh(c)
+        c_prev = np.concatenate([np.zeros_like(c[:1]), c[:-1]])
+        # per step: dc_t = dc_{t+1} * f_{t+1} + dh_t * k_t, the i, f, g
+        # pre-activation gradients are dc_t * a3_t and the o one dh_t * a_o_t
+        a3 = np.stack([g * i * (1 - i), c_prev * f * (1 - f), i * (1 - g * g)], axis=1)
+        a_o = tc * o * (1 - o)
+        k = o * (1 - tc * tc)
+        dz = np.empty((steps, 4 * hidden), dtype=hs.dtype)
+        dz4 = dz.reshape(steps, 4, hidden)
+        w_t = wh.T
+        dh_next = np.zeros(hidden, dtype=hs.dtype)
+        dc_next = np.zeros(hidden, dtype=hs.dtype)
+        for t in range(steps - 1, -1, -1):
+            dh = dy[t] + dh_next
+            dc = dc_next + dh * k[t]
+            dz4[t, :3] = a3[t] * dc
+            dz4[t, 3] = dh * a_o[t]
+            dh_next = dz[t] @ w_t
+            dc_next = dc * f[t]
+        if z_in.requires_grad:
+            z_in._acc(dz)
+        if w_h.requires_grad:
+            w_h._acc(hs[:-1].T @ dz[1:])
+
+    return _record(out, (z_in, w_h), _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +422,7 @@ def softmax_rows(w: Tensor) -> Tensor:
     y = e / e.sum(axis=1, keepdims=True)
     out = Tensor(y)
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         dot = (g * y).sum(axis=1, keepdims=True)
         w._acc(y * (g - dot))
 
@@ -351,8 +438,8 @@ def causal_mask(w: Tensor) -> Tensor:
     data[upper] = -np.inf
     out = Tensor(data)
 
-    def _bw():
-        w._acc(np.tril(out.grad))
+    def _bw(g):
+        w._acc(np.tril(g))
 
     return _record(out, (w,), _bw)
 
@@ -364,8 +451,8 @@ def causal_mask(w: Tensor) -> Tensor:
 def sum_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.sum())
 
-    def _bw():
-        a._acc(np.broadcast_to(out.grad, a.data.shape))
+    def _bw(g):
+        a._acc(np.broadcast_to(g, a.data.shape))
 
     return _record(out, (a,), _bw)
 
@@ -373,8 +460,8 @@ def sum_all(a: Tensor) -> Tensor:
 def mean_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.mean())
 
-    def _bw():
-        a._acc(np.broadcast_to(out.grad / a.data.size, a.data.shape))
+    def _bw(g):
+        a._acc(np.broadcast_to(g / a.data.size, a.data.shape))
 
     return _record(out, (a,), _bw)
 
@@ -383,8 +470,8 @@ def absolute(a: Tensor) -> Tensor:
     # subgradient at 0 is defined as 0 (np.sign(0) == 0)
     out = Tensor(np.abs(a.data))
 
-    def _bw():
-        a._acc(out.grad * np.sign(a.data))
+    def _bw(g):
+        a._acc(g * np.sign(a.data))
 
     return _record(out, (a,), _bw)
 
@@ -406,8 +493,7 @@ def layer_norm_rows(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tenso
     xhat = centered * inv
     out = Tensor(xhat * gamma.data + beta.data)
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         if gamma.requires_grad:
             gamma._acc((g * xhat).sum(axis=0))
         if beta.requires_grad:
@@ -435,28 +521,12 @@ def concat(parts, axis: int) -> Tensor:
     sizes = [p.data.shape[axis] for p in parts]
     bounds = np.cumsum([0] + sizes)
 
-    def _bw():
-        g = out.grad
+    def _bw(g):
         for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
             if p.requires_grad:
                 p._acc(g[lo:hi] if axis == 0 else g[:, lo:hi])
 
     return _record(out, tuple(parts), _bw)
-
-
-def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError("slice_rows needs a rank-2 operand")
-    if not (0 <= start < stop <= a.data.shape[0]):
-        raise DimensionError(f"row slice [{start}:{stop}] out of range")
-    out = Tensor(a.data[start:stop])
-
-    def _bw():
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[start:stop] += out.grad
-
-    return _record(out, (a,), _bw)
 
 
 def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
@@ -466,10 +536,10 @@ def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
         raise DimensionError(f"column slice [{start}:{stop}] out of range")
     out = Tensor(a.data[:, start:stop])
 
-    def _bw():
+    def _bw(g):
         if a.grad is None:
             a.grad = np.zeros_like(a.data)
-        a.grad[:, start:stop] += out.grad
+        a.grad[:, start:stop] += g
 
     return _record(out, (a,), _bw)
 
@@ -479,8 +549,8 @@ def flip_rows(a: Tensor) -> Tensor:
         raise DimensionError("flip_rows needs a rank-2 operand")
     out = Tensor(a.data[::-1].copy())
 
-    def _bw():
-        a._acc(out.grad[::-1])
+    def _bw(g):
+        a._acc(g[::-1])
 
     return _record(out, (a,), _bw)
 
@@ -518,10 +588,10 @@ def frame_rows(x: Tensor, frame_len: int, shift: int, num_frames: int) -> Tensor
         data[~valid] = 0.0
     out = Tensor(data)
 
-    def _bw():
+    def _bw(g):
         if x.grad is None:
             x.grad = np.zeros_like(x.data)
-        np.add.at(x.grad, idx_valid, out.grad[valid])
+        np.add.at(x.grad, idx_valid, g[valid])
 
     return _record(out, (x,), _bw)
 
@@ -549,8 +619,8 @@ def overlap_add_rows(frames: Tensor, shift: int, out_len: int,
     denom = np.maximum(counts, 1).astype(frames.data.dtype)
     out = Tensor(acc / denom)
 
-    def _bw():
-        g = out.grad / denom
+    def _bw(g):
+        g = g / denom
         gf = np.zeros_like(frames.data)
         gf[valid] = g[pos[valid]]
         frames._acc(gf)

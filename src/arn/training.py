@@ -207,6 +207,13 @@ def _parse_value(raw: str):
         return float(raw)
 
 
+def _meta_int(meta: dict, key: str) -> int:
+    value = meta.get(key, 0)
+    if type(value) is not int:
+        raise CheckpointFormatError(f"bad header value 'meta.{key}={value!r}'")
+    return value
+
+
 def save_checkpoint(ckpt: Checkpoint, path):
     """Atomic write: header + payload to a temp file, then rename."""
     entries = list(ckpt.tensors.items())
@@ -265,10 +272,10 @@ def load_checkpoint(path) -> Checkpoint:
         header = raw[:data_end].decode("ascii").splitlines()
     except UnicodeDecodeError as exc:
         raise CheckpointFormatError(f"non-ascii header: {exc}") from None
-    payload = raw[data_end + 1:]
+    payload = memoryview(raw)[data_end + 1:]
 
     magic = header[0].split()
-    if len(magic) != 2 or magic[0] != _MAGIC:
+    if len(magic) != 2 or magic[0] != _MAGIC or not magic[1].isdigit():
         raise CheckpointFormatError(f"bad magic line {header[0]!r}")
     if int(magic[1]) != FORMAT_VERSION:
         raise CheckpointFormatError(f"unsupported format version {magic[1]}")
@@ -278,12 +285,14 @@ def load_checkpoint(path) -> Checkpoint:
     directory = []
     declared_floats = None
     for line in header[1:]:
-        if line.startswith("config."):
-            key, _, value = line[len("config."):].partition("=")
-            config[key] = _parse_value(value)
-        elif line.startswith("meta."):
-            key, _, value = line[len("meta."):].partition("=")
-            meta[key] = _parse_value(value)
+        if line.startswith(("config.", "meta.")):
+            section, _, entry = line.partition(".")
+            key, _, value = entry.partition("=")
+            try:
+                parsed = _parse_value(value)
+            except ValueError:
+                raise CheckpointFormatError(f"bad header value {line!r}") from None
+            (config if section == "config" else meta)[key] = parsed
         elif line.startswith("tensor "):
             try:
                 _, name, dims, offset, count = line.split()
@@ -292,7 +301,10 @@ def load_checkpoint(path) -> Checkpoint:
             except ValueError as exc:
                 raise CheckpointFormatError(f"bad tensor line {line!r}") from None
         elif line.startswith("DATA "):
-            declared_floats = int(line.split()[1])
+            try:
+                declared_floats = int(line[len("DATA "):])
+            except ValueError:
+                raise CheckpointFormatError(f"bad DATA line {line!r}") from None
         else:
             raise CheckpointFormatError(f"unrecognized header line {line!r}")
     if declared_floats is None:
@@ -317,6 +329,8 @@ def load_checkpoint(path) -> Checkpoint:
             continue
         arr = np.frombuffer(payload, dtype="<f4", count=count,
                             offset=offset * 4).reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise CheckpointFormatError(f"{name}: non-finite values")
         if name.startswith("adam.m."):
             adam_m[name[len("adam.m."):]] = arr
         elif name.startswith("adam.v."):
@@ -327,13 +341,14 @@ def load_checkpoint(path) -> Checkpoint:
     adam = None
     if adam_m:
         adam = AdamState(m=adam_m, v=adam_v,
-                         step_count=int(meta.get("adam.step_count", 0)),
+                         step_count=_meta_int(meta, "adam.step_count"),
                          beta1=float(meta.get("adam.beta1", 0.9)),
                          beta2=float(meta.get("adam.beta2", 0.999)),
                          epsilon=float(meta.get("adam.epsilon", 1e-8)))
     return Checkpoint(model_cfg=model_cfg, tensors=tensors, adam=adam,
                       best_score=float(meta.get("best_score", -math.inf)),
-                      epoch=int(meta.get("epoch", 0)))
+                      epoch=_meta_int(meta, "epoch"))
+
 
 
 def fit(params: dict, model_cfg: ARNConfig, cfg: TrainConfig, mixer,

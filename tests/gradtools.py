@@ -1,10 +1,14 @@
-"""Finite-difference gradient oracle, independent of the autograd path.
+"""Oracles for the fast paths: finite differences and the stepwise LSTM.
 
 ``finite_diff`` only ever calls the supplied loss closure, so it checks the
 recorded backward pass against nothing but repeated forward evaluations.
+``lstm_step`` and ``lstm_graph_step`` build one LSTM time step from
+elementary recorded ops, as oracles for the fused ``tensor.lstm_sequence``.
 """
 
 import numpy as np
+
+from arn import tensor
 
 FD_STEP = 1e-5
 # central differences in float64 carry ~1e-10 of roundoff/truncation noise;
@@ -73,3 +77,38 @@ def check_grads(analytic, numeric, rtol=1e-5, atol=FD_ATOL):
         if scaled.any():
             max_rel = max(max_rel, float((err[scaled] / mag[scaled]).max()))
     return max_rel
+
+
+def lstm_step(x_t, h_prev, c_prev, w):
+    """One LSTM step from per-gate weights, with input, forget and output gates.
+
+    ``x_t`` and the states are row vectors (1, n_in) / (1, hidden); ``w``
+    holds ``w_{gate}x``, ``w_{gate}h`` and ``b_{gate}`` for gates i, f, g, o.
+    Returns (h_t, c_t).
+    """
+    i = tensor.sigmoid(x_t @ w["w_ix"] + h_prev @ w["w_ih"] + w["b_i"])
+    f = tensor.sigmoid(x_t @ w["w_fx"] + h_prev @ w["w_fh"] + w["b_f"])
+    g = tensor.tanh(x_t @ w["w_gx"] + h_prev @ w["w_gh"] + w["b_g"])
+    o = tensor.sigmoid(x_t @ w["w_ox"] + h_prev @ w["w_oh"] + w["b_o"])
+    c_t = f * c_prev + i * g
+    h_t = o * tensor.tanh(c_t)
+    return h_t, c_t
+
+
+def lstm_graph_step(z_t, h_prev, c_prev, w_h):
+    """One LSTM step from a projected input row (1, 4H) and packed (H, 4H)
+    recurrent weights in gate order i, f, g, o.
+
+    Same arithmetic, in the same order, as ``tensor.lstm_sequence``'s
+    forward loop, so iterating it must reproduce that op bit for bit.
+    Returns (h_t, c_t).
+    """
+    hidden = w_h.shape[0]
+    z = z_t + h_prev @ w_h
+    i = tensor.sigmoid(tensor.slice_cols(z, 0, hidden))
+    f = tensor.sigmoid(tensor.slice_cols(z, hidden, 2 * hidden))
+    g = tensor.tanh(tensor.slice_cols(z, 2 * hidden, 3 * hidden))
+    o = tensor.sigmoid(tensor.slice_cols(z, 3 * hidden, 4 * hidden))
+    c_t = f * c_prev + i * g
+    h_t = o * tensor.tanh(c_t)
+    return h_t, c_t

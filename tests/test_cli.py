@@ -169,6 +169,20 @@ class TestExitCodes:
         assert cli.main(["enhance", "--model", str(bad), "--in", str(src),
                          "--out", str(tmp_path / "o.wav")]) == 4
 
+    def test_non_finite_checkpoint_exit_4_without_output(self, tmp_path, capsys):
+        cfg = toy_cfg()
+        params = model.init_params(cfg, np.random.default_rng(1), dtype=np.float32)
+        params["input_proj.b"].data[3] = np.nan
+        path = tmp_path / "nan.ckpt"
+        save_checkpoint(checkpoint_from(params, cfg), path)
+        src = tmp_path / "in.wav"
+        wavio.write_wav(src, tone(800))
+        out = tmp_path / "o.wav"
+        assert cli.main(["enhance", "--model", str(path), "--in", str(src),
+                         "--out", str(out)]) == 4
+        assert "input_proj.b" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_truncated_checkpoint_exit_4(self, tmp_path, trained_ckpt):
         src = tmp_path / "in.wav"
         wavio.write_wav(src, tone(1000))

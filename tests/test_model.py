@@ -1,12 +1,14 @@
 """Network building blocks: layer norm, LSTM/BLSTM, gated attention,
 feedforward, block wiring, and the full forward pass."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from arn import model, tensor
+from arn import losses, model, tensor
 from arn.model import (
     ARNConfig,
     ConfigurationError,
@@ -19,13 +21,12 @@ from arn.model import (
     init_params,
     layer_norm,
     lstm_sequence,
-    lstm_step,
     rnn_sequence,
     zeros_params,
 )
 from arn.tensor import Tensor
 
-from gradtools import check_grads, finite_diff
+from gradtools import check_grads, finite_diff, lstm_graph_step, lstm_step
 
 
 def toy_cfg(**overrides):
@@ -91,6 +92,28 @@ def lstm_weights(n_in, hidden, seed=None, dtype=np.float64):
     return w
 
 
+def sequence_grad_error(run, x, weights, seed):
+    """Largest relative gap between the recorded gradients of
+    sum(run(x) * mix), for a random ``mix``, and central differences, over
+    ``x`` and every tensor of the weight dicts."""
+    with tensor.no_grad():
+        shape = run(x).shape
+    mix = Tensor(np.random.default_rng(seed).standard_normal(shape))
+
+    def build():
+        return tensor.sum_all(tensor.mul(run(x), mix))
+
+    tensor.backward(build())
+
+    def f():
+        with tensor.no_grad():
+            return build().item()
+
+    leaves = [x] + [w[k] for w in weights for k in sorted(w)]
+    return check_grads([t.grad for t in leaves],
+                       finite_diff(f, [t.data for t in leaves]))
+
+
 class TestLstm:
     def test_zero_parameters_fixed_point(self):
         w = lstm_weights(3, 4)
@@ -128,20 +151,60 @@ class TestLstm:
         w = lstm_weights(3, 3, seed=5)
         x = Tensor(np.random.default_rng(6).standard_normal((4, 3)),
                    requires_grad=True)
-        mix = np.random.default_rng(7).standard_normal((4, 3))
+        run = lambda v: lstm_sequence(v, w)
+        assert sequence_grad_error(run, x, [w], seed=7) < 1e-5
 
-        def build():
-            return tensor.sum_all(tensor.mul(lstm_sequence(x, w), Tensor(mix)))
+    @pytest.mark.parametrize("steps", [1, 7])
+    def test_sequence_gradients_one_and_many_steps(self, steps):
+        w = lstm_weights(3, 2, seed=30 + steps)
+        x = Tensor(np.random.default_rng(31).standard_normal((steps, 3)),
+                   requires_grad=True)
+        run = lambda v: lstm_sequence(v, w)
+        assert sequence_grad_error(run, x, [w], seed=32) < 1e-5
 
-        tensor.backward(build())
+    def test_one_step_recurrent_weights_get_zero_gradient(self):
+        # with a single step h_{t-1} is the zero state: w_h gets an all-zero
+        # gradient, not none, and the packing concat's backward still runs
+        w = lstm_weights(3, 2, seed=33)
+        x = Tensor(np.random.default_rng(34).standard_normal((1, 3)))
+        tensor.backward(tensor.sum_all(lstm_sequence(x, w)))
+        for gate in "ifgo":
+            np.testing.assert_array_equal(w[f"w_{gate}h"].grad, np.zeros((2, 2)))
+        assert np.abs(w["w_ix"].grad).max() > 0
 
-        def f():
-            with tensor.no_grad():
-                return build().item()
+    @pytest.mark.parametrize("steps", [1, 2, 9])
+    def test_fused_op_bit_identical_to_stepwise_graph_float32(self, steps):
+        rng = np.random.default_rng(35 + steps)
+        hidden = 5
+        z_in = Tensor(rng.standard_normal((steps, 4 * hidden)).astype(np.float32),
+                      requires_grad=True)
+        w_h = Tensor((0.5 * rng.standard_normal((hidden, 4 * hidden))).astype(np.float32),
+                     requires_grad=True)
+        fused = tensor.lstm_sequence(z_in, w_h)
+        assert fused.data.dtype == np.float32
+        h = Tensor(np.zeros((1, hidden), dtype=np.float32))
+        c = Tensor(np.zeros((1, hidden), dtype=np.float32))
+        for t in range(steps):
+            h, c = lstm_graph_step(Tensor(z_in.data[t:t + 1]), h, c, w_h)
+            np.testing.assert_array_equal(fused.data[t], h.data[0])
 
-        arrays = [x.data] + [w[k].data for k in sorted(w)]
-        grads = [x.grad] + [w[k].grad for k in sorted(w)]
-        assert check_grads(grads, finite_diff(f, arrays)) < 1e-5
+    def test_float32_sequence_matches_per_gate_steps(self):
+        w = lstm_weights(4, 3, seed=36, dtype=np.float32)
+        x = np.random.default_rng(37).standard_normal((8, 4)).astype(np.float32)
+        fused = lstm_sequence(Tensor(x), w)
+        h = Tensor(np.zeros((1, 3), dtype=np.float32))
+        c = Tensor(np.zeros((1, 3), dtype=np.float32))
+        for t in range(8):
+            h, c = lstm_step(Tensor(x[t:t + 1]), h, c, w)
+            np.testing.assert_allclose(fused.data[t], h.data[0], atol=1e-6)
+
+    def test_fused_op_rejects_bad_shapes(self):
+        with pytest.raises(tensor.DimensionError):
+            tensor.lstm_sequence(Tensor(np.zeros((3, 8))), Tensor(np.zeros((2, 6))))
+        with pytest.raises(tensor.DimensionError):
+            tensor.lstm_sequence(Tensor(np.zeros((3, 12))), Tensor(np.zeros((2, 8))))
+        with pytest.raises(tensor.DimensionError):
+            tensor.lstm_sequence(Tensor(np.zeros((0, 8))), Tensor(np.zeros((2, 8))))
 
 
 class TestBlstm:
@@ -167,6 +230,14 @@ class TestBlstm:
         a = blstm_sequence(Tensor(x), fwd, bwd)
         b = blstm_sequence(Tensor(y), fwd, bwd)
         assert np.abs(a.data[0] - b.data[0]).max() > 1e-8
+
+    @pytest.mark.parametrize("steps", [1, 7])
+    def test_gradients(self, steps):
+        fwd, bwd = lstm_weights(3, 2, seed=40), lstm_weights(3, 2, seed=41)
+        x = Tensor(np.random.default_rng(42).standard_normal((steps, 3)),
+                   requires_grad=True)
+        run = lambda v: blstm_sequence(v, fwd, bwd)
+        assert sequence_grad_error(run, x, [fwd, bwd], seed=43) < 1e-5
 
     def test_rnn_dispatch_validates_config(self):
         causal_params = init_params(toy_cfg(), np.random.default_rng(0))
@@ -492,3 +563,40 @@ class TestParameters:
     def test_init_respects_dtype(self):
         params = init_params(toy_cfg(), np.random.default_rng(46), dtype=np.float32)
         assert all(p.data.dtype == np.float32 for p in params.values())
+
+
+class TestGraphFreeing:
+    """A recorded graph holds no reference cycle: with the cyclic collector
+    off, dropping the loss frees every node, whether or not backward ran."""
+
+    @pytest.mark.parametrize("causal", [True, False])
+    @pytest.mark.parametrize("run_backward", [True, False])
+    def test_graph_freed_on_del_without_collector(self, causal, run_backward):
+        cfg = toy_cfg(causal=causal, num_blocks=2, dropout=0.1)
+        params = init_params(cfg, np.random.default_rng(47), dtype=np.float64)
+        rng = np.random.default_rng(48)
+        x = rng.standard_normal(64)
+        s = rng.standard_normal(64)
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            loss = losses.pcm_loss(x, s, arn_forward(x, params, cfg, mode="train",
+                                                     rng=rng))
+            if run_backward:
+                loss.backward()
+            nodes, stack, seen = [], [loss], set()
+            while stack:
+                node = stack.pop()
+                if node._backward is None or id(node) in seen:
+                    continue
+                seen.add(id(node))
+                nodes.append(weakref.ref(node))
+                stack.extend(node._parents)
+            assert len(nodes) > 50
+            inner = weakref.ref(loss._parents[0])
+            del loss, node, stack
+            assert inner() is None
+            assert [r for r in nodes if r() is not None] == []
+        finally:
+            if was_enabled:
+                gc.enable()

@@ -1,6 +1,7 @@
 """Training loop, schedule, validation selection, checkpoint persistence."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -234,6 +235,41 @@ class TestCheckpoint:
         blob = path.read_bytes().replace(b"ARNCKPT 1", b"ARNCKPT 9", 1)
         path.write_bytes(blob)
         with pytest.raises(CheckpointFormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("line, bad", [
+        (b"ARNCKPT 1", b"ARNCKPT x"),
+        (b"meta.epoch=0", b"meta.epoch=zz"),
+        (b"config.width=8", b"config.width=eight"),
+        (rb"DATA \d+", b"DATA many"),
+        (b"meta.epoch=0", b"meta.epoch=nan"),
+        (b"meta.epoch=0", b"meta.epoch=inf"),
+    ])
+    def test_unparseable_header_value_rejected(self, tmp_path, line, bad):
+        cfg, params, _ = self.make(seed=20)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint_from(params, cfg), path)
+        blob, n = re.subn(line, bad, path.read_bytes(), count=1)
+        assert n == 1
+        path.write_bytes(blob)
+        with pytest.raises(CheckpointFormatError, match=re.escape(bad.decode())):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("name", ["input_proj.b", "block1.lstm.w_fh",
+                                      "adam.m.output_proj.w", "adam.v.block0.ff.b"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_rejected(self, tmp_path, name, value):
+        cfg, params, adam = self.make(seed=21, with_adam=True)
+        ckpt = checkpoint_from(params, cfg, adam)
+        if name.startswith("adam."):
+            moments = adam.m if name.startswith("adam.m.") else adam.v
+            target = moments[name[len("adam.m."):]]
+        else:
+            target = ckpt.tensors[name]
+        target.reshape(-1)[target.size // 2] = value
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        with pytest.raises(CheckpointFormatError, match=re.escape(name)):
             load_checkpoint(path)
 
     def test_shape_mismatch_rejected(self, tmp_path):
