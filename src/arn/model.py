@@ -242,26 +242,33 @@ def attention_block(q: Tensor, k: Tensor, v: Tensor, p: dict, causal: bool) -> T
     on every call, so training optimizes it and evaluation sees its current
     value.
     """
-    steps = q.shape[0]
-    if steps == 0:
+    if q.shape[0] == 0:
         raise EmptySequenceError("attention over an empty sequence")
-    n = q.shape[1]
     k_gated = k * tensor.sigmoid(p["k"])
     q_gated = (q @ p["lin_q.w"] + p["lin_q.b"]) * tensor.sigmoid(p["q"])
     v_gated = v * _v_gate_graph(p)
-    scores = tensor.scale(q_gated @ tensor.transpose(k_gated), 1.0 / math.sqrt(n))
-    if causal:
-        scores = tensor.causal_mask(scores)
-    return tensor.softmax_rows(scores) @ v_gated
+    return tensor.attention(q_gated, k_gated, v_gated, causal)
 
 
 def feedforward_block(x: Tensor, w: Tensor, b: Tensor, dropout_rate: float,
                       mode: str, rng=None) -> Tensor:
-    """Linear to 4N, GELU, dropout, then sum of the four N-wide chunks."""
-    n = x.shape[1]
-    h = tensor.dropout_apply(tensor.gelu(x @ w + b), dropout_rate, mode, rng)
-    chunks = [tensor.slice_cols(h, j * n, (j + 1) * n) for j in range(4)]
-    return (chunks[0] + chunks[1]) + (chunks[2] + chunks[3])
+    """Linear to 4N, GELU, dropout, then sum of the four N-wide chunks.
+
+    Dropout is inverted: in train mode with a positive rate, each of the
+    (T, 4N) activations is kept where ``rng.random((T, 4N)) >= rate`` and
+    scaled by 1/(1 - rate). Eval mode (and rate 0) draws nothing.
+    """
+    if not 0.0 <= dropout_rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    mask = None
+    if mode == "train" and dropout_rate > 0.0:
+        if rng is None:
+            raise ValueError("train-mode dropout needs an rng")
+        keep = rng.random((x.shape[0], w.shape[1])) >= dropout_rate
+        mask = keep.astype(np.result_type(x.data, w.data, b.data)) / (1.0 - dropout_rate)
+    return tensor.feedforward(x, w, b, mask)
 
 
 def arn_block_forward(x: Tensor, block_params: dict, cfg: ARNConfig,

@@ -2,9 +2,9 @@
 
 A minimal numpy-backed autograd engine covering exactly the operations the
 attentive recurrent enhancement network needs: matrix products,
-row-broadcast arithmetic, pointwise nonlinearities, masked row softmax,
-row-wise layer normalization, signal framing / overlap-add, scalar
-reductions, and a whole LSTM recurrence as one fused op.
+row-broadcast arithmetic, pointwise nonlinearities, row-wise layer
+normalization, signal framing / overlap-add, scalar reductions, and three
+fused ops: a whole LSTM recurrence, attention, and the feedforward layer.
 
 Every operation that sees a gradient-requiring input records a backward
 closure on its output. The closure takes the output's gradient as its
@@ -18,7 +18,9 @@ adjoints. Explicit zeroing happens in the optimizer (see ``arn.optim``).
 
 ``lstm_sequence`` records one node for all T time steps: its forward loop is
 plain numpy, and its backward pass runs backpropagation through time over
-the gate activations and cell states it kept.
+the gate activations and cell states it kept. ``attention`` and
+``feedforward`` work over tiles of ``TILE_ROWS`` rows and recompute each
+tile in their backward pass, so their memory grows linearly in T.
 """
 
 from __future__ import annotations
@@ -37,10 +39,6 @@ class DimensionError(ValueError):
 
 class RankError(ValueError):
     """Operation needs a tensor of a different rank (e.g. a scalar loss)."""
-
-
-class DegenerateRowError(ValueError):
-    """A softmax row contains no finite entry to normalize over."""
 
 
 class GradientMissingError(RuntimeError):
@@ -260,17 +258,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), _bw)
 
 
-def transpose(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError("transpose needs a rank-2 operand")
-    out = Tensor(a.data.T)
-
-    def _bw(g):
-        a._acc(g.T)
-
-    return _record(out, (a,), _bw)
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     out = Tensor(a.data.reshape(shape))
 
@@ -305,23 +292,6 @@ def tanh(a: Tensor) -> Tensor:
 
     def _bw(g):
         a._acc(g * (1.0 - y * y))
-
-    return _record(out, (a,), _bw)
-
-
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def gelu(a: Tensor) -> Tensor:
-    """x * Phi(x) with the exact standard-normal CDF (erf form)."""
-    x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = Tensor(x * cdf)
-
-    def _bw(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
-        a._acc(g * (cdf + x * pdf))
 
     return _record(out, (a,), _bw)
 
@@ -404,44 +374,146 @@ def lstm_sequence(z_in: Tensor, w_h: Tensor) -> Tensor:
 
 
 # ---------------------------------------------------------------------------
-# softmax and causal masking
+# row-tiled fused ops: attention and the feedforward layer
 # ---------------------------------------------------------------------------
 
-def softmax_rows(w: Tensor) -> Tensor:
-    """Row-wise softmax, stabilized by row-max subtraction.
+# Rows per tile of ``attention`` and ``feedforward``. Their forward and
+# backward passes hold scratch for one tile at a time, O(TILE_ROWS * T) for
+# attention and O(TILE_ROWS * 4N) for the feedforward layer, instead of the
+# whole T x T and T x 4N arrays.
+TILE_ROWS = 256
 
-    ``-inf`` entries (mask sentinels) map to exactly 0; a row that is
-    entirely ``-inf`` has nothing to normalize over and raises.
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+def _row_tiles(steps: int):
+    return ((a, min(a + TILE_ROWS, steps)) for a in range(0, steps, TILE_ROWS))
+
+
+def _attention_probs(q_tile, k, scale: float, first_row: int, causal: bool):
+    """Softmax rows of one query tile over the keys ``k``.
+
+    A causal tile gets only keys [0, first_row + rows) and masks the entries
+    above the diagonal of its last (rows, rows) block.
     """
-    if w.data.ndim != 2:
-        raise DimensionError("softmax_rows needs a rank-2 operand")
-    m = w.data.max(axis=1, keepdims=True)
-    if np.isneginf(m).any():
-        raise DegenerateRowError("softmax row with every entry masked to -inf")
-    e = np.exp(w.data - m)
-    y = e / e.sum(axis=1, keepdims=True)
-    out = Tensor(y)
+    s = q_tile @ k.T
+    s *= scale
+    if causal:
+        rows = s.shape[0]
+        s[:, first_row:][np.triu_indices(rows, 1)] = -np.inf
+    s -= s.max(axis=1, keepdims=True)
+    np.exp(s, out=s)
+    s /= s.sum(axis=1, keepdims=True)
+    return s
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool) -> Tensor:
+    """softmax(q k^T / sqrt(N)) v as one recorded op over query tiles.
+
+    ``q`` is (T, N), ``k`` (S, N) and ``v`` (S, M). When ``causal`` (which
+    needs S == T), row t attends to keys 0..t only. Softmax rows are
+    independent, so tiling the queries is exact without a running maximum.
+    A causal tile of rows [a, b) reads keys [0, b) only, which skips the
+    masked triangle. The backward pass recomputes each tile's
+    probabilities, so no (T, S) array is ever held.
+    """
+    qd, kd, vd = q.data, k.data, v.data
+    if qd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2:
+        raise DimensionError("attention needs rank-2 operands")
+    steps, n = qd.shape
+    keys = kd.shape[0]
+    if kd.shape[1] != n or vd.shape[0] != keys:
+        raise DimensionError(
+            f"need (T, N), (S, N) and (S, M), got {qd.shape}, {kd.shape} and {vd.shape}")
+    if causal and keys != steps:
+        raise DimensionError(f"causal attention needs T == S, got {steps} and {keys}")
+    if steps == 0 or keys == 0:
+        raise DimensionError("attention over zero queries or keys")
+    scale = 1.0 / math.sqrt(n)
+    out = np.empty((steps, vd.shape[1]), dtype=np.result_type(qd, kd, vd))
+    for lo, hi in _row_tiles(steps):
+        stop = hi if causal else keys
+        out[lo:hi] = _attention_probs(qd[lo:hi], kd[:stop], scale, lo, causal) @ vd[:stop]
 
     def _bw(g):
-        dot = (g * y).sum(axis=1, keepdims=True)
-        w._acc(y * (g - dot))
+        dq, dk, dv = np.zeros_like(qd), np.zeros_like(kd), np.zeros_like(vd)
+        for lo, hi in _row_tiles(steps):
+            stop = hi if causal else keys
+            p = _attention_probs(qd[lo:hi], kd[:stop], scale, lo, causal)
+            dv[:stop] += p.T @ g[lo:hi]
+            # softmax backward: ds = p * (dp - rowsum(dp * p)), times the scale
+            ds = g[lo:hi] @ vd[:stop].T
+            ds -= (ds * p).sum(axis=1, keepdims=True)
+            ds *= p
+            ds *= scale
+            dq[lo:hi] = ds @ kd[:stop]
+            dk[:stop] += ds.T @ qd[lo:hi]
+        for t, d in ((q, dq), (k, dk), (v, dv)):
+            if t.requires_grad:
+                t._acc(d)
 
-    return _record(out, (w,), _bw)
+    return _record(Tensor(out), (q, k, v), _bw)
 
 
-def causal_mask(w: Tensor) -> Tensor:
-    """Set entries above the main diagonal to -inf (row t keeps keys <= t)."""
-    if w.data.ndim != 2 or w.data.shape[0] != w.data.shape[1]:
-        raise DimensionError("causal_mask needs a square matrix")
-    data = w.data.copy()
-    upper = np.triu_indices(data.shape[0], k=1)
-    data[upper] = -np.inf
-    out = Tensor(data)
+def _gelu_cdf(pre: np.ndarray) -> np.ndarray:
+    """Phi(pre), the standard-normal CDF, in erf form."""
+    cdf = pre * _INV_SQRT2
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    return cdf
+
+
+def feedforward(x: Tensor, w: Tensor, b: Tensor, mask=None) -> Tensor:
+    """GELU(x w + b) * mask, summed over its four equal column chunks, as
+    one recorded op over row tiles.
+
+    ``x`` is (T, K), ``w`` (K, 4N) and ``b`` (4N,); the output is (T, N).
+    GELU is z * Phi(z) with the exact normal CDF. ``mask``, a plain (T, 4N)
+    array of dropout scales, or None for no dropout, is not differentiated.
+    Each tile's (rows, 4N) pre-activation lives only while that tile is
+    processed; the backward pass recomputes it.
+    """
+    xd, wd, bd = x.data, w.data, b.data
+    if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
+        raise DimensionError(
+            f"feedforward needs (T, K) @ (K, 4N), got {xd.shape} and {wd.shape}")
+    steps, wide = xd.shape[0], wd.shape[1]
+    if wide % 4 or bd.shape != (wide,):
+        raise DimensionError(
+            f"need w of 4N columns and b of shape (4N,), got {wd.shape} and {bd.shape}")
+    if mask is not None and mask.shape != (steps, wide):
+        raise DimensionError(f"mask shape {mask.shape} != {(steps, wide)}")
+    n = wide // 4
+    out = np.empty((steps, n), dtype=np.result_type(xd, wd, bd))
+    for lo, hi in _row_tiles(steps):
+        h = xd[lo:hi] @ wd
+        h += bd
+        h *= _gelu_cdf(h)
+        if mask is not None:
+            h *= mask[lo:hi]
+        out[lo:hi] = (h[:, :n] + h[:, n:2 * n]) + (h[:, 2 * n:3 * n] + h[:, 3 * n:])
 
     def _bw(g):
-        w._acc(np.tril(g))
+        dx, dw, db = np.zeros_like(xd), np.zeros_like(wd), np.zeros_like(bd)
+        for lo, hi in _row_tiles(steps):
+            pre = xd[lo:hi] @ wd
+            pre += bd
+            # each of the four chunks receives the output's gradient
+            dpre = np.tile(g[lo:hi], 4)
+            if mask is not None:
+                dpre *= mask[lo:hi]
+            # d/dz of z * Phi(z) is Phi(z) + z * phi(z)
+            dpre *= _gelu_cdf(pre) + pre * np.exp(-0.5 * pre * pre) * _INV_SQRT_2PI
+            dx[lo:hi] = dpre @ wd.T
+            dw += xd[lo:hi].T @ dpre
+            db += dpre.sum(axis=0)
+        for t, d in ((x, dx), (w, dw), (b, db)):
+            if t.requires_grad:
+                t._acc(d)
 
-    return _record(out, (w,), _bw)
+    return _record(Tensor(out), (x, w, b), _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -529,21 +601,6 @@ def concat(parts, axis: int) -> Tensor:
     return _record(out, tuple(parts), _bw)
 
 
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError("slice_cols needs a rank-2 operand")
-    if not (0 <= start < stop <= a.data.shape[1]):
-        raise DimensionError(f"column slice [{start}:{stop}] out of range")
-    out = Tensor(a.data[:, start:stop])
-
-    def _bw(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[:, start:stop] += g
-
-    return _record(out, (a,), _bw)
-
-
 def flip_rows(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise DimensionError("flip_rows needs a rank-2 operand")
@@ -626,21 +683,3 @@ def overlap_add_rows(frames: Tensor, shift: int, out_len: int,
         frames._acc(gf)
 
     return _record(out, (frames,), _bw)
-
-
-def dropout_apply(x: Tensor, rate: float, mode: str, rng=None) -> Tensor:
-    """Inverted dropout: kept entries are scaled by 1/(1-rate).
-
-    Eval mode (and rate 0) is the identity.
-    """
-    if not 0.0 <= rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "eval" or rate == 0.0:
-        return x
-    if rng is None:
-        raise ValueError("train-mode dropout needs an rng")
-    keep = rng.random(x.data.shape) >= rate
-    mask = keep.astype(x.data.dtype) / (1.0 - rate)
-    return mul(x, Tensor(mask))

@@ -173,7 +173,13 @@ def checkpoint_from(params: dict, model_cfg: ARNConfig, adam: AdamState | None =
 
 
 def params_from_checkpoint(ckpt: Checkpoint, dtype=np.float32) -> dict:
-    """Rebuild trainable tensors, validating against the config's shape table."""
+    """Rebuild trainable tensors, validating against the config's shape table.
+
+    Arrays already of ``dtype`` are not copied: for float32 (the stored
+    precision) each parameter's data is the array in ``ckpt.tensors``, so
+    one copy of the weights is held, and an in-place update of a parameter
+    also changes the checkpoint object. Any other dtype gets a converted copy.
+    """
     expected = model.param_shapes(ckpt.model_cfg)
     if set(ckpt.tensors) != set(expected):
         missing = sorted(set(expected) - set(ckpt.tensors))
@@ -186,7 +192,7 @@ def params_from_checkpoint(ckpt: Checkpoint, dtype=np.float32) -> dict:
         if arr.shape != shape:
             raise CheckpointShapeError(
                 f"{name}: stored shape {arr.shape} != declared {shape}")
-        params[name] = tensor.Tensor(arr.astype(dtype), requires_grad=True)
+        params[name] = tensor.Tensor(arr.astype(dtype, copy=False), requires_grad=True)
     return params
 
 
@@ -235,22 +241,25 @@ def save_checkpoint(ckpt: Checkpoint, path):
         lines.append(f"meta.adam.epsilon={_format_value(ckpt.adam.epsilon)}")
 
     offset = 0
-    payload = []
+    arrays = []
     for name, arr in entries:
         arr = np.ascontiguousarray(arr, dtype="<f4")
         dims = "x".join(str(d) for d in arr.shape) if arr.ndim else "1"
         lines.append(f"tensor {name} {dims} {offset} {arr.size}")
-        payload.append(arr.tobytes())
+        arrays.append(arr)
         offset += arr.size
     lines.append(f"DATA {offset}")
 
-    blob = ("\n".join(lines) + "\n").encode("ascii") + b"".join(payload)
+    # header, then each tensor's buffer straight from its array: the payload
+    # is never assembled in memory
     path = os.fspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".",
                                prefix=os.path.basename(path), suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(blob)
+            fh.write(("\n".join(lines) + "\n").encode("ascii"))
+            for arr in arrays:
+                fh.write(arr)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -258,21 +267,39 @@ def save_checkpoint(ckpt: Checkpoint, path):
         raise
 
 
-def load_checkpoint(path) -> Checkpoint:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    # header is ascii text up to and including the DATA line
-    marker = raw.find(b"\nDATA ")
-    if not raw.startswith(_MAGIC.encode("ascii")) or marker < 0:
+def _read_header(fh) -> list:
+    """The header's lines, through the ``DATA`` line; ``fh`` is left at the
+    first payload byte."""
+    raw = [fh.readline()]
+    if not raw[0].startswith(_MAGIC.encode("ascii")):
         raise CheckpointFormatError("missing magic or DATA marker")
-    data_end = raw.find(b"\n", marker + 1)
-    if data_end < 0:
+    while not raw[-1].startswith(b"DATA "):
+        raw.append(fh.readline())
+        if not raw[-1]:
+            raise CheckpointFormatError("missing magic or DATA marker")
+    if not raw[-1].endswith(b"\n"):
         raise CheckpointFormatError("unterminated DATA line")
     try:
-        header = raw[:data_end].decode("ascii").splitlines()
+        return b"".join(raw)[:-1].decode("ascii").splitlines()
     except UnicodeDecodeError as exc:
         raise CheckpointFormatError(f"non-ascii header: {exc}") from None
-    payload = memoryview(raw)[data_end + 1:]
+
+
+def load_checkpoint(path) -> Checkpoint:
+    """Parse and check a checkpoint file.
+
+    Each tensor is read from its offset in the file straight into its own
+    float32 array, so the weights are held once; skipped ``cache.*`` entries
+    are not read.
+    """
+    with open(path, "rb") as fh:
+        return _read_checkpoint(fh)
+
+
+def _read_checkpoint(fh) -> Checkpoint:
+    header = _read_header(fh)
+    data_start = fh.tell()
+    payload_bytes = os.fstat(fh.fileno()).st_size - data_start
 
     magic = header[0].split()
     if len(magic) != 2 or magic[0] != _MAGIC or not magic[1].isdigit():
@@ -309,9 +336,9 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointFormatError(f"unrecognized header line {line!r}")
     if declared_floats is None:
         raise CheckpointFormatError("missing DATA line")
-    if len(payload) < declared_floats * 4:
+    if payload_bytes < declared_floats * 4:
         raise CheckpointTruncatedError(
-            f"payload holds {len(payload) // 4} floats, header declares {declared_floats}")
+            f"payload holds {payload_bytes // 4} floats, header declares {declared_floats}")
 
     try:
         model_cfg = ARNConfig.from_dict(config)
@@ -323,12 +350,14 @@ def load_checkpoint(path) -> Checkpoint:
         if int(np.prod(shape)) != count:
             raise CheckpointShapeError(
                 f"{name}: shape {shape} does not hold {count} values")
-        if (offset + count) * 4 > len(payload):
+        if (offset + count) * 4 > payload_bytes:
             raise CheckpointTruncatedError(f"{name}: payload ends early")
         if name.startswith("cache."):
             continue
-        arr = np.frombuffer(payload, dtype="<f4", count=count,
-                            offset=offset * 4).reshape(shape).copy()
+        arr = np.empty(shape, dtype="<f4")
+        fh.seek(data_start + offset * 4)
+        if fh.readinto(arr) != count * 4:
+            raise CheckpointTruncatedError(f"{name}: payload ends early")
         if not np.isfinite(arr).all():
             raise CheckpointFormatError(f"{name}: non-finite values")
         if name.startswith("adam.m."):

@@ -1,14 +1,23 @@
-"""Oracles for the fast paths: finite differences and the stepwise LSTM.
+"""Oracles for the fast paths: finite differences, the stepwise LSTM, and
+the naive attention and feedforward graphs.
 
 ``finite_diff`` only ever calls the supplied loss closure, so it checks the
 recorded backward pass against nothing but repeated forward evaluations.
 ``lstm_step`` and ``lstm_graph_step`` build one LSTM time step from
 elementary recorded ops, as oracles for the fused ``tensor.lstm_sequence``.
+``transpose``, ``softmax_rows``, ``causal_mask``, ``gelu``, ``slice_cols``
+and ``dropout_apply`` are recorded elementary ops that build the whole-array
+graphs ``attention_graph`` and ``feedforward_graph``, the oracles for the
+row-tiled ``tensor.attention`` and ``tensor.feedforward``.
 """
 
+import math
+
 import numpy as np
+from scipy.special import erf
 
 from arn import tensor
+from arn.tensor import DimensionError, Tensor
 
 FD_STEP = 1e-5
 # central differences in float64 carry ~1e-10 of roundoff/truncation noise;
@@ -105,10 +114,151 @@ def lstm_graph_step(z_t, h_prev, c_prev, w_h):
     """
     hidden = w_h.shape[0]
     z = z_t + h_prev @ w_h
-    i = tensor.sigmoid(tensor.slice_cols(z, 0, hidden))
-    f = tensor.sigmoid(tensor.slice_cols(z, hidden, 2 * hidden))
-    g = tensor.tanh(tensor.slice_cols(z, 2 * hidden, 3 * hidden))
-    o = tensor.sigmoid(tensor.slice_cols(z, 3 * hidden, 4 * hidden))
+    i = tensor.sigmoid(slice_cols(z, 0, hidden))
+    f = tensor.sigmoid(slice_cols(z, hidden, 2 * hidden))
+    g = tensor.tanh(slice_cols(z, 2 * hidden, 3 * hidden))
+    o = tensor.sigmoid(slice_cols(z, 3 * hidden, 4 * hidden))
     c_t = f * c_prev + i * g
     h_t = o * tensor.tanh(c_t)
     return h_t, c_t
+
+
+# ---------------------------------------------------------------------------
+# whole-array graphs of elementary ops: oracles for the row-tiled fused ops
+# ---------------------------------------------------------------------------
+
+# a tile size for tests to set as ``tensor.TILE_ROWS``, and sequence lengths
+# around it: one partial tile, exactly one tile, and full tiles followed by a
+# partial one
+SMALL_TILE = 4
+TILE_STEPS = [1, SMALL_TILE - 1, SMALL_TILE, SMALL_TILE + 1, 2 * SMALL_TILE + 3]
+
+_INV_SQRT2 = 1.0 / math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+class DegenerateRowError(ValueError):
+    """A softmax row contains no finite entry to normalize over."""
+
+
+def transpose(a: Tensor) -> Tensor:
+    if a.data.ndim != 2:
+        raise DimensionError("transpose needs a rank-2 operand")
+    out = Tensor(a.data.T)
+
+    def _bw(g):
+        a._acc(g.T)
+
+    return tensor._record(out, (a,), _bw)
+
+
+def softmax_rows(w: Tensor) -> Tensor:
+    """Row-wise softmax, stabilized by row-max subtraction.
+
+    ``-inf`` entries (mask sentinels) map to exactly 0; a row that is
+    entirely ``-inf`` has nothing to normalize over and raises.
+    """
+    if w.data.ndim != 2:
+        raise DimensionError("softmax_rows needs a rank-2 operand")
+    m = w.data.max(axis=1, keepdims=True)
+    if np.isneginf(m).any():
+        raise DegenerateRowError("softmax row with every entry masked to -inf")
+    e = np.exp(w.data - m)
+    y = e / e.sum(axis=1, keepdims=True)
+    out = Tensor(y)
+
+    def _bw(g):
+        dot = (g * y).sum(axis=1, keepdims=True)
+        w._acc(y * (g - dot))
+
+    return tensor._record(out, (w,), _bw)
+
+
+def causal_mask(w: Tensor) -> Tensor:
+    """Set entries above the main diagonal to -inf (row t keeps keys <= t)."""
+    if w.data.ndim != 2 or w.data.shape[0] != w.data.shape[1]:
+        raise DimensionError("causal_mask needs a square matrix")
+    data = w.data.copy()
+    upper = np.triu_indices(data.shape[0], k=1)
+    data[upper] = -np.inf
+    out = Tensor(data)
+
+    def _bw(g):
+        w._acc(np.tril(g))
+
+    return tensor._record(out, (w,), _bw)
+
+
+def gelu(a: Tensor) -> Tensor:
+    """x * Phi(x) with the exact standard-normal CDF (erf form)."""
+    x = a.data
+    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    out = Tensor(x * cdf)
+
+    def _bw(g):
+        pdf = np.exp(-0.5 * x * x) * _INV_SQRT_2PI
+        a._acc(g * (cdf + x * pdf))
+
+    return tensor._record(out, (a,), _bw)
+
+
+def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
+    if a.data.ndim != 2:
+        raise DimensionError("slice_cols needs a rank-2 operand")
+    if not (0 <= start < stop <= a.data.shape[1]):
+        raise DimensionError(f"column slice [{start}:{stop}] out of range")
+    out = Tensor(a.data[:, start:stop])
+
+    def _bw(g):
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[:, start:stop] += g
+
+    return tensor._record(out, (a,), _bw)
+
+
+def dropout_apply(x: Tensor, rate: float, mode: str, rng=None) -> Tensor:
+    """Inverted dropout: kept entries are scaled by 1/(1-rate).
+
+    Eval mode (and rate 0) is the identity.
+    """
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
+    if mode not in ("train", "eval"):
+        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
+    if mode == "eval" or rate == 0.0:
+        return x
+    if rng is None:
+        raise ValueError("train-mode dropout needs an rng")
+    keep = rng.random(x.data.shape) >= rate
+    mask = keep.astype(x.data.dtype) / (1.0 - rate)
+    return tensor.mul(x, Tensor(mask))
+
+
+def attention_graph(q: Tensor, k: Tensor, v: Tensor, causal: bool) -> Tensor:
+    """softmax(q k^T / sqrt(N)) v with the whole (T, S) score matrix."""
+    scores = tensor.scale(q @ transpose(k), 1.0 / math.sqrt(q.shape[1]))
+    if causal:
+        scores = causal_mask(scores)
+    return softmax_rows(scores) @ v
+
+
+def attention_block_graph(q, k, v, p, causal: bool) -> Tensor:
+    """``model.attention_block``'s gating followed by ``attention_graph``."""
+    n = p["v"].shape[0]
+    v_row = tensor.reshape(p["v"], (1, n))
+    gate_v = (tensor.sigmoid(v_row @ p["lin_v_sig.w"] + p["lin_v_sig.b"])
+              * tensor.tanh(v_row @ p["lin_v_tanh.w"] + p["lin_v_tanh.b"]))
+    k_gated = k * tensor.sigmoid(p["k"])
+    q_gated = (q @ p["lin_q.w"] + p["lin_q.b"]) * tensor.sigmoid(p["q"])
+    return attention_graph(q_gated, k_gated, v * gate_v, causal)
+
+
+def feedforward_graph(x: Tensor, w: Tensor, b: Tensor, dropout_rate: float = 0.0,
+                      mode: str = "eval", rng=None) -> Tensor:
+    """Linear to 4N, GELU, dropout, and the sum of the four N-wide chunks,
+    one elementary op at a time."""
+    n = w.shape[1] // 4
+    h = dropout_apply(gelu(x @ w + b), dropout_rate, mode, rng)
+    chunks = [slice_cols(h, j * n, (j + 1) * n) for j in range(4)]
+    return (chunks[0] + chunks[1]) + (chunks[2] + chunks[3])

@@ -26,7 +26,16 @@ from arn.model import (
 )
 from arn.tensor import Tensor
 
-from gradtools import check_grads, finite_diff, lstm_graph_step, lstm_step
+from gradtools import (
+    SMALL_TILE,
+    TILE_STEPS,
+    attention_block_graph,
+    check_grads,
+    feedforward_graph,
+    finite_diff,
+    lstm_graph_step,
+    lstm_step,
+)
 
 
 def toy_cfg(**overrides):
@@ -351,6 +360,20 @@ class TestAttention:
                                    {key: t.data for key, t in p.items()}, causal)
             np.testing.assert_allclose(got.data, want, atol=1e-6)
 
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("steps", TILE_STEPS)
+    def test_tiles_match_whole_array_graph(self, monkeypatch, steps, causal):
+        monkeypatch.setattr(tensor, "TILE_ROWS", SMALL_TILE)
+        n = 5
+        p = attn_params(n, 24 + steps)
+        rng = np.random.default_rng(25 + steps)
+        q, k, v = (rng.standard_normal((steps, n)) for _ in range(3))
+        got = attention_block(Tensor(q), Tensor(k), Tensor(v), p, causal).data
+        graph = attention_block_graph(Tensor(q), Tensor(k), Tensor(v), p, causal).data
+        loop = naive_attention(q, k, v, {key: t.data for key, t in p.items()}, causal)
+        assert np.abs(got - graph).max() <= 1e-6
+        assert np.abs(got - loop).max() <= 1e-6
+
     def test_empty_sequence_rejected(self):
         p = attn_params(3, 21)
         empty = Tensor(np.zeros((0, 3)))
@@ -391,6 +414,34 @@ class TestFeedforward:
                                   np.random.default_rng(0))
         evald = feedforward_block(x, w, b, 0.0, "eval")
         np.testing.assert_array_equal(train.data, evald.data)
+
+    @pytest.mark.parametrize("steps", TILE_STEPS)
+    def test_dropout_draws_match_whole_array_graph(self, monkeypatch, steps):
+        monkeypatch.setattr(tensor, "TILE_ROWS", SMALL_TILE)
+        n = 3
+        rng = np.random.default_rng(29)
+        x = Tensor(rng.standard_normal((steps, n)))
+        w = Tensor(rng.standard_normal((n, 4 * n)))
+        b = Tensor(rng.standard_normal(4 * n))
+        ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
+        got = feedforward_block(x, w, b, 0.3, "train", ours)
+        want = feedforward_graph(x, w, b, 0.3, "train", theirs)
+        np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
+        assert ours.random() == theirs.random()  # same draws, same stream position
+        evald = feedforward_block(x, w, b, 0.3, "eval", ours)
+        np.testing.assert_allclose(evald.data, feedforward_graph(x, w, b).data,
+                                   rtol=0, atol=1e-12)
+        assert ours.random() == theirs.random()  # eval mode draws nothing
+
+    def test_bad_dropout_arguments_rejected(self):
+        x, w, b = Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 8))), Tensor(np.zeros(8))
+        for rate in (-0.1, 1.0):
+            with pytest.raises(ValueError):
+                feedforward_block(x, w, b, rate, "train", np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            feedforward_block(x, w, b, 0.1, "test", np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            feedforward_block(x, w, b, 0.1, "train")
 
     def test_gradients(self):
         n = 6

@@ -1,6 +1,7 @@
 """Autograd engine: op semantics and gradient correctness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,13 +10,25 @@ from hypothesis import strategies as st
 
 from arn import tensor
 from arn.tensor import (
-    DegenerateRowError,
     DimensionError,
     RankError,
     Tensor,
 )
 
-from gradtools import check_grads, finite_diff
+from gradtools import (
+    DegenerateRowError,
+    SMALL_TILE,
+    TILE_STEPS,
+    attention_graph,
+    causal_mask,
+    check_grads,
+    dropout_apply,
+    feedforward_graph,
+    finite_diff,
+    gelu,
+    slice_cols,
+    softmax_rows,
+)
 
 
 def rand(shape, seed=0):
@@ -59,11 +72,11 @@ class TestElementwise:
 
     def test_tanh_and_gelu_at_zero(self):
         assert tensor.tanh(Tensor(np.array(0.0))).item() == 0.0
-        assert tensor.gelu(Tensor(np.array(0.0))).item() == 0.0
+        assert gelu(Tensor(np.array(0.0))).item() == 0.0
 
     def test_gelu_at_one_matches_erf_oracle(self):
         phi_1 = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
-        got = tensor.gelu(Tensor(np.array(1.0))).item()
+        got = gelu(Tensor(np.array(1.0))).item()
         assert got == pytest.approx(1.0 * phi_1, abs=1e-12)
 
     def test_sigmoid_extreme_inputs_saturate_cleanly(self):
@@ -94,7 +107,7 @@ class TestElementwise:
         fd = finite_diff(f, [x.data, b.data])
         assert check_grads([x.grad, b.grad], fd) < 1e-6
 
-    @pytest.mark.parametrize("op", [tensor.sigmoid, tensor.tanh, tensor.gelu,
+    @pytest.mark.parametrize("op", [tensor.sigmoid, tensor.tanh, gelu,
                                     tensor.absolute])
     def test_unary_gradients(self, op):
         x = Tensor(rand((4, 5), 11) + 0.1, requires_grad=True)  # keep |x| off 0
@@ -111,44 +124,44 @@ class TestElementwise:
 
 class TestSoftmaxRows:
     def test_uniform_row(self):
-        out = tensor.softmax_rows(Tensor(np.zeros((1, 3))))
+        out = softmax_rows(Tensor(np.zeros((1, 3))))
         np.testing.assert_allclose(out.data, [[1 / 3] * 3])
 
     def test_masked_entry_is_exactly_zero(self):
         for x in (-3.0, 0.0, 7.5):
-            out = tensor.softmax_rows(Tensor(np.array([[x, -np.inf]])))
+            out = softmax_rows(Tensor(np.array([[x, -np.inf]])))
             np.testing.assert_array_equal(out.data, [[1.0, 0.0]])
 
     def test_direct_evaluation(self):
         row = np.array([1.0, 2.0, 3.0])
         expected = np.exp(row) / np.exp(row).sum()
-        out = tensor.softmax_rows(Tensor(row[None, :]))
+        out = softmax_rows(Tensor(row[None, :]))
         np.testing.assert_allclose(out.data[0], expected, rtol=1e-12)
         np.testing.assert_allclose(out.data[0], [0.09003057, 0.24472847, 0.66524096],
                                    atol=1e-7)
 
     def test_all_masked_row_raises(self):
         with pytest.raises(DegenerateRowError):
-            tensor.softmax_rows(Tensor(np.array([[-np.inf, -np.inf]])))
+            softmax_rows(Tensor(np.array([[-np.inf, -np.inf]])))
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(1, 6), st.integers(1, 6), st.integers(0, 2 ** 31 - 1))
     def test_rows_sum_to_one(self, t, n, seed):
         w = 5.0 * np.random.default_rng(seed).standard_normal((t, n))
-        y = tensor.softmax_rows(Tensor(w)).data
+        y = softmax_rows(Tensor(w)).data
         assert np.all(y >= 0.0) and np.all(y <= 1.0)
         np.testing.assert_allclose(y.sum(axis=1), np.ones(t), atol=1e-6)
 
     def test_gradient(self):
         w = Tensor(rand((4, 4), 13), requires_grad=True)
         c = rand((4, 4), 14)
-        loss = tensor.sum_all(tensor.mul(tensor.softmax_rows(w), Tensor(c)))
+        loss = tensor.sum_all(tensor.mul(softmax_rows(w), Tensor(c)))
         tensor.backward(loss)
 
         def f():
             with tensor.no_grad():
                 return tensor.sum_all(
-                    tensor.mul(tensor.softmax_rows(w), Tensor(c))).item()
+                    tensor.mul(softmax_rows(w), Tensor(c))).item()
 
         assert check_grads([w.grad], finite_diff(f, [w.data])) < 1e-6
 
@@ -156,13 +169,13 @@ class TestSoftmaxRows:
         w = Tensor(rand((3, 3), 15), requires_grad=True)
         c = rand((3, 3), 16)
         loss = tensor.sum_all(
-            tensor.mul(tensor.softmax_rows(tensor.causal_mask(w)), Tensor(c)))
+            tensor.mul(softmax_rows(causal_mask(w)), Tensor(c)))
         tensor.backward(loss)
 
         def f():
             with tensor.no_grad():
                 return tensor.sum_all(
-                    tensor.mul(tensor.softmax_rows(tensor.causal_mask(w)),
+                    tensor.mul(softmax_rows(causal_mask(w)),
                                Tensor(c))).item()
 
         assert check_grads([w.grad], finite_diff(f, [w.data])) < 1e-6
@@ -227,7 +240,7 @@ class TestStructuralOps:
         cat = tensor.concat([Tensor(a), Tensor(b)], axis=0)
         np.testing.assert_array_equal(cat.data[2:6], b)
         cat1 = tensor.concat([Tensor(a), Tensor(a)], axis=1)
-        np.testing.assert_array_equal(tensor.slice_cols(cat1, 3, 6).data, a)
+        np.testing.assert_array_equal(slice_cols(cat1, 3, 6).data, a)
 
     def test_flip_rows(self):
         a = rand((4, 2), 24)
@@ -237,7 +250,7 @@ class TestStructuralOps:
         lambda x: tensor.concat([x, tensor.flip_rows(x)], axis=0),
         lambda x: tensor.concat([x, x], axis=1),
         lambda x: tensor.reshape(x, (1, 12)),
-        lambda x: tensor.slice_cols(x, 1, 3),
+        lambda x: slice_cols(x, 1, 3),
     ])
     def test_structural_gradients(self, build):
         x = Tensor(rand((4, 3), 25), requires_grad=True)
@@ -292,26 +305,26 @@ class TestStructuralOps:
 class TestDropout:
     def test_eval_mode_is_identity(self):
         x = Tensor(rand((3, 3), 33))
-        assert tensor.dropout_apply(x, 0.5, "eval") is x
+        assert dropout_apply(x, 0.5, "eval") is x
 
     def test_rate_zero_is_identity(self):
         x = Tensor(rand((3, 3), 34))
         rng = np.random.default_rng(0)
-        assert tensor.dropout_apply(x, 0.0, "train", rng) is x
+        assert dropout_apply(x, 0.0, "train", rng) is x
 
     def test_bad_rate_rejected(self):
         x = Tensor(rand((2, 2)))
         for rate in (-0.1, 1.0, 1.5):
             with pytest.raises(ValueError):
-                tensor.dropout_apply(x, rate, "train", np.random.default_rng(0))
+                dropout_apply(x, rate, "train", np.random.default_rng(0))
 
     def test_bad_mode_rejected(self):
         with pytest.raises(ValueError):
-            tensor.dropout_apply(Tensor(rand(3)), 0.1, "test")
+            dropout_apply(Tensor(rand(3)), 0.1, "test")
 
     def test_inverted_scaling_preserves_mean(self):
         x = Tensor(np.ones((1000, 1000)))
-        out = tensor.dropout_apply(x, 0.5, "train", np.random.default_rng(35))
+        out = dropout_apply(x, 0.5, "train", np.random.default_rng(35))
         assert 0.99 <= out.data.mean() <= 1.01
 
     def test_gradient_with_fixed_mask(self):
@@ -321,7 +334,7 @@ class TestDropout:
         def build():
             rng = np.random.default_rng(99)  # same mask every evaluation
             return tensor.sum_all(tensor.mul(
-                tensor.dropout_apply(x, 0.3, "train", rng), Tensor(w)))
+                dropout_apply(x, 0.3, "train", rng), Tensor(w)))
 
         tensor.backward(build())
 
@@ -330,3 +343,159 @@ class TestDropout:
                 return build().item()
 
         assert check_grads([x.grad], finite_diff(f, [x.data])) < 1e-6
+
+
+@pytest.fixture
+def small_tiles(monkeypatch):
+    monkeypatch.setattr(tensor, "TILE_ROWS", SMALL_TILE)
+
+
+def weighted_sum_grads(build, arrays, weights):
+    """Analytic and central-difference gradients of sum(build() * weights)
+    with respect to ``arrays``, which ``build`` reads afresh each call."""
+    leaves = [Tensor(a, requires_grad=True) for a in arrays]
+
+    def loss():
+        return tensor.sum_all(tensor.mul(build(*leaves), Tensor(weights)))
+
+    tensor.backward(loss())
+
+    def f():
+        with tensor.no_grad():
+            return loss().item()
+
+    return [t.grad for t in leaves], finite_diff(f, [t.data for t in leaves])
+
+
+@pytest.mark.usefixtures("small_tiles")
+class TestRowTiledAttention:
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("steps", TILE_STEPS)
+    def test_matches_whole_array_graph(self, steps, causal):
+        rng = np.random.default_rng(40 + steps)
+        q, k, v = (rng.standard_normal((steps, 3)) for _ in range(3))
+        got = tensor.attention(Tensor(q), Tensor(k), Tensor(v), causal).data
+        want = attention_graph(Tensor(q), Tensor(k), Tensor(v), causal).data
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("steps", TILE_STEPS)
+    def test_gradients(self, steps, causal):
+        rng = np.random.default_rng(50 + steps)
+        arrays = [rng.standard_normal((steps, 3)) for _ in range(3)]
+        analytic, fd = weighted_sum_grads(
+            lambda q, k, v: tensor.attention(q, k, v, causal), arrays,
+            rng.standard_normal((steps, 3)))
+        assert check_grads(analytic, fd) < 1e-6
+
+    def test_causal_row_ignores_later_keys(self):
+        rng = np.random.default_rng(60)
+        q, k, v = (rng.standard_normal((2 * SMALL_TILE + 3, 3)) for _ in range(3))
+        k2, v2 = k.copy(), v.copy()
+        k2[SMALL_TILE + 1:] += 5.0
+        v2[SMALL_TILE + 1:] -= 5.0
+        a = tensor.attention(Tensor(q), Tensor(k), Tensor(v), True).data
+        b = tensor.attention(Tensor(q), Tensor(k2), Tensor(v2), True).data
+        np.testing.assert_array_equal(a[:SMALL_TILE + 1], b[:SMALL_TILE + 1])
+        assert np.abs(a[SMALL_TILE + 1:] - b[SMALL_TILE + 1:]).min() > 0.0
+
+    def test_bad_shapes_rejected(self):
+        x = Tensor(rand((3, 2)))
+        with pytest.raises(DimensionError):
+            tensor.attention(x, Tensor(rand((3, 4))), x, False)
+        with pytest.raises(DimensionError):
+            tensor.attention(x, x, Tensor(rand((4, 2))), False)
+        with pytest.raises(DimensionError):
+            tensor.attention(x, Tensor(rand((5, 2))), Tensor(rand((5, 2))), True)
+        with pytest.raises(DimensionError):
+            tensor.attention(Tensor(rand(3)), x, x, False)
+
+
+@pytest.mark.usefixtures("small_tiles")
+class TestRowTiledFeedforward:
+    @staticmethod
+    def operands(steps, seed):
+        rng = np.random.default_rng(seed)
+        return (rng.standard_normal((steps, 3)), rng.standard_normal((3, 8)) / 2.0,
+                0.1 * rng.standard_normal(8))
+
+    @staticmethod
+    def mask(steps, seed):
+        keep = np.random.default_rng(seed).random((steps, 8)) >= 0.3
+        return keep / 0.7
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("steps", TILE_STEPS)
+    def test_matches_whole_array_graph(self, steps, masked):
+        x, w, b = (Tensor(a) for a in self.operands(steps, 70 + steps))
+        got = tensor.feedforward(x, w, b, self.mask(steps, 1) if masked else None).data
+        if masked:
+            want = feedforward_graph(x, w, b, 0.3, "train", np.random.default_rng(1)).data
+        else:
+            want = feedforward_graph(x, w, b).data
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("steps", TILE_STEPS)
+    def test_gradients(self, steps, masked):
+        mask = self.mask(steps, 2) if masked else None
+        analytic, fd = weighted_sum_grads(
+            lambda x, w, b: tensor.feedforward(x, w, b, mask),
+            list(self.operands(steps, 80 + steps)),
+            np.random.default_rng(3).standard_normal((steps, 2)))
+        assert check_grads(analytic, fd) < 1e-6
+
+    def test_bad_shapes_rejected(self):
+        x, w, b = (Tensor(a) for a in self.operands(5, 4))
+        with pytest.raises(DimensionError):
+            tensor.feedforward(x, Tensor(rand((3, 6))), Tensor(rand(6)))
+        with pytest.raises(DimensionError):
+            tensor.feedforward(x, w, Tensor(rand(4)))
+        with pytest.raises(DimensionError):
+            tensor.feedforward(Tensor(rand((5, 2))), w, b)
+        with pytest.raises(DimensionError):
+            tensor.feedforward(x, w, b, np.ones((4, 8)))
+
+
+class TestRowTiledMemory:
+    """The fused ops never allocate a whole (T, T) or (T, 4N) array: their
+    traced peak stays below one such array at T = 2048."""
+
+    STEPS, WIDTH = 2048, 8
+
+    @staticmethod
+    def traced_peak(fn) -> int:
+        tracemalloc.start()
+        try:
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_attention_below_one_score_matrix(self, causal):
+        rng = np.random.default_rng(90)
+        q, k, v = (Tensor(rng.standard_normal((self.STEPS, self.WIDTH)),
+                          requires_grad=True) for _ in range(3))
+        bound = self.STEPS * self.STEPS * 8
+        with tensor.no_grad():
+            assert self.traced_peak(lambda: tensor.attention(q, k, v, causal)) < bound
+        assert self.traced_peak(lambda: tensor.backward(
+            tensor.sum_all(tensor.attention(q, k, v, causal)))) < bound
+        assert q.grad.shape == k.grad.shape == v.grad.shape == (self.STEPS, self.WIDTH)
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_feedforward_below_one_hidden_activation(self, masked):
+        rng = np.random.default_rng(91)
+        n = self.WIDTH
+        x = Tensor(rng.standard_normal((self.STEPS, n)), requires_grad=True)
+        w = Tensor(rng.standard_normal((n, 4 * n)), requires_grad=True)
+        b = Tensor(rng.standard_normal(4 * n), requires_grad=True)
+        mask = (rng.random((self.STEPS, 4 * n)) >= 0.1) / 0.9 if masked else None
+        bound = self.STEPS * 4 * n * 8
+        with tensor.no_grad():
+            assert self.traced_peak(lambda: tensor.feedforward(x, w, b, mask)) < bound
+        out = tensor.feedforward(x, w, b, mask)
+        out.grad = np.ones_like(out.data)
+        assert self.traced_peak(out._backward) < bound
+        assert x.grad.shape == (self.STEPS, n) and w.grad.shape == (n, 4 * n)

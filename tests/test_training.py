@@ -213,6 +213,69 @@ class TestCheckpoint:
         for k in adam.m:
             assert loaded.adam.m[k].tobytes() == adam.m[k].astype("<f4").tobytes()
 
+    def test_file_is_header_then_tensor_bytes_in_directory_order(self, tmp_path):
+        cfg, params, adam = self.make(seed=25, with_adam=True)
+        ckpt = checkpoint_from(params, cfg, adam, best_score=1.5, epoch=3)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        blob = path.read_bytes()
+        data_end = blob.index(b"\n", blob.index(b"\nDATA ") + 1) + 1
+        entries = ([(k, v) for k, v in ckpt.tensors.items()]
+                   + [(f"adam.m.{k}", v) for k, v in adam.m.items()]
+                   + [(f"adam.v.{k}", v) for k, v in adam.v.items()])
+        listed = [line.split()[1] for line in blob[:data_end].decode("ascii").splitlines()
+                  if line.startswith("tensor ")]
+        assert listed == [name for name, _ in entries]
+        payload = b"".join(np.ascontiguousarray(v, dtype="<f4").tobytes() for _, v in entries)
+        assert blob == blob[:data_end] + payload
+
+    def test_loaded_arrays_are_aligned_writable_float32(self, tmp_path):
+        cfg, params, adam = self.make(seed=26, with_adam=True)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint_from(params, cfg, adam), path)
+        loaded = load_checkpoint(path)
+        arrays = [*loaded.tensors.values(), *loaded.adam.m.values(), *loaded.adam.v.values()]
+        assert len(arrays) == 3 * len(params)
+        for arr in arrays:
+            assert arr.dtype == np.float32
+            assert arr.flags.c_contiguous and arr.flags.aligned and arr.flags.writeable
+
+    def test_params_alias_float32_arrays_and_copy_float64(self, tmp_path):
+        cfg, params, _ = self.make(seed=27)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint_from(params, cfg), path)
+        loaded = load_checkpoint(path)
+        as32 = params_from_checkpoint(loaded)
+        as64 = params_from_checkpoint(loaded, dtype=np.float64)
+        for name, arr in loaded.tensors.items():
+            assert np.shares_memory(as32[name].data, arr)
+            assert not np.shares_memory(as64[name].data, arr)
+            assert as64[name].data.dtype == np.float64
+            np.testing.assert_array_equal(as64[name].data, arr)
+
+    def test_file_cut_inside_a_tensor_rejected(self, tmp_path):
+        cfg, params, _ = self.make(seed=28)
+        ckpt = checkpoint_from(params, cfg)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        blob = path.read_bytes()
+        line = re.search(rb"\ntensor block0\.ff\.w \S+ (\d+) (\d+)\n", blob)
+        offset, count = int(line.group(1)), int(line.group(2))
+        data_start = blob.index(b"\n", blob.index(b"\nDATA ") + 1) + 1
+        path.write_bytes(blob[:data_start + 4 * (offset + count // 2)])
+        with pytest.raises(CheckpointTruncatedError):
+            load_checkpoint(path)
+
+    def test_trailing_bytes_after_payload_ignored(self, tmp_path):
+        cfg, params, _ = self.make(seed=29)
+        ckpt = checkpoint_from(params, cfg)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        path.write_bytes(path.read_bytes() + b"\x00trailing bytes\n")
+        loaded = load_checkpoint(path)
+        for k, arr in ckpt.tensors.items():
+            assert loaded.tensors[k].tobytes() == arr.tobytes()
+
     def test_truncated_payload_rejected(self, tmp_path):
         cfg, params, _ = self.make(seed=13)
         path = tmp_path / "model.ckpt"
@@ -226,6 +289,19 @@ class TestCheckpoint:
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"not a checkpoint at all")
         with pytest.raises(CheckpointFormatError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("cut, message", [
+        (lambda blob: blob[:blob.index(b"\nDATA ") + 1], "missing magic or DATA marker"),
+        (lambda blob: blob[:blob.index(b"\n", blob.index(b"\nDATA ") + 1)],
+         "unterminated DATA line"),
+    ])
+    def test_header_without_data_line_rejected(self, tmp_path, cut, message):
+        cfg, params, _ = self.make(seed=30)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint_from(params, cfg), path)
+        path.write_bytes(cut(path.read_bytes()))
+        with pytest.raises(CheckpointFormatError, match=message):
             load_checkpoint(path)
 
     def test_wrong_version_rejected(self, tmp_path):
