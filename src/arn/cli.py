@@ -48,7 +48,8 @@ def _enhance_signal(x: np.ndarray, params, cfg) -> np.ndarray:
     if r == 0.0:
         return np.zeros_like(x)
     y = model.enhance(x * (1.0 / r), params, cfg)
-    return y * r
+    # scale back in float64: near float32's maximum, y * r overflows float32
+    return y.astype(np.float64) * r
 
 
 def cmd_enhance(args) -> int:

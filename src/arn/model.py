@@ -191,26 +191,27 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     return tensor.layer_norm_rows(x, gamma, beta, eps)
 
 
-def lstm_sequence(x: Tensor, w: dict) -> Tensor:
+def lstm_sequence(x: Tensor, w: dict, reverse: bool = False) -> Tensor:
     """Run an LSTM over the rows of (T, n_in); initial state is zero.
 
-    The gates' input weights and biases are concatenated in gate order
-    i, f, g, o, so the whole input projection is one matmul; the recurrence
-    over all T steps is one recorded op, ``tensor.lstm_sequence``.
+    The gates' weights and biases are concatenated in gate order i, f, g, o
+    and go to one recorded op, ``tensor.lstm_sequence``, which makes the
+    input projection and runs the recurrence over all T steps, backward in
+    time when ``reverse``.
     """
     if x.shape[0] == 0:
         raise EmptySequenceError("lstm_sequence on zero time steps")
     w_x = tensor.concat([w["w_ix"], w["w_fx"], w["w_gx"], w["w_ox"]], axis=1)
     w_h = tensor.concat([w["w_ih"], w["w_fh"], w["w_gh"], w["w_oh"]], axis=1)
     bias = tensor.concat([w["b_i"], w["b_f"], w["b_g"], w["b_o"]], axis=0)
-    return tensor.lstm_sequence(x @ w_x + bias, w_h)
+    return tensor.lstm_sequence(x, w_x, bias, w_h, reverse)
 
 
 def blstm_sequence(x: Tensor, fwd: dict, bwd: dict) -> Tensor:
-    """Concatenate a forward pass and a time-reversed backward pass."""
-    h_f = lstm_sequence(x, fwd)
-    h_b = tensor.flip_rows(lstm_sequence(tensor.flip_rows(x), bwd))
-    return tensor.concat([h_f, h_b], axis=1)
+    """A forward-time and a backward-time LSTM, side by side in one
+    (T, 2H) output: columns [0, H) from ``fwd``, [H, 2H) from ``bwd``."""
+    return tensor.concat([lstm_sequence(x, fwd),
+                          lstm_sequence(x, bwd, reverse=True)], axis=1)
 
 
 def rnn_sequence(x: Tensor, block_params: dict, cfg: ARNConfig) -> Tensor:
@@ -241,13 +242,19 @@ def attention_block(q: Tensor, k: Tensor, v: Tensor, p: dict, causal: bool) -> T
     value gate depends on no input, only on the parameters; it is recomputed
     on every call, so training optimizes it and evaluation sees its current
     value.
+
+    Both key and value gates scale columns, so they are folded out of the
+    (T, N) operands: softmax(q_g (k s)^T) (v g) = softmax((q_g s) k^T) v g,
+    with the key gate s moved onto the queries and the value gate g onto
+    the output. No gated copy of the keys or values is made.
     """
     if q.shape[0] == 0:
         raise EmptySequenceError("attention over an empty sequence")
-    k_gated = k * tensor.sigmoid(p["k"])
-    q_gated = (q @ p["lin_q.w"] + p["lin_q.b"]) * tensor.sigmoid(p["q"])
-    v_gated = v * _v_gate_graph(p)
-    return tensor.attention(q_gated, k_gated, v_gated, causal)
+    gate = tensor.sigmoid(p["q"]) * tensor.sigmoid(p["k"])
+    queries = (q @ p["lin_q.w"] + p["lin_q.b"]) * gate
+    out = tensor.attention(queries, k, v, causal)
+    del queries
+    return out * _v_gate_graph(p)
 
 
 def feedforward_block(x: Tensor, w: Tensor, b: Tensor, dropout_rate: float,
@@ -273,17 +280,24 @@ def feedforward_block(x: Tensor, w: Tensor, b: Tensor, dropout_rate: float,
 
 def arn_block_forward(x: Tensor, block_params: dict, cfg: ARNConfig,
                       mode: str = "train", rng=None) -> Tensor:
-    """One full block with both residual connections; (T, N) -> (T, N)."""
+    """One full block with both residual connections; (T, N) -> (T, N).
+
+    Each (T, N) local is dropped after its last reader, so that outside
+    recording no more of them are alive than the next step needs.
+    """
     ln = [(block_params[f"ln{j}.g"], block_params[f"ln{j}.b"]) for j in range(5)]
     y = rnn_sequence(layer_norm(x, *ln[0], cfg.ln_eps), block_params, cfg)
     q = layer_norm(y, *ln[1], cfg.ln_eps)
     kv = layer_norm(y, *ln[2], cfg.ln_eps)
-    attn = _sub(block_params, "attn.")
-    a = attention_block(q, kv, kv, attn, cfg.causal) + q
+    del y
+    a = attention_block(q, kv, kv, _sub(block_params, "attn."), cfg.causal) + q
+    del q, kv
     z1 = layer_norm(a, *ln[3], cfg.ln_eps)
     z2 = layer_norm(a, *ln[4], cfg.ln_eps)
+    del a
     ff = feedforward_block(z1, block_params["ff.w"], block_params["ff.b"],
                            cfg.dropout, mode, rng)
+    del z1
     return ff + z2
 
 

@@ -16,11 +16,14 @@ gradients accumulate additively (``+=``) into every reachable tensor that
 requires them, so a tensor feeding two consumers receives the sum of both
 adjoints. Explicit zeroing happens in the optimizer (see ``arn.optim``).
 
-``lstm_sequence`` records one node for all T time steps: its forward loop is
-plain numpy, and its backward pass runs backpropagation through time over
-the gate activations and cell states it kept. ``attention`` and
-``feedforward`` work over tiles of ``TILE_ROWS`` rows and recompute each
-tile in their backward pass, so their memory grows linearly in T.
+``lstm_sequence`` records one node for all T time steps, forward or backward
+in time: its forward loop is plain numpy and makes the input projection one
+tile of ``TILE_ROWS`` rows at a time, and its backward pass runs
+backpropagation through time over the gate activations and cell states it
+kept. ``attention`` and ``feedforward`` work over the same row tiles and
+recompute each tile in their backward pass, so their memory grows linearly
+in T. ``layer_norm_rows`` writes its output in place and keeps only each
+row's mean and inverse deviation.
 """
 
 from __future__ import annotations
@@ -296,99 +299,124 @@ def tanh(a: Tensor) -> Tensor:
     return _record(out, (a,), _bw)
 
 
+# Rows per tile of the ops that work on row blocks: ``attention``,
+# ``feedforward``, the input projection of ``lstm_sequence`` and the variance
+# of ``layer_norm_rows``. They hold scratch for one tile at a time,
+# O(TILE_ROWS * T) for attention and O(TILE_ROWS * 4N) for the feedforward
+# layer and the LSTM, instead of whole T x T and T x 4N arrays.
+TILE_ROWS = 256
+
+
+def _row_tiles(steps: int):
+    return ((a, min(a + TILE_ROWS, steps)) for a in range(0, steps, TILE_ROWS))
+
+
 # ---------------------------------------------------------------------------
 # recurrence
 # ---------------------------------------------------------------------------
 
-def lstm_sequence(z_in: Tensor, w_h: Tensor) -> Tensor:
-    """LSTM recurrence over T steps from a zero state, as one recorded op.
+def lstm_sequence(x: Tensor, w_x: Tensor, b: Tensor, w_h: Tensor,
+                  reverse: bool = False) -> Tensor:
+    """LSTM over the rows of ``x`` from a zero state, as one recorded op.
 
-    ``z_in`` is the (T, 4H) input projection, bias included, and ``w_h`` the
-    (H, 4H) recurrent weights, both in gate order i, f, g, o. Row t of the
-    (T, H) output is h_t, where z_t = z_in[t] + h_{t-1} @ w_h,
-    c_t = f * c_{t-1} + i * g and h_t = o * tanh(c_t).
+    ``x`` is (T, K), ``w_x`` the (K, 4H) input weights, ``b`` the (4H,) bias
+    and ``w_h`` the (H, 4H) recurrent weights, all in gate order i, f, g, o.
+    Row t of the (T, H) output is h_t, where z_t = x_t w_x + b + h_prev w_h,
+    c_t = f * c_prev + i * g and h_t = o * tanh(c_t). The previous step is
+    t - 1, or t + 1 when ``reverse`` runs the recurrence backward in time.
 
-    When recording, the gate activations and cell states are kept, and the
+    The input projection is made inside the loop, one tile of ``TILE_ROWS``
+    rows at a time, so no (T, 4H) array exists unless recording. When
+    recording, the gate activations and cell states are kept, and the
     backward pass runs backpropagation through time: one (4H,) @ (4H, H)
-    product per step, then the ``w_h`` gradient as one matmul over all steps.
+    product per step, then the gradients of ``x``, ``w_x``, ``b`` and ``w_h``
+    as one product or sum each over all steps.
     """
-    if z_in.data.ndim != 2 or w_h.data.ndim != 2:
-        raise DimensionError("lstm_sequence needs rank-2 operands")
-    steps, width = z_in.data.shape
-    hidden = w_h.data.shape[0]
-    if w_h.data.shape != (hidden, 4 * hidden) or width != 4 * hidden:
+    xd, wx, bd, wh = x.data, w_x.data, b.data, w_h.data
+    if xd.ndim != 2 or wx.ndim != 2 or wh.ndim != 2:
+        raise DimensionError("lstm_sequence needs rank-2 x, w_x and w_h")
+    steps = xd.shape[0]
+    hidden = wh.shape[0]
+    if (wh.shape != (hidden, 4 * hidden) or wx.shape != (xd.shape[1], 4 * hidden)
+            or bd.shape != (4 * hidden,)):
         raise DimensionError(
-            f"need (T, 4H) and (H, 4H), got {z_in.data.shape} and {w_h.data.shape}")
+            f"need x (T, K), w_x (K, 4H), b (4H,) and w_h (H, 4H), got "
+            f"{xd.shape}, {wx.shape}, {bd.shape} and {wh.shape}")
     if steps == 0:
         raise DimensionError("lstm_sequence on zero time steps")
-    zx, wh = z_in.data, w_h.data
-    keep = _grad_enabled and (z_in.requires_grad or w_h.requires_grad)
+    parents = (x, w_x, b, w_h)
+    keep = _grad_enabled and any(p.requires_grad for p in parents)
+    dtype = np.result_type(xd, wx, bd, wh)
     gates, cells = [], []
-    h = np.zeros((1, hidden), dtype=zx.dtype)
-    c = np.zeros((1, hidden), dtype=zx.dtype)
-    hs = np.empty((steps, hidden), dtype=np.result_type(zx, wh))
-    for t in range(steps):
-        z = zx[t:t + 1] + h @ wh
-        i = _sigmoid(z[:, :hidden])
-        f = _sigmoid(z[:, hidden:2 * hidden])
-        g = np.tanh(z[:, 2 * hidden:3 * hidden])
-        o = _sigmoid(z[:, 3 * hidden:])
-        c = f * c + i * g
-        h = o * np.tanh(c)
-        hs[t] = h[0]
-        if keep:
-            gates.append((i, f, g, o))
-            cells.append(c)
+    h = np.zeros((1, hidden), dtype=dtype)
+    c = np.zeros((1, hidden), dtype=dtype)
+    hs = np.empty((steps, hidden), dtype=dtype)
+    tiles = list(_row_tiles(steps))
+    for lo, hi in reversed(tiles) if reverse else tiles:
+        zx = xd[lo:hi] @ wx
+        zx += bd
+        for t in range(hi - 1, lo - 1, -1) if reverse else range(lo, hi):
+            z = zx[t - lo:t - lo + 1] + h @ wh
+            i = _sigmoid(z[:, :hidden])
+            f = _sigmoid(z[:, hidden:2 * hidden])
+            g = np.tanh(z[:, 2 * hidden:3 * hidden])
+            o = _sigmoid(z[:, 3 * hidden:])
+            c = f * c + i * g
+            h = o * np.tanh(c)
+            hs[t] = h[0]
+            if keep:
+                gates.append((i, f, g, o))
+                cells.append(c)
     out = Tensor(hs)
     if not keep:
         return out
 
     def _bw(dy):
-        i, f, g, o = (np.concatenate(a) for a in zip(*gates))
-        c = np.concatenate(cells)
+        # the kept states in time order; c_prev is the state one step earlier
+        # in the direction of the recurrence, zero at its start
+        i, f, g, o, c = (np.concatenate(a) for a in (*zip(*gates), cells))
+        zero = np.zeros_like(c[:1])
+        if reverse:
+            i, f, g, o, c = i[::-1], f[::-1], g[::-1], o[::-1], c[::-1]
+            c_prev = np.concatenate([c[1:], zero])
+        else:
+            c_prev = np.concatenate([zero, c[:-1]])
         tc = np.tanh(c)
-        c_prev = np.concatenate([np.zeros_like(c[:1]), c[:-1]])
-        # per step: dc_t = dc_{t+1} * f_{t+1} + dh_t * k_t, the i, f, g
+        # per step: dc_t = dc_next * f_next + dh_t * k_t, the i, f, g
         # pre-activation gradients are dc_t * a3_t and the o one dh_t * a_o_t
         a3 = np.stack([g * i * (1 - i), c_prev * f * (1 - f), i * (1 - g * g)], axis=1)
         a_o = tc * o * (1 - o)
         k = o * (1 - tc * tc)
-        dz = np.empty((steps, 4 * hidden), dtype=hs.dtype)
+        dz = np.empty((steps, 4 * hidden), dtype=dtype)
         dz4 = dz.reshape(steps, 4, hidden)
         w_t = wh.T
-        dh_next = np.zeros(hidden, dtype=hs.dtype)
-        dc_next = np.zeros(hidden, dtype=hs.dtype)
-        for t in range(steps - 1, -1, -1):
+        dh_next = np.zeros(hidden, dtype=dtype)
+        dc_next = np.zeros(hidden, dtype=dtype)
+        for t in range(steps) if reverse else range(steps - 1, -1, -1):
             dh = dy[t] + dh_next
             dc = dc_next + dh * k[t]
             dz4[t, :3] = a3[t] * dc
             dz4[t, 3] = dh * a_o[t]
             dh_next = dz[t] @ w_t
             dc_next = dc * f[t]
-        if z_in.requires_grad:
-            z_in._acc(dz)
+        if x.requires_grad:
+            x._acc(dz @ wx.T)
+        if w_x.requires_grad:
+            w_x._acc(xd.T @ dz)
+        if b.requires_grad:
+            b._acc(dz.sum(axis=0))
         if w_h.requires_grad:
-            w_h._acc(hs[:-1].T @ dz[1:])
+            w_h._acc(hs[1:].T @ dz[:-1] if reverse else hs[:-1].T @ dz[1:])
 
-    return _record(out, (z_in, w_h), _bw)
+    return _record(out, parents, _bw)
 
 
 # ---------------------------------------------------------------------------
 # row-tiled fused ops: attention and the feedforward layer
 # ---------------------------------------------------------------------------
 
-# Rows per tile of ``attention`` and ``feedforward``. Their forward and
-# backward passes hold scratch for one tile at a time, O(TILE_ROWS * T) for
-# attention and O(TILE_ROWS * 4N) for the feedforward layer, instead of the
-# whole T x T and T x 4N arrays.
-TILE_ROWS = 256
-
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def _row_tiles(steps: int):
-    return ((a, min(a + TILE_ROWS, steps)) for a in range(0, steps, TILE_ROWS))
 
 
 def _attention_probs(q_tile, k, scale: float, first_row: int, causal: bool):
@@ -551,21 +579,33 @@ def absolute(a: Tensor) -> Tensor:
 def layer_norm_rows(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     """Per-row normalization: (x - mean) / sqrt(var + eps) * gamma + beta.
 
-    Variance is the population variance over the row (divide by N).
+    Variance is the population variance over the row (divide by N). The
+    output is the only (T, N) array made: it is centered, scaled and shifted
+    in place, and the variance is summed one tile of rows at a time. Only
+    each row's mean and inverse deviation are kept; the backward pass
+    recomputes the normalized rows from them.
     """
     if x.data.ndim != 2:
         raise DimensionError("layer_norm_rows needs a rank-2 operand")
-    n = x.data.shape[1]
+    xd = x.data
+    n = xd.shape[1]
     if gamma.data.shape != (n,) or beta.data.shape != (n,):
         raise DimensionError("gamma/beta must be length-N vectors")
-    mu = x.data.sum(axis=1, keepdims=True) / n
-    centered = x.data - mu
-    var = (centered * centered).sum(axis=1, keepdims=True) / n
+    mu = xd.sum(axis=1, keepdims=True) / n
+    out = (xd - mu).astype(np.result_type(xd, gamma.data, beta.data), copy=False)
+    var = np.empty(mu.shape, dtype=out.dtype)
+    for lo, hi in _row_tiles(xd.shape[0]):
+        centered = out[lo:hi]
+        var[lo:hi] = (centered * centered).sum(axis=1, keepdims=True)
+    var /= n
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    out = Tensor(xhat * gamma.data + beta.data)
+    out *= inv
+    out *= gamma.data
+    out += beta.data
 
     def _bw(g):
+        xhat = xd - mu
+        xhat *= inv
         if gamma.requires_grad:
             gamma._acc((g * xhat).sum(axis=0))
         if beta.requires_grad:
@@ -576,7 +616,7 @@ def layer_norm_rows(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tenso
             m2 = (gg * xhat).mean(axis=1, keepdims=True)
             x._acc(inv * (gg - m1 - xhat * m2))
 
-    return _record(out, (x, gamma, beta), _bw)
+    return _record(Tensor(out), (x, gamma, beta), _bw)
 
 
 # ---------------------------------------------------------------------------
@@ -601,54 +641,59 @@ def concat(parts, axis: int) -> Tensor:
     return _record(out, tuple(parts), _bw)
 
 
-def flip_rows(a: Tensor) -> Tensor:
-    if a.data.ndim != 2:
-        raise DimensionError("flip_rows needs a rank-2 operand")
-    out = Tensor(a.data[::-1].copy())
-
-    def _bw(g):
-        a._acc(g[::-1])
-
-    return _record(out, (a,), _bw)
+def _frame_view(padded: np.ndarray, frame_len: int, shift: int, num_frames: int):
+    """Read-only (num_frames, frame_len) view: row t is padded[t*shift:][:frame_len]."""
+    windows = np.lib.stride_tricks.sliding_window_view(padded, frame_len)
+    return windows[::shift][:num_frames]
 
 
-def _frame_index(frame_len: int, shift: int, num_frames: int, m: int):
-    key = (frame_len, shift, num_frames, m)
-    cached = _FRAME_INDEX_CACHE.get(key)
-    if cached is None:
-        idx = np.arange(num_frames)[:, None] * shift + np.arange(frame_len)[None, :]
-        valid = idx < m
-        cached = (np.minimum(idx, m - 1), idx[valid], valid)
-        if len(_FRAME_INDEX_CACHE) > 64:
-            _FRAME_INDEX_CACHE.clear()
-        _FRAME_INDEX_CACHE[key] = cached
-    return cached
+def _frames_span(rows: int, frame_len: int, shift: int) -> int:
+    """Buffer length for ``rows`` frames at hop ``shift``: rows +
+    ceil(frame_len / shift) whole shifts, which covers every frame."""
+    return (rows + -(-frame_len // shift)) * shift
 
 
-_FRAME_INDEX_CACHE: dict = {}
+def _add_frames(acc: np.ndarray, frames: np.ndarray, shift: int):
+    """Overlap-add the rows of ``frames`` into ``acc``: row t at t*shift.
+
+    ``acc`` must hold ``_frames_span`` samples. Each shift-wide
+    column chunk of all rows lands on one run of ``acc``, one slice-add per
+    chunk. The chunks go last to first, so every sample sums its frames in
+    row order, the order of a scatter-add over the rows.
+    """
+    rows, frame_len = frames.shape
+    chunks = -(-frame_len // shift)
+    grid = acc.reshape(rows + chunks, shift)
+    for j in range(chunks - 1, -1, -1):
+        width = min(shift, frame_len - j * shift)
+        grid[j:j + rows, :width] += frames[:, j * shift:j * shift + width]
 
 
 def frame_rows(x: Tensor, frame_len: int, shift: int, num_frames: int) -> Tensor:
     """Gather a 1-D signal into overlapping rows: row t = x[t*shift : t*shift+L].
 
-    Positions past the end of the signal read as zero. The gather is linear,
-    so gradients scatter-add back into the signal.
+    Positions past the end of the signal read as zero. The gather is a copy
+    of a strided view of the zero-padded signal; gradients overlap-add back
+    into the signal.
     """
     if x.data.ndim != 1 or x.data.shape[0] < 1:
         raise DimensionError("frame_rows needs a non-empty 1-D signal")
     if shift < 1 or frame_len < 1 or num_frames < 1:
         raise DimensionError("frame_len, shift, num_frames must be positive")
     m = x.data.shape[0]
-    idx_clipped, idx_valid, valid = _frame_index(frame_len, shift, num_frames, m)
-    data = x.data[idx_clipped]
-    if not valid.all():
-        data[~valid] = 0.0
-    out = Tensor(data)
+    size = _frames_span(num_frames, frame_len, shift)
+    used = min(m, size)
+    padded = np.zeros(size, dtype=x.data.dtype)
+    padded[:used] = x.data[:used]
+    out = Tensor(_frame_view(padded, frame_len, shift, num_frames).copy())
 
     def _bw(g):
         if x.grad is None:
             x.grad = np.zeros_like(x.data)
-        np.add.at(x.grad, idx_valid, g[valid])
+        acc = np.zeros(size, dtype=x.grad.dtype)
+        acc[:used] = x.grad[:used]
+        _add_frames(acc, g, shift)
+        x.grad[:used] = acc[:used]
 
     return _record(out, (x,), _bw)
 
@@ -667,19 +712,18 @@ def overlap_add_rows(frames: Tensor, shift: int, out_len: int,
     if shift < 1 or out_len < 1 or offset < 0:
         raise DimensionError("shift/out_len must be positive, offset >= 0")
     t, l = frames.data.shape
-    pos = np.arange(t)[:, None] * shift + offset + np.arange(l)[None, :]
-    valid = pos < out_len
-    counts = np.zeros(out_len, dtype=np.int64)
-    np.add.at(counts, pos[valid], 1)
-    acc = np.zeros(out_len, dtype=frames.data.dtype)
-    np.add.at(acc, pos[valid], frames.data[valid])
-    denom = np.maximum(counts, 1).astype(frames.data.dtype)
-    out = Tensor(acc / denom)
+    span = _frames_span(t, l, shift)
+    size = max(offset + span, out_len)
+    acc = np.zeros(size, dtype=frames.data.dtype)
+    _add_frames(acc[offset:offset + span], frames.data, shift)
+    counts = np.zeros(size, dtype=np.int64)
+    _add_frames(counts[offset:offset + span], np.broadcast_to(np.int64(1), (t, l)), shift)
+    denom = np.maximum(counts[:out_len], 1).astype(frames.data.dtype)
+    out = Tensor(acc[:out_len] / denom)
 
     def _bw(g):
-        g = g / denom
-        gf = np.zeros_like(frames.data)
-        gf[valid] = g[pos[valid]]
-        frames._acc(gf)
+        padded = np.zeros(size, dtype=frames.data.dtype)
+        padded[:out_len] = g / denom
+        frames._acc(_frame_view(padded[offset:], l, shift, t))
 
     return _record(out, (frames,), _bw)

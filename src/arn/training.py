@@ -126,8 +126,7 @@ def train_epoch(params: dict, model_cfg: ARNConfig, adam: AdamState,
 
 
 def validate_and_select(params: dict, model_cfg: ARNConfig, val_pairs,
-                        best_so_far: float, metric: str = "si_snr",
-                        enhance_fn=None):
+                        best_so_far: float, metric: str = "si_snr"):
     """Mean selection metric over (noisy, clean) pairs in eval mode.
 
     Returns ``(score, improved)``; the caller persists a checkpoint when
@@ -136,9 +135,7 @@ def validate_and_select(params: dict, model_cfg: ARNConfig, val_pairs,
     if not val_pairs:
         raise ConfigurationError("validation set is empty")
     metric_fn = losses.METRIC_FNS[metric]
-    if enhance_fn is None:
-        enhance_fn = lambda x: model.enhance(x, params, model_cfg)
-    scores = [metric_fn(s, enhance_fn(x)) for x, s in val_pairs]
+    scores = [metric_fn(s, model.enhance(x, params, model_cfg)) for x, s in val_pairs]
     score = float(np.mean(scores))
     return score, score > best_so_far
 
@@ -289,8 +286,8 @@ def load_checkpoint(path) -> Checkpoint:
     """Parse and check a checkpoint file.
 
     Each tensor is read from its offset in the file straight into its own
-    float32 array, so the weights are held once; skipped ``cache.*`` entries
-    are not read.
+    float32 view of one block, so the weights are held once; skipped
+    ``cache.*`` entries are not read.
     """
     with open(path, "rb") as fh:
         return _read_checkpoint(fh)
@@ -345,16 +342,27 @@ def _read_checkpoint(fh) -> Checkpoint:
     except (TypeError, ConfigurationError) as exc:
         raise CheckpointFormatError(f"bad config block: {exc}") from None
 
-    tensors, adam_m, adam_v = {}, {}, {}
+    entries = []
     for name, shape, offset, count in directory:
         if int(np.prod(shape)) != count:
             raise CheckpointShapeError(
                 f"{name}: shape {shape} does not hold {count} values")
         if (offset + count) * 4 > payload_bytes:
             raise CheckpointTruncatedError(f"{name}: payload ends early")
-        if name.startswith("cache."):
-            continue
-        arr = np.empty(shape, dtype="<f4")
+        if not name.startswith("cache."):
+            entries.append((name, shape, offset, count))
+
+    # Every tensor is a view of one block, each starting on a 64-byte line.
+    # One allocation this large is mapped fresh from the OS (in huge pages
+    # where the kernel gives them), so what the load costs does not depend
+    # on which freed memory the heap still holds.
+    spans = [-(-count // 16) * 16 for *_, count in entries]
+    block = np.empty(sum(spans), dtype="<f4")
+    tensors, adam_m, adam_v = {}, {}, {}
+    start = 0
+    for (name, shape, offset, count), span in zip(entries, spans):
+        arr = block[start:start + count].reshape(shape)
+        start += span
         fh.seek(data_start + offset * 4)
         if fh.readinto(arr) != count * 4:
             raise CheckpointTruncatedError(f"{name}: payload ends early")

@@ -4,7 +4,9 @@ Accepts mono 16 kHz files encoded as 16-bit PCM or 32-bit IEEE float;
 anything else is rejected, and so are float samples that are NaN or
 infinite. Unknown chunks are skipped and non-canonical chunk order is
 tolerated. PCM samples map to reals as ``int / 32768``;
-on write, reals are rounded and clamped symmetrically to +-32767.
+on write, reals are rounded and clamped symmetrically to +-32767. Writing
+refuses samples that are NaN, infinite or beyond float32's range, in
+either encoding, and then writes no file.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 SAMPLE_RATE = 16000
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 class WavFormatError(ValueError):
@@ -84,6 +87,11 @@ def read_wav(path) -> WavFile:
 def write_wav(path, samples, encoding: str = "float32",
               sample_rate: int = SAMPLE_RATE):
     samples = np.asarray(samples, dtype=np.float64).reshape(-1)
+    bad = np.flatnonzero(~(np.abs(samples) <= _FLOAT32_MAX))
+    if bad.size:
+        raise WavFormatError(
+            f"{path}: {bad.size} samples non-finite or beyond float32 range "
+            f"(first at index {bad[0]})")
     if encoding == "float32":
         payload = samples.astype("<f4").tobytes()
         audio_format, bits = 3, 32

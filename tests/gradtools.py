@@ -2,16 +2,24 @@
 the naive attention and feedforward graphs.
 
 ``finite_diff`` only ever calls the supplied loss closure, so it checks the
-recorded backward pass against nothing but repeated forward evaluations.
+recorded backward pass against nothing but repeated forward evaluations;
+``traced_peak`` measures the memory a call allocates.
 ``lstm_step`` and ``lstm_graph_step`` build one LSTM time step from
-elementary recorded ops, as oracles for the fused ``tensor.lstm_sequence``.
+elementary recorded ops, as oracles for the fused ``tensor.lstm_sequence``;
+``lstm_sequence_graph`` chains them over a whole sequence, and ``flip_rows``
+gives the time-reversed LSTM as flip, LSTM, flip.
 ``transpose``, ``softmax_rows``, ``causal_mask``, ``gelu``, ``slice_cols``
 and ``dropout_apply`` are recorded elementary ops that build the whole-array
 graphs ``attention_graph`` and ``feedforward_graph``, the oracles for the
 row-tiled ``tensor.attention`` and ``tensor.feedforward``.
+``layer_norm_whole``, ``frame_rows_indexed`` and ``overlap_add_rows_indexed``
+are the whole-array and index-array forms of ``tensor.layer_norm_rows``,
+``tensor.frame_rows`` and ``tensor.overlap_add_rows``: the same arithmetic in
+the same order, so they are bitwise oracles.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 from scipy.special import erf
@@ -86,6 +94,16 @@ def check_grads(analytic, numeric, rtol=1e-5, atol=FD_ATOL):
         if scaled.any():
             max_rel = max(max_rel, float((err[scaled] / mag[scaled]).max()))
     return max_rel
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes that tracemalloc saw allocated while ``fn()`` ran."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def lstm_step(x_t, h_prev, c_prev, w):
@@ -262,3 +280,112 @@ def feedforward_graph(x: Tensor, w: Tensor, b: Tensor, dropout_rate: float = 0.0
     h = dropout_apply(gelu(x @ w + b), dropout_rate, mode, rng)
     chunks = [slice_cols(h, j * n, (j + 1) * n) for j in range(4)]
     return (chunks[0] + chunks[1]) + (chunks[2] + chunks[3])
+
+
+# ---------------------------------------------------------------------------
+# the recurrence, layer norm and framing written over whole arrays
+# ---------------------------------------------------------------------------
+
+def flip_rows(a: Tensor) -> Tensor:
+    if a.data.ndim != 2:
+        raise DimensionError("flip_rows needs a rank-2 operand")
+    out = Tensor(a.data[::-1].copy())
+
+    def _bw(g):
+        a._acc(g[::-1])
+
+    return tensor._record(out, (a,), _bw)
+
+
+def _row(a: Tensor, t: int) -> Tensor:
+    out = Tensor(a.data[t:t + 1])
+
+    def _bw(g):
+        if a.grad is None:
+            a.grad = np.zeros_like(a.data)
+        a.grad[t:t + 1] += g
+
+    return tensor._record(out, (a,), _bw)
+
+
+def lstm_sequence_graph(x: Tensor, w_x: Tensor, b: Tensor, w_h: Tensor,
+                        reverse: bool = False) -> Tensor:
+    """``tensor.lstm_sequence`` as a graph: the whole (T, 4H) input
+    projection, then one ``lstm_graph_step`` per time step, in reverse time
+    order when ``reverse``."""
+    hidden = w_h.shape[0]
+    z = x @ w_x + b
+    h = Tensor(np.zeros((1, hidden), dtype=z.data.dtype))
+    c = Tensor(np.zeros((1, hidden), dtype=z.data.dtype))
+    rows = [None] * x.shape[0]
+    order = range(x.shape[0] - 1, -1, -1) if reverse else range(x.shape[0])
+    for t in order:
+        h, c = lstm_graph_step(_row(z, t), h, c, w_h)
+        rows[t] = h
+    return tensor.concat(rows, axis=0)
+
+
+def layer_norm_whole(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+    """``tensor.layer_norm_rows`` with whole-array temporaries and x-hat kept
+    for the backward pass."""
+    n = x.data.shape[1]
+    mu = x.data.sum(axis=1, keepdims=True) / n
+    centered = x.data - mu
+    var = (centered * centered).sum(axis=1, keepdims=True) / n
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = centered * inv
+    out = Tensor(xhat * gamma.data + beta.data)
+
+    def _bw(g):
+        if gamma.requires_grad:
+            gamma._acc((g * xhat).sum(axis=0))
+        if beta.requires_grad:
+            beta._acc(g.sum(axis=0))
+        if x.requires_grad:
+            gg = g * gamma.data
+            m1 = gg.mean(axis=1, keepdims=True)
+            m2 = (gg * xhat).mean(axis=1, keepdims=True)
+            x._acc(inv * (gg - m1 - xhat * m2))
+
+    return tensor._record(out, (x, gamma, beta), _bw)
+
+
+def frame_rows_indexed(x: Tensor, frame_len: int, shift: int, num_frames: int) -> Tensor:
+    """``tensor.frame_rows`` through a (T, L) index array, with gradients
+    scattered back by ``np.add.at``."""
+    m = x.data.shape[0]
+    idx = np.arange(num_frames)[:, None] * shift + np.arange(frame_len)[None, :]
+    valid = idx < m
+    data = x.data[np.minimum(idx, m - 1)]
+    data[~valid] = 0.0
+    out = Tensor(data)
+
+    def _bw(g):
+        if x.grad is None:
+            x.grad = np.zeros_like(x.data)
+        np.add.at(x.grad, idx[valid], g[valid])
+
+    return tensor._record(out, (x,), _bw)
+
+
+def overlap_add_rows_indexed(frames: Tensor, shift: int, out_len: int,
+                             offset: int = 0) -> Tensor:
+    """``tensor.overlap_add_rows`` through a (T, L) index array and
+    ``np.add.at``."""
+    t, l = frames.data.shape
+    pos = np.arange(t)[:, None] * shift + offset + np.arange(l)[None, :]
+    valid = pos < out_len
+    counts = np.zeros(out_len, dtype=np.int64)
+    np.add.at(counts, pos[valid], 1)
+    acc = np.zeros(out_len, dtype=frames.data.dtype)
+    np.add.at(acc, pos[valid], frames.data[valid])
+    denom = np.maximum(counts, 1).astype(frames.data.dtype)
+    out = Tensor(acc / denom)
+
+    def _bw(g):
+        g = g / denom
+        gf = np.zeros_like(frames.data)
+        gf[valid] = g[pos[valid]]
+        frames._acc(gf)
+
+    return tensor._record(out, (frames,), _bw)

@@ -1,9 +1,11 @@
 """End-to-end command-line behaviour."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from arn import cli, model, training, wavio
 from arn.model import ARNConfig
@@ -29,6 +31,19 @@ def trained_ckpt(tmp_path):
     cfg = toy_cfg()
     params = model.init_params(cfg, np.random.default_rng(0), dtype=np.float32)
     path = tmp_path / "random.ckpt"
+    save_checkpoint(checkpoint_from(params, cfg), path)
+    return path
+
+
+@pytest.fixture(params=["causal_16k", "noncausal_16k"])
+def tiny_preset_ckpt(request, tmp_path):
+    """A shipped preset at width 8 with one block, as the benchmark's tiny
+    inputs build it."""
+    configs = Path(__file__).resolve().parents[1] / "configs"
+    blob = json.loads((configs / f"{request.param}.json").read_text())
+    cfg = ARNConfig.from_dict({**blob["model"], "width": 8, "num_blocks": 1})
+    params = model.init_params(cfg, np.random.default_rng(2105), dtype=np.float32)
+    path = tmp_path / f"{request.param}.ckpt"
     save_checkpoint(checkpoint_from(params, cfg), path)
     return path
 
@@ -132,14 +147,34 @@ class TestExitCodes:
     def test_non_finite_wav_exit_3_without_output(self, tmp_path, trained_ckpt,
                                                   capsys):
         src = tmp_path / "nan.wav"
-        x = tone(1600)
+        x = tone(1600).astype(np.float32)
         x[100] = np.nan
-        wavio.write_wav(src, x)
+        wavfile.write(src, 16000, x)  # write_wav itself refuses NaN
         out = tmp_path / "out.wav"
         assert cli.main(["enhance", "--model", str(trained_ckpt),
                          "--in", str(src), "--out", str(out)]) == 3
         assert "non-finite" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_output_beyond_float32_exit_3_without_output(self, tmp_path,
+                                                         tiny_preset_ckpt, capsys):
+        # a constant near float32's maximum enhances to more than it can hold
+        src = tmp_path / "loud.wav"
+        wavio.write_wav(src, np.full(800, 3e38))
+        out = tmp_path / "out.wav"
+        assert cli.main(["enhance", "--model", str(tiny_preset_ckpt),
+                         "--in", str(src), "--out", str(out)]) == 3
+        assert "beyond float32 range" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_loud_noise_enhances_to_finite_audio(self, tmp_path, tiny_preset_ckpt):
+        src = tmp_path / "loud.wav"
+        wavio.write_wav(src, 1e30 * np.random.default_rng(9).standard_normal(800))
+        out = tmp_path / "out.wav"
+        assert cli.main(["enhance", "--model", str(tiny_preset_ckpt),
+                         "--in", str(src), "--out", str(out)]) == 0
+        y = wavio.read_wav(out).samples
+        assert np.isfinite(y).all() and np.abs(y).max() > 1e28
 
     def test_malformed_manifest_line_exit_2(self, tmp_path, capsys):
         clean = tmp_path / "clean.wav"

@@ -35,6 +35,7 @@ from gradtools import (
     finite_diff,
     lstm_graph_step,
     lstm_step,
+    traced_peak,
 )
 
 
@@ -185,16 +186,18 @@ class TestLstm:
     def test_fused_op_bit_identical_to_stepwise_graph_float32(self, steps):
         rng = np.random.default_rng(35 + steps)
         hidden = 5
-        z_in = Tensor(rng.standard_normal((steps, 4 * hidden)).astype(np.float32),
-                      requires_grad=True)
-        w_h = Tensor((0.5 * rng.standard_normal((hidden, 4 * hidden))).astype(np.float32),
-                     requires_grad=True)
-        fused = tensor.lstm_sequence(z_in, w_h)
+        x, w_x, b, w_h = (
+            Tensor((scale * rng.standard_normal(shape)).astype(np.float32),
+                   requires_grad=True)
+            for scale, shape in ((1.0, (steps, 3)), (0.5, (3, 4 * hidden)),
+                                 (0.5, (4 * hidden,)), (0.5, (hidden, 4 * hidden))))
+        fused = tensor.lstm_sequence(x, w_x, b, w_h)
         assert fused.data.dtype == np.float32
+        z_in = x.data @ w_x.data + b.data  # one tile: the op's own projection
         h = Tensor(np.zeros((1, hidden), dtype=np.float32))
         c = Tensor(np.zeros((1, hidden), dtype=np.float32))
         for t in range(steps):
-            h, c = lstm_graph_step(Tensor(z_in.data[t:t + 1]), h, c, w_h)
+            h, c = lstm_graph_step(Tensor(z_in[t:t + 1]), h, c, w_h)
             np.testing.assert_array_equal(fused.data[t], h.data[0])
 
     def test_float32_sequence_matches_per_gate_steps(self):
@@ -208,12 +211,18 @@ class TestLstm:
             np.testing.assert_allclose(fused.data[t], h.data[0], atol=1e-6)
 
     def test_fused_op_rejects_bad_shapes(self):
+        x, b = Tensor(np.zeros((3, 4))), Tensor(np.zeros(8))
+        w_x, w_h = Tensor(np.zeros((4, 8))), Tensor(np.zeros((2, 8)))
         with pytest.raises(tensor.DimensionError):
-            tensor.lstm_sequence(Tensor(np.zeros((3, 8))), Tensor(np.zeros((2, 6))))
+            tensor.lstm_sequence(x, w_x, b, Tensor(np.zeros((2, 6))))
         with pytest.raises(tensor.DimensionError):
-            tensor.lstm_sequence(Tensor(np.zeros((3, 12))), Tensor(np.zeros((2, 8))))
+            tensor.lstm_sequence(x, Tensor(np.zeros((4, 12))), b, w_h)
         with pytest.raises(tensor.DimensionError):
-            tensor.lstm_sequence(Tensor(np.zeros((0, 8))), Tensor(np.zeros((2, 8))))
+            tensor.lstm_sequence(x, w_x, Tensor(np.zeros(6)), w_h)
+        with pytest.raises(tensor.DimensionError):
+            tensor.lstm_sequence(Tensor(np.zeros(4)), w_x, b, w_h)
+        with pytest.raises(tensor.DimensionError):
+            tensor.lstm_sequence(Tensor(np.zeros((0, 4))), w_x, b, w_h)
 
 
 class TestBlstm:
@@ -373,6 +382,48 @@ class TestAttention:
         loop = naive_attention(q, k, v, {key: t.data for key, t in p.items()}, causal)
         assert np.abs(got - graph).max() <= 1e-6
         assert np.abs(got - loop).max() <= 1e-6
+
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("steps", TILE_STEPS)
+    def test_folded_gates_match_whole_array_graph(self, monkeypatch, steps, causal):
+        # keys and values differ here, so the folding is checked for each
+        monkeypatch.setattr(tensor, "TILE_ROWS", SMALL_TILE)
+        n = 4
+        rng = np.random.default_rng(70 + steps)
+        arrays = [rng.standard_normal((steps, n)) for _ in range(3)]
+        mix = Tensor(rng.standard_normal((steps, n)))
+        results = []
+        for block in (attention_block, attention_block_graph):
+            p = attn_params(n, 71)
+            qkv = [Tensor(a, requires_grad=True) for a in arrays]
+            out = block(*qkv, p, causal)
+            tensor.backward(tensor.sum_all(tensor.mul(out, mix)))
+            results.append([out.data] + [t.grad for t in qkv]
+                           + [p[k].grad for k in sorted(p)])
+        for got, want in zip(*results):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_gradients(self, causal):
+        n = 3
+        p = attn_params(n, 72)
+        rng = np.random.default_rng(73)
+        q, kv = (Tensor(rng.standard_normal((5, n)), requires_grad=True)
+                 for _ in range(2))
+        mix = Tensor(rng.standard_normal((5, n)))
+
+        def build():
+            return tensor.sum_all(tensor.mul(attention_block(q, kv, kv, p, causal), mix))
+
+        tensor.backward(build())
+
+        def f():
+            with tensor.no_grad():
+                return build().item()
+
+        leaves = [q, kv] + [p[k] for k in sorted(p)]
+        fd = finite_diff(f, [t.data for t in leaves])
+        assert check_grads([t.grad for t in leaves], fd) < 1e-5
 
     def test_empty_sequence_rejected(self):
         p = attn_params(3, 21)
@@ -651,3 +702,37 @@ class TestGraphFreeing:
         finally:
             if was_enabled:
                 gc.enable()
+
+
+class TestEvalMemory:
+    """Outside recording, the whole forward pass holds a bounded number of
+    (T, N) arrays: each node keeps no whole-sequence intermediates, and each
+    block drops its locals after their last reader."""
+
+    STEPS, WIDTH, SHIFT, TILE = 2048, 64, 8, 16
+    # the traced peak of model.enhance measured 6.0 (causal) and 5.7
+    # (non-causal) (T, N) float32 arrays; one array of headroom on top
+    MAX_ARRAYS = 7
+
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_enhance_peak_in_whole_arrays(self, monkeypatch, causal):
+        monkeypatch.setattr(tensor, "TILE_ROWS", self.TILE)
+        cfg = toy_cfg(width=self.WIDTH, frame_in=32 if causal else 16, frame_out=16,
+                      shift=self.SHIFT, num_blocks=2, causal=causal)
+        params = init_params(cfg, np.random.default_rng(80))
+        x = np.random.default_rng(81).standard_normal(self.STEPS * self.SHIFT)
+        peak = traced_peak(lambda: model.enhance(x, params, cfg))
+        assert peak <= self.MAX_ARRAYS * self.STEPS * self.WIDTH * 4
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_lstm_node_holds_no_projection(self, monkeypatch, reverse):
+        monkeypatch.setattr(tensor, "TILE_ROWS", self.TILE)
+        hidden = self.WIDTH
+        rng = np.random.default_rng(82)
+        x, w_x, b, w_h = (Tensor(rng.standard_normal(shape).astype(np.float32),
+                                 requires_grad=True)
+                          for shape in ((self.STEPS, hidden), (hidden, 4 * hidden),
+                                        (4 * hidden,), (hidden, 4 * hidden)))
+        with tensor.no_grad():
+            peak = traced_peak(lambda: tensor.lstm_sequence(x, w_x, b, w_h, reverse))
+        assert peak < self.STEPS * 4 * hidden * 4

@@ -1,7 +1,6 @@
 """Autograd engine: op semantics and gradient correctness."""
 
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,9 +24,15 @@ from gradtools import (
     dropout_apply,
     feedforward_graph,
     finite_diff,
+    flip_rows,
+    frame_rows_indexed,
     gelu,
+    layer_norm_whole,
+    lstm_sequence_graph,
+    overlap_add_rows_indexed,
     slice_cols,
     softmax_rows,
+    traced_peak,
 )
 
 
@@ -244,10 +249,10 @@ class TestStructuralOps:
 
     def test_flip_rows(self):
         a = rand((4, 2), 24)
-        np.testing.assert_array_equal(tensor.flip_rows(Tensor(a)).data, a[::-1])
+        np.testing.assert_array_equal(flip_rows(Tensor(a)).data, a[::-1])
 
     @pytest.mark.parametrize("build", [
-        lambda x: tensor.concat([x, tensor.flip_rows(x)], axis=0),
+        lambda x: tensor.concat([x, flip_rows(x)], axis=0),
         lambda x: tensor.concat([x, x], axis=1),
         lambda x: tensor.reshape(x, (1, 12)),
         lambda x: slice_cols(x, 1, 3),
@@ -411,6 +416,132 @@ class TestRowTiledAttention:
             tensor.attention(Tensor(rand(3)), x, x, False)
 
 
+def lstm_operands(steps, seed, n_in=3, hidden=2, dtype=np.float64):
+    rng = np.random.default_rng(seed)
+    return [(scale * rng.standard_normal(shape)).astype(dtype) for scale, shape in (
+        (1.0, (steps, n_in)), (0.5, (n_in, 4 * hidden)), (0.5, (4 * hidden,)),
+        (0.5, (hidden, 4 * hidden)))]
+
+
+def flipped_lstm(x, w_x, b, w_h):
+    """The time-reversed LSTM as flip, forward LSTM, flip."""
+    return flip_rows(tensor.lstm_sequence(flip_rows(x), w_x, b, w_h))
+
+
+class TestLstmNode:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("steps", [1, 2, 9, 256])
+    def test_reverse_bitwise_flip_within_one_tile(self, steps, dtype):
+        assert steps <= tensor.TILE_ROWS
+        operands = [Tensor(a) for a in lstm_operands(steps, 100 + steps, dtype=dtype)]
+        got = tensor.lstm_sequence(*operands, reverse=True).data
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, flipped_lstm(*operands).data)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("steps", TILE_STEPS)
+    def test_tiles_match_whole_array_graph(self, small_tiles, steps, reverse):
+        arrays = lstm_operands(steps, 110 + steps)
+        mix = Tensor(np.random.default_rng(111).standard_normal((steps, 2)))
+        grads = []
+        for build in (lambda *t: tensor.lstm_sequence(*t, reverse=reverse),
+                      lambda *t: lstm_sequence_graph(*t, reverse=reverse),
+                      flipped_lstm if reverse else tensor.lstm_sequence):
+            leaves = [Tensor(a, requires_grad=True) for a in arrays]
+            out = build(*leaves)
+            tensor.backward(tensor.sum_all(tensor.mul(out, mix)))
+            grads.append([out.data] + [t.grad for t in leaves])
+        for want in grads[1:]:
+            for a, b in zip(grads[0], want):
+                np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("steps", [1, 7])
+    def test_gradients(self, small_tiles, steps, reverse):
+        analytic, fd = weighted_sum_grads(
+            lambda *t: tensor.lstm_sequence(*t, reverse=reverse),
+            lstm_operands(steps, 120 + steps),
+            np.random.default_rng(121).standard_normal((steps, 2)))
+        assert check_grads(analytic, fd) < 1e-6
+
+    def test_reverse_first_row_sees_every_step(self):
+        x, w_x, b, w_h = lstm_operands(5, 130)
+        y = x.copy()
+        y[-1] += 1.0
+        run = lambda v: tensor.lstm_sequence(Tensor(v), Tensor(w_x), Tensor(b),
+                                             Tensor(w_h), reverse=True).data
+        a, c = run(x), run(y)
+        assert np.abs(a[0] - c[0]).max() > 1e-8
+        np.testing.assert_array_equal(run(x[1:]), a[1:])
+
+
+class TestLayerNormRows:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("steps", TILE_STEPS)
+    def test_forward_bitwise_whole_array(self, small_tiles, steps, dtype):
+        rng = np.random.default_rng(150 + steps)
+        x, g, b = (Tensor((3.0 * rng.standard_normal(shape) + 1.0).astype(dtype))
+                   for shape in ((steps, 6), (6,), (6,)))
+        got = tensor.layer_norm_rows(x, g, b, 1e-5).data
+        assert got.dtype == dtype
+        np.testing.assert_array_equal(got, layer_norm_whole(x, g, b, 1e-5).data)
+
+    @pytest.mark.parametrize("steps", TILE_STEPS)
+    def test_gradients_bitwise_whole_array(self, small_tiles, steps):
+        rng = np.random.default_rng(160 + steps)
+        arrays = [rng.standard_normal(shape) for shape in ((steps, 6), (6,), (6,))]
+        mix = Tensor(rng.standard_normal((steps, 6)))
+        grads = []
+        for op in (tensor.layer_norm_rows, layer_norm_whole):
+            leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            tensor.backward(tensor.sum_all(tensor.mul(op(*leaves, 1e-5), mix)))
+            grads.append([t.grad for t in leaves])
+        for a, b in zip(*grads):
+            np.testing.assert_array_equal(a, b)
+
+
+class TestFramingOracle:
+    """Strided framing and chunked overlap-add against the index-array and
+    ``np.add.at`` forms, bit for bit, forward and backward."""
+
+    CASES = [(16000, 256, 32, 0), (16001, 512, 32, 256), (1000, 100, 30, 7),
+             (64000, 512, 256, 0), (11, 4, 2, 0), (5, 8, 3, 2), (10, 3, 4, 1)]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m, frame_len, shift, offset", CASES)
+    def test_bitwise(self, m, frame_len, shift, offset, dtype):
+        # independent random frames and gradients, so that each sample sums
+        # different values and the order of the sums shows in the rounding
+        rng = np.random.default_rng(m + frame_len)
+        num_frames = math.ceil(m / shift)
+        signal, prior_grad, out_weights = (rng.standard_normal(m).astype(dtype)
+                                           for _ in range(3))
+        frames_in, frame_weights = (
+            rng.standard_normal((num_frames, frame_len)).astype(dtype) for _ in range(2))
+        results = []
+        for frame, overlap in ((tensor.frame_rows, tensor.overlap_add_rows),
+                               (frame_rows_indexed, overlap_add_rows_indexed)):
+            x = Tensor(signal.copy(), requires_grad=True)
+            x.grad = prior_grad.copy()  # backward adds onto an existing gradient
+            frames = frame(x, frame_len, shift, num_frames)
+            tensor.backward(tensor.sum_all(tensor.mul(frames, Tensor(frame_weights))))
+            f = Tensor(frames_in.copy(), requires_grad=True)
+            out = overlap(f, shift, m, offset)
+            tensor.backward(tensor.sum_all(tensor.mul(out, Tensor(out_weights))))
+            results.append((frames.data, x.grad, out.data, f.grad))
+        for a, b in zip(*results):
+            assert a.dtype == b.dtype
+            np.testing.assert_array_equal(a, b)
+
+    def test_signal_longer_than_frames_cover(self):
+        x = Tensor(rand(20, 170), requires_grad=True)
+        frames = tensor.frame_rows(x, 4, 2, 3)
+        np.testing.assert_array_equal(frames.data,
+                                      frame_rows_indexed(x, 4, 2, 3).data)
+        tensor.backward(tensor.sum_all(frames))
+        np.testing.assert_array_equal(x.grad, [1, 1, 2, 2, 2, 2, 1, 1] + [0] * 12)
+
+
 @pytest.mark.usefixtures("small_tiles")
 class TestRowTiledFeedforward:
     @staticmethod
@@ -463,15 +594,6 @@ class TestRowTiledMemory:
 
     STEPS, WIDTH = 2048, 8
 
-    @staticmethod
-    def traced_peak(fn) -> int:
-        tracemalloc.start()
-        try:
-            fn()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     @pytest.mark.parametrize("causal", [False, True])
     def test_attention_below_one_score_matrix(self, causal):
         rng = np.random.default_rng(90)
@@ -479,8 +601,8 @@ class TestRowTiledMemory:
                           requires_grad=True) for _ in range(3))
         bound = self.STEPS * self.STEPS * 8
         with tensor.no_grad():
-            assert self.traced_peak(lambda: tensor.attention(q, k, v, causal)) < bound
-        assert self.traced_peak(lambda: tensor.backward(
+            assert traced_peak(lambda: tensor.attention(q, k, v, causal)) < bound
+        assert traced_peak(lambda: tensor.backward(
             tensor.sum_all(tensor.attention(q, k, v, causal)))) < bound
         assert q.grad.shape == k.grad.shape == v.grad.shape == (self.STEPS, self.WIDTH)
 
@@ -494,8 +616,8 @@ class TestRowTiledMemory:
         mask = (rng.random((self.STEPS, 4 * n)) >= 0.1) / 0.9 if masked else None
         bound = self.STEPS * 4 * n * 8
         with tensor.no_grad():
-            assert self.traced_peak(lambda: tensor.feedforward(x, w, b, mask)) < bound
+            assert traced_peak(lambda: tensor.feedforward(x, w, b, mask)) < bound
         out = tensor.feedforward(x, w, b, mask)
         out.grad = np.ones_like(out.data)
-        assert self.traced_peak(out._backward) < bound
+        assert traced_peak(out._backward) < bound
         assert x.grad.shape == (self.STEPS, n) and w.grad.shape == (n, 4 * n)

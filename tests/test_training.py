@@ -136,12 +136,12 @@ class TestTrainEpoch:
 
 
 class TestValidateAndSelect:
-    def test_oracle_model_scores_at_cap(self):
+    def test_oracle_model_scores_at_cap(self, monkeypatch):
         rng = np.random.default_rng(6)
         s = rng.standard_normal(100)
+        monkeypatch.setattr(model, "enhance", lambda x, params, cfg: x)
         score, improved = validate_and_select(
-            {}, toy_model_cfg(), [(s, s)], best_so_far=50.0,
-            enhance_fn=lambda x: x)
+            {}, toy_model_cfg(), [(s, s)], best_so_far=50.0)
         assert score == DB_CAP and improved
 
     def test_two_runs_identical(self):
@@ -152,7 +152,7 @@ class TestValidateAndSelect:
         b, _ = validate_and_select(params, cfg, pairs, -math.inf)
         assert a == b
 
-    def test_mean_of_known_per_utterance_scores(self):
+    def test_mean_of_known_per_utterance_scores(self, monkeypatch):
         rng = np.random.default_rng(10)
 
         def with_si_snr(s, target_db):
@@ -167,21 +167,22 @@ class TestValidateAndSelect:
         fakes = {s1.tobytes(): with_si_snr(s1, 3.0),
                  s2.tobytes(): with_si_snr(s2, 5.0)}
         assert si_snr(s1, fakes[s1.tobytes()]) == pytest.approx(3.0, abs=1e-9)
+        monkeypatch.setattr(model, "enhance", lambda x, params, cfg: fakes[x.tobytes()])
         score, _ = validate_and_select(
-            {}, toy_model_cfg(), [(s1, s1), (s2, s2)], -math.inf,
-            enhance_fn=lambda x: fakes[x.tobytes()])
+            {}, toy_model_cfg(), [(s1, s1), (s2, s2)], -math.inf)
         assert score == pytest.approx(4.0, abs=1e-9)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ConfigurationError):
             validate_and_select({}, toy_model_cfg(), [], 0.0)
 
-    def test_snr_metric_selectable(self):
+    def test_snr_metric_selectable(self, monkeypatch):
         rng = np.random.default_rng(11)
         s = rng.standard_normal(64)
+        # halving hurts SNR but not SI-SNR
+        monkeypatch.setattr(model, "enhance", lambda x, params, cfg: 0.5 * x)
         score, _ = validate_and_select(
-            {}, toy_model_cfg(), [(s, s)], -math.inf, metric="snr",
-            enhance_fn=lambda x: 0.5 * x)  # halving hurts SNR but not SI-SNR
+            {}, toy_model_cfg(), [(s, s)], -math.inf, metric="snr")
         assert score == pytest.approx(10 * np.log10((s @ s) / (0.25 * s @ s)))
 
 
@@ -236,9 +237,13 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         arrays = [*loaded.tensors.values(), *loaded.adam.m.values(), *loaded.adam.v.values()]
         assert len(arrays) == 3 * len(params)
+        block = arrays[0].base
         for arr in arrays:
             assert arr.dtype == np.float32
             assert arr.flags.c_contiguous and arr.flags.aligned and arr.flags.writeable
+            # views of one block, each on its own 64-byte line
+            assert arr.base is block
+            assert (arr.ctypes.data - block.ctypes.data) % 64 == 0
 
     def test_params_alias_float32_arrays_and_copy_float64(self, tmp_path):
         cfg, params, _ = self.make(seed=27)

@@ -4,6 +4,7 @@ import struct
 
 import numpy as np
 import pytest
+from scipy.io import wavfile
 
 from arn.wavio import WavFormatError, read_wav, write_wav
 
@@ -98,9 +99,28 @@ def test_unsupported_encoding_rejected(tmp_path):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_non_finite_float_samples_rejected(tmp_path, bad):
-    x = np.zeros(1600)
+    x = np.zeros(1600, dtype=np.float32)
     x[700] = bad
     path = tmp_path / "nonfinite.wav"
-    write_wav(path, x, encoding="float32")
+    wavfile.write(path, 16000, x)  # write_wav itself refuses such samples
     with pytest.raises(WavFormatError, match="index 700"):
         read_wav(path)
+
+
+@pytest.mark.parametrize("encoding", ["float32", "pcm16"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 3.5e38, -1e300])
+def test_write_refuses_samples_float32_cannot_hold(tmp_path, bad, encoding):
+    x = np.zeros(1600)
+    x[900] = bad
+    path = tmp_path / "out.wav"
+    with pytest.raises(WavFormatError, match="index 900"):
+        write_wav(path, x, encoding=encoding)
+    assert not path.exists()
+
+
+def test_write_accepts_float32_extremes(tmp_path):
+    top = float(np.finfo(np.float32).max)
+    tiny = float(np.finfo(np.float32).smallest_subnormal)
+    path = tmp_path / "edge.wav"
+    write_wav(path, [top, -top, tiny])
+    np.testing.assert_array_equal(read_wav(path).samples, [top, -top, tiny])
