@@ -3,9 +3,9 @@
 Library layout:
 
 - ``arn.tensor``: numpy-backed reverse-mode autograd, including the framing
-  and overlap-add ops
+  and overlap-add ops and the rfft magnitude of the PCM loss
 - ``arn.optim``: Adam optimizer
-- ``arn.dsp``: STFT planes, RMS normalization
+- ``arn.dsp``: STFT magnitude, RMS normalization
 - ``arn.model``: the network and its configuration
 - ``arn.losses``: MSE / phase-constrained-magnitude losses, SNR metrics
 - ``arn.mixing``: deterministic dynamic-mixing data pipeline

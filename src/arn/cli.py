@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 usage error or malformed list file (evaluate
 manifest, corpus index), 3 malformed/unsupported WAV (including non-finite
-samples), 4 model/checkpoint problem, 1 anything else. The environment
-variable ``ARN_SEED`` overrides the default seed 0.
+samples), 4 model, checkpoint or training-config problem, 1 anything else.
+The environment variable ``ARN_SEED`` overrides the default seed 0.
 
 ``evaluate`` reads a manifest of ``<clean path>\\t<degraded-or-enhanced
 path>`` lines and prints one tab-separated record per pair
@@ -17,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -105,15 +106,64 @@ def cmd_mix(args) -> int:
     return 0
 
 
+# the keys of a training config's ``mixing`` block and their defaults
+MIXING_DEFAULTS = {"snr_choices": list(mixing.TRAIN_SNRS_DB),
+                   "target_len": mixing.CHUNK_LEN,
+                   "trim_db": mixing.TRIM_THRESHOLD_DB, "val_pairs": 4}
+
+
+def _config_block(blob: dict, section: str, defaults: dict) -> dict:
+    """One block of a training config merged over its defaults.
+
+    Every key must be known and hold a value of its default's type (an int
+    passes for a float), so a bad value is refused with its name before
+    a config class compares or stores it.
+    """
+    opts = blob.get(section, {})
+    if not isinstance(opts, dict):
+        raise ConfigurationError(f"config block {section!r} must be an object")
+    for key, value in opts.items():
+        if key not in defaults:
+            raise ConfigurationError(f"unknown {section} key {key!r}")
+        want = type(defaults[key])
+        if isinstance(value, bool) != (want is bool) or not isinstance(
+                value, (int, float) if want is float else want):
+            raise ConfigurationError(
+                f"{section}.{key} must be of type {want.__name__}, got {value!r}")
+    return {**defaults, **opts}
+
+
+def _field_defaults(cls) -> dict:
+    return {f.name: f.default for f in fields(cls)}
+
+
 def _load_train_config(path):
-    blob = json.loads(Path(path).read_text())
-    model_cfg = ARNConfig.from_dict(blob.get("model", {}))
-    train_cfg = TrainConfig.from_dict(blob.get("train", {}))
-    mix_opts = blob.get("mixing", {})
+    try:
+        blob = json.loads(Path(path).read_text())
+    except json.JSONDecodeError as exc:
+        raise ConfigurationError(f"{path} is not valid JSON: {exc}") from None
+    if not isinstance(blob, dict):
+        raise ConfigurationError("a training config must be a JSON object")
+    unknown = sorted(set(blob) - {"model", "train", "mixing"})
+    if unknown:
+        raise ConfigurationError(f"unknown config block(s): {', '.join(unknown)}")
+    model_cfg = ARNConfig.from_dict(
+        _config_block(blob, "model", _field_defaults(ARNConfig)))
+    train_cfg = TrainConfig.from_dict(
+        _config_block(blob, "train", _field_defaults(TrainConfig)))
+    mix_opts = _config_block(blob, "mixing", MIXING_DEFAULTS)
+    choices = mix_opts["snr_choices"]
+    if not choices or any(isinstance(c, bool) or not isinstance(c, (int, float))
+                          for c in choices):
+        raise ConfigurationError("mixing.snr_choices must be a non-empty list of numbers")
+    for key in ("target_len", "val_pairs"):
+        if mix_opts[key] < 1:
+            raise ConfigurationError(f"mixing.{key} must be at least 1")
     return model_cfg, train_cfg, mix_opts
 
 
 def cmd_train(args) -> int:
+    # every config check runs before --out is created
     model_cfg, train_cfg, mix_opts = _load_train_config(args.config)
     # precedence: --seed flag, then ARN_SEED, then the config file
     if args.seed is not None:
@@ -122,18 +172,15 @@ def cmd_train(args) -> int:
         train_cfg.seed = _seed()
     speech = CorpusIndex(args.speech_index)
     noise = CorpusIndex(args.noise_index)
-    mixer = DynamicMixer(
-        speech, noise,
-        snr_choices=tuple(mix_opts.get("snr_choices", mixing.TRAIN_SNRS_DB)),
-        target_len=int(mix_opts.get("target_len", mixing.CHUNK_LEN)),
-        trim_db=float(mix_opts.get("trim_db", mixing.TRIM_THRESHOLD_DB)))
+    mixer = DynamicMixer(speech, noise, snr_choices=tuple(mix_opts["snr_choices"]),
+                         target_len=mix_opts["target_len"], trim_db=mix_opts["trim_db"])
 
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = model.init_params(model_cfg, np.random.default_rng(train_cfg.seed),
                                dtype=np.float32)
     val_pairs = mixer.sample(np.random.default_rng([train_cfg.seed, 0xA11]),
-                             int(mix_opts.get("val_pairs", 4)))
+                             mix_opts["val_pairs"])
 
     log_path = out_dir / "train_log.csv"
     with open(log_path, "w") as log_fh:

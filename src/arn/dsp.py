@@ -1,12 +1,12 @@
-"""STFT planes and RMS normalization.
+"""STFT magnitude and RMS normalization.
 
 The STFT frames the signal with ``tensor.frame_rows`` (row t is
-``x[t*hop : t*hop + win_len]``, zero-padded past the end), applies a
-periodic Hann window, and multiplies by cached DFT basis matrices, so that
-gradients flow through it like any other linear operation (needed by the
-spectral-magnitude training loss). The model frames and overlap-adds
-waveforms with the same tensor ops, ``tensor.frame_rows`` and
-``tensor.overlap_add_rows``.
+``x[t*hop : t*hop + win_len]``, zero-padded past the end), and
+``tensor.rfft_magnitude`` applies a periodic Hann window, takes each row's
+``np.fft.rfft`` and returns |Re| + |Im| per bin, the magnitude the
+phase-constrained training loss compares. Both are recorded ops, so
+gradients reach the signal. The model frames and overlap-adds waveforms with
+the same tensor ops, ``tensor.frame_rows`` and ``tensor.overlap_add_rows``.
 """
 
 from __future__ import annotations
@@ -42,21 +42,6 @@ class StftConfig:
         if self.win_len > self.fft_size:
             raise ValueError("win_len must not exceed fft_size")
 
-    @property
-    def num_bins(self) -> int:
-        return self.fft_size // 2 + 1
-
-
-@dataclass
-class SpectrogramParts:
-    real: Tensor            # (T_f, F)
-    imag: Tensor            # (T_f, F)
-    cfg: StftConfig
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
-
 
 @lru_cache(maxsize=8)
 def _hann_window(win_len: int, dtype_name: str) -> np.ndarray:
@@ -65,36 +50,17 @@ def _hann_window(win_len: int, dtype_name: str) -> np.ndarray:
     return (0.5 - 0.5 * np.cos(2.0 * np.pi * k / win_len)).astype(dtype_name)
 
 
-@lru_cache(maxsize=8)
-def _dft_bases(win_len: int, fft_size: int, dtype_name: str):
-    # X[f] = sum_k x[k] exp(-2*pi*i*k*f / fft_size); zero padding to fft_size
-    # means only the first win_len rows of the basis matter.
-    k = np.arange(win_len)[:, None]
-    f = np.arange(fft_size // 2 + 1)[None, :]
-    ang = 2.0 * np.pi * k * f / fft_size
-    dtype = np.dtype(dtype_name)
-    return np.cos(ang).astype(dtype), (-np.sin(ang)).astype(dtype)
+def stft_magnitude(s: Tensor, cfg: StftConfig) -> Tensor:
+    """|Re| + |Im| of the Hann-windowed STFT of a 1-D signal, one row per
+    frame and one column per bin: (ceil(M / hop), fft_size // 2 + 1).
 
-
-def stft_parts(s, cfg: StftConfig | None = None) -> SpectrogramParts:
-    """Windowed DFT per frame, returned as real and imaginary planes.
-
-    The transform is linear in the signal, so gradients propagate to ``s``.
+    Two recorded ops, ``tensor.frame_rows`` and ``tensor.rfft_magnitude``,
+    so gradients propagate to ``s``.
     """
-    if cfg is None:
-        cfg = StftConfig()
-    st = _as_tensor(s)
-    if st.data.ndim != 1 or st.data.shape[0] < 1:
-        raise ValueError("stft_parts needs a non-empty 1-D signal")
-    m = st.data.shape[0]
-    num_frames = math.ceil(m / cfg.hop)
-    frames = tensor.frame_rows(st, cfg.win_len, cfg.hop, num_frames)
-    win = Tensor(_hann_window(cfg.win_len, st.data.dtype.name))
-    windowed = tensor.mul(frames, win)
-    cos_b, sin_b = _dft_bases(cfg.win_len, cfg.fft_size, st.data.dtype.name)
-    real = tensor.matmul(windowed, Tensor(cos_b))
-    imag = tensor.matmul(windowed, Tensor(sin_b))
-    return SpectrogramParts(real, imag, cfg)
+    num_frames = math.ceil(s.data.shape[0] / cfg.hop)
+    frames = tensor.frame_rows(s, cfg.win_len, cfg.hop, num_frames)
+    return tensor.rfft_magnitude(frames, _hann_window(cfg.win_len, s.data.dtype.name),
+                                 cfg.fft_size)
 
 
 def rms(x: np.ndarray) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensor
-from .dsp import DegenerateSignalError, StftConfig, stft_parts
+from .dsp import DegenerateSignalError, StftConfig, stft_magnitude
 from .tensor import DimensionError, Tensor
 
 DB_CAP = 100.0  # returned when the error term is numerically zero
@@ -40,10 +40,7 @@ def mse_loss(s, s_hat) -> Tensor:
 
 def _spectral_mag_l1(ref, est, cfg: StftConfig) -> Tensor:
     """Mean |(|R_r|+|R_i|) - (|E_r|+|E_i|)| over time-frequency bins."""
-    r = stft_parts(ref, cfg)
-    e = stft_parts(est, cfg)
-    mag_r = tensor.absolute(r.real) + tensor.absolute(r.imag)
-    mag_e = tensor.absolute(e.real) + tensor.absolute(e.imag)
+    mag_r, mag_e = stft_magnitude(ref, cfg), stft_magnitude(est, cfg)
     return tensor.mean_all(tensor.absolute(mag_r - mag_e))
 
 
@@ -67,8 +64,8 @@ def pcm_loss(x, s, s_hat, stft_cfg: StftConfig | None = None) -> Tensor:
 
 
 LOSS_FNS = {
-    "mse": lambda x, s, s_hat, **kw: mse_loss(s, s_hat),
-    "pcm": lambda x, s, s_hat, **kw: pcm_loss(x, s, s_hat, **kw),
+    "mse": lambda x, s, s_hat: mse_loss(s, s_hat),
+    "pcm": lambda x, s, s_hat: pcm_loss(x, s, s_hat),
 }
 
 
@@ -107,6 +104,3 @@ def si_snr(s, s_hat) -> float:
     residual = e0 - target
     return _clamp_db(float(np.dot(target, target)),
                      float(np.dot(residual, residual)))
-
-
-METRIC_FNS = {"snr": snr, "si_snr": si_snr}

@@ -3,8 +3,9 @@
 A minimal numpy-backed autograd engine covering exactly the operations the
 attentive recurrent enhancement network needs: matrix products,
 row-broadcast arithmetic, pointwise nonlinearities, row-wise layer
-normalization, signal framing / overlap-add, scalar reductions, and three
-fused ops: a whole LSTM recurrence, attention, and the feedforward layer.
+normalization, signal framing / overlap-add, scalar reductions, and four
+fused ops: a whole LSTM recurrence, attention, the feedforward layer, and
+the magnitude of a real FFT.
 
 Every operation that sees a gradient-requiring input records a backward
 closure on its output. The closure takes the output's gradient as its
@@ -23,7 +24,8 @@ backpropagation through time over the gate activations and cell states it
 kept. ``attention`` and ``feedforward`` work over the same row tiles and
 recompute each tile in their backward pass, so their memory grows linearly
 in T. ``layer_norm_rows`` writes its output in place and keeps only each
-row's mean and inverse deviation.
+row's mean and inverse deviation. ``rfft_magnitude`` keeps the spectrum
+of its rows, and its backward pass is the adjoint transform, an ``irfft``.
 """
 
 from __future__ import annotations
@@ -542,6 +544,39 @@ def feedforward(x: Tensor, w: Tensor, b: Tensor, mask=None) -> Tensor:
                 t._acc(d)
 
     return _record(Tensor(out), (x, w, b), _bw)
+
+
+# ---------------------------------------------------------------------------
+# spectral magnitude
+# ---------------------------------------------------------------------------
+
+def rfft_magnitude(frames: Tensor, window: np.ndarray, n: int) -> Tensor:
+    """|Re X| + |Im X|, where row t of X is the ``n``-point ``np.fft.rfft``
+    of row t of ``frames`` times ``window``, as one recorded op.
+
+    ``frames`` is (T, L), ``window`` a plain (L,) array and n >= L; the
+    output is (T, n // 2 + 1). The backward pass is the adjoint transform:
+    ``irfft`` of g sign(Re X) + i g sign(Im X) with bins 1 .. ceil(n/2) - 1
+    halved, since ``irfft`` counts each of them twice, then times n and the
+    window.
+    """
+    fd = frames.data
+    if fd.ndim != 2 or window.shape != fd.shape[1:]:
+        raise DimensionError(
+            f"need (T, L) frames and an (L,) window, got {fd.shape} and {window.shape}")
+    if n < fd.shape[1]:
+        raise DimensionError(f"FFT size {n} is shorter than the frames ({fd.shape[1]})")
+    spec = np.fft.rfft(fd * window, n=n, axis=1)
+    out = Tensor(np.abs(spec.real) + np.abs(spec.imag))
+
+    def _bw(g):
+        adj = g * np.sign(spec.real) + 1j * (g * np.sign(spec.imag))
+        adj[:, 1:(n + 1) // 2] *= 0.5
+        dx = np.fft.irfft(adj, n=n, axis=1)[:, :fd.shape[1]]
+        dx *= n * window
+        frames._acc(dx)
+
+    return _record(out, (frames,), _bw)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -60,15 +60,15 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "steps_per_epoch", "batch", "validate_every"):
+            if getattr(self, name) < 1:
+                raise ConfigurationError(f"{name} must be at least 1")
         if not self.lr_hi > self.lr_lo > 0.0:
             raise ConfigurationError("need lr_hi > lr_lo > 0")
         if not 1 <= self.lr_knee < self.epochs:
             raise ConfigurationError("need 1 <= lr_knee < epochs")
         if self.loss not in losses.LOSS_FNS:
             raise ConfigurationError(f"unknown loss {self.loss!r}")
-
-    def to_dict(self) -> dict:
-        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -99,8 +99,7 @@ def _batch_loss(batch, params, model_cfg: ARNConfig, loss_name: str, rng):
 
 
 def train_epoch(params: dict, model_cfg: ARNConfig, adam: AdamState,
-                cfg: TrainConfig, mixer, epoch: int, log=None,
-                lr_override: float | None = None) -> float:
+                cfg: TrainConfig, mixer, epoch: int, log=None) -> float:
     """Run one epoch of optimizer steps and return the mean loss.
 
     ``log``, when given, is called as ``log(epoch, step, loss, lr)`` after
@@ -108,7 +107,7 @@ def train_epoch(params: dict, model_cfg: ARNConfig, adam: AdamState,
     """
     mix_rng = np.random.default_rng([cfg.seed, epoch, 0])
     drop_rng = np.random.default_rng([cfg.seed, epoch, 1])
-    lr = lr_schedule(epoch, cfg) if lr_override is None else lr_override
+    lr = lr_schedule(epoch, cfg)
     step_losses = []
     for step in range(1, cfg.steps_per_epoch + 1):
         batch = mixer.sample(mix_rng, cfg.batch)
@@ -126,16 +125,15 @@ def train_epoch(params: dict, model_cfg: ARNConfig, adam: AdamState,
 
 
 def validate_and_select(params: dict, model_cfg: ARNConfig, val_pairs,
-                        best_so_far: float, metric: str = "si_snr"):
-    """Mean selection metric over (noisy, clean) pairs in eval mode.
+                        best_so_far: float):
+    """Mean SI-SNR over (noisy, clean) pairs in eval mode.
 
     Returns ``(score, improved)``; the caller persists a checkpoint when
     ``improved`` is true.
     """
     if not val_pairs:
         raise ConfigurationError("validation set is empty")
-    metric_fn = losses.METRIC_FNS[metric]
-    scores = [metric_fn(s, model.enhance(x, params, model_cfg)) for x, s in val_pairs]
+    scores = [losses.si_snr(s, model.enhance(x, params, model_cfg)) for x, s in val_pairs]
     score = float(np.mean(scores))
     return score, score > best_so_far
 
@@ -389,8 +387,7 @@ def _read_checkpoint(fh) -> Checkpoint:
 
 
 def fit(params: dict, model_cfg: ARNConfig, cfg: TrainConfig, mixer,
-        val_pairs=None, out_dir=None, log=None, metric: str = "si_snr",
-        progress=None) -> float:
+        val_pairs=None, out_dir=None, log=None, progress=None) -> float:
     """Full training run with periodic validation and best-model saving.
 
     Returns the best validation score (or ``-inf`` if never validated).
@@ -402,8 +399,7 @@ def fit(params: dict, model_cfg: ARNConfig, cfg: TrainConfig, mixer,
         if progress is not None:
             progress(epoch, mean_loss)
         if val_pairs and epoch % cfg.validate_every == 0:
-            score, improved = validate_and_select(params, model_cfg, val_pairs,
-                                                  best, metric)
+            score, improved = validate_and_select(params, model_cfg, val_pairs, best)
             if improved:
                 best = score
                 if out_dir is not None:

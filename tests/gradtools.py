@@ -16,6 +16,9 @@ row-tiled ``tensor.attention`` and ``tensor.feedforward``.
 are the whole-array and index-array forms of ``tensor.layer_norm_rows``,
 ``tensor.frame_rows`` and ``tensor.overlap_add_rows``: the same arithmetic in
 the same order, so they are bitwise oracles.
+``dft_planes`` computes the real and imaginary DFT planes of windowed rows
+as two products with cosine and sine bases, and ``rfft_magnitude_graph``
+adds their absolute values: the oracle for ``tensor.rfft_magnitude``.
 """
 
 import math
@@ -389,3 +392,32 @@ def overlap_add_rows_indexed(frames: Tensor, shift: int, out_len: int,
         frames._acc(gf)
 
     return tensor._record(out, (frames,), _bw)
+
+
+# ---------------------------------------------------------------------------
+# the DFT as products with basis matrices
+# ---------------------------------------------------------------------------
+
+def dft_bases(win_len: int, n: int, dtype=np.float64):
+    """(win_len, n // 2 + 1) cosine and negated-sine bases of the ``n``-point
+    DFT, X[f] = sum_k x[k] exp(-2 pi i k f / n), for rows zero-padded from
+    ``win_len`` to ``n`` samples."""
+    k = np.arange(win_len)[:, None]
+    f = np.arange(n // 2 + 1)[None, :]
+    # k f mod n keeps the angle below 2 pi, where it is rounded least
+    ang = 2.0 * np.pi * ((k * f) % n) / n
+    return np.cos(ang).astype(dtype), (-np.sin(ang)).astype(dtype)
+
+
+def dft_planes(frames: Tensor, window: np.ndarray, n: int):
+    """Real and imaginary planes of the ``n``-point DFT of each row of
+    ``frames`` times ``window``: a window node and two matmuls."""
+    windowed = tensor.mul(frames, Tensor(window))
+    cos_b, sin_b = dft_bases(frames.shape[1], n, windowed.data.dtype)
+    return tensor.matmul(windowed, Tensor(cos_b)), tensor.matmul(windowed, Tensor(sin_b))
+
+
+def rfft_magnitude_graph(frames: Tensor, window: np.ndarray, n: int) -> Tensor:
+    """``tensor.rfft_magnitude`` as |Re| + |Im| of ``dft_planes``."""
+    real, imag = dft_planes(frames, window, n)
+    return tensor.absolute(real) + tensor.absolute(imag)

@@ -227,41 +227,51 @@ class TestExitCodes:
                          "--out", str(tmp_path / "o.wav")]) == 4
 
 
+def write_corpus(tmp_path):
+    """Two speech and two noise WAVs with their index files; returns the
+    speech and noise index paths."""
+    rng = np.random.default_rng(3)
+    speech_dir = tmp_path / "speech"
+    noise_dir = tmp_path / "noise"
+    speech_dir.mkdir()
+    noise_dir.mkdir()
+    speech_lines = []
+    for i in range(2):
+        x = tone(3200, 220.0 * (i + 1)) + 0.02 * rng.standard_normal(3200)
+        wavio.write_wav(speech_dir / f"s{i}.wav", x)
+        speech_lines.append(f"s{i}\tspeech/s{i}.wav\t3200")
+    noise_lines = []
+    for i in range(2):
+        n = 0.3 * rng.standard_normal(6400)
+        wavio.write_wav(noise_dir / f"n{i}.wav", n)
+        noise_lines.append(f"n{i}\tnoise/n{i}.wav\t6400")
+    (tmp_path / "speech.idx").write_text("\n".join(speech_lines) + "\n")
+    (tmp_path / "noise.idx").write_text("\n".join(noise_lines) + "\n")
+    return tmp_path / "speech.idx", tmp_path / "noise.idx"
+
+
+def tiny_train_config():
+    return {
+        "model": {"width": 8, "frame_in": 8, "frame_out": 8, "shift": 8,
+                  "num_blocks": 1, "causal": True, "dropout": 0.0},
+        "train": {"epochs": 2, "steps_per_epoch": 2, "batch": 2,
+                  "lr_knee": 1, "validate_every": 1, "seed": 5},
+        "mixing": {"target_len": 1600, "val_pairs": 2},
+    }
+
+
+def run_train(tmp_path, config, out_dir):
+    speech_idx, noise_idx = write_corpus(tmp_path)
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(config))
+    return cli.main(["train", "--config", str(cfg_path), "--speech-index", str(speech_idx),
+                     "--noise-index", str(noise_idx), "--out", str(out_dir)])
+
+
 class TestTrainCommand:
     def test_end_to_end_training_run(self, tmp_path, capsys):
-        rng = np.random.default_rng(3)
-        speech_dir = tmp_path / "speech"
-        noise_dir = tmp_path / "noise"
-        speech_dir.mkdir()
-        noise_dir.mkdir()
-        speech_lines = []
-        for i in range(2):
-            x = tone(3200, 220.0 * (i + 1)) + 0.02 * rng.standard_normal(3200)
-            wavio.write_wav(speech_dir / f"s{i}.wav", x)
-            speech_lines.append(f"s{i}\tspeech/s{i}.wav\t3200")
-        noise_lines = []
-        for i in range(2):
-            n = 0.3 * rng.standard_normal(6400)
-            wavio.write_wav(noise_dir / f"n{i}.wav", n)
-            noise_lines.append(f"n{i}\tnoise/n{i}.wav\t6400")
-        (tmp_path / "speech.idx").write_text("\n".join(speech_lines) + "\n")
-        (tmp_path / "noise.idx").write_text("\n".join(noise_lines) + "\n")
-
-        config = {
-            "model": {"width": 8, "frame_in": 8, "frame_out": 8, "shift": 8,
-                      "num_blocks": 1, "causal": True, "dropout": 0.0},
-            "train": {"epochs": 2, "steps_per_epoch": 2, "batch": 2,
-                      "lr_knee": 1, "validate_every": 1, "seed": 5},
-            "mixing": {"target_len": 1600, "val_pairs": 2},
-        }
-        cfg_path = tmp_path / "config.json"
-        cfg_path.write_text(json.dumps(config))
-
         out_dir = tmp_path / "run"
-        assert cli.main(["train", "--config", str(cfg_path),
-                         "--speech-index", str(tmp_path / "speech.idx"),
-                         "--noise-index", str(tmp_path / "noise.idx"),
-                         "--out", str(out_dir)]) == 0
+        assert run_train(tmp_path, tiny_train_config(), out_dir) == 0
         assert (out_dir / "last.ckpt").exists()
         log = (out_dir / "train_log.csv").read_text().splitlines()
         assert len(log) == 4  # 2 epochs x 2 steps
@@ -273,3 +283,48 @@ class TestTrainCommand:
         params = training.params_from_checkpoint(ckpt)
         y = model.enhance(np.zeros(100) + 0.1, params, ckpt.model_cfg)
         assert y.shape == (100,)
+
+    # (block, key, value); each is refused naming the key
+    BAD_CONFIGS = [
+        ("train", "batch", 0),
+        ("train", "validate_every", 0),
+        ("train", "steps_per_epoch", 0),
+        ("train", "epochs", 0),
+        ("train", "lr_knees", 1),
+        ("model", "widht", 8),
+        ("model", "width", "big"),
+        ("model", "causal", 1),
+        ("mixing", "trim_DB", -40.0),
+        ("mixing", "snr_choices", []),
+        ("mixing", "snr_choices", ["loud"]),
+        ("mixing", "target_len", 0),
+        ("mixing", "val_pairs", 0),
+    ]
+
+    @pytest.mark.parametrize("block, key, value", BAD_CONFIGS)
+    def test_bad_config_exit_4_before_output(self, tmp_path, capsys, block, key, value):
+        config = tiny_train_config()
+        config[block][key] = value
+        out_dir = tmp_path / "run"
+        assert run_train(tmp_path, config, out_dir) == 4
+        err = capsys.readouterr().err
+        assert key in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("text, named", [("{\"model\": {", "not valid JSON"),
+                                             ("[]", "JSON object"),
+                                             ("{\"modle\": {}}", "modle")])
+    def test_malformed_config_file_exit_4(self, tmp_path, capsys, text, named):
+        config = tmp_path / "config.json"
+        config.write_text(text)
+        assert cli.main(["train", "--config", str(config), "--speech-index", "x.idx",
+                         "--noise-index", "x.idx", "--out", str(tmp_path / "run")]) == 4
+        assert named in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("name", ["causal_16k", "noncausal_16k", "vctk_like"])
+    def test_shipped_configs_load(self, name):
+        path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
+        model_cfg, train_cfg, mix_opts = cli._load_train_config(path)
+        assert model_cfg.width == 1024 and train_cfg.epochs >= 100
+        assert mix_opts["target_len"] == 64000

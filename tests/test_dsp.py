@@ -1,5 +1,5 @@
-"""Framing and overlap-add (the tensor ops the model uses), STFT planes,
-RMS normalization."""
+"""Framing and overlap-add (the tensor ops the model uses), the STFT
+magnitude, RMS normalization."""
 
 import math
 
@@ -9,10 +9,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from arn import dsp, tensor
-from arn.dsp import DegenerateSignalError, StftConfig, rms_normalize, stft_parts
+from arn.dsp import DegenerateSignalError, StftConfig, rms_normalize, stft_magnitude
 from arn.tensor import Tensor
 
-from gradtools import check_grads, finite_diff
+from gradtools import check_grads, dft_planes, finite_diff
 
 
 def frame(x, frame_len, shift):
@@ -106,41 +106,44 @@ class TestOverlapAdd:
 
 
 class TestStftParts:
+    """``dsp.stft_magnitude``, and the DFT planes of its basis-graph oracle."""
+
     def test_dc_bin_with_hann_window(self):
         # a periodic Hann window of length N has DFT N/2 at bin 0, -N/4 at
         # bin 1 and nothing above
         cfg = StftConfig(fft_size=64, win_len=64, hop=64)
         c = 0.75
-        parts = stft_parts(np.full(64, c), cfg)
-        assert parts.real.shape == (1, 33)
-        assert parts.real.data[0, 0] == pytest.approx(c * 32)
-        assert parts.real.data[0, 1] == pytest.approx(-c * 16)
-        np.testing.assert_allclose(parts.real.data[0, 2:], 0.0, atol=1e-9)
-        np.testing.assert_allclose(parts.imag.data[0], 0.0, atol=1e-9)
+        mag = stft_magnitude(Tensor(np.full(64, c)), cfg)
+        assert mag.shape == (1, 33)
+        assert mag.data[0, 0] == pytest.approx(c * 32)
+        assert mag.data[0, 1] == pytest.approx(c * 16)
+        np.testing.assert_allclose(mag.data[0, 2:], 0.0, atol=1e-9)
 
     def test_matches_numpy_rfft(self):
         cfg = StftConfig(fft_size=64, win_len=48, hop=16)
         x = np.random.default_rng(4).standard_normal(100)
-        parts = stft_parts(x, cfg)
-        frames = frame(x, cfg.win_len, cfg.hop).data
+        frames = frame(x, cfg.win_len, cfg.hop)
         win = hann(cfg.win_len)
-        ref = np.fft.rfft(frames * win, n=cfg.fft_size, axis=1)
-        np.testing.assert_allclose(parts.real.data, ref.real, atol=1e-9)
-        np.testing.assert_allclose(parts.imag.data, ref.imag, atol=1e-9)
+        ref = np.fft.rfft(frames.data * win, n=cfg.fft_size, axis=1)
+        np.testing.assert_allclose(stft_magnitude(Tensor(x), cfg).data,
+                                   np.abs(ref.real) + np.abs(ref.imag), atol=1e-9)
+        real, imag = dft_planes(frames, win, cfg.fft_size)
+        np.testing.assert_allclose(real.data, ref.real, atol=1e-9)
+        np.testing.assert_allclose(imag.data, ref.imag, atol=1e-9)
 
     def test_parseval_energy(self):
         cfg = StftConfig(fft_size=128, win_len=128, hop=64)
         x = np.random.default_rng(5).standard_normal(512)
-        parts = stft_parts(x, cfg)
-        power = parts.real.data ** 2 + parts.imag.data ** 2
+        frames = frame(x, cfg.win_len, cfg.hop)
+        win = hann(cfg.win_len)
+        real, imag = dft_planes(frames, win, cfg.fft_size)
+        power = real.data ** 2 + imag.data ** 2
         # full-spectrum energy: interior bins appear twice in the real DFT
-        weights = np.full(cfg.num_bins, 2.0)
+        weights = np.full(power.shape[1], 2.0)
         weights[0] = 1.0
         weights[-1] = 1.0
         spectral = (power * weights).sum()
-        frames = frame(x, cfg.win_len, cfg.hop).data
-        win = hann(cfg.win_len)
-        temporal = cfg.fft_size * ((frames * win) ** 2).sum()
+        temporal = cfg.fft_size * ((frames.data * win) ** 2).sum()
         assert abs(spectral - temporal) / temporal < 1e-4
 
     def test_linearity(self):
@@ -148,23 +151,22 @@ class TestStftParts:
         rng = np.random.default_rng(6)
         x, y = rng.standard_normal(80), rng.standard_normal(80)
         a, b = 1.7, -0.3
-        combined = stft_parts(a * x + b * y, cfg)
-        sx, sy = stft_parts(x, cfg), stft_parts(y, cfg)
-        np.testing.assert_allclose(
-            combined.real.data, a * sx.real.data + b * sy.real.data, atol=1e-6)
-        np.testing.assert_allclose(
-            combined.imag.data, a * sx.imag.data + b * sy.imag.data, atol=1e-6)
+
+        def planes(signal):
+            return dft_planes(frame(signal, cfg.win_len, cfg.hop), hann(cfg.win_len),
+                              cfg.fft_size)
+
+        combined, sx, sy = planes(a * x + b * y), planes(x), planes(y)
+        for c, px, py in zip(combined, sx, sy):
+            np.testing.assert_allclose(c.data, a * px.data + b * py.data, atol=1e-6)
 
     def test_gradients_flow_to_signal(self):
         cfg = StftConfig(fft_size=16, win_len=16, hop=8)
         s = Tensor(np.random.default_rng(7).standard_normal(64), requires_grad=True)
-        wr = np.random.default_rng(8).standard_normal((8, 9))
-        wi = np.random.default_rng(9).standard_normal((8, 9))
+        w = np.random.default_rng(8).standard_normal((8, 9))
 
         def build():
-            parts = stft_parts(s, cfg)
-            return tensor.sum_all(tensor.mul(parts.real, Tensor(wr))) + \
-                tensor.sum_all(tensor.mul(parts.imag, Tensor(wi)))
+            return tensor.sum_all(tensor.mul(stft_magnitude(s, cfg), Tensor(w)))
 
         tensor.backward(build())
 
@@ -176,7 +178,7 @@ class TestStftParts:
 
     def test_empty_signal_rejected(self):
         with pytest.raises(ValueError):
-            stft_parts(np.zeros(0), StftConfig())
+            stft_magnitude(Tensor(np.zeros(0)), StftConfig())
 
 
 class TestRmsNormalize:

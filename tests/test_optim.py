@@ -23,6 +23,19 @@ def test_zero_gradients_leave_parameters_unchanged():
     assert state.step_count == 3
 
 
+def test_zero_lr_leaves_parameters_unchanged():
+    rng = np.random.default_rng(1)
+    p = make_param(rng.standard_normal(6))
+    params = {"p": p}
+    state = AdamState.for_params(params)
+    before = p.data.copy()
+    for _ in range(5):
+        p.grad = rng.standard_normal(6)
+        adam_step(params, state, lr=0.0)
+    np.testing.assert_array_equal(p.data, before)
+    assert state.step_count == 5
+
+
 def test_first_step_moves_by_lr_times_sign():
     # with bias correction, m_hat = g and v_hat = g^2 on step one, so the
     # update collapses to -lr * sign(g) as epsilon -> 0

@@ -30,6 +30,7 @@ from gradtools import (
     layer_norm_whole,
     lstm_sequence_graph,
     overlap_add_rows_indexed,
+    rfft_magnitude_graph,
     slice_cols,
     softmax_rows,
     traced_peak,
@@ -586,6 +587,67 @@ class TestRowTiledFeedforward:
             tensor.feedforward(Tensor(rand((5, 2))), w, b)
         with pytest.raises(DimensionError):
             tensor.feedforward(x, w, b, np.ones((4, 8)))
+
+
+class TestRfftMagnitude:
+    """The rfft node against the basis-matrix graph it replaced, on framed
+    signals with a random positive window."""
+
+    # (fft_size, win_len, hop, signal length): the PCM loss's setting, a
+    # window shorter than the FFT, an odd FFT with no Nyquist bin, and a
+    # signal shorter than one window
+    CASES = [(512, 512, 256, 1500), (32, 16, 8, 100), (33, 33, 11, 120),
+             (512, 512, 256, 300)]
+
+    @staticmethod
+    def run(op, signal, window, n, hop, weights):
+        x = Tensor(signal.copy(), requires_grad=True)
+        frames = tensor.frame_rows(x, window.size, hop, math.ceil(signal.size / hop))
+        out = op(frames, window, n)
+        tensor.backward(tensor.sum_all(tensor.mul(out, Tensor(weights))))
+        return out.data, x.grad
+
+    @pytest.mark.parametrize("n, win_len, hop, m", CASES)
+    def test_matches_basis_graph(self, n, win_len, hop, m):
+        rng = np.random.default_rng(n + win_len + m)
+        signal = rng.standard_normal(m)
+        window = rng.uniform(0.5, 1.5, win_len)
+        weights = rng.standard_normal((math.ceil(m / hop), n // 2 + 1))
+        got = self.run(tensor.rfft_magnitude, signal, window, n, hop, weights)
+        want = self.run(rfft_magnitude_graph, signal, window, n, hop, weights)
+        for a, b in zip(got, want):
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    @pytest.mark.parametrize("n, win_len", [(16, 12), (9, 9)])
+    def test_gradients(self, n, win_len):
+        rng = np.random.default_rng(n)
+        window = rng.uniform(0.5, 1.5, win_len)
+        analytic, fd = weighted_sum_grads(
+            lambda f: tensor.rfft_magnitude(f, window, n),
+            [rng.standard_normal((3, win_len))], rng.standard_normal((3, n // 2 + 1)))
+        assert check_grads(analytic, fd) < 1e-6
+
+    def test_float32_matches_float64_graph(self):
+        n, win_len, hop, m = self.CASES[0]
+        rng = np.random.default_rng(7)
+        signal = rng.standard_normal(m).astype(np.float32)
+        window = rng.uniform(0.5, 1.5, win_len).astype(np.float32)
+        weights = rng.standard_normal((math.ceil(m / hop), n // 2 + 1)).astype(np.float32)
+        got = self.run(tensor.rfft_magnitude, signal, window, n, hop, weights)
+        want = self.run(rfft_magnitude_graph, signal.astype(np.float64),
+                        window.astype(np.float64), n, hop, weights.astype(np.float64))
+        for a, b in zip(got, want):
+            assert a.dtype == np.float32
+            assert np.abs(a - b).max() <= 1e-5 * np.abs(b).max()
+
+    def test_bad_shapes_rejected(self):
+        frames = Tensor(rand((3, 8)))
+        with pytest.raises(DimensionError):
+            tensor.rfft_magnitude(frames, np.ones(7), 8)
+        with pytest.raises(DimensionError):
+            tensor.rfft_magnitude(frames, np.ones(8), 7)
+        with pytest.raises(DimensionError):
+            tensor.rfft_magnitude(Tensor(rand(8)), np.ones(8), 8)
 
 
 class TestRowTiledMemory:

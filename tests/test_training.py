@@ -82,6 +82,9 @@ class TestLrSchedule:
             TrainConfig(epochs=10, lr_knee=10)
         with pytest.raises(ConfigurationError):
             TrainConfig(loss="l1")
+        for name in ("epochs", "steps_per_epoch", "batch", "validate_every"):
+            with pytest.raises(ConfigurationError, match=name):
+                TrainConfig(**{name: 0})
 
 
 class TestTrainEpoch:
@@ -97,17 +100,6 @@ class TestTrainEpoch:
         adam = AdamState.for_params(params)
         epoch_loss = train_epoch(params, cfg, adam, tc, mixer, epoch=1)
         assert epoch_loss < initial
-
-    def test_zero_lr_leaves_parameters_unchanged(self):
-        cfg = toy_model_cfg()
-        params = model.init_params(cfg, np.random.default_rng(1), np.float64)
-        before = {k: p.data.copy() for k, p in params.items()}
-        mixer = FixedMixer([fixed_pair()])
-        tc = TrainConfig(epochs=2, steps_per_epoch=5, batch=2, lr_knee=1, seed=1)
-        adam = AdamState.for_params(params)
-        train_epoch(params, cfg, adam, tc, mixer, epoch=1, lr_override=0.0)
-        for k, p in params.items():
-            np.testing.assert_array_equal(p.data, before[k])
 
     def test_replay_is_deterministic(self):
         cfg = toy_model_cfg()
@@ -175,15 +167,6 @@ class TestValidateAndSelect:
     def test_empty_set_rejected(self):
         with pytest.raises(ConfigurationError):
             validate_and_select({}, toy_model_cfg(), [], 0.0)
-
-    def test_snr_metric_selectable(self, monkeypatch):
-        rng = np.random.default_rng(11)
-        s = rng.standard_normal(64)
-        # halving hurts SNR but not SI-SNR
-        monkeypatch.setattr(model, "enhance", lambda x, params, cfg: 0.5 * x)
-        score, _ = validate_and_select(
-            {}, toy_model_cfg(), [(s, s)], -math.inf, metric="snr")
-        assert score == pytest.approx(10 * np.log10((s @ s) / (0.25 * s @ s)))
 
 
 class TestCheckpoint:
