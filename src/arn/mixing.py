@@ -41,26 +41,33 @@ def trim_silence(x: np.ndarray, threshold_db: float = TRIM_THRESHOLD_DB,
     """Drop leading/trailing windows whose short-time RMS falls below
     ``threshold_db`` relative to the peak short-time RMS.
 
-    Trimming is window-granular and never touches interior samples. An
-    entirely silent signal trims to an empty buffer (callers skip it).
+    Trimming is window-granular and never touches interior samples; the
+    result is a view of ``x``. An entirely silent signal trims to an empty
+    buffer (callers skip it). Window levels are computed in float64 whatever
+    the dtype of ``x``, so float32 samples trim exactly as their float64
+    values do.
     """
     x = np.asarray(x)
     if x.size == 0:
         raise ValueError("trim_silence needs a non-empty signal")
     if threshold_db == -np.inf:
-        return x.copy()
-    num_win = math.ceil(x.size / window)
-    level = np.empty(num_win)
-    for w in range(num_win):
-        chunk = x[w * window:(w + 1) * window]
-        level[w] = np.sqrt(np.mean(chunk * chunk))
+        return x[:]
+    # each window's mean square, the last one possibly partial; a row mean
+    # sums its window exactly as a mean over that window alone would
+    power = np.square(x, dtype=np.float64)
+    full = x.size // window
+    level = np.empty(math.ceil(x.size / window))
+    level[:full] = power[:full * window].reshape(full, window).mean(axis=1)
+    if level.size > full:
+        level[full] = power[full * window:].mean()
+    np.sqrt(level, out=level)
     peak = level.max()
     if peak == 0.0:
-        return x[:0].copy()
+        return x[:0]
     active = np.flatnonzero(level >= peak * 10.0 ** (threshold_db / 20.0))
     if active.size == 0:
-        return x[:0].copy()
-    return x[active[0] * window:min((active[-1] + 1) * window, x.size)].copy()
+        return x[:0]
+    return x[active[0] * window:min((active[-1] + 1) * window, x.size)]
 
 
 def make_mixture(recipe: MixtureRecipe, speech: np.ndarray, noise: np.ndarray,
@@ -72,8 +79,8 @@ def make_mixture(recipe: MixtureRecipe, speech: np.ndarray, noise: np.ndarray,
     clean signal scaled by the same gain. Speech shorter than ``target_len``
     is used unaltered (the pair shrinks to the speech length).
     """
-    speech = np.asarray(speech, dtype=np.float64)
-    noise = np.asarray(noise, dtype=np.float64)
+    speech = np.asarray(speech)
+    noise = np.asarray(noise)
     if speech.size <= target_len:
         s = speech
     else:
@@ -85,6 +92,8 @@ def make_mixture(recipe: MixtureRecipe, speech: np.ndarray, noise: np.ndarray,
     if recipe.noise_offset + s.size > noise.size:
         raise ValueError("noise chunk does not cover the target length")
     n = noise[recipe.noise_offset:recipe.noise_offset + s.size]
+    # only the chunks are converted, so float32 corpora mix in float64 too
+    s, n = np.asarray(s, dtype=np.float64), np.asarray(n, dtype=np.float64)
 
     rms_s, rms_n = rms(s), rms(n)
     if rms_s == 0.0 or rms_n == 0.0:
@@ -123,53 +132,90 @@ def read_list_file(path, types) -> list:
     return rows
 
 
-class ArrayCorpus:
+class _Corpus:
+    """Named utterances: ``ids`` in sorted order and ``load(utt_id)``.
+
+    ``trimmed`` memoizes each utterance's silence-trimmed samples per
+    threshold, a read-only view of ``load``'s array, so a corpus drawn from
+    repeatedly trims each utterance once.
+    """
+
+    def __init__(self):
+        self._trimmed = {}
+
+    def trimmed(self, utt_id: str, trim_db: float) -> np.ndarray:
+        key = (utt_id, trim_db)
+        speech = self._trimmed.get(key)
+        if speech is None:
+            speech = trim_silence(self.load(utt_id), trim_db)
+            speech.flags.writeable = False
+            self._trimmed[key] = speech
+        return speech
+
+    def __len__(self):
+        return len(self.ids)
+
+
+class ArrayCorpus(_Corpus):
     """In-memory corpus of named utterances (tests, synthetic data)."""
 
     def __init__(self, utterances: dict):
+        super().__init__()
         self.ids = sorted(utterances)
         self._utts = {k: np.asarray(v, dtype=np.float64) for k, v in utterances.items()}
 
     def load(self, utt_id: str) -> np.ndarray:
         return self._utts[utt_id]
 
-    def __len__(self):
-        return len(self.ids)
 
-
-class CorpusIndex:
+class CorpusIndex(_Corpus):
     """File-backed corpus: one tab-separated line per utterance,
-    ``<id>\\t<relative path>\\t<sample_count>``, paths relative to the index."""
+    ``<id>\\t<relative path>\\t<sample_count>``, paths relative to the index.
+
+    Each file is read and decoded on its first ``load`` only, and its samples
+    are kept for every later one as a read-only float32 array, which holds
+    both accepted WAV encodings exactly: once every utterance has been
+    drawn, the whole corpus is held decoded in memory, at 4 bytes a sample.
+    """
 
     def __init__(self, index_path):
+        super().__init__()
         self.index_path = Path(index_path)
         self.root = self.index_path.parent
         self.entries = {utt_id: (rel_path, count) for utt_id, rel_path, count
                         in read_list_file(self.index_path, (str, str, int))}
         self.ids = sorted(self.entries)
+        self._samples = {}
 
     def load(self, utt_id: str) -> np.ndarray:
-        rel_path, count = self.entries[utt_id]
-        wav = read_wav(self.root / rel_path)
-        if wav.samples.size != count:
-            raise ValueError(
-                f"{utt_id}: index declares {count} samples, file has {wav.samples.size}")
-        return wav.samples
-
-    def __len__(self):
-        return len(self.ids)
+        samples = self._samples.get(utt_id)
+        if samples is None:
+            rel_path, count = self.entries[utt_id]
+            samples = read_wav(self.root / rel_path).samples
+            if samples.size != count:
+                raise ValueError(
+                    f"{utt_id}: index declares {count} samples, file has {samples.size}")
+            samples = samples.astype(np.float32)
+            samples.flags.writeable = False
+            self._samples[utt_id] = samples
+        return samples
 
 
 def sample_recipe(rng: np.random.Generator, speech_corpus, noise_corpus,
                   snr_choices=TRAIN_SNRS_DB, target_len: int = CHUNK_LEN,
                   trim_db: float = TRIM_THRESHOLD_DB, max_tries: int = 16):
     """Draw one recipe (uniform utterances, offsets, and SNR) and
-    materialize it. Returns (recipe, noisy, clean)."""
+    materialize it. Returns (recipe, noisy, clean).
+
+    The corpora are ``ArrayCorpus`` or ``CorpusIndex`` objects; speech is
+    trimmed once per utterance and ``trim_db`` (``trimmed``), and a
+    ``CorpusIndex`` decodes each file once.
+    """
     if len(speech_corpus) == 0 or len(noise_corpus) == 0:
         raise ConfigurationError("cannot sample from an empty corpus")
     for _ in range(max_tries):
         speech_id = speech_corpus.ids[rng.integers(len(speech_corpus))]
-        speech = trim_silence(speech_corpus.load(speech_id), trim_db)
+        speech = speech_corpus.trimmed(speech_id, trim_db)
         if speech.size == 0:
             continue  # silent utterance: skip and redraw
         noise_id = noise_corpus.ids[rng.integers(len(noise_corpus))]

@@ -18,14 +18,17 @@ requires them, so a tensor feeding two consumers receives the sum of both
 adjoints. Explicit zeroing happens in the optimizer (see ``arn.optim``).
 
 ``lstm_sequence`` records one node for all T time steps, forward or backward
-in time: its forward loop is plain numpy and makes the input projection one
-tile of ``TILE_ROWS`` rows at a time, and its backward pass runs
-backpropagation through time over the gate activations and cell states it
-kept. ``attention`` and ``feedforward`` work over the same row tiles and
-recompute each tile in their backward pass, so their memory grows linearly
-in T. ``layer_norm_rows`` writes its output in place and keeps only each
-row's mean and inverse deviation. ``rfft_magnitude`` keeps the spectrum
-of its rows, and its backward pass is the adjoint transform, an ``irfft``.
+in time. Its forward loop is plain numpy and allocates nothing per step: it
+writes the input projection, one tile of ``TILE_ROWS`` rows at a time, into
+one activation buffer and turns each row into the four gates in place with
+one tanh (sigmoid in its tanh form, as ``sigmoid`` computes it). Only when
+recording does it keep the (T, 4H) gate activations and the (T, H) cell
+states, over which its backward pass runs backpropagation through time.
+``attention`` and ``feedforward`` work over the same row tiles and recompute
+each tile in their backward pass, so their memory grows linearly in T.
+``layer_norm_rows`` writes its output in place and keeps only each row's
+mean and inverse deviation. ``rfft_magnitude`` keeps only the signs of its
+rows' spectrum, and its backward pass is the adjoint transform, an ``irfft``.
 """
 
 from __future__ import annotations
@@ -277,8 +280,12 @@ def reshape(a: Tensor, shape) -> Tensor:
 # ---------------------------------------------------------------------------
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # 1/(1+e^-x) computed as exp(-log(1+e^-x)); stable for large |x|
-    return np.exp(-np.logaddexp(0.0, -x))
+    # 1/(1+e^-x) as tanh(x/2)/2 + 1/2: one tanh, which saturates without
+    # overflow for large |x|, and the arithmetic of ``lstm_sequence``'s gates
+    y = np.tanh(x * 0.5)
+    y *= 0.5
+    y += 0.5
+    return y
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -327,12 +334,20 @@ def lstm_sequence(x: Tensor, w_x: Tensor, b: Tensor, w_h: Tensor,
     c_t = f * c_prev + i * g and h_t = o * tanh(c_t). The previous step is
     t - 1, or t + 1 when ``reverse`` runs the recurrence backward in time.
 
-    The input projection is made inside the loop, one tile of ``TILE_ROWS``
-    rows at a time, so no (T, 4H) array exists unless recording. When
-    recording, the gate activations and cell states are kept, and the
-    backward pass runs backpropagation through time: one (4H,) @ (4H, H)
-    product per step, then the gradients of ``x``, ``w_x``, ``b`` and ``w_h``
-    as one product or sum each over all steps.
+    No step allocates. The input projection is written, one tile of
+    ``TILE_ROWS`` rows at a time, into one activation buffer: the whole
+    (T, 4H) buffer when recording, a single tile otherwise, so no (T, 4H)
+    array exists unless recording. Each step adds h_prev w_h into its row
+    and activates all four gates in place with one tanh over the row,
+    tanh(z s) s + (1 - s) for a column scale s of 1/2 on gates i, f, o
+    (sigmoid(z) = tanh(z/2)/2 + 1/2, as ``sigmoid`` computes it) and 1 on
+    gate g; c_t and h_t are written straight into preallocated rows. When
+    recording, the buffer's T rows of gate activations and all T cell states
+    are kept beside the output; otherwise one cell row is live. The
+    backward pass runs backpropagation through time over views of what was
+    kept: one (4H,) @ (4H, H) product per step into preallocated vectors,
+    then the gradients of ``x``, ``w_x``, ``b`` and ``w_h`` as one product
+    or sum each over all steps.
     """
     xd, wx, bd, wh = x.data, w_x.data, b.data, w_h.data
     if xd.ndim != 2 or wx.ndim != 2 or wh.ndim != 2:
@@ -349,58 +364,77 @@ def lstm_sequence(x: Tensor, w_x: Tensor, b: Tensor, w_h: Tensor,
     parents = (x, w_x, b, w_h)
     keep = _grad_enabled and any(p.requires_grad for p in parents)
     dtype = np.result_type(xd, wx, bd, wh)
-    gates, cells = [], []
-    h = np.zeros((1, hidden), dtype=dtype)
-    c = np.zeros((1, hidden), dtype=dtype)
+    h4 = 4 * hidden
+    # a = tanh(z * s) * s + (1 - s) is sigmoid(z) where s = 1/2 and tanh(z)
+    # where s = 1; the scaling by s and the adding of 0 are exact
+    s = np.full(h4, 0.5, dtype=dtype)
+    s[2 * hidden:3 * hidden] = 1.0
+    off = 1.0 - s
+    acts = np.empty((steps if keep else min(steps, TILE_ROWS), h4), dtype=dtype)
+    gates = acts.reshape(-1, 4, hidden)
+    # outside recording c_t overwrites c_prev in place: one cell row
+    cells = np.empty((steps if keep else 1, hidden), dtype=dtype)
     hs = np.empty((steps, hidden), dtype=dtype)
+    rec = np.empty(h4, dtype=dtype)
+    ig = np.empty(hidden, dtype=dtype)
+    h = np.zeros(hidden, dtype=dtype)
+    c = np.zeros(hidden, dtype=dtype)
     tiles = list(_row_tiles(steps))
     for lo, hi in reversed(tiles) if reverse else tiles:
-        zx = xd[lo:hi] @ wx
-        zx += bd
+        base = 0 if keep else lo
+        np.matmul(xd[lo:hi], wx, out=acts[lo - base:hi - base])
+        acts[lo - base:hi - base] += bd
         for t in range(hi - 1, lo - 1, -1) if reverse else range(lo, hi):
-            z = zx[t - lo:t - lo + 1] + h @ wh
-            i = _sigmoid(z[:, :hidden])
-            f = _sigmoid(z[:, hidden:2 * hidden])
-            g = np.tanh(z[:, 2 * hidden:3 * hidden])
-            o = _sigmoid(z[:, 3 * hidden:])
-            c = f * c + i * g
-            h = o * np.tanh(c)
-            hs[t] = h[0]
-            if keep:
-                gates.append((i, f, g, o))
-                cells.append(c)
+            z = acts[t - base]
+            np.matmul(h, wh, out=rec)
+            z += rec
+            z *= s
+            np.tanh(z, out=z)
+            z *= s
+            z += off
+            i, f, g, o = gates[t - base]
+            c_prev, c = c, cells[t if keep else 0]
+            np.multiply(f, c_prev, out=c)
+            np.multiply(i, g, out=ig)
+            c += ig
+            h = hs[t]
+            np.tanh(c, out=h)
+            h *= o
     out = Tensor(hs)
     if not keep:
         return out
 
     def _bw(dy):
-        # the kept states in time order; c_prev is the state one step earlier
-        # in the direction of the recurrence, zero at its start
-        i, f, g, o, c = (np.concatenate(a) for a in (*zip(*gates), cells))
-        zero = np.zeros_like(c[:1])
+        i, f, g, o = gates.swapaxes(0, 1)
+        # c_prev is the cell state one step earlier in the direction of the
+        # recurrence, zero at its start
+        c_prev = np.zeros_like(cells)
         if reverse:
-            i, f, g, o, c = i[::-1], f[::-1], g[::-1], o[::-1], c[::-1]
-            c_prev = np.concatenate([c[1:], zero])
+            c_prev[:-1] = cells[1:]
         else:
-            c_prev = np.concatenate([zero, c[:-1]])
-        tc = np.tanh(c)
-        # per step: dc_t = dc_next * f_next + dh_t * k_t, the i, f, g
-        # pre-activation gradients are dc_t * a3_t and the o one dh_t * a_o_t
-        a3 = np.stack([g * i * (1 - i), c_prev * f * (1 - f), i * (1 - g * g)], axis=1)
-        a_o = tc * o * (1 - o)
-        k = o * (1 - tc * tc)
-        dz = np.empty((steps, 4 * hidden), dtype=dtype)
+            c_prev[1:] = cells[:-1]
+        # dz first holds the factors that turn dc_t (gates i, f, g) and dh_t
+        # (gate o) into the pre-activation gradients, then those gradients
+        dz = np.empty((steps, h4), dtype=dtype)
         dz4 = dz.reshape(steps, 4, hidden)
+        np.multiply(g, i * (1 - i), out=dz4[:, 0])
+        np.multiply(c_prev, f * (1 - f), out=dz4[:, 1])
+        np.multiply(i, 1 - g * g, out=dz4[:, 2])
+        tc = np.tanh(cells)
+        np.multiply(tc, o * (1 - o), out=dz4[:, 3])
+        # dc_t = dc_next + dh_t k_t
+        k = o * (1 - tc * tc)
         w_t = wh.T
-        dh_next = np.zeros(hidden, dtype=dtype)
-        dc_next = np.zeros(hidden, dtype=dtype)
+        dh, dc = np.empty(hidden, dtype=dtype), np.empty(hidden, dtype=dtype)
+        dh_next, dc_next = np.zeros(hidden, dtype=dtype), np.zeros(hidden, dtype=dtype)
         for t in range(steps) if reverse else range(steps - 1, -1, -1):
-            dh = dy[t] + dh_next
-            dc = dc_next + dh * k[t]
-            dz4[t, :3] = a3[t] * dc
-            dz4[t, 3] = dh * a_o[t]
-            dh_next = dz[t] @ w_t
-            dc_next = dc * f[t]
+            np.add(dy[t], dh_next, out=dh)
+            np.multiply(dh, k[t], out=dc)
+            dc += dc_next
+            dz4[t, :3] *= dc
+            dz4[t, 3] *= dh
+            np.matmul(dz[t], w_t, out=dh_next)
+            np.multiply(dc, f[t], out=dc_next)
         if x.requires_grad:
             x._acc(dz @ wx.T)
         if w_x.requires_grad:
@@ -558,7 +592,7 @@ def rfft_magnitude(frames: Tensor, window: np.ndarray, n: int) -> Tensor:
     output is (T, n // 2 + 1). The backward pass is the adjoint transform:
     ``irfft`` of g sign(Re X) + i g sign(Im X) with bins 1 .. ceil(n/2) - 1
     halved, since ``irfft`` counts each of them twice, then times n and the
-    window.
+    window. Only the two sign planes are kept for it, not X.
     """
     fd = frames.data
     if fd.ndim != 2 or window.shape != fd.shape[1:]:
@@ -568,9 +602,14 @@ def rfft_magnitude(frames: Tensor, window: np.ndarray, n: int) -> Tensor:
         raise DimensionError(f"FFT size {n} is shorter than the frames ({fd.shape[1]})")
     spec = np.fft.rfft(fd * window, n=n, axis=1)
     out = Tensor(np.abs(spec.real) + np.abs(spec.imag))
+    # the backward pass reads only the signs; float16 holds -1, 0, 1 and NaN
+    # exactly in a quarter of the complex spectrum's bytes, or less
+    sign_re = np.sign(spec.real).astype(np.float16)
+    sign_im = np.sign(spec.imag).astype(np.float16)
+    del spec
 
     def _bw(g):
-        adj = g * np.sign(spec.real) + 1j * (g * np.sign(spec.imag))
+        adj = g * sign_re + 1j * (g * sign_im)
         adj[:, 1:(n + 1) // 2] *= 0.5
         dx = np.fft.irfft(adj, n=n, axis=1)[:, :fd.shape[1]]
         dx *= n * window

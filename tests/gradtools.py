@@ -6,8 +6,9 @@ recorded backward pass against nothing but repeated forward evaluations;
 ``traced_peak`` measures the memory a call allocates.
 ``lstm_step`` and ``lstm_graph_step`` build one LSTM time step from
 elementary recorded ops, as oracles for the fused ``tensor.lstm_sequence``;
-``lstm_sequence_graph`` chains them over a whole sequence, and ``flip_rows``
-gives the time-reversed LSTM as flip, LSTM, flip.
+``lstm_sequence_graph`` chains them over a whole sequence, ``lstm_stepwise``
+iterates ``lstm_graph_step`` over the op's own tiled projection, and
+``flip_rows`` gives the time-reversed LSTM as flip, LSTM, flip.
 ``transpose``, ``softmax_rows``, ``causal_mask``, ``gelu``, ``slice_cols``
 and ``dropout_apply`` are recorded elementary ops that build the whole-array
 graphs ``attention_graph`` and ``feedforward_graph``, the oracles for the
@@ -130,8 +131,12 @@ def lstm_graph_step(z_t, h_prev, c_prev, w_h):
     recurrent weights in gate order i, f, g, o.
 
     Same arithmetic, in the same order, as ``tensor.lstm_sequence``'s
-    forward loop, so iterating it must reproduce that op bit for bit.
-    Returns (h_t, c_t).
+    forward loop, so iterating it must reproduce that op bit for bit. The
+    op activates a whole gate row with one tanh, as tanh(z s) s + (1 - s);
+    per element that is ``tensor.sigmoid`` (s = 1/2, tanh(z/2)/2 + 1/2) on
+    gates i, f, o and ``tensor.tanh`` (s = 1, exact) on gate g. The op adds
+    the recurrent product into the projected row, and forms f c_prev and
+    i g before their sum, as here. Returns (h_t, c_t).
     """
     hidden = w_h.shape[0]
     z = z_t + h_prev @ w_h
@@ -326,6 +331,24 @@ def lstm_sequence_graph(x: Tensor, w_x: Tensor, b: Tensor, w_h: Tensor,
         h, c = lstm_graph_step(_row(z, t), h, c, w_h)
         rows[t] = h
     return tensor.concat(rows, axis=0)
+
+
+def lstm_stepwise(x, w_x, b, w_h, reverse: bool = False) -> np.ndarray:
+    """The rows h_t of ``tensor.lstm_sequence(x, w_x, b, w_h, reverse)``,
+    by iterating ``lstm_graph_step`` over an input projection made one
+    ``tensor.TILE_ROWS`` tile at a time, as the op makes it: the op's bitwise
+    oracle at any tile size."""
+    steps, hidden = x.shape[0], w_h.shape[0]
+    z = np.concatenate([x.data[lo:hi] @ w_x.data + b.data
+                        for lo, hi in tensor._row_tiles(steps)])
+    h = Tensor(np.zeros((1, hidden), dtype=z.dtype))
+    c = Tensor(np.zeros((1, hidden), dtype=z.dtype))
+    rows = np.empty((steps, hidden), dtype=z.dtype)
+    with tensor.no_grad():
+        for t in range(steps - 1, -1, -1) if reverse else range(steps):
+            h, c = lstm_graph_step(Tensor(z[t:t + 1]), h, c, w_h)
+            rows[t] = h.data[0]
+    return rows
 
 
 def layer_norm_whole(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:

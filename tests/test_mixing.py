@@ -4,10 +4,12 @@ deterministic batch sampling."""
 import numpy as np
 import pytest
 
+from arn import mixing
 from arn.dsp import DegenerateSignalError, rms
 from arn.losses import snr
 from arn.mixing import (
     ArrayCorpus,
+    CorpusIndex,
     DynamicMixer,
     MixtureRecipe,
     TRAIN_SNRS_DB,
@@ -16,6 +18,7 @@ from arn.mixing import (
     trim_silence,
 )
 from arn.model import ConfigurationError
+from arn.wavio import read_wav, write_wav
 
 
 def speech_like(length, seed):
@@ -24,6 +27,16 @@ def speech_like(length, seed):
     tone = np.sin(2 * np.pi * 220 * t) + 0.5 * np.sin(2 * np.pi * 440 * t)
     return tone * (0.6 + 0.4 * np.sin(2 * np.pi * 3.0 * t)) + \
         0.05 * rng.standard_normal(length)
+
+
+def trim_silence_loop(x, threshold_db, window=320):
+    """``trim_silence`` as one mean per window in a loop, on float64 samples."""
+    level = np.array([np.sqrt(np.mean(x[a:a + window] * x[a:a + window]))
+                      for a in range(0, x.size, window)])
+    if level.max() == 0.0:
+        return x[:0]
+    active = np.flatnonzero(level >= level.max() * 10.0 ** (threshold_db / 20.0))
+    return x[active[0] * window:min((active[-1] + 1) * window, x.size)]
 
 
 class TestTrimSilence:
@@ -60,6 +73,32 @@ class TestTrimSilence:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError):
             trim_silence(np.zeros(0))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("length", [1, 319, 320, 4001, 12800])
+    def test_matches_per_window_loop(self, length, dtype):
+        rng = np.random.default_rng(length)
+        env = np.concatenate([np.full(length // 3, 1e-3), np.ones(length - length // 3)])
+        x = (rng.standard_normal(length) * env).astype(dtype)
+        for threshold in (-40.0, -20.0):
+            got = trim_silence(x, threshold)
+            assert got.dtype == dtype
+            assert got.size == 0 or np.shares_memory(got, x)
+            np.testing.assert_array_equal(
+                got, trim_silence_loop(x.astype(np.float64), threshold))
+
+
+    def test_float32_window_at_threshold_trims_as_float64(self):
+        # an edge window scaled to sit at the -20 dB level of the loud part,
+        # where float32 arithmetic for the levels would flip some decisions
+        for seed in range(16):
+            rng = np.random.default_rng(seed)
+            x = rng.standard_normal(960)
+            level = lambda v: np.sqrt(np.mean(v * v))
+            x[:320] *= 0.1 * max(level(x[320:640]), level(x[640:])) / level(x[:320])
+            x = x.astype(np.float32)
+            np.testing.assert_array_equal(
+                trim_silence(x, -20.0), trim_silence_loop(x.astype(np.float64), -20.0))
 
 
 class TestMakeMixture:
@@ -202,3 +241,71 @@ class TestSampling:
         noise = ArrayCorpus({"n": np.ones(4000)})
         with pytest.raises(ConfigurationError):
             sample_training_batch(np.random.default_rng(5), speech, noise, 1)
+
+
+def write_index(tmp_path, name, signals):
+    """WAV files and their corpus index; returns the index path."""
+    lines = []
+    for i, x in enumerate(signals):
+        write_wav(tmp_path / f"{name}{i}.wav", x)
+        lines.append(f"{name}{i}\t{name}{i}.wav\t{x.size}")
+    (tmp_path / f"{name}.idx").write_text("\n".join(lines) + "\n")
+    return tmp_path / f"{name}.idx"
+
+
+class UncachedIndex(CorpusIndex):
+    """A corpus index that reads float64 samples and trims them with the
+    per-window loop again on every draw."""
+
+    def load(self, utt_id):
+        return read_wav(self.root / self.entries[utt_id][0]).samples
+
+    def trimmed(self, utt_id, trim_db):
+        return trim_silence_loop(self.load(utt_id), trim_db)
+
+
+class TestCorpusCache:
+    def test_draws_identical_to_uncached_path_with_one_read_per_file(
+            self, tmp_path, monkeypatch):
+        silence = np.zeros(700)
+        speech_idx = write_index(tmp_path, "s", [
+            np.concatenate([silence, speech_like(2400 + 300 * i, 40 + i), silence])
+            for i in range(3)])
+        noise_idx = write_index(tmp_path, "n", [
+            0.3 * np.random.default_rng(50 + i).standard_normal(5000) for i in range(2)])
+        reads = []
+
+        def counted(path):
+            reads.append(path)
+            return read_wav(path)
+
+        monkeypatch.setattr(mixing, "read_wav", counted)
+        cached = DynamicMixer(CorpusIndex(speech_idx), CorpusIndex(noise_idx),
+                              target_len=1600, trim_db=-30.0)
+        uncached = DynamicMixer(UncachedIndex(speech_idx), UncachedIndex(noise_idx),
+                                target_len=1600, trim_db=-30.0)
+        runs = []
+        for mixer in (cached, cached, uncached):
+            rng = np.random.default_rng(9)
+            runs.append((mixer.sample_with_recipes(rng, 24), rng.integers(2**62)))
+        assert len(reads) == len(set(reads)) == 5
+        (first, tail), *others = runs
+        for pairs, other_tail in others:
+            assert other_tail == tail
+            for (ra, xa, sa), (rb, xb, sb) in zip(first, pairs, strict=True):
+                assert ra == rb
+                assert xa.tobytes() == xb.tobytes() and sa.tobytes() == sb.tobytes()
+        speech = cached.speech_corpus
+        assert speech.trimmed("s0", -30.0) is speech.trimmed("s0", -30.0)
+        assert speech.trimmed("s0", -30.0).size < speech.load("s0").size
+        assert speech.load("s0").dtype == np.float32
+        assert not speech.load("s0").flags.writeable
+        assert not speech.trimmed("s0", -30.0).flags.writeable
+
+    def test_trimmed_views_leave_array_corpus_inputs_writable(self):
+        x = speech_like(2000, 60)
+        corpus = ArrayCorpus({"a": x})
+        for trim_db in (-40.0, -np.inf):
+            trimmed = corpus.trimmed("a", trim_db)
+            assert np.shares_memory(trimmed, x) and not trimmed.flags.writeable
+        assert x.flags.writeable

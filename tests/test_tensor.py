@@ -1,6 +1,7 @@
 """Autograd engine: op semantics and gradient correctness."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from gradtools import (
     gelu,
     layer_norm_whole,
     lstm_sequence_graph,
+    lstm_stepwise,
     overlap_add_rows_indexed,
     rfft_magnitude_graph,
     slice_cols,
@@ -84,6 +86,23 @@ class TestElementwise:
         phi_1 = 0.5 * (1.0 + math.erf(1.0 / math.sqrt(2.0)))
         got = gelu(Tensor(np.array(1.0))).item()
         assert got == pytest.approx(1.0 * phi_1, abs=1e-12)
+
+    def test_sigmoid_matches_logistic_float64(self):
+        x = np.linspace(-40.0, 40.0, 80001)
+        got = tensor._sigmoid(x)
+        assert np.abs(got - 1.0 / (1.0 + np.exp(-x))).max() <= 1e-15
+
+    def test_sigmoid_matches_logistic_float32(self):
+        x = np.linspace(-40.0, 40.0, 80001).astype(np.float32)
+        got = tensor._sigmoid(x)
+        assert got.dtype == np.float32
+        want = 1.0 / (1.0 + np.exp(-x.astype(np.float64)))
+        assert np.abs(got - want).max() <= 1.2e-7
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_exactly_half_at_zero(self, dtype):
+        np.testing.assert_array_equal(tensor._sigmoid(np.array([0.0, -0.0], dtype=dtype)),
+                                      [0.5, 0.5])
 
     def test_sigmoid_extreme_inputs_saturate_cleanly(self):
         y = tensor.sigmoid(Tensor(np.array([-1000.0, 1000.0]))).data
@@ -456,8 +475,21 @@ class TestLstmNode:
             for a, b in zip(grads[0], want):
                 np.testing.assert_allclose(a, b, rtol=0, atol=1e-12)
 
+    @pytest.mark.parametrize("recording", [True, False])
     @pytest.mark.parametrize("reverse", [False, True])
-    @pytest.mark.parametrize("steps", [1, 7])
+    @pytest.mark.parametrize("steps", TILE_STEPS)
+    def test_float32_bitwise_stepwise_across_tiles(self, small_tiles, steps, reverse,
+                                                   recording):
+        # recording writes every row into one (T, 4H) buffer, evaluation
+        # reuses one tile of rows: both must match the stepwise graph exactly
+        operands = [Tensor(a, requires_grad=recording) for a in
+                    lstm_operands(steps, 140 + steps, hidden=5, dtype=np.float32)]
+        got = tensor.lstm_sequence(*operands, reverse=reverse)
+        assert got.requires_grad == recording and got.data.dtype == np.float32
+        np.testing.assert_array_equal(got.data, lstm_stepwise(*operands, reverse=reverse))
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    @pytest.mark.parametrize("steps", [1, 4, 5, 7, 11])
     def test_gradients(self, small_tiles, steps, reverse):
         analytic, fd = weighted_sum_grads(
             lambda *t: tensor.lstm_sequence(*t, reverse=reverse),
@@ -640,6 +672,25 @@ class TestRfftMagnitude:
             assert a.dtype == np.float32
             assert np.abs(a - b).max() <= 1e-5 * np.abs(b).max()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_keeps_sign_planes_not_the_spectrum(self, dtype):
+        frames = Tensor(rand((64, 512), 8).astype(dtype), requires_grad=True)
+        window = np.ones(512, dtype=dtype)
+        tracemalloc.start()
+        try:
+            out = tensor.rfft_magnitude(frames, window, 512)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # the output, two float16 sign planes and the node's own objects
+        assert held <= out.data.nbytes + 2 * 2 * out.data.size + 4096
+
+    def test_nan_frame_gives_nan_gradient(self):
+        frames = Tensor(rand((3, 8), 9), requires_grad=True)
+        frames.data[1, 2] = np.nan
+        tensor.backward(tensor.sum_all(tensor.rfft_magnitude(frames, np.ones(8), 8)))
+        assert np.isnan(frames.grad[1]).all() and np.isfinite(frames.grad[[0, 2]]).all()
+
     def test_bad_shapes_rejected(self):
         frames = Tensor(rand((3, 8)))
         with pytest.raises(DimensionError):
@@ -651,8 +702,9 @@ class TestRfftMagnitude:
 
 
 class TestRowTiledMemory:
-    """The fused ops never allocate a whole (T, T) or (T, 4N) array: their
-    traced peak stays below one such array at T = 2048."""
+    """The fused ops never allocate a whole (T, T) or (T, 4N) array that
+    they do not keep: their traced peak stays below one such array at
+    T = 2048, and a recording LSTM holds what its backward pass reads."""
 
     STEPS, WIDTH = 2048, 8
 
@@ -667,6 +719,21 @@ class TestRowTiledMemory:
         assert traced_peak(lambda: tensor.backward(
             tensor.sum_all(tensor.attention(q, k, v, causal)))) < bound
         assert q.grad.shape == k.grad.shape == v.grad.shape == (self.STEPS, self.WIDTH)
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_recording_lstm_keeps_only_activations_cells_and_output(self, reverse):
+        rng = np.random.default_rng(92)
+        h = self.WIDTH
+        x, w_x, b, w_h = (Tensor(rng.standard_normal(shape), requires_grad=True)
+                          for shape in ((self.STEPS, h), (h, 4 * h), (4 * h,),
+                                        (h, 4 * h)))
+        # the (T, 4H) gate activations, the (T, H) cell states and the (T, H)
+        # output; then O(H) scratch, and numpy's ufunc buffer, which the
+        # bias's broadcast over a tile's rows goes through
+        kept = (4 * h + h + h) * self.STEPS * 8
+        scratch = 64 * 4 * h * 8 + np.getbufsize() * 8
+        peak = traced_peak(lambda: tensor.lstm_sequence(x, w_x, b, w_h, reverse))
+        assert peak <= kept + scratch
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_feedforward_below_one_hidden_activation(self, masked):
