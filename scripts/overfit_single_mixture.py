@@ -54,7 +54,7 @@ def main():
 
     start = time.time()
     for step in range(1, args.steps + 1):
-        out = model.arn_forward(x, params, cfg, mode="train")
+        out = model.arn_forward(x, params, cfg)
         loss = losses.mse_loss(s, out)
         tensor.backward(loss)
         adam_step(params, adam, args.lr)

@@ -25,6 +25,7 @@ CHUNK_LEN = 4 * SAMPLE_RATE            # 4-second training chunks
 TRAIN_SNRS_DB = (-5, -4, -3, -2, -1, 0)
 TRIM_WINDOW = 320                      # 20 ms at 16 kHz
 TRIM_THRESHOLD_DB = -40.0
+MAX_TRIES = 16                         # draws before a corpus counts as silent
 
 
 @dataclass(frozen=True)
@@ -33,7 +34,7 @@ class MixtureRecipe:
     noise_id: str
     speech_offset: int
     noise_offset: int
-    snr_db: int
+    snr_db: float
 
 
 def trim_silence(x: np.ndarray, threshold_db: float = TRIM_THRESHOLD_DB,
@@ -203,7 +204,7 @@ class CorpusIndex(_Corpus):
 
 def sample_recipe(rng: np.random.Generator, speech_corpus, noise_corpus,
                   snr_choices=TRAIN_SNRS_DB, target_len: int = CHUNK_LEN,
-                  trim_db: float = TRIM_THRESHOLD_DB, max_tries: int = 16):
+                  trim_db: float = TRIM_THRESHOLD_DB):
     """Draw one recipe (uniform utterances, offsets, and SNR) and
     materialize it. Returns (recipe, noisy, clean).
 
@@ -213,7 +214,7 @@ def sample_recipe(rng: np.random.Generator, speech_corpus, noise_corpus,
     """
     if len(speech_corpus) == 0 or len(noise_corpus) == 0:
         raise ConfigurationError("cannot sample from an empty corpus")
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         speech_id = speech_corpus.ids[rng.integers(len(speech_corpus))]
         speech = speech_corpus.trimmed(speech_id, trim_db)
         if speech.size == 0:
@@ -229,18 +230,11 @@ def sample_recipe(rng: np.random.Generator, speech_corpus, noise_corpus,
             noise_id=noise_id,
             speech_offset=int(rng.integers(speech.size - chunk + 1)),
             noise_offset=int(rng.integers(noise.size - chunk + 1)),
-            snr_db=int(snr_choices[rng.integers(len(snr_choices))]),
+            snr_db=snr_choices[rng.integers(len(snr_choices))],
         )
         x, s = make_mixture(recipe, speech, noise, target_len)
         return recipe, x, s
     raise ConfigurationError("corpus appears to contain only silent utterances")
-
-
-def sample_training_batch(rng: np.random.Generator, speech_corpus, noise_corpus,
-                          batch: int, **kwargs):
-    """Draw ``batch`` pairs; deterministic given the generator state."""
-    return [sample_recipe(rng, speech_corpus, noise_corpus, **kwargs)[1:]
-            for _ in range(batch)]
 
 
 class DynamicMixer:
@@ -254,14 +248,12 @@ class DynamicMixer:
         self.target_len = target_len
         self.trim_db = trim_db
 
-    def _kwargs(self):
-        return dict(snr_choices=self.snr_choices, target_len=self.target_len,
-                    trim_db=self.trim_db)
-
     def sample(self, rng: np.random.Generator, count: int):
-        return sample_training_batch(rng, self.speech_corpus, self.noise_corpus,
-                                     count, **self._kwargs())
+        """``count`` (noisy, clean) pairs; deterministic given the generator
+        state."""
+        return [(x, s) for _, x, s in self.sample_with_recipes(rng, count)]
 
     def sample_with_recipes(self, rng: np.random.Generator, count: int):
         return [sample_recipe(rng, self.speech_corpus, self.noise_corpus,
-                              **self._kwargs()) for _ in range(count)]
+                              self.snr_choices, self.target_len, self.trim_db)
+                for _ in range(count)]

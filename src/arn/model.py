@@ -15,6 +15,11 @@ observed input.
 
 Parameters live in a flat ordered dict of named tensors; helper functions
 derive per-block views by name prefix.
+
+One forward pass serves training and enhancement. Feedforward dropout runs
+only when a generator is passed as ``rng``; whether the pass is recorded
+for backward is decided by ``tensor.no_grad``, as for every op. ``enhance``
+is the forward pass without a generator, under ``no_grad``.
 """
 
 from __future__ import annotations
@@ -30,10 +35,6 @@ from .tensor import Tensor
 
 class ConfigurationError(ValueError):
     """Model configuration and supplied structures disagree."""
-
-
-class EmptySequenceError(ValueError):
-    """A sequence operation received zero time steps."""
 
 
 @dataclass(frozen=True)
@@ -199,8 +200,6 @@ def lstm_sequence(x: Tensor, w: dict, reverse: bool = False) -> Tensor:
     input projection and runs the recurrence over all T steps, backward in
     time when ``reverse``.
     """
-    if x.shape[0] == 0:
-        raise EmptySequenceError("lstm_sequence on zero time steps")
     w_x = tensor.concat([w["w_ix"], w["w_fx"], w["w_gx"], w["w_ox"]], axis=1)
     w_h = tensor.concat([w["w_ih"], w["w_fh"], w["w_gh"], w["w_oh"]], axis=1)
     bias = tensor.concat([w["b_i"], w["b_f"], w["b_g"], w["b_o"]], axis=0)
@@ -216,11 +215,7 @@ def blstm_sequence(x: Tensor, fwd: dict, bwd: dict) -> Tensor:
 
 def rnn_sequence(x: Tensor, block_params: dict, cfg: ARNConfig) -> Tensor:
     if cfg.causal:
-        if not any(k.startswith("lstm.") for k in block_params):
-            raise ConfigurationError("causal config needs lstm weights, found none")
         return lstm_sequence(x, _sub(block_params, "lstm."))
-    if not any(k.startswith("blstm.") for k in block_params):
-        raise ConfigurationError("non-causal config needs blstm weights, found none")
     return blstm_sequence(x, _sub(block_params, "blstm.fwd."),
                           _sub(block_params, "blstm.bwd."))
 
@@ -248,8 +243,6 @@ def attention_block(q: Tensor, k: Tensor, v: Tensor, p: dict, causal: bool) -> T
     with the key gate s moved onto the queries and the value gate g onto
     the output. No gated copy of the keys or values is made.
     """
-    if q.shape[0] == 0:
-        raise EmptySequenceError("attention over an empty sequence")
     gate = tensor.sigmoid(p["q"]) * tensor.sigmoid(p["k"])
     queries = (q @ p["lin_q.w"] + p["lin_q.b"]) * gate
     out = tensor.attention(queries, k, v, causal)
@@ -258,28 +251,25 @@ def attention_block(q: Tensor, k: Tensor, v: Tensor, p: dict, causal: bool) -> T
 
 
 def feedforward_block(x: Tensor, w: Tensor, b: Tensor, dropout_rate: float,
-                      mode: str, rng=None) -> Tensor:
+                      rng=None) -> Tensor:
     """Linear to 4N, GELU, dropout, then sum of the four N-wide chunks.
 
-    Dropout is inverted: in train mode with a positive rate, each of the
-    (T, 4N) activations is kept where ``rng.random((T, 4N)) >= rate`` and
-    scaled by 1/(1 - rate). Eval mode (and rate 0) draws nothing.
+    Dropout is inverted and runs only when ``rng`` is given and the rate is
+    positive: each of the (T, 4N) activations is kept where
+    ``rng.random((T, 4N)) >= rate`` and scaled by 1/(1 - rate). Without a
+    generator (or at rate 0) nothing is drawn.
     """
     if not 0.0 <= dropout_rate < 1.0:
         raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
     mask = None
-    if mode == "train" and dropout_rate > 0.0:
-        if rng is None:
-            raise ValueError("train-mode dropout needs an rng")
+    if rng is not None and dropout_rate > 0.0:
         keep = rng.random((x.shape[0], w.shape[1])) >= dropout_rate
         mask = keep.astype(np.result_type(x.data, w.data, b.data)) / (1.0 - dropout_rate)
     return tensor.feedforward(x, w, b, mask)
 
 
 def arn_block_forward(x: Tensor, block_params: dict, cfg: ARNConfig,
-                      mode: str = "train", rng=None) -> Tensor:
+                      rng=None) -> Tensor:
     """One full block with both residual connections; (T, N) -> (T, N).
 
     Each (T, N) local is dropped after its last reader, so that outside
@@ -296,22 +286,21 @@ def arn_block_forward(x: Tensor, block_params: dict, cfg: ARNConfig,
     z2 = layer_norm(a, *ln[4], cfg.ln_eps)
     del a
     ff = feedforward_block(z1, block_params["ff.w"], block_params["ff.b"],
-                           cfg.dropout, mode, rng)
+                           cfg.dropout, rng)
     del z1
     return ff + z2
 
 
 def arn_forward_frames(frames: Tensor, params: dict, cfg: ARNConfig,
-                       mode: str = "train", rng=None) -> Tensor:
+                       rng=None) -> Tensor:
     """Frame-domain network: (T, frame_in) -> (T, frame_out)."""
     h = frames @ params["input_proj.w"] + params["input_proj.b"]
     for block_params in _block_views(params, cfg.num_blocks):
-        h = arn_block_forward(h, block_params, cfg, mode, rng)
+        h = arn_block_forward(h, block_params, cfg, rng)
     return h @ params["output_proj.w"] + params["output_proj.b"]
 
 
-def arn_forward(x, params: dict, cfg: ARNConfig, mode: str = "eval",
-                rng=None) -> Tensor:
+def arn_forward(x, params: dict, cfg: ARNConfig, rng=None) -> Tensor:
     """Enhance a waveform; output has exactly the input's sample count.
 
     Output frame t is overlap-added at the trailing ``frame_out`` samples of
@@ -320,11 +309,6 @@ def arn_forward(x, params: dict, cfg: ARNConfig, mode: str = "eval",
     ``frame_in - frame_out`` samples are covered by no output frame and
     come out as zeros (the causal warm-up region).
     """
-    if mode not in ("train", "eval"):
-        raise ValueError(f"mode must be 'train' or 'eval', got {mode!r}")
-    if mode == "train" and cfg.dropout > 0.0 and rng is None:
-        raise ValueError("train mode with dropout needs an rng")
-
     dtype = param_dtype(params)
     if isinstance(x, Tensor):
         xt = x if x.data.dtype == dtype else Tensor(x.data.astype(dtype))
@@ -332,21 +316,14 @@ def arn_forward(x, params: dict, cfg: ARNConfig, mode: str = "eval",
         xt = Tensor(np.asarray(x, dtype=dtype))
     if xt.data.ndim != 1 or xt.data.shape[0] < 1:
         raise ValueError("arn_forward needs a non-empty 1-D signal")
-
-    def run():
-        m = xt.data.shape[0]
-        num_frames = math.ceil(m / cfg.shift)
-        frames = tensor.frame_rows(xt, cfg.frame_in, cfg.shift, num_frames)
-        out_frames = arn_forward_frames(frames, params, cfg, mode, rng)
-        return tensor.overlap_add_rows(out_frames, cfg.shift, m,
-                                       offset=cfg.frame_in - cfg.frame_out)
-
-    if mode == "eval":
-        with tensor.no_grad():
-            return run()
-    return run()
+    m = xt.data.shape[0]
+    frames = tensor.frame_rows(xt, cfg.frame_in, cfg.shift, math.ceil(m / cfg.shift))
+    out_frames = arn_forward_frames(frames, params, cfg, rng)
+    return tensor.overlap_add_rows(out_frames, cfg.shift, m,
+                                   offset=cfg.frame_in - cfg.frame_out)
 
 
 def enhance(x, params: dict, cfg: ARNConfig) -> np.ndarray:
-    """Eval-mode forward pass returning a plain array."""
-    return arn_forward(x, params, cfg, mode="eval").data
+    """The forward pass without dropout and unrecorded, as a plain array."""
+    with tensor.no_grad():
+        return arn_forward(x, params, cfg).data

@@ -21,12 +21,10 @@ class AdamState:
     epsilon: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: dict, beta1: float = 0.9, beta2: float = 0.999,
-                   epsilon: float = 1e-8) -> "AdamState":
+    def for_params(cls, params: dict) -> "AdamState":
         return cls(
             m={k: np.zeros_like(p.data) for k, p in params.items()},
             v={k: np.zeros_like(p.data) for k, p in params.items()},
-            beta1=beta1, beta2=beta2, epsilon=epsilon,
         )
 
 

@@ -92,7 +92,7 @@ def _batch_loss(batch, params, model_cfg: ARNConfig, loss_name: str, rng):
     loss_fn = losses.LOSS_FNS[loss_name]
     total = None
     for x, s in batch:
-        s_hat = model.arn_forward(x, params, model_cfg, mode="train", rng=rng)
+        s_hat = model.arn_forward(x, params, model_cfg, rng=rng)
         term = loss_fn(x, s, s_hat)
         total = term if total is None else total + term
     return tensor.scale(total, 1.0 / len(batch))
@@ -126,7 +126,7 @@ def train_epoch(params: dict, model_cfg: ARNConfig, adam: AdamState,
 
 def validate_and_select(params: dict, model_cfg: ARNConfig, val_pairs,
                         best_so_far: float):
-    """Mean SI-SNR over (noisy, clean) pairs in eval mode.
+    """Mean SI-SNR of ``model.enhance`` over (noisy, clean) pairs.
 
     Returns ``(score, improved)``; the caller persists a checkpoint when
     ``improved`` is true.
@@ -319,8 +319,11 @@ def _read_checkpoint(fh) -> Checkpoint:
             try:
                 _, name, dims, offset, count = line.split()
                 shape = tuple(int(d) for d in dims.split("x"))
-                directory.append((name, shape, int(offset), int(count)))
-            except ValueError as exc:
+                offset, count = int(offset), int(count)
+                if min(shape + (offset, count)) < 0:
+                    raise ValueError("negative dimension, offset or count")
+                directory.append((name, shape, offset, count))
+            except ValueError:
                 raise CheckpointFormatError(f"bad tensor line {line!r}") from None
         elif line.startswith("DATA "):
             try:
@@ -403,7 +406,9 @@ def fit(params: dict, model_cfg: ARNConfig, cfg: TrainConfig, mixer,
             if improved:
                 best = score
                 if out_dir is not None:
-                    ckpt = checkpoint_from(params, model_cfg, adam, best, epoch)
+                    # weights only, so enhancing from it reads no Adam moments;
+                    # last.ckpt keeps them for resuming
+                    ckpt = checkpoint_from(params, model_cfg, best_score=best, epoch=epoch)
                     save_checkpoint(ckpt, os.path.join(os.fspath(out_dir), "best.ckpt"))
     if out_dir is not None:
         ckpt = checkpoint_from(params, model_cfg, adam, best, cfg.epochs)

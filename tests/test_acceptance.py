@@ -57,7 +57,7 @@ def test_01_gradient_suite():
     stft_cfg = StftConfig(fft_size=32, win_len=16, hop=8)
 
     def graphs():
-        out = model.arn_forward(x, params, cfg, mode="train")
+        out = model.arn_forward(x, params, cfg)
         return mse_loss(s, out), pcm_loss(x, s, out, stft_cfg)
 
     def values():
@@ -94,7 +94,7 @@ def test_02_causality():
     steps = 24
     base = rng.standard_normal((steps, cfg.frame_in)).astype(np.float32)
     with tensor.no_grad():
-        ref = arn_forward_frames(Tensor(base), params, cfg, mode="eval").data
+        ref = arn_forward_frames(Tensor(base), params, cfg).data
 
     worst = 0.0
     for _ in range(20):
@@ -103,8 +103,7 @@ def test_02_causality():
         perturbed[t + 1:] += (10.0 ** rng.uniform(-2, 2)) * \
             rng.standard_normal(perturbed[t + 1:].shape).astype(np.float32)
         with tensor.no_grad():
-            out = arn_forward_frames(Tensor(perturbed), params, cfg,
-                                     mode="eval").data
+            out = arn_forward_frames(Tensor(perturbed), params, cfg).data
         worst = max(worst, float(np.abs(out[: t + 1] - ref[: t + 1]).max()))
     report("2 causality", worst <= 1e-6, f"(max deviation {worst:.2e})")
 
@@ -161,7 +160,7 @@ def test_05_overfit_single_mixture():
     score = -math.inf
     steps_used = 0
     for step in range(1, 1001):
-        out = model.arn_forward(x, params, cfg, mode="train")
+        out = model.arn_forward(x, params, cfg)
         tensor.backward(mse_loss(s, out))
         adam_step(params, adam, lr=2e-3)
         steps_used = step

@@ -226,6 +226,26 @@ class TestExitCodes:
         assert cli.main(["enhance", "--model", str(clipped), "--in", str(src),
                          "--out", str(tmp_path / "o.wav")]) == 4
 
+    @pytest.mark.parametrize("field, value", [(2, b"-8x-8"), (3, b"-40")])
+    def test_negative_tensor_entry_exit_4_without_output(self, tmp_path, trained_ckpt,
+                                                         field, value):
+        # a negative dimension or offset in a tensor line of the header
+        head, sep, payload = trained_ckpt.read_bytes().partition(b"\nDATA ")
+        lines = head.split(b"\n")
+        i = next(i for i, line in enumerate(lines)
+                 if line.startswith(b"tensor input_proj.w "))
+        parts = lines[i].split(b" ")
+        parts[field] = value
+        lines[i] = b" ".join(parts)
+        bad = tmp_path / "negative.ckpt"
+        bad.write_bytes(b"\n".join(lines) + sep + payload)
+        src = tmp_path / "in.wav"
+        wavio.write_wav(src, tone(1000))
+        out = tmp_path / "o.wav"
+        assert cli.main(["enhance", "--model", str(bad), "--in", str(src),
+                         "--out", str(out)]) == 4
+        assert not out.exists()
+
 
 def write_corpus(tmp_path):
     """Two speech and two noise WAVs with their index files; returns the

@@ -14,7 +14,6 @@ from arn.mixing import (
     MixtureRecipe,
     TRAIN_SNRS_DB,
     make_mixture,
-    sample_training_batch,
     trim_silence,
 )
 from arn.model import ConfigurationError
@@ -190,18 +189,17 @@ def tiny_corpora():
 class TestSampling:
     def test_same_rng_state_gives_bitwise_identical_batches(self):
         speech, noise = tiny_corpora()
-        a = sample_training_batch(np.random.default_rng(1), speech, noise, 8,
-                                  target_len=1600)
-        b = sample_training_batch(np.random.default_rng(1), speech, noise, 8,
-                                  target_len=1600)
+        mixer = DynamicMixer(speech, noise, target_len=1600)
+        a = mixer.sample(np.random.default_rng(1), 8)
+        b = mixer.sample(np.random.default_rng(1), 8)
         for (xa, sa), (xb, sb) in zip(a, b):
             assert xa.tobytes() == xb.tobytes()
             assert sa.tobytes() == sb.tobytes()
 
     def test_batch_on_small_corpus(self):
         speech, noise = tiny_corpora()
-        pairs = sample_training_batch(np.random.default_rng(2), speech, noise, 32,
-                                      target_len=64000)
+        pairs = DynamicMixer(speech, noise, target_len=64000).sample(
+            np.random.default_rng(2), 32)
         assert len(pairs) == 32
         for x, s in pairs:
             assert x.shape == s.shape
@@ -219,28 +217,33 @@ class TestSampling:
         for v, c in counts.items():
             assert abs(c - expected) <= 3 * sigma, f"snr {v} drawn {c} times"
 
+    def test_fractional_snr_choice_mixed_as_given(self):
+        speech, noise = tiny_corpora()
+        mixer = DynamicMixer(speech, noise, snr_choices=[2.5], target_len=800)
+        for recipe, x, s in mixer.sample_with_recipes(np.random.default_rng(6), 4):
+            assert recipe.snr_db == 2.5
+            assert snr(s, x) == pytest.approx(2.5, abs=0.01)
+
     def test_empty_corpus_rejected(self):
         speech, noise = tiny_corpora()
         with pytest.raises(ConfigurationError):
-            sample_training_batch(np.random.default_rng(0), ArrayCorpus({}),
-                                  noise, 1)
+            DynamicMixer(ArrayCorpus({}), noise).sample(np.random.default_rng(0), 1)
         with pytest.raises(ConfigurationError):
-            sample_training_batch(np.random.default_rng(0), speech,
-                                  ArrayCorpus({}), 1)
+            DynamicMixer(speech, ArrayCorpus({})).sample(np.random.default_rng(0), 1)
 
     def test_silent_utterances_skipped(self):
         speech = ArrayCorpus({"quiet": np.zeros(2000),
                               "loud": speech_like(2000, 24)})
         noise = ArrayCorpus({"n": np.random.default_rng(25).standard_normal(4000)})
-        pairs = sample_training_batch(np.random.default_rng(4), speech, noise, 16,
-                                      target_len=1000)
+        pairs = DynamicMixer(speech, noise, target_len=1000).sample(
+            np.random.default_rng(4), 16)
         assert len(pairs) == 16
 
     def test_all_silent_corpus_rejected(self):
         speech = ArrayCorpus({"a": np.zeros(1000), "b": np.zeros(1000)})
         noise = ArrayCorpus({"n": np.ones(4000)})
         with pytest.raises(ConfigurationError):
-            sample_training_batch(np.random.default_rng(5), speech, noise, 1)
+            DynamicMixer(speech, noise).sample(np.random.default_rng(5), 1)
 
 
 def write_index(tmp_path, name, signals):

@@ -12,7 +12,6 @@ from arn import losses, model, tensor
 from arn.model import (
     ARNConfig,
     ConfigurationError,
-    EmptySequenceError,
     attention_block,
     arn_block_forward,
     arn_forward,
@@ -428,7 +427,7 @@ class TestAttention:
     def test_empty_sequence_rejected(self):
         p = attn_params(3, 21)
         empty = Tensor(np.zeros((0, 3)))
-        with pytest.raises(EmptySequenceError):
+        with pytest.raises(tensor.DimensionError):
             attention_block(empty, empty, empty, p, causal=False)
 
     def test_eval_gate_matches_train_gate(self):
@@ -452,7 +451,7 @@ class TestFeedforward:
         out = feedforward_block(
             Tensor(np.random.default_rng(26).standard_normal((3, n))),
             Tensor(np.zeros((n, 4 * n))), Tensor(np.zeros(4 * n)),
-            dropout_rate=0.0, mode="train")
+            dropout_rate=0.0)
         np.testing.assert_array_equal(out.data, np.zeros((3, n)))
 
     def test_rate_zero_train_equals_eval(self):
@@ -461,9 +460,8 @@ class TestFeedforward:
         x = Tensor(rng.standard_normal((4, n)))
         w = Tensor(rng.standard_normal((n, 4 * n)))
         b = Tensor(rng.standard_normal(4 * n))
-        train = feedforward_block(x, w, b, 0.0, "train",
-                                  np.random.default_rng(0))
-        evald = feedforward_block(x, w, b, 0.0, "eval")
+        train = feedforward_block(x, w, b, 0.0, np.random.default_rng(0))
+        evald = feedforward_block(x, w, b, 0.0)
         np.testing.assert_array_equal(train.data, evald.data)
 
     @pytest.mark.parametrize("steps", TILE_STEPS)
@@ -475,24 +473,20 @@ class TestFeedforward:
         w = Tensor(rng.standard_normal((n, 4 * n)))
         b = Tensor(rng.standard_normal(4 * n))
         ours, theirs = np.random.default_rng(7), np.random.default_rng(7)
-        got = feedforward_block(x, w, b, 0.3, "train", ours)
+        got = feedforward_block(x, w, b, 0.3, ours)
         want = feedforward_graph(x, w, b, 0.3, "train", theirs)
         np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
         assert ours.random() == theirs.random()  # same draws, same stream position
-        evald = feedforward_block(x, w, b, 0.3, "eval", ours)
+        evald = feedforward_block(x, w, b, 0.3)
         np.testing.assert_allclose(evald.data, feedforward_graph(x, w, b).data,
                                    rtol=0, atol=1e-12)
-        assert ours.random() == theirs.random()  # eval mode draws nothing
+        assert ours.random() == theirs.random()  # no generator, no draws
 
     def test_bad_dropout_arguments_rejected(self):
         x, w, b = Tensor(np.zeros((2, 2))), Tensor(np.zeros((2, 8))), Tensor(np.zeros(8))
         for rate in (-0.1, 1.0):
             with pytest.raises(ValueError):
-                feedforward_block(x, w, b, rate, "train", np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            feedforward_block(x, w, b, 0.1, "test", np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            feedforward_block(x, w, b, 0.1, "train")
+                feedforward_block(x, w, b, rate, np.random.default_rng(0))
 
     def test_gradients(self):
         n = 6
@@ -505,7 +499,7 @@ class TestFeedforward:
 
         def build():
             return tensor.sum_all(tensor.mul(
-                feedforward_block(x, w, b, 0.0, "train"), Tensor(mix)))
+                feedforward_block(x, w, b, 0.0), Tensor(mix)))
 
         tensor.backward(build())
 
@@ -527,7 +521,7 @@ class TestBlock:
         cfg = toy_cfg()
         params = zeros_params(cfg, dtype=np.float64)
         out = arn_block_forward(Tensor(np.zeros((4, cfg.width))),
-                                block_view(params), cfg, mode="train")
+                                block_view(params), cfg)
         np.testing.assert_array_equal(out.data, np.zeros((4, cfg.width)))
 
     @pytest.mark.parametrize("steps", [1, 2, 17])
@@ -535,7 +529,7 @@ class TestBlock:
         cfg = toy_cfg()
         params = init_params(cfg, np.random.default_rng(29), dtype=np.float64)
         x = np.random.default_rng(30).standard_normal((steps, cfg.width))
-        out = arn_block_forward(Tensor(x), block_view(params), cfg, mode="train")
+        out = arn_block_forward(Tensor(x), block_view(params), cfg)
         assert out.shape == (steps, cfg.width)
 
     def test_causal_rows_unaffected_by_future(self):
@@ -546,8 +540,8 @@ class TestBlock:
         for t in (0, 3, 8):
             y = x.copy()
             y[t + 1:] += rng.standard_normal(y[t + 1:].shape).astype(np.float32)
-            a = arn_block_forward(Tensor(x), block_view(params), cfg, mode="eval")
-            b = arn_block_forward(Tensor(y), block_view(params), cfg, mode="eval")
+            a = arn_block_forward(Tensor(x), block_view(params), cfg)
+            b = arn_block_forward(Tensor(y), block_view(params), cfg)
             assert np.abs(a.data[: t + 1] - b.data[: t + 1]).max() <= 1e-6
 
 
@@ -556,16 +550,15 @@ class TestFullForward:
         cfg = toy_cfg(num_blocks=2)
         params = zeros_params(cfg, dtype=np.float64)
         x = np.random.default_rng(33).standard_normal(50)
-        out = arn_forward(x, params, cfg, mode="eval")
-        np.testing.assert_array_equal(out.data, np.zeros(50))
+        out = model.enhance(x, params, cfg)
+        np.testing.assert_array_equal(out, np.zeros(50))
 
     @pytest.mark.parametrize("m", [100, 16000, 64001])
     def test_output_length_matches_input(self, m):
         cfg = toy_cfg(width=4, frame_in=16, frame_out=16, shift=16)
         params = init_params(cfg, np.random.default_rng(34), dtype=np.float32)
-        out = arn_forward(np.random.default_rng(35).standard_normal(m),
-                          params, cfg, mode="eval")
-        assert out.data.shape == (m,)
+        out = model.enhance(np.random.default_rng(35).standard_normal(m), params, cfg)
+        assert out.shape == (m,)
 
     def test_causal_samples_identical_under_future_noise(self):
         cfg = toy_cfg(width=8, frame_in=16, frame_out=8, shift=4)
@@ -576,8 +569,8 @@ class TestFullForward:
             span_end = t0 * cfg.shift + cfg.frame_in
             y = x.copy()
             y[span_end:] = rng.standard_normal(len(x) - span_end)
-            a = arn_forward(x, params, cfg, mode="eval").data
-            b = arn_forward(y, params, cfg, mode="eval").data
+            a = model.enhance(x, params, cfg)
+            b = model.enhance(y, params, cfg)
             guard = t0 * cfg.shift + cfg.frame_out
             np.testing.assert_array_equal(a[:guard], b[:guard])
 
@@ -588,29 +581,17 @@ class TestFullForward:
         x = rng.standard_normal(64)
         y = x.copy()
         y[-8:] += rng.standard_normal(8)
-        a = arn_forward(x, params, cfg, mode="eval").data
-        b = arn_forward(y, params, cfg, mode="eval").data
+        a = model.enhance(x, params, cfg)
+        b = model.enhance(y, params, cfg)
         assert np.abs(a[:8] - b[:8]).max() > 1e-9
 
     def test_eval_mode_is_deterministic(self):
         cfg = toy_cfg(dropout=0.5)
         params = init_params(cfg, np.random.default_rng(40), dtype=np.float32)
         x = np.random.default_rng(41).standard_normal(40)
-        a = arn_forward(x, params, cfg, mode="eval").data
-        b = arn_forward(x, params, cfg, mode="eval").data
+        a = model.enhance(x, params, cfg)
+        b = model.enhance(x, params, cfg)
         np.testing.assert_array_equal(a, b)
-
-    def test_train_mode_requires_rng_with_dropout(self):
-        cfg = toy_cfg(dropout=0.1)
-        params = init_params(cfg, np.random.default_rng(42))
-        with pytest.raises(ValueError):
-            arn_forward(np.zeros(20), params, cfg, mode="train")
-
-    def test_bad_mode_rejected(self):
-        cfg = toy_cfg()
-        params = init_params(cfg, np.random.default_rng(43))
-        with pytest.raises(ValueError):
-            arn_forward(np.zeros(20), params, cfg, mode="test")
 
 
 class TestEndToEndGradients:
@@ -624,7 +605,7 @@ class TestEndToEndGradients:
         s = rng.standard_normal(20)
 
         def build():
-            return mse_loss(s, arn_forward(x, params, cfg, mode="train"))
+            return mse_loss(s, arn_forward(x, params, cfg))
 
         tensor.backward(build())
 
@@ -682,8 +663,7 @@ class TestGraphFreeing:
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            loss = losses.pcm_loss(x, s, arn_forward(x, params, cfg, mode="train",
-                                                     rng=rng))
+            loss = losses.pcm_loss(x, s, arn_forward(x, params, cfg, rng=rng))
             if run_backward:
                 loss.backward()
             nodes, stack, seen = [], [loss], set()

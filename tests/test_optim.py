@@ -41,7 +41,8 @@ def test_first_step_moves_by_lr_times_sign():
     # update collapses to -lr * sign(g) as epsilon -> 0
     p = make_param([5.0, -1.0])
     params = {"p": p}
-    state = AdamState.for_params(params, epsilon=1e-12)
+    state = AdamState.for_params(params)
+    state.epsilon = 1e-12
     p.grad = np.array([0.7, -0.2])
     adam_step(params, state, lr=0.01)
     np.testing.assert_allclose(p.data, [5.0 - 0.01, -1.0 + 0.01], atol=1e-9)

@@ -96,7 +96,7 @@ class TestTrainEpoch:
         tc = TrainConfig(epochs=2, steps_per_epoch=50, batch=1, lr_knee=1, seed=0)
         from arn.losses import mse_loss
         initial = mse_loss(pair[1],
-                           model.arn_forward(pair[0], params, cfg, "eval")).item()
+                           model.arn_forward(pair[0], params, cfg)).item()
         adam = AdamState.for_params(params)
         epoch_loss = train_epoch(params, cfg, adam, tc, mixer, epoch=1)
         assert epoch_loss < initial
@@ -395,8 +395,10 @@ class TestFit:
         best = training.fit(params, cfg, tc, mixer,
                             val_pairs=[fixed_pair(seed=21)], out_dir=tmp_path,
                             log=lambda e, s, l, r: log_lines.append((e, s, l, r)))
-        assert (tmp_path / "best.ckpt").exists()
-        assert (tmp_path / "last.ckpt").exists()
+        # only the last checkpoint carries Adam's moments, for resuming
+        assert b"\ntensor adam." not in (tmp_path / "best.ckpt").read_bytes()
+        assert b"\ntensor adam." in (tmp_path / "last.ckpt").read_bytes()
+        assert load_checkpoint(tmp_path / "best.ckpt").adam is None
         assert math.isfinite(best)
         assert len(log_lines) == 6  # 2 epochs x 3 steps
         assert log_lines[0][:2] == (1, 1)
