@@ -44,8 +44,9 @@ def _load_model(ckpt_path):
 
 
 def _enhance_signal(x: np.ndarray, params, cfg) -> np.ndarray:
-    # the model is trained on unit-RMS mixtures: normalize in, scale back out
-    r = mixing.rms(x)
+    # the model is trained on unit-RMS mixtures: normalize in, scale back out.
+    # An empty signal enhances to an empty one, a silent one to silence.
+    r = mixing.rms(x) if x.size else 0.0
     if r == 0.0:
         return np.zeros_like(x)
     y = model.enhance(x * (1.0 / r), params, cfg)
@@ -227,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mix = sub.add_parser("mix", help="mix speech and noise at a target SNR")
     p_mix.add_argument("--speech", required=True)
     p_mix.add_argument("--noise", required=True)
-    p_mix.add_argument("--snr", type=int, required=True)
+    p_mix.add_argument("--snr", type=float, required=True)
     p_mix.add_argument("--out", required=True, help="output path prefix")
     p_mix.set_defaults(func=cmd_mix)
     return parser

@@ -16,6 +16,12 @@ as its last tensor is dropped, whether or not ``backward`` ran on it.
 gradients accumulate additively (``+=``) into every reachable tensor that
 requires them, so a tensor feeding two consumers receives the sum of both
 adjoints. Explicit zeroing happens in the optimizer (see ``arn.optim``).
+The sweep frees the graph as it goes: once a node's closure has run, the
+node drops its gradient, its closure and its parent links, so the arrays
+only they held go in the middle of the sweep. Leaves keep their gradients;
+a non-leaf tensor keeps its ``data`` and ends with ``grad`` None. A graph is
+swept once: a second ``backward`` that reaches a swept node raises
+``RuntimeError`` before it writes any gradient.
 
 ``lstm_sequence`` records one node for all T time steps, forward or backward
 in time. Its forward loop is plain numpy and allocates nothing per step: it
@@ -138,11 +144,22 @@ def _record(out: Tensor, parents, fn) -> Tensor:
     return out
 
 
+def _swept():
+    raise RuntimeError("this node's backward already ran: a graph is swept once")
+
+
 def backward(loss: Tensor):
     """Reverse-mode sweep from a scalar loss over the recorded graph.
 
     Visits each node exactly once in reverse topological order; leaf
-    gradients are left populated for the optimizer to consume.
+    gradients are left populated for the optimizer to consume. A node is
+    released as soon as its backward closure has run: its gradient, its
+    closure and its parent links are dropped, and so is the sweep's own
+    reference to it, so every array that only the graph held is freed in
+    the middle of the sweep. A non-leaf tensor keeps its ``data`` but ends
+    with ``grad`` None. A swept node is marked, and a later ``backward``
+    whose graph reaches it raises ``RuntimeError`` before it writes any
+    gradient: a graph is swept once.
     """
     if loss.data.size != 1:
         raise RankError(f"backward() needs a scalar, got shape {loss.data.shape}")
@@ -162,6 +179,8 @@ def backward(loss: Tensor):
             continue
         if id(node) in visited:
             continue
+        if node._backward is _swept:
+            _swept()
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
@@ -169,8 +188,12 @@ def backward(loss: Tensor):
                 stack.append((p, False))
 
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         node._backward()
+        node.grad = None
+        node._backward = _swept
+        node._parents = ()
 
 
 # ---------------------------------------------------------------------------

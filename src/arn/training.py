@@ -343,6 +343,20 @@ def _read_checkpoint(fh) -> Checkpoint:
     except (TypeError, ConfigurationError) as exc:
         raise CheckpointFormatError(f"bad config block: {exc}") from None
 
+    # each name once, and no two payload ranges share a float; sorted by
+    # offset, a range overlaps an earlier one exactly when it starts before
+    # the end of its predecessor
+    seen = set()
+    for name, *_ in directory:
+        if name in seen:
+            raise CheckpointFormatError(f"tensor {name} listed twice")
+        seen.add(name)
+    prev_end, prev_name = 0, None
+    for offset, end, name in sorted((o, o + c, n) for n, _, o, c in directory if c):
+        if offset < prev_end:
+            raise CheckpointFormatError(f"{name}: payload overlaps {prev_name}")
+        prev_end, prev_name = end, name
+
     entries = []
     for name, shape, offset, count in directory:
         if int(np.prod(shape)) != count:

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from arn import cli, model, training, wavio
+from arn import cli, losses, mixing, model, training, wavio
+from arn.mixing import MixtureRecipe
 from arn.model import ARNConfig
 from arn.training import checkpoint_from, save_checkpoint
 
@@ -91,6 +92,17 @@ class TestEnhance:
         assert sorted(p.name for p in dst_dir.glob("*.wav")) == \
             ["u0.wav", "u1.wav", "u2.wav"]
 
+    def test_zero_sample_wav_in_directory(self, tmp_path, trained_ckpt):
+        src_dir = tmp_path / "in"
+        src_dir.mkdir()
+        wavio.write_wav(src_dir / "a_empty.wav", np.zeros(0))
+        wavio.write_wav(src_dir / "b_tone.wav", tone(4000))
+        dst_dir = tmp_path / "out"
+        assert cli.main(["enhance", "--model", str(trained_ckpt),
+                         "--in", str(src_dir), "--out", str(dst_dir)]) == 0
+        assert wavio.read_wav(dst_dir / "a_empty.wav").samples.shape == (0,)
+        assert wavio.read_wav(dst_dir / "b_tone.wav").samples.shape == (4000,)
+
     def test_pcm16_output(self, tmp_path, trained_ckpt):
         src = tmp_path / "in.wav"
         dst = tmp_path / "out.wav"
@@ -117,6 +129,38 @@ class TestMixAndEvaluate:
         assert lines[-1].startswith("mean\t1\t")
         reported_snr = float(lines[0].split("\t")[2])
         assert reported_snr == pytest.approx(-5.0, abs=0.01)
+
+    @staticmethod
+    def mix(tmp_path, snr):
+        """Run ``arn mix`` at ``snr`` on a tone and white noise; returns the
+        speech and noise paths and the output prefix."""
+        speech = tmp_path / "speech.wav"
+        noise = tmp_path / "noise.wav"
+        wavio.write_wav(speech, tone(8000))
+        wavio.write_wav(noise, 0.1 * np.random.default_rng(2).standard_normal(8000))
+        prefix = tmp_path / "pair"
+        assert cli.main(["mix", "--speech", str(speech), "--noise", str(noise),
+                         "--snr", snr, "--out", str(prefix)]) == 0
+        return speech, noise, prefix
+
+    def test_fractional_snr_mixed_as_given(self, tmp_path):
+        _, _, prefix = self.mix(tmp_path, "2.5")
+        noisy = wavio.read_wav(f"{prefix}.noisy.wav").samples
+        clean = wavio.read_wav(f"{prefix}.clean.wav").samples
+        assert losses.snr(clean, noisy) == pytest.approx(2.5, abs=0.01)
+
+    def test_integer_snr_writes_what_an_int_recipe_mixes(self, tmp_path):
+        # a whole-number --snr read as a float mixes the same bytes as the
+        # integer it was read as before
+        speech, noise, prefix = self.mix(tmp_path, "-5")
+        recipe = MixtureRecipe(speech_id=str(speech), noise_id=str(noise),
+                               speech_offset=0, noise_offset=0, snr_db=-5)
+        x, s = mixing.make_mixture(recipe, wavio.read_wav(speech).samples,
+                                   wavio.read_wav(noise).samples, 8000)
+        for name, signal in (("noisy", x), ("clean", s)):
+            want = tmp_path / f"want.{name}.wav"
+            wavio.write_wav(want, signal)
+            assert Path(f"{prefix}.{name}.wav").read_bytes() == want.read_bytes()
 
     def test_evaluate_with_model_enhances_first(self, tmp_path, zero_ckpt, capsys):
         clean = tmp_path / "clean.wav"
@@ -238,6 +282,30 @@ class TestExitCodes:
         parts[field] = value
         lines[i] = b" ".join(parts)
         bad = tmp_path / "negative.ckpt"
+        bad.write_bytes(b"\n".join(lines) + sep + payload)
+        src = tmp_path / "in.wav"
+        wavio.write_wav(src, tone(1000))
+        out = tmp_path / "o.wav"
+        assert cli.main(["enhance", "--model", str(bad), "--in", str(src),
+                         "--out", str(out)]) == 4
+        assert not out.exists()
+
+    @pytest.mark.parametrize("replace", [False, True])
+    def test_aliased_tensor_entry_exit_4_without_output(self, tmp_path, trained_ckpt,
+                                                        replace):
+        # a second input_proj.b line, after the real one, over the first row
+        # of input_proj.w (a duplicate name and an overlap), or that line in
+        # place of the real one (an overlap only)
+        head, sep, payload = trained_ckpt.read_bytes().partition(b"\nDATA ")
+        lines = head.split(b"\n")
+        w_line = next(line for line in lines if line.startswith(b"tensor input_proj.w "))
+        b_at = next(i for i, line in enumerate(lines)
+                    if line.startswith(b"tensor input_proj.b "))
+        _, _, dims, offset, _ = w_line.split(b" ")
+        width = dims.split(b"x")[1]
+        alias = b" ".join([b"tensor", b"input_proj.b", width, offset, width])
+        lines[b_at + 1 - replace:b_at + 1] = [alias]
+        bad = tmp_path / "aliased.ckpt"
         bad.write_bytes(b"\n".join(lines) + sep + payload)
         src = tmp_path / "in.wav"
         wavio.write_wav(src, tone(1000))

@@ -3,6 +3,7 @@ feedforward, block wiring, and the full forward pass."""
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -648,6 +649,29 @@ class TestParameters:
         assert all(p.data.dtype == np.float32 for p in params.values())
 
 
+def graph_of(loss):
+    """Every recorded node reachable from ``loss``, the loss included."""
+    nodes, stack, seen = [], [loss], set()
+    while stack:
+        node = stack.pop()
+        if node._backward is None or id(node) in seen:
+            continue
+        seen.add(id(node))
+        nodes.append(node)
+        stack.extend(node._parents)
+    return nodes
+
+
+def model_loss(causal, seed, samples=64, **overrides):
+    """A PCM loss over a recorded two-block toy forward pass in float64."""
+    cfg = toy_cfg(causal=causal, num_blocks=2, **overrides)
+    params = init_params(cfg, np.random.default_rng(seed), dtype=np.float64)
+    rng = np.random.default_rng(seed + 1)
+    x = rng.standard_normal(samples)
+    s = rng.standard_normal(samples)
+    return params, losses.pcm_loss(x, s, arn_forward(x, params, cfg, rng=rng))
+
+
 class TestGraphFreeing:
     """A recorded graph holds no reference cycle: with the cyclic collector
     off, dropping the loss frees every node, whether or not backward ran."""
@@ -655,33 +679,78 @@ class TestGraphFreeing:
     @pytest.mark.parametrize("causal", [True, False])
     @pytest.mark.parametrize("run_backward", [True, False])
     def test_graph_freed_on_del_without_collector(self, causal, run_backward):
-        cfg = toy_cfg(causal=causal, num_blocks=2, dropout=0.1)
-        params = init_params(cfg, np.random.default_rng(47), dtype=np.float64)
-        rng = np.random.default_rng(48)
-        x = rng.standard_normal(64)
-        s = rng.standard_normal(64)
         was_enabled = gc.isenabled()
         gc.disable()
         try:
-            loss = losses.pcm_loss(x, s, arn_forward(x, params, cfg, rng=rng))
-            if run_backward:
-                loss.backward()
-            nodes, stack, seen = [], [loss], set()
-            while stack:
-                node = stack.pop()
-                if node._backward is None or id(node) in seen:
-                    continue
-                seen.add(id(node))
-                nodes.append(weakref.ref(node))
-                stack.extend(node._parents)
+            _, loss = model_loss(causal, 47, dropout=0.1)
+            # the nodes are collected before backward, which unlinks them
+            nodes = [weakref.ref(node) for node in graph_of(loss)]
             assert len(nodes) > 50
             inner = weakref.ref(loss._parents[0])
-            del loss, node, stack
+            if run_backward:
+                loss.backward()
+            del loss
             assert inner() is None
             assert [r for r in nodes if r() is not None] == []
         finally:
             if was_enabled:
                 gc.enable()
+
+
+class TestSweepReleasesGraph:
+    """``backward`` frees each node once its closure has run, and a swept
+    graph cannot be swept again."""
+
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_backward_peak_below_the_graph(self, causal):
+        # a sweep that keeps every gradient and closure to its end peaks
+        # about 1.5x the live graph above it here
+        cfg = toy_cfg(width=16, frame_in=16, frame_out=16, shift=8, num_blocks=2,
+                      causal=causal)
+        params = init_params(cfg, np.random.default_rng(49), dtype=np.float64)
+        rng = np.random.default_rng(50)
+        x = rng.standard_normal(4000)
+        s = rng.standard_normal(4000)
+        tracemalloc.start()
+        try:
+            loss = losses.pcm_loss(x, s, arn_forward(x, params, cfg))
+            start = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            tensor.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 0.75 * start
+        assert all(p.grad is not None for p in params.values())
+
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_non_leaf_tensors_keep_data_but_no_grad(self, causal):
+        params, loss = model_loss(causal, 51, dropout=0.1)
+        nodes = graph_of(loss)
+        data = [node.data.copy() for node in nodes]
+        loss.backward()
+        for node, before in zip(nodes, data):
+            assert node.grad is None
+            assert node._parents == ()
+            np.testing.assert_array_equal(node.data, before)
+        assert all(p.grad is not None for p in params.values())
+
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_second_loss_on_a_swept_graph_raises(self, causal):
+        cfg = toy_cfg(causal=causal, num_blocks=2)
+        params = init_params(cfg, np.random.default_rng(52), dtype=np.float64)
+        rng = np.random.default_rng(53)
+        x = rng.standard_normal(64)
+        s = rng.standard_normal(64)
+        out = arn_forward(x, params, cfg)
+        mse, pcm = losses.mse_loss(s, out), losses.pcm_loss(x, s, out)
+        tensor.backward(mse)
+        first = {k: p.grad.copy() for k, p in params.items()}
+        for again in (pcm, mse):
+            with pytest.raises(RuntimeError, match="swept once"):
+                tensor.backward(again)
+            for k, p in params.items():
+                np.testing.assert_array_equal(p.grad, first[k])
 
 
 class TestEvalMemory:

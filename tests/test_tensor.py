@@ -249,6 +249,24 @@ class TestBackward:
 
         np.testing.assert_allclose(combined, x1.grad + x2.grad, rtol=1e-12)
 
+    def test_swept_subgraph_cannot_be_swept_again(self):
+        # y = tanh(x * w) feeds two losses; were the second pass run on the
+        # kept intermediate gradients, x.grad would reach 5x the first
+        # pass's gradient where 3x is right
+        x = Tensor(rand(4, 22), requires_grad=True)
+        w = Tensor(rand(4, 23), requires_grad=True)
+        y = tensor.tanh(tensor.mul(x, w))
+        first = tensor.sum_all(y)
+        tensor.backward(first)
+        gx, gw = x.grad.copy(), w.grad.copy()
+        np.testing.assert_allclose(gx, (1 - y.data ** 2) * w.data, rtol=1e-12)
+        for again in (tensor.sum_all(tensor.scale(y, 2.0)), first):
+            with pytest.raises(RuntimeError, match="swept once"):
+                tensor.backward(again)
+            np.testing.assert_array_equal(x.grad, gx)
+            np.testing.assert_array_equal(w.grad, gw)
+        assert y.grad is None and first.grad is None
+
     def test_diamond_graph(self):
         # y feeds both sides of a product: dx of (x+1)*(x+2)-ish wiring
         x = Tensor(np.array([[2.0]]), requires_grad=True)
