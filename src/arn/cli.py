@@ -17,7 +17,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from . import losses, mixing, model, training, wavio
 from .mixing import CorpusIndex, DynamicMixer, ListFileError, MixtureRecipe
 from .model import ARNConfig, ConfigurationError
-from .training import CheckpointError, TrainConfig
+from .training import CheckpointError, DivergenceError, TrainConfig
 from .wavio import WavFormatError
 
 EXIT_USAGE = 2
@@ -157,6 +157,11 @@ def _load_train_config(path):
     if not choices or any(isinstance(c, bool) or not isinstance(c, (int, float))
                           for c in choices):
         raise ConfigurationError("mixing.snr_choices must be a non-empty list of numbers")
+    for snr in choices:
+        try:
+            mixing.noise_gain(snr)
+        except ValueError as exc:
+            raise ConfigurationError(f"mixing.snr_choices: {exc}") from None
     for key in ("target_len", "val_pairs"):
         if mix_opts[key] < 1:
             raise ConfigurationError(f"mixing.{key} must be at least 1")
@@ -166,11 +171,12 @@ def _load_train_config(path):
 def cmd_train(args) -> int:
     # every config check runs before --out is created
     model_cfg, train_cfg, mix_opts = _load_train_config(args.config)
-    # precedence: --seed flag, then ARN_SEED, then the config file
+    # precedence: --seed flag, then ARN_SEED, then the config file; the
+    # override goes through TrainConfig's own checks
     if args.seed is not None:
-        train_cfg.seed = args.seed
+        train_cfg = replace(train_cfg, seed=args.seed)
     elif "ARN_SEED" in os.environ:
-        train_cfg.seed = _seed()
+        train_cfg = replace(train_cfg, seed=_seed())
     speech = CorpusIndex(args.speech_index)
     noise = CorpusIndex(args.noise_index)
     mixer = DynamicMixer(speech, noise, snr_choices=tuple(mix_opts["snr_choices"]),
@@ -195,6 +201,16 @@ def cmd_train(args) -> int:
                             out_dir, log, progress=progress)
     print(f"best validation score: {best:.3f} dB")
     return 0
+
+
+def _snr_db(text: str) -> float:
+    """``--snr``: a number that ``mixing.noise_gain`` accepts."""
+    value = float(text)
+    try:
+        mixing.noise_gain(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -228,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mix = sub.add_parser("mix", help="mix speech and noise at a target SNR")
     p_mix.add_argument("--speech", required=True)
     p_mix.add_argument("--noise", required=True)
-    p_mix.add_argument("--snr", type=float, required=True)
+    p_mix.add_argument("--snr", type=_snr_db, required=True)
     p_mix.add_argument("--out", required=True, help="output path prefix")
     p_mix.set_defaults(func=cmd_mix)
     return parser
@@ -251,7 +267,7 @@ def main(argv=None) -> int:
     except (CheckpointError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MODEL
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, DivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,17 +1,17 @@
 """STFT magnitude and RMS normalization.
 
-The STFT frames the signal with ``tensor.frame_rows`` (row t is
-``x[t*hop : t*hop + win_len]``, zero-padded past the end), and
+The STFT frames the signal with ``tensor.frame_rows`` (ceil(M / hop) rows,
+row t is ``x[t*hop : t*hop + win_len]``, zero-padded past the end), and
 ``tensor.rfft_magnitude`` applies a periodic Hann window, takes each row's
 ``np.fft.rfft`` and returns |Re| + |Im| per bin, the magnitude the
 phase-constrained training loss compares. Both are recorded ops, so
 gradients reach the signal. The model frames and overlap-adds waveforms with
 the same tensor ops, ``tensor.frame_rows`` and ``tensor.overlap_add_rows``.
+Those ops check the analysis geometry of ``StftConfig``.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -36,12 +36,6 @@ class StftConfig:
     win_len: int = 512
     hop: int = 256
 
-    def __post_init__(self):
-        if self.hop < 1 or self.win_len < 1:
-            raise ValueError("win_len and hop must be positive")
-        if self.win_len > self.fft_size:
-            raise ValueError("win_len must not exceed fft_size")
-
 
 @lru_cache(maxsize=8)
 def _hann_window(win_len: int, dtype_name: str) -> np.ndarray:
@@ -57,8 +51,7 @@ def stft_magnitude(s: Tensor, cfg: StftConfig) -> Tensor:
     Two recorded ops, ``tensor.frame_rows`` and ``tensor.rfft_magnitude``,
     so gradients propagate to ``s``.
     """
-    num_frames = math.ceil(s.data.shape[0] / cfg.hop)
-    frames = tensor.frame_rows(s, cfg.win_len, cfg.hop, num_frames)
+    frames = tensor.frame_rows(s, cfg.win_len, cfg.hop)
     return tensor.rfft_magnitude(frames, _hann_window(cfg.win_len, s.data.dtype.name),
                                  cfg.fft_size)
 

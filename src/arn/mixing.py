@@ -71,6 +71,25 @@ def trim_silence(x: np.ndarray, threshold_db: float = TRIM_THRESHOLD_DB,
     return x[active[0] * window:min((active[-1] + 1) * window, x.size)]
 
 
+def noise_gain(snr_db) -> float:
+    """10^(-snr_db / 20): the noise's amplitude, relative to the speech's,
+    that mixes them at ``snr_db`` dB.
+
+    An SNR that is not finite, or so low that the gain overflows a float,
+    raises ``ValueError``. ``make_mixture``, ``arn mix --snr`` and a training
+    config's ``snr_choices`` all use this one check.
+    """
+    try:
+        snr = float(snr_db)
+        gain = 10.0 ** (-snr / 20.0)
+    except OverflowError:  # an int beyond the float range, or its gain
+        snr = gain = math.inf
+    if not (math.isfinite(snr) and math.isfinite(gain)):
+        raise ValueError(f"SNR {snr_db!r} dB is not finite or its noise gain "
+                         f"10^(-SNR/20) overflows")
+    return gain
+
+
 def make_mixture(recipe: MixtureRecipe, speech: np.ndarray, noise: np.ndarray,
                  target_len: int = CHUNK_LEN):
     """Materialize one (noisy, clean) pair from a recipe.
@@ -99,7 +118,7 @@ def make_mixture(recipe: MixtureRecipe, speech: np.ndarray, noise: np.ndarray,
     rms_s, rms_n = rms(s), rms(n)
     if rms_s == 0.0 or rms_n == 0.0:
         raise DegenerateSignalError("silent speech or noise chunk")
-    gain = (rms_s / rms_n) * 10.0 ** (-recipe.snr_db / 20.0)
+    gain = (rms_s / rms_n) * noise_gain(recipe.snr_db)
     x = s + gain * n
     x, s, _ = rms_normalize(x, s)
     return x, s

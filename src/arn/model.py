@@ -4,8 +4,8 @@ One block is: layer norm -> RNN (LSTM when causal, BLSTM otherwise) ->
 two parallel layer norms feeding a gated single-head attention (residual
 back onto the query stream) -> two parallel layer norms feeding a
 feedforward block (residual onto the second stream). The full network
-frames the waveform, projects frames to the model width, stacks blocks,
-projects back to output frames, and overlap-adds.
+frames a 1-D waveform into ceil(M / shift) rows, projects them to width N,
+stacks blocks, projects back to output frames, and overlap-adds.
 
 Causal operation uses a unidirectional LSTM plus an attention mask that
 zeroes the contribution of future frames; with an input frame wider than
@@ -42,7 +42,8 @@ class ARNConfig:
     """Architecture hyperparameters.
 
     Defaults are the full-size causal system at 16 kHz: width 1024,
-    32 ms input frames, 16 ms output frames, 2 ms shift, four blocks.
+    32 ms input frames, 16 ms output frames, 2 ms shift, four blocks. The
+    presets, causal and non-causal, are the ``model`` blocks of configs/*.json.
     """
 
     width: int = 1024          # hidden size N
@@ -65,16 +66,6 @@ class ARNConfig:
             raise ConfigurationError("bidirectional RNN needs an even width")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigurationError("dropout must be in [0, 1)")
-
-    @classmethod
-    def causal_16k(cls, **overrides) -> "ARNConfig":
-        return cls(**{**dict(width=1024, frame_in=512, frame_out=256, shift=32,
-                             num_blocks=4, causal=True), **overrides})
-
-    @classmethod
-    def noncausal_16k(cls, **overrides) -> "ARNConfig":
-        return cls(**{**dict(width=1024, frame_in=256, frame_out=256, shift=32,
-                             num_blocks=4, causal=False), **overrides})
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -143,18 +134,6 @@ def init_params(cfg: ARNConfig, rng: np.random.Generator,
             bound = 1.0 / math.sqrt(shape[0])
             data = rng.uniform(-bound, bound, size=shape)
         params[name] = Tensor(data.astype(dtype), requires_grad=True)
-    return params
-
-
-def zeros_params(cfg: ARNConfig, dtype=np.float32) -> dict:
-    """All-zero weights and biases, layer-norm gain 1 (the fixed point)."""
-    params = {}
-    for name, shape in param_shapes(cfg).items():
-        if name.rsplit(".", 1)[-1] == "g" and ".ln" in name:
-            data = np.ones(shape, dtype=dtype)
-        else:
-            data = np.zeros(shape, dtype=dtype)
-        params[name] = Tensor(data, requires_grad=True)
     return params
 
 
@@ -257,10 +236,8 @@ def feedforward_block(x: Tensor, w: Tensor, b: Tensor, dropout_rate: float,
     Dropout is inverted and runs only when ``rng`` is given and the rate is
     positive: each of the (T, 4N) activations is kept where
     ``rng.random((T, 4N)) >= rate`` and scaled by 1/(1 - rate). Without a
-    generator (or at rate 0) nothing is drawn.
+    generator (or at rate 0) nothing is drawn. ``ARNConfig`` checks the rate.
     """
-    if not 0.0 <= dropout_rate < 1.0:
-        raise ValueError(f"dropout rate must be in [0, 1), got {dropout_rate}")
     mask = None
     if rng is not None and dropout_rate > 0.0:
         keep = rng.random((x.shape[0], w.shape[1])) >= dropout_rate
@@ -301,7 +278,7 @@ def arn_forward_frames(frames: Tensor, params: dict, cfg: ARNConfig,
 
 
 def arn_forward(x, params: dict, cfg: ARNConfig, rng=None) -> Tensor:
-    """Enhance a waveform; output has exactly the input's sample count.
+    """Enhance a non-empty 1-D waveform array; output has its sample count.
 
     Output frame t is overlap-added at the trailing ``frame_out`` samples of
     input frame t's span, so for a causal configuration every output sample
@@ -309,17 +286,10 @@ def arn_forward(x, params: dict, cfg: ARNConfig, rng=None) -> Tensor:
     ``frame_in - frame_out`` samples are covered by no output frame and
     come out as zeros (the causal warm-up region).
     """
-    dtype = param_dtype(params)
-    if isinstance(x, Tensor):
-        xt = x if x.data.dtype == dtype else Tensor(x.data.astype(dtype))
-    else:
-        xt = Tensor(np.asarray(x, dtype=dtype))
-    if xt.data.ndim != 1 or xt.data.shape[0] < 1:
-        raise ValueError("arn_forward needs a non-empty 1-D signal")
-    m = xt.data.shape[0]
-    frames = tensor.frame_rows(xt, cfg.frame_in, cfg.shift, math.ceil(m / cfg.shift))
+    xt = Tensor(np.asarray(x, dtype=param_dtype(params)))
+    frames = tensor.frame_rows(xt, cfg.frame_in, cfg.shift)
     out_frames = arn_forward_frames(frames, params, cfg, rng)
-    return tensor.overlap_add_rows(out_frames, cfg.shift, m,
+    return tensor.overlap_add_rows(out_frames, cfg.shift, xt.data.shape[0],
                                    offset=cfg.frame_in - cfg.frame_out)
 
 

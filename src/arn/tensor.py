@@ -766,8 +766,9 @@ def _add_frames(acc: np.ndarray, frames: np.ndarray, shift: int):
         grid[j:j + rows, :width] += frames[:, j * shift:j * shift + width]
 
 
-def frame_rows(x: Tensor, frame_len: int, shift: int, num_frames: int) -> Tensor:
-    """Gather a 1-D signal into overlapping rows: row t = x[t*shift : t*shift+L].
+def frame_rows(x: Tensor, frame_len: int, shift: int) -> Tensor:
+    """Gather a 1-D signal of M samples into ceil(M / shift) overlapping
+    rows, row t = x[t*shift : t*shift+L]: one row starts at each hop.
 
     Positions past the end of the signal read as zero. The gather is a copy
     of a strided view of the zero-padded signal; gradients overlap-add back
@@ -775,22 +776,22 @@ def frame_rows(x: Tensor, frame_len: int, shift: int, num_frames: int) -> Tensor
     """
     if x.data.ndim != 1 or x.data.shape[0] < 1:
         raise DimensionError("frame_rows needs a non-empty 1-D signal")
-    if shift < 1 or frame_len < 1 or num_frames < 1:
-        raise DimensionError("frame_len, shift, num_frames must be positive")
+    if shift < 1 or frame_len < 1:
+        raise DimensionError("frame_len and shift must be positive")
     m = x.data.shape[0]
+    num_frames = -(-m // shift)
     size = _frames_span(num_frames, frame_len, shift)
-    used = min(m, size)
     padded = np.zeros(size, dtype=x.data.dtype)
-    padded[:used] = x.data[:used]
+    padded[:m] = x.data
     out = Tensor(_frame_view(padded, frame_len, shift, num_frames).copy())
 
     def _bw(g):
         if x.grad is None:
             x.grad = np.zeros_like(x.data)
         acc = np.zeros(size, dtype=x.grad.dtype)
-        acc[:used] = x.grad[:used]
+        acc[:m] = x.grad
         _add_frames(acc, g, shift)
-        x.grad[:used] = acc[:used]
+        x.grad[:] = acc[:m]
 
     return _record(out, (x,), _bw)
 

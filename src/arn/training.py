@@ -69,6 +69,8 @@ class TrainConfig:
             raise ConfigurationError("need 1 <= lr_knee < epochs")
         if self.loss not in losses.LOSS_FNS:
             raise ConfigurationError(f"unknown loss {self.loss!r}")
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainConfig":
@@ -124,18 +126,12 @@ def train_epoch(params: dict, model_cfg: ARNConfig, adam: AdamState,
     return float(np.mean(step_losses))
 
 
-def validate_and_select(params: dict, model_cfg: ARNConfig, val_pairs,
-                        best_so_far: float):
-    """Mean SI-SNR of ``model.enhance`` over (noisy, clean) pairs.
-
-    Returns ``(score, improved)``; the caller persists a checkpoint when
-    ``improved`` is true.
-    """
+def validate(params: dict, model_cfg: ARNConfig, val_pairs) -> float:
+    """Mean SI-SNR of ``model.enhance`` over (noisy, clean) pairs."""
     if not val_pairs:
         raise ConfigurationError("validation set is empty")
     scores = [losses.si_snr(s, model.enhance(x, params, model_cfg)) for x, s in val_pairs]
-    score = float(np.mean(scores))
-    return score, score > best_so_far
+    return float(np.mean(scores))
 
 
 # ---------------------------------------------------------------------------
@@ -407,7 +403,8 @@ def fit(params: dict, model_cfg: ARNConfig, cfg: TrainConfig, mixer,
         val_pairs=None, out_dir=None, log=None, progress=None) -> float:
     """Full training run with periodic validation and best-model saving.
 
-    Returns the best validation score (or ``-inf`` if never validated).
+    ``best.ckpt`` is rewritten only on a strict improvement. Returns the
+    best validation score (or ``-inf`` if never validated).
     """
     adam = AdamState.for_params(params)
     best = -math.inf
@@ -416,8 +413,8 @@ def fit(params: dict, model_cfg: ARNConfig, cfg: TrainConfig, mixer,
         if progress is not None:
             progress(epoch, mean_loss)
         if val_pairs and epoch % cfg.validate_every == 0:
-            score, improved = validate_and_select(params, model_cfg, val_pairs, best)
-            if improved:
+            score = validate(params, model_cfg, val_pairs)
+            if score > best:
                 best = score
                 if out_dir is not None:
                     # weights only, so enhancing from it reads no Adam moments;

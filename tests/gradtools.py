@@ -376,11 +376,11 @@ def layer_norm_whole(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tens
     return tensor._record(out, (x, gamma, beta), _bw)
 
 
-def frame_rows_indexed(x: Tensor, frame_len: int, shift: int, num_frames: int) -> Tensor:
-    """``tensor.frame_rows`` through a (T, L) index array, with gradients
-    scattered back by ``np.add.at``."""
+def frame_rows_indexed(x: Tensor, frame_len: int, shift: int) -> Tensor:
+    """``tensor.frame_rows`` through a (T, L) index array, T = ceil(M / shift),
+    with gradients scattered back by ``np.add.at``."""
     m = x.data.shape[0]
-    idx = np.arange(num_frames)[:, None] * shift + np.arange(frame_len)[None, :]
+    idx = np.arange(math.ceil(m / shift))[:, None] * shift + np.arange(frame_len)[None, :]
     valid = idx < m
     data = x.data[np.minimum(idx, m - 1)]
     data[~valid] = 0.0

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import scipy.stats
 
-from arn import losses, model, tensor, training
+from arn import model, tensor
 from arn.dsp import StftConfig
 from arn.losses import mse_loss, pcm_loss, si_snr, snr
 from arn.mixing import ArrayCorpus, DynamicMixer, MixtureRecipe, TRAIN_SNRS_DB, make_mixture
@@ -28,7 +28,7 @@ from arn.training import (
 )
 
 from gradtools import check_grads, finite_diff_multi
-from test_model import naive_attention
+from test_model import naive_attention, preset
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -138,8 +138,7 @@ def test_04_overlap_add_identity():
     worst = 0.0
     for frame_len, shift in ((256, 32), (512, 32), (256, 256)):
         x = rng.standard_normal(10000).astype(np.float32)
-        frames = tensor.frame_rows(Tensor(x.astype(np.float64)), frame_len,
-                                   shift, math.ceil(x.size / shift))
+        frames = tensor.frame_rows(Tensor(x.astype(np.float64)), frame_len, shift)
         back = tensor.overlap_add_rows(frames, shift, x.size).data
         worst = max(worst, float(np.abs(back - x).max()))
     report("4 ola-identity", worst <= 1e-6, f"(max deviation {worst:.2e})")
@@ -229,7 +228,7 @@ def test_08_parameter_count_oracle():
     ok = True
     rnn_only = None
     for causal in (True, False):
-        cfg = ARNConfig.causal_16k() if causal else ARNConfig.noncausal_16k()
+        cfg = preset("causal_16k" if causal else "noncausal_16k")
         params = init_params(cfg, np.random.default_rng(10), dtype=np.float32)
         runtime = model.param_count(params)
         closed = closed_form_count(cfg.width, cfg.frame_in, cfg.frame_out,

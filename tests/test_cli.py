@@ -12,6 +12,8 @@ from arn.mixing import MixtureRecipe
 from arn.model import ARNConfig
 from arn.training import checkpoint_from, save_checkpoint
 
+from test_model import preset, zero_params
+
 
 def toy_cfg():
     return ARNConfig(width=8, frame_in=8, frame_out=8, shift=8, num_blocks=1,
@@ -21,7 +23,7 @@ def toy_cfg():
 @pytest.fixture
 def zero_ckpt(tmp_path):
     cfg = toy_cfg()
-    params = model.zeros_params(cfg, dtype=np.float32)
+    params = zero_params(cfg, np.float32)
     path = tmp_path / "zero.ckpt"
     save_checkpoint(checkpoint_from(params, cfg), path)
     return path
@@ -40,9 +42,7 @@ def trained_ckpt(tmp_path):
 def tiny_preset_ckpt(request, tmp_path):
     """A shipped preset at width 8 with one block, as the benchmark's tiny
     inputs build it."""
-    configs = Path(__file__).resolve().parents[1] / "configs"
-    blob = json.loads((configs / f"{request.param}.json").read_text())
-    cfg = ARNConfig.from_dict({**blob["model"], "width": 8, "num_blocks": 1})
+    cfg = preset(request.param, width=8, num_blocks=1)
     params = model.init_params(cfg, np.random.default_rng(2105), dtype=np.float32)
     path = tmp_path / f"{request.param}.ckpt"
     save_checkpoint(checkpoint_from(params, cfg), path)
@@ -148,6 +148,17 @@ class TestMixAndEvaluate:
         noisy = wavio.read_wav(f"{prefix}.noisy.wav").samples
         clean = wavio.read_wav(f"{prefix}.clean.wav").samples
         assert losses.snr(clean, noisy) == pytest.approx(2.5, abs=0.01)
+
+    @pytest.mark.parametrize("snr", ["nan", "inf", "-inf", "-1e308"])
+    def test_unusable_snr_exit_2_without_output(self, tmp_path, capsys, snr):
+        speech = tmp_path / "speech.wav"
+        wavio.write_wav(speech, tone(8000))
+        prefix = tmp_path / "pair"
+        assert cli.main(["mix", "--speech", str(speech), "--noise", str(speech),
+                         f"--snr={snr}", "--out", str(prefix)]) == 2
+        err = capsys.readouterr().err
+        assert "--snr" in err and "Traceback" not in err
+        assert not list(tmp_path.glob("pair*"))
 
     def test_integer_snr_writes_what_an_int_recipe_mixes(self, tmp_path):
         # a whole-number --snr read as a float mixes the same bytes as the
@@ -348,12 +359,12 @@ def tiny_train_config():
     }
 
 
-def run_train(tmp_path, config, out_dir):
+def run_train(tmp_path, config, out_dir, *flags):
     speech_idx, noise_idx = write_corpus(tmp_path)
     cfg_path = tmp_path / "config.json"
     cfg_path.write_text(json.dumps(config))
     return cli.main(["train", "--config", str(cfg_path), "--speech-index", str(speech_idx),
-                     "--noise-index", str(noise_idx), "--out", str(out_dir)])
+                     "--noise-index", str(noise_idx), "--out", str(out_dir), *flags])
 
 
 class TestTrainCommand:
@@ -387,6 +398,8 @@ class TestTrainCommand:
         ("mixing", "snr_choices", ["loud"]),
         ("mixing", "target_len", 0),
         ("mixing", "val_pairs", 0),
+        ("mixing", "snr_choices", [0, float("nan")]),  # written as NaN, read back
+        ("mixing", "snr_choices", [-1e308]),
     ]
 
     @pytest.mark.parametrize("block, key, value", BAD_CONFIGS)
@@ -398,6 +411,32 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("source", ["config", "flag", "env"])
+    def test_negative_seed_exit_4_before_output(self, tmp_path, capsys, monkeypatch,
+                                                source):
+        config = tiny_train_config()
+        flags = []
+        if source == "config":
+            config["train"]["seed"] = -3
+        elif source == "flag":
+            flags = ["--seed", "-3"]
+        else:
+            monkeypatch.setenv("ARN_SEED", "-3")
+        out_dir = tmp_path / "run"
+        assert run_train(tmp_path, config, out_dir, *flags) == 4
+        err = capsys.readouterr().err
+        assert "seed must be non-negative" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_divergence_exit_1(self, tmp_path, capsys, monkeypatch):
+        def diverge(*args, **kwargs):
+            raise training.DivergenceError("non-finite loss nan at epoch 1 step 1")
+
+        monkeypatch.setattr(training, "train_epoch", diverge)
+        assert run_train(tmp_path, tiny_train_config(), tmp_path / "run") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: non-finite loss") and "Traceback" not in err
 
     @pytest.mark.parametrize("text, named", [("{\"model\": {", "not valid JSON"),
                                              ("[]", "JSON object"),

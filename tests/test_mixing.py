@@ -163,6 +163,22 @@ class TestMakeMixture:
             make_mixture(MixtureRecipe("s", "n", 0, 0, 0),
                          np.ones(100), np.ones(50), 100)
 
+    # not finite, a gain 10^(-SNR/20) beyond the float range, and an int
+    # beyond the float range
+    @pytest.mark.parametrize(
+        "snr_db", [float("nan"), float("inf"), float("-inf"), -1e308, -6200, -10 ** 400],
+        ids=["nan", "inf", "-inf", "-1e308", "-6200", "-10**400"])
+    def test_unusable_snr_rejected(self, snr_db):
+        rng = np.random.default_rng(11)
+        with pytest.raises(ValueError, match="SNR"):
+            make_mixture(MixtureRecipe("s", "n", 0, 0, snr_db),
+                         rng.standard_normal(100), rng.standard_normal(100), 100)
+
+    def test_noise_gain_of_extreme_finite_snrs(self):
+        assert mixing.noise_gain(20) == 0.1
+        assert mixing.noise_gain(-6000) == 10.0 ** 300
+        assert mixing.noise_gain(1e308) == 0.0  # underflows, but is a usable gain
+
     def test_recipe_is_bitwise_deterministic(self):
         rng = np.random.default_rng(9)
         s = speech_like(2000, 10)

@@ -22,7 +22,7 @@ from arn.training import (
     params_from_checkpoint,
     save_checkpoint,
     train_epoch,
-    validate_and_select,
+    validate,
 )
 
 
@@ -85,6 +85,8 @@ class TestLrSchedule:
         for name in ("epochs", "steps_per_epoch", "batch", "validate_every"):
             with pytest.raises(ConfigurationError, match=name):
                 TrainConfig(**{name: 0})
+        with pytest.raises(ConfigurationError, match="seed"):
+            TrainConfig(seed=-1)
 
 
 class TestTrainEpoch:
@@ -132,17 +134,13 @@ class TestValidateAndSelect:
         rng = np.random.default_rng(6)
         s = rng.standard_normal(100)
         monkeypatch.setattr(model, "enhance", lambda x, params, cfg: x)
-        score, improved = validate_and_select(
-            {}, toy_model_cfg(), [(s, s)], best_so_far=50.0)
-        assert score == DB_CAP and improved
+        assert validate({}, toy_model_cfg(), [(s, s)]) == DB_CAP
 
     def test_two_runs_identical(self):
         cfg = toy_model_cfg()
         params = model.init_params(cfg, np.random.default_rng(7), np.float32)
         pairs = [fixed_pair(seed=8), fixed_pair(seed=9)]
-        a, _ = validate_and_select(params, cfg, pairs, -math.inf)
-        b, _ = validate_and_select(params, cfg, pairs, -math.inf)
-        assert a == b
+        assert validate(params, cfg, pairs) == validate(params, cfg, pairs)
 
     def test_mean_of_known_per_utterance_scores(self, monkeypatch):
         rng = np.random.default_rng(10)
@@ -160,13 +158,12 @@ class TestValidateAndSelect:
                  s2.tobytes(): with_si_snr(s2, 5.0)}
         assert si_snr(s1, fakes[s1.tobytes()]) == pytest.approx(3.0, abs=1e-9)
         monkeypatch.setattr(model, "enhance", lambda x, params, cfg: fakes[x.tobytes()])
-        score, _ = validate_and_select(
-            {}, toy_model_cfg(), [(s1, s1), (s2, s2)], -math.inf)
+        score = validate({}, toy_model_cfg(), [(s1, s1), (s2, s2)])
         assert score == pytest.approx(4.0, abs=1e-9)
 
     def test_empty_set_rejected(self):
         with pytest.raises(ConfigurationError):
-            validate_and_select({}, toy_model_cfg(), [], 0.0)
+            validate({}, toy_model_cfg(), [])
 
 
 class TestCheckpoint:
@@ -402,3 +399,27 @@ class TestFit:
         assert math.isfinite(best)
         assert len(log_lines) == 6  # 2 epochs x 3 steps
         assert log_lines[0][:2] == (1, 1)
+
+    def test_best_rewritten_only_on_strict_improvement(self, tmp_path, monkeypatch):
+        scores = iter([1.0, 1.0, 2.0])
+        monkeypatch.setattr(training, "validate", lambda params, cfg, pairs: next(scores))
+        cfg = toy_model_cfg()
+        params = model.init_params(cfg, np.random.default_rng(22), np.float32)
+        tc = TrainConfig(epochs=3, steps_per_epoch=1, batch=1, lr_knee=1,
+                         validate_every=1)
+        best_ckpt = tmp_path / "best.ckpt"
+        seen = []  # (epoch, best.ckpt's epoch and score) before each validation
+
+        def progress(epoch, mean_loss):
+            if best_ckpt.exists():
+                ckpt = load_checkpoint(best_ckpt)
+                seen.append((epoch, ckpt.epoch, ckpt.best_score))
+
+        best = training.fit(params, cfg, tc, FixedMixer([fixed_pair(seed=23)]),
+                            val_pairs=[fixed_pair(seed=24)], out_dir=tmp_path,
+                            progress=progress)
+        # epoch 2 ties epoch 1's score and leaves best.ckpt as epoch 1 wrote it
+        assert seen == [(2, 1, 1.0), (3, 1, 1.0)]
+        final = load_checkpoint(best_ckpt)
+        assert (final.epoch, final.best_score, best) == (3, 2.0, 2.0)
+        assert load_checkpoint(tmp_path / "last.ckpt").best_score == 2.0
