@@ -18,9 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from arn.wavio import write_wav
-
-SAMPLE_RATE = 16000
+from arn.wavio import SAMPLE_RATE, write_wav
 
 
 def harmonic_utterance(rng, seconds):

@@ -39,7 +39,7 @@ def _seed() -> int:
 
 def _load_model(ckpt_path):
     ckpt = training.load_checkpoint(ckpt_path)
-    params = training.params_from_checkpoint(ckpt, dtype=np.float32)
+    params = training.params_from_checkpoint(ckpt)
     return params, ckpt.model_cfg
 
 
@@ -65,8 +65,7 @@ def cmd_enhance(args) -> int:
         pairs = [(src, dst)]
     encoding = "pcm16" if args.pcm16 else "float32"
     for in_path, out_path in pairs:
-        wav = wavio.read_wav(in_path)
-        enhanced = _enhance_signal(wav.samples, params, cfg)
+        enhanced = _enhance_signal(wavio.read_wav(in_path), params, cfg)
         wavio.write_wav(out_path, enhanced, encoding=encoding)
     return 0
 
@@ -78,8 +77,8 @@ def cmd_evaluate(args) -> int:
         enhancer = lambda x: _enhance_signal(x, params, cfg)
     snrs, sis = [], []
     for clean_path, other_path in mixing.read_list_file(args.pairs, (str, str)):
-        clean = wavio.read_wav(clean_path).samples
-        other = wavio.read_wav(other_path).samples
+        clean = wavio.read_wav(clean_path)
+        other = wavio.read_wav(other_path)
         if enhancer is not None:
             other = enhancer(other)
         pair_snr = losses.snr(clean, other)
@@ -95,8 +94,8 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_mix(args) -> int:
-    speech = wavio.read_wav(args.speech).samples
-    noise = wavio.read_wav(args.noise).samples
+    speech = wavio.read_wav(args.speech)
+    noise = wavio.read_wav(args.noise)
     target_len = min(speech.size, noise.size, mixing.CHUNK_LEN)
     recipe = MixtureRecipe(
         speech_id=os.fspath(args.speech), noise_id=os.fspath(args.noise),

@@ -64,8 +64,8 @@ def rms(x: np.ndarray) -> float:
 def rms_normalize(x: np.ndarray, companion: np.ndarray):
     """Scale ``x`` to unit RMS and apply the same gain to its companion.
 
-    The shared gain leaves any SNR between the two signals unchanged.
-    Returns ``(x * g, companion * g, g)``.
+    The shared gain g = 1 / rms(x) leaves any SNR between the two signals
+    unchanged. Returns ``(x * g, companion * g)``.
     """
     x = np.asarray(x)
     companion = np.asarray(companion)
@@ -73,4 +73,4 @@ def rms_normalize(x: np.ndarray, companion: np.ndarray):
     if r == 0.0:
         raise DegenerateSignalError("cannot RMS-normalize a silent signal")
     g = 1.0 / r
-    return x * g, companion * g, g
+    return x * g, companion * g

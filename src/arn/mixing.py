@@ -18,9 +18,8 @@ import numpy as np
 
 from .dsp import DegenerateSignalError, rms, rms_normalize
 from .model import ConfigurationError
-from .wavio import read_wav
+from .wavio import SAMPLE_RATE, read_wav
 
-SAMPLE_RATE = 16000
 CHUNK_LEN = 4 * SAMPLE_RATE            # 4-second training chunks
 TRAIN_SNRS_DB = (-5, -4, -3, -2, -1, 0)
 TRIM_WINDOW = 320                      # 20 ms at 16 kHz
@@ -37,10 +36,9 @@ class MixtureRecipe:
     snr_db: float
 
 
-def trim_silence(x: np.ndarray, threshold_db: float = TRIM_THRESHOLD_DB,
-                 window: int = TRIM_WINDOW) -> np.ndarray:
-    """Drop leading/trailing windows whose short-time RMS falls below
-    ``threshold_db`` relative to the peak short-time RMS.
+def trim_silence(x: np.ndarray, threshold_db: float = TRIM_THRESHOLD_DB) -> np.ndarray:
+    """Drop leading/trailing ``TRIM_WINDOW``-sample windows whose short-time
+    RMS falls below ``threshold_db`` relative to the peak short-time RMS.
 
     Trimming is window-granular and never touches interior samples; the
     result is a view of ``x``. An entirely silent signal trims to an empty
@@ -56,11 +54,11 @@ def trim_silence(x: np.ndarray, threshold_db: float = TRIM_THRESHOLD_DB,
     # each window's mean square, the last one possibly partial; a row mean
     # sums its window exactly as a mean over that window alone would
     power = np.square(x, dtype=np.float64)
-    full = x.size // window
-    level = np.empty(math.ceil(x.size / window))
-    level[:full] = power[:full * window].reshape(full, window).mean(axis=1)
+    full = x.size // TRIM_WINDOW
+    level = np.empty(math.ceil(x.size / TRIM_WINDOW))
+    level[:full] = power[:full * TRIM_WINDOW].reshape(full, TRIM_WINDOW).mean(axis=1)
     if level.size > full:
-        level[full] = power[full * window:].mean()
+        level[full] = power[full * TRIM_WINDOW:].mean()
     np.sqrt(level, out=level)
     peak = level.max()
     if peak == 0.0:
@@ -68,7 +66,7 @@ def trim_silence(x: np.ndarray, threshold_db: float = TRIM_THRESHOLD_DB,
     active = np.flatnonzero(level >= peak * 10.0 ** (threshold_db / 20.0))
     if active.size == 0:
         return x[:0]
-    return x[active[0] * window:min((active[-1] + 1) * window, x.size)]
+    return x[active[0] * TRIM_WINDOW:min((active[-1] + 1) * TRIM_WINDOW, x.size)]
 
 
 def noise_gain(snr_db) -> float:
@@ -97,7 +95,10 @@ def make_mixture(recipe: MixtureRecipe, speech: np.ndarray, noise: np.ndarray,
     The noise chunk is scaled so that snr(clean, noisy) equals
     ``recipe.snr_db`` exactly, then the mixture is RMS-normalized and the
     clean signal scaled by the same gain. Speech shorter than ``target_len``
-    is used unaltered (the pair shrinks to the speech length).
+    is used unaltered (the pair shrinks to the speech length). An SNR so low
+    that the mixture's power overflows a float raises
+    ``DegenerateSignalError``: normalizing it would scale both signals to
+    zero.
     """
     speech = np.asarray(speech)
     noise = np.asarray(noise)
@@ -119,9 +120,13 @@ def make_mixture(recipe: MixtureRecipe, speech: np.ndarray, noise: np.ndarray,
     if rms_s == 0.0 or rms_n == 0.0:
         raise DegenerateSignalError("silent speech or noise chunk")
     gain = (rms_s / rms_n) * noise_gain(recipe.snr_db)
-    x = s + gain * n
-    x, s, _ = rms_normalize(x, s)
-    return x, s
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = s + gain * n
+        level = rms(x)
+    if not math.isfinite(level):
+        raise DegenerateSignalError(
+            f"at SNR {recipe.snr_db!r} dB the mixture's power overflows a float")
+    return rms_normalize(x, s)
 
 
 class ListFileError(ValueError):
@@ -211,7 +216,7 @@ class CorpusIndex(_Corpus):
         samples = self._samples.get(utt_id)
         if samples is None:
             rel_path, count = self.entries[utt_id]
-            samples = read_wav(self.root / rel_path).samples
+            samples = read_wav(self.root / rel_path)
             if samples.size != count:
                 raise ValueError(
                     f"{utt_id}: index declares {count} samples, file has {samples.size}")

@@ -13,8 +13,8 @@ the output frame, each output frame is emitted over the trailing part of
 its input frame's span so that every predicted sample lies within already
 observed input.
 
-Parameters live in a flat ordered dict of named tensors; helper functions
-derive per-block views by name prefix.
+Parameters live in a flat ordered dict of named tensors; one helper,
+``_sub``, derives each block's and each layer's view by name prefix.
 
 One forward pass serves training and enhancement. Feedforward dropout runs
 only when a generator is passed as ``rng``; whether the pass is recorded
@@ -141,26 +141,11 @@ def param_count(params: dict) -> int:
     return sum(p.data.size for p in params.values())
 
 
-def param_dtype(params: dict):
-    return next(iter(params.values())).data.dtype
-
-
 def _sub(params: dict, prefix: str) -> dict:
     view = {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
     if not view:
         raise ConfigurationError(f"no parameters under prefix {prefix!r}")
     return view
-
-
-def _block_views(params: dict, num_blocks: int) -> list:
-    views = [{} for _ in range(num_blocks)]
-    for key, value in params.items():
-        if key.startswith("block"):
-            head, _, rest = key.partition(".")
-            views[int(head[5:])][rest] = value
-    if any(not v for v in views):
-        raise ConfigurationError(f"parameters missing for {num_blocks} blocks")
-    return views
 
 
 # ---------------------------------------------------------------------------
@@ -272,8 +257,8 @@ def arn_forward_frames(frames: Tensor, params: dict, cfg: ARNConfig,
                        rng=None) -> Tensor:
     """Frame-domain network: (T, frame_in) -> (T, frame_out)."""
     h = frames @ params["input_proj.w"] + params["input_proj.b"]
-    for block_params in _block_views(params, cfg.num_blocks):
-        h = arn_block_forward(h, block_params, cfg, rng)
+    for i in range(cfg.num_blocks):
+        h = arn_block_forward(h, _sub(params, f"block{i}."), cfg, rng)
     return h @ params["output_proj.w"] + params["output_proj.b"]
 
 
@@ -286,7 +271,7 @@ def arn_forward(x, params: dict, cfg: ARNConfig, rng=None) -> Tensor:
     ``frame_in - frame_out`` samples are covered by no output frame and
     come out as zeros (the causal warm-up region).
     """
-    xt = Tensor(np.asarray(x, dtype=param_dtype(params)))
+    xt = Tensor(np.asarray(x, dtype=params["input_proj.w"].data.dtype))
     frames = tensor.frame_rows(xt, cfg.frame_in, cfg.shift)
     out_frames = arn_forward_frames(frames, params, cfg, rng)
     return tensor.overlap_add_rows(out_frames, cfg.shift, xt.data.shape[0],

@@ -106,9 +106,6 @@ class Tensor:
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
-    def backward(self):
-        backward(self)
-
     # operator sugar; the module-level functions do the work
     def __add__(self, other):
         return add(self, other)
@@ -121,9 +118,6 @@ class Tensor:
 
     def __matmul__(self, other):
         return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -197,8 +191,9 @@ def backward(loss: Tensor):
 
 
 # ---------------------------------------------------------------------------
-# binary elementwise ops: identical shapes, or a length-N vector (shape (N,)
-# or (1, N)) broadcast across the rows of a (T, N) matrix
+# binary elementwise ops: identical shapes, or a right operand that is a
+# length-N vector (shape (N,) or (1, N)) broadcast across the rows of the
+# (T, N) left operand, whose gradient therefore needs no reduction
 # ---------------------------------------------------------------------------
 
 def _check_binary(a: Tensor, b: Tensor):
@@ -206,8 +201,6 @@ def _check_binary(a: Tensor, b: Tensor):
     if sa == sb:
         return
     if len(sa) == 2 and sb in ((sa[1],), (1, sa[1])):
-        return
-    if len(sb) == 2 and sa in ((sb[1],), (1, sb[1])):
         return
     raise DimensionError(f"shapes {sa} and {sb} do not match or row-broadcast")
 
@@ -225,7 +218,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
     def _bw(g):
         if a.requires_grad:
-            a._acc(_reduce_to(g, a.data.shape))
+            a._acc(g)
         if b.requires_grad:
             b._acc(_reduce_to(g, b.data.shape))
 
@@ -238,7 +231,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
     def _bw(g):
         if a.requires_grad:
-            a._acc(_reduce_to(g, a.data.shape))
+            a._acc(g)
         if b.requires_grad:
             b._acc(_reduce_to(-g, b.data.shape))
 
@@ -251,7 +244,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
     def _bw(g):
         if a.requires_grad:
-            a._acc(_reduce_to(g * b.data, a.data.shape))
+            a._acc(g * b.data)
         if b.requires_grad:
             b._acc(_reduce_to(g * a.data, b.data.shape))
 
@@ -644,15 +637,6 @@ def rfft_magnitude(frames: Tensor, window: np.ndarray, n: int) -> Tensor:
 # ---------------------------------------------------------------------------
 # reductions and pointwise misc
 # ---------------------------------------------------------------------------
-
-def sum_all(a: Tensor) -> Tensor:
-    out = Tensor(a.data.sum())
-
-    def _bw(g):
-        a._acc(np.broadcast_to(g, a.data.shape))
-
-    return _record(out, (a,), _bw)
-
 
 def mean_all(a: Tensor) -> Tensor:
     out = Tensor(a.data.mean())

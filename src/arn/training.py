@@ -163,13 +163,13 @@ def checkpoint_from(params: dict, model_cfg: ARNConfig, adam: AdamState | None =
     )
 
 
-def params_from_checkpoint(ckpt: Checkpoint, dtype=np.float32) -> dict:
-    """Rebuild trainable tensors, validating against the config's shape table.
+def params_from_checkpoint(ckpt: Checkpoint) -> dict:
+    """Rebuild float32 trainable tensors, validating against the config's
+    shape table.
 
-    Arrays already of ``dtype`` are not copied: for float32 (the stored
-    precision) each parameter's data is the array in ``ckpt.tensors``, so
-    one copy of the weights is held, and an in-place update of a parameter
-    also changes the checkpoint object. Any other dtype gets a converted copy.
+    Nothing is copied: each parameter's data is the array in
+    ``ckpt.tensors``, so one copy of the weights is held, and an in-place
+    update of a parameter also changes the checkpoint object.
     """
     expected = model.param_shapes(ckpt.model_cfg)
     if set(ckpt.tensors) != set(expected):
@@ -183,7 +183,7 @@ def params_from_checkpoint(ckpt: Checkpoint, dtype=np.float32) -> dict:
         if arr.shape != shape:
             raise CheckpointShapeError(
                 f"{name}: stored shape {arr.shape} != declared {shape}")
-        params[name] = tensor.Tensor(arr.astype(dtype, copy=False), requires_grad=True)
+        params[name] = tensor.Tensor(arr, requires_grad=True)
     return params
 
 
@@ -400,11 +400,13 @@ def _read_checkpoint(fh) -> Checkpoint:
 
 
 def fit(params: dict, model_cfg: ARNConfig, cfg: TrainConfig, mixer,
-        val_pairs=None, out_dir=None, log=None, progress=None) -> float:
-    """Full training run with periodic validation and best-model saving.
+        val_pairs, out_dir, log=None, progress=None) -> float:
+    """Full training run with validation every ``cfg.validate_every`` epochs.
 
-    ``best.ckpt`` is rewritten only on a strict improvement. Returns the
-    best validation score (or ``-inf`` if never validated).
+    ``best.ckpt`` in ``out_dir`` is rewritten, without Adam state, only on a
+    strict improvement of the mean SI-SNR over ``val_pairs``; ``last.ckpt``
+    holds the final parameters and Adam state. Returns the best validation
+    score (``-inf`` if no epoch was validated).
     """
     adam = AdamState.for_params(params)
     best = -math.inf
@@ -412,16 +414,14 @@ def fit(params: dict, model_cfg: ARNConfig, cfg: TrainConfig, mixer,
         mean_loss = train_epoch(params, model_cfg, adam, cfg, mixer, epoch, log)
         if progress is not None:
             progress(epoch, mean_loss)
-        if val_pairs and epoch % cfg.validate_every == 0:
+        if epoch % cfg.validate_every == 0:
             score = validate(params, model_cfg, val_pairs)
             if score > best:
                 best = score
-                if out_dir is not None:
-                    # weights only, so enhancing from it reads no Adam moments;
-                    # last.ckpt keeps them for resuming
-                    ckpt = checkpoint_from(params, model_cfg, best_score=best, epoch=epoch)
-                    save_checkpoint(ckpt, os.path.join(os.fspath(out_dir), "best.ckpt"))
-    if out_dir is not None:
-        ckpt = checkpoint_from(params, model_cfg, adam, best, cfg.epochs)
-        save_checkpoint(ckpt, os.path.join(os.fspath(out_dir), "last.ckpt"))
+                # weights only, so enhancing from it reads no Adam moments;
+                # last.ckpt keeps them for resuming
+                ckpt = checkpoint_from(params, model_cfg, best_score=best, epoch=epoch)
+                save_checkpoint(ckpt, os.path.join(os.fspath(out_dir), "best.ckpt"))
+    ckpt = checkpoint_from(params, model_cfg, adam, best, cfg.epochs)
+    save_checkpoint(ckpt, os.path.join(os.fspath(out_dir), "last.ckpt"))
     return best

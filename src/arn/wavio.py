@@ -3,16 +3,17 @@
 Accepts mono 16 kHz files encoded as 16-bit PCM or 32-bit IEEE float;
 anything else is rejected, and so are float samples that are NaN or
 infinite. Unknown chunks are skipped and non-canonical chunk order is
-tolerated. PCM samples map to reals as ``int / 32768``;
-on write, reals are rounded and clamped symmetrically to +-32767. Writing
-refuses samples that are NaN, infinite or beyond float32's range, in
-either encoding, and then writes no file.
+tolerated. ``read_wav`` returns the samples as a float64 array, since the
+accepted rate and channel count are fixed. PCM samples map to reals as
+``int / 32768``; on write, always mono at ``SAMPLE_RATE``, reals are rounded
+and clamped symmetrically to +-32767. Writing refuses samples that are NaN,
+infinite or beyond float32's range, in either encoding, and then writes no
+file.
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -25,15 +26,7 @@ class WavFormatError(ValueError):
     """The file is not a WAV this tool accepts."""
 
 
-@dataclass
-class WavFile:
-    sample_rate: int
-    channels: int
-    encoding: str               # "pcm16" or "float32"
-    samples: np.ndarray         # float64, shape (M,)
-
-
-def read_wav(path) -> WavFile:
+def read_wav(path) -> np.ndarray:
     raw = Path(path).read_bytes()
     if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
         raise WavFormatError(f"{path}: not a RIFF/WAVE file")
@@ -60,11 +53,9 @@ def read_wav(path) -> WavFile:
     audio_format, channels, sample_rate, _, _, bits = fmt
 
     if audio_format == 1 and bits == 16:
-        encoding = "pcm16"
         ints = np.frombuffer(data[:len(data) - len(data) % 2], dtype="<i2")
         samples = ints.astype(np.float64) / 32768.0
     elif audio_format == 3 and bits == 32:
-        encoding = "float32"
         floats = np.frombuffer(data[:len(data) - len(data) % 4], dtype="<f4")
         samples = floats.astype(np.float64)
         if not np.isfinite(samples).all():
@@ -81,11 +72,10 @@ def read_wav(path) -> WavFile:
     if sample_rate != SAMPLE_RATE:
         raise WavFormatError(
             f"{path}: sample rate {sample_rate}, need {SAMPLE_RATE} (no resampling)")
-    return WavFile(sample_rate, channels, encoding, samples)
+    return samples
 
 
-def write_wav(path, samples, encoding: str = "float32",
-              sample_rate: int = SAMPLE_RATE):
+def write_wav(path, samples, encoding: str = "float32"):
     samples = np.asarray(samples, dtype=np.float64).reshape(-1)
     bad = np.flatnonzero(~(np.abs(samples) <= _FLOAT32_MAX))
     if bad.size:
@@ -103,8 +93,8 @@ def write_wav(path, samples, encoding: str = "float32",
         raise ValueError(f"unknown encoding {encoding!r}")
 
     block_align = bits // 8
-    fmt_body = struct.pack("<HHIIHH", audio_format, 1, sample_rate,
-                           sample_rate * block_align, block_align, bits)
+    fmt_body = struct.pack("<HHIIHH", audio_format, 1, SAMPLE_RATE,
+                           SAMPLE_RATE * block_align, block_align, bits)
     chunks = b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body
     chunks += b"data" + struct.pack("<I", len(payload)) + payload
     if len(payload) & 1:

@@ -9,6 +9,7 @@ elementary recorded ops, as oracles for the fused ``tensor.lstm_sequence``;
 ``lstm_sequence_graph`` chains them over a whole sequence, ``lstm_stepwise``
 iterates ``lstm_graph_step`` over the op's own tiled projection, and
 ``flip_rows`` gives the time-reversed LSTM as flip, LSTM, flip.
+``sum_all`` reduces a tensor to the scalar loss most gradient tests sweep.
 ``transpose``, ``softmax_rows``, ``causal_mask``, ``gelu``, ``slice_cols``
 and ``dropout_apply`` are recorded elementary ops that build the whole-array
 graphs ``attention_graph`` and ``feedforward_graph``, the oracles for the
@@ -165,6 +166,15 @@ _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 class DegenerateRowError(ValueError):
     """A softmax row contains no finite entry to normalize over."""
+
+
+def sum_all(a: Tensor) -> Tensor:
+    out = Tensor(a.data.sum())
+
+    def _bw(g):
+        a._acc(np.broadcast_to(g, a.data.shape))
+
+    return tensor._record(out, (a,), _bw)
 
 
 def transpose(a: Tensor) -> Tensor:

@@ -1,11 +1,15 @@
-"""Every name a module of the ``arn`` package imports is used in it."""
+"""Every name a module of the ``arn`` package imports is used in it, and
+every name it defines is read by program code."""
 
 import ast
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "arn"
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "arn"
+# the program code: the package, its scripts and the benchmark
+READERS = (PACKAGE, ROOT / "scripts", ROOT / "perfbench")
 
 
 def unused_imports(source: str) -> list:
@@ -48,3 +52,67 @@ def test_checker_flags_only_unused_names():
               "def f(x: Tensor):\n"
               "    return np.zeros(os.path.sep.count('/'))\n")
     assert unused_imports(source) == ["math (line 2)"]
+
+
+def defined_names(source: str) -> dict:
+    """Top-level functions, classes and assigned names of ``source``, dunders
+    excepted, each with its line."""
+    names = {}
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names[node.name] = node.lineno
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update((t.id, node.lineno) for t in targets if isinstance(t, ast.Name))
+    return {name: line for name, line in names.items()
+            if not (name.startswith("__") and name.endswith("__"))}
+
+
+def read_names(source: str) -> set:
+    """Names ``source`` reads: loaded ``Name`` nodes, attribute names (so
+    ``tensor.attention`` reads ``attention``) and string constants, since
+    ``perfbench/tracing.py`` binds its wrappers by name. A definition or an
+    assignment is not a read."""
+    read = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            read.add(node.value)
+    return read
+
+
+def unread_names(modules: dict, readers: list) -> list:
+    """``module: name (line n)`` for every name defined by the sources in
+    ``modules`` (module name -> source) that no source in ``readers`` reads."""
+    read = set().union(*map(read_names, readers))
+    return sorted(f"{module}: {name} (line {line})"
+                  for module, source in modules.items()
+                  for name, line in defined_names(source).items() if name not in read)
+
+
+def test_every_package_name_has_a_program_reader():
+    modules = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    readers = [p.read_text() for d in READERS for p in sorted(d.rglob("*.py"))]
+    assert unread_names(modules, readers) == []
+
+
+def test_name_checker_counts_only_reads():
+    lib = ("import numpy as np\n"
+           "LIMIT = 3\n"
+           "UNUSED: int = 4\n"
+           "__version__ = '1'\n"
+           "class Box:\n"
+           "    def method(self): pass\n"
+           "def helper(x): return x\n"
+           "def wrapped(): pass\n"
+           "def called(): return np.zeros(LIMIT)\n")
+    user = ("from lib import Box\n"
+            "import lib\n"
+            "SPANS = {'lib': ('wrapped',)}\n"
+            "lib.called()\n"
+            "box = Box()\n")
+    assert unread_names({"lib.py": lib}, [lib, user]) == [
+        "lib.py: UNUSED (line 3)", "lib.py: helper (line 7)"]

@@ -1,6 +1,8 @@
 """Dynamic mixing pipeline: silence trimming, SNR-exact mixtures,
 deterministic batch sampling."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -174,6 +176,29 @@ class TestMakeMixture:
             make_mixture(MixtureRecipe("s", "n", 0, 0, snr_db),
                          rng.standard_normal(100), rng.standard_normal(100), 100)
 
+    @pytest.mark.parametrize("snr_db", [-3080, -6000])
+    def test_overflowing_mixture_power_rejected_without_warning(self, snr_db):
+        # the noise gain is finite, but the mixture's mean square is not
+        rng = np.random.default_rng(12)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DegenerateSignalError, match=f"SNR {snr_db} dB"):
+                make_mixture(MixtureRecipe("s", "n", 0, 0, snr_db),
+                             rng.standard_normal(8000), rng.standard_normal(8000), 8000)
+
+    @pytest.mark.parametrize("snr_db", [-300, -700])
+    def test_extreme_finite_snr_mixed_as_given(self, snr_db):
+        rng = np.random.default_rng(13)
+        s = rng.standard_normal(2000)
+        n = rng.standard_normal(2000)
+        n *= rms(s) / rms(n)  # equal RMS
+        x, s_out = make_mixture(MixtureRecipe("s", "n", 0, 0, snr_db), s, n, 2000)
+        assert np.isfinite(x).all() and rms(x) == pytest.approx(1.0)
+        g2 = s_out[0] / s[0]
+        assert g2 > 0.0
+        implied_gain = (x - s_out)[0] / (g2 * n[0])
+        assert implied_gain == pytest.approx(10.0 ** (-snr_db / 20), rel=1e-9)
+
     def test_noise_gain_of_extreme_finite_snrs(self):
         assert mixing.noise_gain(20) == 0.1
         assert mixing.noise_gain(-6000) == 10.0 ** 300
@@ -277,7 +302,7 @@ class UncachedIndex(CorpusIndex):
     per-window loop again on every draw."""
 
     def load(self, utt_id):
-        return read_wav(self.root / self.entries[utt_id][0]).samples
+        return read_wav(self.root / self.entries[utt_id][0])
 
     def trimmed(self, utt_id, trim_db):
         return trim_silence_loop(self.load(utt_id), trim_db)

@@ -36,6 +36,7 @@ from gradtools import (
     finite_diff,
     lstm_graph_step,
     lstm_step,
+    sum_all,
     traced_peak,
 )
 
@@ -130,7 +131,7 @@ def sequence_grad_error(run, x, weights, seed):
     mix = Tensor(np.random.default_rng(seed).standard_normal(shape))
 
     def build():
-        return tensor.sum_all(tensor.mul(run(x), mix))
+        return sum_all(tensor.mul(run(x), mix))
 
     tensor.backward(build())
 
@@ -196,7 +197,7 @@ class TestLstm:
         # gradient, not none, and the packing concat's backward still runs
         w = lstm_weights(3, 2, seed=33)
         x = Tensor(np.random.default_rng(34).standard_normal((1, 3)))
-        tensor.backward(tensor.sum_all(lstm_sequence(x, w)))
+        tensor.backward(sum_all(lstm_sequence(x, w)))
         for gate in "ifgo":
             np.testing.assert_array_equal(w[f"w_{gate}h"].grad, np.zeros((2, 2)))
         assert np.abs(w["w_ix"].grad).max() > 0
@@ -416,7 +417,7 @@ class TestAttention:
             p = attn_params(n, 71)
             qkv = [Tensor(a, requires_grad=True) for a in arrays]
             out = block(*qkv, p, causal)
-            tensor.backward(tensor.sum_all(tensor.mul(out, mix)))
+            tensor.backward(sum_all(tensor.mul(out, mix)))
             results.append([out.data] + [t.grad for t in qkv]
                            + [p[k].grad for k in sorted(p)])
         for got, want in zip(*results):
@@ -432,7 +433,7 @@ class TestAttention:
         mix = Tensor(rng.standard_normal((5, n)))
 
         def build():
-            return tensor.sum_all(tensor.mul(attention_block(q, kv, kv, p, causal), mix))
+            return sum_all(tensor.mul(attention_block(q, kv, kv, p, causal), mix))
 
         tensor.backward(build())
 
@@ -512,7 +513,7 @@ class TestFeedforward:
         mix = rng.standard_normal((3, n))
 
         def build():
-            return tensor.sum_all(tensor.mul(
+            return sum_all(tensor.mul(
                 feedforward_block(x, w, b, 0.0), Tensor(mix)))
 
         tensor.backward(build())
@@ -566,6 +567,11 @@ class TestFullForward:
         x = np.random.default_rng(33).standard_normal(50)
         out = model.enhance(x, params, cfg)
         np.testing.assert_array_equal(out, np.zeros(50))
+
+    def test_missing_block_parameters_named(self):
+        params = init_params(toy_cfg(num_blocks=1), np.random.default_rng(60))
+        with pytest.raises(ConfigurationError, match=r"'block1\.'"):
+            arn_forward(np.zeros(40), params, toy_cfg(num_blocks=2))
 
     @pytest.mark.parametrize("m", [100, 16000, 64001])
     def test_output_length_matches_input(self, m):
@@ -701,7 +707,7 @@ class TestGraphFreeing:
             assert len(nodes) > 50
             inner = weakref.ref(loss._parents[0])
             if run_backward:
-                loss.backward()
+                tensor.backward(loss)
             del loss
             assert inner() is None
             assert [r for r in nodes if r() is not None] == []
@@ -741,7 +747,7 @@ class TestSweepReleasesGraph:
         params, loss = model_loss(causal, 51, dropout=0.1)
         nodes = graph_of(loss)
         data = [node.data.copy() for node in nodes]
-        loss.backward()
+        tensor.backward(loss)
         for node, before in zip(nodes, data):
             assert node.grad is None
             assert node._parents == ()

@@ -35,6 +35,7 @@ from gradtools import (
     rfft_magnitude_graph,
     slice_cols,
     softmax_rows,
+    sum_all,
     traced_peak,
 )
 
@@ -63,12 +64,12 @@ class TestMatmul:
         b = Tensor(rand((4, 3), 3), requires_grad=True)
         w = rand((5, 3), 4)  # weighting makes the adjoints non-trivial
 
-        loss = tensor.sum_all(tensor.mul(a @ b, Tensor(w)))
+        loss = sum_all(tensor.mul(a @ b, Tensor(w)))
         tensor.backward(loss)
 
         def f():
             with tensor.no_grad():
-                return tensor.sum_all(tensor.mul(a @ b, Tensor(w))).item()
+                return sum_all(tensor.mul(a @ b, Tensor(w))).item()
 
         fd = finite_diff(f, [a.data, b.data])
         assert check_grads([a.grad, b.grad], fd) < 1e-6
@@ -117,17 +118,22 @@ class TestElementwise:
     def test_broadcast_rejects_other_shapes(self):
         with pytest.raises(DimensionError):
             tensor.add(Tensor(rand((3, 4))), Tensor(rand((3, 1))))
+        # the row vector is broadcast only as the right operand
+        for op in (tensor.add, tensor.sub, tensor.mul):
+            for left in (rand(4), rand((1, 4))):
+                with pytest.raises(DimensionError):
+                    op(Tensor(left), Tensor(rand((3, 4))))
 
     def test_row_broadcast_gradient_sums_over_rows(self):
         x = Tensor(rand((3, 4), 7), requires_grad=True)
         b = Tensor(rand(4, 8), requires_grad=True)
         w = rand((3, 4), 9)
-        loss = tensor.sum_all(tensor.mul(x + b, Tensor(w)))
+        loss = sum_all(tensor.mul(x + b, Tensor(w)))
         tensor.backward(loss)
 
         def f():
             with tensor.no_grad():
-                return tensor.sum_all(tensor.mul(x + b, Tensor(w))).item()
+                return sum_all(tensor.mul(x + b, Tensor(w))).item()
 
         fd = finite_diff(f, [x.data, b.data])
         assert check_grads([x.grad, b.grad], fd) < 1e-6
@@ -137,12 +143,12 @@ class TestElementwise:
     def test_unary_gradients(self, op):
         x = Tensor(rand((4, 5), 11) + 0.1, requires_grad=True)  # keep |x| off 0
         w = rand((4, 5), 12)
-        loss = tensor.sum_all(tensor.mul(op(x), Tensor(w)))
+        loss = sum_all(tensor.mul(op(x), Tensor(w)))
         tensor.backward(loss)
 
         def f():
             with tensor.no_grad():
-                return tensor.sum_all(tensor.mul(op(x), Tensor(w))).item()
+                return sum_all(tensor.mul(op(x), Tensor(w))).item()
 
         assert check_grads([x.grad], finite_diff(f, [x.data])) < 1e-6
 
@@ -180,12 +186,12 @@ class TestSoftmaxRows:
     def test_gradient(self):
         w = Tensor(rand((4, 4), 13), requires_grad=True)
         c = rand((4, 4), 14)
-        loss = tensor.sum_all(tensor.mul(softmax_rows(w), Tensor(c)))
+        loss = sum_all(tensor.mul(softmax_rows(w), Tensor(c)))
         tensor.backward(loss)
 
         def f():
             with tensor.no_grad():
-                return tensor.sum_all(
+                return sum_all(
                     tensor.mul(softmax_rows(w), Tensor(c))).item()
 
         assert check_grads([w.grad], finite_diff(f, [w.data])) < 1e-6
@@ -193,13 +199,13 @@ class TestSoftmaxRows:
     def test_masked_gradient_skips_future(self):
         w = Tensor(rand((3, 3), 15), requires_grad=True)
         c = rand((3, 3), 16)
-        loss = tensor.sum_all(
+        loss = sum_all(
             tensor.mul(softmax_rows(causal_mask(w)), Tensor(c)))
         tensor.backward(loss)
 
         def f():
             with tensor.no_grad():
-                return tensor.sum_all(
+                return sum_all(
                     tensor.mul(softmax_rows(causal_mask(w)),
                                Tensor(c))).item()
 
@@ -211,13 +217,13 @@ class TestSoftmaxRows:
 class TestBackward:
     def test_polynomial(self):
         x = Tensor(np.array([1.0, -2.0, 3.0]), requires_grad=True)
-        tensor.backward(tensor.sum_all(x * x))
+        tensor.backward(sum_all(x * x))
         np.testing.assert_allclose(x.grad, 2.0 * x.data)
 
     def test_matmul_adjoint(self):
         a = Tensor(rand((3, 4), 17), requires_grad=True)
         b = Tensor(rand((4, 2), 18), requires_grad=True)
-        tensor.backward(tensor.sum_all(a @ b))
+        tensor.backward(sum_all(a @ b))
         np.testing.assert_allclose(a.grad, np.ones((3, 2)) @ b.data.T)
         np.testing.assert_allclose(b.grad, a.data.T @ np.ones((3, 2)))
 
@@ -237,15 +243,15 @@ class TestBackward:
         b = rand(5, 21)
 
         x = Tensor(base.copy(), requires_grad=True)
-        f = tensor.sum_all(tensor.mul(x, Tensor(a)))
-        g = tensor.sum_all(tensor.mul(tensor.tanh(x), Tensor(b)))
+        f = sum_all(tensor.mul(x, Tensor(a)))
+        g = sum_all(tensor.mul(tensor.tanh(x), Tensor(b)))
         tensor.backward(f + g)
         combined = x.grad.copy()
 
         x1 = Tensor(base.copy(), requires_grad=True)
-        tensor.backward(tensor.sum_all(tensor.mul(x1, Tensor(a))))
+        tensor.backward(sum_all(tensor.mul(x1, Tensor(a))))
         x2 = Tensor(base.copy(), requires_grad=True)
-        tensor.backward(tensor.sum_all(tensor.mul(tensor.tanh(x2), Tensor(b))))
+        tensor.backward(sum_all(tensor.mul(tensor.tanh(x2), Tensor(b))))
 
         np.testing.assert_allclose(combined, x1.grad + x2.grad, rtol=1e-12)
 
@@ -256,11 +262,11 @@ class TestBackward:
         x = Tensor(rand(4, 22), requires_grad=True)
         w = Tensor(rand(4, 23), requires_grad=True)
         y = tensor.tanh(tensor.mul(x, w))
-        first = tensor.sum_all(y)
+        first = sum_all(y)
         tensor.backward(first)
         gx, gw = x.grad.copy(), w.grad.copy()
         np.testing.assert_allclose(gx, (1 - y.data ** 2) * w.data, rtol=1e-12)
-        for again in (tensor.sum_all(tensor.scale(y, 2.0)), first):
+        for again in (sum_all(tensor.scale(y, 2.0)), first):
             with pytest.raises(RuntimeError, match="swept once"):
                 tensor.backward(again)
             np.testing.assert_array_equal(x.grad, gx)
@@ -272,7 +278,7 @@ class TestBackward:
         x = Tensor(np.array([[2.0]]), requires_grad=True)
         y = x + x          # 2x
         z = tensor.mul(y, x)  # 2x^2, dz/dx = 4x = 8
-        tensor.backward(tensor.sum_all(z))
+        tensor.backward(sum_all(z))
         assert x.grad[0, 0] == pytest.approx(8.0)
 
 
@@ -299,12 +305,12 @@ class TestStructuralOps:
         x = Tensor(rand((4, 3), 25), requires_grad=True)
         shape = build(x).shape
         w = rand(shape, 26)
-        loss = tensor.sum_all(tensor.mul(build(x), Tensor(w)))
+        loss = sum_all(tensor.mul(build(x), Tensor(w)))
         tensor.backward(loss)
 
         def f():
             with tensor.no_grad():
-                return tensor.sum_all(tensor.mul(build(x), Tensor(w))).item()
+                return sum_all(tensor.mul(build(x), Tensor(w))).item()
 
         assert check_grads([x.grad], finite_diff(f, [x.data])) < 1e-6
 
@@ -316,12 +322,12 @@ class TestStructuralOps:
             frames = tensor.frame_rows(t, 4, 2)
             return tensor.overlap_add_rows(frames, 2, 11)
 
-        loss = tensor.sum_all(tensor.mul(build(x), Tensor(w)))
+        loss = sum_all(tensor.mul(build(x), Tensor(w)))
         tensor.backward(loss)
 
         def f():
             with tensor.no_grad():
-                return tensor.sum_all(tensor.mul(build(x), Tensor(w))).item()
+                return sum_all(tensor.mul(build(x), Tensor(w))).item()
 
         assert check_grads([x.grad], finite_diff(f, [x.data])) < 1e-6
 
@@ -332,7 +338,7 @@ class TestStructuralOps:
         w = rand((3, 5), 32)
 
         def build():
-            return tensor.sum_all(tensor.mul(
+            return sum_all(tensor.mul(
                 tensor.layer_norm_rows(x, gamma, beta, 1e-5), Tensor(w)))
 
         tensor.backward(build())
@@ -376,7 +382,7 @@ class TestDropout:
 
         def build():
             rng = np.random.default_rng(99)  # same mask every evaluation
-            return tensor.sum_all(tensor.mul(
+            return sum_all(tensor.mul(
                 dropout_apply(x, 0.3, "train", rng), Tensor(w)))
 
         tensor.backward(build())
@@ -399,7 +405,7 @@ def weighted_sum_grads(build, arrays, weights):
     leaves = [Tensor(a, requires_grad=True) for a in arrays]
 
     def loss():
-        return tensor.sum_all(tensor.mul(build(*leaves), Tensor(weights)))
+        return sum_all(tensor.mul(build(*leaves), Tensor(weights)))
 
     tensor.backward(loss())
 
@@ -487,7 +493,7 @@ class TestLstmNode:
                       flipped_lstm if reverse else tensor.lstm_sequence):
             leaves = [Tensor(a, requires_grad=True) for a in arrays]
             out = build(*leaves)
-            tensor.backward(tensor.sum_all(tensor.mul(out, mix)))
+            tensor.backward(sum_all(tensor.mul(out, mix)))
             grads.append([out.data] + [t.grad for t in leaves])
         for want in grads[1:]:
             for a, b in zip(grads[0], want):
@@ -545,7 +551,7 @@ class TestLayerNormRows:
         grads = []
         for op in (tensor.layer_norm_rows, layer_norm_whole):
             leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-            tensor.backward(tensor.sum_all(tensor.mul(op(*leaves, 1e-5), mix)))
+            tensor.backward(sum_all(tensor.mul(op(*leaves, 1e-5), mix)))
             grads.append([t.grad for t in leaves])
         for a, b in zip(*grads):
             np.testing.assert_array_equal(a, b)
@@ -575,10 +581,10 @@ class TestFramingOracle:
             x = Tensor(signal.copy(), requires_grad=True)
             x.grad = prior_grad.copy()  # backward adds onto an existing gradient
             frames = frame(x, frame_len, shift)
-            tensor.backward(tensor.sum_all(tensor.mul(frames, Tensor(frame_weights))))
+            tensor.backward(sum_all(tensor.mul(frames, Tensor(frame_weights))))
             f = Tensor(frames_in.copy(), requires_grad=True)
             out = overlap(f, shift, m, offset)
-            tensor.backward(tensor.sum_all(tensor.mul(out, Tensor(out_weights))))
+            tensor.backward(sum_all(tensor.mul(out, Tensor(out_weights))))
             results.append((frames.data, x.grad, out.data, f.grad))
         for a, b in zip(*results):
             assert a.dtype == b.dtype
@@ -647,7 +653,7 @@ class TestRfftMagnitude:
         x = Tensor(signal.copy(), requires_grad=True)
         frames = tensor.frame_rows(x, window.size, hop)
         out = op(frames, window, n)
-        tensor.backward(tensor.sum_all(tensor.mul(out, Tensor(weights))))
+        tensor.backward(sum_all(tensor.mul(out, Tensor(weights))))
         return out.data, x.grad
 
     @pytest.mark.parametrize("n, win_len, hop, m", CASES)
@@ -699,7 +705,7 @@ class TestRfftMagnitude:
     def test_nan_frame_gives_nan_gradient(self):
         frames = Tensor(rand((3, 8), 9), requires_grad=True)
         frames.data[1, 2] = np.nan
-        tensor.backward(tensor.sum_all(tensor.rfft_magnitude(frames, np.ones(8), 8)))
+        tensor.backward(sum_all(tensor.rfft_magnitude(frames, np.ones(8), 8)))
         assert np.isnan(frames.grad[1]).all() and np.isfinite(frames.grad[[0, 2]]).all()
 
     def test_bad_shapes_rejected(self):
@@ -728,7 +734,7 @@ class TestRowTiledMemory:
         with tensor.no_grad():
             assert traced_peak(lambda: tensor.attention(q, k, v, causal)) < bound
         assert traced_peak(lambda: tensor.backward(
-            tensor.sum_all(tensor.attention(q, k, v, causal)))) < bound
+            sum_all(tensor.attention(q, k, v, causal)))) < bound
         assert q.grad.shape == k.grad.shape == v.grad.shape == (self.STEPS, self.WIDTH)
 
     @pytest.mark.parametrize("reverse", [False, True])

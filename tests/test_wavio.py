@@ -13,10 +13,10 @@ def test_float32_round_trip_bit_identical(tmp_path):
     x = np.random.default_rng(0).standard_normal(1000).astype(np.float32)
     path = tmp_path / "a.wav"
     write_wav(path, x, encoding="float32")
-    wav = read_wav(path)
-    assert wav.encoding == "float32"
-    assert wav.sample_rate == 16000 and wav.channels == 1
-    assert wav.samples.astype(np.float32).tobytes() == x.tobytes()
+    rate, stored = wavfile.read(path)
+    assert stored.dtype == np.float32
+    assert rate == 16000 and stored.ndim == 1
+    assert read_wav(path).astype(np.float32).tobytes() == x.tobytes()
 
 
 def test_pcm16_round_trip_value_identical(tmp_path):
@@ -24,15 +24,14 @@ def test_pcm16_round_trip_value_identical(tmp_path):
     x = ints / 32768.0
     path = tmp_path / "b.wav"
     write_wav(path, x, encoding="pcm16")
-    wav = read_wav(path)
-    assert wav.encoding == "pcm16"
-    np.testing.assert_array_equal(wav.samples, x)
+    assert wavfile.read(path)[1].dtype == np.int16
+    np.testing.assert_array_equal(read_wav(path), x)
 
 
 def test_pcm16_write_clamps_symmetrically(tmp_path):
     path = tmp_path / "c.wav"
     write_wav(path, np.array([2.0, -2.0, 0.0]), encoding="pcm16")
-    samples = read_wav(path).samples
+    samples = read_wav(path)
     np.testing.assert_allclose(samples, [32767 / 32768, -32767 / 32768, 0.0])
 
 
@@ -48,8 +47,7 @@ def test_unknown_chunks_skipped_and_order_tolerated(tmp_path):
     blob = b"RIFF" + struct.pack("<I", 4 + len(body)) + b"WAVE" + body
     path = tmp_path / "odd.wav"
     path.write_bytes(blob)
-    wav = read_wav(path)
-    np.testing.assert_allclose(wav.samples, x.astype(np.float64))
+    np.testing.assert_allclose(read_wav(path), x.astype(np.float64))
 
 
 @pytest.mark.parametrize("mutate", [
@@ -68,7 +66,7 @@ def test_malformed_files_rejected(tmp_path, mutate):
 
 def test_wrong_rate_rejected(tmp_path):
     path = tmp_path / "rate.wav"
-    write_wav(path, np.zeros(16), sample_rate=8000)
+    wavfile.write(path, 8000, np.zeros(16, dtype=np.float32))
     with pytest.raises(WavFormatError):
         read_wav(path)
 
@@ -123,4 +121,4 @@ def test_write_accepts_float32_extremes(tmp_path):
     tiny = float(np.finfo(np.float32).smallest_subnormal)
     path = tmp_path / "edge.wav"
     write_wav(path, [top, -top, tiny])
-    np.testing.assert_array_equal(read_wav(path).samples, [top, -top, tiny])
+    np.testing.assert_array_equal(read_wav(path), [top, -top, tiny])
