@@ -141,6 +141,11 @@ def param_count(params: dict) -> int:
     return sum(p.data.size for p in params.values())
 
 
+def _prefixes(names) -> list:
+    """The distinct first components of dotted names, e.g. ``'block1.'``."""
+    return sorted({name.split(".", 1)[0] + "." for name in names})
+
+
 def _sub(params: dict, prefix: str) -> dict:
     view = {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
     if not view:
@@ -159,15 +164,14 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
 def lstm_sequence(x: Tensor, w: dict, reverse: bool = False) -> Tensor:
     """Run an LSTM over the rows of (T, n_in); initial state is zero.
 
-    The gates' weights and biases are concatenated in gate order i, f, g, o
-    and go to one recorded op, ``tensor.lstm_sequence``, which makes the
+    The gates' weights and biases go, in gate order i, f, g, o and without
+    a copy, to one recorded op, ``tensor.lstm_sequence``, which makes the
     input projection and runs the recurrence over all T steps, backward in
     time when ``reverse``.
     """
-    w_x = tensor.concat([w["w_ix"], w["w_fx"], w["w_gx"], w["w_ox"]], axis=1)
-    w_h = tensor.concat([w["w_ih"], w["w_fh"], w["w_gh"], w["w_oh"]], axis=1)
-    bias = tensor.concat([w["b_i"], w["b_f"], w["b_g"], w["b_o"]], axis=0)
-    return tensor.lstm_sequence(x, w_x, bias, w_h, reverse)
+    return tensor.lstm_sequence(x, [w[f"w_{g}x"] for g in _GATES],
+                                [w[f"b_{g}"] for g in _GATES],
+                                [w[f"w_{g}h"] for g in _GATES], reverse)
 
 
 def blstm_sequence(x: Tensor, fwd: dict, bwd: dict) -> Tensor:
@@ -223,11 +227,10 @@ def feedforward_block(x: Tensor, w: Tensor, b: Tensor, dropout_rate: float,
     ``rng.random((T, 4N)) >= rate`` and scaled by 1/(1 - rate). Without a
     generator (or at rate 0) nothing is drawn. ``ARNConfig`` checks the rate.
     """
-    mask = None
+    keep = None
     if rng is not None and dropout_rate > 0.0:
         keep = rng.random((x.shape[0], w.shape[1])) >= dropout_rate
-        mask = keep.astype(np.result_type(x.data, w.data, b.data)) / (1.0 - dropout_rate)
-    return tensor.feedforward(x, w, b, mask)
+    return tensor.feedforward(x, w, b, keep, dropout_rate)
 
 
 def arn_block_forward(x: Tensor, block_params: dict, cfg: ARNConfig,
@@ -269,8 +272,15 @@ def arn_forward(x, params: dict, cfg: ARNConfig, rng=None) -> Tensor:
     input frame t's span, so for a causal configuration every output sample
     depends only on input the model has already seen. The leading
     ``frame_in - frame_out`` samples are covered by no output frame and
-    come out as zeros (the causal warm-up region).
+    come out as zeros (the causal warm-up region). ``params`` must hold
+    exactly the names of ``param_shapes(cfg)``.
     """
+    expected = param_shapes(cfg).keys()
+    if params.keys() != expected:
+        raise ConfigurationError(
+            "parameter table does not match the config: names missing under "
+            f"{_prefixes(expected - params.keys())}, extra under "
+            f"{_prefixes(params.keys() - expected)}")
     xt = Tensor(np.asarray(x, dtype=params["input_proj.w"].data.dtype))
     frames = tensor.frame_rows(xt, cfg.frame_in, cfg.shift)
     out_frames = arn_forward_frames(frames, params, cfg, rng)

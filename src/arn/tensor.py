@@ -24,12 +24,14 @@ swept once: a second ``backward`` that reaches a swept node raises
 ``RuntimeError`` before it writes any gradient.
 
 ``lstm_sequence`` records one node for all T time steps, forward or backward
-in time. Its forward loop is plain numpy and allocates nothing per step: it
-writes the input projection, one tile of ``TILE_ROWS`` rows at a time, into
-one activation buffer and turns each row into the four gates in place with
-one tanh (sigmoid in its tanh form, as ``sigmoid`` computes it). Only when
-recording does it keep the (T, 4H) gate activations and the (T, H) cell
-states, over which its backward pass runs backpropagation through time.
+in time, and reads each gate's weights where they lie. Its forward loop is
+plain numpy and allocates nothing per step: it writes the input projection,
+one tile of ``TILE_ROWS`` rows and one gate at a time, into one activation
+buffer and turns each row into the four gates in place with one tanh
+(sigmoid in its tanh form, as ``sigmoid`` computes it). Only when recording
+does it keep the (T, 4H) gate activations and the (T, H) cell states, over
+which its backward pass runs backpropagation through time; it keeps no
+copy of the weights.
 ``attention`` and ``feedforward`` work over the same row tiles and recompute
 each tile in their backward pass, so their memory grows linearly in T.
 ``layer_norm_rows`` writes its output in place and keeps only each row's
@@ -39,6 +41,7 @@ rows' spectrum, and its backward pass is the adjoint transform, an ``irfft``.
 
 from __future__ import annotations
 
+import functools
 import math
 import weakref
 from contextlib import contextmanager
@@ -340,46 +343,54 @@ def _row_tiles(steps: int):
 # recurrence
 # ---------------------------------------------------------------------------
 
-def lstm_sequence(x: Tensor, w_x: Tensor, b: Tensor, w_h: Tensor,
-                  reverse: bool = False) -> Tensor:
+def lstm_sequence(x: Tensor, w_x, b, w_h, reverse: bool = False) -> Tensor:
     """LSTM over the rows of ``x`` from a zero state, as one recorded op.
 
-    ``x`` is (T, K), ``w_x`` the (K, 4H) input weights, ``b`` the (4H,) bias
-    and ``w_h`` the (H, 4H) recurrent weights, all in gate order i, f, g, o.
-    Row t of the (T, H) output is h_t, where z_t = x_t w_x + b + h_prev w_h,
+    ``x`` is (T, K); ``w_x``, ``b`` and ``w_h`` are each four tensors in gate
+    order i, f, g, o: the (K, H) input weights, the (H,) biases and the
+    (H, H) recurrent weights. Row t of the (T, H) output is h_t, where
+    z_t = x_t w_x + b + h_prev w_h over the gates side by side (4H columns),
     c_t = f * c_prev + i * g and h_t = o * tanh(c_t). The previous step is
     t - 1, or t + 1 when ``reverse`` runs the recurrence backward in time.
 
-    No step allocates. The input projection is written, one tile of
-    ``TILE_ROWS`` rows at a time, into one activation buffer: the whole
-    (T, 4H) buffer when recording, a single tile otherwise, so no (T, 4H)
-    array exists unless recording. Each step adds h_prev w_h into its row
-    and activates all four gates in place with one tanh over the row,
-    tanh(z s) s + (1 - s) for a column scale s of 1/2 on gates i, f, o
-    (sigmoid(z) = tanh(z/2)/2 + 1/2, as ``sigmoid`` computes it) and 1 on
-    gate g; c_t and h_t are written straight into preallocated rows. When
-    recording, the buffer's T rows of gate activations and all T cell states
-    are kept beside the output; otherwise one cell row is live. The
-    backward pass runs backpropagation through time over views of what was
-    kept: one (4H,) @ (4H, H) product per step into preallocated vectors,
-    then the gradients of ``x``, ``w_x``, ``b`` and ``w_h`` as one product
-    or sum each over all steps.
+    The weights are read where they lie. The input projection is written,
+    one tile of ``TILE_ROWS`` rows and one gate at a time, into that gate's
+    columns of one activation buffer: the whole (T, 4H) buffer when
+    recording, a single tile otherwise, so no (T, 4H) array exists unless
+    recording. The recurrent weights are packed into one (H, 4H) matrix
+    only while the step loop runs, so each step makes one product. No step
+    allocates: it adds h_prev w_h into its row and activates all four gates
+    in place with one tanh over the row, tanh(z s) s + (1 - s) for a column
+    scale s of 1/2 on gates i, f, o (sigmoid(z) = tanh(z/2)/2 + 1/2, as
+    ``sigmoid`` computes it) and 1 on gate g; c_t and h_t are written
+    straight into preallocated rows. When recording, the buffer's T rows of
+    gate activations and all T cell states are kept beside the output, and
+    nothing weight-sized; otherwise one cell row is live. The backward pass
+    runs backpropagation through time over views of what was kept: one
+    (4H,) @ (4H, H) product per step into preallocated vectors, through the
+    recurrent weights packed again, then the gradients of ``x``, the input
+    weights, the biases and the recurrent weights as one product or sum each
+    over all steps, whose column blocks go to the four gates.
     """
-    xd, wx, bd, wh = x.data, w_x.data, b.data, w_h.data
-    if xd.ndim != 2 or wx.ndim != 2 or wh.ndim != 2:
-        raise DimensionError("lstm_sequence needs rank-2 x, w_x and w_h")
+    w_x, b, w_h = tuple(w_x), tuple(b), tuple(w_h)
+    if not len(w_x) == len(b) == len(w_h) == 4:
+        raise DimensionError("lstm_sequence needs four gates of w_x, b and w_h")
+    xd = x.data
+    if xd.ndim != 2:
+        raise DimensionError("lstm_sequence needs a rank-2 x")
     steps = xd.shape[0]
-    hidden = wh.shape[0]
-    if (wh.shape != (hidden, 4 * hidden) or wx.shape != (xd.shape[1], 4 * hidden)
-            or bd.shape != (4 * hidden,)):
+    hidden = w_h[0].data.shape[0]
+    shapes = (((xd.shape[1], hidden), w_x), ((hidden,), b), ((hidden, hidden), w_h))
+    if any(t.data.shape != shape for shape, gates in shapes for t in gates):
         raise DimensionError(
-            f"need x (T, K), w_x (K, 4H), b (4H,) and w_h (H, 4H), got "
-            f"{xd.shape}, {wx.shape}, {bd.shape} and {wh.shape}")
+            f"need x (T, K) and per gate w_x (K, H), b (H,) and w_h (H, H), got "
+            f"{xd.shape}, {[t.data.shape for t in w_x]}, {[t.data.shape for t in b]} "
+            f"and {[t.data.shape for t in w_h]}")
     if steps == 0:
         raise DimensionError("lstm_sequence on zero time steps")
-    parents = (x, w_x, b, w_h)
+    parents = (x, *w_x, *b, *w_h)
     keep = _grad_enabled and any(p.requires_grad for p in parents)
-    dtype = np.result_type(xd, wx, bd, wh)
+    dtype = np.result_type(*(p.data for p in parents))
     h4 = 4 * hidden
     # a = tanh(z * s) * s + (1 - s) is sigmoid(z) where s = 1/2 and tanh(z)
     # where s = 1; the scaling by s and the adding of 0 are exact
@@ -395,11 +406,14 @@ def lstm_sequence(x: Tensor, w_x: Tensor, b: Tensor, w_h: Tensor,
     ig = np.empty(hidden, dtype=dtype)
     h = np.zeros(hidden, dtype=dtype)
     c = np.zeros(hidden, dtype=dtype)
+    wh = _pack(w_h)
     tiles = list(_row_tiles(steps))
     for lo, hi in reversed(tiles) if reverse else tiles:
         base = 0 if keep else lo
-        np.matmul(xd[lo:hi], wx, out=acts[lo - base:hi - base])
-        acts[lo - base:hi - base] += bd
+        tile = gates[lo - base:hi - base]
+        for j in range(4):
+            np.matmul(xd[lo:hi], w_x[j].data, out=tile[:, j])
+            tile[:, j] += b[j].data
         for t in range(hi - 1, lo - 1, -1) if reverse else range(lo, hi):
             z = acts[t - base]
             np.matmul(h, wh, out=rec)
@@ -416,6 +430,7 @@ def lstm_sequence(x: Tensor, w_x: Tensor, b: Tensor, w_h: Tensor,
             h = hs[t]
             np.tanh(c, out=h)
             h *= o
+    del wh
     out = Tensor(hs)
     if not keep:
         return out
@@ -440,7 +455,7 @@ def lstm_sequence(x: Tensor, w_x: Tensor, b: Tensor, w_h: Tensor,
         np.multiply(tc, o * (1 - o), out=dz4[:, 3])
         # dc_t = dc_next + dh_t k_t
         k = o * (1 - tc * tc)
-        w_t = wh.T
+        w_t = _pack(w_h).T
         dh, dc = np.empty(hidden, dtype=dtype), np.empty(hidden, dtype=dtype)
         dh_next, dc_next = np.zeros(hidden, dtype=dtype), np.zeros(hidden, dtype=dtype)
         for t in range(steps) if reverse else range(steps - 1, -1, -1):
@@ -451,16 +466,31 @@ def lstm_sequence(x: Tensor, w_x: Tensor, b: Tensor, w_h: Tensor,
             dz4[t, 3] *= dh
             np.matmul(dz[t], w_t, out=dh_next)
             np.multiply(dc, f[t], out=dc_next)
+        del w_t
         if x.requires_grad:
-            x._acc(dz @ wx.T)
-        if w_x.requires_grad:
-            w_x._acc(xd.T @ dz)
-        if b.requires_grad:
-            b._acc(dz.sum(axis=0))
-        if w_h.requires_grad:
-            w_h._acc(hs[1:].T @ dz[:-1] if reverse else hs[:-1].T @ dz[1:])
+            x._acc(dz @ _pack(w_x).T)
+        _acc_gates(w_x, lambda: xd.T @ dz)
+        _acc_gates(b, lambda: dz.sum(axis=0))
+        _acc_gates(w_h, lambda: (hs[1:].T @ dz[:-1]) if reverse else (hs[:-1].T @ dz[1:]))
 
     return _record(out, parents, _bw)
+
+
+def _pack(gates) -> np.ndarray:
+    """The four per-gate weight matrices side by side: (rows, 4H)."""
+    return np.concatenate([t.data for t in gates], axis=1)
+
+
+def _acc_gates(gates, grad):
+    """Pass each gate its column block of the packed gradient ``grad()``,
+    which is formed only if some gate needs it."""
+    if not any(t.requires_grad for t in gates):
+        return
+    packed = grad()
+    hidden = packed.shape[-1] // 4
+    for j, t in enumerate(gates):
+        if t.requires_grad:
+            t._acc(packed[..., j * hidden:(j + 1) * hidden])
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +499,15 @@ def lstm_sequence(x: Tensor, w_x: Tensor, b: Tensor, w_h: Tensor,
 
 _INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+
+
+@functools.lru_cache(maxsize=1)
+def _upper_triangle(size: int) -> np.ndarray:
+    """The entries above the diagonal of a (size, size) square, read-only.
+    Its leading (rows, rows) block masks a causal tile of that many rows."""
+    upper = np.triu(np.ones((size, size), dtype=bool), 1)
+    upper.flags.writeable = False
+    return upper
 
 
 def _attention_probs(q_tile, k, scale: float, first_row: int, causal: bool):
@@ -481,11 +520,17 @@ def _attention_probs(q_tile, k, scale: float, first_row: int, causal: bool):
     s *= scale
     if causal:
         rows = s.shape[0]
-        s[:, first_row:][np.triu_indices(rows, 1)] = -np.inf
+        upper = _upper_triangle(TILE_ROWS)[:rows, :rows]
+        np.copyto(s[:, first_row:], -np.inf, where=upper)
     s -= s.max(axis=1, keepdims=True)
     np.exp(s, out=s)
     s /= s.sum(axis=1, keepdims=True)
     return s
+
+
+# rows per product-and-sum in ``attention``'s backward: its temporary is
+# (_SUM_ROWS, S), not (TILE_ROWS, S); each row's sum is the same either way
+_SUM_ROWS = 16
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool) -> Tensor:
@@ -496,7 +541,9 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool) -> Tensor:
     independent, so tiling the queries is exact without a running maximum.
     A causal tile of rows [a, b) reads keys [0, b) only, which skips the
     masked triangle. The backward pass recomputes each tile's
-    probabilities, so no (T, S) array is ever held.
+    probabilities, so no (T, S) array is ever held; it holds two
+    (TILE_ROWS, S) arrays per tile, the probabilities and their gradient,
+    and forms the softmax's row sums ``_SUM_ROWS`` rows at a time.
     """
     qd, kd, vd = q.data, k.data, v.data
     if qd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2:
@@ -524,11 +571,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool) -> Tensor:
             dv[:stop] += p.T @ g[lo:hi]
             # softmax backward: ds = p * (dp - rowsum(dp * p)), times the scale
             ds = g[lo:hi] @ vd[:stop].T
-            ds -= (ds * p).sum(axis=1, keepdims=True)
+            for a in range(0, hi - lo, _SUM_ROWS):
+                rows = slice(a, a + _SUM_ROWS)
+                ds[rows] -= (ds[rows] * p[rows]).sum(axis=1, keepdims=True)
             ds *= p
             ds *= scale
             dq[lo:hi] = ds @ kd[:stop]
             dk[:stop] += ds.T @ qd[lo:hi]
+            # freed before the next tile's pair is made
+            del p, ds
         for t, d in ((q, dq), (k, dk), (v, dv)):
             if t.requires_grad:
                 t._acc(d)
@@ -545,15 +596,17 @@ def _gelu_cdf(pre: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def feedforward(x: Tensor, w: Tensor, b: Tensor, mask=None) -> Tensor:
-    """GELU(x w + b) * mask, summed over its four equal column chunks, as
-    one recorded op over row tiles.
+def feedforward(x: Tensor, w: Tensor, b: Tensor, keep=None,
+                rate: float = 0.0) -> Tensor:
+    """GELU(x w + b) with inverted dropout, summed over its four equal column
+    chunks, as one recorded op over row tiles.
 
     ``x`` is (T, K), ``w`` (K, 4N) and ``b`` (4N,); the output is (T, N).
-    GELU is z * Phi(z) with the exact normal CDF. ``mask``, a plain (T, 4N)
-    array of dropout scales, or None for no dropout, is not differentiated.
-    Each tile's (rows, 4N) pre-activation lives only while that tile is
-    processed; the backward pass recomputes it.
+    GELU is z * Phi(z) with the exact normal CDF. ``keep``, a plain boolean
+    (T, 4N) array, or None for no dropout, marks the activations dropout
+    keeps; they are scaled by 1/(1 - ``rate``), a scalar of the op's dtype,
+    and the others zeroed. Each tile's (rows, 4N) pre-activation lives only
+    while that tile is processed; the backward pass recomputes it.
     """
     xd, wd, bd = x.data, w.data, b.data
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
@@ -563,16 +616,23 @@ def feedforward(x: Tensor, w: Tensor, b: Tensor, mask=None) -> Tensor:
     if wide % 4 or bd.shape != (wide,):
         raise DimensionError(
             f"need w of 4N columns and b of shape (4N,), got {wd.shape} and {bd.shape}")
-    if mask is not None and mask.shape != (steps, wide):
-        raise DimensionError(f"mask shape {mask.shape} != {(steps, wide)}")
+    if keep is not None and (keep.shape != (steps, wide) or keep.dtype != bool):
+        raise DimensionError(
+            f"need a boolean keep mask of shape {(steps, wide)}, "
+            f"got {keep.dtype} {keep.shape}")
     n = wide // 4
-    out = np.empty((steps, n), dtype=np.result_type(xd, wd, bd))
+    dtype = np.result_type(xd, wd, bd)
+    # zeroing first, then scaling, gives what one product with a (T, 4N)
+    # array of 0 and 1/(1 - rate) gives, signed zeros included
+    inv_keep = dtype.type(1) / dtype.type(1.0 - rate)
+    out = np.empty((steps, n), dtype=dtype)
     for lo, hi in _row_tiles(steps):
         h = xd[lo:hi] @ wd
         h += bd
         h *= _gelu_cdf(h)
-        if mask is not None:
-            h *= mask[lo:hi]
+        if keep is not None:
+            h *= keep[lo:hi]
+            h *= inv_keep
         out[lo:hi] = (h[:, :n] + h[:, n:2 * n]) + (h[:, 2 * n:3 * n] + h[:, 3 * n:])
 
     def _bw(g):
@@ -582,8 +642,9 @@ def feedforward(x: Tensor, w: Tensor, b: Tensor, mask=None) -> Tensor:
             pre += bd
             # each of the four chunks receives the output's gradient
             dpre = np.tile(g[lo:hi], 4)
-            if mask is not None:
-                dpre *= mask[lo:hi]
+            if keep is not None:
+                dpre *= keep[lo:hi]
+                dpre *= inv_keep
             # d/dz of z * Phi(z) is Phi(z) + z * phi(z)
             dpre *= _gelu_cdf(pre) + pre * np.exp(-0.5 * pre * pre) * _INV_SQRT_2PI
             dx[lo:hi] = dpre @ wd.T

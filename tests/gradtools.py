@@ -7,8 +7,9 @@ recorded backward pass against nothing but repeated forward evaluations;
 ``lstm_step`` and ``lstm_graph_step`` build one LSTM time step from
 elementary recorded ops, as oracles for the fused ``tensor.lstm_sequence``;
 ``lstm_sequence_graph`` chains them over a whole sequence, ``lstm_stepwise``
-iterates ``lstm_graph_step`` over the op's own tiled projection, and
-``flip_rows`` gives the time-reversed LSTM as flip, LSTM, flip.
+iterates ``lstm_graph_step`` over the op's own tiled projection,
+``flip_rows`` gives the time-reversed LSTM as flip, LSTM, flip, and
+``split_gates`` cuts packed gate columns into the op's per-gate operands.
 ``sum_all`` reduces a tensor to the scalar loss most gradient tests sweep.
 ``transpose``, ``softmax_rows``, ``causal_mask``, ``gelu``, ``slice_cols``
 and ``dropout_apply`` are recorded elementary ops that build the whole-array
@@ -326,13 +327,14 @@ def _row(a: Tensor, t: int) -> Tensor:
     return tensor._record(out, (a,), _bw)
 
 
-def lstm_sequence_graph(x: Tensor, w_x: Tensor, b: Tensor, w_h: Tensor,
-                        reverse: bool = False) -> Tensor:
-    """``tensor.lstm_sequence`` as a graph: the whole (T, 4H) input
-    projection, then one ``lstm_graph_step`` per time step, in reverse time
-    order when ``reverse``."""
+def lstm_sequence_graph(x: Tensor, w_x, b, w_h, reverse: bool = False) -> Tensor:
+    """``tensor.lstm_sequence`` as a graph: the four gates of each of
+    ``w_x``, ``b`` and ``w_h`` packed by recorded concats, the whole (T, 4H)
+    input projection, then one ``lstm_graph_step`` per time step, in reverse
+    time order when ``reverse``."""
+    w_x, w_h = tensor.concat(w_x, axis=1), tensor.concat(w_h, axis=1)
     hidden = w_h.shape[0]
-    z = x @ w_x + b
+    z = x @ w_x + tensor.concat(b, axis=0)
     h = Tensor(np.zeros((1, hidden), dtype=z.data.dtype))
     c = Tensor(np.zeros((1, hidden), dtype=z.data.dtype))
     rows = [None] * x.shape[0]
@@ -347,10 +349,13 @@ def lstm_stepwise(x, w_x, b, w_h, reverse: bool = False) -> np.ndarray:
     """The rows h_t of ``tensor.lstm_sequence(x, w_x, b, w_h, reverse)``,
     by iterating ``lstm_graph_step`` over an input projection made one
     ``tensor.TILE_ROWS`` tile at a time, as the op makes it: the op's bitwise
-    oracle at any tile size."""
+    oracle at any tile size. ``w_x``, ``b`` and ``w_h`` are four per-gate
+    tensors each, as the op takes them."""
+    w_x, b, w_h = (np.concatenate([t.data for t in gates], axis=-1)
+                   for gates in (w_x, b, w_h))
     steps, hidden = x.shape[0], w_h.shape[0]
-    z = np.concatenate([x.data[lo:hi] @ w_x.data + b.data
-                        for lo, hi in tensor._row_tiles(steps)])
+    z = np.concatenate([x.data[lo:hi] @ w_x + b for lo, hi in tensor._row_tiles(steps)])
+    w_h = Tensor(w_h)
     h = Tensor(np.zeros((1, hidden), dtype=z.dtype))
     c = Tensor(np.zeros((1, hidden), dtype=z.dtype))
     rows = np.empty((steps, hidden), dtype=z.dtype)
@@ -359,6 +364,12 @@ def lstm_stepwise(x, w_x, b, w_h, reverse: bool = False) -> np.ndarray:
             h, c = lstm_graph_step(Tensor(z[t:t + 1]), h, c, w_h)
             rows[t] = h.data[0]
     return rows
+
+
+def split_gates(packed: np.ndarray) -> list:
+    """A packed (..., 4H) array as its four contiguous gate blocks, in gate
+    order i, f, g, o."""
+    return [np.ascontiguousarray(a) for a in np.split(packed, 4, axis=-1)]
 
 
 def layer_norm_whole(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:

@@ -4,6 +4,9 @@ feedforward, block wiring, and the full forward pass."""
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
 import weakref
 from pathlib import Path
@@ -11,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arn import losses, model, tensor
+from arn import losses, model, tensor, training
 from arn.model import (
     ARNConfig,
     ConfigurationError,
@@ -36,12 +39,14 @@ from gradtools import (
     finite_diff,
     lstm_graph_step,
     lstm_step,
+    split_gates,
     sum_all,
     traced_peak,
 )
 
 
-CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+ROOT = Path(__file__).resolve().parents[1]
+CONFIGS = ROOT / "configs"
 
 
 def toy_cfg(**overrides):
@@ -193,8 +198,8 @@ class TestLstm:
         assert sequence_grad_error(run, x, [w], seed=32) < 1e-5
 
     def test_one_step_recurrent_weights_get_zero_gradient(self):
-        # with a single step h_{t-1} is the zero state: w_h gets an all-zero
-        # gradient, not none, and the packing concat's backward still runs
+        # with a single step h_{t-1} is the zero state: each gate's w_h gets
+        # an all-zero gradient, not none
         w = lstm_weights(3, 2, seed=33)
         x = Tensor(np.random.default_rng(34).standard_normal((1, 3)))
         tensor.backward(sum_all(lstm_sequence(x, w)))
@@ -207,13 +212,16 @@ class TestLstm:
         rng = np.random.default_rng(35 + steps)
         hidden = 5
         x, w_x, b, w_h = (
-            Tensor((scale * rng.standard_normal(shape)).astype(np.float32),
-                   requires_grad=True)
+            (scale * rng.standard_normal(shape)).astype(np.float32)
             for scale, shape in ((1.0, (steps, 3)), (0.5, (3, 4 * hidden)),
                                  (0.5, (4 * hidden,)), (0.5, (hidden, 4 * hidden))))
-        fused = tensor.lstm_sequence(x, w_x, b, w_h)
+        fused = tensor.lstm_sequence(
+            Tensor(x, requires_grad=True),
+            *([Tensor(a, requires_grad=True) for a in split_gates(packed)]
+              for packed in (w_x, b, w_h)))
         assert fused.data.dtype == np.float32
-        z_in = x.data @ w_x.data + b.data  # one tile: the op's own projection
+        z_in = x @ w_x + b  # one tile: the op's own projection
+        w_h = Tensor(w_h)
         h = Tensor(np.zeros((1, hidden), dtype=np.float32))
         c = Tensor(np.zeros((1, hidden), dtype=np.float32))
         for t in range(steps):
@@ -231,14 +239,24 @@ class TestLstm:
             np.testing.assert_allclose(fused.data[t], h.data[0], atol=1e-6)
 
     def test_fused_op_rejects_bad_shapes(self):
-        x, b = Tensor(np.zeros((3, 4))), Tensor(np.zeros(8))
-        w_x, w_h = Tensor(np.zeros((4, 8))), Tensor(np.zeros((2, 8)))
+        x = Tensor(np.zeros((3, 4)))
+        gates = lambda shape: [Tensor(np.zeros(shape)) for _ in range(4)]
+        w_x, b, w_h = gates((4, 2)), gates(2), gates((2, 2))
+        tensor.lstm_sequence(x, w_x, b, w_h)
         with pytest.raises(tensor.DimensionError):
-            tensor.lstm_sequence(x, w_x, b, Tensor(np.zeros((2, 6))))
+            tensor.lstm_sequence(x, w_x, b, w_h[:3] + [Tensor(np.zeros((2, 3)))])
         with pytest.raises(tensor.DimensionError):
-            tensor.lstm_sequence(x, Tensor(np.zeros((4, 12))), b, w_h)
+            tensor.lstm_sequence(x, gates((4, 3)), b, w_h)
         with pytest.raises(tensor.DimensionError):
-            tensor.lstm_sequence(x, w_x, Tensor(np.zeros(6)), w_h)
+            tensor.lstm_sequence(x, w_x, b[:3] + [Tensor(np.zeros(3))], w_h)
+        with pytest.raises(tensor.DimensionError):
+            tensor.lstm_sequence(x, w_x[:3], b, w_h)
+        with pytest.raises(tensor.DimensionError):
+            tensor.lstm_sequence(x, [Tensor(np.zeros((4, 8)))] * 4, b, w_h)
+        # with K == H the input and recurrent weights are checked apart
+        square = Tensor(np.zeros((3, 2)))
+        with pytest.raises(tensor.DimensionError):
+            tensor.lstm_sequence(square, gates((2, 3)), b, w_h)
         with pytest.raises(tensor.DimensionError):
             tensor.lstm_sequence(Tensor(np.zeros(4)), w_x, b, w_h)
         with pytest.raises(tensor.DimensionError):
@@ -573,6 +591,11 @@ class TestFullForward:
         with pytest.raises(ConfigurationError, match=r"'block1\.'"):
             arn_forward(np.zeros(40), params, toy_cfg(num_blocks=2))
 
+    def test_extra_block_parameters_named(self):
+        params = init_params(toy_cfg(num_blocks=2), np.random.default_rng(61))
+        with pytest.raises(ConfigurationError, match=r"extra under \['block1\.'\]"):
+            model.enhance(np.zeros(40), params, toy_cfg(num_blocks=1))
+
     @pytest.mark.parametrize("m", [100, 16000, 64001])
     def test_output_length_matches_input(self, m):
         cfg = toy_cfg(width=4, frame_in=16, frame_out=16, shift=16)
@@ -772,6 +795,35 @@ class TestSweepReleasesGraph:
                 np.testing.assert_array_equal(p.grad, first[k])
 
 
+class TestRecordedLstmMemory:
+    """A recorded LSTM keeps what its backward pass reads and nothing the
+    size of its weights: the parameters are read where they lie."""
+
+    STEPS, WIDTH = 64, 64
+
+    @pytest.mark.parametrize("reverse", [False, True])
+    def test_keeps_activations_cells_and_output_only(self, reverse):
+        h = self.WIDTH
+        w = lstm_weights(h, h, seed=84)
+        x = Tensor(np.random.default_rng(85).standard_normal((self.STEPS, h)),
+                   requires_grad=True)
+        # the (T, 4H) gate activations, the (T, H) cell states and the
+        # (T, H) output; a packed copy of the input and recurrent weights
+        # would add (2 H + 1) 4H entries, more than all three
+        kept = (4 * h + h + h) * self.STEPS * 8
+        tracemalloc.start()
+        try:
+            out = lstm_sequence(x, w, reverse)
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.requires_grad
+        assert held <= kept + 8192
+        # while the loop runs: the packed recurrent weights, and O(H)
+        # scratch and numpy's ufunc buffer, as for the node alone
+        assert peak <= kept + h * 4 * h * 8 + 64 * 4 * h * 8 + np.getbufsize() * 8
+
+
 class TestEvalMemory:
     """Outside recording, the whole forward pass holds a bounded number of
     (T, N) arrays: each node keeps no whole-sequence intermediates, and each
@@ -794,13 +846,89 @@ class TestEvalMemory:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_lstm_node_holds_no_projection(self, monkeypatch, reverse):
+        # the packed (H, 4H) recurrent weights, one (TILE_ROWS, 4H) tile of
+        # the projection, the (T, H) output, O(H) vectors and numpy's ufunc
+        # buffer, which the bias's broadcast goes through: no (T, 4H) array
+        # and no copy of the input weights; at this width a second (H, 4H)
+        # array is larger than the vectors and the buffer together
         monkeypatch.setattr(tensor, "TILE_ROWS", self.TILE)
-        hidden = self.WIDTH
-        rng = np.random.default_rng(82)
-        x, w_x, b, w_h = (Tensor(rng.standard_normal(shape).astype(np.float32),
-                                 requires_grad=True)
-                          for shape in ((self.STEPS, hidden), (hidden, 4 * hidden),
-                                        (4 * hidden,), (hidden, 4 * hidden)))
+        hidden = 2 * self.WIDTH
+        w = lstm_weights(hidden, hidden, seed=82, dtype=np.float32)
+        x = Tensor(np.random.default_rng(83).standard_normal(
+            (self.STEPS, hidden)).astype(np.float32), requires_grad=True)
         with tensor.no_grad():
-            peak = traced_peak(lambda: tensor.lstm_sequence(x, w_x, b, w_h, reverse))
-        assert peak < self.STEPS * 4 * hidden * 4
+            peak = traced_peak(lambda: lstm_sequence(x, w, reverse))
+        bound = ((hidden + self.TILE + 16) * 4 * hidden * 4 + self.STEPS * hidden * 4
+                 + np.getbufsize() * 8)
+        assert peak <= bound
+
+
+def arrays_held(loss) -> list:
+    """Every array a recorded graph holds: each node's data, and each array
+    or tensor data that a backward closure captures, through nested
+    closures, tuples and lists."""
+    found, seen = [], set()
+    stack = [obj for node in graph_of(loss) for obj in (node.data, node._backward)]
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, np.ndarray):
+            found.append(obj)
+        elif isinstance(obj, Tensor):
+            stack.append(obj.data)
+        elif isinstance(obj, (tuple, list)):
+            stack.extend(obj)
+        elif callable(obj) and getattr(obj, "__closure__", None):
+            stack.extend(cell.cell_contents for cell in obj.__closure__
+                         if cell.cell_contents is not None)
+    return found
+
+
+@pytest.fixture(scope="module")
+def demo_config(tmp_path_factory) -> dict:
+    """The config.json that ``scripts/make_demo_data.py`` writes."""
+    out = tmp_path_factory.mktemp("demo")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      os.environ.get("PYTHONPATH")]))}
+    subprocess.run([sys.executable, str(ROOT / "scripts" / "make_demo_data.py"),
+                    "--out", str(out), "--speech-utterances", "1", "--noises", "1"],
+                   check=True, capture_output=True, env=env, timeout=120)
+    return json.loads((out / "config.json").read_text())
+
+
+class TestGraphBudget:
+    """The recorded graph of a training step at the demo config: its size,
+    and no packed copy of the LSTM weights in it. A change that brings back
+    per-call weight copies fails here."""
+
+    @staticmethod
+    def batch_loss(blob, utterances, **overrides):
+        cfg = ARNConfig.from_dict({**blob["model"], **overrides})
+        params = init_params(cfg, np.random.default_rng(62))
+        rng = np.random.default_rng(63)
+        n = blob["mixing"]["target_len"]
+        batch = [(rng.standard_normal(n).astype(np.float32),
+                  rng.standard_normal(n).astype(np.float32)) for _ in range(utterances)]
+        loss = training._batch_loss(batch, params, cfg, "pcm", np.random.default_rng(64))
+        return cfg, params, loss
+
+    def test_seventy_nodes_per_utterance(self, demo_config):
+        # 69 for one utterance's forward pass and PCM loss, and one to sum
+        # it into the batch loss (the last utterance's is the scaling)
+        _, _, loss = self.batch_loss(demo_config, 3)
+        assert len(graph_of(loss)) == 3 * 70
+
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_no_packed_lstm_weights_reachable(self, demo_config, causal):
+        cfg, params, loss = self.batch_loss(demo_config, 2, causal=causal)
+        n = cfg.width
+        hidden = n if causal else n // 2
+        packed = {(n, 4 * hidden), (hidden, 4 * hidden)}
+        leaves = [p.data for p in params.values()]
+        copies = [a.shape for a in arrays_held(loss) if a.shape in packed
+                  and not any(a is d or a.base is d for d in leaves)]
+        assert copies == []
+

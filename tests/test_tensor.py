@@ -35,6 +35,7 @@ from gradtools import (
     rfft_magnitude_graph,
     slice_cols,
     softmax_rows,
+    split_gates,
     sum_all,
     traced_peak,
 )
@@ -448,6 +449,23 @@ class TestRowTiledAttention:
         np.testing.assert_array_equal(a[:SMALL_TILE + 1], b[:SMALL_TILE + 1])
         assert np.abs(a[SMALL_TILE + 1:] - b[SMALL_TILE + 1:]).min() > 0.0
 
+    @pytest.mark.parametrize("tile", [SMALL_TILE, 9, 2])
+    def test_causal_mask_for_any_tile_size(self, monkeypatch, tile):
+        # the cached triangle of TILE_ROWS, sliced to the tile's rows: the
+        # same bits as the triu_indices mask, for full and partial tiles
+        monkeypatch.setattr(tensor, "TILE_ROWS", tile)
+        rng = np.random.default_rng(61 + tile)
+        for rows, first in ((tile, 0), (tile, tile), (1, 2 * tile), (tile - 1 or 1, 3)):
+            q, k = rng.standard_normal((rows, 3)), rng.standard_normal((first + rows, 3))
+            got = tensor._attention_probs(q, k, 0.5, first, True)
+            s = q @ k.T
+            s *= 0.5
+            s[:, first:][np.triu_indices(rows, 1)] = -np.inf
+            s -= s.max(axis=1, keepdims=True)
+            np.exp(s, out=s)
+            s /= s.sum(axis=1, keepdims=True)
+            np.testing.assert_array_equal(got, s)
+
     def test_bad_shapes_rejected(self):
         x = Tensor(rand((3, 2)))
         with pytest.raises(DimensionError):
@@ -461,10 +479,20 @@ class TestRowTiledAttention:
 
 
 def lstm_operands(steps, seed, n_in=3, hidden=2, dtype=np.float64):
+    """x, then the four gates of w_x, of b and of w_h: 13 arrays."""
     rng = np.random.default_rng(seed)
-    return [(scale * rng.standard_normal(shape)).astype(dtype) for scale, shape in (
-        (1.0, (steps, n_in)), (0.5, (n_in, 4 * hidden)), (0.5, (4 * hidden,)),
-        (0.5, (hidden, 4 * hidden)))]
+    x, w_x, b, w_h = ((scale * rng.standard_normal(shape)).astype(dtype)
+                      for scale, shape in ((1.0, (steps, n_in)),
+                                           (0.5, (n_in, 4 * hidden)),
+                                           (0.5, (4 * hidden,)),
+                                           (0.5, (hidden, 4 * hidden))))
+    return [x, *split_gates(w_x), *split_gates(b), *split_gates(w_h)]
+
+
+def gated(fn, **kwargs):
+    """``fn(x, w_x, b, w_h, **kwargs)`` over the 13 operands in the order
+    ``lstm_operands`` gives them."""
+    return lambda x, *w: fn(x, w[:4], w[4:8], w[8:], **kwargs)
 
 
 def flipped_lstm(x, w_x, b, w_h):
@@ -478,9 +506,9 @@ class TestLstmNode:
     def test_reverse_bitwise_flip_within_one_tile(self, steps, dtype):
         assert steps <= tensor.TILE_ROWS
         operands = [Tensor(a) for a in lstm_operands(steps, 100 + steps, dtype=dtype)]
-        got = tensor.lstm_sequence(*operands, reverse=True).data
+        got = gated(tensor.lstm_sequence, reverse=True)(*operands).data
         assert got.dtype == dtype
-        np.testing.assert_array_equal(got, flipped_lstm(*operands).data)
+        np.testing.assert_array_equal(got, gated(flipped_lstm)(*operands).data)
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("steps", TILE_STEPS)
@@ -488,9 +516,9 @@ class TestLstmNode:
         arrays = lstm_operands(steps, 110 + steps)
         mix = Tensor(np.random.default_rng(111).standard_normal((steps, 2)))
         grads = []
-        for build in (lambda *t: tensor.lstm_sequence(*t, reverse=reverse),
-                      lambda *t: lstm_sequence_graph(*t, reverse=reverse),
-                      flipped_lstm if reverse else tensor.lstm_sequence):
+        for build in (gated(tensor.lstm_sequence, reverse=reverse),
+                      gated(lstm_sequence_graph, reverse=reverse),
+                      gated(flipped_lstm if reverse else tensor.lstm_sequence)):
             leaves = [Tensor(a, requires_grad=True) for a in arrays]
             out = build(*leaves)
             tensor.backward(sum_all(tensor.mul(out, mix)))
@@ -508,25 +536,26 @@ class TestLstmNode:
         # reuses one tile of rows: both must match the stepwise graph exactly
         operands = [Tensor(a, requires_grad=recording) for a in
                     lstm_operands(steps, 140 + steps, hidden=5, dtype=np.float32)]
-        got = tensor.lstm_sequence(*operands, reverse=reverse)
+        got = gated(tensor.lstm_sequence, reverse=reverse)(*operands)
         assert got.requires_grad == recording and got.data.dtype == np.float32
-        np.testing.assert_array_equal(got.data, lstm_stepwise(*operands, reverse=reverse))
+        np.testing.assert_array_equal(
+            got.data, gated(lstm_stepwise, reverse=reverse)(*operands))
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("steps", [1, 4, 5, 7, 11])
     def test_gradients(self, small_tiles, steps, reverse):
         analytic, fd = weighted_sum_grads(
-            lambda *t: tensor.lstm_sequence(*t, reverse=reverse),
+            gated(tensor.lstm_sequence, reverse=reverse),
             lstm_operands(steps, 120 + steps),
             np.random.default_rng(121).standard_normal((steps, 2)))
         assert check_grads(analytic, fd) < 1e-6
 
     def test_reverse_first_row_sees_every_step(self):
-        x, w_x, b, w_h = lstm_operands(5, 130)
+        x, *w = lstm_operands(5, 130)
         y = x.copy()
         y[-1] += 1.0
-        run = lambda v: tensor.lstm_sequence(Tensor(v), Tensor(w_x), Tensor(b),
-                                             Tensor(w_h), reverse=True).data
+        run = lambda v: gated(tensor.lstm_sequence, reverse=True)(
+            Tensor(v), *map(Tensor, w)).data
         a, c = run(x), run(y)
         assert np.abs(a[0] - c[0]).max() > 1e-8
         np.testing.assert_array_equal(run(x[1:]), a[1:])
@@ -601,15 +630,15 @@ class TestRowTiledFeedforward:
                 0.1 * rng.standard_normal(8))
 
     @staticmethod
-    def mask(steps, seed):
-        keep = np.random.default_rng(seed).random((steps, 8)) >= 0.3
-        return keep / 0.7
+    def keep(steps, seed):
+        return np.random.default_rng(seed).random((steps, 8)) >= 0.3
 
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("steps", TILE_STEPS)
     def test_matches_whole_array_graph(self, steps, masked):
         x, w, b = (Tensor(a) for a in self.operands(steps, 70 + steps))
-        got = tensor.feedforward(x, w, b, self.mask(steps, 1) if masked else None).data
+        got = (tensor.feedforward(x, w, b, self.keep(steps, 1), 0.3) if masked
+               else tensor.feedforward(x, w, b)).data
         if masked:
             want = feedforward_graph(x, w, b, 0.3, "train", np.random.default_rng(1)).data
         else:
@@ -619,9 +648,9 @@ class TestRowTiledFeedforward:
     @pytest.mark.parametrize("masked", [False, True])
     @pytest.mark.parametrize("steps", TILE_STEPS)
     def test_gradients(self, steps, masked):
-        mask = self.mask(steps, 2) if masked else None
+        keep = self.keep(steps, 2) if masked else None
         analytic, fd = weighted_sum_grads(
-            lambda x, w, b: tensor.feedforward(x, w, b, mask),
+            lambda x, w, b: tensor.feedforward(x, w, b, keep, 0.3),
             list(self.operands(steps, 80 + steps)),
             np.random.default_rng(3).standard_normal((steps, 2)))
         assert check_grads(analytic, fd) < 1e-6
@@ -635,7 +664,29 @@ class TestRowTiledFeedforward:
         with pytest.raises(DimensionError):
             tensor.feedforward(Tensor(rand((5, 2))), w, b)
         with pytest.raises(DimensionError):
-            tensor.feedforward(x, w, b, np.ones((4, 8)))
+            tensor.feedforward(x, w, b, np.ones((4, 8), dtype=bool), 0.3)
+        with pytest.raises(DimensionError):
+            tensor.feedforward(x, w, b, np.ones((5, 8)) / 0.7, 0.3)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_dropout_bitwise_one_product_with_scales(self, dtype):
+        # zeroing, then scaling by a scalar, gives the bits of one product
+        # with a (T, 4N) array of 0 and 1/(1 - rate), signed zeros included:
+        # every activation is negative and row 0 is dropped whole, so its
+        # output is -0
+        x, w, _ = (a.astype(dtype) for a in self.operands(SMALL_TILE, 5))
+        b = np.full(8, -3.0, dtype=dtype)
+        keep = self.keep(SMALL_TILE, 6)
+        keep[0] = False
+        pre = x @ w
+        pre += b
+        pre *= tensor._gelu_cdf(pre.copy())
+        pre *= keep.astype(dtype) / (1.0 - 0.3)
+        want = (pre[:, :2] + pre[:, 2:4]) + (pre[:, 4:6] + pre[:, 6:])
+        got = tensor.feedforward(Tensor(x), Tensor(w), Tensor(b), keep, 0.3).data
+        assert got.dtype == dtype and np.signbit(got[0]).all()
+        np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
 class TestRfftMagnitude:
@@ -737,19 +788,40 @@ class TestRowTiledMemory:
             sum_all(tensor.attention(q, k, v, causal)))) < bound
         assert q.grad.shape == k.grad.shape == v.grad.shape == (self.STEPS, self.WIDTH)
 
+    def test_causal_attention_backward_holds_two_score_tiles(self):
+        # a tile's probabilities and their gradient, the three input
+        # gradients and one row chunk of the softmax's row sums; forming
+        # ds * p whole would add a third (TILE_ROWS, S) array
+        steps, width = 1000, 16
+        rng = np.random.default_rng(93)
+        q, k, v = (Tensor(rng.standard_normal((steps, width)), requires_grad=True)
+                   for _ in range(3))
+        out = tensor.attention(q, k, v, True)
+        out.grad = rng.standard_normal((steps, width))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out._backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = (2 * tensor.TILE_ROWS * steps + 3 * steps * width
+                 + tensor._SUM_ROWS * steps) * 8 + 16384
+        assert peak - start <= bound
+        assert q.grad.shape == k.grad.shape == v.grad.shape == (steps, width)
+
     @pytest.mark.parametrize("reverse", [False, True])
     def test_recording_lstm_keeps_only_activations_cells_and_output(self, reverse):
-        rng = np.random.default_rng(92)
         h = self.WIDTH
-        x, w_x, b, w_h = (Tensor(rng.standard_normal(shape), requires_grad=True)
-                          for shape in ((self.STEPS, h), (h, 4 * h), (4 * h,),
-                                        (h, 4 * h)))
+        operands = [Tensor(a, requires_grad=True)
+                    for a in lstm_operands(self.STEPS, 92, n_in=h, hidden=h)]
         # the (T, 4H) gate activations, the (T, H) cell states and the (T, H)
         # output; then O(H) scratch, and numpy's ufunc buffer, which the
         # bias's broadcast over a tile's rows goes through
         kept = (4 * h + h + h) * self.STEPS * 8
         scratch = 64 * 4 * h * 8 + np.getbufsize() * 8
-        peak = traced_peak(lambda: tensor.lstm_sequence(x, w_x, b, w_h, reverse))
+        run = gated(tensor.lstm_sequence, reverse=reverse)
+        peak = traced_peak(lambda: run(*operands))
         assert peak <= kept + scratch
 
     @pytest.mark.parametrize("masked", [False, True])
@@ -759,11 +831,11 @@ class TestRowTiledMemory:
         x = Tensor(rng.standard_normal((self.STEPS, n)), requires_grad=True)
         w = Tensor(rng.standard_normal((n, 4 * n)), requires_grad=True)
         b = Tensor(rng.standard_normal(4 * n), requires_grad=True)
-        mask = (rng.random((self.STEPS, 4 * n)) >= 0.1) / 0.9 if masked else None
+        keep = rng.random((self.STEPS, 4 * n)) >= 0.1 if masked else None
         bound = self.STEPS * 4 * n * 8
         with tensor.no_grad():
-            assert traced_peak(lambda: tensor.feedforward(x, w, b, mask)) < bound
-        out = tensor.feedforward(x, w, b, mask)
+            assert traced_peak(lambda: tensor.feedforward(x, w, b, keep, 0.1)) < bound
+        out = tensor.feedforward(x, w, b, keep, 0.1)
         out.grad = np.ones_like(out.data)
         assert traced_peak(out._backward) < bound
         assert x.grad.shape == (self.STEPS, n) and w.grad.shape == (n, 4 * n)
