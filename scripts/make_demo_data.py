@@ -17,6 +17,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+from scipy.signal import lfilter
 
 from arn.wavio import SAMPLE_RATE, write_wav
 
@@ -41,12 +42,8 @@ def colored_noise(rng, seconds):
     n = int(seconds * SAMPLE_RATE)
     white = rng.standard_normal(n)
     # one-pole lowpass gives a vaguely environmental spectrum
-    out = np.empty(n)
-    state = 0.0
     alpha = rng.uniform(0.9, 0.99)
-    for i in range(n):
-        state = alpha * state + (1.0 - alpha) * white[i]
-        out[i] = state
+    out = lfilter([1.0 - alpha], [1.0, -alpha], white)
     out += 0.05 * white
     return 0.3 * out / np.abs(out).max()
 

@@ -181,12 +181,14 @@ def cmd_train(args) -> int:
     mixer = DynamicMixer(speech, noise, snr_choices=tuple(mix_opts["snr_choices"]),
                          target_len=mix_opts["target_len"], trim_db=mix_opts["trim_db"])
 
+    # a draw that cannot mix (an overflowing SNR, noises shorter than a
+    # chunk) fails here, before --out exists
+    val_pairs = mixer.sample(np.random.default_rng([train_cfg.seed, 0xA11]),
+                             mix_opts["val_pairs"])
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = model.init_params(model_cfg, np.random.default_rng(train_cfg.seed),
                                dtype=np.float32)
-    val_pairs = mixer.sample(np.random.default_rng([train_cfg.seed, 0xA11]),
-                             mix_opts["val_pairs"])
 
     log_path = out_dir / "train_log.csv"
     with open(log_path, "w") as log_fh:

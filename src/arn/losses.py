@@ -60,7 +60,7 @@ def pcm_loss(x, s, s_hat, stft_cfg: StftConfig | None = None) -> Tensor:
     n_hat_t = x_t - s_hat_t
     speech_term = _spectral_mag_l1(s_t, s_hat_t, cfg)
     noise_term = _spectral_mag_l1(n_t, n_hat_t, cfg)
-    return tensor.scale(speech_term, 0.5) + tensor.scale(noise_term, 0.5)
+    return tensor.scale(speech_term + noise_term, 0.5)
 
 
 LOSS_FNS = {
@@ -81,7 +81,7 @@ def snr(s, s_hat) -> float:
     """10 log10(||s||^2 / ||s - s_hat||^2), capped at +-100 dB."""
     s = np.asarray(s, dtype=np.float64)
     s_hat = np.asarray(s_hat, dtype=np.float64)
-    _check_lengths(Tensor(s), Tensor(s_hat))
+    _check_lengths(s, s_hat)
     sig = float(np.dot(s, s))
     if sig == 0.0:
         raise DegenerateSignalError("SNR needs a reference with nonzero energy")
@@ -94,7 +94,7 @@ def si_snr(s, s_hat) -> float:
     reference and compare projection energy to residual energy."""
     s = np.asarray(s, dtype=np.float64)
     s_hat = np.asarray(s_hat, dtype=np.float64)
-    _check_lengths(Tensor(s), Tensor(s_hat))
+    _check_lengths(s, s_hat)
     s0 = s - s.mean()
     e0 = s_hat - s_hat.mean()
     ref_energy = float(np.dot(s0, s0))

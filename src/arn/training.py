@@ -6,11 +6,15 @@ defined as ``steps_per_epoch`` optimizer steps. Epoch RNG streams are
 derived from (seed, epoch), making complete runs replayable bit-for-bit.
 
 Checkpoint format (version 1): a plain-text header of ``key=value`` lines
-and a tensor directory, terminated by a ``DATA <float_count>`` line, then
-raw little-endian float32 payloads in directory order. Older checkpoints
-also hold ``cache.*`` tensors (a stored copy of each attention block's value
-gate); the loader skips them, since the gate is recomputed from the
-parameters.
+(the model config, the epoch, the best score and, with Adam state, Adam's
+step count but not its constants, which are ``AdamState``'s defaults) and a
+tensor directory of ``tensor <name> <dims> <offset> <count>`` lines,
+terminated by a ``DATA <float_count>`` line, then raw little-endian float32
+payloads. The payloads are contiguous in directory order: each entry's
+offset is the sum of the counts before it, and ``DATA`` is their total.
+Older checkpoints also hold ``cache.*`` tensors (a stored copy of each
+attention block's value gate); the loader skips them, since the gate is
+recomputed from the parameters.
 """
 
 from __future__ import annotations
@@ -227,9 +231,6 @@ def save_checkpoint(ckpt: Checkpoint, path):
     lines.append(f"meta.best_score={_format_value(float(ckpt.best_score))}")
     if ckpt.adam is not None:
         lines.append(f"meta.adam.step_count={ckpt.adam.step_count}")
-        lines.append(f"meta.adam.beta1={_format_value(ckpt.adam.beta1)}")
-        lines.append(f"meta.adam.beta2={_format_value(ckpt.adam.beta2)}")
-        lines.append(f"meta.adam.epsilon={_format_value(ckpt.adam.epsilon)}")
 
     offset = 0
     arrays = []
@@ -277,11 +278,15 @@ def _read_header(fh) -> list:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Parse and check a checkpoint file.
+    """Parse and check a checkpoint file in one pass.
 
-    Each tensor is read from its offset in the file straight into its own
-    float32 view of one block, so the weights are held once; skipped
-    ``cache.*`` entries are not read.
+    The directory must lay the payloads out contiguously in its own order,
+    with ``DATA`` their total; a gap, an entry that starts before the end
+    of the one above it, or another ``DATA`` count raises
+    ``CheckpointFormatError`` before any payload is read. The tensors are
+    then read in that order straight into their own float32 views of one
+    block, so the weights are held once; ``cache.*`` entries are stepped
+    over, not read.
     """
     with open(path, "rb") as fh:
         return _read_checkpoint(fh)
@@ -289,20 +294,24 @@ def load_checkpoint(path) -> Checkpoint:
 
 def _read_checkpoint(fh) -> Checkpoint:
     header = _read_header(fh)
-    data_start = fh.tell()
-    payload_bytes = os.fstat(fh.fileno()).st_size - data_start
+    payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
 
-    magic = header[0].split()
-    if len(magic) != 2 or magic[0] != _MAGIC or not magic[1].isdigit():
-        raise CheckpointFormatError(f"bad magic line {header[0]!r}")
-    if int(magic[1]) != FORMAT_VERSION:
-        raise CheckpointFormatError(f"unsupported format version {magic[1]}")
+    if header[0] != f"{_MAGIC} {FORMAT_VERSION}":
+        raise CheckpointFormatError(
+            f"bad magic line {header[0]!r}, want '{_MAGIC} {FORMAT_VERSION}'")
+    try:
+        declared_floats = int(header[-1][len("DATA "):])
+    except ValueError:
+        raise CheckpointFormatError(f"bad DATA line {header[-1]!r}") from None
+    if payload_bytes < declared_floats * 4:
+        raise CheckpointTruncatedError(
+            f"payload holds {payload_bytes // 4} floats, header declares {declared_floats}")
 
-    config = {}
-    meta = {}
-    directory = []
-    declared_floats = None
-    for line in header[1:]:
+    # each entry's payload starts where the one before it ends, so the
+    # directory's running end is also where the next read starts
+    config, meta = {}, {}
+    directory, names, end = [], set(), 0
+    for line in header[1:-1]:
         if line.startswith(("config.", "meta.")):
             section, _, entry = line.partition(".")
             key, _, value = entry.partition("=")
@@ -318,63 +327,46 @@ def _read_checkpoint(fh) -> Checkpoint:
                 offset, count = int(offset), int(count)
                 if min(shape + (offset, count)) < 0:
                     raise ValueError("negative dimension, offset or count")
-                directory.append((name, shape, offset, count))
             except ValueError:
                 raise CheckpointFormatError(f"bad tensor line {line!r}") from None
-        elif line.startswith("DATA "):
-            try:
-                declared_floats = int(line[len("DATA "):])
-            except ValueError:
-                raise CheckpointFormatError(f"bad DATA line {line!r}") from None
+            if name in names:
+                raise CheckpointFormatError(f"tensor {name} listed twice")
+            if offset != end:
+                raise CheckpointFormatError(
+                    f"{name}: payload starts at float {offset}, not at {end} "
+                    "where the entry before it ends")
+            if math.prod(shape) != count:
+                raise CheckpointShapeError(
+                    f"{name}: shape {shape} does not hold {count} values")
+            names.add(name)
+            directory.append((name, shape, count))
+            end += count
         else:
             raise CheckpointFormatError(f"unrecognized header line {line!r}")
-    if declared_floats is None:
-        raise CheckpointFormatError("missing DATA line")
-    if payload_bytes < declared_floats * 4:
-        raise CheckpointTruncatedError(
-            f"payload holds {payload_bytes // 4} floats, header declares {declared_floats}")
+    if end != declared_floats:
+        raise CheckpointFormatError(
+            f"directory holds {end} floats, DATA line declares {declared_floats}")
 
     try:
         model_cfg = ARNConfig.from_dict(config)
     except (TypeError, ConfigurationError) as exc:
         raise CheckpointFormatError(f"bad config block: {exc}") from None
 
-    # each name once, and no two payload ranges share a float; sorted by
-    # offset, a range overlaps an earlier one exactly when it starts before
-    # the end of its predecessor
-    seen = set()
-    for name, *_ in directory:
-        if name in seen:
-            raise CheckpointFormatError(f"tensor {name} listed twice")
-        seen.add(name)
-    prev_end, prev_name = 0, None
-    for offset, end, name in sorted((o, o + c, n) for n, _, o, c in directory if c):
-        if offset < prev_end:
-            raise CheckpointFormatError(f"{name}: payload overlaps {prev_name}")
-        prev_end, prev_name = end, name
-
-    entries = []
-    for name, shape, offset, count in directory:
-        if int(np.prod(shape)) != count:
-            raise CheckpointShapeError(
-                f"{name}: shape {shape} does not hold {count} values")
-        if (offset + count) * 4 > payload_bytes:
-            raise CheckpointTruncatedError(f"{name}: payload ends early")
-        if not name.startswith("cache."):
-            entries.append((name, shape, offset, count))
-
     # Every tensor is a view of one block, each starting on a 64-byte line.
     # One allocation this large is mapped fresh from the OS (in huge pages
     # where the kernel gives them), so what the load costs does not depend
     # on which freed memory the heap still holds.
-    spans = [-(-count // 16) * 16 for *_, count in entries]
-    block = np.empty(sum(spans), dtype="<f4")
+    spans = {name: -(-count // 16) * 16 for name, _, count in directory
+             if not name.startswith("cache.")}
+    block = np.empty(sum(spans.values()), dtype="<f4")
     tensors, adam_m, adam_v = {}, {}, {}
     start = 0
-    for (name, shape, offset, count), span in zip(entries, spans):
+    for name, shape, count in directory:
+        if name not in spans:
+            fh.seek(count * 4, os.SEEK_CUR)
+            continue
         arr = block[start:start + count].reshape(shape)
-        start += span
-        fh.seek(data_start + offset * 4)
+        start += spans[name]
         if fh.readinto(arr) != count * 4:
             raise CheckpointTruncatedError(f"{name}: payload ends early")
         if not np.isfinite(arr).all():
@@ -389,14 +381,10 @@ def _read_checkpoint(fh) -> Checkpoint:
     adam = None
     if adam_m:
         adam = AdamState(m=adam_m, v=adam_v,
-                         step_count=_meta_int(meta, "adam.step_count"),
-                         beta1=float(meta.get("adam.beta1", 0.9)),
-                         beta2=float(meta.get("adam.beta2", 0.999)),
-                         epsilon=float(meta.get("adam.epsilon", 1e-8)))
+                         step_count=_meta_int(meta, "adam.step_count"))
     return Checkpoint(model_cfg=model_cfg, tensors=tensors, adam=adam,
                       best_score=float(meta.get("best_score", -math.inf)),
                       epoch=_meta_int(meta, "epoch"))
-
 
 
 def fit(params: dict, model_cfg: ARNConfig, cfg: TrainConfig, mixer,

@@ -97,7 +97,5 @@ def write_wav(path, samples, encoding: str = "float32"):
                            SAMPLE_RATE * block_align, block_align, bits)
     chunks = b"fmt " + struct.pack("<I", len(fmt_body)) + fmt_body
     chunks += b"data" + struct.pack("<I", len(payload)) + payload
-    if len(payload) & 1:
-        chunks += b"\x00"
     blob = b"RIFF" + struct.pack("<I", 4 + len(chunks)) + b"WAVE" + chunks
     Path(path).write_bytes(blob)

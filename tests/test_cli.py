@@ -13,6 +13,7 @@ from arn.model import ARNConfig
 from arn.training import checkpoint_from, save_checkpoint
 
 from test_model import preset, zero_params
+from test_training import NON_CONTIGUOUS, _relay
 
 
 def toy_cfg():
@@ -339,6 +340,22 @@ class TestExitCodes:
                          "--out", str(out)]) == 4
         assert not out.exists()
 
+    @pytest.mark.parametrize("edit", [case[1] for case in NON_CONTIGUOUS],
+                             ids=[case[0] for case in NON_CONTIGUOUS])
+    def test_non_contiguous_directory_exit_4_without_output(self, tmp_path, trained_ckpt,
+                                                           capsys, edit):
+        # a gap, an entry that goes back, a directory out of order, or a
+        # DATA count above or below the directory's total
+        bad = tmp_path / "relaid.ckpt"
+        bad.write_bytes(_relay(trained_ckpt.read_bytes(), edit))
+        src = tmp_path / "in.wav"
+        wavio.write_wav(src, tone(1000))
+        out = tmp_path / "o.wav"
+        assert cli.main(["enhance", "--model", str(bad), "--in", str(src),
+                         "--out", str(out)]) == 4
+        assert "Traceback" not in capsys.readouterr().err
+        assert not out.exists()
+
 
 def write_corpus(tmp_path):
     """Two speech and two noise WAVs with their index files; returns the
@@ -424,6 +441,33 @@ class TestTrainCommand:
         assert run_train(tmp_path, config, out_dir) == 4
         err = capsys.readouterr().err
         assert key in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_overflowing_validation_mixture_exit_1_before_output(self, tmp_path, capsys):
+        # the SNR passes the config check, but the validation draw's
+        # mixtures overflow a float
+        config = tiny_train_config()
+        config["mixing"]["snr_choices"] = [-6000]
+        out_dir = tmp_path / "run"
+        assert run_train(tmp_path, config, out_dir) == 1
+        err = capsys.readouterr().err
+        assert "overflows a float" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_noise_shorter_than_chunk_exit_4_before_output(self, tmp_path, capsys):
+        speech_idx, noise_idx = write_corpus(tmp_path)
+        # noises of 800 samples against 1600-sample chunks of 3200-sample speech
+        for i in range(2):
+            wavio.write_wav(tmp_path / "noise" / f"n{i}.wav", np.full(800, 0.1))
+        noise_idx.write_text("".join(f"n{i}\tnoise/n{i}.wav\t800\n" for i in range(2)))
+        cfg_path = tmp_path / "config.json"
+        cfg_path.write_text(json.dumps(tiny_train_config()))
+        out_dir = tmp_path / "run"
+        assert cli.main(["train", "--config", str(cfg_path),
+                         "--speech-index", str(speech_idx), "--noise-index", str(noise_idx),
+                         "--out", str(out_dir)]) == 4
+        err = capsys.readouterr().err
+        assert "shorter than" in err and "Traceback" not in err
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("source", ["config", "flag", "env"])

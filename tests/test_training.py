@@ -166,6 +166,68 @@ class TestValidateAndSelect:
             validate({}, toy_model_cfg(), [])
 
 
+def _relay(blob: bytes, edit) -> bytes:
+    """A checkpoint with ``edit(lines, payload)`` applied to its header
+    lines (the DATA line last) and its payload, which it returns."""
+    head, sep, rest = blob.partition(b"\nDATA ")
+    data_line, _, payload = rest.partition(b"\n")
+    lines = head.split(b"\n") + [b"DATA " + data_line]
+    payload = edit(lines, payload)
+    return b"\n".join(lines) + b"\n" + payload
+
+
+def _tensor_lines(lines):
+    return [i for i, line in enumerate(lines) if line.startswith(b"tensor ")]
+
+
+def _gap_after_first(lines, payload):
+    # 16 floats after the first tensor's payload, every later offset and
+    # DATA moved past them
+    first = _tensor_lines(lines)[0]
+    size = int(lines[first].split()[4])
+    for i in _tensor_lines(lines)[1:]:
+        parts = lines[i].split()
+        parts[3] = str(int(parts[3]) + 16).encode()
+        lines[i] = b" ".join(parts)
+    lines[-1] = b"DATA %d" % (int(lines[-1].split()[1]) + 16)
+    return payload[:4 * size] + bytes(64) + payload[4 * size:]
+
+
+def _second_back_one(lines, payload):
+    # the second tensor starts one float inside the first
+    second = _tensor_lines(lines)[1]
+    parts = lines[second].split()
+    parts[3] = str(int(parts[3]) - 1).encode()
+    lines[second] = b" ".join(parts)
+    return payload
+
+
+def _swap_first_two(lines, payload):
+    # the first two entries listed in the other order, each with its offset
+    a, b = _tensor_lines(lines)[:2]
+    lines[a], lines[b] = lines[b], lines[a]
+    return payload
+
+
+def _data_count(delta):
+    def edit(lines, payload):
+        lines[-1] = b"DATA %d" % (int(lines[-1].split()[1]) + delta)
+        return payload + bytes(4 * max(delta, 0))
+    return edit
+
+
+# (id, edit, what the refusal names): directories the payload does not
+# fill contiguously in their own order, each with the floats it declares
+# present in the file
+NON_CONTIGUOUS = [
+    ("gap", _gap_after_first, "payload starts at float"),
+    ("goes_back", _second_back_one, "payload starts at float"),
+    ("out_of_order", _swap_first_two, "payload starts at float"),
+    ("data_above", _data_count(1), "DATA line declares"),
+    ("data_below", _data_count(-1), "DATA line declares"),
+]
+
+
 class TestCheckpoint:
     def make(self, seed=0, causal=True, with_adam=False):
         cfg = toy_model_cfg(num_blocks=2, causal=causal)
@@ -376,6 +438,42 @@ class TestCheckpoint:
         assert set(loaded.tensors) == set(params)
         after = model.enhance(x, params_from_checkpoint(loaded), loaded.model_cfg)
         assert before.tobytes() == after.tobytes()
+
+
+    def test_parent_layout_with_adam_constants_loads(self, tmp_path):
+        # files written before the Adam constants left the header list them
+        # after the step count, and may hold cache.* entries; both are
+        # ignored
+        cfg, params, adam = self.make(seed=31, with_adam=True)
+        ckpt = checkpoint_from(params, cfg, adam, best_score=2.25, epoch=5)
+        ckpt.tensors["cache.block0.attn.v_gate"] = np.full((1, cfg.width), 0.5,
+                                                           dtype="<f4")
+        path = tmp_path / "last.ckpt"
+        save_checkpoint(ckpt, path)
+        blob = path.read_bytes()
+        assert b"meta.adam.beta" not in blob and b"meta.adam.epsilon" not in blob
+        step = b"meta.adam.step_count=17\n"
+        path.write_bytes(blob.replace(step, step + b"meta.adam.beta1=0.9\n"
+                                      b"meta.adam.beta2=0.999\n"
+                                      b"meta.adam.epsilon=1e-08\n", 1))
+        loaded = load_checkpoint(path)
+        assert (loaded.epoch, loaded.best_score, loaded.adam.step_count) == (5, 2.25, 17)
+        assert set(loaded.tensors) == set(params)
+        for k, p in params.items():
+            assert loaded.tensors[k].tobytes() == p.data.astype("<f4").tobytes()
+            assert loaded.adam.m[k].tobytes() == adam.m[k].astype("<f4").tobytes()
+            assert loaded.adam.v[k].tobytes() == adam.v[k].astype("<f4").tobytes()
+
+    @pytest.mark.parametrize("edit, message", [case[1:] for case in NON_CONTIGUOUS],
+                             ids=[case[0] for case in NON_CONTIGUOUS])
+    @pytest.mark.parametrize("with_adam", [False, True])
+    def test_non_contiguous_directory_rejected(self, tmp_path, edit, message, with_adam):
+        cfg, params, adam = self.make(seed=32, with_adam=with_adam)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint_from(params, cfg, adam), path)
+        path.write_bytes(_relay(path.read_bytes(), edit))
+        with pytest.raises(CheckpointFormatError, match=message):
+            load_checkpoint(path)
 
 
 class TestFit:
