@@ -16,6 +16,15 @@ observed input.
 Parameters live in a flat ordered dict of named tensors; one helper,
 ``_sub``, derives each block's and each layer's view by name prefix.
 
+Outside recording, each (T, N) array is dropped after its last reader. The
+frame rows, each block's input and the attention's keys and values are
+passed on by their only reference, so that the callee frees them: after
+the input projection, after the block's first layer norm, and before the
+value gate's product. The queries are formed one tile at a time inside
+the attention node. ``enhance`` thus holds at most three (T, N) arrays at
+once, plus one tile's scratch: inside the attention node, the query
+stream, the keys and values, and the node's output.
+
 One forward pass serves training and enhancement. Feedforward dropout runs
 only when a generator is passed as ``rng``; whether the pass is recorded
 for backward is decided by ``tensor.no_grad``, as for every op. ``enhance``
@@ -66,6 +75,9 @@ class ARNConfig:
             raise ConfigurationError("bidirectional RNN needs an even width")
         if not 0.0 <= self.dropout < 1.0:
             raise ConfigurationError("dropout must be in [0, 1)")
+        if not 0.0 < self.ln_eps < math.inf:
+            raise ConfigurationError(
+                f"ln_eps must be finite and positive, got {self.ln_eps}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -209,12 +221,15 @@ def attention_block(q: Tensor, k: Tensor, v: Tensor, p: dict, causal: bool) -> T
     Both key and value gates scale columns, so they are folded out of the
     (T, N) operands: softmax(q_g (k s)^T) (v g) = softmax((q_g s) k^T) v g,
     with the key gate s moved onto the queries and the value gate g onto
-    the output. No gated copy of the keys or values is made.
+    the output. No gated copy of the keys or values is made, and the
+    queries are made one tile at a time inside ``tensor.attention``, which
+    takes the query stream, the linear map and the combined gate.
+    ``k`` and ``v`` are dropped before the value gate's product, so a
+    caller that passes its only references frees them there.
     """
     gate = tensor.sigmoid(p["q"]) * tensor.sigmoid(p["k"])
-    queries = (q @ p["lin_q.w"] + p["lin_q.b"]) * gate
-    out = tensor.attention(queries, k, v, causal)
-    del queries
+    out = tensor.attention(q, p["lin_q.w"], p["lin_q.b"], gate, k, v, causal)
+    del k, v
     return out * _v_gate_graph(p)
 
 
@@ -237,16 +252,22 @@ def arn_block_forward(x: Tensor, block_params: dict, cfg: ARNConfig,
                       rng=None) -> Tensor:
     """One full block with both residual connections; (T, N) -> (T, N).
 
-    Each (T, N) local is dropped after its last reader, so that outside
-    recording no more of them are alive than the next step needs.
+    Each (T, N) local, the input included, is dropped after its last
+    reader, so that outside recording no more of them are alive than the
+    next step needs. The input is freed here only when the caller keeps no
+    reference of its own, as in ``arn_forward_frames``.
     """
     ln = [(block_params[f"ln{j}.g"], block_params[f"ln{j}.b"]) for j in range(5)]
-    y = rnn_sequence(layer_norm(x, *ln[0], cfg.ln_eps), block_params, cfg)
+    y = layer_norm(x, *ln[0], cfg.ln_eps)
+    del x
+    y = rnn_sequence(y, block_params, cfg)
     q = layer_norm(y, *ln[1], cfg.ln_eps)
-    kv = layer_norm(y, *ln[2], cfg.ln_eps)
+    kv = [layer_norm(y, *ln[2], cfg.ln_eps)]
     del y
-    a = attention_block(q, kv, kv, _sub(block_params, "attn."), cfg.causal) + q
-    del q, kv
+    # the keys and values go in by the list's only reference, so that
+    # attention_block frees them before its value gate's (T, N) product
+    a = attention_block(q, kv[0], kv.pop(), _sub(block_params, "attn."), cfg.causal) + q
+    del q
     z1 = layer_norm(a, *ln[3], cfg.ln_eps)
     z2 = layer_norm(a, *ln[4], cfg.ln_eps)
     del a
@@ -258,11 +279,20 @@ def arn_block_forward(x: Tensor, block_params: dict, cfg: ARNConfig,
 
 def arn_forward_frames(frames: Tensor, params: dict, cfg: ARNConfig,
                        rng=None) -> Tensor:
-    """Frame-domain network: (T, frame_in) -> (T, frame_out)."""
-    h = frames @ params["input_proj.w"] + params["input_proj.b"]
+    """Frame-domain network: (T, frame_in) -> (T, frame_out).
+
+    ``frames`` is dropped after the input projection, and each block gets
+    its input by the only reference, so that outside recording it frees
+    that input after its first layer norm.
+    """
+    stream = [frames @ params["input_proj.w"] + params["input_proj.b"]]
+    del frames
     for i in range(cfg.num_blocks):
-        h = arn_block_forward(h, _sub(params, f"block{i}."), cfg, rng)
-    return h @ params["output_proj.w"] + params["output_proj.b"]
+        # popped, not named: a name here would keep the block's input alive
+        # through the whole block
+        stream.append(arn_block_forward(stream.pop(), _sub(params, f"block{i}."),
+                                        cfg, rng))
+    return stream[0] @ params["output_proj.w"] + params["output_proj.b"]
 
 
 def arn_forward(x, params: dict, cfg: ARNConfig, rng=None) -> Tensor:
@@ -282,8 +312,9 @@ def arn_forward(x, params: dict, cfg: ARNConfig, rng=None) -> Tensor:
             f"{_prefixes(expected - params.keys())}, extra under "
             f"{_prefixes(params.keys() - expected)}")
     xt = Tensor(np.asarray(x, dtype=params["input_proj.w"].data.dtype))
-    frames = tensor.frame_rows(xt, cfg.frame_in, cfg.shift)
-    out_frames = arn_forward_frames(frames, params, cfg, rng)
+    # the frame rows go in unnamed, so arn_forward_frames frees them
+    out_frames = arn_forward_frames(tensor.frame_rows(xt, cfg.frame_in, cfg.shift),
+                                    params, cfg, rng)
     return tensor.overlap_add_rows(out_frames, cfg.shift, xt.data.shape[0],
                                    offset=cfg.frame_in - cfg.frame_out)
 

@@ -4,8 +4,8 @@ A minimal numpy-backed autograd engine covering exactly the operations the
 attentive recurrent enhancement network needs: matrix products,
 row-broadcast arithmetic, pointwise nonlinearities, row-wise layer
 normalization, signal framing / overlap-add, scalar reductions, and four
-fused ops: a whole LSTM recurrence, attention, the feedforward layer, and
-the magnitude of a real FFT.
+fused ops: a whole LSTM recurrence, attention with its gated query
+projection, the feedforward layer, and the magnitude of a real FFT.
 
 Every operation that sees a gradient-requiring input records a backward
 closure on its output. The closure takes the output's gradient as its
@@ -33,7 +33,9 @@ does it keep the (T, 4H) gate activations and the (T, H) cell states, over
 which its backward pass runs backpropagation through time; it keeps no
 copy of the weights.
 ``attention`` and ``feedforward`` work over the same row tiles and recompute
-each tile in their backward pass, so their memory grows linearly in T.
+each tile in their backward pass, so their memory grows linearly in T;
+``attention`` also forms each tile's queries from the query stream, so no
+(T, N) query array exists, in evaluation or in a recorded graph.
 ``layer_norm_rows`` writes its output in place and keeps only each row's
 mean and inverse deviation. ``rfft_magnitude`` keeps only the signs of its
 rows' spectrum, and its backward pass is the adjoint transform, an ``irfft``.
@@ -330,8 +332,8 @@ def tanh(a: Tensor) -> Tensor:
 # Rows per tile of the ops that work on row blocks: ``attention``,
 # ``feedforward``, the input projection of ``lstm_sequence`` and the variance
 # of ``layer_norm_rows``. They hold scratch for one tile at a time,
-# O(TILE_ROWS * T) for attention and O(TILE_ROWS * 4N) for the feedforward
-# layer and the LSTM, instead of whole T x T and T x 4N arrays.
+# O(TILE_ROWS * (T + N)) for attention and O(TILE_ROWS * 4N) for the
+# feedforward layer and the LSTM, instead of whole T x T and T x 4N arrays.
 TILE_ROWS = 256
 
 
@@ -533,41 +535,58 @@ def _attention_probs(q_tile, k, scale: float, first_row: int, causal: bool):
 _SUM_ROWS = 16
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool) -> Tensor:
-    """softmax(q k^T / sqrt(N)) v as one recorded op over query tiles.
+def _queries(x_tile, w, b, gate):
+    """One tile's queries, (x_tile w + b) * gate, and the product before
+    the gate, which the backward pass also reads."""
+    pre = x_tile @ w
+    pre += b
+    return pre * gate, pre
 
-    ``q`` is (T, N), ``k`` (S, N) and ``v`` (S, M). When ``causal`` (which
-    needs S == T), row t attends to keys 0..t only. Softmax rows are
-    independent, so tiling the queries is exact without a running maximum.
-    A causal tile of rows [a, b) reads keys [0, b) only, which skips the
-    masked triangle. The backward pass recomputes each tile's
-    probabilities, so no (T, S) array is ever held; it holds two
-    (TILE_ROWS, S) arrays per tile, the probabilities and their gradient,
-    and forms the softmax's row sums ``_SUM_ROWS`` rows at a time.
+
+def attention(x: Tensor, w: Tensor, b: Tensor, gate: Tensor, k: Tensor, v: Tensor,
+              causal: bool) -> Tensor:
+    """softmax(q k^T / sqrt(N)) v with queries q = (x w + b) * gate, as one
+    recorded op over query tiles.
+
+    ``x`` is (T, K), ``w`` (K, N), ``b`` and ``gate`` (N,), ``k`` (S, N) and
+    ``v`` (S, M). When ``causal`` (which needs S == T), row t attends to
+    keys 0..t only. Each tile's queries are formed from its rows of ``x``
+    and dropped with the tile, so no (T, N) query array is ever held.
+    Softmax rows are independent, so tiling the queries is exact without a
+    running maximum. A causal tile of rows [a, b) reads keys [0, b) only,
+    which skips the masked triangle. The backward pass recomputes each
+    tile's queries and probabilities, so no (T, S) array is ever held
+    either; it holds two (TILE_ROWS, S) arrays per tile, the probabilities
+    and their gradient, and forms the softmax's row sums ``_SUM_ROWS`` rows
+    at a time.
     """
-    qd, kd, vd = q.data, k.data, v.data
-    if qd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2:
-        raise DimensionError("attention needs rank-2 operands")
-    steps, n = qd.shape
+    xd, wd, bd, gd, kd, vd = (t.data for t in (x, w, b, gate, k, v))
+    if xd.ndim != 2 or wd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2:
+        raise DimensionError("attention needs rank-2 x, w, k and v")
+    steps, n = xd.shape[0], wd.shape[1]
     keys = kd.shape[0]
-    if kd.shape[1] != n or vd.shape[0] != keys:
+    if (xd.shape[1] != wd.shape[0] or bd.shape != (n,) or gd.shape != (n,)
+            or kd.shape[1] != n or vd.shape[0] != keys):
         raise DimensionError(
-            f"need (T, N), (S, N) and (S, M), got {qd.shape}, {kd.shape} and {vd.shape}")
+            f"need x (T, K), w (K, N), b and gate (N,), k (S, N) and v (S, M), got "
+            f"{xd.shape}, {wd.shape}, {bd.shape}, {gd.shape}, {kd.shape} and {vd.shape}")
     if causal and keys != steps:
         raise DimensionError(f"causal attention needs T == S, got {steps} and {keys}")
     if steps == 0 or keys == 0:
         raise DimensionError("attention over zero queries or keys")
     scale = 1.0 / math.sqrt(n)
-    out = np.empty((steps, vd.shape[1]), dtype=np.result_type(qd, kd, vd))
+    out = np.empty((steps, vd.shape[1]), dtype=np.result_type(xd, wd, bd, gd, kd, vd))
     for lo, hi in _row_tiles(steps):
         stop = hi if causal else keys
-        out[lo:hi] = _attention_probs(qd[lo:hi], kd[:stop], scale, lo, causal) @ vd[:stop]
+        q = _queries(xd[lo:hi], wd, bd, gd)[0]
+        out[lo:hi] = _attention_probs(q, kd[:stop], scale, lo, causal) @ vd[:stop]
 
     def _bw(g):
-        dq, dk, dv = np.zeros_like(qd), np.zeros_like(kd), np.zeros_like(vd)
+        dx, dw, db, dgate, dk, dv = (np.zeros_like(a) for a in (xd, wd, bd, gd, kd, vd))
         for lo, hi in _row_tiles(steps):
             stop = hi if causal else keys
-            p = _attention_probs(qd[lo:hi], kd[:stop], scale, lo, causal)
+            q, pre = _queries(xd[lo:hi], wd, bd, gd)
+            p = _attention_probs(q, kd[:stop], scale, lo, causal)
             dv[:stop] += p.T @ g[lo:hi]
             # softmax backward: ds = p * (dp - rowsum(dp * p)), times the scale
             ds = g[lo:hi] @ vd[:stop].T
@@ -576,15 +595,21 @@ def attention(q: Tensor, k: Tensor, v: Tensor, causal: bool) -> Tensor:
                 ds[rows] -= (ds[rows] * p[rows]).sum(axis=1, keepdims=True)
             ds *= p
             ds *= scale
-            dq[lo:hi] = ds @ kd[:stop]
-            dk[:stop] += ds.T @ qd[lo:hi]
+            dq = ds @ kd[:stop]
+            dk[:stop] += ds.T @ q
             # freed before the next tile's pair is made
             del p, ds
-        for t, d in ((q, dq), (k, dk), (v, dv)):
+            # through the gate, then the bias and the projection
+            dgate += (dq * pre).sum(axis=0)
+            dq *= gd
+            dx[lo:hi] = dq @ wd.T
+            dw += xd[lo:hi].T @ dq
+            db += dq.sum(axis=0)
+        for t, d in ((x, dx), (w, dw), (b, db), (gate, dgate), (k, dk), (v, dv)):
             if t.requires_grad:
                 t._acc(d)
 
-    return _record(Tensor(out), (q, k, v), _bw)
+    return _record(Tensor(out), (x, w, b, gate, k, v), _bw)
 
 
 def _gelu_cdf(pre: np.ndarray) -> np.ndarray:

@@ -67,8 +67,8 @@ class TrainConfig:
         for name in ("epochs", "steps_per_epoch", "batch", "validate_every"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be at least 1")
-        if not self.lr_hi > self.lr_lo > 0.0:
-            raise ConfigurationError("need lr_hi > lr_lo > 0")
+        if not math.inf > self.lr_hi > self.lr_lo > 0.0:
+            raise ConfigurationError("need finite lr_hi > lr_lo > 0")
         if not 1 <= self.lr_knee < self.epochs:
             raise ConfigurationError("need 1 <= lr_knee < epochs")
         if self.loss not in losses.LOSS_FNS:

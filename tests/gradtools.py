@@ -14,7 +14,9 @@ iterates ``lstm_graph_step`` over the op's own tiled projection,
 ``transpose``, ``softmax_rows``, ``causal_mask``, ``gelu``, ``slice_cols``
 and ``dropout_apply`` are recorded elementary ops that build the whole-array
 graphs ``attention_graph`` and ``feedforward_graph``, the oracles for the
-row-tiled ``tensor.attention`` and ``tensor.feedforward``.
+row-tiled ``tensor.attention`` and ``tensor.feedforward``;
+``attention_block_graph`` adds the gates and the query projection around
+``attention_graph``, with ``value_gate_graph`` the value gate.
 ``layer_norm_whole``, ``frame_rows_indexed`` and ``overlap_add_rows_indexed``
 are the whole-array and index-array forms of ``tensor.layer_norm_rows``,
 ``tensor.frame_rows`` and ``tensor.overlap_add_rows``: the same arithmetic in
@@ -280,15 +282,20 @@ def attention_graph(q: Tensor, k: Tensor, v: Tensor, causal: bool) -> Tensor:
     return softmax_rows(scores) @ v
 
 
-def attention_block_graph(q, k, v, p, causal: bool) -> Tensor:
-    """``model.attention_block``'s gating followed by ``attention_graph``."""
+def value_gate_graph(p) -> Tensor:
+    """The (1, N) value gate sigma(Lin(v)) * tanh(Lin(v)) of ``p["v"]``."""
     n = p["v"].shape[0]
     v_row = tensor.reshape(p["v"], (1, n))
-    gate_v = (tensor.sigmoid(v_row @ p["lin_v_sig.w"] + p["lin_v_sig.b"])
-              * tensor.tanh(v_row @ p["lin_v_tanh.w"] + p["lin_v_tanh.b"]))
+    return (tensor.sigmoid(v_row @ p["lin_v_sig.w"] + p["lin_v_sig.b"])
+            * tensor.tanh(v_row @ p["lin_v_tanh.w"] + p["lin_v_tanh.b"]))
+
+
+def attention_block_graph(q, k, v, p, causal: bool) -> Tensor:
+    """``model.attention_block``'s gating followed by ``attention_graph``,
+    with the whole (T, N) gated queries, keys and values."""
     k_gated = k * tensor.sigmoid(p["k"])
     q_gated = (q @ p["lin_q.w"] + p["lin_q.b"]) * tensor.sigmoid(p["q"])
-    return attention_graph(q_gated, k_gated, v * gate_v, causal)
+    return attention_graph(q_gated, k_gated, v * value_gate_graph(p), causal)
 
 
 def feedforward_graph(x: Tensor, w: Tensor, b: Tensor, dropout_rate: float = 0.0,

@@ -316,6 +316,24 @@ class TestExitCodes:
                          "--out", str(out)]) == 4
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", [b"-1", b"nan", b"1e400"])
+    def test_bad_ln_eps_exit_4_without_output(self, tmp_path, capsys, trained_ckpt,
+                                              value):
+        # a layer-norm epsilon that is not finite and positive, in the header
+        head, sep, payload = trained_ckpt.read_bytes().partition(b"\nDATA ")
+        lines = [b"config.ln_eps=" + value if line.startswith(b"config.ln_eps=") else line
+                 for line in head.split(b"\n")]
+        bad = tmp_path / "eps.ckpt"
+        bad.write_bytes(b"\n".join(lines) + sep + payload)
+        src = tmp_path / "in.wav"
+        wavio.write_wav(src, tone(1000))
+        out = tmp_path / "o.wav"
+        assert cli.main(["enhance", "--model", str(bad), "--in", str(src),
+                         "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "bad config block" in err and "ln_eps" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("replace", [False, True])
     def test_aliased_tensor_entry_exit_4_without_output(self, tmp_path, trained_ckpt,
                                                         replace):
@@ -431,6 +449,10 @@ class TestTrainCommand:
         ("mixing", "val_pairs", 0),
         ("mixing", "snr_choices", [0, float("nan")]),  # written as NaN, read back
         ("mixing", "snr_choices", [-1e308]),
+        ("model", "ln_eps", -1.0),
+        ("model", "ln_eps", float("nan")),
+        ("model", "ln_eps", float("inf")),  # what JSON's 1e400 reads as
+        ("train", "lr_hi", float("inf")),  # what JSON's 1e309 reads as
     ]
 
     @pytest.mark.parametrize("block, key, value", BAD_CONFIGS)

@@ -1,6 +1,7 @@
 """Network building blocks: layer norm, LSTM/BLSTM, gated attention,
 feedforward, block wiring, and the full forward pass."""
 
+import collections
 import gc
 import json
 import math
@@ -29,6 +30,7 @@ from arn.model import (
     rnn_sequence,
 )
 from arn.tensor import Tensor
+from perfbench.tracing import SPANS
 
 from gradtools import (
     SMALL_TILE,
@@ -661,6 +663,38 @@ class TestEndToEndGradients:
         assert check_grads([params[k].grad for k in names], fd) < 1e-5
 
 
+def counting(fn, calls):
+    """``fn`` that first counts the call under its name in ``calls``."""
+    def counted(*args, **kwargs):
+        calls[fn.__name__] += 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+class TestLayerSpans:
+    """``perfbench/tracing.py`` times each layer by wrapping the ``arn.model``
+    functions its ``SPANS`` names. Each must stay one call per block, or a
+    refactor could move a layer's time out of its span unnoticed: into no
+    span at all, or into ``model.frame_io_s``, which is the forward pass
+    outside the blocks."""
+
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_each_model_span_called_per_block(self, monkeypatch, causal):
+        calls = collections.Counter()
+        for module, names in SPANS.values():
+            if module == "arn.model":
+                for name in names:
+                    monkeypatch.setattr(model, name,
+                                        counting(getattr(model, name), calls))
+        cfg = toy_cfg(num_blocks=3, causal=causal)
+        params = init_params(cfg, np.random.default_rng(87))
+        model.enhance(np.random.default_rng(88).standard_normal(200), params, cfg)
+        blocks = cfg.num_blocks
+        assert calls == {"arn_forward": 1, "arn_block_forward": blocks,
+                         "rnn_sequence": blocks, "attention_block": blocks,
+                         "feedforward_block": blocks, "layer_norm": 5 * blocks}
+
+
 class TestParameters:
     def test_toy_parameter_count(self):
         cfg = toy_cfg(width=16, frame_in=8, frame_out=8, num_blocks=2)
@@ -830,9 +864,12 @@ class TestEvalMemory:
     block drops its locals after their last reader."""
 
     STEPS, WIDTH, SHIFT, TILE = 2048, 64, 8, 16
-    # the traced peak of model.enhance measured 6.0 (causal) and 5.7
-    # (non-causal) (T, N) float32 arrays; one array of headroom on top
-    MAX_ARRAYS = 7
+    # the traced peak of model.enhance measured 3.48 (causal) and 3.49
+    # (non-causal) (T, N) float32 arrays, inside the attention node: the
+    # layer-normed query stream, the keys and values, and the node's output;
+    # a fourth whole array there (the block's input, the queries or the
+    # keys kept through the value gate's product) passes this bound
+    MAX_ARRAYS = 4
 
     @pytest.mark.parametrize("causal", [True, False])
     def test_enhance_peak_in_whole_arrays(self, monkeypatch, causal):
@@ -843,6 +880,24 @@ class TestEvalMemory:
         x = np.random.default_rng(81).standard_normal(self.STEPS * self.SHIFT)
         peak = traced_peak(lambda: model.enhance(x, params, cfg))
         assert peak <= self.MAX_ARRAYS * self.STEPS * self.WIDTH * 4
+
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_attention_node_holds_no_queries(self, monkeypatch, causal):
+        # the output, then for one tile its queries, the product before the
+        # gate, its scores and its rows of the output, and numpy's ufunc
+        # buffer: a whole (T, N) query array is larger than this scratch
+        monkeypatch.setattr(tensor, "TILE_ROWS", self.TILE)
+        n = self.WIDTH
+        rng = np.random.default_rng(86)
+        x, kv = (Tensor(rng.standard_normal((self.STEPS, n)).astype(np.float32),
+                        requires_grad=True) for _ in range(2))
+        w, b, gate = (Tensor(rng.standard_normal(shape).astype(np.float32),
+                             requires_grad=True) for shape in ((n, n), n, n))
+        with tensor.no_grad():
+            peak = traced_peak(lambda: tensor.attention(x, w, b, gate, kv, kv, causal))
+        scratch = 2 * self.TILE * (self.STEPS + n) * 4 + np.getbufsize() * 8
+        assert scratch < self.STEPS * n * 4
+        assert peak <= self.STEPS * n * 4 + scratch
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_lstm_node_holds_no_projection(self, monkeypatch, reverse):
@@ -915,11 +970,13 @@ class TestGraphBudget:
         loss = training._batch_loss(batch, params, cfg, "pcm", np.random.default_rng(64))
         return cfg, params, loss
 
-    def test_sixty_nine_nodes_per_utterance(self, demo_config):
-        # 68 for one utterance's forward pass and PCM loss, and one to sum
-        # it into the batch loss (the last utterance's is the scaling)
+    def test_sixty_three_nodes_per_utterance(self, demo_config):
+        # 62 for one utterance's forward pass and PCM loss, and one to sum
+        # it into the batch loss (the last utterance's is the scaling); the
+        # query projection, its bias and its gate are inside the attention
+        # node, not three nodes of their own
         _, _, loss = self.batch_loss(demo_config, 3)
-        assert len(graph_of(loss)) == 3 * 69
+        assert len(graph_of(loss)) == 3 * 63
 
     @pytest.mark.parametrize("causal", [True, False])
     def test_no_packed_lstm_weights_reachable(self, demo_config, causal):

@@ -19,6 +19,7 @@ from gradtools import (
     DegenerateRowError,
     SMALL_TILE,
     TILE_STEPS,
+    attention_block_graph,
     attention_graph,
     causal_mask,
     check_grads,
@@ -38,7 +39,9 @@ from gradtools import (
     split_gates,
     sum_all,
     traced_peak,
+    value_gate_graph,
 )
+from test_model import attn_params
 
 
 def rand(shape, seed=0):
@@ -417,6 +420,23 @@ def weighted_sum_grads(build, arrays, weights):
     return [t.grad for t in leaves], finite_diff(f, [t.data for t in leaves])
 
 
+def plain_attention(q, k, v, causal):
+    """``tensor.attention`` with an identity query map, no bias and a unit
+    gate, so that its queries are ``q`` exactly: softmax(q k^T / sqrt(N)) v."""
+    n = q.shape[-1]
+    dtype = q.data.dtype
+    return tensor.attention(q, Tensor(np.eye(n, dtype=dtype)), Tensor(np.zeros(n, dtype)),
+                            Tensor(np.ones(n, dtype)), k, v, causal)
+
+
+def fused_query_attention(x, kv, w, b, gate_q, gate_k, causal):
+    """``tensor.attention`` as ``model.attention_block`` calls it: the
+    query stream, the query map and the gate sigma(q) sigma(k), with one
+    array as keys and values."""
+    gate = tensor.sigmoid(gate_q) * tensor.sigmoid(gate_k)
+    return tensor.attention(x, w, b, gate, kv, kv, causal)
+
+
 @pytest.mark.usefixtures("small_tiles")
 class TestRowTiledAttention:
     @pytest.mark.parametrize("causal", [False, True])
@@ -424,7 +444,7 @@ class TestRowTiledAttention:
     def test_matches_whole_array_graph(self, steps, causal):
         rng = np.random.default_rng(40 + steps)
         q, k, v = (rng.standard_normal((steps, 3)) for _ in range(3))
-        got = tensor.attention(Tensor(q), Tensor(k), Tensor(v), causal).data
+        got = plain_attention(Tensor(q), Tensor(k), Tensor(v), causal).data
         want = attention_graph(Tensor(q), Tensor(k), Tensor(v), causal).data
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -434,7 +454,7 @@ class TestRowTiledAttention:
         rng = np.random.default_rng(50 + steps)
         arrays = [rng.standard_normal((steps, 3)) for _ in range(3)]
         analytic, fd = weighted_sum_grads(
-            lambda q, k, v: tensor.attention(q, k, v, causal), arrays,
+            lambda q, k, v: plain_attention(q, k, v, causal), arrays,
             rng.standard_normal((steps, 3)))
         assert check_grads(analytic, fd) < 1e-6
 
@@ -444,8 +464,8 @@ class TestRowTiledAttention:
         k2, v2 = k.copy(), v.copy()
         k2[SMALL_TILE + 1:] += 5.0
         v2[SMALL_TILE + 1:] -= 5.0
-        a = tensor.attention(Tensor(q), Tensor(k), Tensor(v), True).data
-        b = tensor.attention(Tensor(q), Tensor(k2), Tensor(v2), True).data
+        a = plain_attention(Tensor(q), Tensor(k), Tensor(v), True).data
+        b = plain_attention(Tensor(q), Tensor(k2), Tensor(v2), True).data
         np.testing.assert_array_equal(a[:SMALL_TILE + 1], b[:SMALL_TILE + 1])
         assert np.abs(a[SMALL_TILE + 1:] - b[SMALL_TILE + 1:]).min() > 0.0
 
@@ -469,13 +489,66 @@ class TestRowTiledAttention:
     def test_bad_shapes_rejected(self):
         x = Tensor(rand((3, 2)))
         with pytest.raises(DimensionError):
-            tensor.attention(x, Tensor(rand((3, 4))), x, False)
+            plain_attention(x, Tensor(rand((3, 4))), x, False)
         with pytest.raises(DimensionError):
-            tensor.attention(x, x, Tensor(rand((4, 2))), False)
+            plain_attention(x, x, Tensor(rand((4, 2))), False)
         with pytest.raises(DimensionError):
-            tensor.attention(x, Tensor(rand((5, 2))), Tensor(rand((5, 2))), True)
+            plain_attention(x, Tensor(rand((5, 2))), Tensor(rand((5, 2))), True)
         with pytest.raises(DimensionError):
-            tensor.attention(Tensor(rand(3)), x, x, False)
+            plain_attention(Tensor(rand(3)), x, x, False)
+        # the query map: w of K rows, b and gate of N entries
+        w, vec = Tensor(rand((2, 2))), Tensor(rand(2))
+        for args in ((Tensor(rand((3, 2))), vec, vec), (w, Tensor(rand(3)), vec),
+                     (w, vec, Tensor(rand((1, 2)))), (Tensor(rand(2)), vec, vec)):
+            with pytest.raises(DimensionError):
+                tensor.attention(x, *args, x, x, False)
+
+
+@pytest.mark.usefixtures("small_tiles")
+class TestFusedQueryAttention:
+    """The node forms its queries (x w + b) * gate one tile at a time; the
+    oracle is ``attention_block_graph``, which forms them whole."""
+
+    @staticmethod
+    def operands(steps, seed, n=4):
+        """x and kv, then lin_q.w, lin_q.b, attn.q and attn.k; and the whole
+        parameter dict of one attention block over those arrays."""
+        p = attn_params(n, seed)
+        rng = np.random.default_rng(seed + 1)
+        arrays = [rng.standard_normal((steps, n)), rng.standard_normal((steps, n))]
+        arrays += [p[key].data for key in ("lin_q.w", "lin_q.b", "q", "k")]
+        return arrays, p
+
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("steps", TILE_STEPS)
+    def test_matches_attention_block_graph(self, steps, causal):
+        (x, kv, *_), p = self.operands(steps, 100 + steps)
+        got = fused_query_attention(Tensor(x), Tensor(kv), p["lin_q.w"], p["lin_q.b"],
+                                    p["q"], p["k"], causal) * value_gate_graph(p)
+        want = attention_block_graph(Tensor(x), Tensor(kv), Tensor(kv), p, causal)
+        np.testing.assert_allclose(got.data, want.data, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("causal", [False, True])
+    @pytest.mark.parametrize("steps", TILE_STEPS)
+    def test_gradients_of_every_input(self, steps, causal):
+        # the stream, kv, lin_q.w, lin_q.b, attn.q and attn.k
+        arrays, _ = self.operands(steps, 110 + steps)
+        weights = np.random.default_rng(111 + steps).standard_normal((steps, 4))
+        analytic, fd = weighted_sum_grads(
+            lambda *t: fused_query_attention(*t, causal), arrays, weights)
+        assert check_grads(analytic, fd) < 1e-6
+
+    def test_causal_rows_ignore_later_rows(self):
+        steps = 2 * SMALL_TILE + 3
+        (x, kv, *_), p = self.operands(steps, 120)
+        x2, kv2 = x.copy(), kv.copy()
+        x2[SMALL_TILE + 1:] += 5.0
+        kv2[SMALL_TILE + 1:] -= 5.0
+        a, b = (fused_query_attention(Tensor(xa), Tensor(kva), p["lin_q.w"], p["lin_q.b"],
+                                      p["q"], p["k"], True).data
+                for xa, kva in ((x, kv), (x2, kv2)))
+        np.testing.assert_array_equal(a[:SMALL_TILE + 1], b[:SMALL_TILE + 1])
+        assert np.abs(a[SMALL_TILE + 1:] - b[SMALL_TILE + 1:]).min() > 0.0
 
 
 def lstm_operands(steps, seed, n_in=3, hidden=2, dtype=np.float64):
@@ -783,20 +856,20 @@ class TestRowTiledMemory:
                           requires_grad=True) for _ in range(3))
         bound = self.STEPS * self.STEPS * 8
         with tensor.no_grad():
-            assert traced_peak(lambda: tensor.attention(q, k, v, causal)) < bound
+            assert traced_peak(lambda: plain_attention(q, k, v, causal)) < bound
         assert traced_peak(lambda: tensor.backward(
-            sum_all(tensor.attention(q, k, v, causal)))) < bound
+            sum_all(plain_attention(q, k, v, causal)))) < bound
         assert q.grad.shape == k.grad.shape == v.grad.shape == (self.STEPS, self.WIDTH)
 
     def test_causal_attention_backward_holds_two_score_tiles(self):
-        # a tile's probabilities and their gradient, the three input
-        # gradients and one row chunk of the softmax's row sums; forming
-        # ds * p whole would add a third (TILE_ROWS, S) array
+        # a tile's probabilities and their gradient, the input gradients,
+        # one row chunk of the softmax's row sums and the tile's queries;
+        # forming ds * p whole would add a third (TILE_ROWS, S) array
         steps, width = 1000, 16
         rng = np.random.default_rng(93)
         q, k, v = (Tensor(rng.standard_normal((steps, width)), requires_grad=True)
                    for _ in range(3))
-        out = tensor.attention(q, k, v, True)
+        out = plain_attention(q, k, v, True)
         out.grad = rng.standard_normal((steps, width))
         tracemalloc.start()
         try:
