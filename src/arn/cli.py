@@ -34,7 +34,11 @@ EXIT_MODEL = 4
 
 
 def _seed() -> int:
-    return int(os.environ.get("ARN_SEED", "0"))
+    raw = os.environ["ARN_SEED"]
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigurationError(f"ARN_SEED must be an integer, got {raw!r}") from None
 
 
 def _load_model(ckpt_path):

@@ -12,7 +12,7 @@ from . import tensor
 from .dsp import DegenerateSignalError, StftConfig, stft_magnitude
 from .tensor import DimensionError, Tensor
 
-DB_CAP = 100.0  # returned when the error term is numerically zero
+DB_CAP = 100.0  # the score when the error term (+) or signal term (-) is zero
 
 
 def _as_tensor(x, like: Tensor | None = None) -> Tensor:
@@ -70,10 +70,11 @@ LOSS_FNS = {
 
 
 def _clamp_db(ratio_num: float, ratio_den: float) -> float:
-    if ratio_den == 0.0:
-        return DB_CAP
+    # checked first: an estimate with no energy is silence, not a perfect match
     if ratio_num == 0.0:
         return -DB_CAP
+    if ratio_den == 0.0:
+        return DB_CAP
     return float(np.clip(10.0 * np.log10(ratio_num / ratio_den), -DB_CAP, DB_CAP))
 
 

@@ -207,8 +207,11 @@ class CorpusIndex(_Corpus):
         super().__init__()
         self.index_path = Path(index_path)
         self.root = self.index_path.parent
-        self.entries = {utt_id: (rel_path, count) for utt_id, rel_path, count
-                        in read_list_file(self.index_path, (str, str, int))}
+        self.entries = {}
+        for utt_id, rel_path, count in read_list_file(self.index_path, (str, str, int)):
+            if utt_id in self.entries:
+                raise ListFileError(f"{self.index_path}: id {utt_id!r} is listed twice")
+            self.entries[utt_id] = (rel_path, count)
         self.ids = sorted(self.entries)
         self._samples = {}
 

@@ -1,11 +1,12 @@
 """Attentive recurrent network for time-domain speech enhancement.
 
-One block is: layer norm -> RNN (LSTM when causal, BLSTM otherwise) ->
-two parallel layer norms feeding a gated single-head attention (residual
-back onto the query stream) -> two parallel layer norms feeding a
-feedforward block (residual onto the second stream). The full network
-frames a 1-D waveform into ceil(M / shift) rows, projects them to width N,
-stacks blocks, projects back to output frames, and overlap-adds.
+One block is: layer norm -> RNN, one ``tensor.lstm_sequence`` node (an
+LSTM when causal; otherwise a BLSTM, whose two directions write the halves
+of one output) -> two parallel layer norms feeding a gated single-head
+attention (residual back onto the query stream) -> two parallel layer norms
+feeding a feedforward block (residual onto the second stream). The full
+network frames a 1-D waveform into ceil(M / shift) rows, projects them to
+width N, stacks blocks, projects back to output frames, and overlap-adds.
 
 Causal operation uses a unidirectional LSTM plus an attention mask that
 zeroes the contribution of future frames; with an input frame wider than
@@ -173,31 +174,17 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
     return tensor.layer_norm_rows(x, gamma, beta, eps)
 
 
-def lstm_sequence(x: Tensor, w: dict, reverse: bool = False) -> Tensor:
-    """Run an LSTM over the rows of (T, n_in); initial state is zero.
-
-    The gates' weights and biases go, in gate order i, f, g, o and without
-    a copy, to one recorded op, ``tensor.lstm_sequence``, which makes the
-    input projection and runs the recurrence over all T steps, backward in
-    time when ``reverse``.
-    """
-    return tensor.lstm_sequence(x, [w[f"w_{g}x"] for g in _GATES],
-                                [w[f"b_{g}"] for g in _GATES],
-                                [w[f"w_{g}h"] for g in _GATES], reverse)
-
-
-def blstm_sequence(x: Tensor, fwd: dict, bwd: dict) -> Tensor:
-    """A forward-time and a backward-time LSTM, side by side in one
-    (T, 2H) output: columns [0, H) from ``fwd``, [H, 2H) from ``bwd``."""
-    return tensor.concat([lstm_sequence(x, fwd),
-                          lstm_sequence(x, bwd, reverse=True)], axis=1)
+def _lstm_gates(w: dict) -> tuple:
+    """One LSTM direction's ``(w_x, b, w_h)``, each its four per-gate
+    tensors in gate order i, f, g, o, as ``tensor.lstm_sequence`` takes them."""
+    return ([w[f"w_{g}x"] for g in _GATES], [w[f"b_{g}"] for g in _GATES],
+            [w[f"w_{g}h"] for g in _GATES])
 
 
 def rnn_sequence(x: Tensor, block_params: dict, cfg: ARNConfig) -> Tensor:
-    if cfg.causal:
-        return lstm_sequence(x, _sub(block_params, "lstm."))
-    return blstm_sequence(x, _sub(block_params, "blstm.fwd."),
-                          _sub(block_params, "blstm.bwd."))
+    """The block's LSTM, or BLSTM when not causal, as one recorded node."""
+    prefixes = ("lstm.",) if cfg.causal else ("blstm.fwd.", "blstm.bwd.")
+    return tensor.lstm_sequence(x, *(_lstm_gates(_sub(block_params, p)) for p in prefixes))
 
 
 def _v_gate_graph(p: dict) -> Tensor:

@@ -23,15 +23,15 @@ a non-leaf tensor keeps its ``data`` and ends with ``grad`` None. A graph is
 swept once: a second ``backward`` that reaches a swept node raises
 ``RuntimeError`` before it writes any gradient.
 
-``lstm_sequence`` records one node for all T time steps, forward or backward
-in time, and reads each gate's weights where they lie. Its forward loop is
-plain numpy and allocates nothing per step: it writes the input projection,
-one tile of ``TILE_ROWS`` rows and one gate at a time, into one activation
-buffer and turns each row into the four gates in place with one tanh
-(sigmoid in its tanh form, as ``sigmoid`` computes it). Only when recording
-does it keep the (T, 4H) gate activations and the (T, H) cell states, over
-which its backward pass runs backpropagation through time; it keeps no
-copy of the weights.
+``lstm_sequence`` records one node for all T time steps of an LSTM, or of
+a BLSTM whose two directions write the two halves of one output, and reads
+each gate's weights where they lie. Each direction's loop is plain numpy
+and allocates nothing per step: it writes the input projection, one tile
+of ``TILE_ROWS`` rows and one gate at a time, into one activation buffer
+and turns each row into the four gates in place with one tanh (sigmoid in
+its tanh form, as ``sigmoid`` computes it). Only when recording does it
+keep the gate activations and cell states that its backward pass, through
+time, reads; it keeps no copy of the weights.
 ``attention`` and ``feedforward`` work over the same row tiles and recompute
 each tile in their backward pass, so their memory grows linearly in T;
 ``attention`` also forms each tile's queries from the query stream, so no
@@ -345,54 +345,76 @@ def _row_tiles(steps: int):
 # recurrence
 # ---------------------------------------------------------------------------
 
-def lstm_sequence(x: Tensor, w_x, b, w_h, reverse: bool = False) -> Tensor:
-    """LSTM over the rows of ``x`` from a zero state, as one recorded op.
+def lstm_sequence(x: Tensor, fwd, bwd=None) -> Tensor:
+    """LSTM over the rows of ``x`` from a zero state, one direction or both,
+    as one recorded op.
 
-    ``x`` is (T, K); ``w_x``, ``b`` and ``w_h`` are each four tensors in gate
-    order i, f, g, o: the (K, H) input weights, the (H,) biases and the
-    (H, H) recurrent weights. Row t of the (T, H) output is h_t, where
-    z_t = x_t w_x + b + h_prev w_h over the gates side by side (4H columns),
-    c_t = f * c_prev + i * g and h_t = o * tanh(c_t). The previous step is
-    t - 1, or t + 1 when ``reverse`` runs the recurrence backward in time.
+    ``x`` is (T, K). ``fwd`` and ``bwd`` are each a direction's ``(w_x, b,
+    w_h)``, four tensors each in gate order i, f, g, o: the (K, H) input
+    weights, the (H,) biases and the (H, H) recurrent weights. ``fwd`` runs
+    forward in time into columns [0, H) of the output and ``bwd``, when
+    given, backward in time into columns [H, 2H). Row t of a direction's
+    columns is h_t, where z_t = x_t w_x + b + h_prev w_h over the gates side
+    by side (4H columns), c_t = f * c_prev + i * g and h_t = o * tanh(c_t);
+    the previous step is t - 1 forward in time and t + 1 backward.
 
-    The weights are read where they lie. The input projection is written,
-    one tile of ``TILE_ROWS`` rows and one gate at a time, into that gate's
-    columns of one activation buffer: the whole (T, 4H) buffer when
-    recording, a single tile otherwise, so no (T, 4H) array exists unless
-    recording. The recurrent weights are packed into one (H, 4H) matrix
-    only while the step loop runs, so each step makes one product. No step
-    allocates: it adds h_prev w_h into its row and activates all four gates
-    in place with one tanh over the row, tanh(z s) s + (1 - s) for a column
-    scale s of 1/2 on gates i, f, o (sigmoid(z) = tanh(z/2)/2 + 1/2, as
-    ``sigmoid`` computes it) and 1 on gate g; c_t and h_t are written
-    straight into preallocated rows. When recording, the buffer's T rows of
-    gate activations and all T cell states are kept beside the output, and
-    nothing weight-sized; otherwise one cell row is live. The backward pass
-    runs backpropagation through time over views of what was kept: one
-    (4H,) @ (4H, H) product per step into preallocated vectors, through the
-    recurrent weights packed again, then the gradients of ``x``, the input
-    weights, the biases and the recurrent weights as one product or sum each
-    over all steps, whose column blocks go to the four gates.
+    The directions run one after the other and read the weights where they
+    lie. Each writes its input projection, one tile of ``TILE_ROWS`` rows
+    and one gate at a time, into one activation buffer: (T, 4H) when
+    recording, one tile otherwise, freed before the next direction runs.
+    Its recurrent weights are packed into one (H, 4H) matrix while its step
+    loop runs. No step allocates: it adds h_prev w_h into its row and
+    activates all four gates in place with one tanh, tanh(z s) s + (1 - s)
+    for a column scale s of 1/2 on gates i, f, o (sigmoid(z) = tanh(z/2)/2 +
+    1/2, as ``sigmoid`` computes it) and 1 on gate g. When recording, each
+    direction keeps its gate activations and its (T, H) cell states, and
+    nothing weight-sized. The backward pass runs backpropagation through
+    time for each direction in turn over views of what it kept, freed once
+    it is done: one (4H,) @ (4H, H) product per step, through the recurrent
+    weights packed again, then the gradients of ``x`` and of each weight as
+    one product or sum over all steps, whose column blocks go to the gates.
     """
-    w_x, b, w_h = tuple(w_x), tuple(b), tuple(w_h)
-    if not len(w_x) == len(b) == len(w_h) == 4:
-        raise DimensionError("lstm_sequence needs four gates of w_x, b and w_h")
+    dirs = [tuple(tuple(g) for g in d) for d in ([fwd] if bwd is None else [fwd, bwd])]
+    if any(len(d) != 3 or any(len(g) != 4 for g in d) for d in dirs):
+        raise DimensionError("lstm_sequence needs (w_x, b, w_h) of four gates each")
     xd = x.data
     if xd.ndim != 2:
         raise DimensionError("lstm_sequence needs a rank-2 x")
     steps = xd.shape[0]
-    hidden = w_h[0].data.shape[0]
-    shapes = (((xd.shape[1], hidden), w_x), ((hidden,), b), ((hidden, hidden), w_h))
-    if any(t.data.shape != shape for shape, gates in shapes for t in gates):
-        raise DimensionError(
-            f"need x (T, K) and per gate w_x (K, H), b (H,) and w_h (H, H), got "
-            f"{xd.shape}, {[t.data.shape for t in w_x]}, {[t.data.shape for t in b]} "
-            f"and {[t.data.shape for t in w_h]}")
+    hidden = dirs[0][2][0].data.shape[0]
+    shapes = ((xd.shape[1], hidden), (hidden,), (hidden, hidden))
+    if any(t.data.shape != shape for d in dirs for shape, gates in zip(shapes, d)
+           for t in gates):
+        shown = [[[t.shape for t in g] for g in d] for d in dirs]
+        raise DimensionError(f"need x (T, K) and per gate w_x (K, H), b (H,) and w_h (H, H) "
+                             f"in each direction, got {xd.shape} and {shown}")
     if steps == 0:
         raise DimensionError("lstm_sequence on zero time steps")
-    parents = (x, *w_x, *b, *w_h)
+    parents = (x, *(t for d in dirs for gates in d for t in gates))
     keep = _grad_enabled and any(p.requires_grad for p in parents)
-    dtype = np.result_type(*(p.data for p in parents))
+    hs = np.empty((steps, hidden * len(dirs)),
+                  dtype=np.result_type(*(p.data for p in parents)))
+    cols = [slice(j * hidden, (j + 1) * hidden) for j in range(len(dirs))]
+    kept = [_lstm_run(xd, *d, hs[:, c], j == 1, keep)
+            for j, (d, c) in enumerate(zip(dirs, cols))]
+    out = Tensor(hs)
+    if not keep:
+        return out
+
+    def _bw(dy):
+        for j, (d, c) in enumerate(zip(dirs, cols)):
+            acts, cells = kept[j]
+            kept[j] = None
+            _lstm_bptt(x, *d, hs[:, c], acts, cells, dy[:, c], j == 1)
+
+    return _record(out, parents, _bw)
+
+
+def _lstm_run(xd, w_x, b, w_h, hs, reverse: bool, keep: bool):
+    """One direction of ``lstm_sequence`` into ``hs``, its (T, H) column
+    block; returns the gate activations and cell states when ``keep``."""
+    steps, hidden = hs.shape
+    dtype = hs.dtype
     h4 = 4 * hidden
     # a = tanh(z * s) * s + (1 - s) is sigmoid(z) where s = 1/2 and tanh(z)
     # where s = 1; the scaling by s and the adding of 0 are exact
@@ -403,7 +425,6 @@ def lstm_sequence(x: Tensor, w_x, b, w_h, reverse: bool = False) -> Tensor:
     gates = acts.reshape(-1, 4, hidden)
     # outside recording c_t overwrites c_prev in place: one cell row
     cells = np.empty((steps if keep else 1, hidden), dtype=dtype)
-    hs = np.empty((steps, hidden), dtype=dtype)
     rec = np.empty(h4, dtype=dtype)
     ig = np.empty(hidden, dtype=dtype)
     h = np.zeros(hidden, dtype=dtype)
@@ -432,50 +453,50 @@ def lstm_sequence(x: Tensor, w_x, b, w_h, reverse: bool = False) -> Tensor:
             h = hs[t]
             np.tanh(c, out=h)
             h *= o
-    del wh
-    out = Tensor(hs)
-    if not keep:
-        return out
+    return (acts, cells) if keep else None
 
-    def _bw(dy):
-        i, f, g, o = gates.swapaxes(0, 1)
-        # c_prev is the cell state one step earlier in the direction of the
-        # recurrence, zero at its start
-        c_prev = np.zeros_like(cells)
-        if reverse:
-            c_prev[:-1] = cells[1:]
-        else:
-            c_prev[1:] = cells[:-1]
-        # dz first holds the factors that turn dc_t (gates i, f, g) and dh_t
-        # (gate o) into the pre-activation gradients, then those gradients
-        dz = np.empty((steps, h4), dtype=dtype)
-        dz4 = dz.reshape(steps, 4, hidden)
-        np.multiply(g, i * (1 - i), out=dz4[:, 0])
-        np.multiply(c_prev, f * (1 - f), out=dz4[:, 1])
-        np.multiply(i, 1 - g * g, out=dz4[:, 2])
-        tc = np.tanh(cells)
-        np.multiply(tc, o * (1 - o), out=dz4[:, 3])
-        # dc_t = dc_next + dh_t k_t
-        k = o * (1 - tc * tc)
-        w_t = _pack(w_h).T
-        dh, dc = np.empty(hidden, dtype=dtype), np.empty(hidden, dtype=dtype)
-        dh_next, dc_next = np.zeros(hidden, dtype=dtype), np.zeros(hidden, dtype=dtype)
-        for t in range(steps) if reverse else range(steps - 1, -1, -1):
-            np.add(dy[t], dh_next, out=dh)
-            np.multiply(dh, k[t], out=dc)
-            dc += dc_next
-            dz4[t, :3] *= dc
-            dz4[t, 3] *= dh
-            np.matmul(dz[t], w_t, out=dh_next)
-            np.multiply(dc, f[t], out=dc_next)
-        del w_t
-        if x.requires_grad:
-            x._acc(dz @ _pack(w_x).T)
-        _acc_gates(w_x, lambda: xd.T @ dz)
-        _acc_gates(b, lambda: dz.sum(axis=0))
-        _acc_gates(w_h, lambda: (hs[1:].T @ dz[:-1]) if reverse else (hs[:-1].T @ dz[1:]))
 
-    return _record(out, parents, _bw)
+def _lstm_bptt(x: Tensor, w_x, b, w_h, hs, acts, cells, dy, reverse: bool):
+    """The backward pass of one direction of ``lstm_sequence`` from ``dy``,
+    its (T, H) column block of the output's gradient."""
+    steps, hidden = hs.shape
+    dtype = hs.dtype
+    i, f, g, o = acts.reshape(steps, 4, hidden).swapaxes(0, 1)
+    # c_prev is the cell state one step earlier in the direction of the
+    # recurrence, zero at its start
+    c_prev = np.zeros_like(cells)
+    if reverse:
+        c_prev[:-1] = cells[1:]
+    else:
+        c_prev[1:] = cells[:-1]
+    # dz first holds the factors that turn dc_t (gates i, f, g) and dh_t
+    # (gate o) into the pre-activation gradients, then those gradients
+    dz = np.empty((steps, 4 * hidden), dtype=dtype)
+    dz4 = dz.reshape(steps, 4, hidden)
+    np.multiply(g, i * (1 - i), out=dz4[:, 0])
+    np.multiply(c_prev, f * (1 - f), out=dz4[:, 1])
+    np.multiply(i, 1 - g * g, out=dz4[:, 2])
+    tc = np.tanh(cells)
+    np.multiply(tc, o * (1 - o), out=dz4[:, 3])
+    # dc_t = dc_next + dh_t k_t
+    k = o * (1 - tc * tc)
+    w_t = _pack(w_h).T
+    dh, dc = np.empty(hidden, dtype=dtype), np.empty(hidden, dtype=dtype)
+    dh_next, dc_next = np.zeros(hidden, dtype=dtype), np.zeros(hidden, dtype=dtype)
+    for t in range(steps) if reverse else range(steps - 1, -1, -1):
+        np.add(dy[t], dh_next, out=dh)
+        np.multiply(dh, k[t], out=dc)
+        dc += dc_next
+        dz4[t, :3] *= dc
+        dz4[t, 3] *= dh
+        np.matmul(dz[t], w_t, out=dh_next)
+        np.multiply(dc, f[t], out=dc_next)
+    del w_t
+    if x.requires_grad:
+        x._acc(dz @ _pack(w_x).T)
+    _acc_gates(w_x, lambda: x.data.T @ dz)
+    _acc_gates(b, lambda: dz.sum(axis=0))
+    _acc_gates(w_h, lambda: (hs[1:].T @ dz[:-1]) if reverse else (hs[:-1].T @ dz[1:]))
 
 
 def _pack(gates) -> np.ndarray:
@@ -789,24 +810,6 @@ def layer_norm_rows(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tenso
 # ---------------------------------------------------------------------------
 # structural ops
 # ---------------------------------------------------------------------------
-
-def concat(parts, axis: int) -> Tensor:
-    parts = list(parts)
-    if not parts:
-        raise DimensionError("concat of zero tensors")
-    if axis not in (0, 1):
-        raise DimensionError("concat supports axis 0 or 1")
-    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
-    sizes = [p.data.shape[axis] for p in parts]
-    bounds = np.cumsum([0] + sizes)
-
-    def _bw(g):
-        for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
-            if p.requires_grad:
-                p._acc(g[lo:hi] if axis == 0 else g[:, lo:hi])
-
-    return _record(out, tuple(parts), _bw)
-
 
 def _frame_view(padded: np.ndarray, frame_len: int, shift: int, num_frames: int):
     """Read-only (num_frames, frame_len) view: row t is padded[t*shift:][:frame_len]."""

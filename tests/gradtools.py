@@ -10,7 +10,8 @@ elementary recorded ops, as oracles for the fused ``tensor.lstm_sequence``;
 iterates ``lstm_graph_step`` over the op's own tiled projection,
 ``flip_rows`` gives the time-reversed LSTM as flip, LSTM, flip, and
 ``split_gates`` cuts packed gate columns into the op's per-gate operands.
-``sum_all`` reduces a tensor to the scalar loss most gradient tests sweep.
+``sum_all`` reduces a tensor to the scalar loss most gradient tests sweep,
+and ``concat`` joins tensors along rows or columns, as the oracles need.
 ``transpose``, ``softmax_rows``, ``causal_mask``, ``gelu``, ``slice_cols``
 and ``dropout_apply`` are recorded elementary ops that build the whole-array
 graphs ``attention_graph`` and ``feedforward_graph``, the oracles for the
@@ -180,6 +181,23 @@ def sum_all(a: Tensor) -> Tensor:
     return tensor._record(out, (a,), _bw)
 
 
+def concat(parts, axis: int) -> Tensor:
+    parts = list(parts)
+    if not parts:
+        raise DimensionError("concat of zero tensors")
+    if axis not in (0, 1):
+        raise DimensionError("concat supports axis 0 or 1")
+    out = Tensor(np.concatenate([p.data for p in parts], axis=axis))
+    bounds = np.cumsum([0] + [p.data.shape[axis] for p in parts])
+
+    def _bw(g):
+        for p, lo, hi in zip(parts, bounds[:-1], bounds[1:]):
+            if p.requires_grad:
+                p._acc(g[lo:hi] if axis == 0 else g[:, lo:hi])
+
+    return tensor._record(out, tuple(parts), _bw)
+
+
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise DimensionError("transpose needs a rank-2 operand")
@@ -335,13 +353,13 @@ def _row(a: Tensor, t: int) -> Tensor:
 
 
 def lstm_sequence_graph(x: Tensor, w_x, b, w_h, reverse: bool = False) -> Tensor:
-    """``tensor.lstm_sequence`` as a graph: the four gates of each of
-    ``w_x``, ``b`` and ``w_h`` packed by recorded concats, the whole (T, 4H)
-    input projection, then one ``lstm_graph_step`` per time step, in reverse
-    time order when ``reverse``."""
-    w_x, w_h = tensor.concat(w_x, axis=1), tensor.concat(w_h, axis=1)
+    """One direction of ``tensor.lstm_sequence`` as a graph: the four gates
+    of each of ``w_x``, ``b`` and ``w_h`` packed by recorded concats, the
+    whole (T, 4H) input projection, then one ``lstm_graph_step`` per time
+    step, in reverse time order when ``reverse``."""
+    w_x, w_h = concat(w_x, axis=1), concat(w_h, axis=1)
     hidden = w_h.shape[0]
-    z = x @ w_x + tensor.concat(b, axis=0)
+    z = x @ w_x + concat(b, axis=0)
     h = Tensor(np.zeros((1, hidden), dtype=z.data.dtype))
     c = Tensor(np.zeros((1, hidden), dtype=z.data.dtype))
     rows = [None] * x.shape[0]
@@ -349,15 +367,16 @@ def lstm_sequence_graph(x: Tensor, w_x, b, w_h, reverse: bool = False) -> Tensor
     for t in order:
         h, c = lstm_graph_step(_row(z, t), h, c, w_h)
         rows[t] = h
-    return tensor.concat(rows, axis=0)
+    return concat(rows, axis=0)
 
 
 def lstm_stepwise(x, w_x, b, w_h, reverse: bool = False) -> np.ndarray:
-    """The rows h_t of ``tensor.lstm_sequence(x, w_x, b, w_h, reverse)``,
-    by iterating ``lstm_graph_step`` over an input projection made one
-    ``tensor.TILE_ROWS`` tile at a time, as the op makes it: the op's bitwise
-    oracle at any tile size. ``w_x``, ``b`` and ``w_h`` are four per-gate
-    tensors each, as the op takes them."""
+    """The rows h_t of ``tensor.lstm_sequence(x, (w_x, b, w_h))``, or with
+    ``reverse`` the ``bwd`` columns of a call with ``(w_x, b, w_h)`` as
+    ``bwd``, by iterating ``lstm_graph_step`` over an input projection made
+    one ``tensor.TILE_ROWS`` tile at a time, as the op makes it: the op's
+    bitwise oracle at any tile size. ``w_x``, ``b`` and ``w_h`` are four
+    per-gate tensors each, as the op takes them."""
     w_x, b, w_h = (np.concatenate([t.data for t in gates], axis=-1)
                    for gates in (w_x, b, w_h))
     steps, hidden = x.shape[0], w_h.shape[0]

@@ -188,6 +188,20 @@ class TestMixAndEvaluate:
             wavio.write_wav(want, signal)
             assert Path(f"{prefix}.{name}.wav").read_bytes() == want.read_bytes()
 
+    @pytest.mark.parametrize("level", [0.0, 0.25])
+    def test_silent_file_scores_si_snr_floor(self, tmp_path, capsys, level):
+        # silence, or a constant (silence after mean removal), scores
+        # -DB_CAP; the clean file against itself scores +DB_CAP
+        clean, silent = tmp_path / "clean.wav", tmp_path / "silent.wav"
+        wavio.write_wav(clean, tone())
+        wavio.write_wav(silent, np.full(16000, level))
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_text(f"{clean}\t{silent}\n{clean}\t{clean}\n")
+        assert cli.main(["evaluate", "--pairs", str(manifest)]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        assert float(rows[0][3]) == -losses.DB_CAP
+        assert float(rows[1][3]) == losses.DB_CAP
+
     def test_evaluate_with_model_enhances_first(self, tmp_path, zero_ckpt, capsys):
         clean = tmp_path / "clean.wav"
         degraded = tmp_path / "deg.wav"
@@ -265,6 +279,18 @@ class TestExitCodes:
                          "--speech-index", str(index), "--noise-index", str(index),
                          "--out", str(tmp_path / "run")]) == 2
         assert f"{index}, line 2:" in capsys.readouterr().err
+
+    def test_repeated_index_id_exit_2_before_output(self, tmp_path, capsys):
+        speech_idx, noise_idx = write_corpus(tmp_path)
+        speech_idx.write_text("s0\tspeech/s0.wav\t3200\ns0\tspeech/s1.wav\t3200\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(tiny_train_config()))
+        out_dir = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config), "--speech-index", str(speech_idx),
+                         "--noise-index", str(noise_idx), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert f"{speech_idx}: id 's0' is listed twice" in err and "Traceback" not in err
+        assert not out_dir.exists()
 
     def test_corrupt_checkpoint_exit_4(self, tmp_path):
         src = tmp_path / "in.wav"
@@ -507,6 +533,15 @@ class TestTrainCommand:
         assert run_train(tmp_path, config, out_dir, *flags) == 4
         err = capsys.readouterr().err
         assert "seed must be non-negative" in err and "Traceback" not in err
+        assert not out_dir.exists()
+
+    def test_non_integer_env_seed_exit_4_before_output(self, tmp_path, capsys,
+                                                       monkeypatch):
+        monkeypatch.setenv("ARN_SEED", "abc")
+        out_dir = tmp_path / "run"
+        assert run_train(tmp_path, tiny_train_config(), out_dir) == 4
+        err = capsys.readouterr().err
+        assert "ARN_SEED must be an integer, got 'abc'" in err and "Traceback" not in err
         assert not out_dir.exists()
 
     def test_divergence_exit_1(self, tmp_path, capsys, monkeypatch):

@@ -127,6 +127,14 @@ class TestSiSnr:
         with pytest.raises(DegenerateSignalError):
             si_snr(np.zeros(10), np.ones(10))
 
+    def test_estimate_without_energy_scores_floor(self):
+        # silence, a constant (silence after mean removal) and an estimate
+        # whose energies underflow to zero match nothing: -DB_CAP, not the
+        # +DB_CAP of a perfect estimate
+        s = np.random.default_rng(13).standard_normal(100)
+        for s_hat in (np.zeros(100), np.full(100, 0.25), 1e-300 * s):
+            assert si_snr(s, s_hat) == -DB_CAP
+
     def test_constructed_snr_level(self):
         # orthogonal error of known energy gives exactly the requested value
         rng = np.random.default_rng(10)

@@ -13,6 +13,7 @@ from arn.mixing import (
     ArrayCorpus,
     CorpusIndex,
     DynamicMixer,
+    ListFileError,
     MixtureRecipe,
     TRAIN_SNRS_DB,
     make_mixture,
@@ -345,6 +346,14 @@ class TestCorpusCache:
         assert speech.load("s0").dtype == np.float32
         assert not speech.load("s0").flags.writeable
         assert not speech.trimmed("s0", -30.0).flags.writeable
+
+    def test_repeated_id_rejected(self, tmp_path):
+        # a second line for an id would silently replace the first file
+        index = write_index(tmp_path, "s", [speech_like(800, 61), speech_like(900, 62)])
+        lines = index.read_text().splitlines()
+        index.write_text(f"{lines[0]}\n{lines[1].replace('s1', 's0', 1)}\n")
+        with pytest.raises(ListFileError, match=rf"{index}: id 's0' is listed twice"):
+            CorpusIndex(index)
 
     def test_trimmed_views_leave_array_corpus_inputs_writable(self):
         x = speech_like(2000, 60)

@@ -22,11 +22,9 @@ from arn.model import (
     attention_block,
     arn_block_forward,
     arn_forward,
-    blstm_sequence,
     feedforward_block,
     init_params,
     layer_norm,
-    lstm_sequence,
     rnn_sequence,
 )
 from arn.tensor import Tensor
@@ -129,6 +127,12 @@ def lstm_weights(n_in, hidden, seed=None, dtype=np.float64):
     return w
 
 
+def lstm_node(x, *directions):
+    """``tensor.lstm_sequence`` over weight dicts as ``lstm_weights`` makes
+    them: one direction, or a forward-time and a backward-time one."""
+    return tensor.lstm_sequence(x, *(model._lstm_gates(w) for w in directions))
+
+
 def sequence_grad_error(run, x, weights, seed):
     """Largest relative gap between the recorded gradients of
     sum(run(x) * mix), for a random ``mix``, and central differences, over
@@ -177,7 +181,7 @@ class TestLstm:
     def test_sequence_matches_stepwise_reference(self):
         w = lstm_weights(4, 3, seed=3)
         x = np.random.default_rng(4).standard_normal((6, 4))
-        fused = lstm_sequence(Tensor(x), w)
+        fused = lstm_node(Tensor(x), w)
         h = Tensor(np.zeros((1, 3)))
         c = Tensor(np.zeros((1, 3)))
         for t in range(6):
@@ -188,7 +192,7 @@ class TestLstm:
         w = lstm_weights(3, 3, seed=5)
         x = Tensor(np.random.default_rng(6).standard_normal((4, 3)),
                    requires_grad=True)
-        run = lambda v: lstm_sequence(v, w)
+        run = lambda v: lstm_node(v, w)
         assert sequence_grad_error(run, x, [w], seed=7) < 1e-5
 
     @pytest.mark.parametrize("steps", [1, 7])
@@ -196,7 +200,7 @@ class TestLstm:
         w = lstm_weights(3, 2, seed=30 + steps)
         x = Tensor(np.random.default_rng(31).standard_normal((steps, 3)),
                    requires_grad=True)
-        run = lambda v: lstm_sequence(v, w)
+        run = lambda v: lstm_node(v, w)
         assert sequence_grad_error(run, x, [w], seed=32) < 1e-5
 
     def test_one_step_recurrent_weights_get_zero_gradient(self):
@@ -204,7 +208,7 @@ class TestLstm:
         # an all-zero gradient, not none
         w = lstm_weights(3, 2, seed=33)
         x = Tensor(np.random.default_rng(34).standard_normal((1, 3)))
-        tensor.backward(sum_all(lstm_sequence(x, w)))
+        tensor.backward(sum_all(lstm_node(x, w)))
         for gate in "ifgo":
             np.testing.assert_array_equal(w[f"w_{gate}h"].grad, np.zeros((2, 2)))
         assert np.abs(w["w_ix"].grad).max() > 0
@@ -219,8 +223,8 @@ class TestLstm:
                                  (0.5, (4 * hidden,)), (0.5, (hidden, 4 * hidden))))
         fused = tensor.lstm_sequence(
             Tensor(x, requires_grad=True),
-            *([Tensor(a, requires_grad=True) for a in split_gates(packed)]
-              for packed in (w_x, b, w_h)))
+            [[Tensor(a, requires_grad=True) for a in split_gates(packed)]
+             for packed in (w_x, b, w_h)])
         assert fused.data.dtype == np.float32
         z_in = x @ w_x + b  # one tile: the op's own projection
         w_h = Tensor(w_h)
@@ -233,7 +237,7 @@ class TestLstm:
     def test_float32_sequence_matches_per_gate_steps(self):
         w = lstm_weights(4, 3, seed=36, dtype=np.float32)
         x = np.random.default_rng(37).standard_normal((8, 4)).astype(np.float32)
-        fused = lstm_sequence(Tensor(x), w)
+        fused = lstm_node(Tensor(x), w)
         h = Tensor(np.zeros((1, 3), dtype=np.float32))
         c = Tensor(np.zeros((1, 3), dtype=np.float32))
         for t in range(8):
@@ -244,39 +248,47 @@ class TestLstm:
         x = Tensor(np.zeros((3, 4)))
         gates = lambda shape: [Tensor(np.zeros(shape)) for _ in range(4)]
         w_x, b, w_h = gates((4, 2)), gates(2), gates((2, 2))
-        tensor.lstm_sequence(x, w_x, b, w_h)
+        tensor.lstm_sequence(x, (w_x, b, w_h))
+        tensor.lstm_sequence(x, (w_x, b, w_h), (w_x, b, w_h))
         with pytest.raises(tensor.DimensionError):
-            tensor.lstm_sequence(x, w_x, b, w_h[:3] + [Tensor(np.zeros((2, 3)))])
+            tensor.lstm_sequence(x, (w_x, b, w_h[:3] + [Tensor(np.zeros((2, 3)))]))
         with pytest.raises(tensor.DimensionError):
-            tensor.lstm_sequence(x, gates((4, 3)), b, w_h)
+            tensor.lstm_sequence(x, (gates((4, 3)), b, w_h))
         with pytest.raises(tensor.DimensionError):
-            tensor.lstm_sequence(x, w_x, b[:3] + [Tensor(np.zeros(3))], w_h)
+            tensor.lstm_sequence(x, (w_x, b[:3] + [Tensor(np.zeros(3))], w_h))
         with pytest.raises(tensor.DimensionError):
-            tensor.lstm_sequence(x, w_x[:3], b, w_h)
+            tensor.lstm_sequence(x, (w_x[:3], b, w_h))
         with pytest.raises(tensor.DimensionError):
-            tensor.lstm_sequence(x, [Tensor(np.zeros((4, 8)))] * 4, b, w_h)
+            tensor.lstm_sequence(x, (w_x, b))
+        with pytest.raises(tensor.DimensionError):
+            tensor.lstm_sequence(x, ([Tensor(np.zeros((4, 8)))] * 4, b, w_h))
         # with K == H the input and recurrent weights are checked apart
         square = Tensor(np.zeros((3, 2)))
         with pytest.raises(tensor.DimensionError):
-            tensor.lstm_sequence(square, gates((2, 3)), b, w_h)
+            tensor.lstm_sequence(square, (gates((2, 3)), b, w_h))
         with pytest.raises(tensor.DimensionError):
-            tensor.lstm_sequence(Tensor(np.zeros(4)), w_x, b, w_h)
+            tensor.lstm_sequence(Tensor(np.zeros(4)), (w_x, b, w_h))
         with pytest.raises(tensor.DimensionError):
-            tensor.lstm_sequence(Tensor(np.zeros((0, 4))), w_x, b, w_h)
+            tensor.lstm_sequence(Tensor(np.zeros((0, 4))), (w_x, b, w_h))
+        # the backward-time direction is checked too, against the same H
+        with pytest.raises(tensor.DimensionError):
+            tensor.lstm_sequence(x, (w_x, b, w_h), (w_x, b, w_h[:3]))
+        with pytest.raises(tensor.DimensionError):
+            tensor.lstm_sequence(x, (w_x, b, w_h), (gates((4, 3)), gates(3), gates((3, 3))))
 
 
 class TestBlstm:
     def test_zero_weights_zero_output(self):
         fwd, bwd = lstm_weights(4, 2), lstm_weights(4, 2)
-        out = blstm_sequence(Tensor(np.random.default_rng(8).standard_normal((5, 4))),
-                             fwd, bwd)
+        out = lstm_node(Tensor(np.random.default_rng(8).standard_normal((5, 4))),
+                        fwd, bwd)
         np.testing.assert_array_equal(out.data, np.zeros((5, 4)))
 
     def test_direction_swap_symmetry(self):
         fwd, bwd = lstm_weights(4, 2, seed=9), lstm_weights(4, 2, seed=10)
         x = np.random.default_rng(11).standard_normal((7, 4))
-        a = blstm_sequence(Tensor(x), fwd, bwd)
-        b = blstm_sequence(Tensor(x[::-1].copy()), bwd, fwd)
+        a = lstm_node(Tensor(x), fwd, bwd)
+        b = lstm_node(Tensor(x[::-1].copy()), bwd, fwd)
         for t in range(7):
             np.testing.assert_allclose(a.data[t, 2:], b.data[6 - t, :2], atol=1e-12)
 
@@ -285,8 +297,8 @@ class TestBlstm:
         x = np.random.default_rng(14).standard_normal((5, 3))
         y = x.copy()
         y[-1] += 1.0
-        a = blstm_sequence(Tensor(x), fwd, bwd)
-        b = blstm_sequence(Tensor(y), fwd, bwd)
+        a = lstm_node(Tensor(x), fwd, bwd)
+        b = lstm_node(Tensor(y), fwd, bwd)
         assert np.abs(a.data[0] - b.data[0]).max() > 1e-8
 
     @pytest.mark.parametrize("steps", [1, 7])
@@ -294,7 +306,7 @@ class TestBlstm:
         fwd, bwd = lstm_weights(3, 2, seed=40), lstm_weights(3, 2, seed=41)
         x = Tensor(np.random.default_rng(42).standard_normal((steps, 3)),
                    requires_grad=True)
-        run = lambda v: blstm_sequence(v, fwd, bwd)
+        run = lambda v: lstm_node(v, fwd, bwd)
         assert sequence_grad_error(run, x, [fwd, bwd], seed=43) < 1e-5
 
     def test_rnn_dispatch_validates_config(self):
@@ -837,25 +849,46 @@ class TestRecordedLstmMemory:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_keeps_activations_cells_and_output_only(self, reverse):
-        h = self.WIDTH
-        w = lstm_weights(h, h, seed=84)
+        # with ``reverse``, a two-direction node
+        h, dirs = self.WIDTH, 2 if reverse else 1
+        ws = [lstm_weights(h, h, seed=84 + j) for j in range(dirs)]
         x = Tensor(np.random.default_rng(85).standard_normal((self.STEPS, h)),
                    requires_grad=True)
-        # the (T, 4H) gate activations, the (T, H) cell states and the
-        # (T, H) output; a packed copy of the input and recurrent weights
-        # would add (2 H + 1) 4H entries, more than all three
-        kept = (4 * h + h + h) * self.STEPS * 8
+        # each direction's (T, 4H) gate activations and (T, H) cell states,
+        # and its (T, H) columns of the output; a packed copy of the input
+        # and recurrent weights would add (2 H + 1) 4H entries, more than
+        # all three
+        kept = dirs * (4 * h + h + h) * self.STEPS * 8
         tracemalloc.start()
         try:
-            out = lstm_sequence(x, w, reverse)
+            out = lstm_node(x, *ws)
             held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert out.requires_grad
         assert held <= kept + 8192
-        # while the loop runs: the packed recurrent weights, and O(H)
-        # scratch and numpy's ufunc buffer, as for the node alone
+        # while a direction's loop runs: its packed recurrent weights, and
+        # O(H) scratch and numpy's ufunc buffer, as for the node alone
         assert peak <= kept + h * 4 * h * 8 + 64 * 4 * h * 8 + np.getbufsize() * 8
+
+    def test_recorded_blstm_holds_its_output_once(self):
+        # 6 (T, N) arrays: each direction's (T, 2N) gate activations and
+        # (T, N/2) cell states, and the one (T, N) output that both
+        # directions write; a separate output per direction, joined by a
+        # copy, holds a seventh
+        n = self.WIDTH
+        cfg = toy_cfg(width=n, causal=False)
+        block = model._sub(init_params(cfg, np.random.default_rng(86), np.float64), "block0.")
+        x = Tensor(np.random.default_rng(87).standard_normal((self.STEPS, n)),
+                   requires_grad=True)
+        tracemalloc.start()
+        try:
+            out = rnn_sequence(x, block, cfg)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert graph_of(out) == [out] and out.shape == (self.STEPS, n)
+        assert held <= 6 * self.STEPS * n * 8 + 8192
 
 
 class TestEvalMemory:
@@ -905,16 +938,37 @@ class TestEvalMemory:
         # the projection, the (T, H) output, O(H) vectors and numpy's ufunc
         # buffer, which the bias's broadcast goes through: no (T, 4H) array
         # and no copy of the input weights; at this width a second (H, 4H)
-        # array is larger than the vectors and the buffer together
+        # array is larger than the vectors and the buffer together. With
+        # ``reverse``, a two-direction node: its (T, 2H) output and one
+        # direction's scratch, freed before the other direction runs
         monkeypatch.setattr(tensor, "TILE_ROWS", self.TILE)
-        hidden = 2 * self.WIDTH
-        w = lstm_weights(hidden, hidden, seed=82, dtype=np.float32)
+        hidden, dirs = 2 * self.WIDTH, 2 if reverse else 1
+        ws = [lstm_weights(hidden, hidden, seed=82 + j, dtype=np.float32)
+              for j in range(dirs)]
         x = Tensor(np.random.default_rng(83).standard_normal(
             (self.STEPS, hidden)).astype(np.float32), requires_grad=True)
         with tensor.no_grad():
-            peak = traced_peak(lambda: lstm_sequence(x, w, reverse))
-        bound = ((hidden + self.TILE + 16) * 4 * hidden * 4 + self.STEPS * hidden * 4
+            peak = traced_peak(lambda: lstm_node(x, *ws))
+        bound = ((hidden + self.TILE + 16) * 4 * hidden * 4
+                 + dirs * self.STEPS * hidden * 4 + np.getbufsize() * 8)
+        assert peak <= bound
+
+    def test_blstm_holds_output_and_one_directions_scratch(self, monkeypatch):
+        # the (T, N) output, and one direction's packed (N/2, 2N) recurrent
+        # weights, (TILE_ROWS, 2N) tile and vectors, and numpy's ufunc
+        # buffer; two whole (T, N) arrays, such as two directions' outputs
+        # joined by a copy, exceed this
+        monkeypatch.setattr(tensor, "TILE_ROWS", self.TILE)
+        n = 2 * self.WIDTH
+        cfg = toy_cfg(width=n, causal=False)
+        block = model._sub(init_params(cfg, np.random.default_rng(88)), "block0.")
+        x = Tensor(np.random.default_rng(89).standard_normal(
+            (self.STEPS, n)).astype(np.float32))
+        with tensor.no_grad():
+            peak = traced_peak(lambda: rnn_sequence(x, block, cfg))
+        bound = (self.STEPS * n * 4 + (n // 2 + self.TILE + 16) * 2 * n * 4
                  + np.getbufsize() * 8)
+        assert bound < 1.5 * self.STEPS * n * 4
         assert peak <= bound
 
 
@@ -974,9 +1028,11 @@ class TestGraphBudget:
         # 62 for one utterance's forward pass and PCM loss, and one to sum
         # it into the batch loss (the last utterance's is the scaling); the
         # query projection, its bias and its gate are inside the attention
-        # node, not three nodes of their own
-        _, _, loss = self.batch_loss(demo_config, 3)
-        assert len(graph_of(loss)) == 3 * 63
+        # node, not three nodes of their own, and the recurrent layer is one
+        # node, causal or not
+        for causal in (True, False):
+            _, _, loss = self.batch_loss(demo_config, 3, causal=causal)
+            assert len(graph_of(loss)) == 3 * 63
 
     @pytest.mark.parametrize("causal", [True, False])
     def test_no_packed_lstm_weights_reachable(self, demo_config, causal):

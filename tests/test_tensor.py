@@ -23,6 +23,7 @@ from gradtools import (
     attention_graph,
     causal_mask,
     check_grads,
+    concat,
     dropout_apply,
     feedforward_graph,
     finite_diff,
@@ -290,9 +291,9 @@ class TestStructuralOps:
     def test_concat_and_slice_roundtrip(self):
         a = rand((2, 3), 22)
         b = rand((4, 3), 23)
-        cat = tensor.concat([Tensor(a), Tensor(b)], axis=0)
+        cat = concat([Tensor(a), Tensor(b)], axis=0)
         np.testing.assert_array_equal(cat.data[2:6], b)
-        cat1 = tensor.concat([Tensor(a), Tensor(a)], axis=1)
+        cat1 = concat([Tensor(a), Tensor(a)], axis=1)
         np.testing.assert_array_equal(slice_cols(cat1, 3, 6).data, a)
 
     def test_flip_rows(self):
@@ -300,8 +301,8 @@ class TestStructuralOps:
         np.testing.assert_array_equal(flip_rows(Tensor(a)).data, a[::-1])
 
     @pytest.mark.parametrize("build", [
-        lambda x: tensor.concat([x, flip_rows(x)], axis=0),
-        lambda x: tensor.concat([x, x], axis=1),
+        lambda x: concat([x, flip_rows(x)], axis=0),
+        lambda x: concat([x, x], axis=1),
         lambda x: tensor.reshape(x, (1, 12)),
         lambda x: slice_cols(x, 1, 3),
     ])
@@ -562,36 +563,63 @@ def lstm_operands(steps, seed, n_in=3, hidden=2, dtype=np.float64):
     return [x, *split_gates(w_x), *split_gates(b), *split_gates(w_h)]
 
 
+def blstm_operands(steps, seed, **kwargs):
+    """x, then the 12 per-gate arrays of a forward-time and of a
+    backward-time direction: 25 arrays."""
+    return lstm_operands(steps, seed, **kwargs) + lstm_operands(steps, seed + 1, **kwargs)[1:]
+
+
 def gated(fn, **kwargs):
     """``fn(x, w_x, b, w_h, **kwargs)`` over the 13 operands in the order
     ``lstm_operands`` gives them."""
     return lambda x, *w: fn(x, w[:4], w[4:8], w[8:], **kwargs)
 
 
+def lstm_node(x, *w):
+    """``tensor.lstm_sequence`` over the 13 operands of ``lstm_operands`` or
+    the 25 of ``blstm_operands``: the second 12, when given, are ``bwd``."""
+    return tensor.lstm_sequence(x, *[(w[j:j + 4], w[j + 4:j + 8], w[j + 8:j + 12])
+                                     for j in range(0, len(w), 12)])
+
+
+def side_by_side(fwd_fn, bwd_fn):
+    """Over x and 24 operands: ``fwd_fn`` of the first 12 and ``bwd_fn`` of
+    the second 12, joined column-wise as the two-direction node joins them."""
+    return lambda x, *w: concat([fwd_fn(x, *w[:12]), bwd_fn(x, *w[12:])], axis=1)
+
+
 def flipped_lstm(x, w_x, b, w_h):
     """The time-reversed LSTM as flip, forward LSTM, flip."""
-    return flip_rows(tensor.lstm_sequence(flip_rows(x), w_x, b, w_h))
+    return flip_rows(tensor.lstm_sequence(flip_rows(x), (w_x, b, w_h)))
 
 
 class TestLstmNode:
+    """The node with ``fwd`` alone, and with ``bwd`` too: where a test is
+    parametrized by ``reverse``, True checks the backward-time direction as
+    the ``bwd`` columns of a two-direction call."""
+
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("steps", [1, 2, 9, 256])
     def test_reverse_bitwise_flip_within_one_tile(self, steps, dtype):
         assert steps <= tensor.TILE_ROWS
-        operands = [Tensor(a) for a in lstm_operands(steps, 100 + steps, dtype=dtype)]
-        got = gated(tensor.lstm_sequence, reverse=True)(*operands).data
+        operands = [Tensor(a) for a in blstm_operands(steps, 100 + steps, dtype=dtype)]
+        got = lstm_node(*operands).data
         assert got.dtype == dtype
-        np.testing.assert_array_equal(got, gated(flipped_lstm)(*operands).data)
+        np.testing.assert_array_equal(
+            got[:, 2:], gated(flipped_lstm)(operands[0], *operands[13:]).data)
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("steps", TILE_STEPS)
     def test_tiles_match_whole_array_graph(self, small_tiles, steps, reverse):
-        arrays = lstm_operands(steps, 110 + steps)
-        mix = Tensor(np.random.default_rng(111).standard_normal((steps, 2)))
+        arrays = (blstm_operands if reverse else lstm_operands)(steps, 110 + steps)
+        mix = Tensor(np.random.default_rng(111).standard_normal((steps, 4 if reverse else 2)))
+        builds = [lstm_node, gated(lstm_sequence_graph)]
+        if reverse:
+            builds[1:] = [side_by_side(gated(lstm_sequence_graph),
+                                       gated(lstm_sequence_graph, reverse=True)),
+                          side_by_side(lstm_node, gated(flipped_lstm))]
         grads = []
-        for build in (gated(tensor.lstm_sequence, reverse=reverse),
-                      gated(lstm_sequence_graph, reverse=reverse),
-                      gated(flipped_lstm if reverse else tensor.lstm_sequence)):
+        for build in builds:
             leaves = [Tensor(a, requires_grad=True) for a in arrays]
             out = build(*leaves)
             tensor.backward(sum_all(tensor.mul(out, mix)))
@@ -606,29 +634,34 @@ class TestLstmNode:
     def test_float32_bitwise_stepwise_across_tiles(self, small_tiles, steps, reverse,
                                                    recording):
         # recording writes every row into one (T, 4H) buffer, evaluation
-        # reuses one tile of rows: both must match the stepwise graph exactly
+        # reuses one tile of rows: both must match the stepwise graph
+        # exactly, and a direction's columns must not depend on the other's
         operands = [Tensor(a, requires_grad=recording) for a in
-                    lstm_operands(steps, 140 + steps, hidden=5, dtype=np.float32)]
-        got = gated(tensor.lstm_sequence, reverse=reverse)(*operands)
+                    (blstm_operands if reverse else lstm_operands)(
+                        steps, 140 + steps, hidden=5, dtype=np.float32)]
+        got = lstm_node(*operands)
         assert got.requires_grad == recording and got.data.dtype == np.float32
-        np.testing.assert_array_equal(
-            got.data, gated(lstm_stepwise, reverse=reverse)(*operands))
+        x, fwd, bwd = operands[0], operands[1:13], operands[13:]
+        np.testing.assert_array_equal(got.data[:, :5], gated(lstm_stepwise)(x, *fwd))
+        if reverse:
+            np.testing.assert_array_equal(got.data[:, :5], lstm_node(x, *fwd).data)
+            np.testing.assert_array_equal(
+                got.data[:, 5:], gated(lstm_stepwise, reverse=True)(x, *bwd))
 
     @pytest.mark.parametrize("reverse", [False, True])
     @pytest.mark.parametrize("steps", [1, 4, 5, 7, 11])
     def test_gradients(self, small_tiles, steps, reverse):
+        # every operand: x and each direction's 12 per-gate tensors
         analytic, fd = weighted_sum_grads(
-            gated(tensor.lstm_sequence, reverse=reverse),
-            lstm_operands(steps, 120 + steps),
-            np.random.default_rng(121).standard_normal((steps, 2)))
+            lstm_node, (blstm_operands if reverse else lstm_operands)(steps, 120 + steps),
+            np.random.default_rng(121).standard_normal((steps, 4 if reverse else 2)))
         assert check_grads(analytic, fd) < 1e-6
 
     def test_reverse_first_row_sees_every_step(self):
-        x, *w = lstm_operands(5, 130)
+        x, *w = blstm_operands(5, 130)
         y = x.copy()
         y[-1] += 1.0
-        run = lambda v: gated(tensor.lstm_sequence, reverse=True)(
-            Tensor(v), *map(Tensor, w)).data
+        run = lambda v: lstm_node(Tensor(v), *map(Tensor, w)).data[:, 2:]
         a, c = run(x), run(y)
         assert np.abs(a[0] - c[0]).max() > 1e-8
         np.testing.assert_array_equal(run(x[1:]), a[1:])
@@ -885,16 +918,18 @@ class TestRowTiledMemory:
 
     @pytest.mark.parametrize("reverse", [False, True])
     def test_recording_lstm_keeps_only_activations_cells_and_output(self, reverse):
-        h = self.WIDTH
-        operands = [Tensor(a, requires_grad=True)
-                    for a in lstm_operands(self.STEPS, 92, n_in=h, hidden=h)]
-        # the (T, 4H) gate activations, the (T, H) cell states and the (T, H)
-        # output; then O(H) scratch, and numpy's ufunc buffer, which the
-        # bias's broadcast over a tile's rows goes through
-        kept = (4 * h + h + h) * self.STEPS * 8
+        # with ``reverse``, a two-direction node
+        h, dirs = self.WIDTH, 2 if reverse else 1
+        operands = [Tensor(a, requires_grad=True) for a in
+                    (blstm_operands if reverse else lstm_operands)(
+                        self.STEPS, 92, n_in=h, hidden=h)]
+        # each direction's (T, 4H) gate activations and (T, H) cell states,
+        # and the (T, H) columns of the output; then O(H) scratch, and numpy's
+        # ufunc buffer, which the bias's broadcast over a tile's rows goes
+        # through
+        kept = dirs * (4 * h + h + h) * self.STEPS * 8
         scratch = 64 * 4 * h * 8 + np.getbufsize() * 8
-        run = gated(tensor.lstm_sequence, reverse=reverse)
-        peak = traced_peak(lambda: run(*operands))
+        peak = traced_peak(lambda: lstm_node(*operands))
         assert peak <= kept + scratch
 
     @pytest.mark.parametrize("masked", [False, True])

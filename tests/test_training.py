@@ -25,6 +25,8 @@ from arn.training import (
     validate,
 )
 
+from test_model import zero_params
+
 
 def toy_model_cfg(**overrides):
     base = dict(width=8, frame_in=8, frame_out=8, shift=8, num_blocks=1,
@@ -160,6 +162,14 @@ class TestValidateAndSelect:
         monkeypatch.setattr(model, "enhance", lambda x, params, cfg: fakes[x.tobytes()])
         score = validate({}, toy_model_cfg(), [(s1, s1), (s2, s2)])
         assert score == pytest.approx(4.0, abs=1e-9)
+
+    def test_zero_parameter_model_scores_floor(self):
+        # all-zero weights enhance every input to silence: the worst score
+        cfg = toy_model_cfg()
+        params = zero_params(cfg, np.float32)
+        pairs = [fixed_pair(seed=11), fixed_pair(seed=12)]
+        assert not model.enhance(pairs[0][0], params, cfg).any()
+        assert validate(params, cfg, pairs) == -DB_CAP
 
     def test_empty_set_rejected(self):
         with pytest.raises(ConfigurationError):
