@@ -5,6 +5,12 @@ With online mixing there is no natural epoch boundary, so an epoch is
 defined as ``steps_per_epoch`` optimizer steps. Epoch RNG streams are
 derived from (seed, epoch), making complete runs replayable bit-for-bit.
 
+A training step holds one utterance's graph at a time: each utterance's
+loss term, scaled by 1/B, is swept by ``tensor.backward`` before the next
+utterance is built, and the parameters' gradients add up across the sweeps.
+The gradients and the logged loss are bitwise those of one graph over the
+whole batch, but the step's memory does not grow with the batch.
+
 Checkpoint format (version 1): a plain-text header of ``key=value`` lines
 (the model config, the epoch, the best score and, with Adam state, Adam's
 step count but not its constants, which are ``AdamState``'s defaults) and a
@@ -94,14 +100,28 @@ def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
     return cfg.lr_hi * (cfg.lr_lo / cfg.lr_hi) ** frac
 
 
-def _batch_loss(batch, params, model_cfg: ARNConfig, loss_name: str, rng):
+def _sweep_batch(batch, params, model_cfg: ARNConfig, loss_name: str, rng) -> float:
+    """Sum one step's parameter gradients, one utterance at a time, and
+    return the batch's mean loss.
+
+    Each utterance's loss term, scaled by 1/B, is swept by ``tensor.backward``
+    before the next utterance is built, so the step holds one utterance's
+    graph at a time and the gradients add up across the sweeps. The mean
+    sums the unscaled terms in batch order and scales once, as one graph of
+    the whole batch would. A non-finite term ends the step before its sweep
+    and is returned instead of the mean.
+    """
     loss_fn = losses.LOSS_FNS[loss_name]
+    weight = 1.0 / len(batch)
     total = None
     for x, s in batch:
-        s_hat = model.arn_forward(x, params, model_cfg, rng=rng)
-        term = loss_fn(x, s, s_hat)
-        total = term if total is None else total + term
-    return tensor.scale(total, 1.0 / len(batch))
+        term = loss_fn(x, s, model.arn_forward(x, params, model_cfg, rng=rng))
+        value = term.item()
+        if not math.isfinite(value):
+            return value
+        total = term.data if total is None else total + term.data
+        tensor.backward(tensor.scale(term, weight))
+    return float(total * weight)
 
 
 def train_epoch(params: dict, model_cfg: ARNConfig, adam: AdamState,
@@ -109,7 +129,9 @@ def train_epoch(params: dict, model_cfg: ARNConfig, adam: AdamState,
     """Run one epoch of optimizer steps and return the mean loss.
 
     ``log``, when given, is called as ``log(epoch, step, loss, lr)`` after
-    every step. A non-finite loss aborts the epoch with diagnostic state.
+    every step. A non-finite loss term aborts the epoch with diagnostic
+    state: no Adam update runs for that step, and no parameter keeps a
+    gradient from the utterances swept before it.
     """
     mix_rng = np.random.default_rng([cfg.seed, epoch, 0])
     drop_rng = np.random.default_rng([cfg.seed, epoch, 1])
@@ -117,12 +139,12 @@ def train_epoch(params: dict, model_cfg: ARNConfig, adam: AdamState,
     step_losses = []
     for step in range(1, cfg.steps_per_epoch + 1):
         batch = mixer.sample(mix_rng, cfg.batch)
-        loss = _batch_loss(batch, params, model_cfg, cfg.loss, drop_rng)
-        value = loss.item()
+        value = _sweep_batch(batch, params, model_cfg, cfg.loss, drop_rng)
         if not math.isfinite(value):
+            for p in params.values():
+                p.grad = None
             raise DivergenceError(
                 f"non-finite loss {value} at epoch {epoch} step {step}")
-        tensor.backward(loss)
         adam_step(params, adam, lr)
         step_losses.append(value)
         if log is not None:
@@ -208,11 +230,25 @@ def _parse_value(raw: str):
         return float(raw)
 
 
+def _bad_meta(key: str, value) -> CheckpointFormatError:
+    return CheckpointFormatError(f"bad header value 'meta.{key}={_format_value(value)}'")
+
+
 def _meta_int(meta: dict, key: str) -> int:
+    """A count in the header: a non-negative integer, 0 when absent."""
     value = meta.get(key, 0)
-    if type(value) is not int:
-        raise CheckpointFormatError(f"bad header value 'meta.{key}={value!r}'")
+    if type(value) is not int or value < 0:
+        raise _bad_meta(key, value)
     return value
+
+
+def _meta_score(meta: dict) -> float:
+    """The best validation score: a number below +inf, or -inf (the value
+    ``fit`` writes when no epoch was validated) when absent."""
+    value = meta.get("best_score", -math.inf)
+    if type(value) not in (int, float) or not value < math.inf:
+        raise _bad_meta("best_score", value)
+    return float(value)
 
 
 def save_checkpoint(ckpt: Checkpoint, path):
@@ -383,7 +419,7 @@ def _read_checkpoint(fh) -> Checkpoint:
         adam = AdamState(m=adam_m, v=adam_v,
                          step_count=_meta_int(meta, "adam.step_count"))
     return Checkpoint(model_cfg=model_cfg, tensors=tensors, adam=adam,
-                      best_score=float(meta.get("best_score", -math.inf)),
+                      best_score=_meta_score(meta),
                       epoch=_meta_int(meta, "epoch"))
 
 

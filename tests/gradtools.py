@@ -12,6 +12,8 @@ iterates ``lstm_graph_step`` over the op's own tiled projection,
 ``split_gates`` cuts packed gate columns into the op's per-gate operands.
 ``sum_all`` reduces a tensor to the scalar loss most gradient tests sweep,
 and ``concat`` joins tensors along rows or columns, as the oracles need.
+``batch_loss_graph`` records a whole batch's mean loss as one graph: the
+oracle for the training step, which sweeps one utterance at a time.
 ``transpose``, ``softmax_rows``, ``causal_mask``, ``gelu``, ``slice_cols``
 and ``dropout_apply`` are recorded elementary ops that build the whole-array
 graphs ``attention_graph`` and ``feedforward_graph``, the oracles for the
@@ -33,7 +35,7 @@ import tracemalloc
 import numpy as np
 from scipy.special import erf
 
-from arn import tensor
+from arn import losses, model, tensor
 from arn.tensor import DimensionError, Tensor
 
 FD_STEP = 1e-5
@@ -196,6 +198,16 @@ def concat(parts, axis: int) -> Tensor:
                 p._acc(g[lo:hi] if axis == 0 else g[:, lo:hi])
 
     return tensor._record(out, tuple(parts), _bw)
+
+
+def batch_loss_graph(batch, params, model_cfg, loss_name: str, rng) -> Tensor:
+    loss_fn = losses.LOSS_FNS[loss_name]
+    total = None
+    for x, s in batch:
+        s_hat = model.arn_forward(x, params, model_cfg, rng=rng)
+        term = loss_fn(x, s, s_hat)
+        total = term if total is None else total + term
+    return tensor.scale(total, 1.0 / len(batch))
 
 
 def transpose(a: Tensor) -> Tensor:

@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from arn import losses, model, tensor, training
+from arn import losses, model, tensor
 from arn.model import (
     ARNConfig,
     ConfigurationError,
@@ -1009,39 +1009,40 @@ def demo_config(tmp_path_factory) -> dict:
 
 
 class TestGraphBudget:
-    """The recorded graph of a training step at the demo config: its size,
-    and no packed copy of the LSTM weights in it. A change that brings back
-    per-call weight copies fails here."""
+    """The recorded graph of one utterance of a training step at the demo
+    config: its size, and no packed copy of the LSTM weights in it. A change
+    that brings back per-call weight copies fails here."""
 
     @staticmethod
-    def batch_loss(blob, utterances, **overrides):
+    def utterance_term(blob, **overrides):
+        """One utterance's loss term as a training step records and sweeps
+        it: the forward pass, the PCM loss, and the scaling by 1/B."""
         cfg = ARNConfig.from_dict({**blob["model"], **overrides})
         params = init_params(cfg, np.random.default_rng(62))
         rng = np.random.default_rng(63)
         n = blob["mixing"]["target_len"]
-        batch = [(rng.standard_normal(n).astype(np.float32),
-                  rng.standard_normal(n).astype(np.float32)) for _ in range(utterances)]
-        loss = training._batch_loss(batch, params, cfg, "pcm", np.random.default_rng(64))
-        return cfg, params, loss
+        x, s = (rng.standard_normal(n).astype(np.float32) for _ in range(2))
+        s_hat = model.arn_forward(x, params, cfg, rng=np.random.default_rng(64))
+        term = losses.pcm_loss(x, s, s_hat)
+        return cfg, params, tensor.scale(term, 1.0 / blob["train"]["batch"])
 
     def test_sixty_three_nodes_per_utterance(self, demo_config):
-        # 62 for one utterance's forward pass and PCM loss, and one to sum
-        # it into the batch loss (the last utterance's is the scaling); the
-        # query projection, its bias and its gate are inside the attention
-        # node, not three nodes of their own, and the recurrent layer is one
-        # node, causal or not
+        # 62 for one utterance's forward pass and PCM loss, and one to scale
+        # its term by 1/B before the sweep; the query projection, its bias
+        # and its gate are inside the attention node, not three nodes of
+        # their own, and the recurrent layer is one node, causal or not
         for causal in (True, False):
-            _, _, loss = self.batch_loss(demo_config, 3, causal=causal)
-            assert len(graph_of(loss)) == 3 * 63
+            _, _, term = self.utterance_term(demo_config, causal=causal)
+            assert len(graph_of(term)) == 63
 
     @pytest.mark.parametrize("causal", [True, False])
     def test_no_packed_lstm_weights_reachable(self, demo_config, causal):
-        cfg, params, loss = self.batch_loss(demo_config, 2, causal=causal)
+        cfg, params, term = self.utterance_term(demo_config, causal=causal)
         n = cfg.width
         hidden = n if causal else n // 2
         packed = {(n, 4 * hidden), (hidden, 4 * hidden)}
         leaves = [p.data for p in params.values()]
-        copies = [a.shape for a in arrays_held(loss) if a.shape in packed
+        copies = [a.shape for a in arrays_held(term) if a.shape in packed
                   and not any(a is d or a.base is d for d in leaves)]
         assert copies == []
 

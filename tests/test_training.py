@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from arn import model, training
+from arn import losses, model, tensor, training
 from arn.losses import DB_CAP, si_snr
 from arn.model import ARNConfig, ConfigurationError
 from arn.optim import AdamState
@@ -25,6 +25,7 @@ from arn.training import (
     validate,
 )
 
+from gradtools import batch_loss_graph, traced_peak
 from test_model import zero_params
 
 
@@ -43,6 +44,17 @@ class FixedMixer:
     def sample(self, rng, count):
         return [self.pairs[int(rng.integers(len(self.pairs)))]
                 for _ in range(count)]
+
+
+class BatchMixer:
+    """Serves the same batch on every draw."""
+
+    def __init__(self, batch):
+        self.batch = batch
+
+    def sample(self, rng, count):
+        assert count == len(self.batch)
+        return self.batch
 
 
 def fixed_pair(length=64, seed=0):
@@ -129,6 +141,86 @@ class TestTrainEpoch:
         with np.errstate(invalid="ignore"):  # the injected inf propagates as nan
             with pytest.raises(DivergenceError):
                 train_epoch(params, cfg, adam, tc, mixer, epoch=1)
+
+    @pytest.mark.parametrize("loss", ["mse", "pcm"])
+    @pytest.mark.parametrize("causal", [True, False])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_swept_step_matches_one_graph_bitwise(self, monkeypatch, dtype, causal, loss):
+        # unequal lengths; the longest is 375 frames, more than one tile
+        cfg = toy_model_cfg(width=16, num_blocks=2, causal=causal, dropout=0.1)
+        assert 3000 // cfg.shift > tensor.TILE_ROWS
+        rng = np.random.default_rng(40)
+        batch = [tuple(rng.standard_normal(n).astype(dtype) for _ in range(2))
+                 for n in (700, 3000, 1500)]
+        tc = TrainConfig(epochs=2, steps_per_epoch=1, batch=3, lr_knee=1, loss=loss, seed=9)
+
+        oracle = model.init_params(cfg, np.random.default_rng(41), dtype)
+        graph = batch_loss_graph(batch, oracle, cfg, loss, np.random.default_rng([9, 1, 1]))
+        tensor.backward(graph)
+
+        params = model.init_params(cfg, np.random.default_rng(41), dtype)
+        grads, logged = {}, []
+        real = training.adam_step
+
+        def keep_grads(ps, state, lr):
+            grads.update((k, p.grad.copy()) for k, p in ps.items())
+            real(ps, state, lr)
+
+        monkeypatch.setattr(training, "adam_step", keep_grads)
+        train_epoch(params, cfg, AdamState.for_params(params), tc, BatchMixer(batch),
+                    epoch=1, log=lambda e, s, l, r: logged.append(l))
+        assert logged == [graph.item()]
+        assert grads.keys() == oracle.keys()
+        for k, p in oracle.items():
+            assert grads[k].dtype == p.grad.dtype
+            assert grads[k].tobytes() == p.grad.tobytes(), k
+
+    def test_step_memory_does_not_grow_with_batch(self):
+        # one utterance's graph is alive at a time, so a step of four
+        # utterances peaks about as high as a step of one
+        cfg = toy_model_cfg(width=16, num_blocks=2)
+        params = model.init_params(cfg, np.random.default_rng(42), np.float32)
+        adam = AdamState.for_params(params)
+        rng = np.random.default_rng(43)
+        pairs = [tuple(rng.standard_normal(4000).astype(np.float32) for _ in range(2))
+                 for _ in range(4)]
+
+        def step(count):
+            tc = TrainConfig(epochs=2, steps_per_epoch=1, batch=count, lr_knee=1, loss="pcm")
+            train_epoch(params, cfg, adam, tc, BatchMixer(pairs[:count]), epoch=1)
+
+        step(1)     # tables built once on first use are not a step's memory
+        one = traced_peak(lambda: step(1))
+        four = traced_peak(lambda: step(4))
+        assert four <= 1.5 * one
+
+    def test_divergence_leaves_no_gradient_and_no_update(self, monkeypatch):
+        cfg = toy_model_cfg()
+        params = model.init_params(cfg, np.random.default_rng(44), np.float64)
+        real = losses.LOSS_FNS["mse"]
+        calls = []
+
+        def second_term_of_step_two_diverges(x, s, s_hat):
+            calls.append(len(calls) + 1)
+            term = real(x, s, s_hat)
+            return tensor.scale(term, math.inf) if calls[-1] == 5 else term
+
+        monkeypatch.setitem(losses.LOSS_FNS, "mse", second_term_of_step_two_diverges)
+        mixer = BatchMixer([fixed_pair(seed=k) for k in range(3)])
+        tc = TrainConfig(epochs=2, steps_per_epoch=3, batch=3, lr_knee=1)
+        adam = AdamState.for_params(params)
+        after_step_one = {}
+
+        def log(epoch, step, loss, lr):
+            after_step_one.update((k, p.data.copy()) for k, p in params.items())
+
+        with pytest.raises(DivergenceError, match=r"^non-finite loss inf at epoch 1 step 2$"):
+            train_epoch(params, cfg, adam, tc, mixer, epoch=1, log=log)
+        assert calls == [1, 2, 3, 4, 5]
+        assert all(p.grad is None for p in params.values())
+        assert adam.step_count == 1
+        for k, p in params.items():
+            assert p.data.tobytes() == after_step_one[k].tobytes(), k
 
 
 class TestValidateAndSelect:
@@ -374,16 +466,28 @@ class TestCheckpoint:
         (rb"DATA \d+", b"DATA many"),
         (b"meta.epoch=0", b"meta.epoch=nan"),
         (b"meta.epoch=0", b"meta.epoch=inf"),
+        (b"meta.epoch=0", b"meta.epoch=-3"),
+        (b"meta.adam.step_count=17", b"meta.adam.step_count=-1"),
+        (b"meta.best_score=-inf", b"meta.best_score=nan"),
+        (b"meta.best_score=-inf", b"meta.best_score=inf"),
+        (b"meta.best_score=-inf", b"meta.best_score=true"),
     ])
     def test_unparseable_header_value_rejected(self, tmp_path, line, bad):
-        cfg, params, _ = self.make(seed=20)
+        cfg, params, adam = self.make(seed=20, with_adam=True)
         path = tmp_path / "model.ckpt"
-        save_checkpoint(checkpoint_from(params, cfg), path)
+        save_checkpoint(checkpoint_from(params, cfg, adam), path)
         blob, n = re.subn(line, bad, path.read_bytes(), count=1)
         assert n == 1
         path.write_bytes(blob)
         with pytest.raises(CheckpointFormatError, match=re.escape(bad.decode())):
             load_checkpoint(path)
+
+    def test_unvalidated_best_score_loads(self, tmp_path):
+        cfg, params, _ = self.make(seed=22)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint_from(params, cfg), path)
+        assert b"\nmeta.best_score=-inf\n" in path.read_bytes()
+        assert load_checkpoint(path).best_score == -math.inf
 
     @pytest.mark.parametrize("name", ["input_proj.b", "block1.lstm.w_fh",
                                       "adam.m.output_proj.w", "adam.v.block0.ff.b"])
