@@ -13,16 +13,3 @@ Library layout:
 - ``arn.wavio``: WAV file I/O
 - ``arn.cli``: the ``arn`` command
 """
-
-from .model import ARNConfig, arn_forward, enhance, init_params
-from .tensor import Tensor, backward, no_grad
-from .training import TrainConfig, load_checkpoint, save_checkpoint
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ARNConfig", "TrainConfig", "Tensor",
-    "arn_forward", "backward", "enhance", "init_params",
-    "load_checkpoint", "no_grad", "save_checkpoint",
-    "__version__",
-]

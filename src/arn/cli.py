@@ -24,7 +24,7 @@ import numpy as np
 
 from . import losses, mixing, model, training, wavio
 from .mixing import CorpusIndex, DynamicMixer, ListFileError, MixtureRecipe
-from .model import ARNConfig, ConfigurationError
+from .model import ARNConfig, ConfigurationError, check_type
 from .training import CheckpointError, DivergenceError, TrainConfig
 from .wavio import WavFormatError
 
@@ -110,38 +110,26 @@ def cmd_mix(args) -> int:
     return 0
 
 
-# the keys of a training config's ``mixing`` block and their defaults
-MIXING_DEFAULTS = {"snr_choices": list(mixing.TRAIN_SNRS_DB),
-                   "target_len": mixing.CHUNK_LEN,
-                   "trim_db": mixing.TRIM_THRESHOLD_DB, "val_pairs": 4}
+# the keys of a training config's ``mixing`` block: ``DynamicMixer``'s
+# options, and the number of validation pairs drawn from it
+MIXING_KEYS = ("snr_choices", "target_len", "trim_db", "val_pairs")
 
 
-def _config_block(blob: dict, section: str, defaults: dict) -> dict:
-    """One block of a training config merged over its defaults.
-
-    Every key must be known and hold a value of its default's type (an int
-    passes for a float), so a bad value is refused with its name before
-    a config class compares or stores it.
-    """
+def _config_block(blob: dict, section: str, keys) -> dict:
+    """One block of a training config, every key one of ``keys``. The
+    values are checked by the class that the block configures."""
     opts = blob.get(section, {})
     if not isinstance(opts, dict):
         raise ConfigurationError(f"config block {section!r} must be an object")
-    for key, value in opts.items():
-        if key not in defaults:
+    for key in opts:
+        if key not in keys:
             raise ConfigurationError(f"unknown {section} key {key!r}")
-        want = type(defaults[key])
-        if isinstance(value, bool) != (want is bool) or not isinstance(
-                value, (int, float) if want is float else want):
-            raise ConfigurationError(
-                f"{section}.{key} must be of type {want.__name__}, got {value!r}")
-    return {**defaults, **opts}
-
-
-def _field_defaults(cls) -> dict:
-    return {f.name: f.default for f in fields(cls)}
+    return opts
 
 
 def _load_train_config(path):
+    """The model and train configs, the mixer's options and the number of
+    validation pairs of a training config file."""
     try:
         blob = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
@@ -151,29 +139,22 @@ def _load_train_config(path):
     unknown = sorted(set(blob) - {"model", "train", "mixing"})
     if unknown:
         raise ConfigurationError(f"unknown config block(s): {', '.join(unknown)}")
-    model_cfg = ARNConfig.from_dict(
-        _config_block(blob, "model", _field_defaults(ARNConfig)))
-    train_cfg = TrainConfig.from_dict(
-        _config_block(blob, "train", _field_defaults(TrainConfig)))
-    mix_opts = _config_block(blob, "mixing", MIXING_DEFAULTS)
-    choices = mix_opts["snr_choices"]
-    if not choices or any(isinstance(c, bool) or not isinstance(c, (int, float))
-                          for c in choices):
-        raise ConfigurationError("mixing.snr_choices must be a non-empty list of numbers")
-    for snr in choices:
-        try:
-            mixing.noise_gain(snr)
-        except ValueError as exc:
-            raise ConfigurationError(f"mixing.snr_choices: {exc}") from None
-    for key in ("target_len", "val_pairs"):
-        if mix_opts[key] < 1:
-            raise ConfigurationError(f"mixing.{key} must be at least 1")
-    return model_cfg, train_cfg, mix_opts
+    model_cfg = ARNConfig(**_config_block(
+        blob, "model", [f.name for f in fields(ARNConfig)]))
+    train_cfg = TrainConfig(**_config_block(
+        blob, "train", [f.name for f in fields(TrainConfig)]))
+    mix_opts = _config_block(blob, "mixing", MIXING_KEYS)
+    val_pairs = mix_opts.pop("val_pairs", 4)
+    check_type("mixing.val_pairs", val_pairs, 4)
+    if val_pairs < 1:
+        raise ConfigurationError("mixing.val_pairs must be at least 1")
+    return model_cfg, train_cfg, mix_opts, val_pairs
 
 
 def cmd_train(args) -> int:
-    # every config check runs before --out is created
-    model_cfg, train_cfg, mix_opts = _load_train_config(args.config)
+    # every config check runs before --out is created, the mixing options'
+    # when the mixer is built, after the corpus indexes are read
+    model_cfg, train_cfg, mix_opts, val_count = _load_train_config(args.config)
     # precedence: --seed flag, then ARN_SEED, then the config file; the
     # override goes through TrainConfig's own checks
     if args.seed is not None:
@@ -182,13 +163,11 @@ def cmd_train(args) -> int:
         train_cfg = replace(train_cfg, seed=_seed())
     speech = CorpusIndex(args.speech_index)
     noise = CorpusIndex(args.noise_index)
-    mixer = DynamicMixer(speech, noise, snr_choices=tuple(mix_opts["snr_choices"]),
-                         target_len=mix_opts["target_len"], trim_db=mix_opts["trim_db"])
+    mixer = DynamicMixer(speech, noise, **mix_opts)
 
     # a draw that cannot mix (an overflowing SNR, noises shorter than a
     # chunk) fails here, before --out exists
-    val_pairs = mixer.sample(np.random.default_rng([train_cfg.seed, 0xA11]),
-                             mix_opts["val_pairs"])
+    val_pairs = mixer.sample(np.random.default_rng([train_cfg.seed, 0xA11]), val_count)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     params = model.init_params(model_cfg, np.random.default_rng(train_cfg.seed),

@@ -17,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .dsp import DegenerateSignalError, rms, rms_normalize
-from .model import ConfigurationError
+from .model import ConfigurationError, check_type
 from .wavio import SAMPLE_RATE, read_wav
 
 CHUNK_LEN = 4 * SAMPLE_RATE            # 4-second training chunks
@@ -74,8 +74,8 @@ def noise_gain(snr_db) -> float:
     that mixes them at ``snr_db`` dB.
 
     An SNR that is not finite, or so low that the gain overflows a float,
-    raises ``ValueError``. ``make_mixture``, ``arn mix --snr`` and a training
-    config's ``snr_choices`` all use this one check.
+    raises ``ValueError``. ``make_mixture``, ``arn mix --snr`` and
+    ``DynamicMixer``'s ``snr_choices`` all use this one check.
     """
     try:
         snr = float(snr_db)
@@ -265,10 +265,29 @@ def sample_recipe(rng: np.random.Generator, speech_corpus, noise_corpus,
 
 
 class DynamicMixer:
-    """Bundles corpora and mixing options behind a ``sample`` interface."""
+    """Bundles corpora and mixing options behind a ``sample`` interface.
+
+    The options are checked here, the block of a training config as any
+    other caller's: ``snr_choices`` a non-empty list of numbers, each one
+    that ``noise_gain`` accepts, ``target_len`` an int of at least 1, and
+    ``trim_db`` a number. A bad one raises ``ConfigurationError`` naming it.
+    """
 
     def __init__(self, speech_corpus, noise_corpus, snr_choices=TRAIN_SNRS_DB,
                  target_len: int = CHUNK_LEN, trim_db: float = TRIM_THRESHOLD_DB):
+        if not isinstance(snr_choices, (list, tuple)) or not snr_choices:
+            raise ConfigurationError(
+                f"snr_choices must be a non-empty list of numbers, got {snr_choices!r}")
+        for snr in snr_choices:
+            check_type("snr_choices", snr, 0.0)
+            try:
+                noise_gain(snr)
+            except ValueError as exc:
+                raise ConfigurationError(f"snr_choices: {exc}") from None
+        check_type("target_len", target_len, CHUNK_LEN)
+        if target_len < 1:
+            raise ConfigurationError(f"target_len must be at least 1, got {target_len}")
+        check_type("trim_db", trim_db, TRIM_THRESHOLD_DB)
         self.speech_corpus = speech_corpus
         self.noise_corpus = noise_corpus
         self.snr_choices = tuple(snr_choices)

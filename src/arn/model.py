@@ -35,7 +35,7 @@ is the forward pass without a generator, under ``no_grad``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -45,6 +45,24 @@ from .tensor import Tensor
 
 class ConfigurationError(ValueError):
     """Model configuration and supplied structures disagree."""
+
+
+def check_type(name: str, value, default) -> None:
+    """Refuse ``value`` for option ``name`` unless it is of ``default``'s
+    type: an int passes for a float, and a bool passes only for a bool."""
+    want = type(default)
+    if isinstance(value, bool) != (want is bool) or not isinstance(
+            value, (int, float) if want is float else want):
+        raise ConfigurationError(
+            f"{name} must be of type {want.__name__}, got {value!r}")
+
+
+def check_field_types(config) -> None:
+    """``check_type`` on every field of a config dataclass, against the
+    field's default, so a bad value is refused with its name before it is
+    compared or stored."""
+    for f in fields(config):
+        check_type(f.name, getattr(config, f.name), f.default)
 
 
 @dataclass(frozen=True)
@@ -66,6 +84,7 @@ class ARNConfig:
     ln_eps: float = 1e-5
 
     def __post_init__(self):
+        check_field_types(self)
         if self.width < 1 or self.num_blocks < 1:
             raise ConfigurationError("width and num_blocks must be positive")
         if not (1 <= self.shift <= self.frame_out <= self.frame_in):

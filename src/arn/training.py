@@ -11,16 +11,17 @@ utterance is built, and the parameters' gradients add up across the sweeps.
 The gradients and the logged loss are bitwise those of one graph over the
 whole batch, but the step's memory does not grow with the batch.
 
-Checkpoint format (version 1): a plain-text header of ``key=value`` lines
-(the model config, the epoch, the best score and, with Adam state, Adam's
-step count but not its constants, which are ``AdamState``'s defaults) and a
-tensor directory of ``tensor <name> <dims> <offset> <count>`` lines,
-terminated by a ``DATA <float_count>`` line, then raw little-endian float32
-payloads. The payloads are contiguous in directory order: each entry's
-offset is the sum of the counts before it, and ``DATA`` is their total.
-Older checkpoints also hold ``cache.*`` tensors (a stored copy of each
-attention block's value gate); the loader skips them, since the gate is
-recomputed from the parameters.
+Checkpoint format (version 1): a plain-text header of ``key=value`` lines,
+each key at most once: the model config, whose values ``ARNConfig`` checks
+as it checks a config file's, the epoch, the best score and, with Adam
+state, Adam's step count but not its constants, which are ``AdamState``'s
+defaults. A tensor directory of ``tensor <name> <dims> <offset> <count>``
+lines follows, terminated by a ``DATA <float_count>`` line, then raw
+little-endian float32 payloads. The payloads are contiguous in directory
+order: each entry's offset is the sum of the counts before it, and
+``DATA`` is their total. Older checkpoints also hold ``cache.*`` tensors
+(a stored copy of each attention block's value gate); the loader skips
+them, since the gate is recomputed from the parameters.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses, model, tensor
-from .model import ARNConfig, ConfigurationError
+from .model import ARNConfig, ConfigurationError, check_field_types
 from .optim import AdamState, adam_step
 
 
@@ -70,9 +71,13 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         for name in ("epochs", "steps_per_epoch", "batch", "validate_every"):
             if getattr(self, name) < 1:
                 raise ConfigurationError(f"{name} must be at least 1")
+        if self.validate_every > self.epochs:
+            # no epoch would be validated, so no best.ckpt would be written
+            raise ConfigurationError(f"validate_every must be at most epochs ({self.epochs})")
         if not math.inf > self.lr_hi > self.lr_lo > 0.0:
             raise ConfigurationError("need finite lr_hi > lr_lo > 0")
         if not 1 <= self.lr_knee < self.epochs:
@@ -81,10 +86,6 @@ class TrainConfig:
             raise ConfigurationError(f"unknown loss {self.loss!r}")
         if self.seed < 0:
             raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TrainConfig":
-        return cls(**d)
 
 
 def lr_schedule(epoch: int, cfg: TrainConfig) -> float:
@@ -255,10 +256,8 @@ def save_checkpoint(ckpt: Checkpoint, path):
     """Atomic write: header + payload to a temp file, then rename."""
     entries = list(ckpt.tensors.items())
     if ckpt.adam is not None:
-        entries += [(f"adam.m.{k}", np.ascontiguousarray(v, dtype="<f4"))
-                    for k, v in ckpt.adam.m.items()]
-        entries += [(f"adam.v.{k}", np.ascontiguousarray(v, dtype="<f4"))
-                    for k, v in ckpt.adam.v.items()]
+        entries += [(f"adam.m.{k}", v) for k, v in ckpt.adam.m.items()]
+        entries += [(f"adam.v.{k}", v) for k, v in ckpt.adam.v.items()]
 
     lines = [f"{_MAGIC} {FORMAT_VERSION}"]
     for key, value in ckpt.model_cfg.to_dict().items():
@@ -351,11 +350,13 @@ def _read_checkpoint(fh) -> Checkpoint:
         if line.startswith(("config.", "meta.")):
             section, _, entry = line.partition(".")
             key, _, value = entry.partition("=")
+            values = config if section == "config" else meta
+            if key in values:
+                raise CheckpointFormatError(f"header key {section}.{key} listed twice")
             try:
-                parsed = _parse_value(value)
+                values[key] = _parse_value(value)
             except ValueError:
                 raise CheckpointFormatError(f"bad header value {line!r}") from None
-            (config if section == "config" else meta)[key] = parsed
         elif line.startswith("tensor "):
             try:
                 _, name, dims, offset, count = line.split()

@@ -360,6 +360,31 @@ class TestExitCodes:
         assert "bad config block" in err and "ln_eps" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line, bad", [
+        (b"config.shift=8", b"config.shift=4.5"),
+        (b"config.width=8", b"config.width=8.0"),
+        (b"config.causal=true", b"config.causal=1"),
+        (b"config.num_blocks=1", b"config.num_blocks=true"),
+        (b"meta.epoch=0", b"meta.epoch=0\nmeta.epoch=7"),
+    ])
+    def test_bad_header_key_exit_4_without_output(self, tmp_path, capsys, trained_ckpt,
+                                                  line, bad):
+        # a config value of the wrong type, or a key listed twice
+        head, sep, payload = trained_ckpt.read_bytes().partition(b"\nDATA ")
+        lines = head.split(b"\n")
+        lines[lines.index(line)] = bad
+        path = tmp_path / "header.ckpt"
+        path.write_bytes(b"\n".join(lines) + sep + payload)
+        src = tmp_path / "in.wav"
+        wavio.write_wav(src, tone(1000))
+        out = tmp_path / "o.wav"
+        assert cli.main(["enhance", "--model", str(path), "--in", str(src),
+                         "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert line.partition(b"=")[0].decode().partition(".")[2] in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("replace", [False, True])
     def test_aliased_tensor_entry_exit_4_without_output(self, tmp_path, trained_ckpt,
                                                         replace):
@@ -479,6 +504,11 @@ class TestTrainCommand:
         ("model", "ln_eps", float("nan")),
         ("model", "ln_eps", float("inf")),  # what JSON's 1e400 reads as
         ("train", "lr_hi", float("inf")),  # what JSON's 1e309 reads as
+        ("train", "validate_every", 3),  # more than the 2 epochs: nothing validated
+        ("mixing", "snr_choices", 5),
+        ("mixing", "target_len", 1.5),
+        ("mixing", "trim_db", "x"),
+        ("mixing", "val_pairs", 2.0),
     ]
 
     @pytest.mark.parametrize("block, key, value", BAD_CONFIGS)
@@ -567,6 +597,6 @@ class TestTrainCommand:
     @pytest.mark.parametrize("name", ["causal_16k", "noncausal_16k", "vctk_like"])
     def test_shipped_configs_load(self, name):
         path = Path(__file__).resolve().parents[1] / "configs" / f"{name}.json"
-        model_cfg, train_cfg, mix_opts = cli._load_train_config(path)
+        model_cfg, train_cfg, mix_opts, val_pairs = cli._load_train_config(path)
         assert model_cfg.width == 1024 and train_cfg.epochs >= 100
         assert mix_opts["target_len"] == 64000

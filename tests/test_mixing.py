@@ -273,6 +273,17 @@ class TestSampling:
         with pytest.raises(ConfigurationError):
             DynamicMixer(speech, ArrayCorpus({})).sample(np.random.default_rng(0), 1)
 
+    @pytest.mark.parametrize("option, value", [
+        ("snr_choices", []), ("snr_choices", [True]), ("snr_choices", 0),
+        ("snr_choices", ["loud"]), ("snr_choices", [0, float("nan")]),
+        ("snr_choices", [-1e308]), ("target_len", 0), ("target_len", 1.5),
+        ("target_len", True), ("trim_db", "x"), ("trim_db", None),
+    ])
+    def test_bad_option_rejected_when_built(self, option, value):
+        speech, noise = tiny_corpora()
+        with pytest.raises(ConfigurationError, match=option):
+            DynamicMixer(speech, noise, **{option: value})
+
     def test_silent_utterances_skipped(self):
         speech = ArrayCorpus({"quiet": np.zeros(2000),
                               "loud": speech_like(2000, 24)})

@@ -89,6 +89,16 @@ class TestConfig:
             with pytest.raises(ConfigurationError):
                 toy_cfg(dropout=rate)
 
+    @pytest.mark.parametrize("field, value", [("width", "big"), ("causal", 1),
+                                              ("shift", 4.5), ("num_blocks", True),
+                                              ("dropout", "0.1")])
+    def test_value_of_wrong_type_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be of type"):
+            ARNConfig(**{field: value})
+
+    def test_int_passes_for_float(self):
+        assert toy_cfg(dropout=0).dropout == 0
+
     def test_round_trips_through_dict(self):
         cfg = toy_cfg(causal=False, width=6)
         assert ARNConfig.from_dict(cfg.to_dict()) == cfg

@@ -1,5 +1,6 @@
 """Training loop, schedule, validation selection, checkpoint persistence."""
 
+import dataclasses
 import math
 import re
 
@@ -101,6 +102,21 @@ class TestLrSchedule:
                 TrainConfig(**{name: 0})
         with pytest.raises(ConfigurationError, match="seed"):
             TrainConfig(seed=-1)
+        with pytest.raises(ConfigurationError, match="validate_every"):
+            TrainConfig(epochs=2, lr_knee=1, validate_every=3)  # nothing validated
+
+    @pytest.mark.parametrize("field, value", [("epochs", 2.5), ("lr_hi", True),
+                                              ("loss", 1), ("seed", 1.0)])
+    def test_value_of_wrong_type_rejected(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be of type"):
+            TrainConfig(**{"lr_knee": 1, field: value})
+
+    @pytest.mark.parametrize("cls", [ARNConfig, TrainConfig])
+    def test_every_default_is_a_plain_scalar(self, cls):
+        # check_field_types holds each field to its default's type
+        for field in dataclasses.fields(cls):
+            assert type(field.default) in (int, float, bool, str), field.name
+        model.check_field_types(cls())
 
 
 class TestTrainEpoch:
@@ -480,6 +496,38 @@ class TestCheckpoint:
         assert n == 1
         path.write_bytes(blob)
         with pytest.raises(CheckpointFormatError, match=re.escape(bad.decode())):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("line, bad", [
+        (b"config.shift=8", b"config.shift=4.5"),
+        (b"config.width=8", b"config.width=8.0"),
+        (b"config.causal=true", b"config.causal=1"),
+        (b"config.num_blocks=2", b"config.num_blocks=true"),
+    ])
+    def test_config_value_of_wrong_type_rejected(self, tmp_path, line, bad):
+        # ARNConfig checks a header's values as it checks a config file's
+        cfg, params, _ = self.make(seed=31)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint_from(params, cfg), path)
+        blob, n = re.subn(b"\n" + line + b"\n", b"\n" + bad + b"\n", path.read_bytes())
+        assert n == 1
+        path.write_bytes(blob)
+        key = line.partition(b"=")[0].decode().partition(".")[2]
+        with pytest.raises(CheckpointFormatError, match=f"bad config block: {key} must be"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("line, second", [(b"meta.epoch=3", b"meta.epoch=7"),
+                                              (b"config.dropout=0.0", b"config.dropout=0.5")])
+    def test_header_key_listed_twice_rejected(self, tmp_path, line, second):
+        cfg, params, _ = self.make(seed=32)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint_from(params, cfg, epoch=3), path)
+        blob, n = re.subn(b"\n" + line + b"\n", b"\n" + line + b"\n" + second + b"\n",
+                          path.read_bytes())
+        assert n == 1
+        path.write_bytes(blob)
+        key = line.partition(b"=")[0].decode()
+        with pytest.raises(CheckpointFormatError, match=f"header key {key} listed twice"):
             load_checkpoint(path)
 
     def test_unvalidated_best_score_loads(self, tmp_path):
