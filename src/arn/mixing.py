@@ -270,7 +270,8 @@ class DynamicMixer:
     The options are checked here, the block of a training config as any
     other caller's: ``snr_choices`` a non-empty list of numbers, each one
     that ``noise_gain`` accepts, ``target_len`` an int of at least 1, and
-    ``trim_db`` a number. A bad one raises ``ConfigurationError`` naming it.
+    ``trim_db`` a number of at most 0 (-inf trims nothing). A bad one raises
+    ``ConfigurationError`` naming it.
     """
 
     def __init__(self, speech_corpus, noise_corpus, snr_choices=TRAIN_SNRS_DB,
@@ -288,6 +289,10 @@ class DynamicMixer:
         if target_len < 1:
             raise ConfigurationError(f"target_len must be at least 1, got {target_len}")
         check_type("trim_db", trim_db, TRIM_THRESHOLD_DB)
+        if not trim_db <= 0.0:
+            # above 0 (or NaN) no window reaches the threshold, and every
+            # utterance would trim to silence
+            raise ConfigurationError(f"trim_db must be at most 0 dB, got {trim_db}")
         self.speech_corpus = speech_corpus
         self.noise_corpus = noise_corpus
         self.snr_choices = tuple(snr_choices)

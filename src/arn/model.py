@@ -17,14 +17,20 @@ observed input.
 Parameters live in a flat ordered dict of named tensors; one helper,
 ``_sub``, derives each block's and each layer's view by name prefix.
 
-Outside recording, each (T, N) array is dropped after its last reader. The
-frame rows, each block's input and the attention's keys and values are
-passed on by their only reference, so that the callee frees them: after
-the input projection, after the block's first layer norm, and before the
-value gate's product. The queries are formed one tile at a time inside
-the attention node. ``enhance`` thus holds at most three (T, N) arrays at
-once, plus one tile's scratch: inside the attention node, the query
-stream, the keys and values, and the node's output.
+Outside recording, each (T, N) array is dropped after its last reader, or
+written over by it. The frame rows, each block's input and the attention's
+keys and values are passed on by their only reference, so that the callee
+frees them: after the input projection, after the block's first layer
+norm, and at the end of the attention node. Every other (T, N) array is
+handed to its last reader with ``overwrite=True``, which writes its output
+into it: the input projection's bias into the product, the layer norm of
+the keys and values into the RNN output, the attention node's gated output
+into the query stream (one tile at a time, after the tile's queries are
+formed), the last layer norm into the attention output, and the
+feedforward's output into that layer norm's output. ``enhance`` thus holds
+at most two (T, N) arrays at once, plus one tile's scratch, and, at
+widths up to ``tensor.TILE_ROWS``, the LSTM's packed recurrent weights,
+which are no larger than its tile.
 
 One forward pass serves training and enhancement. Feedforward dropout runs
 only when a generator is passed as ``rng``; whether the pass is recorded
@@ -189,8 +195,9 @@ def _sub(params: dict, prefix: str) -> dict:
 # building blocks
 # ---------------------------------------------------------------------------
 
-def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
-    return tensor.layer_norm_rows(x, gamma, beta, eps)
+def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
+               overwrite: bool = False) -> Tensor:
+    return tensor.layer_norm_rows(x, gamma, beta, eps, overwrite)
 
 
 def _lstm_gates(w: dict) -> tuple:
@@ -214,8 +221,10 @@ def _v_gate_graph(p: dict) -> Tensor:
     return sig * tnh
 
 
-def attention_block(q: Tensor, k: Tensor, v: Tensor, p: dict, causal: bool) -> Tensor:
-    """Single-head attention with per-vector gating.
+def attention_block(q: Tensor, k: Tensor, v: Tensor, p: dict, causal: bool,
+                    residual: Tensor = None, overwrite: bool = False) -> Tensor:
+    """Single-head attention with per-vector gating, plus ``residual`` when
+    one is given.
 
     Keys are gated by sigma of a trainable vector, queries pass through a
     linear map gated the same way, and values are scaled by the gate
@@ -229,19 +238,24 @@ def attention_block(q: Tensor, k: Tensor, v: Tensor, p: dict, causal: bool) -> T
     with the key gate s moved onto the queries and the value gate g onto
     the output. No gated copy of the keys or values is made, and the
     queries are made one tile at a time inside ``tensor.attention``, which
-    takes the query stream, the linear map and the combined gate.
-    ``k`` and ``v`` are dropped before the value gate's product, so a
-    caller that passes its only references frees them there.
+    takes the query stream, the linear map, the combined gate, the value
+    gate and the residual. With ``overwrite``, under ``no_grad``, the
+    caller hands over the residual's array, and the node gates each output
+    tile and adds it into that array. ``k`` and ``v`` are dropped when the
+    node returns, so a caller that passes its only references frees them
+    there.
     """
     gate = tensor.sigmoid(p["q"]) * tensor.sigmoid(p["k"])
-    out = tensor.attention(q, p["lin_q.w"], p["lin_q.b"], gate, k, v, causal)
-    del k, v
-    return out * _v_gate_graph(p)
+    return tensor.attention(q, p["lin_q.w"], p["lin_q.b"], gate, k, v, causal,
+                            _v_gate_graph(p), residual, overwrite)
 
 
 def feedforward_block(x: Tensor, w: Tensor, b: Tensor, dropout_rate: float,
-                      rng=None) -> Tensor:
-    """Linear to 4N, GELU, dropout, then sum of the four N-wide chunks.
+                      rng=None, residual: Tensor = None,
+                      overwrite: bool = False) -> Tensor:
+    """Linear to 4N, GELU, dropout, then sum of the four N-wide chunks, plus
+    ``residual`` when one is given (added into the residual's own array
+    under ``no_grad`` when the caller hands it over with ``overwrite``).
 
     Dropout is inverted and runs only when ``rng`` is given and the rate is
     positive: each of the (T, 4N) activations is kept where
@@ -251,7 +265,7 @@ def feedforward_block(x: Tensor, w: Tensor, b: Tensor, dropout_rate: float,
     keep = None
     if rng is not None and dropout_rate > 0.0:
         keep = rng.random((x.shape[0], w.shape[1])) >= dropout_rate
-    return tensor.feedforward(x, w, b, keep, dropout_rate)
+    return tensor.feedforward(x, w, b, keep, dropout_rate, residual, overwrite)
 
 
 def arn_block_forward(x: Tensor, block_params: dict, cfg: ARNConfig,
@@ -259,39 +273,42 @@ def arn_block_forward(x: Tensor, block_params: dict, cfg: ARNConfig,
     """One full block with both residual connections; (T, N) -> (T, N).
 
     Each (T, N) local, the input included, is dropped after its last
-    reader, so that outside recording no more of them are alive than the
-    next step needs. The input is freed here only when the caller keeps no
-    reference of its own, as in ``arn_forward_frames``.
+    reader, or handed to it with ``overwrite=True``, so that outside
+    recording at most two of them are alive at once. The input is freed
+    here only when the caller keeps no reference of its own, as in
+    ``arn_forward_frames``. Recording, every op allocates its output, and
+    the graph is the one the block's formula writes out.
     """
     ln = [(block_params[f"ln{j}.g"], block_params[f"ln{j}.b"]) for j in range(5)]
     y = layer_norm(x, *ln[0], cfg.ln_eps)
     del x
     y = rnn_sequence(y, block_params, cfg)
     q = layer_norm(y, *ln[1], cfg.ln_eps)
-    kv = [layer_norm(y, *ln[2], cfg.ln_eps)]
+    kv = [layer_norm(y, *ln[2], cfg.ln_eps, overwrite=True)]
     del y
-    # the keys and values go in by the list's only reference, so that
-    # attention_block frees them before its value gate's (T, N) product
-    a = attention_block(q, kv[0], kv.pop(), _sub(block_params, "attn."), cfg.causal) + q
+    # the keys and values go in by the list's only reference, so that the
+    # attention node frees them; its output lands in the query stream
+    a = attention_block(q, kv[0], kv.pop(), _sub(block_params, "attn."), cfg.causal,
+                        residual=q, overwrite=True)
     del q
     z1 = layer_norm(a, *ln[3], cfg.ln_eps)
-    z2 = layer_norm(a, *ln[4], cfg.ln_eps)
+    z2 = layer_norm(a, *ln[4], cfg.ln_eps, overwrite=True)
     del a
-    ff = feedforward_block(z1, block_params["ff.w"], block_params["ff.b"],
-                           cfg.dropout, rng)
-    del z1
-    return ff + z2
+    return feedforward_block(z1, block_params["ff.w"], block_params["ff.b"],
+                             cfg.dropout, rng, residual=z2, overwrite=True)
 
 
 def arn_forward_frames(frames: Tensor, params: dict, cfg: ARNConfig,
                        rng=None) -> Tensor:
     """Frame-domain network: (T, frame_in) -> (T, frame_out).
 
-    ``frames`` is dropped after the input projection, and each block gets
-    its input by the only reference, so that outside recording it frees
-    that input after its first layer norm.
+    ``frames`` is dropped after the input projection, whose bias is added
+    into its product outside recording, and each block gets its input by
+    the only reference, so that outside recording it frees that input after
+    its first layer norm.
     """
-    stream = [frames @ params["input_proj.w"] + params["input_proj.b"]]
+    stream = [tensor.add(frames @ params["input_proj.w"], params["input_proj.b"],
+                         overwrite=True)]
     del frames
     for i in range(cfg.num_blocks):
         # popped, not named: a name here would keep the block's input alive

@@ -39,6 +39,14 @@ each tile in their backward pass, so their memory grows linearly in T;
 ``layer_norm_rows`` writes its output in place and keeps only each row's
 mean and inverse deviation. ``rfft_magnitude`` keeps only the signs of its
 rows' spectrum, and its backward pass is the adjoint transform, an ``irfft``.
+
+A caller may hand an op one operand's array with ``overwrite=True``: the op
+then writes its output into that array instead of a new one. ``add`` and
+``layer_norm_rows`` take their first operand so, ``attention`` and
+``feedforward`` their residual, and only under ``no_grad``. With recording
+on, another op's backward pass may still read the array, even where this op
+records nothing, so there the flag is ignored and the op allocates as usual.
+An op never infers that it owns an array; the caller decides, once.
 """
 
 from __future__ import annotations
@@ -143,6 +151,13 @@ def _record(out: Tensor, parents, fn) -> Tensor:
     return out
 
 
+def _handed_over(t: Tensor, overwrite: bool, dtype) -> bool:
+    """Whether an op writes its output into ``t``'s array: only when the
+    caller hands the array over with ``overwrite``, under ``no_grad``, and
+    the array has the output's dtype."""
+    return overwrite and not _grad_enabled and t.data.dtype == dtype
+
+
 def _swept():
     raise RuntimeError("this node's backward already ran: a graph is swept once")
 
@@ -217,9 +232,13 @@ def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
     return g.sum(axis=0).reshape(shape)
 
 
-def add(a: Tensor, b: Tensor) -> Tensor:
+def add(a: Tensor, b: Tensor, overwrite: bool = False) -> Tensor:
+    """a + b; with ``overwrite``, under ``no_grad``, into ``a``'s array."""
     _check_binary(a, b)
-    out = Tensor(a.data + b.data)
+    if _handed_over(a, overwrite, np.result_type(a.data, b.data)):
+        out = Tensor(np.add(a.data, b.data, out=a.data))
+    else:
+        out = Tensor(a.data + b.data)
 
     def _bw(g):
         if a.requires_grad:
@@ -362,13 +381,19 @@ def lstm_sequence(x: Tensor, fwd, bwd=None) -> Tensor:
     lie. Each writes its input projection, one tile of ``TILE_ROWS`` rows
     and one gate at a time, into one activation buffer: (T, 4H) when
     recording, one tile otherwise, freed before the next direction runs.
-    Its recurrent weights are packed into one (H, 4H) matrix while its step
-    loop runs. No step allocates: it adds h_prev w_h into its row and
-    activates all four gates in place with one tanh, tanh(z s) s + (1 - s)
-    for a column scale s of 1/2 on gates i, f, o (sigmoid(z) = tanh(z/2)/2 +
-    1/2, as ``sigmoid`` computes it) and 1 on gate g. When recording, each
-    direction keeps its gate activations and its (T, H) cell states, and
-    nothing weight-sized. The backward pass runs backpropagation through
+    Each step forms h_prev w_h through one (H, 4H) copy of the recurrent
+    weights, packed while the step loop runs, when H <= ``TILE_ROWS``, so
+    that the copy is no larger than the activation tile; at larger H as four
+    per-gate products that read the weights where they lie. The two forms
+    agree to rounding, and bitwise where OpenBLAS's kernels split H alike
+    (on its Haswell kernels, float32 H a multiple of 16, as at both presets'
+    widths); recording or not, a node takes the same form. No step
+    allocates: it adds h_prev w_h into its row and activates all four gates
+    in place with one tanh, tanh(z s) s + (1 - s) for a column scale s of
+    1/2 on gates i, f, o (sigmoid(z) = tanh(z/2)/2 + 1/2, as ``sigmoid``
+    computes it) and 1 on gate g. When recording, each direction keeps its
+    gate activations and its (T, H) cell states, and nothing weight-sized.
+    The backward pass runs backpropagation through
     time for each direction in turn over views of what it kept, freed once
     it is done: one (4H,) @ (4H, H) product per step, through the recurrent
     weights packed again, then the gradients of ``x`` and of each weight as
@@ -426,10 +451,15 @@ def _lstm_run(xd, w_x, b, w_h, hs, reverse: bool, keep: bool):
     # outside recording c_t overwrites c_prev in place: one cell row
     cells = np.empty((steps if keep else 1, hidden), dtype=dtype)
     rec = np.empty(h4, dtype=dtype)
+    # h_prev w_h as (weights, output) pairs: one packed (H, 4H) product, no
+    # larger than the tile, or one (H, H) product per gate into its block
+    if hidden <= TILE_ROWS:
+        products = [(_pack(w_h), rec)]
+    else:
+        products = list(zip((t.data for t in w_h), rec.reshape(4, hidden)))
     ig = np.empty(hidden, dtype=dtype)
     h = np.zeros(hidden, dtype=dtype)
     c = np.zeros(hidden, dtype=dtype)
-    wh = _pack(w_h)
     tiles = list(_row_tiles(steps))
     for lo, hi in reversed(tiles) if reverse else tiles:
         base = 0 if keep else lo
@@ -439,7 +469,8 @@ def _lstm_run(xd, w_x, b, w_h, hs, reverse: bool, keep: bool):
             tile[:, j] += b[j].data
         for t in range(hi - 1, lo - 1, -1) if reverse else range(lo, hi):
             z = acts[t - base]
-            np.matmul(h, wh, out=rec)
+            for wh, part in products:
+                np.matmul(h, wh, out=part)
             z += rec
             z *= s
             np.tanh(z, out=z)
@@ -565,9 +596,11 @@ def _queries(x_tile, w, b, gate):
 
 
 def attention(x: Tensor, w: Tensor, b: Tensor, gate: Tensor, k: Tensor, v: Tensor,
-              causal: bool) -> Tensor:
+              causal: bool, out_gate: Tensor = None, residual: Tensor = None,
+              overwrite: bool = False) -> Tensor:
     """softmax(q k^T / sqrt(N)) v with queries q = (x w + b) * gate, as one
-    recorded op over query tiles.
+    recorded op over query tiles, optionally times a column gate and plus a
+    residual.
 
     ``x`` is (T, K), ``w`` (K, N), ``b`` and ``gate`` (N,), ``k`` (S, N) and
     ``v`` (S, M). When ``causal`` (which needs S == T), row t attends to
@@ -580,12 +613,21 @@ def attention(x: Tensor, w: Tensor, b: Tensor, gate: Tensor, k: Tensor, v: Tenso
     either; it holds two (TILE_ROWS, S) arrays per tile, the probabilities
     and their gradient, and forms the softmax's row sums ``_SUM_ROWS`` rows
     at a time.
+
+    ``out_gate``, (M,) or (1, M), scales the output's columns, and
+    ``residual``, (T, M), is added to the result: ``out * out_gate +
+    residual``, recorded as the product and sum nodes that this expression
+    records. When the caller hands the residual over with ``overwrite``,
+    under ``no_grad``, each output tile is gated and added into the
+    residual's own rows instead, after the tile's queries are formed: the
+    residual may be ``x`` itself, but must share no memory with ``k`` or
+    ``v``.
     """
     xd, wd, bd, gd, kd, vd = (t.data for t in (x, w, b, gate, k, v))
     if xd.ndim != 2 or wd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2:
         raise DimensionError("attention needs rank-2 x, w, k and v")
     steps, n = xd.shape[0], wd.shape[1]
-    keys = kd.shape[0]
+    keys, m = kd.shape[0], vd.shape[1]
     if (xd.shape[1] != wd.shape[0] or bd.shape != (n,) or gd.shape != (n,)
             or kd.shape[1] != n or vd.shape[0] != keys):
         raise DimensionError(
@@ -595,12 +637,25 @@ def attention(x: Tensor, w: Tensor, b: Tensor, gate: Tensor, k: Tensor, v: Tenso
         raise DimensionError(f"causal attention needs T == S, got {steps} and {keys}")
     if steps == 0 or keys == 0:
         raise DimensionError("attention over zero queries or keys")
+    if ((out_gate is not None and out_gate.data.shape not in ((m,), (1, m)))
+            or (residual is not None and residual.data.shape != (steps, m))):
+        raise DimensionError(
+            f"need out_gate (M,) or (1, M) and residual (T, M) for output {(steps, m)}")
     scale = 1.0 / math.sqrt(n)
-    out = np.empty((steps, vd.shape[1]), dtype=np.result_type(xd, wd, bd, gd, kd, vd))
+    dtype = np.result_type(xd, wd, bd, gd, kd, vd)
+    into = residual is not None and _handed_over(residual, overwrite, np.result_type(
+        dtype, residual.data, dtype if out_gate is None else out_gate.data))
+    out = residual.data if into else np.empty((steps, m), dtype=dtype)
     for lo, hi in _row_tiles(steps):
         stop = hi if causal else keys
         q = _queries(xd[lo:hi], wd, bd, gd)[0]
-        out[lo:hi] = _attention_probs(q, kd[:stop], scale, lo, causal) @ vd[:stop]
+        tile = _attention_probs(q, kd[:stop], scale, lo, causal) @ vd[:stop]
+        if into:
+            out[lo:hi] += tile if out_gate is None else tile * out_gate.data
+        else:
+            out[lo:hi] = tile
+    if into:
+        return Tensor(out)
 
     def _bw(g):
         dx, dw, db, dgate, dk, dv = (np.zeros_like(a) for a in (xd, wd, bd, gd, kd, vd))
@@ -630,7 +685,10 @@ def attention(x: Tensor, w: Tensor, b: Tensor, gate: Tensor, k: Tensor, v: Tenso
             if t.requires_grad:
                 t._acc(d)
 
-    return _record(Tensor(out), (x, w, b, gate, k, v), _bw)
+    node = _record(Tensor(out), (x, w, b, gate, k, v), _bw)
+    if out_gate is not None:
+        node = mul(node, out_gate)
+    return node if residual is None else add(node, residual)
 
 
 def _gelu_cdf(pre: np.ndarray) -> np.ndarray:
@@ -642,10 +700,10 @@ def _gelu_cdf(pre: np.ndarray) -> np.ndarray:
     return cdf
 
 
-def feedforward(x: Tensor, w: Tensor, b: Tensor, keep=None,
-                rate: float = 0.0) -> Tensor:
+def feedforward(x: Tensor, w: Tensor, b: Tensor, keep=None, rate: float = 0.0,
+                residual: Tensor = None, overwrite: bool = False) -> Tensor:
     """GELU(x w + b) with inverted dropout, summed over its four equal column
-    chunks, as one recorded op over row tiles.
+    chunks, as one recorded op over row tiles, optionally plus a residual.
 
     ``x`` is (T, K), ``w`` (K, 4N) and ``b`` (4N,); the output is (T, N).
     GELU is z * Phi(z) with the exact normal CDF. ``keep``, a plain boolean
@@ -653,6 +711,12 @@ def feedforward(x: Tensor, w: Tensor, b: Tensor, keep=None,
     keeps; they are scaled by 1/(1 - ``rate``), a scalar of the op's dtype,
     and the others zeroed. Each tile's (rows, 4N) pre-activation lives only
     while that tile is processed; the backward pass recomputes it.
+
+    ``residual``, (T, N), is added to the output, recorded as the sum node
+    that ``out + residual`` records. When the caller hands the residual
+    over with ``overwrite``, under ``no_grad``, each tile is added into the
+    residual's own rows instead, after its rows of ``x`` are read: the
+    residual may be ``x`` itself, but no other view of it.
     """
     xd, wd, bd = x.data, w.data, b.data
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
@@ -667,11 +731,16 @@ def feedforward(x: Tensor, w: Tensor, b: Tensor, keep=None,
             f"need a boolean keep mask of shape {(steps, wide)}, "
             f"got {keep.dtype} {keep.shape}")
     n = wide // 4
+    if residual is not None and residual.data.shape != (steps, n):
+        raise DimensionError(
+            f"need a residual of shape {(steps, n)}, got {residual.data.shape}")
     dtype = np.result_type(xd, wd, bd)
+    into = residual is not None and _handed_over(
+        residual, overwrite, np.result_type(dtype, residual.data))
     # zeroing first, then scaling, gives what one product with a (T, 4N)
     # array of 0 and 1/(1 - rate) gives, signed zeros included
     inv_keep = dtype.type(1) / dtype.type(1.0 - rate)
-    out = np.empty((steps, n), dtype=dtype)
+    out = residual.data if into else np.empty((steps, n), dtype=dtype)
     for lo, hi in _row_tiles(steps):
         h = xd[lo:hi] @ wd
         h += bd
@@ -679,7 +748,13 @@ def feedforward(x: Tensor, w: Tensor, b: Tensor, keep=None,
         if keep is not None:
             h *= keep[lo:hi]
             h *= inv_keep
-        out[lo:hi] = (h[:, :n] + h[:, n:2 * n]) + (h[:, 2 * n:3 * n] + h[:, 3 * n:])
+        tile = (h[:, :n] + h[:, n:2 * n]) + (h[:, 2 * n:3 * n] + h[:, 3 * n:])
+        if into:
+            out[lo:hi] += tile
+        else:
+            out[lo:hi] = tile
+    if into:
+        return Tensor(out)
 
     def _bw(g):
         dx, dw, db = np.zeros_like(xd), np.zeros_like(wd), np.zeros_like(bd)
@@ -700,7 +775,8 @@ def feedforward(x: Tensor, w: Tensor, b: Tensor, keep=None,
             if t.requires_grad:
                 t._acc(d)
 
-    return _record(Tensor(out), (x, w, b), _bw)
+    node = _record(Tensor(out), (x, w, b), _bw)
+    return node if residual is None else add(node, residual)
 
 
 # ---------------------------------------------------------------------------
@@ -764,12 +840,15 @@ def absolute(a: Tensor) -> Tensor:
     return _record(out, (a,), _bw)
 
 
-def layer_norm_rows(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tensor:
+def layer_norm_rows(x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
+                    overwrite: bool = False) -> Tensor:
     """Per-row normalization: (x - mean) / sqrt(var + eps) * gamma + beta.
 
     Variance is the population variance over the row (divide by N). The
     output is the only (T, N) array made: it is centered, scaled and shifted
-    in place, and the variance is summed one tile of rows at a time. Only
+    in place, and the variance is summed one tile of rows at a time. With
+    ``overwrite``, under ``no_grad``, the caller hands over ``x``'s array
+    and the output is written over it, so no (T, N) array is made. Only
     each row's mean and inverse deviation are kept; the backward pass
     recomputes the normalized rows from them.
     """
@@ -780,7 +859,11 @@ def layer_norm_rows(x: Tensor, gamma: Tensor, beta: Tensor, eps: float) -> Tenso
     if gamma.data.shape != (n,) or beta.data.shape != (n,):
         raise DimensionError("gamma/beta must be length-N vectors")
     mu = xd.sum(axis=1, keepdims=True) / n
-    out = (xd - mu).astype(np.result_type(xd, gamma.data, beta.data), copy=False)
+    dtype = np.result_type(xd, gamma.data, beta.data)
+    if _handed_over(x, overwrite, dtype):
+        out = np.subtract(xd, mu, out=xd)
+    else:
+        out = (xd - mu).astype(dtype, copy=False)
     var = np.empty(mu.shape, dtype=out.dtype)
     for lo, hi in _row_tiles(xd.shape[0]):
         centered = out[lo:hi]

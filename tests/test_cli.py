@@ -508,6 +508,8 @@ class TestTrainCommand:
         ("mixing", "snr_choices", 5),
         ("mixing", "target_len", 1.5),
         ("mixing", "trim_db", "x"),
+        ("mixing", "trim_db", 3.0),
+        ("mixing", "trim_db", float("nan")),  # written as NaN, read back
         ("mixing", "val_pairs", 2.0),
     ]
 

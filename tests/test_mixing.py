@@ -278,11 +278,20 @@ class TestSampling:
         ("snr_choices", ["loud"]), ("snr_choices", [0, float("nan")]),
         ("snr_choices", [-1e308]), ("target_len", 0), ("target_len", 1.5),
         ("target_len", True), ("trim_db", "x"), ("trim_db", None),
+        ("trim_db", 3.0), ("trim_db", float("nan")),
     ])
     def test_bad_option_rejected_when_built(self, option, value):
         speech, noise = tiny_corpora()
         with pytest.raises(ConfigurationError, match=option):
             DynamicMixer(speech, noise, **{option: value})
+
+    @pytest.mark.parametrize("trim_db", [0.0, 0, -np.inf])
+    def test_trim_db_bounds_accepted(self, trim_db):
+        # 0 dB keeps the windows at the peak level; -inf trims nothing
+        speech, noise = tiny_corpora()
+        pairs = DynamicMixer(speech, noise, target_len=800, trim_db=trim_db).sample(
+            np.random.default_rng(7), 2)
+        assert len(pairs) == 2
 
     def test_silent_utterances_skipped(self):
         speech = ArrayCorpus({"quiet": np.zeros(2000),

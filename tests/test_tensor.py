@@ -795,6 +795,69 @@ class TestRowTiledFeedforward:
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
+def _handover_cases(steps, n, rng):
+    """Per op taking ``overwrite``: its operands, a call over their tensors,
+    and the index of the operand handed over."""
+    def r(*shape):
+        return rng.standard_normal(shape)
+
+    keep = rng.random((steps, 4 * n)) >= 0.3
+    return {
+        "add": ([r(steps, n), r(n)], lambda t, o: tensor.add(*t, overwrite=o), 0),
+        "layer_norm_rows": ([r(steps, n), r(n), r(n)],
+                            lambda t, o: tensor.layer_norm_rows(*t, 1e-5, o), 0),
+        # the residual is the query stream itself, as in the model
+        "attention": ([r(steps, n), r(n, n), r(n), r(n), r(steps, n), r(1, n)],
+                      lambda t, o: tensor.attention(*t[:5], t[4], True, t[5], t[0], o), 0),
+        "feedforward": ([r(steps, n), r(n, 4 * n), r(4 * n), r(steps, n)],
+                        lambda t, o: tensor.feedforward(*t[:3], keep, 0.3, t[3], o), 3),
+    }
+
+
+@pytest.mark.usefixtures("small_tiles")
+class TestHandOver:
+    """``overwrite=True`` hands an op one operand's array. Under ``no_grad``
+    the op writes its output into that array, with the bits of the output
+    it allocates otherwise; while recording, or without the flag, every
+    operand is left as it was."""
+
+    @pytest.mark.parametrize("op", ["add", "layer_norm_rows", "attention", "feedforward"])
+    def test_written_into_only_under_no_grad(self, op):
+        arrays, call, handed = _handover_cases(2 * SMALL_TILE + 3, 6,
+                                               np.random.default_rng(97))[op]
+
+        def run(overwrite, record):
+            leaves = [Tensor(a.copy(), requires_grad=record) for a in arrays]
+            if record:
+                out = call(leaves, overwrite)
+                assert out.requires_grad
+            else:
+                with tensor.no_grad():
+                    out = call(leaves, overwrite)
+            return [t.data for t in leaves], out.data
+
+        want = run(False, True)[1]
+        for overwrite, record in ((True, True), (False, False)):
+            given, got = run(overwrite, record)
+            assert got.tobytes() == want.tobytes()
+            assert all(g.tobytes() == a.tobytes() for g, a in zip(given, arrays))
+        given, got = run(True, False)
+        assert got is given[handed]
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("op", ["add", "layer_norm_rows", "attention", "feedforward"])
+    def test_array_of_another_dtype_not_written_into(self, op):
+        # a float32 operand cannot hold the op's float64 output
+        arrays, call, handed = _handover_cases(2 * SMALL_TILE + 3, 6,
+                                               np.random.default_rng(98))[op]
+        arrays[handed] = arrays[handed].astype(np.float32)
+        leaves = [Tensor(a.copy()) for a in arrays]
+        with tensor.no_grad():
+            got = call(leaves, True).data
+        assert got.dtype == np.float64
+        assert leaves[handed].data.tobytes() == arrays[handed].tobytes()
+
+
 class TestRfftMagnitude:
     """The rfft node against the basis-matrix graph it replaced, on framed
     signals with a random positive window."""
