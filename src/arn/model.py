@@ -22,15 +22,15 @@ written over by it. The frame rows, each block's input and the attention's
 keys and values are passed on by their only reference, so that the callee
 frees them: after the input projection, after the block's first layer
 norm, and at the end of the attention node. Every other (T, N) array is
-handed to its last reader with ``overwrite=True``, which writes its output
-into it: the input projection's bias into the product, the layer norm of
-the keys and values into the RNN output, the attention node's gated output
-into the query stream (one tile at a time, after the tile's queries are
-formed), the last layer norm into the attention output, and the
-feedforward's output into that layer norm's output. ``enhance`` thus holds
-at most two (T, N) arrays at once, plus one tile's scratch, and, at
-widths up to ``tensor.TILE_ROWS``, the LSTM's packed recurrent weights,
-which are no larger than its tile.
+handed to its last reader, which writes its output into it: with
+``overwrite=True``, the input projection's bias into the product, the
+layer norm of the keys and values into the RNN output and the last layer
+norm into the attention output; as ``into``, the attention node's gated
+output into the query stream (one tile at a time, after the tile's queries
+are formed) and the feedforward's output into that layer norm's output.
+``enhance`` thus holds at most two (T, N) arrays at once, plus one tile's
+scratch, and, at widths up to ``tensor.TILE_ROWS``, the LSTM's packed
+recurrent weights, which are no larger than its tile.
 
 One forward pass serves training and enhancement. Feedforward dropout runs
 only when a generator is passed as ``rng``; whether the pass is recorded
@@ -222,9 +222,9 @@ def _v_gate_graph(p: dict) -> Tensor:
 
 
 def attention_block(q: Tensor, k: Tensor, v: Tensor, p: dict, causal: bool,
-                    residual: Tensor = None, overwrite: bool = False) -> Tensor:
-    """Single-head attention with per-vector gating, plus ``residual`` when
-    one is given.
+                    into: Tensor = None) -> Tensor:
+    """Single-head attention with per-vector gating, plus ``into`` when one
+    is given.
 
     Keys are gated by sigma of a trainable vector, queries pass through a
     linear map gated the same way, and values are scaled by the gate
@@ -239,23 +239,20 @@ def attention_block(q: Tensor, k: Tensor, v: Tensor, p: dict, causal: bool,
     the output. No gated copy of the keys or values is made, and the
     queries are made one tile at a time inside ``tensor.attention``, which
     takes the query stream, the linear map, the combined gate, the value
-    gate and the residual. With ``overwrite``, under ``no_grad``, the
-    caller hands over the residual's array, and the node gates each output
-    tile and adds it into that array. ``k`` and ``v`` are dropped when the
-    node returns, so a caller that passes its only references frees them
-    there.
+    gate and ``into``. Passing ``into`` hands its array over: under
+    ``no_grad`` the node gates each output tile and adds it into that
+    array. ``k`` and ``v`` are dropped when the node returns, so a caller
+    that passes its only references frees them there.
     """
     gate = tensor.sigmoid(p["q"]) * tensor.sigmoid(p["k"])
     return tensor.attention(q, p["lin_q.w"], p["lin_q.b"], gate, k, v, causal,
-                            _v_gate_graph(p), residual, overwrite)
+                            _v_gate_graph(p), into)
 
 
 def feedforward_block(x: Tensor, w: Tensor, b: Tensor, dropout_rate: float,
-                      rng=None, residual: Tensor = None,
-                      overwrite: bool = False) -> Tensor:
+                      rng=None, into: Tensor = None) -> Tensor:
     """Linear to 4N, GELU, dropout, then sum of the four N-wide chunks, plus
-    ``residual`` when one is given (added into the residual's own array
-    under ``no_grad`` when the caller hands it over with ``overwrite``).
+    ``into`` when one is given (added into its array under ``no_grad``).
 
     Dropout is inverted and runs only when ``rng`` is given and the rate is
     positive: each of the (T, 4N) activations is kept where
@@ -265,7 +262,7 @@ def feedforward_block(x: Tensor, w: Tensor, b: Tensor, dropout_rate: float,
     keep = None
     if rng is not None and dropout_rate > 0.0:
         keep = rng.random((x.shape[0], w.shape[1])) >= dropout_rate
-    return tensor.feedforward(x, w, b, keep, dropout_rate, residual, overwrite)
+    return tensor.feedforward(x, w, b, keep, dropout_rate, into)
 
 
 def arn_block_forward(x: Tensor, block_params: dict, cfg: ARNConfig,
@@ -273,7 +270,7 @@ def arn_block_forward(x: Tensor, block_params: dict, cfg: ARNConfig,
     """One full block with both residual connections; (T, N) -> (T, N).
 
     Each (T, N) local, the input included, is dropped after its last
-    reader, or handed to it with ``overwrite=True``, so that outside
+    reader, or handed to it to write its output into, so that outside
     recording at most two of them are alive at once. The input is freed
     here only when the caller keeps no reference of its own, as in
     ``arn_forward_frames``. Recording, every op allocates its output, and
@@ -289,13 +286,13 @@ def arn_block_forward(x: Tensor, block_params: dict, cfg: ARNConfig,
     # the keys and values go in by the list's only reference, so that the
     # attention node frees them; its output lands in the query stream
     a = attention_block(q, kv[0], kv.pop(), _sub(block_params, "attn."), cfg.causal,
-                        residual=q, overwrite=True)
+                        into=q)
     del q
     z1 = layer_norm(a, *ln[3], cfg.ln_eps)
     z2 = layer_norm(a, *ln[4], cfg.ln_eps, overwrite=True)
     del a
     return feedforward_block(z1, block_params["ff.w"], block_params["ff.b"],
-                             cfg.dropout, rng, residual=z2, overwrite=True)
+                             cfg.dropout, rng, into=z2)
 
 
 def arn_forward_frames(frames: Tensor, params: dict, cfg: ARNConfig,

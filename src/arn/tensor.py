@@ -40,13 +40,14 @@ each tile in their backward pass, so their memory grows linearly in T;
 mean and inverse deviation. ``rfft_magnitude`` keeps only the signs of its
 rows' spectrum, and its backward pass is the adjoint transform, an ``irfft``.
 
-A caller may hand an op one operand's array with ``overwrite=True``: the op
+A caller may hand an op one operand's array, and under ``no_grad`` the op
 then writes its output into that array instead of a new one. ``add`` and
-``layer_norm_rows`` take their first operand so, ``attention`` and
-``feedforward`` their residual, and only under ``no_grad``. With recording
-on, another op's backward pass may still read the array, even where this op
-records nothing, so there the flag is ignored and the op allocates as usual.
-An op never infers that it owns an array; the caller decides, once.
+``layer_norm_rows`` take their first operand so when called with
+``overwrite=True``; ``attention`` and ``feedforward`` take the ``into``
+array that their output is added to. With recording on, another op's
+backward pass may still read the array, even where this op records nothing,
+so there the op allocates as usual. An op never infers that it owns an
+array; the caller decides, once.
 """
 
 from __future__ import annotations
@@ -151,11 +152,11 @@ def _record(out: Tensor, parents, fn) -> Tensor:
     return out
 
 
-def _handed_over(t: Tensor, overwrite: bool, dtype) -> bool:
-    """Whether an op writes its output into ``t``'s array: only when the
-    caller hands the array over with ``overwrite``, under ``no_grad``, and
-    the array has the output's dtype."""
-    return overwrite and not _grad_enabled and t.data.dtype == dtype
+def _writable(t: Tensor, dtype) -> bool:
+    """Whether an op writes its output into the array of ``t``, which the
+    caller hands over: only under ``no_grad``, and only when the array has
+    the output's dtype."""
+    return not _grad_enabled and t.data.dtype == dtype
 
 
 def _swept():
@@ -235,7 +236,7 @@ def _reduce_to(g: np.ndarray, shape) -> np.ndarray:
 def add(a: Tensor, b: Tensor, overwrite: bool = False) -> Tensor:
     """a + b; with ``overwrite``, under ``no_grad``, into ``a``'s array."""
     _check_binary(a, b)
-    if _handed_over(a, overwrite, np.result_type(a.data, b.data)):
+    if overwrite and _writable(a, np.result_type(a.data, b.data)):
         out = Tensor(np.add(a.data, b.data, out=a.data))
     else:
         out = Tensor(a.data + b.data)
@@ -596,11 +597,10 @@ def _queries(x_tile, w, b, gate):
 
 
 def attention(x: Tensor, w: Tensor, b: Tensor, gate: Tensor, k: Tensor, v: Tensor,
-              causal: bool, out_gate: Tensor = None, residual: Tensor = None,
-              overwrite: bool = False) -> Tensor:
+              causal: bool, out_gate: Tensor = None, into: Tensor = None) -> Tensor:
     """softmax(q k^T / sqrt(N)) v with queries q = (x w + b) * gate, as one
-    recorded op over query tiles, optionally times a column gate and plus a
-    residual.
+    recorded op over query tiles, optionally times a column gate and plus
+    the array ``into``.
 
     ``x`` is (T, K), ``w`` (K, N), ``b`` and ``gate`` (N,), ``k`` (S, N) and
     ``v`` (S, M). When ``causal`` (which needs S == T), row t attends to
@@ -615,13 +615,12 @@ def attention(x: Tensor, w: Tensor, b: Tensor, gate: Tensor, k: Tensor, v: Tenso
     at a time.
 
     ``out_gate``, (M,) or (1, M), scales the output's columns, and
-    ``residual``, (T, M), is added to the result: ``out * out_gate +
-    residual``, recorded as the product and sum nodes that this expression
-    records. When the caller hands the residual over with ``overwrite``,
-    under ``no_grad``, each output tile is gated and added into the
-    residual's own rows instead, after the tile's queries are formed: the
-    residual may be ``x`` itself, but must share no memory with ``k`` or
-    ``v``.
+    ``into``, (T, M), is added to the result: ``out * out_gate + into``,
+    recorded as the product and sum nodes that this expression records.
+    Passing ``into`` hands its array over: under ``no_grad`` each output
+    tile is gated and added into its rows, after the tile's queries are
+    formed. ``into`` may be ``x`` itself, but must share no memory with
+    ``k`` or ``v``.
     """
     xd, wd, bd, gd, kd, vd = (t.data for t in (x, w, b, gate, k, v))
     if xd.ndim != 2 or wd.ndim != 2 or kd.ndim != 2 or vd.ndim != 2:
@@ -638,23 +637,23 @@ def attention(x: Tensor, w: Tensor, b: Tensor, gate: Tensor, k: Tensor, v: Tenso
     if steps == 0 or keys == 0:
         raise DimensionError("attention over zero queries or keys")
     if ((out_gate is not None and out_gate.data.shape not in ((m,), (1, m)))
-            or (residual is not None and residual.data.shape != (steps, m))):
+            or (into is not None and into.data.shape != (steps, m))):
         raise DimensionError(
-            f"need out_gate (M,) or (1, M) and residual (T, M) for output {(steps, m)}")
+            f"need out_gate (M,) or (1, M) and into (T, M) for output {(steps, m)}")
     scale = 1.0 / math.sqrt(n)
     dtype = np.result_type(xd, wd, bd, gd, kd, vd)
-    into = residual is not None and _handed_over(residual, overwrite, np.result_type(
-        dtype, residual.data, dtype if out_gate is None else out_gate.data))
-    out = residual.data if into else np.empty((steps, m), dtype=dtype)
+    inplace = into is not None and _writable(into, np.result_type(
+        dtype, into.data, dtype if out_gate is None else out_gate.data))
+    out = into.data if inplace else np.empty((steps, m), dtype=dtype)
     for lo, hi in _row_tiles(steps):
         stop = hi if causal else keys
         q = _queries(xd[lo:hi], wd, bd, gd)[0]
         tile = _attention_probs(q, kd[:stop], scale, lo, causal) @ vd[:stop]
-        if into:
+        if inplace:
             out[lo:hi] += tile if out_gate is None else tile * out_gate.data
         else:
             out[lo:hi] = tile
-    if into:
+    if inplace:
         return Tensor(out)
 
     def _bw(g):
@@ -688,7 +687,7 @@ def attention(x: Tensor, w: Tensor, b: Tensor, gate: Tensor, k: Tensor, v: Tenso
     node = _record(Tensor(out), (x, w, b, gate, k, v), _bw)
     if out_gate is not None:
         node = mul(node, out_gate)
-    return node if residual is None else add(node, residual)
+    return node if into is None else add(node, into)
 
 
 def _gelu_cdf(pre: np.ndarray) -> np.ndarray:
@@ -701,9 +700,10 @@ def _gelu_cdf(pre: np.ndarray) -> np.ndarray:
 
 
 def feedforward(x: Tensor, w: Tensor, b: Tensor, keep=None, rate: float = 0.0,
-                residual: Tensor = None, overwrite: bool = False) -> Tensor:
+                into: Tensor = None) -> Tensor:
     """GELU(x w + b) with inverted dropout, summed over its four equal column
-    chunks, as one recorded op over row tiles, optionally plus a residual.
+    chunks, as one recorded op over row tiles, optionally plus the array
+    ``into``.
 
     ``x`` is (T, K), ``w`` (K, 4N) and ``b`` (4N,); the output is (T, N).
     GELU is z * Phi(z) with the exact normal CDF. ``keep``, a plain boolean
@@ -712,11 +712,10 @@ def feedforward(x: Tensor, w: Tensor, b: Tensor, keep=None, rate: float = 0.0,
     and the others zeroed. Each tile's (rows, 4N) pre-activation lives only
     while that tile is processed; the backward pass recomputes it.
 
-    ``residual``, (T, N), is added to the output, recorded as the sum node
-    that ``out + residual`` records. When the caller hands the residual
-    over with ``overwrite``, under ``no_grad``, each tile is added into the
-    residual's own rows instead, after its rows of ``x`` are read: the
-    residual may be ``x`` itself, but no other view of it.
+    ``into``, (T, N), is added to the output, recorded as the sum node that
+    ``out + into`` records. Passing ``into`` hands its array over: under
+    ``no_grad`` each tile is added into its rows, after the tile's rows of
+    ``x`` are read. ``into`` may be ``x`` itself, but no other view of it.
     """
     xd, wd, bd = x.data, w.data, b.data
     if xd.ndim != 2 or wd.ndim != 2 or xd.shape[1] != wd.shape[0]:
@@ -731,16 +730,15 @@ def feedforward(x: Tensor, w: Tensor, b: Tensor, keep=None, rate: float = 0.0,
             f"need a boolean keep mask of shape {(steps, wide)}, "
             f"got {keep.dtype} {keep.shape}")
     n = wide // 4
-    if residual is not None and residual.data.shape != (steps, n):
+    if into is not None and into.data.shape != (steps, n):
         raise DimensionError(
-            f"need a residual of shape {(steps, n)}, got {residual.data.shape}")
+            f"need into of shape {(steps, n)}, got {into.data.shape}")
     dtype = np.result_type(xd, wd, bd)
-    into = residual is not None and _handed_over(
-        residual, overwrite, np.result_type(dtype, residual.data))
+    inplace = into is not None and _writable(into, np.result_type(dtype, into.data))
     # zeroing first, then scaling, gives what one product with a (T, 4N)
     # array of 0 and 1/(1 - rate) gives, signed zeros included
     inv_keep = dtype.type(1) / dtype.type(1.0 - rate)
-    out = residual.data if into else np.empty((steps, n), dtype=dtype)
+    out = into.data if inplace else np.empty((steps, n), dtype=dtype)
     for lo, hi in _row_tiles(steps):
         h = xd[lo:hi] @ wd
         h += bd
@@ -749,11 +747,11 @@ def feedforward(x: Tensor, w: Tensor, b: Tensor, keep=None, rate: float = 0.0,
             h *= keep[lo:hi]
             h *= inv_keep
         tile = (h[:, :n] + h[:, n:2 * n]) + (h[:, 2 * n:3 * n] + h[:, 3 * n:])
-        if into:
+        if inplace:
             out[lo:hi] += tile
         else:
             out[lo:hi] = tile
-    if into:
+    if inplace:
         return Tensor(out)
 
     def _bw(g):
@@ -776,7 +774,7 @@ def feedforward(x: Tensor, w: Tensor, b: Tensor, keep=None, rate: float = 0.0,
                 t._acc(d)
 
     node = _record(Tensor(out), (x, w, b), _bw)
-    return node if residual is None else add(node, residual)
+    return node if into is None else add(node, into)
 
 
 # ---------------------------------------------------------------------------
@@ -860,7 +858,7 @@ def layer_norm_rows(x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
         raise DimensionError("gamma/beta must be length-N vectors")
     mu = xd.sum(axis=1, keepdims=True) / n
     dtype = np.result_type(xd, gamma.data, beta.data)
-    if _handed_over(x, overwrite, dtype):
+    if overwrite and _writable(x, dtype):
         out = np.subtract(xd, mu, out=xd)
     else:
         out = (xd - mu).astype(dtype, copy=False)

@@ -796,49 +796,58 @@ class TestRowTiledFeedforward:
 
 
 def _handover_cases(steps, n, rng):
-    """Per op taking ``overwrite``: its operands, a call over their tensors,
-    and the index of the operand handed over."""
+    """Per op that can write into an operand: its operands, a call over
+    their tensors that hands that operand over or not, and its index.
+    ``attention`` and ``feedforward`` take the operand as ``into``; without
+    it, the call adds their output to it as a separate op."""
     def r(*shape):
         return rng.standard_normal(shape)
+
+    def attend(t, into=None):
+        return tensor.attention(*t[:5], t[4], True, t[5], into)
+
+    def ff(t, into=None):
+        return tensor.feedforward(*t[:3], keep, 0.3, into)
 
     keep = rng.random((steps, 4 * n)) >= 0.3
     return {
         "add": ([r(steps, n), r(n)], lambda t, o: tensor.add(*t, overwrite=o), 0),
         "layer_norm_rows": ([r(steps, n), r(n), r(n)],
                             lambda t, o: tensor.layer_norm_rows(*t, 1e-5, o), 0),
-        # the residual is the query stream itself, as in the model
+        # the output goes into the query stream itself, as in the model
         "attention": ([r(steps, n), r(n, n), r(n), r(n), r(steps, n), r(1, n)],
-                      lambda t, o: tensor.attention(*t[:5], t[4], True, t[5], t[0], o), 0),
+                      lambda t, o: attend(t, t[0]) if o else tensor.add(attend(t), t[0]),
+                      0),
         "feedforward": ([r(steps, n), r(n, 4 * n), r(4 * n), r(steps, n)],
-                        lambda t, o: tensor.feedforward(*t[:3], keep, 0.3, t[3], o), 3),
+                        lambda t, o: ff(t, t[3]) if o else tensor.add(ff(t), t[3]), 3),
     }
 
 
 @pytest.mark.usefixtures("small_tiles")
 class TestHandOver:
-    """``overwrite=True`` hands an op one operand's array. Under ``no_grad``
-    the op writes its output into that array, with the bits of the output
-    it allocates otherwise; while recording, or without the flag, every
-    operand is left as it was."""
+    """A caller hands an op one operand's array, with ``overwrite=True`` or
+    as ``into``. Under ``no_grad`` the op writes its output into that array,
+    with the bits of the output it allocates otherwise; while recording, or
+    when not handed over, every operand is left as it was."""
 
     @pytest.mark.parametrize("op", ["add", "layer_norm_rows", "attention", "feedforward"])
     def test_written_into_only_under_no_grad(self, op):
         arrays, call, handed = _handover_cases(2 * SMALL_TILE + 3, 6,
                                                np.random.default_rng(97))[op]
 
-        def run(overwrite, record):
+        def run(hand_over, record):
             leaves = [Tensor(a.copy(), requires_grad=record) for a in arrays]
             if record:
-                out = call(leaves, overwrite)
+                out = call(leaves, hand_over)
                 assert out.requires_grad
             else:
                 with tensor.no_grad():
-                    out = call(leaves, overwrite)
+                    out = call(leaves, hand_over)
             return [t.data for t in leaves], out.data
 
         want = run(False, True)[1]
-        for overwrite, record in ((True, True), (False, False)):
-            given, got = run(overwrite, record)
+        for hand_over, record in ((True, True), (False, False)):
+            given, got = run(hand_over, record)
             assert got.tobytes() == want.tobytes()
             assert all(g.tobytes() == a.tobytes() for g, a in zip(given, arrays))
         given, got = run(True, False)
