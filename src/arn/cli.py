@@ -2,13 +2,21 @@
 
 Exit codes: 0 success, 2 usage error or malformed list file (evaluate
 manifest, corpus index), 3 malformed/unsupported WAV (including non-finite
-samples), 4 model, checkpoint or training-config problem, 1 anything else.
-The environment variable ``ARN_SEED`` overrides the default seed 0.
+samples), 4 model, checkpoint or training-config problem, 1 anything else,
+running out of memory included. The environment variable ``ARN_SEED``
+overrides the default seed 0.
 
 ``evaluate`` reads a manifest of ``<clean path>\\t<degraded-or-enhanced
 path>`` lines and prints one tab-separated record per pair
 (``clean  other  snr_db  si_snr_db``) followed by a ``mean`` line; with
-``--model`` the second file of each pair is enhanced before scoring.
+``--model`` the second file of each pair is enhanced before scoring. An
+error while reading, enhancing or scoring a pair names the manifest, the
+line and both paths, and exits with the code of the error itself.
+
+Each of these errors is one ``error:`` line on standard error. When
+``enhance`` or ``evaluate --model`` runs out of memory on an input, the line
+names the file and its length in seconds; ``enhance`` writes no output for
+that file and stops there.
 """
 
 from __future__ import annotations
@@ -31,6 +39,32 @@ from .wavio import WavFormatError
 EXIT_USAGE = 2
 EXIT_WAV = 3
 EXIT_MODEL = 4
+EXIT_OTHER = 1
+
+
+class PairError(Exception):
+    """An error while processing one pair of an ``evaluate`` manifest,
+    naming the pair; ``code`` is the exit code of the error it wraps."""
+
+    def __init__(self, message: str, code: int):
+        super().__init__(message)
+        self.code = code
+
+
+def _exit_code(exc: BaseException):
+    """The documented exit code of an error, or None for one that is not
+    the input's or the configuration's (a bug), which keeps its traceback."""
+    if isinstance(exc, PairError):
+        return exc.code
+    if isinstance(exc, ListFileError):
+        return EXIT_USAGE
+    if isinstance(exc, WavFormatError):
+        return EXIT_WAV
+    if isinstance(exc, (CheckpointError, ConfigurationError)):
+        return EXIT_MODEL
+    if isinstance(exc, (OSError, ValueError, DivergenceError, MemoryError)):
+        return EXIT_OTHER
+    return None
 
 
 def _seed() -> int:
@@ -47,13 +81,18 @@ def _load_model(ckpt_path):
     return params, ckpt.model_cfg
 
 
-def _enhance_signal(x: np.ndarray, params, cfg) -> np.ndarray:
+def _enhance_signal(x: np.ndarray, params, cfg, path) -> np.ndarray:
     # the model is trained on unit-RMS mixtures: normalize in, scale back out.
     # An empty signal enhances to an empty one, a silent one to silence.
     r = mixing.rms(x) if x.size else 0.0
     if r == 0.0:
         return np.zeros_like(x)
-    y = model.enhance(x * (1.0 / r), params, cfg)
+    try:
+        y = model.enhance(x * (1.0 / r), params, cfg)
+    except MemoryError as exc:
+        # numpy's message names the array that did not fit
+        raise MemoryError(f"out of memory enhancing {path} "
+                          f"({x.size / wavio.SAMPLE_RATE:.2f} s of audio): {exc}") from None
     # scale back in float64: near float32's maximum, y * r overflows float32
     return y.astype(np.float64) * r
 
@@ -69,7 +108,7 @@ def cmd_enhance(args) -> int:
         pairs = [(src, dst)]
     encoding = "pcm16" if args.pcm16 else "float32"
     for in_path, out_path in pairs:
-        enhanced = _enhance_signal(wavio.read_wav(in_path), params, cfg)
+        enhanced = _enhance_signal(wavio.read_wav(in_path), params, cfg, in_path)
         wavio.write_wav(out_path, enhanced, encoding=encoding)
     return 0
 
@@ -78,15 +117,22 @@ def cmd_evaluate(args) -> int:
     enhancer = None
     if args.model:
         params, cfg = _load_model(args.model)
-        enhancer = lambda x: _enhance_signal(x, params, cfg)
+        enhancer = lambda x, path: _enhance_signal(x, params, cfg, path)
     snrs, sis = [], []
-    for clean_path, other_path in mixing.read_list_file(args.pairs, (str, str)):
-        clean = wavio.read_wav(clean_path)
-        other = wavio.read_wav(other_path)
-        if enhancer is not None:
-            other = enhancer(other)
-        pair_snr = losses.snr(clean, other)
-        pair_si = losses.si_snr(clean, other)
+    for number, (clean_path, other_path) in mixing.read_list_file(args.pairs, (str, str)):
+        try:
+            clean = wavio.read_wav(clean_path)
+            other = wavio.read_wav(other_path)
+            if enhancer is not None:
+                other = enhancer(other, other_path)
+            pair_snr = losses.snr(clean, other)
+            pair_si = losses.si_snr(clean, other)
+        except Exception as exc:
+            code = _exit_code(exc)
+            if code is None:
+                raise
+            raise PairError(f"{args.pairs}, line {number} ({clean_path}, {other_path}): "
+                            f"{exc}", code) from exc
         snrs.append(pair_snr)
         sis.append(pair_si)
         print(f"{clean_path}\t{other_path}\t{pair_snr:.3f}\t{pair_si:.3f}")
@@ -242,18 +288,12 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except ListFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except WavFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WAV
-    except (CheckpointError, ConfigurationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MODEL
-    except (OSError, ValueError, DivergenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
+        return code
 
 
 def entrypoint():

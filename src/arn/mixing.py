@@ -135,11 +135,12 @@ class ListFileError(ValueError):
 
 
 def read_list_file(path, types) -> list:
-    """Rows of a tab-separated list file, one tuple per non-blank line.
+    """Rows of a tab-separated list file: one (1-based line number, fields)
+    pair per non-blank line, the number for messages about the row.
 
     Field ``i`` of each line is converted by ``types[i]``. A line with the
     wrong number of fields, or a field that does not convert, raises
-    ``ListFileError`` naming the file and the 1-based line number.
+    ``ListFileError`` naming the file and the line number.
     """
     rows = []
     for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
@@ -151,7 +152,7 @@ def read_list_file(path, types) -> list:
             if len(fields) != len(types):
                 raise ValueError(f"expected {len(types)} tab-separated fields, "
                                  f"found {len(fields)}")
-            rows.append(tuple(convert(f) for convert, f in zip(types, fields)))
+            rows.append((number, tuple(convert(f) for convert, f in zip(types, fields))))
         except ValueError as exc:
             raise ListFileError(f"{path}, line {number}: {exc}") from None
     return rows
@@ -208,7 +209,8 @@ class CorpusIndex(_Corpus):
         self.index_path = Path(index_path)
         self.root = self.index_path.parent
         self.entries = {}
-        for utt_id, rel_path, count in read_list_file(self.index_path, (str, str, int)):
+        for _, (utt_id, rel_path, count) in read_list_file(self.index_path,
+                                                           (str, str, int)):
             if utt_id in self.entries:
                 raise ListFileError(f"{self.index_path}: id {utt_id!r} is listed twice")
             self.entries[utt_id] = (rel_path, count)

@@ -29,7 +29,10 @@ norm into the attention output; as ``into``, the attention node's gated
 output into the query stream (one tile at a time, after the tile's queries
 are formed) and the feedforward's output into that layer norm's output.
 ``enhance`` thus holds at most two (T, N) arrays at once, plus one tile's
-scratch, and, at widths up to ``tensor.TILE_ROWS``, the LSTM's packed
+scratch: the scratch buffers of the op that runs, each allocated once per
+call and a tile in size (the LSTM's activation tile, attention's query,
+probability and output tiles, the feedforward's (rows, 4N) pre-activation
+tile), and, at widths up to ``tensor.TILE_ROWS``, the LSTM's packed
 recurrent weights, which are no larger than its tile.
 
 One forward pass serves training and enhancement. Feedforward dropout runs

@@ -35,7 +35,13 @@ time, reads; it keeps no copy of the weights.
 ``attention`` and ``feedforward`` work over the same row tiles and recompute
 each tile in their backward pass, so their memory grows linearly in T;
 ``attention`` also forms each tile's queries from the query stream, so no
-(T, N) query array exists, in evaluation or in a recorded graph.
+(T, N) query array exists, in evaluation or in a recorded graph. Their
+forward pass holds one tile's scratch: each call allocates one buffer per
+per-tile array, a tile in size, and writes every tile into it. These are
+attention's queries and output, gated in place, beside one tile's (rows, S)
+probabilities, freed before the next tile's; and the feedforward's
+(rows, 4N) pre-activation, on which GELU, dropout and the four-chunk sum
+act in place, the GELU's CDF ``_SUB_ROWS`` rows at a time.
 ``layer_norm_rows`` writes its output in place and keeps only each row's
 mean and inverse deviation. ``rfft_magnitude`` keeps only the signs of its
 rows' spectrum, and its backward pass is the adjoint transform, an ``irfft``.
@@ -583,14 +589,16 @@ def _attention_probs(q_tile, k, scale: float, first_row: int, causal: bool):
     return s
 
 
-# rows per product-and-sum in ``attention``'s backward: its temporary is
-# (_SUM_ROWS, S), not (TILE_ROWS, S); each row's sum is the same either way
-_SUM_ROWS = 16
+# rows per sub-block of a tile where an op needs a temporary as wide as the
+# tile: the product-and-sum in ``attention``'s backward, (_SUB_ROWS, S), and
+# the GELU CDF and chunk sum in ``feedforward``, (_SUB_ROWS, 4N) and
+# (_SUB_ROWS, N). Each row's result is the same either way
+_SUB_ROWS = 16
 
 
 def _queries(x_tile, w, b, gate):
     """One tile's queries, (x_tile w + b) * gate, and the product before
-    the gate, which the backward pass also reads."""
+    the gate, for the backward pass, which reads both."""
     pre = x_tile @ w
     pre += b
     return pre * gate, pre
@@ -605,13 +613,15 @@ def attention(x: Tensor, w: Tensor, b: Tensor, gate: Tensor, k: Tensor, v: Tenso
     ``x`` is (T, K), ``w`` (K, N), ``b`` and ``gate`` (N,), ``k`` (S, N) and
     ``v`` (S, M). When ``causal`` (which needs S == T), row t attends to
     keys 0..t only. Each tile's queries are formed from its rows of ``x``
-    and dropped with the tile, so no (T, N) query array is ever held.
+    in one (TILE_ROWS, N) buffer for the call, the gate applied in place as
+    the bias is, and each tile's output in one (TILE_ROWS, M) buffer, so no
+    (T, N) query array is ever held.
     Softmax rows are independent, so tiling the queries is exact without a
     running maximum. A causal tile of rows [a, b) reads keys [0, b) only,
     which skips the masked triangle. The backward pass recomputes each
     tile's queries and probabilities, so no (T, S) array is ever held
     either; it holds two (TILE_ROWS, S) arrays per tile, the probabilities
-    and their gradient, and forms the softmax's row sums ``_SUM_ROWS`` rows
+    and their gradient, and forms the softmax's row sums ``_SUB_ROWS`` rows
     at a time.
 
     ``out_gate``, (M,) or (1, M), scales the output's columns, and
@@ -645,12 +655,21 @@ def attention(x: Tensor, w: Tensor, b: Tensor, gate: Tensor, k: Tensor, v: Tenso
     inplace = into is not None and _writable(into, np.result_type(
         dtype, into.data, dtype if out_gate is None else out_gate.data))
     out = into.data if inplace else np.empty((steps, m), dtype=dtype)
+    # one query tile and one output tile for the call; each tile's
+    # probabilities go with the product that reads them
+    q_buf = np.empty((min(steps, TILE_ROWS), n), np.result_type(xd, wd))
+    tile_buf = np.empty((q_buf.shape[0], m), np.result_type(q_buf, kd, vd))
     for lo, hi in _row_tiles(steps):
         stop = hi if causal else keys
-        q = _queries(xd[lo:hi], wd, bd, gd)[0]
-        tile = _attention_probs(q, kd[:stop], scale, lo, causal) @ vd[:stop]
+        q, tile = q_buf[:hi - lo], tile_buf[:hi - lo]
+        np.matmul(xd[lo:hi], wd, out=q)
+        q += bd
+        q *= gd
+        np.matmul(_attention_probs(q, kd[:stop], scale, lo, causal), vd[:stop], out=tile)
         if inplace:
-            out[lo:hi] += tile if out_gate is None else tile * out_gate.data
+            if out_gate is not None:
+                tile *= out_gate.data
+            out[lo:hi] += tile
         else:
             out[lo:hi] = tile
     if inplace:
@@ -665,8 +684,8 @@ def attention(x: Tensor, w: Tensor, b: Tensor, gate: Tensor, k: Tensor, v: Tenso
             dv[:stop] += p.T @ g[lo:hi]
             # softmax backward: ds = p * (dp - rowsum(dp * p)), times the scale
             ds = g[lo:hi] @ vd[:stop].T
-            for a in range(0, hi - lo, _SUM_ROWS):
-                rows = slice(a, a + _SUM_ROWS)
+            for a in range(0, hi - lo, _SUB_ROWS):
+                rows = slice(a, a + _SUB_ROWS)
                 ds[rows] -= (ds[rows] * p[rows]).sum(axis=1, keepdims=True)
             ds *= p
             ds *= scale
@@ -709,8 +728,9 @@ def feedforward(x: Tensor, w: Tensor, b: Tensor, keep=None, rate: float = 0.0,
     GELU is z * Phi(z) with the exact normal CDF. ``keep``, a plain boolean
     (T, 4N) array, or None for no dropout, marks the activations dropout
     keeps; they are scaled by 1/(1 - ``rate``), a scalar of the op's dtype,
-    and the others zeroed. Each tile's (rows, 4N) pre-activation lives only
-    while that tile is processed; the backward pass recomputes it.
+    and the others zeroed. Every tile's (rows, 4N) pre-activation is
+    written into one buffer for the call, activated and summed in place;
+    the backward pass recomputes it.
 
     ``into``, (T, N), is added to the output, recorded as the sum node that
     ``out + into`` records. Passing ``into`` hands its array over: under
@@ -739,14 +759,26 @@ def feedforward(x: Tensor, w: Tensor, b: Tensor, keep=None, rate: float = 0.0,
     # array of 0 and 1/(1 - rate) gives, signed zeros included
     inv_keep = dtype.type(1) / dtype.type(1.0 - rate)
     out = into.data if inplace else np.empty((steps, n), dtype=dtype)
+    # one (rows, 4N) pre-activation tile for the call, activated in place
+    h_buf = np.empty((min(steps, TILE_ROWS), wide), np.result_type(xd, wd))
     for lo, hi in _row_tiles(steps):
-        h = xd[lo:hi] @ wd
+        h = h_buf[:hi - lo]
+        np.matmul(xd[lo:hi], wd, out=h)
         h += bd
-        h *= _gelu_cdf(h)
-        if keep is not None:
-            h *= keep[lo:hi]
-            h *= inv_keep
-        tile = (h[:, :n] + h[:, n:2 * n]) + (h[:, 2 * n:3 * n] + h[:, 3 * n:])
+        # a sub-block at a time: the CDF's temporary is that size, and so is
+        # the copy numpy makes of a chunk added into another of its rows
+        for a in range(0, hi - lo, _SUB_ROWS):
+            sub = h[a:a + _SUB_ROWS]
+            sub *= _gelu_cdf(sub)
+            if keep is not None:
+                sub *= keep[lo + a:lo + a + sub.shape[0]]
+                sub *= inv_keep
+            # (h0 + h1) + (h2 + h3), summed into the first chunk
+            h0, h1, h2, h3 = (sub[:, j * n:(j + 1) * n] for j in range(4))
+            h0 += h1
+            h2 += h3
+            h0 += h2
+        tile = h[:, :n]
         if inplace:
             out[lo:hi] += tile
         else:

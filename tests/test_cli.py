@@ -426,6 +426,112 @@ class TestExitCodes:
         assert not out.exists()
 
 
+def out_of_memory(fail_at):
+    """A stand-in for ``model.enhance`` whose ``fail_at``-th call (from 1)
+    raises ``MemoryError`` with numpy's message, with no large allocation;
+    the others return their input."""
+    calls = []
+
+    def enhance(x, params, cfg):
+        calls.append(x.size)
+        if len(calls) == fail_at:
+            raise MemoryError("Unable to allocate 586. MiB for an array with shape "
+                              "(150000, 1024) and data type float32")
+        return x.astype(np.float32)
+    return enhance
+
+
+class TestOutOfMemory:
+    """Running out of memory on an input is one error line naming the file
+    and its length in seconds, with exit 1, and no output for that file."""
+
+    def test_enhance_file(self, tmp_path, trained_ckpt, capsys, monkeypatch):
+        monkeypatch.setattr(model, "enhance", out_of_memory(1))
+        src, out = tmp_path / "long.wav", tmp_path / "out.wav"
+        wavio.write_wav(src, tone(24000))
+        assert cli.main(["enhance", "--model", str(trained_ckpt), "--in", str(src),
+                         "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: out of memory")
+        assert f"{src} (1.50 s of audio)" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_enhance_directory_stops_at_the_file(self, tmp_path, trained_ckpt, capsys,
+                                                 monkeypatch):
+        # files run in sorted order: the first is written, the second fails,
+        # the third is never read
+        monkeypatch.setattr(model, "enhance", out_of_memory(2))
+        src, dst = tmp_path / "in", tmp_path / "out"
+        src.mkdir()
+        for name, length in (("a.wav", 1600), ("b.wav", 8000), ("c.wav", 1600)):
+            wavio.write_wav(src / name, tone(length))
+        assert cli.main(["enhance", "--model", str(trained_ckpt), "--in", str(src),
+                         "--out", str(dst)]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and f"{src / 'b.wav'} (0.50 s of audio)" in err
+        assert sorted(p.name for p in dst.iterdir()) == ["a.wav"]
+
+    def test_evaluate_with_model(self, tmp_path, trained_ckpt, capsys, monkeypatch):
+        monkeypatch.setattr(model, "enhance", out_of_memory(1))
+        clean, noisy = tmp_path / "clean.wav", tmp_path / "noisy.wav"
+        wavio.write_wav(clean, tone(3200))
+        wavio.write_wav(noisy, tone(3200) + 0.05)
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_text(f"{clean}\t{noisy}\n")
+        assert cli.main(["evaluate", "--model", str(trained_ckpt),
+                         "--pairs", str(manifest)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert f"{manifest}, line 1 ({clean}, {noisy}):" in captured.err
+        assert f"out of memory enhancing {noisy} (0.20 s of audio)" in captured.err
+
+
+class TestEvaluatePairErrors:
+    """An error while reading, enhancing or scoring a pair names the
+    manifest, the line and both paths, and keeps its exit code."""
+
+    def run(self, tmp_path, capsys, clean, other, code):
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_text(f"{clean}\t{clean}\n\n{clean}\t{other}\n")
+        assert cli.main(["evaluate", "--pairs", str(manifest)]) == code
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {manifest}, line 3 ({clean}, {other}): ")
+        assert captured.err.count("\n") == 1
+        # the first pair was scored before the error
+        assert len(captured.out.splitlines()) == 1
+        return captured.err
+
+    def test_silent_clean_file(self, tmp_path, capsys):
+        silent, other = tmp_path / "silent.wav", tmp_path / "other.wav"
+        wavio.write_wav(silent, np.zeros(1000))
+        wavio.write_wav(other, tone(1000))
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_text(f"{other}\t{other}\n{silent}\t{other}\n")
+        assert cli.main(["evaluate", "--pairs", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {manifest}, line 2 ({silent}, {other}): "
+                       "SNR needs a reference with nonzero energy\n")
+
+    def test_unequal_lengths(self, tmp_path, capsys):
+        clean, short = tmp_path / "clean.wav", tmp_path / "short.wav"
+        wavio.write_wav(clean, tone(100))
+        wavio.write_wav(short, tone(50))
+        err = self.run(tmp_path, capsys, clean, short, 1)
+        assert err.endswith("signal lengths differ: [50, 100]\n")
+
+    def test_malformed_wav_keeps_exit_3(self, tmp_path, capsys):
+        clean, bad = tmp_path / "clean.wav", tmp_path / "bad.wav"
+        wavio.write_wav(clean, tone(100))
+        bad.write_bytes(b"RIFFxxxxJUNK")
+        self.run(tmp_path, capsys, clean, bad, 3)
+
+    def test_missing_file_keeps_exit_1(self, tmp_path, capsys):
+        clean = tmp_path / "clean.wav"
+        wavio.write_wav(clean, tone(100))
+        err = self.run(tmp_path, capsys, clean, tmp_path / "missing.wav", 1)
+        assert "missing.wav" in err
+
+
 def write_corpus(tmp_path):
     """Two speech and two noise WAVs with their index files; returns the
     speech and noise index paths."""

@@ -1,9 +1,13 @@
 """The runnable scripts under ``scripts/`` still run against the library."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import numpy as np
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -19,3 +23,102 @@ def test_overfit_single_mixture_runs_two_steps():
     assert proc.returncode == 0, proc.stderr
     steps = [line for line in proc.stdout.splitlines() if line.startswith("step")]
     assert len(steps) == 2
+
+
+def _load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs",
+                                                  ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+bench_pairs = _load_bench_pairs()
+
+SPEC = {
+    "workloads": [{"name": "w"}],
+    "end_to_end": [{"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.05},
+                   {"name": "score", "unit": "1", "better": "higher", "bound": 0.25}],
+}
+
+
+def _record(side, seed, rss, score=1.0, correct=True, trace=0, returncode=0):
+    return {"workload": "w", "side": side, "seed": seed, "trace": trace,
+            "returncode": returncode, "env": {"nproc": 2},
+            "result": {"correct": correct, "attempted": 4, "failed": 0,
+                       "metrics": {"peak_rss_mb": {"value": rss, "unit": "MB"},
+                                   "score": {"value": score, "unit": "1"}}}}
+
+
+class TestBenchPairs:
+    """``scripts/bench_pairs.py``'s schedule, parsing and summary, on
+    synthetic run records: no benchmark runs here."""
+
+    def test_odd_seeds_run_the_parent_first(self):
+        assert bench_pairs.schedule([1, 2, 3]) == [
+            (1, "parent"), (1, "change"), (2, "change"), (2, "parent"),
+            (3, "parent"), (3, "change")]
+
+    def test_parse_run_reads_env_and_last_line(self):
+        out = ('# env {"nproc": 2, "git_sha": "abc"}\n# run {"seed": 1}\n'
+               '{"correct": true, "attempted": 4, "failed": 0, "metrics": {}}\n')
+        env, result = bench_pairs.parse_run(out)
+        assert env == {"nproc": 2, "git_sha": "abc"}
+        assert result["correct"] is True
+        assert bench_pairs.parse_run("Traceback (most recent call last):\n  boom\n") \
+            == (None, None)
+        assert bench_pairs.parse_run("") == (None, None)
+
+    def test_medians_quartiles_and_pairs_won(self):
+        parent = [330.0, 329.0, 331.0, 328.0, 332.0, 330.0, 329.5, 330.5, 331.5, 328.5]
+        change = [322.0, 323.0, 321.0, 331.0, 322.5, 321.5, 322.0, 323.5, 320.0, 321.0]
+        records = [_record("parent", s, v, score=1.0) for s, v in enumerate(parent, 1)]
+        records += [_record("change", s, v, score=2.0) for s, v in enumerate(change, 1)]
+        records.append(_record("change", 1, 999.0, trace=1))      # traced: not summed
+        entry = bench_pairs.summarize(records, SPEC)["w"]
+        rss = entry["metrics"]["peak_rss_mb"]
+        assert rss["parent"]["median"] == float(np.median(parent))
+        assert rss["change"]["median"] == float(np.median(change))
+        assert rss["parent"]["quartiles"] == [float(np.percentile(parent, 25)),
+                                              float(np.percentile(parent, 75))]
+        # seed 4: 331 against 328, the one pair the parent won
+        assert rss["pairs"] == 10 and rss["change_won"] == 9
+        assert rss["bound"] == 0.05 and rss["past_bound"] is False
+        assert rss["median_change"] < 0
+        score = entry["metrics"]["score"]
+        assert score["change_won"] == 10 and score["past_bound"] is False
+        assert entry["runs"] == {"parent": 10, "change": 10}
+        assert entry["all_correct"] == {"parent": True, "change": True}
+        assert entry["attempted_operations"] == {"parent": 40, "change": 40}
+
+    def test_worse_median_past_its_bound_reported(self):
+        records = [_record("parent", s, 100.0, score=1.0) for s in (1, 2)]
+        records += [_record("change", s, 106.0, score=0.7) for s in (1, 2)]
+        metrics = bench_pairs.summarize(records, SPEC)["w"]["metrics"]
+        assert metrics["peak_rss_mb"]["past_bound"] is True
+        assert metrics["peak_rss_mb"]["median_change"] == pytest.approx(0.06)
+        # higher is better: 0.7 is 30% worse, past a bound of 25%
+        assert metrics["score"]["past_bound"] is True
+        assert metrics["score"]["change_won"] == 0
+
+    def test_failed_and_incorrect_runs_kept_not_won(self):
+        records = [_record("parent", s, 100.0) for s in (1, 2, 3)]
+        records += [_record("change", 1, 90.0),
+                    _record("change", 2, 90.0, correct=False),
+                    {**_record("change", 3, 0.0), "returncode": 1, "result": None}]
+        entry = bench_pairs.summarize(records, SPEC)["w"]
+        rss = entry["metrics"]["peak_rss_mb"]
+        # the incorrect run's value is reported but wins no pair; the failed
+        # run has none
+        assert rss["change"]["runs"] == 2 and rss["change_won"] == 1
+        assert rss["pairs"] == 3
+        assert entry["runs"]["change"] == 3
+        assert entry["all_correct"] == {"parent": True, "change": False}
+
+    def test_traced_layers_per_side(self):
+        records = [_record("parent", 1, 300.0, trace=1), _record("change", 1, 290.0, trace=1),
+                   _record("change", 2, 1.0)]
+        layers = bench_pairs.traced_layers(records)
+        assert set(layers["w"]) == {"parent", "change"}
+        assert layers["w"]["change"]["metrics"]["peak_rss_mb"] == 290.0
+        assert layers["w"]["parent"]["correct"] is True

@@ -984,7 +984,7 @@ class TestRowTiledMemory:
         finally:
             tracemalloc.stop()
         bound = (2 * tensor.TILE_ROWS * steps + 3 * steps * width
-                 + tensor._SUM_ROWS * steps) * 8 + 16384
+                 + tensor._SUB_ROWS * steps) * 8 + 16384
         assert peak - start <= bound
         assert q.grad.shape == k.grad.shape == v.grad.shape == (steps, width)
 
@@ -1019,3 +1019,43 @@ class TestRowTiledMemory:
         out.grad = np.ones_like(out.data)
         assert traced_peak(out._backward) < bound
         assert x.grad.shape == (self.STEPS, n) and w.grad.shape == (n, 4 * n)
+
+    # under ``no_grad`` and handed its output array, an op holds only its
+    # tiles' scratch; T ends on a ragged tile
+    SCRATCH_STEPS, SCRATCH_WIDTH = 2 * tensor.TILE_ROWS + 37, 64
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_feedforward_holds_one_hidden_tile(self, masked):
+        # the call's one (TILE_ROWS, 4N) pre-activation tile, one
+        # _SUB_ROWS-row block of the GELU's CDF and numpy's ufunc buffer,
+        # which the bias's broadcast and the mask's cast go through; the
+        # previous tile's pre-activation or a whole-tile CDF would pass it
+        steps, n = self.SCRATCH_STEPS, self.SCRATCH_WIDTH
+        rng = np.random.default_rng(94)
+        x, w, b, into = (Tensor(rng.standard_normal(shape)) for shape in
+                         ((steps, n), (n, 4 * n), 4 * n, (steps, n)))
+        keep = rng.random((steps, 4 * n)) >= 0.1 if masked else None
+        with tensor.no_grad():
+            peak = traced_peak(lambda: tensor.feedforward(x, w, b, keep, 0.1, into))
+        tile = tensor.TILE_ROWS * 4 * n * 8
+        assert peak <= tile + tensor._SUB_ROWS * 4 * n * 8 + np.getbufsize() * 8 + 8192
+
+    @pytest.mark.parametrize("causal", [False, True])
+    def test_attention_holds_one_score_tile(self, causal):
+        # the largest tile's (rows, S) probabilities, the call's query and
+        # output tiles, each row's maximum and sum, and numpy's ufunc
+        # buffer, which the maximum's broadcast goes through; a second
+        # output tile, the previous one or a gated copy, would pass it
+        steps, n = self.SCRATCH_STEPS, self.SCRATCH_WIDTH
+        rng = np.random.default_rng(95)
+        x, kv, into = (Tensor(rng.standard_normal((steps, n))) for _ in range(3))
+        w, b, gate = (Tensor(rng.standard_normal(shape)) for shape in ((n, n), n, n))
+        out_gate = Tensor(rng.standard_normal((1, n)))
+        tensor._upper_triangle(tensor.TILE_ROWS)     # the cached causal mask
+        with tensor.no_grad():
+            peak = traced_peak(lambda: tensor.attention(x, w, b, gate, kv, kv, causal,
+                                                        out_gate, into))
+        scores = max((hi - lo) * (hi if causal else steps)
+                     for lo, hi in tensor._row_tiles(steps))
+        tiles = 2 * tensor.TILE_ROWS * n + 2 * tensor.TILE_ROWS
+        assert peak <= (scores + tiles) * 8 + np.getbufsize() * 8 + 8192
