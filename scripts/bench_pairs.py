@@ -2,7 +2,7 @@
 """Benchmark a change against its parent in alternating pairs; write BENCH_<N>.json.
 
     python3 scripts/bench_pairs.py --pr N
-    python3 scripts/bench_pairs.py --pr N --parent HEAD~1 --first-seed 41
+    python3 scripts/bench_pairs.py --pr N --parent HEAD~1
 
 The change is the working tree; the parent is a commit (``--parent``,
 default ``HEAD``, so run it before committing the change, or name the
@@ -11,19 +11,21 @@ temporary directory, removed at the end. Each side runs its own
 ``perfbench/run.py``, the command that ``BENCHMARK.json`` names, from its
 own root.
 
-For every workload of ``BENCHMARK.json`` it runs ``--pairs`` pairs (at least
-ten) at the file's ``run_seconds``, one seed per pair, counting up from
-``--first-seed``: the parent runs first for an odd seed, the change for an
-even one. Then one ``--trace 1`` run per side and workload, at the first
-seed, gives the per-layer metrics. Each run's ``# env`` line and its last
-line, one JSON object, are kept.
+For every workload of ``BENCHMARK.json`` it runs ten pairs at the file's
+``run_seconds``, one seed per pair, seeds 1 to 10: the parent runs first for
+an odd seed, the change for an even one. Then one ``--trace 1`` run per side
+and workload, at seed 1, gives the per-layer metrics. Each run's ``# env``
+line and its last line, one JSON object, are kept.
 
 ``BENCH_<N>.json`` holds the environment, both commits, the seeds, every
 run's record and, per workload and end-to-end metric, both medians, both
 quartile pairs, the pairs the change won, the bound from ``BENCHMARK.json``
 and whether the change's median lies past it, and whether every run was
 ``correct``. A run that fails is kept as failed, never rerun or dropped;
-a pair with a failed or incorrect run counts as not won.
+a pair with a failed or incorrect run, or one that lacks the metric, counts
+as not won. The report is written when the runs end, also when they are
+stopped (an error, SIGTERM or Ctrl-C): ``complete`` says whether every run
+was made.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-MIN_PAIRS = 10
+# one seed per pair; odd seeds run the parent first
+SEEDS = tuple(range(1, 11))
 # a run that takes longer than this is stopped and counted as failed
 RUN_TIMEOUT_S = 1800
 
@@ -54,21 +57,25 @@ def schedule(seeds) -> list:
     return order
 
 
+def _json_object(text: str):
+    """The JSON object ``text`` holds, or None."""
+    try:
+        value = json.loads(text)
+    except json.JSONDecodeError:
+        return None
+    return value if isinstance(value, dict) else None
+
+
 def parse_run(stdout: str) -> tuple:
     """A run's ``# env`` object and its last line's JSON object; None for
-    either that the output lacks."""
+    either that the output lacks or that does not parse."""
     env = result = None
     lines = [line for line in stdout.splitlines() if line.strip()]
     for line in lines:
         if line.startswith("# env "):
-            env = json.loads(line[len("# env "):])
+            env = _json_object(line[len("# env "):])
     if lines:
-        try:
-            result = json.loads(lines[-1])
-        except json.JSONDecodeError:
-            result = None
-    if not isinstance(result, dict):
-        result = None
+        result = _json_object(lines[-1])
     return env, result
 
 
@@ -98,8 +105,9 @@ def summarize(records: list, spec: dict) -> dict:
 
     Each record has ``workload``, ``side``, ``seed``, ``trace``,
     ``returncode`` and ``result`` (the run's last JSON line, or None). A
-    pair is the two sides' runs of one seed; the change wins it when its
-    value is better by the metric's ``better`` and both runs were correct.
+    pair is the two sides' runs of one seed; the change wins it when both
+    runs were correct and reported the metric, and its value is better by
+    the metric's ``better``.
     The statistics take every value a run reported, correct or not; a
     run's ``all_correct`` flag says which. ``past_bound`` is whether
     the change's median is worse than the parent's by more than ``bound``
@@ -134,7 +142,7 @@ def summarize(records: list, spec: dict) -> dict:
             for seed in seeds:
                 a, b = value.get(("parent", seed)), value.get(("change", seed))
                 both_ok = ok.get(("parent", seed)) and ok.get(("change", seed))
-                if both_ok and (b < a if lower else b > a):
+                if both_ok and None not in (a, b) and (b < a if lower else b > a):
                     won += 1
             before, after = sides["parent"]["median"], sides["change"]["median"]
             if before is None or after is None or before == 0:
@@ -204,30 +212,27 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--pr", type=int, required=True, help="N of BENCH_<N>.json")
     parser.add_argument("--parent", default="HEAD", help="the parent commit (default HEAD)")
-    parser.add_argument("--pairs", type=int, default=MIN_PAIRS)
-    parser.add_argument("--first-seed", type=int, default=1)
     args = parser.parse_args(argv)
-    if args.pairs < MIN_PAIRS:
-        parser.error(f"--pairs must be at least {MIN_PAIRS}")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seeds = list(range(args.first_seed, args.first_seed + args.pairs))
+    seeds = list(SEEDS)
     parent_sha = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     head_sha = _git("rev-parse", "HEAD")
     uncommitted = bool(_git("status", "--porcelain", "--untracked-files=no"))
     out_path = ROOT / f"BENCH_{args.pr}.json"
 
+    jobs = [(w["name"], seed, side, 0) for w in spec["workloads"]
+            for seed, side in schedule(seeds)]
+    jobs += [(w["name"], seeds[0], side, 1) for w in spec["workloads"]
+             for side in ("parent", "change")]
     records = []
-    # stopped by SIGTERM, remove the parent's files and stop the running run
+    # stopped by SIGTERM, remove the parent's files, stop the running run
+    # and write the runs made so far
     signal.signal(signal.SIGTERM, lambda *_: sys.exit(143))
     scratch = Path(tempfile.mkdtemp(prefix="bench_pairs-"))
     try:
         _export(parent_sha, scratch)
         roots = {"parent": scratch, "change": ROOT}
-        jobs = [(w["name"], seed, side, 0) for w in spec["workloads"]
-                for seed, side in schedule(seeds)]
-        jobs += [(w["name"], seeds[0], side, 1) for w in spec["workloads"]
-                 for side in ("parent", "change")]
         for i, (workload, seed, side, trace) in enumerate(jobs, start=1):
             record = _run(spec["command"], roots[side], workload, seed,
                           spec["run_seconds"], trace, side)
@@ -237,28 +242,29 @@ def main(argv=None) -> int:
                   f"{' trace' if trace else ''}: {status}", flush=True)
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
-
-    envs = {side: next((r["env"] for r in records if r["side"] == side and r["env"]), None)
-            for side in ("parent", "change")}
-    report = {
-        "pr": args.pr,
-        "parent_sha": parent_sha,
-        "change": {"head_sha": head_sha, "uncommitted_changes": uncommitted},
-        "command": spec["command"],
-        "run_seconds": spec["run_seconds"],
-        "seeds": seeds,
-        "order": "pairs alternate: the parent runs first for an odd seed",
-        "env": envs,
-        "summary": summarize(records, spec),
-        "per_layer": traced_layers(records),
-        "runs": records,
-    }
-    out_path.write_text(json.dumps(report, indent=1) + "\n")
+        envs = {side: next((r["env"] for r in records if r["side"] == side and r["env"]),
+                           None)
+                for side in ("parent", "change")}
+        report = {
+            "pr": args.pr,
+            "parent_sha": parent_sha,
+            "change": {"head_sha": head_sha, "uncommitted_changes": uncommitted},
+            "command": spec["command"],
+            "run_seconds": spec["run_seconds"],
+            "seeds": seeds,
+            "order": "pairs alternate: the parent runs first for an odd seed",
+            "complete": len(records) == len(jobs),
+            "env": envs,
+            "summary": summarize(records, spec),
+            "per_layer": traced_layers(records),
+            "runs": records,
+        }
+        out_path.write_text(json.dumps(report, indent=1) + "\n")
+        print(f"wrote {out_path} ({len(records)} of {len(jobs)} runs)", flush=True)
     for workload, entry in report["summary"].items():
         for name, m in entry["metrics"].items():
             print(f"{workload} {name}: {m['parent']['median']} -> {m['change']['median']} "
                   f"{m['unit']} ({m['change_won']}/{m['pairs']} won)")
-    print(f"wrote {out_path}")
     return 0
 
 

@@ -41,7 +41,7 @@ per-tile array, a tile in size, and writes every tile into it. These are
 attention's queries and output, gated in place, beside one tile's (rows, S)
 probabilities, freed before the next tile's; and the feedforward's
 (rows, 4N) pre-activation, on which GELU, dropout and the four-chunk sum
-act in place, the GELU's CDF ``_SUB_ROWS`` rows at a time.
+act in place, the GELU's CDF a sub-block of rows at a time.
 ``layer_norm_rows`` writes its output in place and keeps only each row's
 mean and inverse deviation. ``rfft_magnitude`` keeps only the signs of its
 rows' spectrum, and its backward pass is the adjoint transform, an ``irfft``.
@@ -591,17 +591,26 @@ def _attention_probs(q_tile, k, scale: float, first_row: int, causal: bool):
 
 # rows per sub-block of a tile where an op needs a temporary as wide as the
 # tile: the product-and-sum in ``attention``'s backward, (_SUB_ROWS, S), and
-# the GELU CDF and chunk sum in ``feedforward``, (_SUB_ROWS, 4N) and
-# (_SUB_ROWS, N). Each row's result is the same either way
+# the GELU CDF and chunk sum in ``feedforward``, (rows, 4N) and (rows, N).
+# The feedforward's sub-block holds _SUB_ROWS rows or _SUB_ELEMENTS
+# elements, whichever is more: _SUB_ROWS rows at the paper's 4N = 4096, and
+# at a narrow width the whole tile or most of it, in fewer numpy calls.
+# Each row's result is the same either way
 _SUB_ROWS = 16
+_SUB_ELEMENTS = 1 << 15
 
 
-def _queries(x_tile, w, b, gate):
-    """One tile's queries, (x_tile w + b) * gate, and the product before
-    the gate, for the backward pass, which reads both."""
-    pre = x_tile @ w
-    pre += b
-    return pre * gate, pre
+def _queries(x_tile, w, b, gate, out, pre=None):
+    """Writes one tile's queries, (x_tile w + b) * gate, into ``out`` and
+    returns it, and the product before the gate into ``pre`` if given, for
+    the backward pass, which reads both. Both passes call it with buffers
+    of the dtype of x_tile w, so they round alike."""
+    np.matmul(x_tile, w, out=out)
+    out += b
+    if pre is not None:
+        np.copyto(pre, out)
+    out *= gate
+    return out
 
 
 def attention(x: Tensor, w: Tensor, b: Tensor, gate: Tensor, k: Tensor, v: Tensor,
@@ -652,19 +661,20 @@ def attention(x: Tensor, w: Tensor, b: Tensor, gate: Tensor, k: Tensor, v: Tenso
             f"need out_gate (M,) or (1, M) and into (T, M) for output {(steps, m)}")
     scale = 1.0 / math.sqrt(n)
     dtype = np.result_type(xd, wd, bd, gd, kd, vd)
-    inplace = into is not None and _writable(into, np.result_type(
-        dtype, into.data, dtype if out_gate is None else out_gate.data))
-    out = into.data if inplace else np.empty((steps, m), dtype=dtype)
     # one query tile and one output tile for the call; each tile's
     # probabilities go with the product that reads them
     q_buf = np.empty((min(steps, TILE_ROWS), n), np.result_type(xd, wd))
     tile_buf = np.empty((q_buf.shape[0], m), np.result_type(q_buf, kd, vd))
+    # in place, the tile is gated in its own dtype: only when that is the
+    # recorded product's, so both paths round alike
+    gated = dtype if out_gate is None else np.result_type(dtype, out_gate.data)
+    inplace = (into is not None and _writable(into, np.result_type(gated, into.data))
+               and (out_gate is None or gated == tile_buf.dtype))
+    out = into.data if inplace else np.empty((steps, m), dtype=dtype)
     for lo, hi in _row_tiles(steps):
         stop = hi if causal else keys
-        q, tile = q_buf[:hi - lo], tile_buf[:hi - lo]
-        np.matmul(xd[lo:hi], wd, out=q)
-        q += bd
-        q *= gd
+        q = _queries(xd[lo:hi], wd, bd, gd, q_buf[:hi - lo])
+        tile = tile_buf[:hi - lo]
         np.matmul(_attention_probs(q, kd[:stop], scale, lo, causal), vd[:stop], out=tile)
         if inplace:
             if out_gate is not None:
@@ -677,9 +687,12 @@ def attention(x: Tensor, w: Tensor, b: Tensor, gate: Tensor, k: Tensor, v: Tenso
 
     def _bw(g):
         dx, dw, db, dgate, dk, dv = (np.zeros_like(a) for a in (xd, wd, bd, gd, kd, vd))
+        q_buf, pre_buf = (np.empty((min(steps, TILE_ROWS), n), np.result_type(xd, wd))
+                          for _ in range(2))
         for lo, hi in _row_tiles(steps):
             stop = hi if causal else keys
-            q, pre = _queries(xd[lo:hi], wd, bd, gd)
+            pre = pre_buf[:hi - lo]
+            q = _queries(xd[lo:hi], wd, bd, gd, q_buf[:hi - lo], pre)
             p = _attention_probs(q, kd[:stop], scale, lo, causal)
             dv[:stop] += p.T @ g[lo:hi]
             # softmax backward: ds = p * (dp - rowsum(dp * p)), times the scale
@@ -761,14 +774,15 @@ def feedforward(x: Tensor, w: Tensor, b: Tensor, keep=None, rate: float = 0.0,
     out = into.data if inplace else np.empty((steps, n), dtype=dtype)
     # one (rows, 4N) pre-activation tile for the call, activated in place
     h_buf = np.empty((min(steps, TILE_ROWS), wide), np.result_type(xd, wd))
+    sub_rows = max(_SUB_ROWS, _SUB_ELEMENTS // wide)
     for lo, hi in _row_tiles(steps):
         h = h_buf[:hi - lo]
         np.matmul(xd[lo:hi], wd, out=h)
         h += bd
         # a sub-block at a time: the CDF's temporary is that size, and so is
         # the copy numpy makes of a chunk added into another of its rows
-        for a in range(0, hi - lo, _SUB_ROWS):
-            sub = h[a:a + _SUB_ROWS]
+        for a in range(0, hi - lo, sub_rows):
+            sub = h[a:a + sub_rows]
             sub *= _gelu_cdf(sub)
             if keep is not None:
                 sub *= keep[lo + a:lo + a + sub.shape[0]]

@@ -68,6 +68,9 @@ class TestBenchPairs:
         assert bench_pairs.parse_run("Traceback (most recent call last):\n  boom\n") \
             == (None, None)
         assert bench_pairs.parse_run("") == (None, None)
+        # a cut or garbled env line is read as no env, as a bad result is
+        assert bench_pairs.parse_run('# env {"nproc": 2\n{"correct": true}\n') \
+            == (None, {"correct": True})
 
     def test_medians_quartiles_and_pairs_won(self):
         parent = [330.0, 329.0, 331.0, 328.0, 332.0, 330.0, 329.5, 330.5, 331.5, 328.5]
@@ -114,6 +117,16 @@ class TestBenchPairs:
         assert rss["pairs"] == 3
         assert entry["runs"]["change"] == 3
         assert entry["all_correct"] == {"parent": True, "change": False}
+
+    def test_pair_missing_a_metric_not_won(self):
+        records = [_record("parent", s, 100.0) for s in (1, 2, 3)]
+        records += [_record("change", s, 90.0) for s in (1, 2, 3)]
+        # a correct run whose result lacks the metric, on either side
+        del records[1]["result"]["metrics"]["peak_rss_mb"]
+        del records[5]["result"]["metrics"]["peak_rss_mb"]
+        rss = bench_pairs.summarize(records, SPEC)["w"]["metrics"]["peak_rss_mb"]
+        assert rss["change_won"] == 1 and rss["pairs"] == 3
+        assert rss["parent"]["runs"] == 2 and rss["change"]["runs"] == 2
 
     def test_traced_layers_per_side(self):
         records = [_record("parent", 1, 300.0, trace=1), _record("change", 1, 290.0, trace=1),

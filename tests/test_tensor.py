@@ -867,6 +867,32 @@ class TestHandOver:
         assert leaves[handed].data.tobytes() == arrays[handed].tobytes()
 
 
+    def test_attention_output_gate_wider_than_its_tile(self):
+        # float32 operands with a float64 output gate and stream: the tile
+        # is gated in float32 in place but in float64 as a recorded product,
+        # so the stream is not written into, and both paths give one result
+        rng = np.random.default_rng(99)
+        steps, n = 2 * SMALL_TILE + 3, 6
+        narrow = [rng.standard_normal(shape).astype(np.float32)
+                  for shape in ((steps, n), (n, n), (n,), (n,), (steps, n))]
+        gate, stream = rng.standard_normal((1, n)), rng.standard_normal((steps, n))
+
+        def run(hand_over, record):
+            leaves = [Tensor(a.copy(), requires_grad=record)
+                      for a in (*narrow, gate, stream)]
+            x, w, b, g, k, out_gate, into = leaves
+            if hand_over:
+                return into.data, tensor.attention(x, w, b, g, k, k, True, out_gate, into)
+            return into.data, tensor.add(
+                tensor.attention(x, w, b, g, k, k, True, out_gate), into)
+
+        want = run(False, True)[1].data
+        with tensor.no_grad():
+            given, got = run(True, False)
+        assert got.data is not given and given.tobytes() == stream.tobytes()
+        assert got.data.dtype == np.float64 and got.data.tobytes() == want.tobytes()
+
+
 class TestRfftMagnitude:
     """The rfft node against the basis-matrix graph it replaced, on framed
     signals with a random positive window."""
@@ -1026,11 +1052,13 @@ class TestRowTiledMemory:
 
     @pytest.mark.parametrize("masked", [False, True])
     def test_feedforward_holds_one_hidden_tile(self, masked):
-        # the call's one (TILE_ROWS, 4N) pre-activation tile, one
-        # _SUB_ROWS-row block of the GELU's CDF and numpy's ufunc buffer,
-        # which the bias's broadcast and the mask's cast go through; the
-        # previous tile's pre-activation or a whole-tile CDF would pass it
+        # the call's one (TILE_ROWS, 4N) pre-activation tile, one sub-block
+        # of the GELU's CDF and numpy's ufunc buffer, which the bias's
+        # broadcast and the mask's cast go through; the previous tile's
+        # pre-activation or a whole-tile CDF would pass it
         steps, n = self.SCRATCH_STEPS, self.SCRATCH_WIDTH
+        sub_rows = max(tensor._SUB_ROWS, tensor._SUB_ELEMENTS // (4 * n))
+        assert sub_rows < tensor.TILE_ROWS
         rng = np.random.default_rng(94)
         x, w, b, into = (Tensor(rng.standard_normal(shape)) for shape in
                          ((steps, n), (n, 4 * n), 4 * n, (steps, n)))
@@ -1038,7 +1066,7 @@ class TestRowTiledMemory:
         with tensor.no_grad():
             peak = traced_peak(lambda: tensor.feedforward(x, w, b, keep, 0.1, into))
         tile = tensor.TILE_ROWS * 4 * n * 8
-        assert peak <= tile + tensor._SUB_ROWS * 4 * n * 8 + np.getbufsize() * 8 + 8192
+        assert peak <= tile + sub_rows * 4 * n * 8 + np.getbufsize() * 8 + 8192
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_attention_holds_one_score_tile(self, causal):
