@@ -14,8 +14,12 @@ own root.
 For every workload of ``BENCHMARK.json`` it runs ten pairs at the file's
 ``run_seconds``, one seed per pair, seeds 1 to 10: the parent runs first for
 an odd seed, the change for an even one. Then one ``--trace 1`` run per side
-and workload, at seed 1, gives the per-layer metrics. Each run's ``# env``
-line and its last line, one JSON object, are kept.
+and workload, at seed 1, gives the per-layer metrics, recorded with
+``runs: 1``: they show where a run's time went, but one traced run per side
+cannot compare layers, since two runs of the same code differ by more than
+a layer's change. A per-layer claim needs its own repeated, interleaved
+timing. Each run's ``# env`` line and its last line, one JSON object, are
+kept.
 
 ``BENCH_<N>.json`` holds the environment, both commits, the seeds, every
 run's record and, per workload and end-to-end metric, both medians, both
@@ -161,14 +165,15 @@ def summarize(records: list, spec: dict) -> dict:
 
 
 def traced_layers(records: list) -> dict:
-    """Per workload, each side's per-layer metrics from its traced run."""
+    """Per workload, each side's per-layer metrics from its one traced run,
+    with that run count, too few to compare layers by."""
     layers = {}
     for r in records:
         if not r["trace"]:
             continue
         result = r["result"] or {}
         layers.setdefault(r["workload"], {})[r["side"]] = {
-            "seed": r["seed"], "correct": _run_ok(r),
+            "seed": r["seed"], "runs": 1, "correct": _run_ok(r),
             "metrics": {k: v["value"] for k, v in result.get("metrics", {}).items()},
         }
     return layers

@@ -76,7 +76,8 @@ def _seed() -> int:
 
 
 def _load_model(ckpt_path):
-    ckpt = training.load_checkpoint(ckpt_path)
+    # the enhance table: no Adam moment, each value gate folded
+    ckpt = training.load_checkpoint(ckpt_path, for_enhance=True)
     params = training.params_from_checkpoint(ckpt)
     return params, ckpt.model_cfg
 

@@ -15,7 +15,14 @@ its input frame's span so that every predicted sample lies within already
 observed input.
 
 Parameters live in a flat ordered dict of named tensors; one helper,
-``_sub``, derives each block's and each layer's view by name prefix.
+``_sub``, derives each block's and each layer's view by name prefix. The
+forward pass takes one of two tables. The trainable table,
+``param_shapes``, is what training updates and checkpoints store. The
+enhance table, ``enhance_shapes``, is what enhancement reads: each block's
+value gate depends on no input, so its five inputs (``attn.v`` and both
+``lin_v_*`` maps, two (N, N) matrices) are folded once, by
+``fold_v_gate``, into one (1, N) ``attn.v_gate``, the vector the
+trainable table remakes on every call.
 
 Outside recording, each (T, N) array is dropped after its last reader, or
 written over by it. The frame rows, each block's input and the attention's
@@ -160,6 +167,31 @@ def param_shapes(cfg: ARNConfig) -> dict:
     return shapes
 
 
+# the entries of a block's attention that only its value gate reads
+V_GATE_INPUTS = ("v", "lin_v_sig.w", "lin_v_sig.b", "lin_v_tanh.w", "lin_v_tanh.b")
+
+
+def v_gate_inputs(cfg: ARNConfig) -> dict:
+    """Trainable name -> (gate name, key for ``fold_v_gate``) for each
+    entry folded into a block's ``block<i>.attn.v_gate``."""
+    return {f"block{i}.attn.{key}": (f"block{i}.attn.v_gate", key)
+            for i in range(cfg.num_blocks) for key in V_GATE_INPUTS}
+
+
+def enhance_shapes(cfg: ARNConfig) -> dict:
+    """Name -> shape of the enhance table: ``param_shapes`` with each
+    block's value-gate inputs replaced by its (1, N) ``attn.v_gate``,
+    listed where ``attn.v`` was."""
+    folded = v_gate_inputs(cfg)
+    shapes = {}
+    for name, shape in param_shapes(cfg).items():
+        if name not in folded:
+            shapes[name] = shape
+        elif folded[name][1] == "v":
+            shapes[folded[name][0]] = (1, cfg.width)
+    return shapes
+
+
 def init_params(cfg: ARNConfig, rng: np.random.Generator,
                 dtype=np.float32) -> dict:
     """Fresh parameters: weights/vectors uniform in +-1/sqrt(fan_in),
@@ -224,6 +256,15 @@ def _v_gate_graph(p: dict) -> Tensor:
     return sig * tnh
 
 
+def fold_v_gate(inputs: dict) -> np.ndarray:
+    """One block's (1, N) value gate as a plain array, from its input
+    arrays keyed as in ``V_GATE_INPUTS``, computed by the graph that the
+    trainable table runs on every call, so the two tables enhance bitwise
+    alike."""
+    with tensor.no_grad():
+        return _v_gate_graph({k: Tensor(a) for k, a in inputs.items()}).data
+
+
 def attention_block(q: Tensor, k: Tensor, v: Tensor, p: dict, causal: bool,
                     into: Tensor = None) -> Tensor:
     """Single-head attention with per-vector gating, plus ``into`` when one
@@ -232,9 +273,10 @@ def attention_block(q: Tensor, k: Tensor, v: Tensor, p: dict, causal: bool,
     Keys are gated by sigma of a trainable vector, queries pass through a
     linear map gated the same way, and values are scaled by the gate
     sigma(Lin(v)) * tanh(Lin(v)) of the third trainable vector ``v``. The
-    value gate depends on no input, only on the parameters; it is recomputed
-    on every call, so training optimizes it and evaluation sees its current
-    value.
+    value gate depends on no input, only on the parameters. From the
+    trainable table it is recomputed on every call, so training optimizes
+    it and evaluation sees its current value; the enhance table holds it
+    folded, as ``p["v_gate"]``.
 
     Both key and value gates scale columns, so they are folded out of the
     (T, N) operands: softmax(q_g (k s)^T) (v g) = softmax((q_g s) k^T) v g,
@@ -248,8 +290,9 @@ def attention_block(q: Tensor, k: Tensor, v: Tensor, p: dict, causal: bool,
     that passes its only references frees them there.
     """
     gate = tensor.sigmoid(p["q"]) * tensor.sigmoid(p["k"])
+    v_gate = p["v_gate"] if "v_gate" in p else _v_gate_graph(p)
     return tensor.attention(q, p["lin_q.w"], p["lin_q.b"], gate, k, v, causal,
-                            _v_gate_graph(p), into)
+                            v_gate, into)
 
 
 def feedforward_block(x: Tensor, w: Tensor, b: Tensor, dropout_rate: float,
@@ -326,9 +369,12 @@ def arn_forward(x, params: dict, cfg: ARNConfig, rng=None) -> Tensor:
     depends only on input the model has already seen. The leading
     ``frame_in - frame_out`` samples are covered by no output frame and
     come out as zeros (the causal warm-up region). ``params`` must hold
-    exactly the names of ``param_shapes(cfg)``.
+    exactly the names of ``param_shapes(cfg)``, or, holding a folded value
+    gate, those of ``enhance_shapes(cfg)``.
     """
     expected = param_shapes(cfg).keys()
+    if "block0.attn.v_gate" in params:
+        expected = enhance_shapes(cfg).keys()
     if params.keys() != expected:
         raise ConfigurationError(
             "parameter table does not match the config: names missing under "

@@ -41,7 +41,10 @@ per-tile array, a tile in size, and writes every tile into it. These are
 attention's queries and output, gated in place, beside one tile's (rows, S)
 probabilities, freed before the next tile's; and the feedforward's
 (rows, 4N) pre-activation, on which GELU, dropout and the four-chunk sum
-act in place, the GELU's CDF a sub-block of rows at a time.
+act in place, the GELU's CDF a sub-block of rows at a time. The
+feedforward's backward pass likewise writes each tile's pre-activation
+into one buffer for the call and turns it into its gradient in place, a
+sub-block at a time.
 ``layer_norm_rows`` writes its output in place and keeps only each row's
 mean and inverse deviation. ``rfft_magnitude`` keeps only the signs of its
 rows' spectrum, and its backward pass is the adjoint transform, an ``irfft``.
@@ -722,9 +725,10 @@ def attention(x: Tensor, w: Tensor, b: Tensor, gate: Tensor, k: Tensor, v: Tenso
     return node if into is None else add(node, into)
 
 
-def _gelu_cdf(pre: np.ndarray) -> np.ndarray:
-    """Phi(pre), the standard-normal CDF, in erf form."""
-    cdf = pre * _INV_SQRT2
+def _gelu_cdf(pre: np.ndarray, out: np.ndarray = None) -> np.ndarray:
+    """Phi(pre), the standard-normal CDF, in erf form, written into ``out``
+    if given (which may be ``pre``)."""
+    cdf = np.multiply(pre, _INV_SQRT2, out=out)
     erf(cdf, out=cdf)
     cdf += 1.0
     cdf *= 0.5
@@ -743,7 +747,8 @@ def feedforward(x: Tensor, w: Tensor, b: Tensor, keep=None, rate: float = 0.0,
     keeps; they are scaled by 1/(1 - ``rate``), a scalar of the op's dtype,
     and the others zeroed. Every tile's (rows, 4N) pre-activation is
     written into one buffer for the call, activated and summed in place;
-    the backward pass recomputes it.
+    the backward pass recomputes it into one buffer of its own and turns
+    it into the tile's pre-activation gradient there.
 
     ``into``, (T, N), is added to the output, recorded as the sum node that
     ``out + into`` records. Passing ``into`` hands its array over: under
@@ -773,7 +778,8 @@ def feedforward(x: Tensor, w: Tensor, b: Tensor, keep=None, rate: float = 0.0,
     inv_keep = dtype.type(1) / dtype.type(1.0 - rate)
     out = into.data if inplace else np.empty((steps, n), dtype=dtype)
     # one (rows, 4N) pre-activation tile for the call, activated in place
-    h_buf = np.empty((min(steps, TILE_ROWS), wide), np.result_type(xd, wd))
+    tile_shape, tile_dtype = (min(steps, TILE_ROWS), wide), np.result_type(xd, wd)
+    h_buf = np.empty(tile_shape, tile_dtype)
     sub_rows = max(_SUB_ROWS, _SUB_ELEMENTS // wide)
     for lo, hi in _row_tiles(steps):
         h = h_buf[:hi - lo]
@@ -802,19 +808,40 @@ def feedforward(x: Tensor, w: Tensor, b: Tensor, keep=None, rate: float = 0.0,
 
     def _bw(g):
         dx, dw, db = np.zeros_like(xd), np.zeros_like(wd), np.zeros_like(bd)
+        # one (rows, 4N) tile for the call: each tile's pre-activation,
+        # turned into its gradient in place, a sub-block at a time
+        dpre_buf = np.empty(tile_shape, tile_dtype)
         for lo, hi in _row_tiles(steps):
-            pre = xd[lo:hi] @ wd
-            pre += bd
-            # each of the four chunks receives the output's gradient
-            dpre = np.tile(g[lo:hi], 4)
-            if keep is not None:
-                dpre *= keep[lo:hi]
-                dpre *= inv_keep
-            # d/dz of z * Phi(z) is Phi(z) + z * phi(z)
-            dpre *= _gelu_cdf(pre) + pre * np.exp(-0.5 * pre * pre) * _INV_SQRT_2PI
+            dpre = dpre_buf[:hi - lo]
+            np.matmul(xd[lo:hi], wd, out=dpre)
+            dpre += bd
+            for a in range(0, hi - lo, sub_rows):
+                pre = dpre[a:a + sub_rows]
+                rows = slice(lo + a, lo + a + pre.shape[0])
+                # d/dz of z * Phi(z) is Phi(z) + z * phi(z); the density
+                # term first, then the CDF in place of z
+                phi = pre * -0.5
+                phi *= pre
+                np.exp(phi, out=phi)
+                phi *= pre
+                phi *= _INV_SQRT_2PI
+                _gelu_cdf(pre, out=pre)
+                pre += phi
+                del phi
+                # each of the four chunks receives the output's gradient,
+                # scaled as dropout scaled the activation
+                if keep is not None:
+                    pre *= keep[rows]
+                    dz = g[rows] * inv_keep
+                else:
+                    dz = g[rows]
+                for j in range(4):
+                    pre[:, j * n:(j + 1) * n] *= dz
             dx[lo:hi] = dpre @ wd.T
             dw += xd[lo:hi].T @ dpre
             db += dpre.sum(axis=0)
+        # the tile goes before the gradients are added into copies of them
+        dpre_buf = dpre = pre = None
         for t, d in ((x, dx), (w, dw), (b, db)):
             if t.requires_grad:
                 t._acc(d)

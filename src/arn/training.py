@@ -22,6 +22,15 @@ order: each entry's offset is the sum of the counts before it, and
 ``DATA`` is their total. Older checkpoints also hold ``cache.*`` tensors
 (a stored copy of each attention block's value gate); the loader skips
 them, since the gate is recomputed from the parameters.
+
+``load_checkpoint`` reads the whole trainable table, and Adam's moments
+when the file has them, for tests, checks and resuming. Its enhance load
+(``for_enhance=True``, what ``arn enhance`` and ``arn evaluate --model``
+use) holds only the model's enhance table (``model.enhance_shapes``): the
+weights, with each block's value-gate inputs folded into one (1, N)
+vector. It reads and checks every payload all the same, but holds no Adam
+moment, and of the folded inputs at most one block's pair of (N, N)
+matrices at a time, in buffers reused from block to block.
 """
 
 from __future__ import annotations
@@ -176,6 +185,11 @@ class Checkpoint:
     adam: AdamState | None = None
     best_score: float = -math.inf
     epoch: int = 0
+    # enhance load only: name -> stored shape of each entry of the file's
+    # table that was read but not kept (the value-gate inputs, and any
+    # entry named like a folded gate); ``tensors`` then holds the enhance
+    # table's entries
+    folded: dict | None = None
 
 
 def checkpoint_from(params: dict, model_cfg: ARNConfig, adam: AdamState | None = None,
@@ -191,27 +205,32 @@ def checkpoint_from(params: dict, model_cfg: ARNConfig, adam: AdamState | None =
 
 
 def params_from_checkpoint(ckpt: Checkpoint) -> dict:
-    """Rebuild float32 trainable tensors, validating against the config's
-    shape table.
+    """Rebuild float32 tensors, validating the file's table against the
+    config's trainable shape table.
 
+    From an enhance load, the table checked is the file's entries, folded
+    ones included, and the tensors returned are the enhance table's.
     Nothing is copied: each parameter's data is the array in
     ``ckpt.tensors``, so one copy of the weights is held, and an in-place
     update of a parameter also changes the checkpoint object.
     """
     expected = model.param_shapes(ckpt.model_cfg)
-    if set(ckpt.tensors) != set(expected):
-        missing = sorted(set(expected) - set(ckpt.tensors))
-        extra = sorted(set(ckpt.tensors) - set(expected))
+    stored = {name: arr.shape for name, arr in ckpt.tensors.items()}
+    table = expected
+    if ckpt.folded is not None:
+        table = model.enhance_shapes(ckpt.model_cfg)
+        stored = {name: shape for name, shape in stored.items()
+                  if name in expected or name not in table} | ckpt.folded
+    if set(stored) != set(expected):
+        missing = sorted(set(expected) - set(stored))
+        extra = sorted(set(stored) - set(expected))
         raise CheckpointShapeError(
             f"tensor table mismatch (missing={missing}, unexpected={extra})")
-    params = {}
     for name, shape in expected.items():
-        arr = ckpt.tensors[name]
-        if arr.shape != shape:
+        if stored[name] != shape:
             raise CheckpointShapeError(
-                f"{name}: stored shape {arr.shape} != declared {shape}")
-        params[name] = tensor.Tensor(arr, requires_grad=True)
-    return params
+                f"{name}: stored shape {stored[name]} != declared {shape}")
+    return {name: tensor.Tensor(ckpt.tensors[name], requires_grad=True) for name in table}
 
 
 def _format_value(v) -> str:
@@ -312,7 +331,7 @@ def _read_header(fh) -> list:
         raise CheckpointFormatError(f"non-ascii header: {exc}") from None
 
 
-def load_checkpoint(path) -> Checkpoint:
+def load_checkpoint(path, for_enhance: bool = False) -> Checkpoint:
     """Parse and check a checkpoint file in one pass.
 
     The directory must lay the payloads out contiguously in its own order,
@@ -321,13 +340,33 @@ def load_checkpoint(path) -> Checkpoint:
     ``CheckpointFormatError`` before any payload is read. The tensors are
     then read in that order straight into their own float32 views of one
     block, so the weights are held once; ``cache.*`` entries are stepped
-    over, not read.
+    over, not read. Every payload read must be complete and finite.
+
+    With ``for_enhance``, the block holds the enhance table instead
+    (``model.enhance_shapes``). Each block's value-gate inputs are read
+    into buffers of the largest one's size, and folded by
+    ``model.fold_v_gate`` into the block once the last of them is read,
+    whatever the directory's order; with ``save_checkpoint``'s order one
+    block's pair of (N, N) matrices is held at a time. Adam's moments, and
+    a folded input of a shape other than the config's, are read in chunks
+    through such a buffer and checked, not held; ``adam`` is then None.
+    ``params_from_checkpoint`` checks the table, folded entries included,
+    as for a full load.
     """
     with open(path, "rb") as fh:
-        return _read_checkpoint(fh)
+        return _read_checkpoint(fh, for_enhance)
 
 
-def _read_checkpoint(fh) -> Checkpoint:
+def _read_payload(fh, name: str, arr: np.ndarray) -> None:
+    if fh.readinto(arr) != arr.nbytes:
+        raise CheckpointTruncatedError(f"{name}: payload ends early")
+    # a NaN is both extremes, an infinity one of them; unlike isfinite,
+    # no array of the payload's size is made
+    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
+        raise CheckpointFormatError(f"{name}: non-finite values")
+
+
+def _read_checkpoint(fh, for_enhance: bool = False) -> Checkpoint:
     header = _read_header(fh)
     payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
 
@@ -389,39 +428,81 @@ def _read_checkpoint(fh) -> Checkpoint:
     except (TypeError, ConfigurationError) as exc:
         raise CheckpointFormatError(f"bad config block: {exc}") from None
 
+    # the enhance load's folded inputs, name -> (gate, key), its gates, and
+    # the entries it reads, checks and drops: the moments, and any named
+    # like a gate, which the table check then reports
+    folded, expected = {}, {}
+    if for_enhance:
+        folded = model.v_gate_inputs(model_cfg)
+        expected = model.param_shapes(model_cfg)
+    gates = dict.fromkeys(gate for gate, _ in folded.values())
+    passed = {name for name, _, _ in directory
+              if for_enhance and name.startswith("adam.") or name in gates}
+
     # Every tensor is a view of one block, each starting on a 64-byte line.
     # One allocation this large is mapped fresh from the OS (in huge pages
     # where the kernel gives them), so what the load costs does not depend
     # on which freed memory the heap still holds.
     spans = {name: -(-count // 16) * 16 for name, _, count in directory
-             if not name.startswith("cache.")}
+             if not (name.startswith("cache.") or name in folded or name in passed)}
+    spans.update(dict.fromkeys(gates, -(-model_cfg.width // 16) * 16))
     block = np.empty(sum(spans.values()), dtype="<f4")
+    offsets, start = {}, 0
+    for name, span in spans.items():
+        offsets[name], start = start, start + span
     tensors, adam_m, adam_v = {}, {}, {}
-    start = 0
+    # the folded inputs read so far: gate -> {key: array}, and the shape
+    # of each entry of the file's table read but not kept
+    pending, stored = {}, {}
+    # (N, N) buffers, the largest folded input's size, reused once a block
+    # is folded; each also reads a dropped entry in chunks
+    size = max((math.prod(expected[name]) for name in folded), default=0)
+    free = []
     for name, shape, count in directory:
-        if name not in spans:
+        if name.startswith("cache."):
             fh.seek(count * 4, os.SEEK_CUR)
-            continue
-        arr = block[start:start + count].reshape(shape)
-        start += spans[name]
-        if fh.readinto(arr) != count * 4:
-            raise CheckpointTruncatedError(f"{name}: payload ends early")
-        if not np.isfinite(arr).all():
-            raise CheckpointFormatError(f"{name}: non-finite values")
-        if name.startswith("adam.m."):
-            adam_m[name[len("adam.m."):]] = arr
-        elif name.startswith("adam.v."):
-            adam_v[name[len("adam.v."):]] = arr
+        elif name in folded and shape == expected[name]:
+            stored[name] = shape
+            if count == size:
+                arr = free.pop() if free else np.empty(size, "<f4")
+            else:
+                arr = np.empty(count, "<f4")
+            arr = arr.reshape(shape)
+            _read_payload(fh, name, arr)
+            gate, key = folded[name]
+            inputs = pending.setdefault(gate, {})
+            inputs[key] = arr
+            if len(inputs) == len(model.V_GATE_INPUTS):
+                out = block[offsets[gate]:offsets[gate] + model_cfg.width].reshape(1, -1)
+                out[...] = model.fold_v_gate(pending.pop(gate))
+                tensors[gate] = out
+                free.extend(a.reshape(-1) for a in inputs.values() if a.size == size)
+        elif name in folded or name in passed:
+            if not name.startswith("adam."):
+                stored[name] = shape
+            buf = free.pop() if free else np.empty(size, "<f4")
+            for lo in range(0, count, size):
+                _read_payload(fh, name, buf[:min(size, count - lo)])
+            free.append(buf)
         else:
-            tensors[name] = arr
+            arr = block[offsets[name]:offsets[name] + count].reshape(shape)
+            _read_payload(fh, name, arr)
+            if name.startswith("adam.m."):
+                adam_m[name[len("adam.m."):]] = arr
+            elif name.startswith("adam.v."):
+                adam_v[name[len("adam.v."):]] = arr
+            else:
+                tensors[name] = arr
 
     adam = None
-    if adam_m:
-        adam = AdamState(m=adam_m, v=adam_v,
-                         step_count=_meta_int(meta, "adam.step_count"))
+    if any(name.startswith("adam.m.") for name, _, _ in directory):
+        step_count = _meta_int(meta, "adam.step_count")
+        if adam_m:
+            adam = AdamState(m=adam_m, v=adam_v, step_count=step_count)
     return Checkpoint(model_cfg=model_cfg, tensors=tensors, adam=adam,
                       best_score=_meta_score(meta),
-                      epoch=_meta_int(meta, "epoch"))
+                      epoch=_meta_int(meta, "epoch"),
+                      folded=stored if for_enhance else None)
 
 
 def fit(params: dict, model_cfg: ARNConfig, cfg: TrainConfig, mixer,

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from scipy.io import wavfile
 
-from arn import cli, losses, mixing, model, training, wavio
+from arn import cli, losses, mixing, model, tensor, training, wavio
 from arn.mixing import MixtureRecipe
 from arn.model import ARNConfig
+from arn.optim import AdamState
 from arn.training import checkpoint_from, save_checkpoint
 
 from test_model import preset, zero_params
@@ -111,6 +112,32 @@ class TestEnhance:
         assert cli.main(["enhance", "--model", str(trained_ckpt),
                          "--in", str(src), "--out", str(dst), "--pcm16"]) == 0
         assert wavfile.read(dst)[1].dtype == np.int16
+
+
+class TestEnhanceTable:
+    """``arn enhance`` loads the enhance table, each block's value gate
+    folded and no Adam moment held, and writes what ``model.enhance`` on the
+    full trainable table gives, byte for byte."""
+
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_output_equals_full_table_enhance(self, tmp_path, causal):
+        # wider than a row tile, and longer: T = 300 frames
+        cfg = ARNConfig(width=tensor.TILE_ROWS + 8, frame_in=16, frame_out=8, shift=8,
+                        num_blocks=2, causal=causal, dropout=0.0)
+        params = model.init_params(cfg, np.random.default_rng(2201), dtype=np.float32)
+        ckpt = tmp_path / "last.ckpt"
+        save_checkpoint(checkpoint_from(params, cfg, AdamState.for_params(params)), ckpt)
+        src, dst, ref = tmp_path / "in.wav", tmp_path / "out.wav", tmp_path / "ref.wav"
+        wavio.write_wav(src, tone(2400) + 0.05 * np.random.default_rng(2202)
+                        .standard_normal(2400))
+        assert cli.main(["enhance", "--model", str(ckpt),
+                         "--in", str(src), "--out", str(dst)]) == 0
+        full = training.params_from_checkpoint(training.load_checkpoint(ckpt))
+        assert "block0.attn.lin_v_sig.w" in full
+        x = wavio.read_wav(src)
+        r = mixing.rms(x)
+        wavio.write_wav(ref, model.enhance(x * (1.0 / r), full, cfg).astype(np.float64) * r)
+        assert dst.read_bytes() == ref.read_bytes()
 
 
 class TestMixAndEvaluate:

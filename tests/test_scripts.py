@@ -135,3 +135,6 @@ class TestBenchPairs:
         assert set(layers["w"]) == {"parent", "change"}
         assert layers["w"]["change"]["metrics"]["peak_rss_mb"] == 290.0
         assert layers["w"]["parent"]["correct"] is True
+        # one traced run per side, and the report says so
+        assert {side: entry["runs"] for side, entry in layers["w"].items()} == \
+            {"parent": 1, "change": 1}

@@ -795,6 +795,48 @@ class TestRowTiledFeedforward:
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
 
 
+class TestFeedforwardBackwardBits:
+    """At full tile size, where a tile spans several sub-blocks."""
+
+    @pytest.mark.parametrize("masked", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gradients_bitwise_whole_tile_formula(self, dtype, masked):
+        # the backward pass forms each tile's gradient in place, a sub-block
+        # at a time, with the bits of the whole-tile formula: the output's
+        # gradient tiled over the four chunks, masked and scaled, times
+        # Phi(z) + z phi(z). Some pre-activations are far negative, so
+        # dropped entries keep their signed zeros
+        steps, n = 2 * tensor.TILE_ROWS + 37, 64
+        assert max(tensor._SUB_ROWS, tensor._SUB_ELEMENTS // (4 * n)) < tensor.TILE_ROWS
+        rng = np.random.default_rng(97)
+        xd = (2.0 * rng.standard_normal((steps, n))).astype(dtype)
+        wd = (rng.standard_normal((n, 4 * n)) / 4.0).astype(dtype)
+        bd = rng.standard_normal(4 * n).astype(dtype)
+        bd[:n] -= 40.0
+        g = rng.standard_normal((steps, n)).astype(dtype)
+        keep = rng.random((steps, 4 * n)) >= 0.3 if masked else None
+        x, w, b = (Tensor(a, requires_grad=True) for a in (xd, wd, bd))
+        out = tensor.feedforward(x, w, b, keep, 0.3)
+        out.grad = g
+        out._backward()
+        inv_keep = dtype(1) / dtype(1.0 - 0.3)
+        dx, dw, db = np.zeros_like(xd), np.zeros_like(wd), np.zeros_like(bd)
+        for lo, hi in tensor._row_tiles(steps):
+            pre = xd[lo:hi] @ wd
+            pre += bd
+            dpre = np.tile(g[lo:hi], 4)
+            if masked:
+                dpre *= keep[lo:hi]
+                dpre *= inv_keep
+            dpre *= (tensor._gelu_cdf(pre)
+                     + pre * np.exp(-0.5 * pre * pre) * tensor._INV_SQRT_2PI)
+            dx[lo:hi] = dpre @ wd.T
+            dw += xd[lo:hi].T @ dpre
+            db += dpre.sum(axis=0)
+        for got, want in ((x.grad, dx), (w.grad, dw), (b.grad, db)):
+            assert got.dtype == dtype and got.tobytes() == want.tobytes()
+
+
 def _handover_cases(steps, n, rng):
     """Per op that can write into an operand: its operands, a call over
     their tensors that hands that operand over or not, and its index.
@@ -1067,6 +1109,36 @@ class TestRowTiledMemory:
             peak = traced_peak(lambda: tensor.feedforward(x, w, b, keep, 0.1, into))
         tile = tensor.TILE_ROWS * 4 * n * 8
         assert peak <= tile + sub_rows * 4 * n * 8 + np.getbufsize() * 8 + 8192
+
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_feedforward_backward_holds_one_hidden_tile(self, masked):
+        # the input gradients, the call's one (TILE_ROWS, 4N) tile, which
+        # turns from pre-activation into its gradient in place, one
+        # sub-block of the GELU derivative's temporary and of the scaled
+        # output gradient, and numpy's ufunc buffer, which the mask's cast
+        # goes through; the output gradient tiled four times beside the
+        # pre-activation, or a whole-tile derivative, would pass it
+        steps, n = self.SCRATCH_STEPS, self.SCRATCH_WIDTH
+        sub_rows = max(tensor._SUB_ROWS, tensor._SUB_ELEMENTS // (4 * n))
+        assert sub_rows < tensor.TILE_ROWS
+        rng = np.random.default_rng(96)
+        x, w, b = (Tensor(rng.standard_normal(shape), requires_grad=True) for shape in
+                   ((steps, n), (n, 4 * n), 4 * n))
+        keep = rng.random((steps, 4 * n)) >= 0.1 if masked else None
+        out = tensor.feedforward(x, w, b, keep, 0.1)
+        out.grad = rng.standard_normal((steps, n))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out._backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grads = (steps * n + n * 4 * n + 4 * n) * 8
+        tile = tensor.TILE_ROWS * 4 * n * 8
+        sub = sub_rows * (4 * n + n) * 8
+        assert peak - start <= grads + tile + sub + np.getbufsize() * 8 + 16384
+        assert x.grad.shape == (steps, n) and w.grad.shape == (n, 4 * n)
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_attention_holds_one_score_tile(self, causal):

@@ -538,9 +538,13 @@ class TestCheckpoint:
         assert load_checkpoint(path).best_score == -math.inf
 
     @pytest.mark.parametrize("name", ["input_proj.b", "block1.lstm.w_fh",
-                                      "adam.m.output_proj.w", "adam.v.block0.ff.b"])
+                                      "adam.m.output_proj.w", "adam.v.block0.ff.b",
+                                      "block1.attn.lin_v_sig.w",
+                                      "block0.attn.lin_v_tanh.w"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor_rejected(self, tmp_path, name, value):
+        # by the full load and by the enhance load, which folds the lin_v
+        # matrices away and steps over the moments
         cfg, params, adam = self.make(seed=21, with_adam=True)
         ckpt = checkpoint_from(params, cfg, adam)
         if name.startswith("adam."):
@@ -551,8 +555,9 @@ class TestCheckpoint:
         target.reshape(-1)[target.size // 2] = value
         path = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, path)
-        with pytest.raises(CheckpointFormatError, match=re.escape(name)):
-            load_checkpoint(path)
+        for for_enhance in (False, True):
+            with pytest.raises(CheckpointFormatError, match=re.escape(name)):
+                load_checkpoint(path, for_enhance=for_enhance)
 
     def test_shape_mismatch_rejected(self, tmp_path):
         cfg, params, _ = self.make(seed=15)
@@ -581,6 +586,101 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         after = model.enhance(x, params_from_checkpoint(loaded), cfg)
         assert before.tobytes() == after.tobytes()
+
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_enhance_load_folds_each_value_gate(self, tmp_path, causal):
+        # from a file with Adam state, as last.ckpt is: no moment is kept,
+        # and each gate is the one the trainable table remakes per call
+        cfg, params, adam = self.make(seed=41, causal=causal, with_adam=True)
+        path = tmp_path / "last.ckpt"
+        save_checkpoint(checkpoint_from(params, cfg, adam), path)
+        loaded = load_checkpoint(path, for_enhance=True)
+        assert loaded.adam is None
+        table = params_from_checkpoint(loaded)
+        assert [(k, t.shape) for k, t in table.items()] == \
+            list(model.enhance_shapes(cfg).items())
+        for i in range(cfg.num_blocks):
+            with tensor.no_grad():
+                gate = model._v_gate_graph(model._sub(params, f"block{i}.attn."))
+            assert table[f"block{i}.attn.v_gate"].data.tobytes() == gate.data.tobytes()
+        x = np.random.default_rng(42).standard_normal(96)
+        full = params_from_checkpoint(load_checkpoint(path))
+        assert model.enhance(x, table, cfg).tobytes() == model.enhance(x, full, cfg).tobytes()
+
+    def test_lin_v_matrices_before_v_fold_to_same_gate(self, tmp_path):
+        # every block's lin_v_* entries first, then the rest: each block
+        # folds once its attn.v is read, whatever the directory's order
+        cfg, params, _ = self.make(seed=43)
+        ckpt = checkpoint_from(params, cfg)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        first = [k for k in ckpt.tensors if ".attn.lin_v_" in k]
+        ckpt.tensors = {k: ckpt.tensors[k] for k in first + [k for k in ckpt.tensors
+                                                             if k not in first]}
+        moved = tmp_path / "moved.ckpt"
+        save_checkpoint(ckpt, moved)
+        directory = [line.split()[1] for line in moved.read_bytes().split(b"\nDATA ")[0]
+                     .decode().splitlines() if line.startswith("tensor ")]
+        assert directory.index("block1.attn.lin_v_tanh.b") < directory.index("block0.attn.v")
+        canonical = params_from_checkpoint(load_checkpoint(path, for_enhance=True))
+        reordered = params_from_checkpoint(load_checkpoint(moved, for_enhance=True))
+        assert canonical.keys() == reordered.keys()
+        for k in canonical:
+            assert canonical[k].data.tobytes() == reordered[k].data.tobytes()
+
+    @pytest.mark.parametrize("with_adam", [False, True])
+    def test_enhance_load_holds_kept_block_and_two_buffers(self, tmp_path, with_adam):
+        # the enhance table's one block, each entry rounded up to 16 floats,
+        # and two (N, N) buffers: one block's lin_v pair, reused for the next
+        # block's and for reading the moments; then the loader's bookkeeping,
+        # under 0.5 KiB per directory entry. A third buffer, a held moment or
+        # the lin_v matrices of both blocks would pass the bound
+        cfg = toy_model_cfg(width=256, num_blocks=2)
+        params = model.init_params(cfg, np.random.default_rng(44), np.float32)
+        adam = AdamState.for_params(params) if with_adam else None
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint_from(params, cfg, adam), path)
+        kept = sum(-(-math.prod(shape) // 16) * 16
+                   for shape in model.enhance_shapes(cfg).values()) * 4
+        buffer = cfg.width * cfg.width * 4
+        loaded = []
+        peak = traced_peak(lambda: loaded.append(load_checkpoint(path, for_enhance=True)))
+        assert loaded[0].adam is None
+        bookkeeping = 3 * buffer // 4
+        assert peak <= kept + 2 * buffer + bookkeeping
+
+    @pytest.mark.parametrize("fault", [
+        "missing_v", "missing_lin_v_tanh_w", "lin_v_sig_w_shape", "v_shape",
+        "stored_gate", "extra_entry", "bad_step_count"])
+    def test_enhance_load_refuses_as_full_load(self, tmp_path, fault):
+        # the same error, naming the same tensor, as the full load and its
+        # table check, for faults in what the enhance load folds or drops
+        cfg, params, adam = self.make(seed=45, with_adam=True)
+        ckpt = checkpoint_from(params, cfg, adam)
+        n = cfg.width
+        if fault == "missing_v":
+            del ckpt.tensors["block0.attn.v"]
+        elif fault == "missing_lin_v_tanh_w":
+            del ckpt.tensors["block1.attn.lin_v_tanh.w"]
+        elif fault == "lin_v_sig_w_shape":
+            ckpt.tensors["block0.attn.lin_v_sig.w"] = np.ones((n, n + 1), "<f4")
+        elif fault == "v_shape":
+            ckpt.tensors["block1.attn.v"] = np.ones((1, n), "<f4")
+        elif fault == "stored_gate":
+            ckpt.tensors["block0.attn.v_gate"] = np.ones((1, n), "<f4")
+        elif fault == "extra_entry":
+            ckpt.tensors["block0.attn.w"] = np.ones((n, n), "<f4")
+        else:
+            adam.step_count = -1
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+
+        def refusal(for_enhance):
+            with pytest.raises(training.CheckpointError) as info:
+                params_from_checkpoint(load_checkpoint(path, for_enhance=for_enhance))
+            return type(info.value), str(info.value)
+
+        assert refusal(True) == refusal(False)
 
     def test_stored_value_gate_entries_ignored(self, tmp_path):
         # older checkpoints carry a copy of each block's value gate as a
