@@ -13,6 +13,12 @@ path>`` lines and prints one tab-separated record per pair
 error while reading, enhancing or scoring a pair names the manifest, the
 line and both paths, and exits with the code of the error itself.
 
+``enhance`` and ``evaluate --model`` hold the checkpoint open and read each
+block's weights from it again for every file. A checkpoint that changes
+during the run, in size or modification time, or whose re-read weights
+are not complete and finite, is refused with exit 4, naming the file;
+outputs written before then stay written.
+
 Each of these errors is one ``error:`` line on standard error. When
 ``enhance`` or ``evaluate --model`` runs out of memory on an input, the line
 names the file and its length in seconds; ``enhance`` writes no output for
@@ -76,7 +82,8 @@ def _seed() -> int:
 
 
 def _load_model(ckpt_path):
-    # the enhance table: no Adam moment, each value gate folded
+    # the streamed enhance table: no Adam moment, each value gate folded,
+    # each block read from the file when the forward pass reaches it
     ckpt = training.load_checkpoint(ckpt_path, for_enhance=True)
     params = training.params_from_checkpoint(ckpt)
     return params, ckpt.model_cfg

@@ -22,7 +22,12 @@ enhance table, ``enhance_shapes``, is what enhancement reads: each block's
 value gate depends on no input, so its five inputs (``attn.v`` and both
 ``lin_v_*`` maps, two (N, N) matrices) are folded once, by
 ``fold_v_gate``, into one (1, N) ``attn.v_gate``, the vector the
-trainable table remakes on every call.
+trainable table remakes on every call. ``arn enhance`` holds the enhance
+table streamed (``training.StreamedTable``): the entries of
+``held_shapes`` in memory, and each block's others read from the
+checkpoint when the forward pass reaches the block. The pass gets each
+block's table through ``block_table``, which a dict answers by prefix, so
+there is one forward path for every table.
 
 Outside recording, each (T, N) array is dropped after its last reader, or
 written over by it. The frame rows, each block's input and the attention's
@@ -35,7 +40,8 @@ layer norm of the keys and values into the RNN output and the last layer
 norm into the attention output; as ``into``, the attention node's gated
 output into the query stream (one tile at a time, after the tile's queries
 are formed) and the feedforward's output into that layer norm's output.
-``enhance`` thus holds at most two (T, N) arrays at once, plus one tile's
+``enhance`` thus holds at most two (T, N) arrays at once, beside the
+weights (one block's, from a streamed table), plus one tile's
 scratch: the scratch buffers of the op that runs, each allocated once per
 call and a tile in size (the LSTM's activation tile, attention's query,
 probability and output tiles, the feedforward's (rows, 4N) pre-activation
@@ -192,6 +198,15 @@ def enhance_shapes(cfg: ARNConfig) -> dict:
     return shapes
 
 
+def held_shapes(cfg: ARNConfig) -> dict:
+    """Name -> shape of the enhance-table entries that a streamed table
+    (``training.StreamedTable``) holds: those outside the blocks, and each
+    block's value gate. It reads every other block entry from its
+    checkpoint when the forward pass reaches the block."""
+    return {name: shape for name, shape in enhance_shapes(cfg).items()
+            if not name.startswith("block") or name.endswith(".attn.v_gate")}
+
+
 def init_params(cfg: ARNConfig, rng: np.random.Generator,
                 dtype=np.float32) -> dict:
     """Fresh parameters: weights/vectors uniform in +-1/sqrt(fan_in),
@@ -224,6 +239,14 @@ def _sub(params: dict, prefix: str) -> dict:
     if not view:
         raise ConfigurationError(f"no parameters under prefix {prefix!r}")
     return view
+
+
+def block_table(params: dict, i: int) -> dict:
+    """Block ``i``'s table, its names without the ``block<i>.`` prefix. A
+    streamed table reads it from its checkpoint, into views that the next
+    block's read overwrites; a dict answers by prefix, as ``_sub`` does."""
+    read = getattr(params, "read_block", None)
+    return _sub(params, f"block{i}.") if read is None else read(i)
 
 
 # ---------------------------------------------------------------------------
@@ -356,8 +379,7 @@ def arn_forward_frames(frames: Tensor, params: dict, cfg: ARNConfig,
     for i in range(cfg.num_blocks):
         # popped, not named: a name here would keep the block's input alive
         # through the whole block
-        stream.append(arn_block_forward(stream.pop(), _sub(params, f"block{i}."),
-                                        cfg, rng))
+        stream.append(arn_block_forward(stream.pop(), block_table(params, i), cfg, rng))
     return stream[0] @ params["output_proj.w"] + params["output_proj.b"]
 
 
@@ -370,10 +392,13 @@ def arn_forward(x, params: dict, cfg: ARNConfig, rng=None) -> Tensor:
     ``frame_in - frame_out`` samples are covered by no output frame and
     come out as zeros (the causal warm-up region). ``params`` must hold
     exactly the names of ``param_shapes(cfg)``, or, holding a folded value
-    gate, those of ``enhance_shapes(cfg)``.
+    gate, those of ``enhance_shapes(cfg)``, or, for a streamed table, which
+    reads the rest per block, those of ``held_shapes(cfg)``.
     """
     expected = param_shapes(cfg).keys()
-    if "block0.attn.v_gate" in params:
+    if hasattr(params, "read_block"):
+        expected = held_shapes(cfg).keys()
+    elif "block0.attn.v_gate" in params:
         expected = enhance_shapes(cfg).keys()
     if params.keys() != expected:
         raise ConfigurationError(
@@ -389,6 +414,9 @@ def arn_forward(x, params: dict, cfg: ARNConfig, rng=None) -> Tensor:
 
 
 def enhance(x, params: dict, cfg: ARNConfig) -> np.ndarray:
-    """The forward pass without dropout and unrecorded, as a plain array."""
+    """The forward pass without dropout and unrecorded, as a plain array.
+    A streamed table reads each block from its checkpoint as the pass
+    reaches it, so at most one block's weights are held beside the ones
+    the table holds."""
     with tensor.no_grad():
         return arn_forward(x, params, cfg).data

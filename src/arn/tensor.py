@@ -44,7 +44,8 @@ probabilities, freed before the next tile's; and the feedforward's
 act in place, the GELU's CDF a sub-block of rows at a time. The
 feedforward's backward pass likewise writes each tile's pre-activation
 into one buffer for the call and turns it into its gradient in place, a
-sub-block at a time.
+sub-block at a time, and adds the tile's weight gradient into ``dw`` one
+chunk of N columns at a time.
 ``layer_norm_rows`` writes its output in place and keeps only each row's
 mean and inverse deviation. ``rfft_magnitude`` keeps only the signs of its
 rows' spectrum, and its backward pass is the adjoint transform, an ``irfft``.
@@ -95,6 +96,12 @@ def no_grad():
         yield
     finally:
         _grad_enabled = prev
+
+
+def recording() -> bool:
+    """Whether ops record a graph for inputs that require gradients: true
+    outside ``no_grad``."""
+    return _grad_enabled
 
 
 class Tensor:
@@ -747,8 +754,10 @@ def feedforward(x: Tensor, w: Tensor, b: Tensor, keep=None, rate: float = 0.0,
     keeps; they are scaled by 1/(1 - ``rate``), a scalar of the op's dtype,
     and the others zeroed. Every tile's (rows, 4N) pre-activation is
     written into one buffer for the call, activated and summed in place;
-    the backward pass recomputes it into one buffer of its own and turns
-    it into the tile's pre-activation gradient there.
+    the backward pass recomputes it into one buffer of its own, turns it
+    into the tile's pre-activation gradient there, and forms the weight
+    gradient's product a chunk of N columns at a time, so its temporary
+    is (K, N), not as large as the (K, 4N) gradient.
 
     ``into``, (T, N), is added to the output, recorded as the sum node that
     ``out + into`` records. Passing ``into`` hands its array over: under
@@ -837,8 +846,12 @@ def feedforward(x: Tensor, w: Tensor, b: Tensor, keep=None, rate: float = 0.0,
                     dz = g[rows]
                 for j in range(4):
                     pre[:, j * n:(j + 1) * n] *= dz
-            dx[lo:hi] = dpre @ wd.T
-            dw += xd[lo:hi].T @ dpre
+            np.matmul(dpre, wd.T, out=dx[lo:hi])
+            # dw a chunk of N columns at a time, so the product's temporary
+            # is (K, N), not as large as dw
+            for j in range(4):
+                cols = slice(j * n, (j + 1) * n)
+                dw[:, cols] += xd[lo:hi].T @ dpre[:, cols]
             db += dpre.sum(axis=0)
         # the tile goes before the gradients are added into copies of them
         dpre_buf = dpre = pre = None

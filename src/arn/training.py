@@ -24,13 +24,17 @@ order: each entry's offset is the sum of the counts before it, and
 them, since the gate is recomputed from the parameters.
 
 ``load_checkpoint`` reads the whole trainable table, and Adam's moments
-when the file has them, for tests, checks and resuming. Its enhance load
+when the file has them, for training, tests and checks. Its enhance load
 (``for_enhance=True``, what ``arn enhance`` and ``arn evaluate --model``
-use) holds only the model's enhance table (``model.enhance_shapes``): the
-weights, with each block's value-gate inputs folded into one (1, N)
-vector. It reads and checks every payload all the same, but holds no Adam
-moment, and of the folded inputs at most one block's pair of (N, N)
-matrices at a time, in buffers reused from block to block.
+use) reads and checks every payload all the same, a chunk at a time, but
+holds only the tensors outside the blocks, each block's value gate,
+folded from its inputs into one (1, N) vector, where each block's other
+entries lie in the file, and the open file. ``params_from_checkpoint``
+makes that a ``StreamedTable``, from which ``model.enhance`` reads each
+block as the forward pass reaches it, into one buffer reused across
+blocks and files. Each such read is checked again, and a file whose size
+or modification time is no longer what it was at the load is refused
+with ``CheckpointChangedError``.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ from __future__ import annotations
 import math
 import os
 import tempfile
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,6 +70,12 @@ class CheckpointShapeError(CheckpointError):
 
 class CheckpointTruncatedError(CheckpointError):
     """The payload ends before the directory says it should."""
+
+
+class CheckpointChangedError(CheckpointError):
+    """A checkpoint that an enhance load streams from changed after the
+    load: its size or modification time, or a re-read payload that is
+    short or not finite."""
 
 
 @dataclass
@@ -185,11 +196,13 @@ class Checkpoint:
     adam: AdamState | None = None
     best_score: float = -math.inf
     epoch: int = 0
-    # enhance load only: name -> stored shape of each entry of the file's
-    # table that was read but not kept (the value-gate inputs, and any
-    # entry named like a folded gate); ``tensors`` then holds the enhance
-    # table's entries
-    folded: dict | None = None
+    # enhance load only: ``tensors`` holds ``model.held_shapes``' entries,
+    # ``blocks`` reads the blocks' other entries, and ``passed`` maps each
+    # entry of the file's table that was read and checked but not kept
+    # (the value-gate inputs, the blocks' streamed entries and any the
+    # table check refuses) to its stored shape
+    blocks: BlockReader | None = None
+    passed: dict | None = None
 
 
 def checkpoint_from(params: dict, model_cfg: ARNConfig, adam: AdamState | None = None,
@@ -208,19 +221,19 @@ def params_from_checkpoint(ckpt: Checkpoint) -> dict:
     """Rebuild float32 tensors, validating the file's table against the
     config's trainable shape table.
 
-    From an enhance load, the table checked is the file's entries, folded
-    ones included, and the tensors returned are the enhance table's.
-    Nothing is copied: each parameter's data is the array in
-    ``ckpt.tensors``, so one copy of the weights is held, and an in-place
-    update of a parameter also changes the checkpoint object.
+    From an enhance load, the table checked is the file's entries, the
+    ones read but not kept included, and what is returned is a
+    ``StreamedTable``. Nothing is copied: each parameter's data is the
+    array in ``ckpt.tensors``, so one copy of the weights is held, and an
+    in-place update of a parameter also changes the checkpoint object.
     """
     expected = model.param_shapes(ckpt.model_cfg)
     stored = {name: arr.shape for name, arr in ckpt.tensors.items()}
     table = expected
-    if ckpt.folded is not None:
-        table = model.enhance_shapes(ckpt.model_cfg)
+    if ckpt.blocks is not None:
+        table = model.held_shapes(ckpt.model_cfg)
         stored = {name: shape for name, shape in stored.items()
-                  if name in expected or name not in table} | ckpt.folded
+                  if name in expected} | ckpt.passed
     if set(stored) != set(expected):
         missing = sorted(set(expected) - set(stored))
         extra = sorted(set(stored) - set(expected))
@@ -230,7 +243,79 @@ def params_from_checkpoint(ckpt: Checkpoint) -> dict:
         if stored[name] != shape:
             raise CheckpointShapeError(
                 f"{name}: stored shape {stored[name]} != declared {shape}")
-    return {name: tensor.Tensor(ckpt.tensors[name], requires_grad=True) for name in table}
+    params = {name: tensor.Tensor(ckpt.tensors[name], requires_grad=True) for name in table}
+    return params if ckpt.blocks is None else StreamedTable(params, ckpt.blocks)
+
+
+class StreamedTable(dict):
+    """An enhance load's table for ``model.enhance``: the tensors of
+    ``model.held_shapes``, by name, and ``read_block(i)``, which reads
+    block ``i``'s other entries from the checkpoint (``BlockReader.read``).
+    ``model.block_table`` calls it as the forward pass reaches the block.
+    """
+
+    def __init__(self, held: dict, blocks: BlockReader):
+        super().__init__(held)
+        self._blocks = blocks
+
+    def read_block(self, i: int) -> dict:
+        return {**self._blocks.read(i), "attn.v_gate": self[f"block{i}.attn.v_gate"]}
+
+
+class BlockReader:
+    """Where each block's streamed entries lie in an enhance load's
+    checkpoint, and the open file they are read from.
+
+    ``read(i)`` reads block ``i``'s entries into one buffer, sized for the
+    largest block, allocated on the first read and reused across blocks
+    and calls, and returns a tensor viewing each entry, its name without
+    the block's prefix. The next read overwrites these views, so ``read``
+    refuses to run while ops record (``tensor.recording``): a recorded
+    graph would read the next block's weights. Each read is checked as the
+    load checked it, complete and finite, and the file's size and
+    ``st_mtime_ns`` must be those it had when loaded; otherwise ``read``
+    raises ``CheckpointChangedError`` naming the file. The file is closed
+    when the reader is collected.
+    """
+
+    def __init__(self, fh, path: str, stat, layout: dict):
+        self._fh, self.path = fh, path
+        self._stat = (stat.st_size, stat.st_mtime_ns)
+        # block i -> (name, shape, byte position in the file, buffer offset,
+        # count), each entry on a 16-float boundary of the buffer, as the
+        # full load lays out its block
+        self._layout, self._size = {}, 0
+        for i, entries in layout.items():
+            offset, placed = 0, []
+            for name, shape, position, count in entries:
+                placed.append((name, shape, position, offset, count))
+                offset += -(-count // 16) * 16
+            self._layout[i], self._size = placed, max(self._size, offset)
+        self._buffer = None
+        weakref.finalize(self, fh.close)
+
+    def read(self, i: int) -> dict:
+        if tensor.recording():
+            raise RuntimeError(
+                "a streamed checkpoint table serves only unrecorded enhancement "
+                "(under tensor.no_grad): each block's weights are overwritten by the next's")
+        if self._buffer is None:
+            self._buffer = np.empty(self._size, "<f4")
+        views = {}
+        try:
+            for name, shape, position, offset, count in self._layout[i]:
+                arr = self._buffer[offset:offset + count]
+                self._fh.seek(position)
+                _read_payload(self._fh, f"block{i}.{name}", arr)
+                views[name] = tensor.Tensor(arr.reshape(shape))
+            now = os.fstat(self._fh.fileno())
+            if (now.st_size, now.st_mtime_ns) != self._stat:
+                raise CheckpointChangedError("its size or modification time is not "
+                                             "what it was")
+        except CheckpointError as exc:
+            raise CheckpointChangedError(
+                f"{self.path} changed after it was loaded: {exc}") from None
+        return views
 
 
 def _format_value(v) -> str:
@@ -337,38 +422,60 @@ def load_checkpoint(path, for_enhance: bool = False) -> Checkpoint:
     The directory must lay the payloads out contiguously in its own order,
     with ``DATA`` their total; a gap, an entry that starts before the end
     of the one above it, or another ``DATA`` count raises
-    ``CheckpointFormatError`` before any payload is read. The tensors are
-    then read in that order straight into their own float32 views of one
-    block, so the weights are held once; ``cache.*`` entries are stepped
-    over, not read. Every payload read must be complete and finite.
+    ``CheckpointFormatError`` before any payload is read. The payloads are
+    then read in that order, a chunk of ``_CHUNK`` floats at a time, and
+    each chunk must be complete and finite; ``cache.*`` entries are stepped
+    over, not read. The full load reads the tensors straight into their
+    own float32 views of one block, so the weights are held once.
 
-    With ``for_enhance``, the block holds the enhance table instead
-    (``model.enhance_shapes``). Each block's value-gate inputs are read
-    into buffers of the largest one's size, and folded by
-    ``model.fold_v_gate`` into the block once the last of them is read,
-    whatever the directory's order; with ``save_checkpoint``'s order one
-    block's pair of (N, N) matrices is held at a time. Adam's moments, and
-    a folded input of a shape other than the config's, are read in chunks
-    through such a buffer and checked, not held; ``adam`` is then None.
-    ``params_from_checkpoint`` checks the table, folded entries included,
-    as for a full load.
+    With ``for_enhance``, the load holds only the tensors of
+    ``model.held_shapes``, in such a block, and the open file. Each block's
+    value-gate inputs are read into buffers of the largest one's size and
+    folded by ``model.fold_v_gate`` into the block's gate once the last of
+    them is read, whatever the directory's order; with ``save_checkpoint``'s
+    order one block's pair of (N, N) matrices is held at a time. Every
+    other payload, Adam's moments and the blocks' other entries included,
+    is read through one chunk buffer, checked, and dropped; ``adam`` is
+    then None, and ``blocks`` records where each block's entries lie, to
+    read them again when ``model.enhance`` reaches the block.
+    ``params_from_checkpoint`` checks the table, the entries not kept
+    included, as for a full load.
     """
-    with open(path, "rb") as fh:
-        return _read_checkpoint(fh, for_enhance)
+    fh = open(path, "rb")
+    try:
+        ckpt = _read_checkpoint(fh, os.fspath(path), for_enhance)
+    except BaseException:
+        fh.close()
+        raise
+    if ckpt.blocks is None:
+        fh.close()
+    return ckpt
+
+
+# floats read and checked at a time: 1 MiB, checked while still in the
+# core's cache
+_CHUNK = 1 << 18
 
 
 def _read_payload(fh, name: str, arr: np.ndarray) -> None:
-    if fh.readinto(arr) != arr.nbytes:
-        raise CheckpointTruncatedError(f"{name}: payload ends early")
-    # a NaN is both extremes, an infinity one of them; unlike isfinite,
-    # no array of the payload's size is made
-    if arr.size and not (np.isfinite(arr.min()) and np.isfinite(arr.max())):
-        raise CheckpointFormatError(f"{name}: non-finite values")
+    """Read the next ``arr.nbytes`` of ``fh`` into ``arr``, a chunk at a
+    time, each chunk checked complete and finite."""
+    flat = arr.reshape(-1)
+    for lo in range(0, flat.size, _CHUNK):
+        part = flat[lo:lo + _CHUNK]
+        if fh.readinto(part) != part.nbytes:
+            raise CheckpointTruncatedError(f"{name}: payload ends early")
+        # a NaN is both extremes, an infinity one of them; unlike isfinite,
+        # no array of the chunk's size is made
+        if not (np.isfinite(part.min()) and np.isfinite(part.max())):
+            raise CheckpointFormatError(f"{name}: non-finite values")
 
 
-def _read_checkpoint(fh, for_enhance: bool = False) -> Checkpoint:
+def _read_checkpoint(fh, path: str, for_enhance: bool = False) -> Checkpoint:
     header = _read_header(fh)
-    payload_bytes = os.fstat(fh.fileno()).st_size - fh.tell()
+    stat = os.fstat(fh.fileno())
+    position = fh.tell()
+    payload_bytes = stat.st_size - position
 
     if header[0] != f"{_MAGIC} {FORMAT_VERSION}":
         raise CheckpointFormatError(
@@ -428,41 +535,58 @@ def _read_checkpoint(fh, for_enhance: bool = False) -> Checkpoint:
     except (TypeError, ConfigurationError) as exc:
         raise CheckpointFormatError(f"bad config block: {exc}") from None
 
-    # the enhance load's folded inputs, name -> (gate, key), its gates, and
-    # the entries it reads, checks and drops: the moments, and any named
-    # like a gate, which the table check then reports
-    folded, expected = {}, {}
+    # what the enhance load does with each entry: it holds the entries of
+    # the held table but the gates, which it folds from their inputs
+    # (name -> (gate, key)); it streams the blocks' other entries, and
+    # reads, checks and drops the rest: the moments, an entry named like a
+    # gate, a folded input of the wrong shape, and any the table check
+    # then refuses
+    folded, expected, streamed = {}, {}, set()
+    kept = {name for name, _, _ in directory if not name.startswith("cache.")}
     if for_enhance:
         folded = model.v_gate_inputs(model_cfg)
         expected = model.param_shapes(model_cfg)
+        held = model.held_shapes(model_cfg)
+        streamed = model.enhance_shapes(model_cfg).keys() - held.keys()
+        kept = {name for name in kept if name in held}
     gates = dict.fromkeys(gate for gate, _ in folded.values())
-    passed = {name for name, _, _ in directory
-              if for_enhance and name.startswith("adam.") or name in gates}
+    kept -= gates.keys()
 
-    # Every tensor is a view of one block, each starting on a 64-byte line.
-    # One allocation this large is mapped fresh from the OS (in huge pages
-    # where the kernel gives them), so what the load costs does not depend
-    # on which freed memory the heap still holds.
-    spans = {name: -(-count // 16) * 16 for name, _, count in directory
-             if not (name.startswith("cache.") or name in folded or name in passed)}
+    # Every kept tensor is a view of one block, each starting on a 64-byte
+    # line. One allocation this large is mapped fresh from the OS (in huge
+    # pages where the kernel gives them), so what the load costs does not
+    # depend on which freed memory the heap still holds.
+    spans = {name: -(-count // 16) * 16 for name, _, count in directory if name in kept}
     spans.update(dict.fromkeys(gates, -(-model_cfg.width // 16) * 16))
     block = np.empty(sum(spans.values()), dtype="<f4")
     offsets, start = {}, 0
     for name, span in spans.items():
         offsets[name], start = start, start + span
     tensors, adam_m, adam_v = {}, {}, {}
-    # the folded inputs read so far: gate -> {key: array}, and the shape
-    # of each entry of the file's table read but not kept
-    pending, stored = {}, {}
+    # the folded inputs read so far, gate -> {key: array}; the stored shape
+    # of each entry of the file's table read but not kept; each block's
+    # streamed entries, block index -> [(name in the block, shape, byte
+    # position, count)]
+    pending, passed, layout = {}, {}, {}
     # (N, N) buffers, the largest folded input's size, reused once a block
-    # is folded; each also reads a dropped entry in chunks
+    # is folded, and the chunk buffer that every dropped payload goes through
     size = max((math.prod(expected[name]) for name in folded), default=0)
     free = []
+    chunk = np.empty(_CHUNK, "<f4") if for_enhance else None
     for name, shape, count in directory:
         if name.startswith("cache."):
             fh.seek(count * 4, os.SEEK_CUR)
+        elif name in kept:
+            arr = block[offsets[name]:offsets[name] + count].reshape(shape)
+            _read_payload(fh, name, arr)
+            if name.startswith("adam.m."):
+                adam_m[name[len("adam.m."):]] = arr
+            elif name.startswith("adam.v."):
+                adam_v[name[len("adam.v."):]] = arr
+            else:
+                tensors[name] = arr
         elif name in folded and shape == expected[name]:
-            stored[name] = shape
+            passed[name] = shape
             if count == size:
                 arr = free.pop() if free else np.empty(size, "<f4")
             else:
@@ -477,22 +601,16 @@ def _read_checkpoint(fh, for_enhance: bool = False) -> Checkpoint:
                 out[...] = model.fold_v_gate(pending.pop(gate))
                 tensors[gate] = out
                 free.extend(a.reshape(-1) for a in inputs.values() if a.size == size)
-        elif name in folded or name in passed:
-            if not name.startswith("adam."):
-                stored[name] = shape
-            buf = free.pop() if free else np.empty(size, "<f4")
-            for lo in range(0, count, size):
-                _read_payload(fh, name, buf[:min(size, count - lo)])
-            free.append(buf)
         else:
-            arr = block[offsets[name]:offsets[name] + count].reshape(shape)
-            _read_payload(fh, name, arr)
-            if name.startswith("adam.m."):
-                adam_m[name[len("adam.m."):]] = arr
-            elif name.startswith("adam.v."):
-                adam_v[name[len("adam.v."):]] = arr
-            else:
-                tensors[name] = arr
+            if not name.startswith("adam."):
+                passed[name] = shape
+            if name in streamed:
+                prefix, _, rest = name.partition(".")
+                layout.setdefault(int(prefix[len("block"):]), []).append(
+                    (rest, shape, position, count))
+            for lo in range(0, count, chunk.size):
+                _read_payload(fh, name, chunk[:min(chunk.size, count - lo)])
+        position += count * 4
 
     adam = None
     if any(name.startswith("adam.m.") for name, _, _ in directory):
@@ -502,7 +620,8 @@ def _read_checkpoint(fh, for_enhance: bool = False) -> Checkpoint:
     return Checkpoint(model_cfg=model_cfg, tensors=tensors, adam=adam,
                       best_score=_meta_score(meta),
                       epoch=_meta_int(meta, "epoch"),
-                      folded=stored if for_enhance else None)
+                      blocks=BlockReader(fh, path, stat, layout) if for_enhance else None,
+                      passed=passed if for_enhance else None)
 
 
 def fit(params: dict, model_cfg: ARNConfig, cfg: TrainConfig, mixer,

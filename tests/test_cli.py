@@ -1,6 +1,7 @@
 """End-to-end command-line behaviour."""
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -138,6 +139,129 @@ class TestEnhanceTable:
         r = mixing.rms(x)
         wavio.write_wav(ref, model.enhance(x * (1.0 / r), full, cfg).astype(np.float64) * r)
         assert dst.read_bytes() == ref.read_bytes()
+
+
+def stream_cfg(causal):
+    # wider than a row tile, with two blocks
+    return ARNConfig(width=tensor.TILE_ROWS + 8, frame_in=16, frame_out=8, shift=8,
+                     num_blocks=2, causal=causal, dropout=0.0)
+
+
+def payload_position(path: Path, name: str) -> int:
+    """The byte at which tensor ``name``'s payload starts in a checkpoint."""
+    blob = path.read_bytes()
+    data = blob.index(b"\n", blob.index(b"\nDATA ") + 1) + 1
+    for line in blob[:data].decode("ascii").splitlines():
+        if line.startswith(f"tensor {name} "):
+            return data + 4 * int(line.split()[3])
+    raise KeyError(name)
+
+
+class TestStreamedEnhance:
+    """``arn enhance`` reads each block from the checkpoint when the forward
+    pass reaches it, for every file; the output is byte for byte what
+    ``model.enhance`` gives on the full trainable table."""
+
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_directory_equals_full_table_enhance(self, tmp_path, causal):
+        cfg = stream_cfg(causal)
+        params = model.init_params(cfg, np.random.default_rng(2301), dtype=np.float32)
+        ckpt = tmp_path / "last.ckpt"
+        save_checkpoint(checkpoint_from(params, cfg, AdamState.for_params(params)), ckpt)
+        src, dst, ref = tmp_path / "in", tmp_path / "out", tmp_path / "ref.wav"
+        src.mkdir()
+        rng = np.random.default_rng(2302)
+        for j, length in enumerate((2400, 900, 3100)):
+            wavio.write_wav(src / f"f{j}.wav",
+                            tone(length, 300.0 + 100 * j) + 0.05 * rng.standard_normal(length))
+        assert cli.main(["enhance", "--model", str(ckpt),
+                         "--in", str(src), "--out", str(dst)]) == 0
+        full = training.params_from_checkpoint(training.load_checkpoint(ckpt))
+        assert "block0.attn.lin_v_sig.w" in full
+        for j in range(3):
+            x = wavio.read_wav(src / f"f{j}.wav")
+            r = mixing.rms(x)
+            wavio.write_wav(ref, model.enhance(x * (1.0 / r), full, cfg).astype(np.float64) * r)
+            assert (dst / f"f{j}.wav").read_bytes() == ref.read_bytes()
+
+    def test_evaluate_with_model_prints_full_table_records(self, tmp_path, capsys):
+        cfg = stream_cfg(False)
+        params = model.init_params(cfg, np.random.default_rng(2303), dtype=np.float32)
+        ckpt = tmp_path / "last.ckpt"
+        save_checkpoint(checkpoint_from(params, cfg, AdamState.for_params(params)), ckpt)
+        rng = np.random.default_rng(2304)
+        lines = []
+        for j, length in enumerate((2000, 1300)):
+            clean, noisy = tmp_path / f"c{j}.wav", tmp_path / f"n{j}.wav"
+            wavio.write_wav(clean, tone(length, 350.0 + 50 * j))
+            wavio.write_wav(noisy, tone(length, 350.0 + 50 * j)
+                            + 0.1 * rng.standard_normal(length))
+            lines.append(f"{clean}\t{noisy}\n")
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_text("".join(lines))
+        full = training.params_from_checkpoint(training.load_checkpoint(ckpt))
+        snrs, sis, want = [], [], []
+        for line in lines:
+            clean_path, noisy_path = line.rstrip("\n").split("\t")
+            clean = wavio.read_wav(clean_path)
+            other = cli._enhance_signal(wavio.read_wav(noisy_path), full, cfg, noisy_path)
+            snrs.append(losses.snr(clean, other))
+            sis.append(losses.si_snr(clean, other))
+            want.append(f"{clean_path}\t{noisy_path}\t{snrs[-1]:.3f}\t{sis[-1]:.3f}")
+        want.append(f"mean\t2\t{np.mean(snrs):.3f}\t{np.mean(sis):.3f}")
+        assert cli.main(["evaluate", "--model", str(ckpt), "--pairs", str(manifest)]) == 0
+        assert capsys.readouterr().out.splitlines() == want
+
+    @pytest.mark.parametrize("change", ["rewritten_same_size", "rewritten_longer",
+                                        "nan_in_block1"])
+    def test_checkpoint_changed_between_files_exit_4(self, tmp_path, capsys, monkeypatch,
+                                                     change):
+        # the first file is written, then the checkpoint changes in place:
+        # the second file's first block read refuses it, before its output
+        cfg = stream_cfg(True)
+        params = model.init_params(cfg, np.random.default_rng(2305), dtype=np.float32)
+        ckpt = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint_from(params, cfg), ckpt)
+        other = tmp_path / "other.ckpt"
+        others = model.init_params(cfg, np.random.default_rng(2306), dtype=np.float32)
+        adam = AdamState.for_params(others) if change == "rewritten_longer" else None
+        save_checkpoint(checkpoint_from(others, cfg, adam), other)
+        src, dst = tmp_path / "in", tmp_path / "out"
+        src.mkdir()
+        for name in ("a.wav", "b.wav"):
+            wavio.write_wav(src / name, tone(1600))
+
+        def edit():
+            before = ckpt.stat()
+            with open(ckpt, "r+b") as fh:
+                if change == "nan_in_block1":
+                    fh.seek(payload_position(ckpt, "block1.ff.w") + 4 * 100)
+                    fh.write(np.float32(np.nan).tobytes())
+                else:
+                    fh.write(other.read_bytes())
+            if change == "nan_in_block1":
+                # size and modification time as at the load: only the
+                # re-read's own check can find the NaN
+                os.utime(ckpt, ns=(before.st_atime_ns, before.st_mtime_ns))
+            elif change == "rewritten_same_size":
+                # a later modification time, whatever the file system's
+                # timestamp granularity
+                os.utime(ckpt, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
+            assert (ckpt.stat().st_size == before.st_size) == (change != "rewritten_longer")
+
+        write_wav = wavio.write_wav
+
+        def write_then_edit(path, *args, **kwargs):
+            write_wav(path, *args, **kwargs)
+            edit()
+        monkeypatch.setattr(wavio, "write_wav", write_then_edit)
+        assert cli.main(["enhance", "--model", str(ckpt),
+                         "--in", str(src), "--out", str(dst)]) == 4
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "changed after it was loaded" in err
+        if change == "nan_in_block1":
+            assert "block1.ff.w: non-finite values" in err
+        assert (dst / "a.wav").exists() and not (dst / "b.wav").exists()
 
 
 class TestMixAndEvaluate:

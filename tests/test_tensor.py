@@ -1140,6 +1140,38 @@ class TestRowTiledMemory:
         assert peak - start <= grads + tile + sub + np.getbufsize() * 8 + 16384
         assert x.grad.shape == (steps, n) and w.grad.shape == (n, 4 * n)
 
+    @pytest.mark.parametrize("masked", [False, True])
+    def test_feedforward_backward_weight_product_one_chunk_wide(self, masked):
+        # with K = 4n input columns, into gradients already present (as from
+        # an earlier utterance, so accumulating makes no copy): the input
+        # gradients, the call's one (TILE_ROWS, 4n) tile, and the larger of
+        # one sub-block's temporaries and the scaled output gradient's sub-
+        # block beside a (K, n) product; a (K, 4n) product into dw, as large
+        # as dw, or a (rows, K) product into dx, would pass it
+        steps, n = self.SCRATCH_STEPS, self.SCRATCH_WIDTH
+        k = 4 * n
+        sub_rows = max(tensor._SUB_ROWS, tensor._SUB_ELEMENTS // (4 * n))
+        rng = np.random.default_rng(98)
+        x, w, b = (Tensor(rng.standard_normal(shape), requires_grad=True) for shape in
+                   ((steps, k), (k, 4 * n), 4 * n))
+        for t in (x, w, b):
+            t.grad = np.zeros_like(t.data)
+        keep = rng.random((steps, 4 * n)) >= 0.1 if masked else None
+        out = tensor.feedforward(x, w, b, keep, 0.1)
+        out.grad = rng.standard_normal((steps, n))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out._backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grads = (steps * k + k * 4 * n + 4 * n) * 8
+        tile = tensor.TILE_ROWS * 4 * n * 8
+        scratch = max(sub_rows * (4 * n + n), sub_rows * n + k * n) * 8
+        assert k * 4 * n * 8 > scratch + np.getbufsize() * 8 + 16384
+        assert peak - start <= grads + tile + scratch + np.getbufsize() * 8 + 16384
+
     @pytest.mark.parametrize("causal", [False, True])
     def test_attention_holds_one_score_tile(self, causal):
         # the largest tile's (rows, S) probabilities, the call's query and

@@ -597,8 +597,15 @@ class TestCheckpoint:
         loaded = load_checkpoint(path, for_enhance=True)
         assert loaded.adam is None
         table = params_from_checkpoint(loaded)
+        # the held tensors, then each block's read: the enhance table
         assert [(k, t.shape) for k, t in table.items()] == \
-            list(model.enhance_shapes(cfg).items())
+            list(model.held_shapes(cfg).items())
+        with tensor.no_grad():
+            blocks = [{f"block{i}.{k}": t.shape for k, t in table.read_block(i).items()}
+                      for i in range(cfg.num_blocks)]
+        assert {k: t.shape for k, t in table.items()} | {
+            k: shape for block in blocks for k, shape in block.items()} == \
+            model.enhance_shapes(cfg)
         for i in range(cfg.num_blocks):
             with tensor.no_grad():
                 gate = model._v_gate_graph(model._sub(params, f"block{i}.attn."))
@@ -630,24 +637,26 @@ class TestCheckpoint:
 
     @pytest.mark.parametrize("with_adam", [False, True])
     def test_enhance_load_holds_kept_block_and_two_buffers(self, tmp_path, with_adam):
-        # the enhance table's one block, each entry rounded up to 16 floats,
-        # and two (N, N) buffers: one block's lin_v pair, reused for the next
-        # block's and for reading the moments; then the loader's bookkeeping,
-        # under 0.5 KiB per directory entry. A third buffer, a held moment or
-        # the lin_v matrices of both blocks would pass the bound
+        # the held tensors' one block (model.held_shapes), each entry
+        # rounded up to 16 floats, two (N, N) buffers, one block's lin_v
+        # pair, reused for the next block's, and the chunk buffer that every
+        # other payload, the moments included, is read through; then the
+        # loader's bookkeeping, under 0.5 KiB per directory entry. A third
+        # buffer, a held moment, a held block entry or the lin_v matrices of
+        # both blocks would pass the bound
         cfg = toy_model_cfg(width=256, num_blocks=2)
         params = model.init_params(cfg, np.random.default_rng(44), np.float32)
         adam = AdamState.for_params(params) if with_adam else None
         path = tmp_path / "model.ckpt"
         save_checkpoint(checkpoint_from(params, cfg, adam), path)
         kept = sum(-(-math.prod(shape) // 16) * 16
-                   for shape in model.enhance_shapes(cfg).values()) * 4
+                   for shape in model.held_shapes(cfg).values()) * 4
         buffer = cfg.width * cfg.width * 4
         loaded = []
         peak = traced_peak(lambda: loaded.append(load_checkpoint(path, for_enhance=True)))
         assert loaded[0].adam is None
         bookkeeping = 3 * buffer // 4
-        assert peak <= kept + 2 * buffer + bookkeeping
+        assert peak <= kept + 2 * buffer + training._CHUNK * 4 + bookkeeping
 
     @pytest.mark.parametrize("fault", [
         "missing_v", "missing_lin_v_tanh_w", "lin_v_sig_w_shape", "v_shape",
@@ -736,6 +745,61 @@ class TestCheckpoint:
         path.write_bytes(_relay(path.read_bytes(), edit))
         with pytest.raises(CheckpointFormatError, match=message):
             load_checkpoint(path)
+
+
+class TestStreamedTable:
+    """The enhance load's table holds the tensors outside the blocks and
+    each value gate, and reads each block from the file as the forward pass
+    reaches it."""
+
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_load_and_enhance_hold_one_block(self, monkeypatch, tmp_path, causal):
+        # what `arn enhance` does, load and enhance, traced: at most the held
+        # tensors, one block's streamed entries (each rounded up to 16
+        # floats, as the reader's buffer lays them out) and the activations
+        # that TestEvalMemory bounds, at its tile size; below the whole
+        # enhance table, which a load holding every block would pass
+        from test_model import TestEvalMemory as limits
+        monkeypatch.setattr(tensor, "TILE_ROWS", limits.TILE)
+        cfg = ARNConfig(width=256, frame_in=32 if causal else 16, frame_out=16,
+                        shift=limits.SHIFT, num_blocks=4, causal=causal, dropout=0.0)
+        params = model.init_params(cfg, np.random.default_rng(2310), np.float32)
+        path = tmp_path / "last.ckpt"
+        save_checkpoint(checkpoint_from(params, cfg, AdamState.for_params(params)), path)
+        steps = 1024
+        x = np.random.default_rng(2311).standard_normal(steps * cfg.shift)
+
+        def padded(shapes):
+            return sum(-(-math.prod(shape) // 16) * 16 for shape in shapes) * 4
+
+        held = model.held_shapes(cfg)
+        block = padded(shape for name, shape in model.enhance_shapes(cfg).items()
+                       if name.startswith("block0.") and name not in held)
+        whole = padded(model.enhance_shapes(cfg).values())
+        activations = limits.MAX_ARRAYS * steps * cfg.width * 4
+        out = []
+        peak = traced_peak(lambda: out.append(model.enhance(
+            x, params_from_checkpoint(load_checkpoint(path, for_enhance=True)), cfg)))
+        assert out[0].tobytes() == model.enhance(x, params, cfg).tobytes()
+        assert padded(held.values()) + block + activations < whole
+        assert peak <= padded(held.values()) + block + activations
+
+    def test_refuses_recording(self, tmp_path):
+        cfg = toy_model_cfg(num_blocks=2)
+        params = model.init_params(cfg, np.random.default_rng(2312), np.float32)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint_from(params, cfg), path)
+        table = params_from_checkpoint(load_checkpoint(path, for_enhance=True))
+        x = np.random.default_rng(2313).standard_normal(64)
+        with pytest.raises(RuntimeError, match="unrecorded enhancement"):
+            model.arn_forward(x, table, cfg)
+        with pytest.raises(RuntimeError, match="unrecorded enhancement"):
+            table.read_block(1)
+        with tensor.no_grad():
+            assert table.read_block(1)["ff.w"].data.tobytes() == \
+                params["block1.ff.w"].data.tobytes()
+        assert model.enhance(x, table, cfg).tobytes() == \
+            model.enhance(x, params, cfg).tobytes()
 
 
 class TestFit:
