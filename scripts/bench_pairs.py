@@ -6,10 +6,12 @@
 
 The change is the working tree; the parent is a commit (``--parent``,
 default ``HEAD``, so run it before committing the change, or name the
-parent). The parent's files are exported with ``git archive`` into a
-temporary directory, removed at the end. Each side runs its own
-``perfbench/run.py``, the command that ``BENCHMARK.json`` names, from its
-own root.
+parent). A parent that is ``HEAD`` while ``git status --porcelain`` lists
+nothing, untracked files included, would compare a tree with itself: that
+is refused with exit 2 before anything is exported or run. The parent's
+files are exported with ``git archive`` into a temporary directory,
+removed at the end. Each side runs its own ``perfbench/run.py``, the
+command that ``BENCHMARK.json`` names, from its own root.
 
 For every workload of ``BENCHMARK.json`` it runs ten pairs at the file's
 ``run_seconds``, one seed per pair, seeds 1 to 10: the parent runs first for
@@ -59,6 +61,12 @@ def schedule(seeds) -> list:
         sides = ("parent", "change") if seed % 2 else ("change", "parent")
         order.extend((seed, side) for side in sides)
     return order
+
+
+def same_tree(parent_sha: str, head_sha: str, status: str) -> bool:
+    """Whether the change is the parent itself: the parent is ``HEAD`` and
+    ``status``, the output of ``git status --porcelain``, lists nothing."""
+    return parent_sha == head_sha and not status.strip()
 
 
 def _json_object(text: str):
@@ -223,6 +231,11 @@ def main(argv=None) -> int:
     seeds = list(SEEDS)
     parent_sha = _git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     head_sha = _git("rev-parse", "HEAD")
+    status = _git("status", "--porcelain", "--untracked-files=normal")
+    if same_tree(parent_sha, head_sha, status):
+        print(f"error: --parent {args.parent} is HEAD and the working tree is clean: "
+              "there is no change to compare", file=sys.stderr)
+        return 2
     uncommitted = bool(_git("status", "--porcelain", "--untracked-files=no"))
     out_path = ROOT / f"BENCH_{args.pr}.json"
 

@@ -13,11 +13,11 @@ path>`` lines and prints one tab-separated record per pair
 error while reading, enhancing or scoring a pair names the manifest, the
 line and both paths, and exits with the code of the error itself.
 
-``enhance`` and ``evaluate --model`` hold the checkpoint open and read each
-block's weights from it again for every file. A checkpoint that changes
-during the run, in size or modification time, or whose re-read weights
-are not complete and finite, is refused with exit 4, naming the file;
-outputs written before then stay written.
+``enhance`` and ``evaluate --model`` hold the checkpoint open and read the
+blocks' weights from it again for every file, one layer at a time. A
+checkpoint that changes during the run, in size or modification time, or
+whose re-read weights are not complete and finite, is refused with exit 4,
+naming the file; outputs written before then stay written.
 
 Each of these errors is one ``error:`` line on standard error. When
 ``enhance`` or ``evaluate --model`` runs out of memory on an input, the line

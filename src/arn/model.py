@@ -24,10 +24,12 @@ value gate depends on no input, so its five inputs (``attn.v`` and both
 ``fold_v_gate``, into one (1, N) ``attn.v_gate``, the vector the
 trainable table remakes on every call. ``arn enhance`` holds the enhance
 table streamed (``training.StreamedTable``): the entries of
-``held_shapes`` in memory, and each block's others read from the
-checkpoint when the forward pass reaches the block. The pass gets each
-block's table through ``block_table``, which a dict answers by prefix, so
-there is one forward path for every table.
+``held_shapes`` in memory, and each block's weight layers (its RNN,
+attention's query map and the feedforward, ``STREAMED_LAYERS``) read from
+the checkpoint one at a time, each when the forward pass reaches it. The
+pass gets each block's table through ``block_table`` and each layer's
+through ``layer_table``, which a dict answers by prefix, so there is one
+forward path for every table.
 
 Outside recording, each (T, N) array is dropped after its last reader, or
 written over by it. The frame rows, each block's input and the attention's
@@ -41,7 +43,7 @@ norm into the attention output; as ``into``, the attention node's gated
 output into the query stream (one tile at a time, after the tile's queries
 are formed) and the feedforward's output into that layer norm's output.
 ``enhance`` thus holds at most two (T, N) arrays at once, beside the
-weights (one block's, from a streamed table), plus one tile's
+weights (one layer's, from a streamed table), plus one tile's
 scratch: the scratch buffers of the op that runs, each allocated once per
 call and a tile in size (the LSTM's activation tile, attention's query,
 probability and output tiles, the feedforward's (rows, 4N) pre-activation
@@ -198,13 +200,31 @@ def enhance_shapes(cfg: ARNConfig) -> dict:
     return shapes
 
 
+# a block's weight layers, which a streamed table reads from its checkpoint
+# one at a time, each when the forward pass reaches it: the prefix that
+# ``layer_table`` takes -> the prefix, within the block, of the entries
+# read. They are the RNN (an LSTM or a BLSTM), attention's query map and
+# the feedforward
+STREAMED_LAYERS = {"lstm.": "lstm.", "blstm.": "blstm.", "attn.": "attn.lin_q.",
+                   "ff.": "ff."}
+
+
+def streamed_layer(name: str):
+    """The ``STREAMED_LAYERS`` layer that a block's entry ``name``, without
+    the block's prefix, belongs to, or None for an entry that a streamed
+    table holds."""
+    return next((layer for layer, entries in STREAMED_LAYERS.items()
+                 if name.startswith(entries)), None)
+
+
 def held_shapes(cfg: ARNConfig) -> dict:
     """Name -> shape of the enhance-table entries that a streamed table
     (``training.StreamedTable``) holds: those outside the blocks, and each
-    block's value gate. It reads every other block entry from its
-    checkpoint when the forward pass reaches the block."""
+    block's vectors outside ``STREAMED_LAYERS``: its five layer norms'
+    gains and offsets, ``attn.q``, ``attn.k`` and the value gate."""
     return {name: shape for name, shape in enhance_shapes(cfg).items()
-            if not name.startswith("block") or name.endswith(".attn.v_gate")}
+            if not name.startswith("block")
+            or streamed_layer(name.split(".", 1)[1]) is None}
 
 
 def init_params(cfg: ARNConfig, rng: np.random.Generator,
@@ -243,10 +263,25 @@ def _sub(params: dict, prefix: str) -> dict:
 
 def block_table(params: dict, i: int) -> dict:
     """Block ``i``'s table, its names without the ``block<i>.`` prefix. A
-    streamed table reads it from its checkpoint, into views that the next
-    block's read overwrites; a dict answers by prefix, as ``_sub`` does."""
-    read = getattr(params, "read_block", None)
-    return _sub(params, f"block{i}.") if read is None else read(i)
+    streamed table gives the block's held entries, whose ``layer_table``
+    reads each layer's weights; a dict answers by prefix, as ``_sub``
+    does."""
+    block = getattr(params, "block", None)
+    return _sub(params, f"block{i}.") if block is None else block(i)
+
+
+def layer_table(block: dict, prefix: str) -> dict:
+    """The entries of a block's table whose names start with ``prefix``,
+    their names kept: one layer's, for ``'lstm.'``, ``'blstm.'``,
+    ``'attn.'`` or ``'ff.'``. A streamed table's block reads the layer's
+    weights from its checkpoint, into views that the next layer's read
+    overwrites; a dict answers by prefix."""
+    read = getattr(block, "read_layer", None)
+    view = ({k: v for k, v in block.items() if k.startswith(prefix)} if read is None
+            else read(prefix))
+    if not view:
+        raise ConfigurationError(f"no parameters under prefix {prefix!r}")
+    return view
 
 
 # ---------------------------------------------------------------------------
@@ -344,24 +379,30 @@ def arn_block_forward(x: Tensor, block_params: dict, cfg: ARNConfig,
     here only when the caller keeps no reference of its own, as in
     ``arn_forward_frames``. Recording, every op allocates its output, and
     the graph is the one the block's formula writes out.
+
+    Each weight layer's table is taken through ``layer_table`` just before
+    its op runs and dropped when the op returns, so a streamed table's
+    next layer read overwrites no view in use.
     """
     ln = [(block_params[f"ln{j}.g"], block_params[f"ln{j}.b"]) for j in range(5)]
     y = layer_norm(x, *ln[0], cfg.ln_eps)
     del x
-    y = rnn_sequence(y, block_params, cfg)
+    y = rnn_sequence(y, layer_table(block_params, "lstm." if cfg.causal else "blstm."),
+                     cfg)
     q = layer_norm(y, *ln[1], cfg.ln_eps)
     kv = [layer_norm(y, *ln[2], cfg.ln_eps, overwrite=True)]
     del y
     # the keys and values go in by the list's only reference, so that the
     # attention node frees them; its output lands in the query stream
-    a = attention_block(q, kv[0], kv.pop(), _sub(block_params, "attn."), cfg.causal,
+    a = attention_block(q, kv[0], kv.pop(),
+                        _sub(layer_table(block_params, "attn."), "attn."), cfg.causal,
                         into=q)
     del q
     z1 = layer_norm(a, *ln[3], cfg.ln_eps)
     z2 = layer_norm(a, *ln[4], cfg.ln_eps, overwrite=True)
     del a
-    return feedforward_block(z1, block_params["ff.w"], block_params["ff.b"],
-                             cfg.dropout, rng, into=z2)
+    ff = layer_table(block_params, "ff.")
+    return feedforward_block(z1, ff["ff.w"], ff["ff.b"], cfg.dropout, rng, into=z2)
 
 
 def arn_forward_frames(frames: Tensor, params: dict, cfg: ARNConfig,
@@ -393,10 +434,10 @@ def arn_forward(x, params: dict, cfg: ARNConfig, rng=None) -> Tensor:
     come out as zeros (the causal warm-up region). ``params`` must hold
     exactly the names of ``param_shapes(cfg)``, or, holding a folded value
     gate, those of ``enhance_shapes(cfg)``, or, for a streamed table, which
-    reads the rest per block, those of ``held_shapes(cfg)``.
+    reads the rest per layer, those of ``held_shapes(cfg)``.
     """
     expected = param_shapes(cfg).keys()
-    if hasattr(params, "read_block"):
+    if hasattr(params, "block"):
         expected = held_shapes(cfg).keys()
     elif "block0.attn.v_gate" in params:
         expected = enhance_shapes(cfg).keys()
@@ -415,8 +456,8 @@ def arn_forward(x, params: dict, cfg: ARNConfig, rng=None) -> Tensor:
 
 def enhance(x, params: dict, cfg: ARNConfig) -> np.ndarray:
     """The forward pass without dropout and unrecorded, as a plain array.
-    A streamed table reads each block from its checkpoint as the pass
-    reaches it, so at most one block's weights are held beside the ones
-    the table holds."""
+    A streamed table reads each weight layer from its checkpoint as the
+    pass reaches it, so at most one layer's weights are held beside the
+    ones the table holds."""
     with tensor.no_grad():
         return arn_forward(x, params, cfg).data

@@ -15,11 +15,15 @@ as its last tensor is dropped, whether or not ``backward`` ran on it.
 ``backward`` runs one reverse topological sweep over the recorded graph;
 gradients accumulate additively (``+=``) into every reachable tensor that
 requires them, so a tensor feeding two consumers receives the sum of both
-adjoints. Explicit zeroing happens in the optimizer (see ``arn.optim``).
-The sweep frees the graph as it goes: once a node's closure has run, the
-node drops its gradient, its closure and its parent links, so the arrays
-only they held go in the middle of the sweep. Leaves keep their gradients;
-a non-leaf tensor keeps its ``data`` and ends with ``grad`` None. A graph is
+adjoints. Explicit zeroing happens in the optimizer (see ``arn.optim``). A
+tensor's first gradient starts at zero; where an op made that gradient for
+the tensor alone (``matmul``'s products, ``attention``'s and
+``feedforward``'s input gradients), the tensor adopts the array instead of
+adding it into new zeros, so it is not held twice. The sweep frees the
+graph as it goes: once a node's closure has run, the node drops its
+gradient, its closure and its parent links, so the arrays only they held
+go in the middle of the sweep. Leaves keep their gradients; a non-leaf
+tensor keeps its ``data`` and ends with ``grad`` None. A graph is
 swept once: a second ``backward`` that reaches a swept node raises
 ``RuntimeError`` before it writes any gradient.
 
@@ -131,8 +135,18 @@ class Tensor:
             raise RankError(f"item() on tensor of shape {self.data.shape}")
         return float(self.data.reshape(()))
 
-    def _acc(self, g):
+    def _acc(self, g, fresh: bool = False):
+        """Add ``g`` into this tensor's gradient. ``fresh`` says that the op
+        made ``g`` for this input alone, so that no other holder reads or
+        writes it: as the first gradient, of the data's shape and dtype, it
+        is then adopted rather than added into new zeros, with its negative
+        zeros made positive, as adding it to zeros makes them. A gradient
+        that is passed through, or handed to two inputs, is never fresh."""
         if self.grad is None:
+            if fresh and g.shape == self.data.shape and g.dtype == self.data.dtype:
+                g += 0.0
+                self.grad = g
+                return
             self.grad = np.zeros_like(self.data)
         self.grad += g
 
@@ -316,9 +330,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
     def _bw(g):
         if a.requires_grad:
-            a._acc(g @ b.data.T)
+            a._acc(g @ b.data.T, fresh=True)
         if b.requires_grad:
-            b._acc(a.data.T @ g)
+            b._acc(a.data.T @ g, fresh=True)
 
     return _record(out, (a, b), _bw)
 
@@ -724,7 +738,7 @@ def attention(x: Tensor, w: Tensor, b: Tensor, gate: Tensor, k: Tensor, v: Tenso
             db += dq.sum(axis=0)
         for t, d in ((x, dx), (w, dw), (b, db), (gate, dgate), (k, dk), (v, dv)):
             if t.requires_grad:
-                t._acc(d)
+                t._acc(d, fresh=True)
 
     node = _record(Tensor(out), (x, w, b, gate, k, v), _bw)
     if out_gate is not None:
@@ -853,11 +867,12 @@ def feedforward(x: Tensor, w: Tensor, b: Tensor, keep=None, rate: float = 0.0,
                 cols = slice(j * n, (j + 1) * n)
                 dw[:, cols] += xd[lo:hi].T @ dpre[:, cols]
             db += dpre.sum(axis=0)
-        # the tile goes before the gradients are added into copies of them
+        # the tile goes before the gradients are handed over, in case one
+        # cannot be adopted and is added into a copy
         dpre_buf = dpre = pre = None
         for t, d in ((x, dx), (w, dw), (b, db)):
             if t.requires_grad:
-                t._acc(d)
+                t._acc(d, fresh=True)
 
     node = _record(Tensor(out), (x, w, b), _bw)
     return node if into is None else add(node, into)

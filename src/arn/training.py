@@ -27,14 +27,16 @@ them, since the gate is recomputed from the parameters.
 when the file has them, for training, tests and checks. Its enhance load
 (``for_enhance=True``, what ``arn enhance`` and ``arn evaluate --model``
 use) reads and checks every payload all the same, a chunk at a time, but
-holds only the tensors outside the blocks, each block's value gate,
-folded from its inputs into one (1, N) vector, where each block's other
-entries lie in the file, and the open file. ``params_from_checkpoint``
-makes that a ``StreamedTable``, from which ``model.enhance`` reads each
-block as the forward pass reaches it, into one buffer reused across
-blocks and files. Each such read is checked again, and a file whose size
-or modification time is no longer what it was at the load is refused
-with ``CheckpointChangedError``.
+holds only the tensors outside the blocks, each block's small vectors
+(``model.held_shapes``: its layer norms, ``attn.q``, ``attn.k`` and its
+value gate, folded from its inputs into one (1, N) vector), where each
+block's weight layers lie in the file, and the open file.
+``params_from_checkpoint`` makes that a ``StreamedTable``, from which
+``model.enhance`` reads each layer of each block (the RNN, attention's
+query map, the feedforward) as the forward pass reaches it, into one
+buffer reused across layers, blocks and files. Each such read is checked
+again, and a file whose size or modification time is no longer what it
+was at the load is refused with ``CheckpointChangedError``.
 """
 
 from __future__ import annotations
@@ -197,7 +199,7 @@ class Checkpoint:
     best_score: float = -math.inf
     epoch: int = 0
     # enhance load only: ``tensors`` holds ``model.held_shapes``' entries,
-    # ``blocks`` reads the blocks' other entries, and ``passed`` maps each
+    # ``blocks`` reads the blocks' weight layers, and ``passed`` maps each
     # entry of the file's table that was read and checked but not kept
     # (the value-gate inputs, the blocks' streamed entries and any the
     # table check refuses) to its stored shape
@@ -249,29 +251,50 @@ def params_from_checkpoint(ckpt: Checkpoint) -> dict:
 
 class StreamedTable(dict):
     """An enhance load's table for ``model.enhance``: the tensors of
-    ``model.held_shapes``, by name, and ``read_block(i)``, which reads
-    block ``i``'s other entries from the checkpoint (``BlockReader.read``).
-    ``model.block_table`` calls it as the forward pass reaches the block.
+    ``model.held_shapes``, by name, and ``block(i)``, block ``i``'s
+    ``StreamedBlock``, which ``model.block_table`` calls as the forward
+    pass reaches the block.
     """
 
     def __init__(self, held: dict, blocks: BlockReader):
         super().__init__(held)
         self._blocks = blocks
 
-    def read_block(self, i: int) -> dict:
-        return {**self._blocks.read(i), "attn.v_gate": self[f"block{i}.attn.v_gate"]}
+    def block(self, i: int) -> StreamedBlock:
+        prefix = f"block{i}."
+        return StreamedBlock({k[len(prefix):]: t for k, t in self.items()
+                              if k.startswith(prefix)}, self._blocks, i)
+
+
+class StreamedBlock(dict):
+    """One block of a ``StreamedTable``: its held tensors, by name without
+    the block's prefix, and ``read_layer(prefix)``, which returns those
+    under ``prefix`` with the layer's weights read from the checkpoint
+    (``BlockReader.read``). ``model.layer_table`` calls it just before the
+    layer's op runs.
+    """
+
+    def __init__(self, held: dict, blocks: BlockReader, i: int):
+        super().__init__(held)
+        self._blocks, self._index = blocks, i
+
+    def read_layer(self, prefix: str) -> dict:
+        return ({k: t for k, t in self.items() if k.startswith(prefix)}
+                | self._blocks.read(self._index, prefix))
 
 
 class BlockReader:
-    """Where each block's streamed entries lie in an enhance load's
+    """Where each block's weight layers lie in an enhance load's
     checkpoint, and the open file they are read from.
 
-    ``read(i)`` reads block ``i``'s entries into one buffer, sized for the
-    largest block, allocated on the first read and reused across blocks
-    and calls, and returns a tensor viewing each entry, its name without
-    the block's prefix. The next read overwrites these views, so ``read``
+    ``read(i, prefix)`` reads the entries of block ``i``'s layer
+    ``prefix``, one of ``model.STREAMED_LAYERS``, into one buffer, sized
+    for the largest layer, allocated on the first read and reused across
+    layers, blocks and calls, and returns a tensor viewing each entry, its
+    name without the block's prefix; a prefix that names no such layer
+    reads nothing. The next read overwrites these views, so ``read``
     refuses to run while ops record (``tensor.recording``): a recorded
-    graph would read the next block's weights. Each read is checked as the
+    graph would read the next layer's weights. Each read is checked as the
     load checked it, complete and finite, and the file's size and
     ``st_mtime_ns`` must be those it had when loaded; otherwise ``read``
     raises ``CheckpointChangedError`` naming the file. The file is closed
@@ -281,29 +304,29 @@ class BlockReader:
     def __init__(self, fh, path: str, stat, layout: dict):
         self._fh, self.path = fh, path
         self._stat = (stat.st_size, stat.st_mtime_ns)
-        # block i -> (name, shape, byte position in the file, buffer offset,
-        # count), each entry on a 16-float boundary of the buffer, as the
-        # full load lays out its block
+        # (block i, layer prefix) -> (name, shape, byte position in the
+        # file, buffer offset, count), each entry on a 16-float boundary of
+        # the buffer, as the full load lays out its block
         self._layout, self._size = {}, 0
-        for i, entries in layout.items():
+        for layer, entries in layout.items():
             offset, placed = 0, []
             for name, shape, position, count in entries:
                 placed.append((name, shape, position, offset, count))
                 offset += -(-count // 16) * 16
-            self._layout[i], self._size = placed, max(self._size, offset)
+            self._layout[layer], self._size = placed, max(self._size, offset)
         self._buffer = None
         weakref.finalize(self, fh.close)
 
-    def read(self, i: int) -> dict:
+    def read(self, i: int, prefix: str) -> dict:
         if tensor.recording():
             raise RuntimeError(
                 "a streamed checkpoint table serves only unrecorded enhancement "
-                "(under tensor.no_grad): each block's weights are overwritten by the next's")
+                "(under tensor.no_grad): each layer's weights are overwritten by the next's")
         if self._buffer is None:
             self._buffer = np.empty(self._size, "<f4")
         views = {}
         try:
-            for name, shape, position, offset, count in self._layout[i]:
+            for name, shape, position, offset, count in self._layout.get((i, prefix), ()):
                 arr = self._buffer[offset:offset + count]
                 self._fh.seek(position)
                 _read_payload(self._fh, f"block{i}.{name}", arr)
@@ -436,8 +459,8 @@ def load_checkpoint(path, for_enhance: bool = False) -> Checkpoint:
     order one block's pair of (N, N) matrices is held at a time. Every
     other payload, Adam's moments and the blocks' other entries included,
     is read through one chunk buffer, checked, and dropped; ``adam`` is
-    then None, and ``blocks`` records where each block's entries lie, to
-    read them again when ``model.enhance`` reaches the block.
+    then None, and ``blocks`` records where each block's weight layers
+    lie, to read each again when ``model.enhance`` reaches it.
     ``params_from_checkpoint`` checks the table, the entries not kept
     included, as for a full load.
     """
@@ -537,7 +560,7 @@ def _read_checkpoint(fh, path: str, for_enhance: bool = False) -> Checkpoint:
 
     # what the enhance load does with each entry: it holds the entries of
     # the held table but the gates, which it folds from their inputs
-    # (name -> (gate, key)); it streams the blocks' other entries, and
+    # (name -> (gate, key)); it streams the blocks' weight layers, and
     # reads, checks and drops the rest: the moments, an entry named like a
     # gate, a folded input of the wrong shape, and any the table check
     # then refuses
@@ -564,9 +587,9 @@ def _read_checkpoint(fh, path: str, for_enhance: bool = False) -> Checkpoint:
         offsets[name], start = start, start + span
     tensors, adam_m, adam_v = {}, {}, {}
     # the folded inputs read so far, gate -> {key: array}; the stored shape
-    # of each entry of the file's table read but not kept; each block's
-    # streamed entries, block index -> [(name in the block, shape, byte
-    # position, count)]
+    # of each entry of the file's table read but not kept; each layer's
+    # streamed entries, (block index, layer prefix) -> [(name in the block,
+    # shape, byte position, count)]
     pending, passed, layout = {}, {}, {}
     # (N, N) buffers, the largest folded input's size, reused once a block
     # is folded, and the chunk buffer that every dropped payload goes through
@@ -606,8 +629,8 @@ def _read_checkpoint(fh, path: str, for_enhance: bool = False) -> Checkpoint:
                 passed[name] = shape
             if name in streamed:
                 prefix, _, rest = name.partition(".")
-                layout.setdefault(int(prefix[len("block"):]), []).append(
-                    (rest, shape, position, count))
+                layer = (int(prefix[len("block"):]), model.streamed_layer(rest))
+                layout.setdefault(layer, []).append((rest, shape, position, count))
             for lo in range(0, count, chunk.size):
                 _read_payload(fh, name, chunk[:min(chunk.size, count - lo)])
         position += count * 4

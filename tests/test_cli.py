@@ -158,9 +158,9 @@ def payload_position(path: Path, name: str) -> int:
 
 
 class TestStreamedEnhance:
-    """``arn enhance`` reads each block from the checkpoint when the forward
-    pass reaches it, for every file; the output is byte for byte what
-    ``model.enhance`` gives on the full trainable table."""
+    """``arn enhance`` reads each block's weight layers from the checkpoint
+    when the forward pass reaches them, for every file; the output is byte
+    for byte what ``model.enhance`` gives on the full trainable table."""
 
     @pytest.mark.parametrize("causal", [True, False])
     def test_directory_equals_full_table_enhance(self, tmp_path, causal):
@@ -217,7 +217,7 @@ class TestStreamedEnhance:
     def test_checkpoint_changed_between_files_exit_4(self, tmp_path, capsys, monkeypatch,
                                                      change):
         # the first file is written, then the checkpoint changes in place:
-        # the second file's first block read refuses it, before its output
+        # the second file's first layer read refuses it, before its output
         cfg = stream_cfg(True)
         params = model.init_params(cfg, np.random.default_rng(2305), dtype=np.float32)
         ckpt = tmp_path / "model.ckpt"

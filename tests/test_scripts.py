@@ -138,3 +138,26 @@ class TestBenchPairs:
         # one traced run per side, and the report says so
         assert {side: entry["runs"] for side, entry in layers["w"].items()} == \
             {"parent": 1, "change": 1}
+
+    def test_same_tree_only_when_parent_is_head_and_status_empty(self):
+        head = "a" * 40
+        assert bench_pairs.same_tree(head, head, "")
+        assert not bench_pairs.same_tree(head, head, " M src/arn/model.py")
+        # an untracked file is a change too
+        assert not bench_pairs.same_tree(head, head, "?? BENCH_24.json")
+        assert not bench_pairs.same_tree("b" * 40, head, "")
+
+    def test_main_refuses_a_tree_against_itself(self, monkeypatch, capsys):
+        head = "c" * 40
+        answers = {"rev-parse": head, "status": ""}
+        monkeypatch.setattr(bench_pairs, "_git", lambda *args: answers[args[0]])
+
+        def never(*args, **kwargs):
+            raise AssertionError("nothing may be exported or run")
+        monkeypatch.setattr(bench_pairs, "_export", never)
+        monkeypatch.setattr(bench_pairs, "_run", never)
+        monkeypatch.setattr(bench_pairs.tempfile, "mkdtemp", never)
+        assert bench_pairs.main(["--pr", "0"]) == 2
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: --parent HEAD is HEAD")
+        assert not (ROOT / "BENCH_0.json").exists()

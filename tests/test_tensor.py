@@ -8,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from arn import tensor
+from arn import losses, model, tensor
+from arn.optim import AdamState, adam_step
 from arn.tensor import (
     DimensionError,
     RankError,
@@ -285,6 +286,79 @@ class TestBackward:
         z = tensor.mul(y, x)  # 2x^2, dz/dx = 4x = 8
         tensor.backward(sum_all(z))
         assert x.grad[0, 0] == pytest.approx(8.0)
+
+
+def _acc_into_zeros(self, g, fresh=False):
+    """``Tensor._acc`` as it was before adoption: every first gradient is
+    added into new zeros."""
+    if self.grad is None:
+        self.grad = np.zeros_like(self.data)
+    self.grad += g
+
+
+class TestGradientAdoption:
+    """A tensor adopts a first gradient that its op made for it alone, and
+    keeps every bit that adding it into zeros gives."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_adopted_bits_equal_zeros_then_add(self, dtype):
+        tiny, big = np.finfo(dtype).smallest_subnormal, np.finfo(dtype).max
+        g = np.array([[-0.0, 0.0, 1.5, -2.25], [tiny, -tiny, big, -np.inf]], dtype)
+        expected = np.zeros_like(g) + g
+        assert not np.signbit(expected[0, 0])
+        t = Tensor(np.ones_like(g), requires_grad=True)
+        first = g.copy()
+        t._acc(first, fresh=True)
+        assert t.grad is first
+        assert t.grad.tobytes() == expected.tobytes()
+        second = g[::-1].copy()
+        t._acc(second, fresh=True)
+        assert t.grad is first and second.tobytes() == g[::-1].tobytes()
+        assert t.grad.tobytes() == (expected + g[::-1]).tobytes()
+
+    @pytest.mark.parametrize("g", [np.full((2, 3), -0.0), np.full(3, -0.0, np.float32)],
+                             ids=["other_dtype", "broadcast"])
+    def test_mismatched_gradient_added_into_zeros(self, g):
+        t = Tensor(np.ones((2, 3), np.float32), requires_grad=True)
+        t._acc(g, fresh=True)
+        assert t.grad is not g and t.grad.dtype == np.float32 and t.grad.shape == (2, 3)
+        assert t.grad.tobytes() == np.zeros((2, 3), np.float32).tobytes()
+
+    def test_passed_through_gradients_not_adopted(self):
+        # add hands one gradient to both operands, and mean_all a read-only
+        # broadcast view: each operand gets an array of its own
+        a, b = (Tensor(rand((3, 4), seed), requires_grad=True) for seed in (24, 25))
+        out = tensor.add(a, b)
+        g = rand((3, 4), 26)
+        out.grad = g
+        out._backward()
+        assert a.grad is not g and b.grad is not g and a.grad is not b.grad
+        x = Tensor(rand((3, 4), 27), requires_grad=True)
+        tensor.backward(tensor.mean_all(x))
+        assert x.grad.flags.writeable and x.grad.flags.owndata
+
+    @pytest.mark.parametrize("causal, loss", [(True, "pcm"), (False, "mse")])
+    def test_model_gradients_and_moments_bitwise(self, monkeypatch, causal, loss):
+        # one recorded step with dropout, then one with every first gradient
+        # added into zeros: the same gradients, moments and weights
+        cfg = model.ARNConfig(width=16, frame_in=16, frame_out=8, shift=4, num_blocks=2,
+                              causal=causal, dropout=0.1)
+        rng = np.random.default_rng(28)
+        x, s = rng.standard_normal(200), rng.standard_normal(200)
+
+        def step():
+            params = model.init_params(cfg, np.random.default_rng(29), np.float32)
+            adam = AdamState.for_params(params)
+            out = model.arn_forward(x, params, cfg, rng=np.random.default_rng(30))
+            tensor.backward(losses.LOSS_FNS[loss](x, s, out))
+            grads = {k: p.grad.tobytes() for k, p in params.items()}
+            adam_step(params, adam, 1e-3)
+            return grads, [{k: a.tobytes() for k, a in arrays.items()}
+                            for arrays in (adam.m, adam.v, {k: p.data for k, p in params.items()})]
+
+        adopted = step()
+        monkeypatch.setattr(Tensor, "_acc", _acc_into_zeros)
+        assert step() == adopted
 
 
 class TestStructuralOps:
@@ -1171,6 +1245,34 @@ class TestRowTiledMemory:
         scratch = max(sub_rows * (4 * n + n), sub_rows * n + k * n) * 8
         assert k * 4 * n * 8 > scratch + np.getbufsize() * 8 + 16384
         assert peak - start <= grads + tile + scratch + np.getbufsize() * 8 + 16384
+
+    def test_feedforward_backward_adopts_its_gradients(self):
+        # below one tile's rows and with K = 4n input columns, so that dw
+        # outweighs the tile: the input gradients, handed over, not copied,
+        # the call's one (T, 4n) tile, and one chunk's (K, n) weight product
+        # beside the contiguous copies of its operands that the product
+        # makes, (K, T) and (T, n). A copy of dw, made by adding it into new
+        # zeros, would pass it
+        steps, n = 64, self.SCRATCH_WIDTH
+        k = 4 * n
+        rng = np.random.default_rng(99)
+        x, w, b = (Tensor(rng.standard_normal(shape), requires_grad=True) for shape in
+                   ((steps, k), (k, 4 * n), 4 * n))
+        out = tensor.feedforward(x, w, b)
+        out.grad = rng.standard_normal((steps, n))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out._backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grads = (steps * k + k * 4 * n + 4 * n) * 8
+        tile = steps * 4 * n * 8
+        scratch = (k * n + k * steps + steps * n) * 8 + np.getbufsize() * 8 + 16384
+        assert tile + scratch < k * 4 * n * 8
+        assert peak - start <= grads + tile + scratch
+        assert (x.grad.shape, w.grad.shape, b.grad.shape) == ((steps, k), (k, 4 * n), (4 * n,))
 
     @pytest.mark.parametrize("causal", [False, True])
     def test_attention_holds_one_score_tile(self, causal):

@@ -1,13 +1,15 @@
 """Training loop, schedule, validation selection, checkpoint persistence."""
 
+import collections
 import dataclasses
 import math
+import os
 import re
 
 import numpy as np
 import pytest
 
-from arn import losses, model, tensor, training
+from arn import cli, losses, model, tensor, training, wavio
 from arn.losses import DB_CAP, si_snr
 from arn.model import ARNConfig, ConfigurationError
 from arn.optim import AdamState
@@ -597,15 +599,17 @@ class TestCheckpoint:
         loaded = load_checkpoint(path, for_enhance=True)
         assert loaded.adam is None
         table = params_from_checkpoint(loaded)
-        # the held tensors, then each block's read: the enhance table
+        # the held tensors, then each block's layers, read one at a time:
+        # the enhance table
         assert [(k, t.shape) for k, t in table.items()] == \
             list(model.held_shapes(cfg).items())
+        layers = {}
         with tensor.no_grad():
-            blocks = [{f"block{i}.{k}": t.shape for k, t in table.read_block(i).items()}
-                      for i in range(cfg.num_blocks)]
-        assert {k: t.shape for k, t in table.items()} | {
-            k: shape for block in blocks for k, shape in block.items()} == \
-            model.enhance_shapes(cfg)
+            for i in range(cfg.num_blocks):
+                for prefix in ("lstm." if causal else "blstm.", "attn.", "ff."):
+                    layer = model.layer_table(table.block(i), prefix)
+                    layers.update({f"block{i}.{k}": t.shape for k, t in layer.items()})
+        assert {k: t.shape for k, t in table.items()} | layers == model.enhance_shapes(cfg)
         for i in range(cfg.num_blocks):
             with tensor.no_grad():
                 gate = model._v_gate_graph(model._sub(params, f"block{i}.attn."))
@@ -747,18 +751,32 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+def padded(shapes) -> int:
+    """Bytes of float32 entries of ``shapes``, each rounded up to 16 floats,
+    as a streamed table's reader lays them out in its buffer."""
+    return sum(-(-math.prod(shape) // 16) * 16 for shape in shapes) * 4
+
+
+def streamed_shapes(cfg: ARNConfig, block: str = "block") -> dict:
+    """Name -> shape of the enhance-table entries that a streamed table
+    reads from its checkpoint, for names starting with ``block``."""
+    held = model.held_shapes(cfg)
+    return {name: shape for name, shape in model.enhance_shapes(cfg).items()
+            if name.startswith(block) and name not in held}
+
+
 class TestStreamedTable:
     """The enhance load's table holds the tensors outside the blocks and
-    each value gate, and reads each block from the file as the forward pass
-    reaches it."""
+    each block's vectors, and reads each block's weight layers from the
+    file, one at a time, as the forward pass reaches them."""
 
     @pytest.mark.parametrize("causal", [True, False])
-    def test_load_and_enhance_hold_one_block(self, monkeypatch, tmp_path, causal):
+    def test_load_and_enhance_hold_one_layer(self, monkeypatch, tmp_path, causal):
         # what `arn enhance` does, load and enhance, traced: at most the held
-        # tensors, one block's streamed entries (each rounded up to 16
-        # floats, as the reader's buffer lays them out) and the activations
-        # that TestEvalMemory bounds, at its tile size; below the whole
-        # enhance table, which a load holding every block would pass
+        # tensors, the largest layer's streamed entries (the RNN's) and the
+        # activations that TestEvalMemory bounds, at its tile size. A reader
+        # that holds a whole block's streamed entries passes it, and so
+        # would a load holding the whole enhance table
         from test_model import TestEvalMemory as limits
         monkeypatch.setattr(tensor, "TILE_ROWS", limits.TILE)
         cfg = ARNConfig(width=256, frame_in=32 if causal else 16, frame_out=16,
@@ -769,20 +787,21 @@ class TestStreamedTable:
         steps = 1024
         x = np.random.default_rng(2311).standard_normal(steps * cfg.shift)
 
-        def padded(shapes):
-            return sum(-(-math.prod(shape) // 16) * 16 for shape in shapes) * 4
-
-        held = model.held_shapes(cfg)
-        block = padded(shape for name, shape in model.enhance_shapes(cfg).items()
-                       if name.startswith("block0.") and name not in held)
-        whole = padded(model.enhance_shapes(cfg).values())
+        held = padded(model.held_shapes(cfg).values())
+        block = streamed_shapes(cfg, "block0.")
+        layer = max(padded(shape for name, shape in block.items()
+                           if name.startswith(f"block0.{prefix}"))
+                    for prefix in model.STREAMED_LAYERS)
+        assert layer == padded(shape for name, shape in block.items()
+                               if ".lstm." in name or ".blstm." in name)
         activations = limits.MAX_ARRAYS * steps * cfg.width * 4
         out = []
         peak = traced_peak(lambda: out.append(model.enhance(
             x, params_from_checkpoint(load_checkpoint(path, for_enhance=True)), cfg)))
         assert out[0].tobytes() == model.enhance(x, params, cfg).tobytes()
-        assert padded(held.values()) + block + activations < whole
-        assert peak <= padded(held.values()) + block + activations
+        assert layer < padded(block.values())
+        assert held + layer + activations < padded(model.enhance_shapes(cfg).values())
+        assert peak <= held + layer + activations
 
     def test_refuses_recording(self, tmp_path):
         cfg = toy_model_cfg(num_blocks=2)
@@ -794,12 +813,76 @@ class TestStreamedTable:
         with pytest.raises(RuntimeError, match="unrecorded enhancement"):
             model.arn_forward(x, table, cfg)
         with pytest.raises(RuntimeError, match="unrecorded enhancement"):
-            table.read_block(1)
+            model.layer_table(table.block(1), "ff.")
         with tensor.no_grad():
-            assert table.read_block(1)["ff.w"].data.tobytes() == \
+            assert model.layer_table(table.block(1), "ff.")["ff.w"].data.tobytes() == \
                 params["block1.ff.w"].data.tobytes()
         assert model.enhance(x, table, cfg).tobytes() == \
             model.enhance(x, params, cfg).tobytes()
+
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_each_streamed_entry_read_once_per_file(self, monkeypatch, tmp_path, causal):
+        # every payload read through _read_payload, counted by name and
+        # bytes: per enhanced file, each block's streamed entries once
+        cfg = toy_model_cfg(num_blocks=2, causal=causal)
+        params = model.init_params(cfg, np.random.default_rng(2314), np.float32)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint_from(params, cfg), path)
+        table = params_from_checkpoint(load_checkpoint(path, for_enhance=True))
+        names, read_bytes = collections.Counter(), []
+        read = training._read_payload
+
+        def counting(fh, name, arr):
+            names[name] += 1
+            read_bytes.append(arr.nbytes)
+            read(fh, name, arr)
+        monkeypatch.setattr(training, "_read_payload", counting)
+        streamed = streamed_shapes(cfg)
+        x = np.random.default_rng(2315).standard_normal(96)
+        for files in (1, 2):
+            model.enhance(x, table, cfg)
+            assert names == collections.Counter(dict.fromkeys(streamed, files))
+            assert sum(read_bytes) == files * 4 * sum(map(math.prod, streamed.values()))
+        # at full size, each file reads the blocks' RNN, query map and
+        # feedforward, 13 or 11 (N, N) matrices and 9 N-vectors per block
+        full = streamed_shapes(ARNConfig(causal=causal))
+        assert 4 * sum(map(math.prod, full.values())) == \
+            (208 if causal else 176) * 2 ** 20 + 144 * 2 ** 10
+
+    def test_checkpoint_rewritten_between_layer_reads_exit_4(self, monkeypatch, tmp_path,
+                                                              capsys):
+        # block 0's RNN is read for the first file, then the checkpoint is
+        # rewritten in place, at the same size with a later modification
+        # time: the block's attention read refuses it, naming the file,
+        # before that file's output is written
+        cfg = ARNConfig(width=16, frame_in=16, frame_out=8, shift=8, num_blocks=2,
+                        causal=True, dropout=0.0)
+        ckpt, other = tmp_path / "model.ckpt", tmp_path / "other.ckpt"
+        for seed, path in ((2316, ckpt), (2317, other)):
+            params = model.init_params(cfg, np.random.default_rng(seed), np.float32)
+            save_checkpoint(checkpoint_from(params, cfg), path)
+        src, dst = tmp_path / "in", tmp_path / "out"
+        src.mkdir()
+        wavio.write_wav(src / "a.wav", 0.25 * np.sin(np.arange(1600) / 5.0))
+        reads = []
+        read = training.BlockReader.read
+
+        def read_then_rewrite(self, i, prefix):
+            views = read(self, i, prefix)
+            reads.append((i, prefix))
+            if len(reads) == 1:
+                before = ckpt.stat()
+                ckpt.write_bytes(other.read_bytes())
+                os.utime(ckpt, ns=(before.st_atime_ns, before.st_mtime_ns + 10 ** 9))
+                assert ckpt.stat().st_size == before.st_size
+            return views
+        monkeypatch.setattr(training.BlockReader, "read", read_then_rewrite)
+        assert cli.main(["enhance", "--model", str(ckpt),
+                         "--in", str(src), "--out", str(dst)]) == 4
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and "changed after it was loaded" in err
+        assert reads == [(0, "lstm.")]
+        assert not (dst / "a.wav").exists()
 
 
 class TestFit:
