@@ -236,7 +236,8 @@ def main(argv=None) -> int:
         print(f"error: --parent {args.parent} is HEAD and the working tree is clean: "
               "there is no change to compare", file=sys.stderr)
         return 2
-    uncommitted = bool(_git("status", "--porcelain", "--untracked-files=no"))
+    # an untracked file is run from the working tree too
+    uncommitted = bool(status.strip())
     out_path = ROOT / f"BENCH_{args.pr}.json"
 
     jobs = [(w["name"], seed, side, 0) for w in spec["workloads"]

@@ -82,8 +82,9 @@ def _seed() -> int:
 
 
 def _load_model(ckpt_path):
-    # the streamed enhance table: no Adam moment, each value gate folded,
-    # each block read from the file when the forward pass reaches it
+    # the streamed table: no Adam moment, and each block's weight layers
+    # read from the file, for every enhanced file, when the forward pass
+    # reaches them
     ckpt = training.load_checkpoint(ckpt_path, for_enhance=True)
     params = training.params_from_checkpoint(ckpt)
     return params, ckpt.model_cfg

@@ -16,20 +16,15 @@ observed input.
 
 Parameters live in a flat ordered dict of named tensors; one helper,
 ``_sub``, derives each block's and each layer's view by name prefix. The
-forward pass takes one of two tables. The trainable table,
-``param_shapes``, is what training updates and checkpoints store. The
-enhance table, ``enhance_shapes``, is what enhancement reads: each block's
-value gate depends on no input, so its five inputs (``attn.v`` and both
-``lin_v_*`` maps, two (N, N) matrices) are folded once, by
-``fold_v_gate``, into one (1, N) ``attn.v_gate``, the vector the
-trainable table remakes on every call. ``arn enhance`` holds the enhance
-table streamed (``training.StreamedTable``): the entries of
-``held_shapes`` in memory, and each block's weight layers (its RNN,
-attention's query map and the feedforward, ``STREAMED_LAYERS``) read from
-the checkpoint one at a time, each when the forward pass reaches it. The
-pass gets each block's table through ``block_table`` and each layer's
-through ``layer_table``, which a dict answers by prefix, so there is one
-forward path for every table.
+table, ``param_shapes``, is what training updates and checkpoints store.
+``arn enhance`` holds it streamed (``training.StreamedTable``): the
+entries of ``held_shapes`` in memory, and each block's weight layers (its
+RNN, attention's three linear maps and the feedforward,
+``STREAMED_LAYERS``) read from the checkpoint one at a time, each when the
+forward pass reaches it. The pass gets each block's table through
+``block_table`` and each layer's through ``layer_table``, which a dict
+answers by prefix, so there is one forward path, and one value-gate path,
+for either table.
 
 Outside recording, each (T, N) array is dropped after its last reader, or
 written over by it. The frame rows, each block's input and the attention's
@@ -175,37 +170,12 @@ def param_shapes(cfg: ARNConfig) -> dict:
     return shapes
 
 
-# the entries of a block's attention that only its value gate reads
-V_GATE_INPUTS = ("v", "lin_v_sig.w", "lin_v_sig.b", "lin_v_tanh.w", "lin_v_tanh.b")
-
-
-def v_gate_inputs(cfg: ARNConfig) -> dict:
-    """Trainable name -> (gate name, key for ``fold_v_gate``) for each
-    entry folded into a block's ``block<i>.attn.v_gate``."""
-    return {f"block{i}.attn.{key}": (f"block{i}.attn.v_gate", key)
-            for i in range(cfg.num_blocks) for key in V_GATE_INPUTS}
-
-
-def enhance_shapes(cfg: ARNConfig) -> dict:
-    """Name -> shape of the enhance table: ``param_shapes`` with each
-    block's value-gate inputs replaced by its (1, N) ``attn.v_gate``,
-    listed where ``attn.v`` was."""
-    folded = v_gate_inputs(cfg)
-    shapes = {}
-    for name, shape in param_shapes(cfg).items():
-        if name not in folded:
-            shapes[name] = shape
-        elif folded[name][1] == "v":
-            shapes[folded[name][0]] = (1, cfg.width)
-    return shapes
-
-
 # a block's weight layers, which a streamed table reads from its checkpoint
 # one at a time, each when the forward pass reaches it: the prefix that
 # ``layer_table`` takes -> the prefix, within the block, of the entries
-# read. They are the RNN (an LSTM or a BLSTM), attention's query map and
-# the feedforward
-STREAMED_LAYERS = {"lstm.": "lstm.", "blstm.": "blstm.", "attn.": "attn.lin_q.",
+# read. They are the RNN (an LSTM or a BLSTM), attention's three linear
+# maps (the query map and the value gate's two) and the feedforward
+STREAMED_LAYERS = {"lstm.": "lstm.", "blstm.": "blstm.", "attn.": "attn.lin_",
                    "ff.": "ff."}
 
 
@@ -218,11 +188,11 @@ def streamed_layer(name: str):
 
 
 def held_shapes(cfg: ARNConfig) -> dict:
-    """Name -> shape of the enhance-table entries that a streamed table
+    """Name -> shape of the entries that a streamed table
     (``training.StreamedTable``) holds: those outside the blocks, and each
     block's vectors outside ``STREAMED_LAYERS``: its five layer norms'
-    gains and offsets, ``attn.q``, ``attn.k`` and the value gate."""
-    return {name: shape for name, shape in enhance_shapes(cfg).items()
+    gains and offsets, ``attn.q``, ``attn.k`` and ``attn.v``."""
+    return {name: shape for name, shape in param_shapes(cfg).items()
             if not name.startswith("block")
             or streamed_layer(name.split(".", 1)[1]) is None}
 
@@ -314,15 +284,6 @@ def _v_gate_graph(p: dict) -> Tensor:
     return sig * tnh
 
 
-def fold_v_gate(inputs: dict) -> np.ndarray:
-    """One block's (1, N) value gate as a plain array, from its input
-    arrays keyed as in ``V_GATE_INPUTS``, computed by the graph that the
-    trainable table runs on every call, so the two tables enhance bitwise
-    alike."""
-    with tensor.no_grad():
-        return _v_gate_graph({k: Tensor(a) for k, a in inputs.items()}).data
-
-
 def attention_block(q: Tensor, k: Tensor, v: Tensor, p: dict, causal: bool,
                     into: Tensor = None) -> Tensor:
     """Single-head attention with per-vector gating, plus ``into`` when one
@@ -331,10 +292,10 @@ def attention_block(q: Tensor, k: Tensor, v: Tensor, p: dict, causal: bool,
     Keys are gated by sigma of a trainable vector, queries pass through a
     linear map gated the same way, and values are scaled by the gate
     sigma(Lin(v)) * tanh(Lin(v)) of the third trainable vector ``v``. The
-    value gate depends on no input, only on the parameters. From the
-    trainable table it is recomputed on every call, so training optimizes
-    it and evaluation sees its current value; the enhance table holds it
-    folded, as ``p["v_gate"]``.
+    value gate depends on no input, only on the parameters. It is
+    recomputed on every call, from either table, so training optimizes it
+    and evaluation and enhancement see its current value; a streamed
+    table reads its two (N, N) maps with the query map, as one layer.
 
     Both key and value gates scale columns, so they are folded out of the
     (T, N) operands: softmax(q_g (k s)^T) (v g) = softmax((q_g s) k^T) v g,
@@ -348,9 +309,8 @@ def attention_block(q: Tensor, k: Tensor, v: Tensor, p: dict, causal: bool,
     that passes its only references frees them there.
     """
     gate = tensor.sigmoid(p["q"]) * tensor.sigmoid(p["k"])
-    v_gate = p["v_gate"] if "v_gate" in p else _v_gate_graph(p)
     return tensor.attention(q, p["lin_q.w"], p["lin_q.b"], gate, k, v, causal,
-                            v_gate, into)
+                            _v_gate_graph(p), into)
 
 
 def feedforward_block(x: Tensor, w: Tensor, b: Tensor, dropout_rate: float,
@@ -432,15 +392,10 @@ def arn_forward(x, params: dict, cfg: ARNConfig, rng=None) -> Tensor:
     depends only on input the model has already seen. The leading
     ``frame_in - frame_out`` samples are covered by no output frame and
     come out as zeros (the causal warm-up region). ``params`` must hold
-    exactly the names of ``param_shapes(cfg)``, or, holding a folded value
-    gate, those of ``enhance_shapes(cfg)``, or, for a streamed table, which
-    reads the rest per layer, those of ``held_shapes(cfg)``.
+    exactly the names of ``param_shapes(cfg)``, or, for a streamed table,
+    which reads the rest per layer, those of ``held_shapes(cfg)``.
     """
-    expected = param_shapes(cfg).keys()
-    if hasattr(params, "block"):
-        expected = held_shapes(cfg).keys()
-    elif "block0.attn.v_gate" in params:
-        expected = enhance_shapes(cfg).keys()
+    expected = (held_shapes if hasattr(params, "block") else param_shapes)(cfg).keys()
     if params.keys() != expected:
         raise ConfigurationError(
             "parameter table does not match the config: names missing under "

@@ -28,15 +28,16 @@ when the file has them, for training, tests and checks. Its enhance load
 (``for_enhance=True``, what ``arn enhance`` and ``arn evaluate --model``
 use) reads and checks every payload all the same, a chunk at a time, but
 holds only the tensors outside the blocks, each block's small vectors
-(``model.held_shapes``: its layer norms, ``attn.q``, ``attn.k`` and its
-value gate, folded from its inputs into one (1, N) vector), where each
-block's weight layers lie in the file, and the open file.
-``params_from_checkpoint`` makes that a ``StreamedTable``, from which
-``model.enhance`` reads each layer of each block (the RNN, attention's
-query map, the feedforward) as the forward pass reaches it, into one
-buffer reused across layers, blocks and files. Each such read is checked
-again, and a file whose size or modification time is no longer what it
-was at the load is refused with ``CheckpointChangedError``.
+(``model.held_shapes``: its layer norms, ``attn.q``, ``attn.k`` and
+``attn.v``), where each block's weight layers lie in the file, and the
+open file. ``params_from_checkpoint`` makes that a ``StreamedTable``, from
+which ``model.enhance`` reads each layer of each block (the RNN,
+attention's three linear maps, the feedforward) as the forward pass
+reaches it, into one buffer reused across layers, blocks and files: every
+weight of the blocks once per file, about 240 MiB at full causal size. Each
+such read is checked again, and a file whose size or modification time is
+no longer what it was at the load is refused with
+``CheckpointChangedError``.
 """
 
 from __future__ import annotations
@@ -201,8 +202,8 @@ class Checkpoint:
     # enhance load only: ``tensors`` holds ``model.held_shapes``' entries,
     # ``blocks`` reads the blocks' weight layers, and ``passed`` maps each
     # entry of the file's table that was read and checked but not kept
-    # (the value-gate inputs, the blocks' streamed entries and any the
-    # table check refuses) to its stored shape
+    # (the blocks' streamed entries and any the table check refuses) to its
+    # stored shape
     blocks: BlockReader | None = None
     passed: dict | None = None
 
@@ -234,8 +235,7 @@ def params_from_checkpoint(ckpt: Checkpoint) -> dict:
     table = expected
     if ckpt.blocks is not None:
         table = model.held_shapes(ckpt.model_cfg)
-        stored = {name: shape for name, shape in stored.items()
-                  if name in expected} | ckpt.passed
+        stored |= ckpt.passed
     if set(stored) != set(expected):
         missing = sorted(set(expected) - set(stored))
         extra = sorted(set(stored) - set(expected))
@@ -452,13 +452,9 @@ def load_checkpoint(path, for_enhance: bool = False) -> Checkpoint:
     own float32 views of one block, so the weights are held once.
 
     With ``for_enhance``, the load holds only the tensors of
-    ``model.held_shapes``, in such a block, and the open file. Each block's
-    value-gate inputs are read into buffers of the largest one's size and
-    folded by ``model.fold_v_gate`` into the block's gate once the last of
-    them is read, whatever the directory's order; with ``save_checkpoint``'s
-    order one block's pair of (N, N) matrices is held at a time. Every
-    other payload, Adam's moments and the blocks' other entries included,
-    is read through one chunk buffer, checked, and dropped; ``adam`` is
+    ``model.held_shapes``, in such a block, and the open file. Every other
+    payload, Adam's moments and the blocks' weights included, is read
+    through one chunk buffer, checked, and dropped; ``adam`` is
     then None, and ``blocks`` records where each block's weight layers
     lie, to read each again when ``model.enhance`` reaches it.
     ``params_from_checkpoint`` checks the table, the entries not kept
@@ -559,42 +555,31 @@ def _read_checkpoint(fh, path: str, for_enhance: bool = False) -> Checkpoint:
         raise CheckpointFormatError(f"bad config block: {exc}") from None
 
     # what the enhance load does with each entry: it holds the entries of
-    # the held table but the gates, which it folds from their inputs
-    # (name -> (gate, key)); it streams the blocks' weight layers, and
-    # reads, checks and drops the rest: the moments, an entry named like a
-    # gate, a folded input of the wrong shape, and any the table check
-    # then refuses
-    folded, expected, streamed = {}, {}, set()
+    # the held table, streams the blocks' weight layers, and reads, checks
+    # and drops the rest: the moments and any entry the table check then
+    # refuses
+    streamed = set()
     kept = {name for name, _, _ in directory if not name.startswith("cache.")}
     if for_enhance:
-        folded = model.v_gate_inputs(model_cfg)
-        expected = model.param_shapes(model_cfg)
         held = model.held_shapes(model_cfg)
-        streamed = model.enhance_shapes(model_cfg).keys() - held.keys()
+        streamed = model.param_shapes(model_cfg).keys() - held.keys()
         kept = {name for name in kept if name in held}
-    gates = dict.fromkeys(gate for gate, _ in folded.values())
-    kept -= gates.keys()
 
     # Every kept tensor is a view of one block, each starting on a 64-byte
     # line. One allocation this large is mapped fresh from the OS (in huge
     # pages where the kernel gives them), so what the load costs does not
     # depend on which freed memory the heap still holds.
     spans = {name: -(-count // 16) * 16 for name, _, count in directory if name in kept}
-    spans.update(dict.fromkeys(gates, -(-model_cfg.width // 16) * 16))
     block = np.empty(sum(spans.values()), dtype="<f4")
     offsets, start = {}, 0
     for name, span in spans.items():
         offsets[name], start = start, start + span
     tensors, adam_m, adam_v = {}, {}, {}
-    # the folded inputs read so far, gate -> {key: array}; the stored shape
-    # of each entry of the file's table read but not kept; each layer's
-    # streamed entries, (block index, layer prefix) -> [(name in the block,
-    # shape, byte position, count)]
-    pending, passed, layout = {}, {}, {}
-    # (N, N) buffers, the largest folded input's size, reused once a block
-    # is folded, and the chunk buffer that every dropped payload goes through
-    size = max((math.prod(expected[name]) for name in folded), default=0)
-    free = []
+    # the stored shape of each entry of the file's table read but not kept;
+    # each layer's streamed entries, (block index, layer prefix) -> [(name
+    # in the block, shape, byte position, count)]; the chunk buffer that
+    # every dropped payload goes through
+    passed, layout = {}, {}
     chunk = np.empty(_CHUNK, "<f4") if for_enhance else None
     for name, shape, count in directory:
         if name.startswith("cache."):
@@ -608,22 +593,6 @@ def _read_checkpoint(fh, path: str, for_enhance: bool = False) -> Checkpoint:
                 adam_v[name[len("adam.v."):]] = arr
             else:
                 tensors[name] = arr
-        elif name in folded and shape == expected[name]:
-            passed[name] = shape
-            if count == size:
-                arr = free.pop() if free else np.empty(size, "<f4")
-            else:
-                arr = np.empty(count, "<f4")
-            arr = arr.reshape(shape)
-            _read_payload(fh, name, arr)
-            gate, key = folded[name]
-            inputs = pending.setdefault(gate, {})
-            inputs[key] = arr
-            if len(inputs) == len(model.V_GATE_INPUTS):
-                out = block[offsets[gate]:offsets[gate] + model_cfg.width].reshape(1, -1)
-                out[...] = model.fold_v_gate(pending.pop(gate))
-                tensors[gate] = out
-                free.extend(a.reshape(-1) for a in inputs.values() if a.size == size)
         else:
             if not name.startswith("adam."):
                 passed[name] = shape

@@ -620,23 +620,6 @@ class TestFullForward:
         with pytest.raises(ConfigurationError, match=r"extra under \['block1\.'\]"):
             model.enhance(np.zeros(40), params, toy_cfg(num_blocks=1))
 
-    @pytest.mark.parametrize("causal", [True, False])
-    def test_enhance_table_enhances_as_trainable_table(self, causal):
-        # each block's value gate folded into one vector: the same output,
-        # bit for bit; a table with both a gate and a folded input is refused
-        cfg = toy_cfg(num_blocks=2, causal=causal)
-        params = init_params(cfg, np.random.default_rng(62), dtype=np.float32)
-        table = {name: params[name] if name in params else Tensor(model.fold_v_gate(
-                     {key: params[name[:-len("v_gate")] + key].data
-                      for key in model.V_GATE_INPUTS}))
-                 for name in model.enhance_shapes(cfg)}
-        assert table["block1.attn.v_gate"].shape == (1, cfg.width)
-        x = np.random.default_rng(63).standard_normal(90)
-        assert model.enhance(x, table, cfg).tobytes() == model.enhance(x, params, cfg).tobytes()
-        mixed = {**table, "block0.attn.v": params["block0.attn.v"]}
-        with pytest.raises(ConfigurationError, match=r"extra under \['block0\.'\]"):
-            model.enhance(x, mixed, cfg)
-
     @pytest.mark.parametrize("m", [100, 16000, 64001])
     def test_output_length_matches_input(self, m):
         cfg = toy_cfg(width=4, frame_in=16, frame_out=16, shift=16)

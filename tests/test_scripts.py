@@ -1,6 +1,7 @@
 """The runnable scripts under ``scripts/`` still run against the library."""
 
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -161,3 +162,25 @@ class TestBenchPairs:
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("error: --parent HEAD is HEAD")
         assert not (ROOT / "BENCH_0.json").exists()
+
+    def test_untracked_files_reported_as_uncommitted_changes(self, monkeypatch, tmp_path):
+        # the change differs from HEAD only by an untracked file, which the
+        # change side runs from the working tree
+        head = "d" * 40
+
+        def git(*args):
+            if args[0] == "rev-parse":
+                return head
+            return "?? src/arn/new.py" if "--untracked-files=no" not in args else ""
+        spec = {**SPEC, "command": ["true"], "run_seconds": 1}
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+        monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+        monkeypatch.setattr(bench_pairs, "_git", git)
+        monkeypatch.setattr(bench_pairs, "_export", lambda rev, dest: None)
+        monkeypatch.setattr(bench_pairs, "_run", lambda command, root, workload, seed,
+                            seconds, trace, side: _record(side, seed, 100.0, trace=trace))
+        monkeypatch.setattr(bench_pairs.signal, "signal", lambda *args: None)
+        assert bench_pairs.main(["--pr", "0"]) == 0
+        report = json.loads((tmp_path / "BENCH_0.json").read_text())
+        assert report["change"] == {"head_sha": head, "uncommitted_changes": True}
+        assert report["complete"] is True
