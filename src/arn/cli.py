@@ -14,10 +14,18 @@ error while reading, enhancing or scoring a pair names the manifest, the
 line and both paths, and exits with the code of the error itself.
 
 ``enhance`` and ``evaluate --model`` hold the checkpoint open and read the
-blocks' weights from it again for every file, one layer at a time. A
-checkpoint that changes during the run, in size or modification time, or
-whose re-read weights are not complete and finite, is refused with exit 4,
-naming the file; outputs written before then stay written.
+blocks' weights from it for every file, one layer at a time, when the
+model reaches them; the load reads none of them. A block weight that is
+not complete and finite is refused at its first read, with exit 4, naming
+the checkpoint and the entry, before that file's output is written; a run
+that enhances nothing (no WAVs, or only empty or silent input) reads no
+block weight and so refuses none. A checkpoint that changes during the
+run, in size or modification time, or whose weights fail a later read
+after passing an earlier one, is refused with exit 4, naming the file.
+A checkpoint whose weights are finite but overflow the network, so that
+an input enhances to non-finite values, is refused with exit 4, naming the
+checkpoint and the input, before any score or output of that input. In
+each case outputs written before then stay written.
 
 Each of these errors is one ``error:`` line on standard error. When
 ``enhance`` or ``evaluate --model`` runs out of memory on an input, the line
@@ -48,6 +56,11 @@ EXIT_MODEL = 4
 EXIT_OTHER = 1
 
 
+class ModelOutputError(Exception):
+    """A checkpoint's weights, each finite, enhance an input to non-finite
+    values: the network overflows on it."""
+
+
 class PairError(Exception):
     """An error while processing one pair of an ``evaluate`` manifest,
     naming the pair; ``code`` is the exit code of the error it wraps."""
@@ -66,7 +79,7 @@ def _exit_code(exc: BaseException):
         return EXIT_USAGE
     if isinstance(exc, WavFormatError):
         return EXIT_WAV
-    if isinstance(exc, (CheckpointError, ConfigurationError)):
+    if isinstance(exc, (CheckpointError, ConfigurationError, ModelOutputError)):
         return EXIT_MODEL
     if isinstance(exc, (OSError, ValueError, DivergenceError, MemoryError)):
         return EXIT_OTHER
@@ -90,18 +103,24 @@ def _load_model(ckpt_path):
     return params, ckpt.model_cfg
 
 
-def _enhance_signal(x: np.ndarray, params, cfg, path) -> np.ndarray:
+def _enhance_signal(x: np.ndarray, params, cfg, path, model_path) -> np.ndarray:
     # the model is trained on unit-RMS mixtures: normalize in, scale back out.
     # An empty signal enhances to an empty one, a silent one to silence.
     r = mixing.rms(x) if x.size else 0.0
     if r == 0.0:
         return np.zeros_like(x)
     try:
-        y = model.enhance(x * (1.0 / r), params, cfg)
+        # weights that overflow the network are refused below, at its
+        # output, so numpy's warnings on the way there are not printed
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = model.enhance(x * (1.0 / r), params, cfg)
     except MemoryError as exc:
         # numpy's message names the array that did not fit
         raise MemoryError(f"out of memory enhancing {path} "
                           f"({x.size / wavio.SAMPLE_RATE:.2f} s of audio): {exc}") from None
+    if not np.isfinite(y).all():
+        raise ModelOutputError(f"{model_path}: enhancing {path} gives non-finite values: "
+                               "the checkpoint's weights overflow the network")
     # scale back in float64: near float32's maximum, y * r overflows float32
     return y.astype(np.float64) * r
 
@@ -117,7 +136,7 @@ def cmd_enhance(args) -> int:
         pairs = [(src, dst)]
     encoding = "pcm16" if args.pcm16 else "float32"
     for in_path, out_path in pairs:
-        enhanced = _enhance_signal(wavio.read_wav(in_path), params, cfg, in_path)
+        enhanced = _enhance_signal(wavio.read_wav(in_path), params, cfg, in_path, args.model)
         wavio.write_wav(out_path, enhanced, encoding=encoding)
     return 0
 
@@ -126,7 +145,7 @@ def cmd_evaluate(args) -> int:
     enhancer = None
     if args.model:
         params, cfg = _load_model(args.model)
-        enhancer = lambda x, path: _enhance_signal(x, params, cfg, path)
+        enhancer = lambda x, path: _enhance_signal(x, params, cfg, path, args.model)
     snrs, sis = [], []
     for number, (clean_path, other_path) in mixing.read_list_file(args.pairs, (str, str)):
         try:

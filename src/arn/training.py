@@ -26,18 +26,23 @@ them, since the gate is recomputed from the parameters.
 ``load_checkpoint`` reads the whole trainable table, and Adam's moments
 when the file has them, for training, tests and checks. Its enhance load
 (``for_enhance=True``, what ``arn enhance`` and ``arn evaluate --model``
-use) reads and checks every payload all the same, a chunk at a time, but
-holds only the tensors outside the blocks, each block's small vectors
-(``model.held_shapes``: its layer norms, ``attn.q``, ``attn.k`` and
-``attn.v``), where each block's weight layers lie in the file, and the
-open file. ``params_from_checkpoint`` makes that a ``StreamedTable``, from
-which ``model.enhance`` reads each layer of each block (the RNN,
-attention's three linear maps, the feedforward) as the forward pass
-reaches it, into one buffer reused across layers, blocks and files: every
-weight of the blocks once per file, about 240 MiB at full causal size. Each
-such read is checked again, and a file whose size or modification time is
-no longer what it was at the load is refused with
-``CheckpointChangedError``.
+use) reads and checks only the tensors outside the blocks and each block's
+small vectors (``model.held_shapes``: its layer norms, ``attn.q``,
+``attn.k`` and ``attn.v``), which it holds, and Adam's moments, which it
+drops. It steps over the blocks' weight layers, recording where each lies,
+and keeps the file open. ``params_from_checkpoint`` makes that a
+``StreamedTable``, from which ``model.enhance`` reads each layer of each
+block (the RNN, attention's three linear maps, the feedforward) as the
+forward pass reaches it, into one buffer reused across layers, blocks and
+files: every weight of the blocks once per file, about 240 MiB at full
+causal size. Each such read is checked complete and finite before any op
+sees it. A fault found at a layer's first read was in the file at the load
+and is refused as the full load refuses it (``CheckpointFormatError`` or
+``CheckpointTruncatedError``, naming the file and the entry); a layer that
+passed before and fails later, or any read from a file whose size or
+modification time is no longer what it was at the load, is refused with
+``CheckpointChangedError``. An enhance load that enhances nothing reads no
+block weight.
 """
 
 from __future__ import annotations
@@ -77,8 +82,8 @@ class CheckpointTruncatedError(CheckpointError):
 
 class CheckpointChangedError(CheckpointError):
     """A checkpoint that an enhance load streams from changed after the
-    load: its size or modification time, or a re-read payload that is
-    short or not finite."""
+    load: its size or modification time, or a payload that passed its
+    check before and is now short or not finite."""
 
 
 @dataclass
@@ -201,9 +206,9 @@ class Checkpoint:
     epoch: int = 0
     # enhance load only: ``tensors`` holds ``model.held_shapes``' entries,
     # ``blocks`` reads the blocks' weight layers, and ``passed`` maps each
-    # entry of the file's table that was read and checked but not kept
-    # (the blocks' streamed entries and any the table check refuses) to its
-    # stored shape
+    # entry of the file's table that was not kept (the blocks' streamed
+    # entries and any the table check refuses), and not read, to its stored
+    # shape
     blocks: BlockReader | None = None
     passed: dict | None = None
 
@@ -225,7 +230,7 @@ def params_from_checkpoint(ckpt: Checkpoint) -> dict:
     config's trainable shape table.
 
     From an enhance load, the table checked is the file's entries, the
-    ones read but not kept included, and what is returned is a
+    ones not read or kept included, and what is returned is a
     ``StreamedTable``. Nothing is copied: each parameter's data is the
     array in ``ckpt.tensors``, so one copy of the weights is held, and an
     in-place update of a parameter also changes the checkpoint object.
@@ -294,11 +299,15 @@ class BlockReader:
     name without the block's prefix; a prefix that names no such layer
     reads nothing. The next read overwrites these views, so ``read``
     refuses to run while ops record (``tensor.recording``): a recorded
-    graph would read the next layer's weights. Each read is checked as the
-    load checked it, complete and finite, and the file's size and
-    ``st_mtime_ns`` must be those it had when loaded; otherwise ``read``
-    raises ``CheckpointChangedError`` naming the file. The file is closed
-    when the reader is collected.
+    graph would read the next layer's weights. The load does not read these
+    entries, so this is their only check: each read must be complete and
+    finite, and the file's size and ``st_mtime_ns`` must be those it had
+    when loaded. A layer that fails at its first read, from the file as it
+    was loaded, raises the load's own ``CheckpointFormatError`` or
+    ``CheckpointTruncatedError``, naming the file and the entry. Once the
+    layer has passed, or once the file's size or modification time has
+    changed, ``read`` raises ``CheckpointChangedError`` naming the file.
+    The file is closed when the reader is collected.
     """
 
     def __init__(self, fh, path: str, stat, layout: dict):
@@ -314,7 +323,8 @@ class BlockReader:
                 placed.append((name, shape, position, offset, count))
                 offset += -(-count // 16) * 16
             self._layout[layer], self._size = placed, max(self._size, offset)
-        self._buffer = None
+        # the layers read and checked at least once
+        self._buffer, self._verified = None, set()
         weakref.finalize(self, fh.close)
 
     def read(self, i: int, prefix: str) -> dict:
@@ -324,20 +334,27 @@ class BlockReader:
                 "(under tensor.no_grad): each layer's weights are overwritten by the next's")
         if self._buffer is None:
             self._buffer = np.empty(self._size, "<f4")
-        views = {}
+        views, fault = {}, None
         try:
             for name, shape, position, offset, count in self._layout.get((i, prefix), ()):
                 arr = self._buffer[offset:offset + count]
                 self._fh.seek(position)
                 _read_payload(self._fh, f"block{i}.{name}", arr)
                 views[name] = tensor.Tensor(arr.reshape(shape))
-            now = os.fstat(self._fh.fileno())
-            if (now.st_size, now.st_mtime_ns) != self._stat:
-                raise CheckpointChangedError("its size or modification time is not "
-                                             "what it was")
         except CheckpointError as exc:
+            fault = exc
+        now = os.fstat(self._fh.fileno())
+        if (now.st_size, now.st_mtime_ns) != self._stat or (
+                fault is not None and (i, prefix) in self._verified):
             raise CheckpointChangedError(
-                f"{self.path} changed after it was loaded: {exc}") from None
+                f"{self.path} changed after it was loaded: "
+                f"{fault or 'its size or modification time is not what it was'}")
+        if fault is not None:
+            # the layer's first read, from the file as it was loaded: the
+            # fault was there at the load, and is refused as the full load
+            # refuses it
+            raise type(fault)(f"{self.path}: {fault}")
+        self._verified.add((i, prefix))
         return views
 
 
@@ -452,11 +469,14 @@ def load_checkpoint(path, for_enhance: bool = False) -> Checkpoint:
     own float32 views of one block, so the weights are held once.
 
     With ``for_enhance``, the load holds only the tensors of
-    ``model.held_shapes``, in such a block, and the open file. Every other
-    payload, Adam's moments and the blocks' weights included, is read
-    through one chunk buffer, checked, and dropped; ``adam`` is
-    then None, and ``blocks`` records where each block's weight layers
-    lie, to read each again when ``model.enhance`` reaches it.
+    ``model.held_shapes``, in such a block, and the open file. Adam's
+    moments are read through one chunk buffer, allocated only when there
+    are any, checked, and dropped; ``adam`` is then None. Every other
+    payload, the blocks' weights included, is stepped over, not read:
+    ``blocks`` records where each block's weight layers lie, and checks
+    each as ``model.enhance`` reads it (``BlockReader``), so a bad block
+    weight is refused at its first read, before the output of the file
+    being enhanced is written, and a run that enhances nothing reads none.
     ``params_from_checkpoint`` checks the table, the entries not kept
     included, as for a full load.
     """
@@ -555,9 +575,9 @@ def _read_checkpoint(fh, path: str, for_enhance: bool = False) -> Checkpoint:
         raise CheckpointFormatError(f"bad config block: {exc}") from None
 
     # what the enhance load does with each entry: it holds the entries of
-    # the held table, streams the blocks' weight layers, and reads, checks
-    # and drops the rest: the moments and any entry the table check then
-    # refuses
+    # the held table, reads, checks and drops Adam's moments, and steps
+    # over the rest: the blocks' weight layers, which it streams, and any
+    # entry the table check then refuses
     streamed = set()
     kept = {name for name, _, _ in directory if not name.startswith("cache.")}
     if for_enhance:
@@ -575,16 +595,16 @@ def _read_checkpoint(fh, path: str, for_enhance: bool = False) -> Checkpoint:
     for name, span in spans.items():
         offsets[name], start = start, start + span
     tensors, adam_m, adam_v = {}, {}, {}
-    # the stored shape of each entry of the file's table read but not kept;
-    # each layer's streamed entries, (block index, layer prefix) -> [(name
-    # in the block, shape, byte position, count)]; the chunk buffer that
-    # every dropped payload goes through
+    # the stored shape of each entry of the file's table not kept; each
+    # layer's streamed entries, (block index, layer prefix) -> [(name in the
+    # block, shape, byte position, count)]; the chunk buffer that the
+    # moments go through, when there are any
     passed, layout = {}, {}
-    chunk = np.empty(_CHUNK, "<f4") if for_enhance else None
+    chunk = None
+    if for_enhance and any(name.startswith("adam.") for name, _, _ in directory):
+        chunk = np.empty(_CHUNK, "<f4")
     for name, shape, count in directory:
-        if name.startswith("cache."):
-            fh.seek(count * 4, os.SEEK_CUR)
-        elif name in kept:
+        if name in kept:
             arr = block[offsets[name]:offsets[name] + count].reshape(shape)
             _read_payload(fh, name, arr)
             if name.startswith("adam.m."):
@@ -593,15 +613,17 @@ def _read_checkpoint(fh, path: str, for_enhance: bool = False) -> Checkpoint:
                 adam_v[name[len("adam.v."):]] = arr
             else:
                 tensors[name] = arr
+        elif name.startswith("adam."):
+            for lo in range(0, count, chunk.size):
+                _read_payload(fh, name, chunk[:min(chunk.size, count - lo)])
         else:
-            if not name.startswith("adam."):
+            if not name.startswith("cache."):
                 passed[name] = shape
             if name in streamed:
                 prefix, _, rest = name.partition(".")
                 layer = (int(prefix[len("block"):]), model.streamed_layer(rest))
                 layout.setdefault(layer, []).append((rest, shape, position, count))
-            for lo in range(0, count, chunk.size):
-                _read_payload(fh, name, chunk[:min(chunk.size, count - lo)])
+            fh.seek(count * 4, os.SEEK_CUR)
         position += count * 4
 
     adam = None

@@ -204,7 +204,8 @@ class TestStreamedEnhance:
         for line in lines:
             clean_path, noisy_path = line.rstrip("\n").split("\t")
             clean = wavio.read_wav(clean_path)
-            other = cli._enhance_signal(wavio.read_wav(noisy_path), full, cfg, noisy_path)
+            other = cli._enhance_signal(wavio.read_wav(noisy_path), full, cfg, noisy_path,
+                                        str(ckpt))
             snrs.append(losses.snr(clean, other))
             sis.append(losses.si_snr(clean, other))
             want.append(f"{clean_path}\t{noisy_path}\t{snrs[-1]:.3f}\t{sis[-1]:.3f}")
@@ -262,6 +263,102 @@ class TestStreamedEnhance:
         if change == "nan_in_block1":
             assert "block1.ff.w: non-finite values" in err
         assert (dst / "a.wav").exists() and not (dst / "b.wav").exists()
+
+
+def bad_weight_ckpt(tmp_path, name, value):
+    """A two-block checkpoint with ``value`` in one entry of tensor ``name``."""
+    cfg = ARNConfig(width=16, frame_in=16, frame_out=8, shift=8, num_blocks=2,
+                    causal=True, dropout=0.0)
+    ckpt = checkpoint_from(model.init_params(cfg, np.random.default_rng(2601),
+                                             dtype=np.float32), cfg)
+    ckpt.tensors[name].reshape(-1)[5] = value
+    path = tmp_path / "bad.ckpt"
+    save_checkpoint(ckpt, path)
+    return path
+
+
+def pairs_manifest(tmp_path):
+    """A manifest of two (clean, noisy) tone pairs."""
+    lines = []
+    for j in range(2):
+        clean, noisy = tmp_path / f"c{j}.wav", tmp_path / f"n{j}.wav"
+        wavio.write_wav(clean, tone(1600, 300.0 + 100 * j))
+        wavio.write_wav(noisy, tone(1600, 300.0 + 100 * j) + 0.05 * tone(1600, 1234.0))
+        lines.append(f"{clean}\t{noisy}\n")
+    manifest = tmp_path / "pairs.tsv"
+    manifest.write_text("".join(lines))
+    return manifest
+
+
+class TestBadWeights:
+    """A block weight that is not finite is refused when the model first
+    reads it; a checkpoint whose finite weights overflow the network is
+    refused at the network's output. Either is exit 4 and one ``error:``
+    line naming the checkpoint, before any output or score."""
+
+    def test_evaluate_refuses_nan_block_weight(self, tmp_path, capsys):
+        ckpt = bad_weight_ckpt(tmp_path, "block1.ff.w", np.nan)
+        manifest = pairs_manifest(tmp_path)
+        assert cli.main(["evaluate", "--model", str(ckpt), "--pairs", str(manifest)]) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(f"error: {manifest}, line 1 (") and err.count("\n") == 1
+        assert err.endswith(f": {ckpt}: block1.ff.w: non-finite values\n")
+
+    @pytest.mark.parametrize("inputs", ["none", "silent_and_empty"])
+    def test_run_that_enhances_nothing_reads_no_block_weight(self, tmp_path, capsys,
+                                                             inputs):
+        # no WAV reaches the model, so no block weight is read, and the NaN
+        # in one goes unseen
+        ckpt = bad_weight_ckpt(tmp_path, "block0.lstm.w_fh", np.nan)
+        src, dst = tmp_path / "in", tmp_path / "out"
+        src.mkdir()
+        if inputs == "silent_and_empty":
+            wavio.write_wav(src / "silent.wav", np.zeros(1600))
+            wavio.write_wav(src / "empty.wav", np.zeros(0))
+        assert cli.main(["enhance", "--model", str(ckpt),
+                         "--in", str(src), "--out", str(dst)]) == 0
+        assert capsys.readouterr().err == ""
+        for path in src.iterdir():
+            assert wavio.read_wav(dst / path.name).tobytes() == \
+                wavio.read_wav(path).tobytes()
+
+    @pytest.mark.parametrize("command", ["enhance", "evaluate"])
+    def test_finite_weights_that_overflow_exit_4(self, tmp_path, capsys, command):
+        # every stored value is finite, so the checkpoint loads; the first
+        # input then enhances to non-finite values. Numpy's warnings on the
+        # way are not printed
+        ckpt = bad_weight_ckpt(tmp_path, "output_proj.w", 3e38)
+        manifest = pairs_manifest(tmp_path)
+        if command == "enhance":
+            src, dst = tmp_path / "in", tmp_path / "out"
+            src.mkdir()
+            for j in range(2):
+                (src / f"n{j}.wav").write_bytes((tmp_path / f"n{j}.wav").read_bytes())
+            argv = ["enhance", "--model", str(ckpt), "--in", str(src), "--out", str(dst)]
+            first = src / "n0.wav"
+        else:
+            argv = ["evaluate", "--model", str(ckpt), "--pairs", str(manifest)]
+            first = tmp_path / "n0.wav"
+        assert cli.main(argv) == 4
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert err.endswith(f"{ckpt}: enhancing {first} gives non-finite values: "
+                            "the checkpoint's weights overflow the network\n")
+        if command == "enhance":
+            assert list(dst.iterdir()) == []
+
+    def test_finite_weights_that_overflow_inside_print_no_warning(self, tmp_path, capsys):
+        # 1e20 overflows the layer norms' variance but not the output: exit
+        # 0, finite audio, and nothing on stderr
+        ckpt = bad_weight_ckpt(tmp_path, "input_proj.w", 1e20)
+        src, out = tmp_path / "in.wav", tmp_path / "out.wav"
+        wavio.write_wav(src, tone(1600))
+        assert cli.main(["enhance", "--model", str(ckpt),
+                         "--in", str(src), "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert np.isfinite(wavio.read_wav(out)).all()
 
 
 class TestMixAndEvaluate:

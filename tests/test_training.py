@@ -542,11 +542,14 @@ class TestCheckpoint:
     @pytest.mark.parametrize("name", ["input_proj.b", "block1.lstm.w_fh",
                                       "adam.m.output_proj.w", "adam.v.block0.ff.b",
                                       "block1.attn.lin_v_sig.w",
-                                      "block0.attn.lin_v_tanh.w"])
+                                      "block0.attn.lin_v_tanh.w", "block1.ff.w"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    def test_non_finite_tensor_rejected(self, tmp_path, name, value):
-        # by the full load and by the enhance load, which streams the lin_v
-        # matrices and steps over the moments
+    def test_non_finite_tensor_rejected(self, tmp_path, capsys, name, value):
+        # by the full load, and by the enhance load for what it reads: the
+        # held entries and the moments. It steps over the blocks' weight
+        # layers (block1.ff.w is the last one read), so `arn enhance`
+        # refuses those at their first read, with exit 4, naming the
+        # checkpoint and the entry, before the first file's output
         cfg, params, adam = self.make(seed=21, with_adam=True)
         ckpt = checkpoint_from(params, cfg, adam)
         if name.startswith("adam."):
@@ -557,9 +560,17 @@ class TestCheckpoint:
         target.reshape(-1)[target.size // 2] = value
         path = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, path)
-        for for_enhance in (False, True):
+        with pytest.raises(CheckpointFormatError, match=re.escape(name)):
+            load_checkpoint(path)
+        if name not in streamed_shapes(cfg):
             with pytest.raises(CheckpointFormatError, match=re.escape(name)):
-                load_checkpoint(path, for_enhance=for_enhance)
+                load_checkpoint(path, for_enhance=True)
+            return
+        src, dst = two_file_dir(tmp_path)
+        assert cli.main(["enhance", "--model", str(path),
+                         "--in", str(src), "--out", str(dst)]) == 4
+        assert capsys.readouterr().err == f"error: {path}: {name}: non-finite values\n"
+        assert list(dst.iterdir()) == []
 
     def test_shape_mismatch_rejected(self, tmp_path):
         cfg, params, _ = self.make(seed=15)
@@ -649,10 +660,11 @@ class TestCheckpoint:
     @pytest.mark.parametrize("with_adam", [False, True])
     def test_enhance_load_holds_kept_block_and_chunk_buffer(self, tmp_path, with_adam):
         # the held tensors' one block (model.held_shapes), each entry
-        # rounded up to 16 floats, and the chunk buffer that every other
-        # payload, the moments included, is read through; then the loader's
-        # bookkeeping, under 1 KiB per directory entry. One (N, N) buffer, a
-        # held moment or a held block matrix would pass the bound
+        # rounded up to 16 floats, and, when there are moments, the chunk
+        # buffer that they are read through; then the loader's bookkeeping,
+        # under 1 KiB per directory entry. One (N, N) buffer, a held moment,
+        # a held block matrix or a chunk buffer with no moment to read
+        # would pass the bound
         cfg = toy_model_cfg(width=256, num_blocks=2)
         params = model.init_params(cfg, np.random.default_rng(44), np.float32)
         adam = AdamState.for_params(params) if with_adam else None
@@ -665,7 +677,7 @@ class TestCheckpoint:
         assert loaded[0].adam is None
         bookkeeping = 1024 * len(params) * (3 if with_adam else 1)
         assert bookkeeping < cfg.width * cfg.width * 4
-        assert peak <= kept + training._CHUNK * 4 + bookkeeping
+        assert peak <= kept + (training._CHUNK * 4 if with_adam else 0) + bookkeeping
 
     @pytest.mark.parametrize("fault", [
         "missing_v", "missing_lin_v_tanh_w", "lin_v_sig_w_shape", "v_shape",
@@ -757,6 +769,16 @@ class TestCheckpoint:
             load_checkpoint(path)
 
 
+def two_file_dir(tmp_path):
+    """An input directory of two short tones and the output directory that
+    `arn enhance` is to write them to."""
+    src = tmp_path / "in"
+    src.mkdir()
+    for j, name in enumerate(("a.wav", "b.wav")):
+        wavio.write_wav(src / name, 0.25 * np.sin(np.arange(1600) / (5.0 + j)))
+    return src, tmp_path / "out"
+
+
 def padded(shapes) -> int:
     """Bytes of float32 entries of ``shapes``, each rounded up to 16 floats,
     as a streamed table's reader lays them out in its buffer."""
@@ -825,6 +847,34 @@ class TestStreamedTable:
                 params["block1.ff.w"].data.tobytes()
         assert model.enhance(x, table, cfg).tobytes() == \
             model.enhance(x, params, cfg).tobytes()
+
+    @pytest.mark.parametrize("with_adam", [False, True])
+    def test_enhance_load_reads_only_what_it_holds(self, monkeypatch, tmp_path, with_adam):
+        # every payload read through _read_payload, counted by name: the
+        # load reads the held entries and the moments, each once, and steps
+        # over the blocks' weight layers; one enhance then reads each of
+        # those once
+        cfg = toy_model_cfg(num_blocks=2)
+        params = model.init_params(cfg, np.random.default_rng(2318), np.float32)
+        adam = AdamState.for_params(params) if with_adam else None
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint_from(params, cfg, adam), path)
+        names = collections.Counter()
+        read = training._read_payload
+
+        def counting(fh, name, arr):
+            names[name] += 1
+            read(fh, name, arr)
+        monkeypatch.setattr(training, "_read_payload", counting)
+        table = params_from_checkpoint(load_checkpoint(path, for_enhance=True))
+        moments = [f"adam.{m}.{k}" for m in "mv" for k in params] if with_adam else []
+        assert names == collections.Counter(dict.fromkeys([*model.held_shapes(cfg), *moments],
+                                                          1))
+        names.clear()
+        x = np.random.default_rng(2319).standard_normal(96)
+        assert model.enhance(x, table, cfg).tobytes() == \
+            model.enhance(x, params, cfg).tobytes()
+        assert names == collections.Counter(dict.fromkeys(streamed_shapes(cfg), 1))
 
     @pytest.mark.parametrize("causal", [True, False])
     def test_each_streamed_entry_read_once_per_file(self, monkeypatch, tmp_path, causal):
