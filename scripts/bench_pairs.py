@@ -27,7 +27,14 @@ kept.
 run's record and, per workload and end-to-end metric, both medians, both
 quartile pairs, the pairs the change won, the bound from ``BENCHMARK.json``
 and whether the change's median lies past it, and whether every run was
-``correct``. A run that fails is kept as failed, never rerun or dropped;
+``correct``. Three verdicts follow each metric. ``parent_spread`` is the
+distance between the parent's quartiles over its median. ``gain_shown``
+says that the change won at least nine tenths of the pairs and that its
+median is better than the parent's by more than that quartile distance.
+``unresolved`` says that ``parent_spread`` exceeds the metric's bound,
+so the runs cannot show a change within it, and that not every run of the
+change reads better than every run of the parent. A run that fails is kept
+as failed, never rerun or dropped;
 a pair with a failed or incorrect run, or one that lacks the metric, counts
 as not won. The report is written when the runs end, also when they are
 stopped (an error, SIGTERM or Ctrl-C): ``complete`` says whether every run
@@ -123,7 +130,9 @@ def summarize(records: list, spec: dict) -> dict:
     The statistics take every value a run reported, correct or not; a
     run's ``all_correct`` flag says which. ``past_bound`` is whether
     the change's median is worse than the parent's by more than ``bound``
-    of the parent's median.
+    of the parent's median. ``parent_spread``, ``gain_shown`` and
+    ``unresolved`` are the verdicts of the module's docstring, None where
+    a side has no value.
     """
     summary = {}
     for workload in (w["name"] for w in spec["workloads"]):
@@ -147,9 +156,9 @@ def summarize(records: list, spec: dict) -> dict:
             name, lower = metric["name"], metric["better"] == "lower"
             value = {(r["side"], r["seed"]): _metric(r, name) for r in runs}
             ok = {(r["side"], r["seed"]): _run_ok(r) for r in runs}
-            sides = {side: _stats([v for (s, _), v in value.items()
-                                   if s == side and v is not None])
-                     for side in ("parent", "change")}
+            values = {side: [v for (s, _), v in value.items() if s == side and v is not None]
+                      for side in ("parent", "change")}
+            sides = {side: _stats(vs) for side, vs in values.items()}
             won = 0
             for seed in seeds:
                 a, b = value.get(("parent", seed)), value.get(("change", seed))
@@ -158,15 +167,23 @@ def summarize(records: list, spec: dict) -> dict:
                     won += 1
             before, after = sides["parent"]["median"], sides["change"]["median"]
             if before is None or after is None or before == 0:
-                change = past = None
+                change = past = spread = shown = unresolved = None
             else:
                 change = after / before - 1.0
                 past = (change if lower else -change) > metric["bound"]
+                q1, q3 = sides["parent"]["quartiles"]
+                spread = (q3 - q1) / abs(before)
+                shown = (10 * won >= 9 * len(seeds)
+                         and (before - after if lower else after - before) > q3 - q1)
+                apart = (max(values["change"]) < min(values["parent"]) if lower
+                         else min(values["change"]) > max(values["parent"]))
+                unresolved = spread > metric["bound"] and not apart
             entry["metrics"][name] = {
                 "unit": metric["unit"], "better": metric["better"],
                 "parent": sides["parent"], "change": sides["change"],
                 "pairs": len(seeds), "change_won": won,
                 "median_change": change, "bound": metric["bound"], "past_bound": past,
+                "parent_spread": spread, "gain_shown": shown, "unresolved": unresolved,
             }
         summary[workload] = entry
     return summary
@@ -283,7 +300,9 @@ def main(argv=None) -> int:
     for workload, entry in report["summary"].items():
         for name, m in entry["metrics"].items():
             print(f"{workload} {name}: {m['parent']['median']} -> {m['change']['median']} "
-                  f"{m['unit']} ({m['change_won']}/{m['pairs']} won)")
+                  f"{m['unit']} ({m['change_won']}/{m['pairs']} won; parent spread "
+                  f"{m['parent_spread']}, gain shown {m['gain_shown']}, "
+                  f"unresolved {m['unresolved']})")
     return 0
 
 

@@ -14,12 +14,13 @@ error while reading, enhancing or scoring a pair names the manifest, the
 line and both paths, and exits with the code of the error itself.
 
 ``enhance`` and ``evaluate --model`` hold the checkpoint open and read the
-blocks' weights from it for every file, one layer at a time, when the
-model reaches them; the load reads none of them. A block weight that is
-not complete and finite is refused at its first read, with exit 4, naming
-the checkpoint and the entry, before that file's output is written; a run
-that enhances nothing (no WAVs, or only empty or silent input) reads no
-block weight and so refuses none. A checkpoint that changes during the
+weights from it for every file, one layer at a time (the input and output
+projections, and each direction of a BLSTM apart), when the model's op
+that uses them runs; the load reads only the blocks' vectors. A weight
+that is not complete and finite is refused at its first read, with exit
+4, naming the checkpoint and the entry, before that file's output is
+written; a run that enhances nothing (no WAVs, or only empty or silent
+input) reads no weight layer and so refuses none. A checkpoint that changes during the
 run, in size or modification time, or whose weights fail a later read
 after passing an earlier one, is refused with exit 4, naming the file.
 A checkpoint whose weights are finite but overflow the network, so that
@@ -95,9 +96,8 @@ def _seed() -> int:
 
 
 def _load_model(ckpt_path):
-    # the streamed table: no Adam moment, and each block's weight layers
-    # read from the file, for every enhanced file, when the forward pass
-    # reaches them
+    # the streamed table: no Adam moment, and each weight layer read from
+    # the file, for every enhanced file, when the op that uses it runs
     ckpt = training.load_checkpoint(ckpt_path, for_enhance=True)
     params = training.params_from_checkpoint(ckpt)
     return params, ckpt.model_cfg

@@ -18,13 +18,13 @@ Parameters live in a flat ordered dict of named tensors; one helper,
 ``_sub``, derives each block's and each layer's view by name prefix. The
 table, ``param_shapes``, is what training updates and checkpoints store.
 ``arn enhance`` holds it streamed (``training.StreamedTable``): the
-entries of ``held_shapes`` in memory, and each block's weight layers (its
-RNN, attention's three linear maps and the feedforward,
-``STREAMED_LAYERS``) read from the checkpoint one at a time, each when the
-forward pass reaches it. The pass gets each block's table through
-``block_table`` and each layer's through ``layer_table``, which a dict
-answers by prefix, so there is one forward path, and one value-gate path,
-for either table.
+entries of ``held_shapes``, the blocks' vectors, in memory, and every
+weight layer (``STREAMED_LAYERS``: the two projections, and in each block
+each direction of its RNN, attention's three linear maps and the
+feedforward) read from the checkpoint one at a time, each when the op that
+uses it runs. The pass gets each block's table through ``block_table``
+and each layer's through ``layer_table``, which a dict answers by prefix,
+so there is one forward path, and one value-gate path, for either table.
 
 Outside recording, each (T, N) array is dropped after its last reader, or
 written over by it. The frame rows, each block's input and the attention's
@@ -38,7 +38,7 @@ norm into the attention output; as ``into``, the attention node's gated
 output into the query stream (one tile at a time, after the tile's queries
 are formed) and the feedforward's output into that layer norm's output.
 ``enhance`` thus holds at most two (T, N) arrays at once, beside the
-weights (one layer's, from a streamed table), plus one tile's
+weights (from a streamed table, those of the op that runs), plus one tile's
 scratch: the scratch buffers of the op that runs, each allocated once per
 call and a tile in size (the LSTM's activation tile, attention's query,
 probability and output tiles, the feedforward's (rows, 4N) pre-activation
@@ -170,31 +170,35 @@ def param_shapes(cfg: ARNConfig) -> dict:
     return shapes
 
 
-# a block's weight layers, which a streamed table reads from its checkpoint
-# one at a time, each when the forward pass reaches it: the prefix that
-# ``layer_table`` takes -> the prefix, within the block, of the entries
-# read. They are the RNN (an LSTM or a BLSTM), attention's three linear
-# maps (the query map and the value gate's two) and the feedforward
-STREAMED_LAYERS = {"lstm.": "lstm.", "blstm.": "blstm.", "attn.": "attn.lin_",
-                   "ff.": "ff."}
+# the weight layers that a streamed table reads from its checkpoint one at
+# a time, each when the forward pass reaches it: the prefix that
+# ``layer_table`` takes -> the prefix, within the table, of the entries
+# read. Outside the blocks, the two projections; in each block, the RNN (an
+# LSTM, or each direction of a BLSTM, read when that direction runs),
+# attention's three linear maps (the query map and the value gate's two) and
+# the feedforward
+STREAMED_LAYERS = {"input_proj.": "input_proj.", "lstm.": "lstm.",
+                   "blstm.fwd.": "blstm.fwd.", "blstm.bwd.": "blstm.bwd.",
+                   "attn.": "attn.lin_", "ff.": "ff.", "output_proj.": "output_proj."}
 
 
 def streamed_layer(name: str):
-    """The ``STREAMED_LAYERS`` layer that a block's entry ``name``, without
-    the block's prefix, belongs to, or None for an entry that a streamed
-    table holds."""
-    return next((layer for layer, entries in STREAMED_LAYERS.items()
-                 if name.startswith(entries)), None)
+    """The ``STREAMED_LAYERS`` layer that entry ``name`` of the parameter
+    table belongs to, as its prefix in that table (``'input_proj.'``,
+    ``'block1.blstm.bwd.'``, ``'block1.attn.'``), or None for an entry that
+    a streamed table holds."""
+    block = name[:name.index(".") + 1] if name.startswith("block") else ""
+    return next((block + layer for layer, entries in STREAMED_LAYERS.items()
+                 if name.startswith(block + entries)), None)
 
 
 def held_shapes(cfg: ARNConfig) -> dict:
     """Name -> shape of the entries that a streamed table
-    (``training.StreamedTable``) holds: those outside the blocks, and each
-    block's vectors outside ``STREAMED_LAYERS``: its five layer norms'
-    gains and offsets, ``attn.q``, ``attn.k`` and ``attn.v``."""
+    (``training.StreamedTable``) holds: each block's vectors outside
+    ``STREAMED_LAYERS``, its five layer norms' gains and offsets,
+    ``attn.q``, ``attn.k`` and ``attn.v``. Every one is 1-D."""
     return {name: shape for name, shape in param_shapes(cfg).items()
-            if not name.startswith("block")
-            or streamed_layer(name.split(".", 1)[1]) is None}
+            if streamed_layer(name) is None}
 
 
 def init_params(cfg: ARNConfig, rng: np.random.Generator,
@@ -240,14 +244,15 @@ def block_table(params: dict, i: int) -> dict:
     return _sub(params, f"block{i}.") if block is None else block(i)
 
 
-def layer_table(block: dict, prefix: str) -> dict:
-    """The entries of a block's table whose names start with ``prefix``,
-    their names kept: one layer's, for ``'lstm.'``, ``'blstm.'``,
-    ``'attn.'`` or ``'ff.'``. A streamed table's block reads the layer's
-    weights from its checkpoint, into views that the next layer's read
-    overwrites; a dict answers by prefix."""
-    read = getattr(block, "read_layer", None)
-    view = ({k: v for k, v in block.items() if k.startswith(prefix)} if read is None
+def layer_table(table: dict, prefix: str) -> dict:
+    """The entries of a table whose names start with ``prefix``, their names
+    kept: one layer's, a prefix of ``STREAMED_LAYERS``, of the whole table
+    (the projections) or of a block's (the RNN or one direction of it,
+    attention, the feedforward). A streamed table reads the layer's weights
+    from its checkpoint, into views that the next layer's read overwrites;
+    a dict answers by prefix."""
+    read = getattr(table, "read_layer", None)
+    view = ({k: v for k, v in table.items() if k.startswith(prefix)} if read is None
             else read(prefix))
     if not view:
         raise ConfigurationError(f"no parameters under prefix {prefix!r}")
@@ -271,9 +276,17 @@ def _lstm_gates(w: dict) -> tuple:
 
 
 def rnn_sequence(x: Tensor, block_params: dict, cfg: ARNConfig) -> Tensor:
-    """The block's LSTM, or BLSTM when not causal, as one recorded node."""
+    """The block's LSTM, or BLSTM when not causal, as one recorded node.
+
+    Each direction's weights are taken from the block's table through
+    ``layer_table`` by a function that ``tensor.lstm_sequence`` calls when
+    that direction runs, outside recording, so a streamed table reads the
+    backward direction only once the forward one is done, into the buffer
+    that the forward one's views used.
+    """
     prefixes = ("lstm.",) if cfg.causal else ("blstm.fwd.", "blstm.bwd.")
-    return tensor.lstm_sequence(x, *(_lstm_gates(_sub(block_params, p)) for p in prefixes))
+    return tensor.lstm_sequence(x, *(
+        lambda p=p: _lstm_gates(_sub(layer_table(block_params, p), p)) for p in prefixes))
 
 
 def _v_gate_graph(p: dict) -> Tensor:
@@ -341,14 +354,14 @@ def arn_block_forward(x: Tensor, block_params: dict, cfg: ARNConfig,
     the graph is the one the block's formula writes out.
 
     Each weight layer's table is taken through ``layer_table`` just before
-    its op runs and dropped when the op returns, so a streamed table's
-    next layer read overwrites no view in use.
+    its op runs and dropped when the op returns (the RNN's, one direction at
+    a time, by ``rnn_sequence``), so a streamed table's next layer read
+    overwrites no view in use.
     """
     ln = [(block_params[f"ln{j}.g"], block_params[f"ln{j}.b"]) for j in range(5)]
     y = layer_norm(x, *ln[0], cfg.ln_eps)
     del x
-    y = rnn_sequence(y, layer_table(block_params, "lstm." if cfg.causal else "blstm."),
-                     cfg)
+    y = rnn_sequence(y, block_params, cfg)
     q = layer_norm(y, *ln[1], cfg.ln_eps)
     kv = [layer_norm(y, *ln[2], cfg.ln_eps, overwrite=True)]
     del y
@@ -372,16 +385,20 @@ def arn_forward_frames(frames: Tensor, params: dict, cfg: ARNConfig,
     ``frames`` is dropped after the input projection, whose bias is added
     into its product outside recording, and each block gets its input by
     the only reference, so that outside recording it frees that input after
-    its first layer norm.
+    its first layer norm. Each projection's weights are taken through
+    ``layer_table`` just before its product, so a streamed table reads
+    them there, as it reads a block's layers.
     """
-    stream = [tensor.add(frames @ params["input_proj.w"], params["input_proj.b"],
+    proj = layer_table(params, "input_proj.")
+    stream = [tensor.add(frames @ proj["input_proj.w"], proj["input_proj.b"],
                          overwrite=True)]
-    del frames
+    del frames, proj
     for i in range(cfg.num_blocks):
         # popped, not named: a name here would keep the block's input alive
         # through the whole block
         stream.append(arn_block_forward(stream.pop(), block_table(params, i), cfg, rng))
-    return stream[0] @ params["output_proj.w"] + params["output_proj.b"]
+    proj = layer_table(params, "output_proj.")
+    return stream[0] @ proj["output_proj.w"] + proj["output_proj.b"]
 
 
 def arn_forward(x, params: dict, cfg: ARNConfig, rng=None) -> Tensor:
@@ -401,7 +418,8 @@ def arn_forward(x, params: dict, cfg: ARNConfig, rng=None) -> Tensor:
             "parameter table does not match the config: names missing under "
             f"{_prefixes(expected - params.keys())}, extra under "
             f"{_prefixes(params.keys() - expected)}")
-    xt = Tensor(np.asarray(x, dtype=params["input_proj.w"].data.dtype))
+    # the dtype of an entry that both tables hold
+    xt = Tensor(np.asarray(x, dtype=params["block0.ln0.g"].data.dtype))
     # the frame rows go in unnamed, so arn_forward_frames frees them
     out_frames = arn_forward_frames(tensor.frame_rows(xt, cfg.frame_in, cfg.shift),
                                     params, cfg, rng)

@@ -406,7 +406,16 @@ def lstm_sequence(x: Tensor, fwd, bwd=None) -> Tensor:
     given, backward in time into columns [H, 2H). Row t of a direction's
     columns is h_t, where z_t = x_t w_x + b + h_prev w_h over the gates side
     by side (4H columns), c_t = f * c_prev + i * g and h_t = o * tanh(c_t);
-    the previous step is t - 1 forward in time and t + 1 backward.
+    the previous step is t - 1 forward in time and t + 1 backward. The
+    output has the dtype of ``x`` and ``fwd``'s weights.
+
+    A direction may also be a function of no argument that returns its
+    ``(w_x, b, w_h)``. Outside recording, it is called when its direction
+    runs, after the loop of the one before has returned, so that a caller
+    can fetch the second direction's weights into memory that the first
+    one's used; each direction's shapes are checked when it is called. When
+    recording, every function is called before anything runs, since the
+    graph needs all its parents.
 
     The directions run one after the other and read the weights where they
     lie. Each writes its input projection, one tile of ``TILE_ROWS`` rows
@@ -427,32 +436,33 @@ def lstm_sequence(x: Tensor, fwd, bwd=None) -> Tensor:
     The backward pass runs backpropagation through
     time for each direction in turn over views of what it kept, freed once
     it is done: one (4H,) @ (4H, H) product per step, through the recurrent
-    weights packed again, then the gradients of ``x`` and of each weight as
-    one product or sum over all steps, whose column blocks go to the gates.
+    weights packed again, then the gradient of ``x`` as one product over
+    all steps, through the input weights packed, and each gate's weight and
+    bias gradients as their own products and sums over all steps.
     """
-    dirs = [tuple(tuple(g) for g in d) for d in ([fwd] if bwd is None else [fwd, bwd])]
-    if any(len(d) != 3 or any(len(g) != 4 for g in d) for d in dirs):
-        raise DimensionError("lstm_sequence needs (w_x, b, w_h) of four gates each")
     xd = x.data
     if xd.ndim != 2:
         raise DimensionError("lstm_sequence needs a rank-2 x")
-    steps = xd.shape[0]
-    hidden = dirs[0][2][0].data.shape[0]
-    shapes = ((xd.shape[1], hidden), (hidden,), (hidden, hidden))
-    if any(t.data.shape != shape for d in dirs for shape, gates in zip(shapes, d)
-           for t in gates):
-        shown = [[[t.shape for t in g] for g in d] for d in dirs]
-        raise DimensionError(f"need x (T, K) and per gate w_x (K, H), b (H,) and w_h (H, H) "
-                             f"in each direction, got {xd.shape} and {shown}")
+    steps, k = xd.shape
     if steps == 0:
         raise DimensionError("lstm_sequence on zero time steps")
-    parents = (x, *(t for d in dirs for gates in d for t in gates))
-    keep = _grad_enabled and any(p.requires_grad for p in parents)
+    dirs = [_lstm_weights(fwd, k)] + ([] if bwd is None else [bwd])
+    hidden = dirs[0][2][0].data.shape[0]
+    # a later direction given as a function is called when it runs, outside
+    # recording; recording, the graph needs all its parents before anything
+    # runs
+    dirs[1:] = [d if callable(d) and not _grad_enabled else _lstm_weights(d, k, hidden)
+                for d in dirs[1:]]
+    parents = (x, *(t for d in dirs for gates in d for t in gates)) if _grad_enabled else ()
+    keep = any(p.requires_grad for p in parents)
     hs = np.empty((steps, hidden * len(dirs)),
-                  dtype=np.result_type(*(p.data for p in parents)))
+                  dtype=np.result_type(xd, *(t.data for gates in dirs[0] for t in gates)))
     cols = [slice(j * hidden, (j + 1) * hidden) for j in range(len(dirs))]
-    kept = [_lstm_run(xd, *d, hs[:, c], j == 1, keep)
-            for j, (d, c) in enumerate(zip(dirs, cols))]
+    kept = []
+    for j, c in enumerate(cols):
+        if callable(dirs[j]):
+            dirs[j] = _lstm_weights(dirs[j], k, hidden)
+        kept.append(_lstm_run(xd, *dirs[j], hs[:, c], j == 1, keep))
     out = Tensor(hs)
     if not keep:
         return out
@@ -464,6 +474,23 @@ def lstm_sequence(x: Tensor, fwd, bwd=None) -> Tensor:
             _lstm_bptt(x, *d, hs[:, c], acts, cells, dy[:, c], j == 1)
 
     return _record(out, parents, _bw)
+
+
+def _lstm_weights(d, k: int, hidden: int = None) -> tuple:
+    """One direction's ``(w_x, b, w_h)`` of ``lstm_sequence``, from the
+    function that returns it when ``d`` is one, checked against input width
+    ``k`` and ``hidden``, by default its own."""
+    d = tuple(tuple(g) for g in (d() if callable(d) else d))
+    if len(d) != 3 or any(len(g) != 4 for g in d):
+        raise DimensionError("lstm_sequence needs (w_x, b, w_h) of four gates each")
+    if hidden is None:
+        hidden = d[2][0].data.shape[0]
+    shapes = ((k, hidden), (hidden,), (hidden, hidden))
+    if any(t.data.shape != shape for shape, gates in zip(shapes, d) for t in gates):
+        shown = [[t.shape for t in g] for g in d]
+        raise DimensionError(f"need x (T, K) and per gate w_x (K, H), b (H,) and w_h (H, H) "
+                             f"in each direction, got K = {k} and {shown}")
+    return d
 
 
 def _lstm_run(xd, w_x, b, w_h, hs, reverse: bool, keep: bool):
@@ -554,28 +581,25 @@ def _lstm_bptt(x: Tensor, w_x, b, w_h, hs, acts, cells, dy, reverse: bool):
         np.matmul(dz[t], w_t, out=dh_next)
         np.multiply(dc, f[t], out=dc_next)
     del w_t
+    # the gradient of x, like the dh recurrence above, goes through one
+    # packed copy of the weights; each gate's weight and bias gradients are
+    # their own products and sums, made for that gate alone
     if x.requires_grad:
         x._acc(dz @ _pack(w_x).T)
-    _acc_gates(w_x, lambda: x.data.T @ dz)
-    _acc_gates(b, lambda: dz.sum(axis=0))
-    _acc_gates(w_h, lambda: (hs[1:].T @ dz[:-1]) if reverse else (hs[:-1].T @ dz[1:]))
+    h_prev, dz_next = (hs[1:], dz[:-1]) if reverse else (hs[:-1], dz[1:])
+    for j, (wx, bj, wh) in enumerate(zip(w_x, b, w_h)):
+        cols = slice(j * hidden, (j + 1) * hidden)
+        if wx.requires_grad:
+            wx._acc(x.data.T @ dz[:, cols], fresh=True)
+        if bj.requires_grad:
+            bj._acc(dz[:, cols].sum(axis=0), fresh=True)
+        if wh.requires_grad:
+            wh._acc(h_prev.T @ dz_next[:, cols], fresh=True)
 
 
 def _pack(gates) -> np.ndarray:
     """The four per-gate weight matrices side by side: (rows, 4H)."""
     return np.concatenate([t.data for t in gates], axis=1)
-
-
-def _acc_gates(gates, grad):
-    """Pass each gate its column block of the packed gradient ``grad()``,
-    which is formed only if some gate needs it."""
-    if not any(t.requires_grad for t in gates):
-        return
-    packed = grad()
-    hidden = packed.shape[-1] // 4
-    for j, t in enumerate(gates):
-        if t.requires_grad:
-            t._acc(packed[..., j * hidden:(j + 1) * hidden])
 
 
 # ---------------------------------------------------------------------------

@@ -26,23 +26,25 @@ them, since the gate is recomputed from the parameters.
 ``load_checkpoint`` reads the whole trainable table, and Adam's moments
 when the file has them, for training, tests and checks. Its enhance load
 (``for_enhance=True``, what ``arn enhance`` and ``arn evaluate --model``
-use) reads and checks only the tensors outside the blocks and each block's
-small vectors (``model.held_shapes``: its layer norms, ``attn.q``,
-``attn.k`` and ``attn.v``), which it holds, and Adam's moments, which it
-drops. It steps over the blocks' weight layers, recording where each lies,
-and keeps the file open. ``params_from_checkpoint`` makes that a
-``StreamedTable``, from which ``model.enhance`` reads each layer of each
-block (the RNN, attention's three linear maps, the feedforward) as the
-forward pass reaches it, into one buffer reused across layers, blocks and
-files: every weight of the blocks once per file, about 240 MiB at full
-causal size. Each such read is checked complete and finite before any op
-sees it. A fault found at a layer's first read was in the file at the load
-and is refused as the full load refuses it (``CheckpointFormatError`` or
-``CheckpointTruncatedError``, naming the file and the entry); a layer that
-passed before and fails later, or any read from a file whose size or
-modification time is no longer what it was at the load, is refused with
-``CheckpointChangedError``. An enhance load that enhances nothing reads no
-block weight.
+use) reads and checks only each block's vectors (``model.held_shapes``:
+its layer norms, ``attn.q``, ``attn.k`` and ``attn.v``), which it holds,
+and Adam's moments, which it drops. It steps over every weight layer,
+recording where each lies, and keeps the file open.
+``params_from_checkpoint`` makes that a ``StreamedTable``, from which
+``model.enhance`` reads each layer (``model.STREAMED_LAYERS``: the input
+and output projections, and in each block each direction of the RNN,
+attention's three linear maps and the feedforward) as the op that uses it
+runs, into one buffer reused across layers, blocks and files: every
+weight once per file, about 243 MiB at full causal size. The buffer is
+sized for the largest layer, 32.0 MiB causal (the LSTM) and 16.0 MiB
+non-causal (the feedforward). Each such read is checked complete and
+finite before any op sees it. A fault found at a layer's first read was
+in the file at the load and is refused as the full load refuses it
+(``CheckpointFormatError`` or ``CheckpointTruncatedError``, naming the
+file and the entry); a layer that passed before and fails later, or any
+read from a file whose size or modification time is no longer what it was
+at the load, is refused with ``CheckpointChangedError``. An enhance load
+that enhances nothing reads no weight layer.
 """
 
 from __future__ import annotations
@@ -205,10 +207,9 @@ class Checkpoint:
     best_score: float = -math.inf
     epoch: int = 0
     # enhance load only: ``tensors`` holds ``model.held_shapes``' entries,
-    # ``blocks`` reads the blocks' weight layers, and ``passed`` maps each
-    # entry of the file's table that was not kept (the blocks' streamed
-    # entries and any the table check refuses), and not read, to its stored
-    # shape
+    # ``blocks`` reads the weight layers, and ``passed`` maps each entry of
+    # the file's table that was not kept (the streamed entries and any the
+    # table check refuses), and not read, to its stored shape
     blocks: BlockReader | None = None
     passed: dict | None = None
 
@@ -256,66 +257,63 @@ def params_from_checkpoint(ckpt: Checkpoint) -> dict:
 
 class StreamedTable(dict):
     """An enhance load's table for ``model.enhance``: the tensors of
-    ``model.held_shapes``, by name, and ``block(i)``, block ``i``'s
-    ``StreamedBlock``, which ``model.block_table`` calls as the forward
-    pass reaches the block.
+    ``model.held_shapes``, by name; ``read_layer(prefix)``, which returns
+    those under ``prefix`` with the layer's weights read from the checkpoint
+    (``BlockReader.read``), and which ``model.layer_table`` calls just
+    before the layer's op runs, for the projections; and ``block(i)``, block
+    ``i``'s table, which ``model.block_table`` calls as the forward pass
+    reaches the block: a ``StreamedTable`` of the block's held tensors, by
+    name without the block's prefix, whose ``read_layer`` reads the block's
+    layers.
     """
 
-    def __init__(self, held: dict, blocks: BlockReader):
+    def __init__(self, held: dict, blocks: BlockReader, prefix: str = ""):
         super().__init__(held)
-        self._blocks = blocks
+        self._blocks, self._prefix = blocks, prefix
 
-    def block(self, i: int) -> StreamedBlock:
+    def block(self, i: int) -> StreamedTable:
         prefix = f"block{i}."
-        return StreamedBlock({k[len(prefix):]: t for k, t in self.items()
-                              if k.startswith(prefix)}, self._blocks, i)
-
-
-class StreamedBlock(dict):
-    """One block of a ``StreamedTable``: its held tensors, by name without
-    the block's prefix, and ``read_layer(prefix)``, which returns those
-    under ``prefix`` with the layer's weights read from the checkpoint
-    (``BlockReader.read``). ``model.layer_table`` calls it just before the
-    layer's op runs.
-    """
-
-    def __init__(self, held: dict, blocks: BlockReader, i: int):
-        super().__init__(held)
-        self._blocks, self._index = blocks, i
+        return StreamedTable({k[len(prefix):]: t for k, t in self.items()
+                              if k.startswith(prefix)}, self._blocks, prefix)
 
     def read_layer(self, prefix: str) -> dict:
+        read = self._blocks.read(self._prefix + prefix)
         return ({k: t for k, t in self.items() if k.startswith(prefix)}
-                | self._blocks.read(self._index, prefix))
+                | {k[len(self._prefix):]: t for k, t in read.items()})
 
 
 class BlockReader:
-    """Where each block's weight layers lie in an enhance load's
-    checkpoint, and the open file they are read from.
+    """Where each weight layer of ``model.STREAMED_LAYERS`` lies in an
+    enhance load's checkpoint, and the open file they are read from.
 
-    ``read(i, prefix)`` reads the entries of block ``i``'s layer
-    ``prefix``, one of ``model.STREAMED_LAYERS``, into one buffer, sized
+    ``read(layer)`` reads the entries of ``layer``, a layer's prefix in the
+    parameter table (``model.streamed_layer``: ``'input_proj.'``,
+    ``'block1.blstm.fwd.'``, ``'block1.attn.'``), into one buffer, sized
     for the largest layer, allocated on the first read and reused across
-    layers, blocks and calls, and returns a tensor viewing each entry, its
-    name without the block's prefix; a prefix that names no such layer
-    reads nothing. The next read overwrites these views, so ``read``
-    refuses to run while ops record (``tensor.recording``): a recorded
-    graph would read the next layer's weights. The load does not read these
-    entries, so this is their only check: each read must be complete and
-    finite, and the file's size and ``st_mtime_ns`` must be those it had
-    when loaded. A layer that fails at its first read, from the file as it
-    was loaded, raises the load's own ``CheckpointFormatError`` or
-    ``CheckpointTruncatedError``, naming the file and the entry. Once the
-    layer has passed, or once the file's size or modification time has
-    changed, ``read`` raises ``CheckpointChangedError`` naming the file.
-    The file is closed when the reader is collected.
+    layers, blocks and calls, and returns a tensor viewing each entry, by
+    its name in the table; a prefix that names no such layer reads nothing.
+    At full size the buffer is 32.0 MiB causal, set by the LSTM, whose input
+    and recurrent weights one direction needs together, and 16.0 MiB
+    non-causal, set by the feedforward. The next read overwrites these
+    views, so ``read`` refuses to run while ops record
+    (``tensor.recording``): a recorded graph would read the next layer's
+    weights. The load does not read these entries, so this is their only
+    check: each read must be complete and finite, and the file's size and
+    ``st_mtime_ns`` must be those it had when loaded. A layer that fails at
+    its first read, from the file as it was loaded, raises the load's own
+    ``CheckpointFormatError`` or ``CheckpointTruncatedError``, naming the
+    file and the entry. Once the layer has passed, or once the file's size
+    or modification time has changed, ``read`` raises
+    ``CheckpointChangedError`` naming the file. The file is closed when the
+    reader is collected.
     """
 
     def __init__(self, fh, path: str, stat, layout: dict):
         self._fh, self.path = fh, path
         self._stat = (stat.st_size, stat.st_mtime_ns)
-        # (block i, layer prefix) -> (name, shape, byte position in the
-        # file, buffer offset, count), each entry on a 16-float boundary of
-        # the buffer, as the full load lays out its block
+        # layer prefix -> (name, shape, byte position in the file, buffer
+        # offset, count), each entry on a 16-float boundary of the buffer,
+        # as the full load lays out its block
         self._layout, self._size = {}, 0
         for layer, entries in layout.items():
             offset, placed = 0, []
@@ -327,7 +325,7 @@ class BlockReader:
         self._buffer, self._verified = None, set()
         weakref.finalize(self, fh.close)
 
-    def read(self, i: int, prefix: str) -> dict:
+    def read(self, layer: str) -> dict:
         if tensor.recording():
             raise RuntimeError(
                 "a streamed checkpoint table serves only unrecorded enhancement "
@@ -336,16 +334,16 @@ class BlockReader:
             self._buffer = np.empty(self._size, "<f4")
         views, fault = {}, None
         try:
-            for name, shape, position, offset, count in self._layout.get((i, prefix), ()):
+            for name, shape, position, offset, count in self._layout.get(layer, ()):
                 arr = self._buffer[offset:offset + count]
                 self._fh.seek(position)
-                _read_payload(self._fh, f"block{i}.{name}", arr)
+                _read_payload(self._fh, name, arr)
                 views[name] = tensor.Tensor(arr.reshape(shape))
         except CheckpointError as exc:
             fault = exc
         now = os.fstat(self._fh.fileno())
         if (now.st_size, now.st_mtime_ns) != self._stat or (
-                fault is not None and (i, prefix) in self._verified):
+                fault is not None and layer in self._verified):
             raise CheckpointChangedError(
                 f"{self.path} changed after it was loaded: "
                 f"{fault or 'its size or modification time is not what it was'}")
@@ -354,7 +352,7 @@ class BlockReader:
             # fault was there at the load, and is refused as the full load
             # refuses it
             raise type(fault)(f"{self.path}: {fault}")
-        self._verified.add((i, prefix))
+        self._verified.add(layer)
         return views
 
 
@@ -472,11 +470,11 @@ def load_checkpoint(path, for_enhance: bool = False) -> Checkpoint:
     ``model.held_shapes``, in such a block, and the open file. Adam's
     moments are read through one chunk buffer, allocated only when there
     are any, checked, and dropped; ``adam`` is then None. Every other
-    payload, the blocks' weights included, is stepped over, not read:
-    ``blocks`` records where each block's weight layers lie, and checks
-    each as ``model.enhance`` reads it (``BlockReader``), so a bad block
-    weight is refused at its first read, before the output of the file
-    being enhanced is written, and a run that enhances nothing reads none.
+    payload, every weight layer's included, is stepped over, not read:
+    ``blocks`` records where each weight layer lies, and checks each as
+    ``model.enhance`` reads it (``BlockReader``), so a bad weight is
+    refused at its first read, before the output of the file being enhanced
+    is written, and a run that enhances nothing reads none.
     ``params_from_checkpoint`` checks the table, the entries not kept
     included, as for a full load.
     """
@@ -576,8 +574,8 @@ def _read_checkpoint(fh, path: str, for_enhance: bool = False) -> Checkpoint:
 
     # what the enhance load does with each entry: it holds the entries of
     # the held table, reads, checks and drops Adam's moments, and steps
-    # over the rest: the blocks' weight layers, which it streams, and any
-    # entry the table check then refuses
+    # over the rest: the weight layers, which it streams, and any entry the
+    # table check then refuses
     streamed = set()
     kept = {name for name, _, _ in directory if not name.startswith("cache.")}
     if for_enhance:
@@ -596,9 +594,9 @@ def _read_checkpoint(fh, path: str, for_enhance: bool = False) -> Checkpoint:
         offsets[name], start = start, start + span
     tensors, adam_m, adam_v = {}, {}, {}
     # the stored shape of each entry of the file's table not kept; each
-    # layer's streamed entries, (block index, layer prefix) -> [(name in the
-    # block, shape, byte position, count)]; the chunk buffer that the
-    # moments go through, when there are any
+    # layer's streamed entries, layer prefix -> [(name, shape, byte
+    # position, count)]; the chunk buffer that the moments go through, when
+    # there are any
     passed, layout = {}, {}
     chunk = None
     if for_enhance and any(name.startswith("adam.") for name, _, _ in directory):
@@ -620,9 +618,8 @@ def _read_checkpoint(fh, path: str, for_enhance: bool = False) -> Checkpoint:
             if not name.startswith("cache."):
                 passed[name] = shape
             if name in streamed:
-                prefix, _, rest = name.partition(".")
-                layer = (int(prefix[len("block"):]), model.streamed_layer(rest))
-                layout.setdefault(layer, []).append((rest, shape, position, count))
+                layout.setdefault(model.streamed_layer(name), []).append(
+                    (name, shape, position, count))
             fh.seek(count * 4, os.SEEK_CUR)
         position += count * 4
 

@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -291,8 +292,8 @@ def pairs_manifest(tmp_path):
 
 
 class TestBadWeights:
-    """A block weight that is not finite is refused when the model first
-    reads it; a checkpoint whose finite weights overflow the network is
+    """A weight that is not finite is refused when the model first reads
+    it; a checkpoint whose finite weights overflow the network is
     refused at the network's output. Either is exit 4 and one ``error:``
     line naming the checkpoint, before any output or score."""
 
@@ -322,6 +323,26 @@ class TestBadWeights:
         for path in src.iterdir():
             assert wavio.read_wav(dst / path.name).tobytes() == \
                 wavio.read_wav(path).tobytes()
+
+    @pytest.mark.parametrize("name", ["input_proj.b", "output_proj.w"])
+    def test_projection_read_when_the_model_runs(self, tmp_path, capsys, name):
+        # the projections are streamed as the block weights are: a run of
+        # only silent and empty WAVs reads neither, and one that reaches the
+        # model refuses a NaN in either at its first read, before the
+        # file's output is written
+        ckpt = bad_weight_ckpt(tmp_path, name, np.nan)
+        src, dst = tmp_path / "in", tmp_path / "out"
+        src.mkdir()
+        wavio.write_wav(src / "a_silent.wav", np.zeros(1600))
+        wavio.write_wav(src / "b_empty.wav", np.zeros(0))
+        argv = ["enhance", "--model", str(ckpt), "--in", str(src), "--out", str(dst)]
+        assert cli.main(argv) == 0
+        assert capsys.readouterr().err == ""
+        wavio.write_wav(src / "c_tone.wav", tone(1600))
+        shutil.rmtree(dst)
+        assert cli.main(argv) == 4
+        assert capsys.readouterr().err == f"error: {ckpt}: {name}: non-finite values\n"
+        assert sorted(p.name for p in dst.iterdir()) == ["a_silent.wav", "b_empty.wav"]
 
     @pytest.mark.parametrize("command", ["enhance", "evaluate"])
     def test_finite_weights_that_overflow_exit_4(self, tmp_path, capsys, command):

@@ -2,6 +2,7 @@
 feedforward, block wiring, and the full forward pass."""
 
 import collections
+import contextlib
 import gc
 import json
 import math
@@ -285,6 +286,69 @@ class TestLstm:
             tensor.lstm_sequence(x, (w_x, b, w_h), (w_x, b, w_h[:3]))
         with pytest.raises(tensor.DimensionError):
             tensor.lstm_sequence(x, (w_x, b, w_h), (gates((4, 3)), gates(3), gates((3, 3))))
+
+
+    @pytest.mark.parametrize("recording", [False, True])
+    def test_function_directions_give_tuple_bits(self, monkeypatch, recording):
+        # each direction as a function that returns its weights: outside
+        # recording, the backward direction's is called only after the
+        # forward direction's loop has returned; recording, both are called
+        # first. The output, and recording the gradients, are those of the
+        # tuple form, bitwise
+        events = []
+        run = tensor._lstm_run
+
+        def running(*args):
+            events.append(("run", args[5]))
+            return run(*args)
+        monkeypatch.setattr(tensor, "_lstm_run", running)
+        x = np.random.default_rng(52).standard_normal((9, 4)).astype(np.float32)
+        results = []
+        for lazy in (False, True):
+            events.clear()
+            weights = [lstm_weights(4, 3, seed=seed, dtype=np.float32) for seed in (50, 51)]
+            leaf = Tensor(x, requires_grad=True)
+
+            def direction(j, w):
+                def gates():
+                    events.append(("call", j))
+                    return model._lstm_gates(w)
+                return gates if lazy else model._lstm_gates(w)
+            with contextlib.ExitStack() as stack:
+                if not recording:
+                    stack.enter_context(tensor.no_grad())
+                out = tensor.lstm_sequence(leaf, *(direction(j, w)
+                                                   for j, w in enumerate(weights)))
+            order = [("call", 0), ("run", False), ("call", 1), ("run", True)]
+            if not lazy:
+                order = [("run", False), ("run", True)]
+            elif recording:
+                order = [("call", 0), ("call", 1), ("run", False), ("run", True)]
+            assert events == order
+            got = [out.data]
+            if recording:
+                tensor.backward(tensor.mean_all(out))
+                got += [leaf.grad] + [t.grad for w in weights for t in w.values()]
+            results.append(got)
+        for a, b in zip(*results):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("recording", [False, True])
+    def test_function_direction_checked_when_called(self, recording):
+        x = Tensor(np.zeros((3, 4)))
+        gates = lambda shape: [Tensor(np.zeros(shape)) for _ in range(4)]
+        w_x, b, w_h = gates((4, 2)), gates(2), gates((2, 2))
+        with contextlib.ExitStack() as stack:
+            if not recording:
+                stack.enter_context(tensor.no_grad())
+            tensor.lstm_sequence(x, lambda: (w_x, b, w_h), lambda: (w_x, b, w_h))
+            with pytest.raises(tensor.DimensionError):
+                tensor.lstm_sequence(x, (w_x, b, w_h), lambda: (w_x, b, w_h[:3]))
+            with pytest.raises(tensor.DimensionError):
+                tensor.lstm_sequence(x, lambda: (w_x, b, w_h),
+                                     lambda: (gates((4, 3)), gates(3), gates((3, 3))))
+            with pytest.raises(tensor.DimensionError):
+                tensor.lstm_sequence(x, lambda: (gates((3, 2)), b, w_h))
 
 
 class TestBlstm:

@@ -129,6 +129,49 @@ class TestBenchPairs:
         assert rss["change_won"] == 1 and rss["pairs"] == 3
         assert rss["parent"]["runs"] == 2 and rss["change"]["runs"] == 2
 
+    @staticmethod
+    def _verdicts(parent, change):
+        records = [_record("parent", s, v) for s, v in enumerate(parent, 1)]
+        records += [_record("change", s, v) for s, v in enumerate(change, 1)]
+        rss = bench_pairs.summarize(records, SPEC)["w"]["metrics"]["peak_rss_mb"]
+        return rss["change_won"], rss["parent_spread"], rss["gain_shown"], rss["unresolved"]
+
+    def test_claim_met(self):
+        # 10 of 10 won, and the medians 10 apart against a parent quartile
+        # distance of 0.5
+        parent = [130.0, 131.0, 130.5, 131.5, 130.0, 131.0, 130.5, 131.5, 130.0, 131.0]
+        change = [v - 10.0 for v in parent]
+        won, spread, shown, unresolved = self._verdicts(parent, change)
+        q1, q3 = np.percentile(parent, [25, 75])
+        assert won == 10 and spread == pytest.approx((q3 - q1) / np.median(parent))
+        assert shown is True and unresolved is False
+
+    def test_eight_of_ten_won_is_no_gain(self):
+        # the medians are far apart, but two pairs went to the parent
+        parent = [130.0] * 10
+        change = [120.0] * 8 + [131.0, 131.0]
+        won, spread, shown, unresolved = self._verdicts(parent, change)
+        assert won == 8 and spread == 0.0
+        assert shown is False and unresolved is False
+
+    def test_wide_spread_unresolved(self):
+        # a parent quartile distance of 20% of its median, past the 5%
+        # bound, and runs that overlap: neither a gain nor a verdict
+        parent = [80.0, 120.0] * 5
+        change = [79.0, 119.0] * 5
+        won, spread, shown, unresolved = self._verdicts(parent, change)
+        assert won == 10 and spread > SPEC["end_to_end"][0]["bound"]
+        assert shown is False and unresolved is True
+
+    def test_wide_spread_with_disjoint_runs_resolved(self):
+        # the same spread, but every run of the change reads better than
+        # every run of the parent
+        parent = [80.0, 120.0] * 5
+        change = [40.0, 70.0] * 5
+        won, spread, shown, unresolved = self._verdicts(parent, change)
+        assert won == 10 and spread > SPEC["end_to_end"][0]["bound"]
+        assert shown is True and unresolved is False
+
     def test_traced_layers_per_side(self):
         records = [_record("parent", 1, 300.0, trace=1), _record("change", 1, 290.0, trace=1),
                    _record("change", 2, 1.0)]

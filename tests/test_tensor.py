@@ -1146,6 +1146,32 @@ class TestRowTiledMemory:
         peak = traced_peak(lambda: lstm_node(*operands))
         assert peak <= kept + scratch
 
+    def test_lstm_backward_holds_gradients_dz_and_time_arrays(self):
+        # one recorded LSTM node's backward at T = 64, N = H = 256, float32:
+        # above its start, the gradients of x and of every gate's weights
+        # and bias, dz, and eight (T, H) arrays of slack for BPTT's work
+        # arrays. The packed (K, 4H) copy that x's gradient goes through is
+        # freed before the weights' gradients are made. A packed (K, 4H) or
+        # (H, 4H) weight gradient beside the per-gate ones fails the bound
+        steps, n = 64, 256
+        rng = np.random.default_rng(94)
+        arrays = [rng.standard_normal(shape).astype(np.float32) * 0.1 for shape in
+                  [(steps, n)] + [(n, n)] * 4 + [(n,)] * 4 + [(n, n)] * 4]
+        leaves = [Tensor(a, requires_grad=True) for a in arrays]
+        out = lstm_node(*leaves)
+        out.grad = rng.standard_normal((steps, n)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            out._backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        grads = sum(a.nbytes for a in arrays)
+        dz = steps * 4 * n * 4
+        assert peak - start <= grads + dz + 8 * steps * n * 4
+        assert all(t.grad is not None and t.grad.shape == t.data.shape for t in leaves)
+
     @pytest.mark.parametrize("masked", [False, True])
     def test_feedforward_below_one_hidden_activation(self, masked):
         rng = np.random.default_rng(91)

@@ -2,9 +2,11 @@
 
 import collections
 import dataclasses
+import json
 import math
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,9 @@ from arn.training import (
 
 from gradtools import batch_loss_graph, traced_peak
 from test_model import zero_params
+
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def toy_model_cfg(**overrides):
@@ -546,10 +551,11 @@ class TestCheckpoint:
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor_rejected(self, tmp_path, capsys, name, value):
         # by the full load, and by the enhance load for what it reads: the
-        # held entries and the moments. It steps over the blocks' weight
-        # layers (block1.ff.w is the last one read), so `arn enhance`
-        # refuses those at their first read, with exit 4, naming the
-        # checkpoint and the entry, before the first file's output
+        # held entries and the moments. It steps over the streamed layers,
+        # the projections and the blocks' (block1.ff.w is the last block
+        # layer read), so `arn enhance` refuses those at their first read,
+        # with exit 4, naming the checkpoint and the entry, before the first
+        # file's output
         cfg, params, adam = self.make(seed=21, with_adam=True)
         ckpt = checkpoint_from(params, cfg, adam)
         if name.startswith("adam."):
@@ -611,14 +617,18 @@ class TestCheckpoint:
         loaded = load_checkpoint(path, for_enhance=True)
         assert loaded.adam is None
         table = params_from_checkpoint(loaded)
-        # the held tensors, then each block's layers, read one at a time:
-        # the trainable table
+        # the held tensors, then the projections and each block's layers
+        # (each direction of a BLSTM apart), read one at a time: the
+        # trainable table
         assert [(k, t.shape) for k, t in table.items()] == \
             list(model.held_shapes(cfg).items())
         layers = {}
+        rnn = ("lstm.",) if causal else ("blstm.fwd.", "blstm.bwd.")
         with tensor.no_grad():
+            for prefix in ("input_proj.", "output_proj."):
+                layers.update({k: t.shape for k, t in model.layer_table(table, prefix).items()})
             for i in range(cfg.num_blocks):
-                for prefix in ("lstm." if causal else "blstm.", "attn.", "ff."):
+                for prefix in (*rnn, "attn.", "ff."):
                     layer = model.layer_table(table.block(i), prefix)
                     layers.update({f"block{i}.{k}": t.shape for k, t in layer.items()})
         assert {k: t.shape for k, t in table.items()} | layers == model.param_shapes(cfg)
@@ -785,26 +795,30 @@ def padded(shapes) -> int:
     return sum(-(-math.prod(shape) // 16) * 16 for shape in shapes) * 4
 
 
-def streamed_shapes(cfg: ARNConfig, block: str = "block") -> dict:
+def streamed_shapes(cfg: ARNConfig, start: str = "") -> dict:
     """Name -> shape of the entries that a streamed table reads from its
-    checkpoint, for names starting with ``block``."""
+    checkpoint, for names starting with ``start``."""
     held = model.held_shapes(cfg)
     return {name: shape for name, shape in model.param_shapes(cfg).items()
-            if name.startswith(block) and name not in held}
+            if name.startswith(start) and name not in held}
 
 
 class TestStreamedTable:
-    """The enhance load's table holds the tensors outside the blocks and
-    each block's vectors, and reads each block's weight layers from the
-    file, one at a time, as the forward pass reaches them."""
+    """The enhance load's table holds each block's vectors, and reads the
+    projections and each block's weight layers (each direction of a BLSTM
+    apart) from the file, one at a time, as the forward pass reaches
+    them."""
 
     @pytest.mark.parametrize("causal", [True, False])
     def test_load_and_enhance_hold_one_layer(self, monkeypatch, tmp_path, causal):
         # what `arn enhance` does, load and enhance, traced: at most the held
-        # tensors, the largest layer's streamed entries (the RNN's) and the
-        # activations that TestEvalMemory bounds, at its tile size. A reader
-        # that holds a whole block's streamed entries passes it, and so
-        # would a load holding the whole table
+        # tensors, the largest layer's streamed entries and 2.5 (T, N)
+        # arrays of activations, at TestEvalMemory's tile size. The largest
+        # layer is the LSTM when causal, and the feedforward when not, since
+        # each direction of the BLSTM is read apart. The activations
+        # measured 2.3 arrays, causal and not; a reader that holds a whole
+        # BLSTM, 0.75 arrays more than the feedforward here, fails the
+        # non-causal bound, and a load holding the table fails both
         from test_model import TestEvalMemory as limits
         monkeypatch.setattr(tensor, "TILE_ROWS", limits.TILE)
         cfg = ARNConfig(width=256, frame_in=32 if causal else 16, frame_out=16,
@@ -817,12 +831,16 @@ class TestStreamedTable:
 
         held = padded(model.held_shapes(cfg).values())
         block = streamed_shapes(cfg, "block0.")
-        layer = max(padded(shape for name, shape in block.items()
-                           if name.startswith(f"block0.{prefix}"))
-                    for prefix in model.STREAMED_LAYERS)
-        assert layer == padded(shape for name, shape in block.items()
-                               if ".lstm." in name or ".blstm." in name)
-        activations = limits.MAX_ARRAYS * steps * cfg.width * 4
+        rnn = ["lstm."] if causal else ["blstm.fwd.", "blstm.bwd."]
+        layers = {prefix: padded(shape for name, shape in streamed_shapes(cfg).items()
+                                 if name.startswith(prefix))
+                  for prefix in ["input_proj.", "output_proj.",
+                                 *(f"block0.{p}" for p in [*rnn, "attn.", "ff."])]}
+        layer = max(layers.values())
+        assert layer == layers["block0.lstm." if causal else "block0.ff."]
+        assert sum(layers.values()) == padded(streamed_shapes(cfg, "block0.").values()) \
+            + layers["input_proj."] + layers["output_proj."]
+        activations = 2.5 * steps * cfg.width * 4
         out = []
         peak = traced_peak(lambda: out.append(model.enhance(
             x, params_from_checkpoint(load_checkpoint(path, for_enhance=True)), cfg)))
@@ -830,6 +848,64 @@ class TestStreamedTable:
         assert layer < padded(block.values())
         assert held + layer + activations < padded(model.param_shapes(cfg).values())
         assert peak <= held + layer + activations
+
+    def test_directions_and_projections_read_when_they_run(self, monkeypatch, tmp_path):
+        # every read of the reader and every LSTM direction's run, in order,
+        # through a non-causal `arn enhance` of two files: block i's
+        # backward direction is read only after its forward direction's
+        # loop has returned, no read falls inside a direction's run, and
+        # each projection is read once per file
+        cfg = toy_model_cfg(num_blocks=2, causal=False)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint_from(
+            model.init_params(cfg, np.random.default_rng(2320), np.float32), cfg), path)
+        events = []
+        read, run = training.BlockReader.read, tensor._lstm_run
+
+        def reading(self, layer):
+            events.append(layer)
+            return read(self, layer)
+
+        def running(*args):
+            events.append(("run", args[5]))
+            views = run(*args)
+            events.append(("ran", args[5]))
+            return views
+        monkeypatch.setattr(training.BlockReader, "read", reading)
+        monkeypatch.setattr(tensor, "_lstm_run", running)
+        src, dst = two_file_dir(tmp_path)
+        assert cli.main(["enhance", "--model", str(path), "--in", str(src),
+                         "--out", str(dst)]) == 0
+        per_file = ["input_proj."]
+        for i in range(cfg.num_blocks):
+            per_file += [f"block{i}.blstm.fwd.", ("run", False), ("ran", False),
+                         f"block{i}.blstm.bwd.", ("run", True), ("ran", True),
+                         f"block{i}.attn.", f"block{i}.ff."]
+        assert events == (per_file + ["output_proj."]) * 2
+
+    @pytest.mark.parametrize("config", sorted((ROOT / "configs").glob("*.json")),
+                             ids=lambda path: path.stem)
+    def test_full_size_buffer_is_the_largest_op(self, config):
+        # shapes only: the reader's buffer, laid out from the table's
+        # streamed layers as the enhance load lays it out, is 32.0 MiB for
+        # the causal presets (the LSTM, whose step needs w_x and w_h
+        # together) and 16.0 MiB non-causal (the feedforward, each BLSTM
+        # direction being 12.0 MiB); every entry that the table holds is 1-D
+        cfg = ARNConfig(**json.loads(config.read_text())["model"])
+        layout = {}
+        for name, shape in model.param_shapes(cfg).items():
+            layer = model.streamed_layer(name)
+            if layer is None:
+                assert len(shape) == 1, name
+            else:
+                layout.setdefault(layer, []).append((name, shape, 0, math.prod(shape)))
+        assert model.held_shapes(cfg).keys() == \
+            model.param_shapes(cfg).keys() - {n for e in layout.values() for n, *_ in e}
+        with open(os.devnull, "rb") as fh:
+            reader = training.BlockReader(fh, os.devnull, os.fstat(fh.fileno()), layout)
+        assert round(reader._size * 4 / 2 ** 20, 1) == (32.0 if cfg.causal else 16.0)
+        largest = max(layout, key=lambda layer: sum(c for *_, c in layout[layer]))
+        assert largest.endswith("lstm." if cfg.causal else "ff.")
 
     def test_refuses_recording(self, tmp_path):
         cfg = toy_model_cfg(num_blocks=2)
@@ -901,17 +977,18 @@ class TestStreamedTable:
             assert sum(read_bytes) == files * 4 * sum(map(math.prod, streamed.values()))
         # at full size, each file reads the blocks' RNN, attention's three
         # linear maps and feedforward, 15 or 13 (N, N) matrices and 11
-        # N-vectors per block
+        # N-vectors per block, and the two projections, 3 MiB of weights
+        # and 5 KiB of biases at the default 512-sample input frame
         full = streamed_shapes(ARNConfig(causal=causal))
         assert 4 * sum(map(math.prod, full.values())) == \
-            (240 if causal else 208) * 2 ** 20 + 176 * 2 ** 10
+            ((240 if causal else 208) + 3) * 2 ** 20 + (176 + 5) * 2 ** 10
 
     def test_checkpoint_rewritten_between_layer_reads_exit_4(self, monkeypatch, tmp_path,
                                                               capsys):
-        # block 0's RNN is read for the first file, then the checkpoint is
-        # rewritten in place, at the same size with a later modification
-        # time: the block's attention read refuses it, naming the file,
-        # before that file's output is written
+        # the input projection is read for the first file, then the
+        # checkpoint is rewritten in place, at the same size with a later
+        # modification time: block 0's RNN read refuses it, naming the
+        # file, before that file's output is written
         cfg = ARNConfig(width=16, frame_in=16, frame_out=8, shift=8, num_blocks=2,
                         causal=True, dropout=0.0)
         ckpt, other = tmp_path / "model.ckpt", tmp_path / "other.ckpt"
@@ -924,9 +1001,9 @@ class TestStreamedTable:
         reads = []
         read = training.BlockReader.read
 
-        def read_then_rewrite(self, i, prefix):
-            views = read(self, i, prefix)
-            reads.append((i, prefix))
+        def read_then_rewrite(self, layer):
+            views = read(self, layer)
+            reads.append(layer)
             if len(reads) == 1:
                 before = ckpt.stat()
                 ckpt.write_bytes(other.read_bytes())
@@ -938,7 +1015,7 @@ class TestStreamedTable:
                          "--in", str(src), "--out", str(dst)]) == 4
         err = capsys.readouterr().err
         assert str(ckpt) in err and "changed after it was loaded" in err
-        assert reads == [(0, "lstm.")]
+        assert reads == ["input_proj."]
         assert not (dst / "a.wav").exists()
 
 
