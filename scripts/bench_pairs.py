@@ -300,9 +300,9 @@ def main(argv=None) -> int:
     for workload, entry in report["summary"].items():
         for name, m in entry["metrics"].items():
             print(f"{workload} {name}: {m['parent']['median']} -> {m['change']['median']} "
-                  f"{m['unit']} ({m['change_won']}/{m['pairs']} won; parent spread "
-                  f"{m['parent_spread']}, gain shown {m['gain_shown']}, "
-                  f"unresolved {m['unresolved']})")
+                  f"{m['unit']} ({m['change_won']}/{m['pairs']} won; past bound "
+                  f"{m['past_bound']}, parent spread {m['parent_spread']}, "
+                  f"gain shown {m['gain_shown']}, unresolved {m['unresolved']})")
     return 0
 
 

@@ -13,16 +13,17 @@ path>`` lines and prints one tab-separated record per pair
 error while reading, enhancing or scoring a pair names the manifest, the
 line and both paths, and exits with the code of the error itself.
 
-``enhance`` and ``evaluate --model`` hold the checkpoint open and read the
-weights from it for every file, one layer at a time (the input and output
-projections, and each direction of a BLSTM apart), when the model's op
-that uses them runs; the load reads only the blocks' vectors. A weight
-that is not complete and finite is refused at its first read, with exit
-4, naming the checkpoint and the entry, before that file's output is
-written; a run that enhances nothing (no WAVs, or only empty or silent
-input) reads no weight layer and so refuses none. A checkpoint that changes during the
-run, in size or modification time, or whose weights fail a later read
-after passing an earlier one, is refused with exit 4, naming the file.
+``enhance`` and ``evaluate --model`` hold the checkpoint open and read
+every parameter from it for every file, one layer at a time (the input and
+output projections, each layer norm, and each direction of a BLSTM apart),
+when the model's op that uses it runs; the load reads none of them. A
+parameter that is not complete and finite is refused at its first read,
+with exit 4, naming the checkpoint and the entry, before that file's
+output is written; a run that enhances nothing (no WAVs, or only empty or
+silent input) reads no layer and so refuses none. A checkpoint that
+changes during the run, in size or modification time, or whose layers fail
+a later read after passing an earlier one, is refused with exit 4, naming
+the file.
 A checkpoint whose weights are finite but overflow the network, so that
 an input enhances to non-finite values, is refused with exit 4, naming the
 checkpoint and the input, before any score or output of that input. In
@@ -96,8 +97,8 @@ def _seed() -> int:
 
 
 def _load_model(ckpt_path):
-    # the streamed table: no Adam moment, and each weight layer read from
-    # the file, for every enhanced file, when the op that uses it runs
+    # the streamed table: no Adam moment, and each layer read from the
+    # file, for every enhanced file, when the op that uses it runs
     ckpt = training.load_checkpoint(ckpt_path, for_enhance=True)
     params = training.params_from_checkpoint(ckpt)
     return params, ckpt.model_cfg

@@ -17,14 +17,14 @@ observed input.
 Parameters live in a flat ordered dict of named tensors; one helper,
 ``_sub``, derives each block's and each layer's view by name prefix. The
 table, ``param_shapes``, is what training updates and checkpoints store.
-``arn enhance`` holds it streamed (``training.StreamedTable``): the
-entries of ``held_shapes``, the blocks' vectors, in memory, and every
-weight layer (``STREAMED_LAYERS``: the two projections, and in each block
-each direction of its RNN, attention's three linear maps and the
-feedforward) read from the checkpoint one at a time, each when the op that
-uses it runs. The pass gets each block's table through ``block_table``
-and each layer's through ``layer_table``, which a dict answers by prefix,
-so there is one forward path, and one value-gate path, for either table.
+``arn enhance`` streams it (``training.StreamedTable``): it holds none of
+it, and reads every layer (``STREAMED_LAYERS``: the two projections, and
+in each block its five layer norms, each direction of its RNN, attention
+and the feedforward) from the checkpoint one at a time, each when the op
+that uses it runs. The pass gets each block's table through
+``block_table`` and each layer's through ``layer_table``, which a dict
+answers by prefix, so there is one forward path, and one value-gate path,
+for either table.
 
 Outside recording, each (T, N) array is dropped after its last reader, or
 written over by it. The frame rows, each block's input and the attention's
@@ -170,35 +170,22 @@ def param_shapes(cfg: ARNConfig) -> dict:
     return shapes
 
 
-# the weight layers that a streamed table reads from its checkpoint one at
-# a time, each when the forward pass reaches it: the prefix that
-# ``layer_table`` takes -> the prefix, within the table, of the entries
-# read. Outside the blocks, the two projections; in each block, the RNN (an
-# LSTM, or each direction of a BLSTM, read when that direction runs),
-# attention's three linear maps (the query map and the value gate's two) and
-# the feedforward
-STREAMED_LAYERS = {"input_proj.": "input_proj.", "lstm.": "lstm.",
-                   "blstm.fwd.": "blstm.fwd.", "blstm.bwd.": "blstm.bwd.",
-                   "attn.": "attn.lin_", "ff.": "ff.", "output_proj.": "output_proj."}
+# the layers that a streamed table reads from its checkpoint one at a time,
+# each when the forward pass reaches it, by their prefix in the table or in
+# a block's: the two projections, and in each block its five layer norms,
+# the RNN (an LSTM, or each direction of a BLSTM, read when that direction
+# runs), attention (its three vectors and three linear maps) and the
+# feedforward
+STREAMED_LAYERS = ("input_proj.", "ln0.", "ln1.", "ln2.", "ln3.", "ln4.", "lstm.",
+                   "blstm.fwd.", "blstm.bwd.", "attn.", "ff.", "output_proj.")
 
 
-def streamed_layer(name: str):
+def streamed_layer(name: str) -> str:
     """The ``STREAMED_LAYERS`` layer that entry ``name`` of the parameter
     table belongs to, as its prefix in that table (``'input_proj.'``,
-    ``'block1.blstm.bwd.'``, ``'block1.attn.'``), or None for an entry that
-    a streamed table holds."""
+    ``'block1.ln0.'``, ``'block1.blstm.bwd.'``)."""
     block = name[:name.index(".") + 1] if name.startswith("block") else ""
-    return next((block + layer for layer, entries in STREAMED_LAYERS.items()
-                 if name.startswith(block + entries)), None)
-
-
-def held_shapes(cfg: ARNConfig) -> dict:
-    """Name -> shape of the entries that a streamed table
-    (``training.StreamedTable``) holds: each block's vectors outside
-    ``STREAMED_LAYERS``, its five layer norms' gains and offsets,
-    ``attn.q``, ``attn.k`` and ``attn.v``. Every one is 1-D."""
-    return {name: shape for name, shape in param_shapes(cfg).items()
-            if streamed_layer(name) is None}
+    return next(block + layer for layer in STREAMED_LAYERS if name.startswith(block + layer))
 
 
 def init_params(cfg: ARNConfig, rng: np.random.Generator,
@@ -237,9 +224,8 @@ def _sub(params: dict, prefix: str) -> dict:
 
 def block_table(params: dict, i: int) -> dict:
     """Block ``i``'s table, its names without the ``block<i>.`` prefix. A
-    streamed table gives the block's held entries, whose ``layer_table``
-    reads each layer's weights; a dict answers by prefix, as ``_sub``
-    does."""
+    streamed table gives one that reads the block's layers through
+    ``layer_table``; a dict answers by prefix, as ``_sub`` does."""
     block = getattr(params, "block", None)
     return _sub(params, f"block{i}.") if block is None else block(i)
 
@@ -247,10 +233,10 @@ def block_table(params: dict, i: int) -> dict:
 def layer_table(table: dict, prefix: str) -> dict:
     """The entries of a table whose names start with ``prefix``, their names
     kept: one layer's, a prefix of ``STREAMED_LAYERS``, of the whole table
-    (the projections) or of a block's (the RNN or one direction of it,
-    attention, the feedforward). A streamed table reads the layer's weights
-    from its checkpoint, into views that the next layer's read overwrites;
-    a dict answers by prefix."""
+    (the projections) or of a block's (a layer norm, the RNN or one
+    direction of it, attention, the feedforward). A streamed table reads the
+    layer from its checkpoint, into views that the next layer's read
+    overwrites; a dict answers by prefix."""
     read = getattr(table, "read_layer", None)
     view = ({k: v for k, v in table.items() if k.startswith(prefix)} if read is None
             else read(prefix))
@@ -353,17 +339,20 @@ def arn_block_forward(x: Tensor, block_params: dict, cfg: ARNConfig,
     ``arn_forward_frames``. Recording, every op allocates its output, and
     the graph is the one the block's formula writes out.
 
-    Each weight layer's table is taken through ``layer_table`` just before
-    its op runs and dropped when the op returns (the RNN's, one direction at
-    a time, by ``rnn_sequence``), so a streamed table's next layer read
-    overwrites no view in use.
+    Each layer's table, a layer norm's included, is taken through
+    ``layer_table`` just before its op runs and dropped when the op returns
+    (the RNN's, one direction at a time, by ``rnn_sequence``), so a streamed
+    table's next layer read overwrites no view in use.
     """
-    ln = [(block_params[f"ln{j}.g"], block_params[f"ln{j}.b"]) for j in range(5)]
-    y = layer_norm(x, *ln[0], cfg.ln_eps)
+    def norm(x, j, overwrite=False):
+        ln = layer_table(block_params, f"ln{j}.")
+        return layer_norm(x, ln[f"ln{j}.g"], ln[f"ln{j}.b"], cfg.ln_eps, overwrite)
+
+    y = norm(x, 0)
     del x
     y = rnn_sequence(y, block_params, cfg)
-    q = layer_norm(y, *ln[1], cfg.ln_eps)
-    kv = [layer_norm(y, *ln[2], cfg.ln_eps, overwrite=True)]
+    q = norm(y, 1)
+    kv = [norm(y, 2, overwrite=True)]
     del y
     # the keys and values go in by the list's only reference, so that the
     # attention node frees them; its output lands in the query stream
@@ -371,8 +360,8 @@ def arn_block_forward(x: Tensor, block_params: dict, cfg: ARNConfig,
                         _sub(layer_table(block_params, "attn."), "attn."), cfg.causal,
                         into=q)
     del q
-    z1 = layer_norm(a, *ln[3], cfg.ln_eps)
-    z2 = layer_norm(a, *ln[4], cfg.ln_eps, overwrite=True)
+    z1 = norm(a, 3)
+    z2 = norm(a, 4, overwrite=True)
     del a
     ff = layer_table(block_params, "ff.")
     return feedforward_block(z1, ff["ff.w"], ff["ff.b"], cfg.dropout, rng, into=z2)
@@ -409,17 +398,20 @@ def arn_forward(x, params: dict, cfg: ARNConfig, rng=None) -> Tensor:
     depends only on input the model has already seen. The leading
     ``frame_in - frame_out`` samples are covered by no output frame and
     come out as zeros (the causal warm-up region). ``params`` must hold
-    exactly the names of ``param_shapes(cfg)``, or, for a streamed table,
-    which reads the rest per layer, those of ``held_shapes(cfg)``.
+    exactly the names of ``param_shapes(cfg)``; a streamed table, which
+    reads each layer from its checkpoint, is float32, as the file is.
     """
-    expected = (held_shapes if hasattr(params, "block") else param_shapes)(cfg).keys()
-    if params.keys() != expected:
-        raise ConfigurationError(
-            "parameter table does not match the config: names missing under "
-            f"{_prefixes(expected - params.keys())}, extra under "
-            f"{_prefixes(params.keys() - expected)}")
-    # the dtype of an entry that both tables hold
-    xt = Tensor(np.asarray(x, dtype=params["block0.ln0.g"].data.dtype))
+    if hasattr(params, "read_layer"):
+        dtype = np.float32
+    else:
+        expected = param_shapes(cfg).keys()
+        if params.keys() != expected:
+            raise ConfigurationError(
+                "parameter table does not match the config: names missing under "
+                f"{_prefixes(expected - params.keys())}, extra under "
+                f"{_prefixes(params.keys() - expected)}")
+        dtype = params["block0.ln0.g"].data.dtype
+    xt = Tensor(np.asarray(x, dtype=dtype))
     # the frame rows go in unnamed, so arn_forward_frames frees them
     out_frames = arn_forward_frames(tensor.frame_rows(xt, cfg.frame_in, cfg.shift),
                                     params, cfg, rng)
@@ -429,8 +421,7 @@ def arn_forward(x, params: dict, cfg: ARNConfig, rng=None) -> Tensor:
 
 def enhance(x, params: dict, cfg: ARNConfig) -> np.ndarray:
     """The forward pass without dropout and unrecorded, as a plain array.
-    A streamed table reads each weight layer from its checkpoint as the
-    pass reaches it, so at most one layer's weights are held beside the
-    ones the table holds."""
+    A streamed table reads each layer from its checkpoint as the pass
+    reaches it, so at most one layer's weights are held."""
     with tensor.no_grad():
         return arn_forward(x, params, cfg).data

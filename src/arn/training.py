@@ -26,25 +26,24 @@ them, since the gate is recomputed from the parameters.
 ``load_checkpoint`` reads the whole trainable table, and Adam's moments
 when the file has them, for training, tests and checks. Its enhance load
 (``for_enhance=True``, what ``arn enhance`` and ``arn evaluate --model``
-use) reads and checks only each block's vectors (``model.held_shapes``:
-its layer norms, ``attn.q``, ``attn.k`` and ``attn.v``), which it holds,
-and Adam's moments, which it drops. It steps over every weight layer,
-recording where each lies, and keeps the file open.
-``params_from_checkpoint`` makes that a ``StreamedTable``, from which
-``model.enhance`` reads each layer (``model.STREAMED_LAYERS``: the input
-and output projections, and in each block each direction of the RNN,
-attention's three linear maps and the feedforward) as the op that uses it
-runs, into one buffer reused across layers, blocks and files: every
-weight once per file, about 243 MiB at full causal size. The buffer is
-sized for the largest layer, 32.0 MiB causal (the LSTM) and 16.0 MiB
-non-causal (the feedforward). Each such read is checked complete and
-finite before any op sees it. A fault found at a layer's first read was
+use) holds no parameter: it reads and checks only Adam's moments, which it
+drops, steps over every entry of the table, recording where each layer
+lies, and keeps the file open. ``params_from_checkpoint`` makes that a
+``StreamedTable``, from which ``model.enhance`` reads each layer
+(``model.STREAMED_LAYERS``: the input and output projections, and in each
+block its five layer norms, each direction of the RNN, attention and the
+feedforward) as the op that uses it runs, into one buffer reused across
+layers, blocks and files: every parameter once per file, 243 MiB + 389 KiB
+at full causal size and 211 MiB + 389 KiB non-causal. The buffer is sized
+for the largest layer, 32.0 MiB causal (the LSTM) and 16.0 MiB non-causal
+(the feedforward). Each such read is checked complete and finite before
+any op sees it. A fault found at a layer's first read was
 in the file at the load and is refused as the full load refuses it
 (``CheckpointFormatError`` or ``CheckpointTruncatedError``, naming the
 file and the entry); a layer that passed before and fails later, or any
 read from a file whose size or modification time is no longer what it was
 at the load, is refused with ``CheckpointChangedError``. An enhance load
-that enhances nothing reads no weight layer.
+that enhances nothing reads no layer.
 """
 
 from __future__ import annotations
@@ -206,10 +205,10 @@ class Checkpoint:
     adam: AdamState | None = None
     best_score: float = -math.inf
     epoch: int = 0
-    # enhance load only: ``tensors`` holds ``model.held_shapes``' entries,
-    # ``blocks`` reads the weight layers, and ``passed`` maps each entry of
-    # the file's table that was not kept (the streamed entries and any the
-    # table check refuses), and not read, to its stored shape
+    # enhance load only: ``tensors`` is empty, ``blocks`` reads the table's
+    # layers, and ``passed`` maps each entry of the file's table (the
+    # streamed entries and any that the table check refuses), none of them
+    # read, to its stored shape
     blocks: BlockReader | None = None
     passed: dict | None = None
 
@@ -230,18 +229,14 @@ def params_from_checkpoint(ckpt: Checkpoint) -> dict:
     """Rebuild float32 tensors, validating the file's table against the
     config's trainable shape table.
 
-    From an enhance load, the table checked is the file's entries, the
-    ones not read or kept included, and what is returned is a
-    ``StreamedTable``. Nothing is copied: each parameter's data is the
-    array in ``ckpt.tensors``, so one copy of the weights is held, and an
-    in-place update of a parameter also changes the checkpoint object.
+    From an enhance load, the table checked is the file's entries, none of
+    them read, and what is returned is a ``StreamedTable``. Otherwise nothing
+    is copied: each parameter's data is the array in ``ckpt.tensors``, so
+    one copy of the weights is held, and an in-place update of a parameter
+    also changes the checkpoint object.
     """
     expected = model.param_shapes(ckpt.model_cfg)
-    stored = {name: arr.shape for name, arr in ckpt.tensors.items()}
-    table = expected
-    if ckpt.blocks is not None:
-        table = model.held_shapes(ckpt.model_cfg)
-        stored |= ckpt.passed
+    stored = {name: arr.shape for name, arr in ckpt.tensors.items()} | (ckpt.passed or {})
     if set(stored) != set(expected):
         missing = sorted(set(expected) - set(stored))
         extra = sorted(set(stored) - set(expected))
@@ -251,44 +246,40 @@ def params_from_checkpoint(ckpt: Checkpoint) -> dict:
         if stored[name] != shape:
             raise CheckpointShapeError(
                 f"{name}: stored shape {stored[name]} != declared {shape}")
-    params = {name: tensor.Tensor(ckpt.tensors[name], requires_grad=True) for name in table}
-    return params if ckpt.blocks is None else StreamedTable(params, ckpt.blocks)
+    if ckpt.blocks is not None:
+        return StreamedTable(ckpt.blocks)
+    return {name: tensor.Tensor(ckpt.tensors[name], requires_grad=True) for name in expected}
 
 
-class StreamedTable(dict):
-    """An enhance load's table for ``model.enhance``: the tensors of
-    ``model.held_shapes``, by name; ``read_layer(prefix)``, which returns
-    those under ``prefix`` with the layer's weights read from the checkpoint
-    (``BlockReader.read``), and which ``model.layer_table`` calls just
-    before the layer's op runs, for the projections; and ``block(i)``, block
-    ``i``'s table, which ``model.block_table`` calls as the forward pass
-    reaches the block: a ``StreamedTable`` of the block's held tensors, by
-    name without the block's prefix, whose ``read_layer`` reads the block's
-    layers.
+class StreamedTable:
+    """An enhance load's table for ``model.enhance``, which holds no
+    parameter: a reader of the checkpoint's layers bound to a prefix of the
+    table's names, ``''`` for the whole table. ``read_layer(prefix)``, which
+    ``model.layer_table`` calls just before the layer's op runs, reads the
+    layer under the two prefixes from the checkpoint (``BlockReader.read``)
+    and returns its tensors by name without the bound prefix; ``block(i)``,
+    which ``model.block_table`` calls as the forward pass reaches block
+    ``i``, is the reader bound to ``block<i>.``.
     """
 
-    def __init__(self, held: dict, blocks: BlockReader, prefix: str = ""):
-        super().__init__(held)
+    def __init__(self, blocks: BlockReader, prefix: str = ""):
         self._blocks, self._prefix = blocks, prefix
 
     def block(self, i: int) -> StreamedTable:
-        prefix = f"block{i}."
-        return StreamedTable({k[len(prefix):]: t for k, t in self.items()
-                              if k.startswith(prefix)}, self._blocks, prefix)
+        return StreamedTable(self._blocks, f"block{i}.")
 
     def read_layer(self, prefix: str) -> dict:
-        read = self._blocks.read(self._prefix + prefix)
-        return ({k: t for k, t in self.items() if k.startswith(prefix)}
-                | {k[len(self._prefix):]: t for k, t in read.items()})
+        return {k[len(self._prefix):]: t
+                for k, t in self._blocks.read(self._prefix + prefix).items()}
 
 
 class BlockReader:
-    """Where each weight layer of ``model.STREAMED_LAYERS`` lies in an
-    enhance load's checkpoint, and the open file they are read from.
+    """Where each layer of ``model.STREAMED_LAYERS`` lies in an enhance
+    load's checkpoint, and the open file they are read from.
 
     ``read(layer)`` reads the entries of ``layer``, a layer's prefix in the
     parameter table (``model.streamed_layer``: ``'input_proj.'``,
-    ``'block1.blstm.fwd.'``, ``'block1.attn.'``), into one buffer, sized
+    ``'block1.ln0.'``, ``'block1.blstm.fwd.'``), into one buffer, sized
     for the largest layer, allocated on the first read and reused across
     layers, blocks and calls, and returns a tensor viewing each entry, by
     its name in the table; a prefix that names no such layer reads nothing.
@@ -466,17 +457,15 @@ def load_checkpoint(path, for_enhance: bool = False) -> Checkpoint:
     over, not read. The full load reads the tensors straight into their
     own float32 views of one block, so the weights are held once.
 
-    With ``for_enhance``, the load holds only the tensors of
-    ``model.held_shapes``, in such a block, and the open file. Adam's
-    moments are read through one chunk buffer, allocated only when there
-    are any, checked, and dropped; ``adam`` is then None. Every other
-    payload, every weight layer's included, is stepped over, not read:
-    ``blocks`` records where each weight layer lies, and checks each as
-    ``model.enhance`` reads it (``BlockReader``), so a bad weight is
-    refused at its first read, before the output of the file being enhanced
-    is written, and a run that enhances nothing reads none.
-    ``params_from_checkpoint`` checks the table, the entries not kept
-    included, as for a full load.
+    With ``for_enhance``, the load holds no tensor, only the open file.
+    Adam's moments are read through one chunk buffer, allocated only when
+    there are any, checked, and dropped; ``adam`` is then None. Every other
+    payload is stepped over, not read: ``blocks`` records where each layer
+    of the table lies, and checks each as ``model.enhance`` reads it
+    (``BlockReader``), so a bad parameter is refused at its first read,
+    before the output of the file being enhanced is written, and a run
+    that enhances nothing reads none. ``params_from_checkpoint`` checks the
+    table, none of it read, as for a full load.
     """
     fh = open(path, "rb")
     try:
@@ -572,16 +561,13 @@ def _read_checkpoint(fh, path: str, for_enhance: bool = False) -> Checkpoint:
     except (TypeError, ConfigurationError) as exc:
         raise CheckpointFormatError(f"bad config block: {exc}") from None
 
-    # what the enhance load does with each entry: it holds the entries of
-    # the held table, reads, checks and drops Adam's moments, and steps
-    # over the rest: the weight layers, which it streams, and any entry the
+    # the full load keeps every entry but the cache's; the enhance load
+    # keeps none: it reads, checks and drops Adam's moments, and steps over
+    # the rest, the table's layers, which it streams, and any entry the
     # table check then refuses
-    streamed = set()
-    kept = {name for name, _, _ in directory if not name.startswith("cache.")}
-    if for_enhance:
-        held = model.held_shapes(model_cfg)
-        streamed = model.param_shapes(model_cfg).keys() - held.keys()
-        kept = {name for name in kept if name in held}
+    streamed = model.param_shapes(model_cfg).keys() if for_enhance else ()
+    kept = set() if for_enhance else {name for name, _, _ in directory
+                                      if not name.startswith("cache.")}
 
     # Every kept tensor is a view of one block, each starting on a 64-byte
     # line. One allocation this large is mapped fresh from the OS (in huge

@@ -1,13 +1,17 @@
 """Checkpoint bytes, mutated, through ``arn enhance`` and ``arn evaluate
 --model``: each run either succeeds with finite output and nothing on
 standard error, or is refused with exit 4 and one ``error:`` line, before
-any output of the file that it refuses."""
+any output of the file that it refuses. WAV bytes, mutated, through
+``arn enhance``: each run either succeeds with finite output, or is refused
+with exit 3 and one ``error:`` line, with no output for the file that it
+refuses or after it."""
 
 import contextlib
 import io
 import math
 import re
 import shutil
+import struct
 import warnings
 
 import numpy as np
@@ -148,3 +152,78 @@ def test_mutated_checkpoint_enhances_or_exits_4(files, strategy, data):
         # it or after it, and a refused load prints none
         line = re.search(r", line (\d+) \(", err)
         assert len(records) == (int(line[1]) - 1 if line else 0)
+
+
+# where ``wavio.write_wav`` puts each field of its 44-byte header: the RIFF
+# size, the fmt chunk's length, its format tag, channels, rate, byte rate,
+# block align and bits, and the data chunk's length
+WAV_FIELDS = [(4, "<I"), (16, "<I"), (20, "<H"), (22, "<H"), (24, "<I"), (28, "<I"),
+              (32, "<H"), (34, "<H"), (40, "<I")]
+WAV_HEADER = 44
+
+
+@pytest.fixture(scope="module")
+def wav_files(tmp_path_factory):
+    """A width-8 causal checkpoint; the bytes of a valid WAV in each
+    encoding, a tone of 480 samples."""
+    root = tmp_path_factory.mktemp("wavfuzz")
+    ckpt = root / "model.ckpt"
+    cfg = CONFIGS[True]
+    save_checkpoint(checkpoint_from(
+        model.init_params(cfg, np.random.default_rng(2410), np.float32), cfg), ckpt)
+    blobs = []
+    for encoding in ("float32", "pcm16"):
+        path = root / f"base_{encoding}.wav"
+        wavio.write_wav(path, 0.25 * np.sin(np.arange(480) / 5.0), encoding=encoding)
+        blobs.append(path.read_bytes())
+    return root, ckpt, blobs
+
+
+@st.composite
+def mutated_wav(draw, blobs):
+    """A valid WAV with one mutation: a header field or chunk length set to
+    a nearby or an arbitrary value, one header byte replaced (the RIFF,
+    WAVE and chunk ids included), or the file cut short."""
+    blob = draw(st.sampled_from(blobs))
+    kind = draw(st.sampled_from(["field", "byte", "truncate"]))
+    if kind == "field":
+        at, fmt = draw(st.sampled_from(WAV_FIELDS))
+        top = 256 ** struct.calcsize(fmt)
+        (old,) = struct.unpack_from(fmt, blob, at)
+        new = draw(st.one_of(st.integers(-8, 8).map(lambda d: (old + d) % top),
+                             st.integers(0, top - 1)))
+        return blob[:at] + struct.pack(fmt, new) + blob[at + struct.calcsize(fmt):]
+    if kind == "byte":
+        at = draw(st.integers(0, WAV_HEADER - 1))
+        return blob[:at] + draw(st.binary(min_size=1, max_size=1)) + blob[at + 1:]
+    return blob[:draw(st.integers(0, len(blob) - 1))]
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_mutated_wav_enhances_or_exits_3(wav_files, data):
+    root, ckpt, blobs = wav_files
+    src, dst = root / "in", root / "out"
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.rmtree(dst, ignore_errors=True)
+    src.mkdir()
+    bad = data.draw(st.sampled_from(INPUTS))
+    for name in INPUTS:
+        (src / name).write_bytes(data.draw(mutated_wav(blobs)) if name == bad else blobs[0])
+
+    code, _, err = run_cli(["enhance", "--model", str(ckpt), "--in", str(src),
+                            "--out", str(dst)])
+    written = sorted(p.name for p in dst.glob("*.wav")) if dst.exists() else []
+    event(f"enhance exit {code}, {bad} mutated")
+    if code == 0:
+        assert err == ""
+        assert written == list(INPUTS)
+        for name in INPUTS:
+            assert np.isfinite(wavio.read_wav(dst / name)).all()
+    else:
+        assert code == 3, err
+        one_error_line(err)
+        # the mutated file, or its output, is named; it has no output, nor
+        # has any file after it
+        assert str(src / bad) in err or str(dst / bad) in err, err
+        assert written == list(INPUTS[:INPUTS.index(bad)])

@@ -227,3 +227,26 @@ class TestBenchPairs:
         report = json.loads((tmp_path / "BENCH_0.json").read_text())
         assert report["change"] == {"head_sha": head, "uncommitted_changes": True}
         assert report["complete"] is True
+
+    def test_closing_summary_prints_each_verdict(self, monkeypatch, tmp_path, capsys):
+        # one line per workload and metric, with past_bound, the verdict
+        # that refuses a change that claims no gain: here the change's
+        # memory is 6% worse, past its 5% bound, and its score unchanged
+        def git(*args):
+            return "e" * 40 if args[0] == "rev-parse" else " M src/arn/model.py"
+        spec = {**SPEC, "command": ["true"], "run_seconds": 1}
+        (tmp_path / "BENCHMARK.json").write_text(json.dumps(spec))
+        monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+        monkeypatch.setattr(bench_pairs, "_git", git)
+        monkeypatch.setattr(bench_pairs, "_export", lambda rev, dest: None)
+        monkeypatch.setattr(bench_pairs, "_run", lambda command, root, workload, seed,
+                            seconds, trace, side: _record(
+                                side, seed, 106.0 if side == "change" else 100.0,
+                                trace=trace))
+        monkeypatch.setattr(bench_pairs.signal, "signal", lambda *args: None)
+        assert bench_pairs.main(["--pr", "0"]) == 0
+        assert capsys.readouterr().out.splitlines()[-2:] == [
+            "w peak_rss_mb: 100.0 -> 106.0 MB (0/10 won; past bound True, "
+            "parent spread 0.0, gain shown False, unresolved False)",
+            "w score: 1.0 -> 1.0 1 (0/10 won; past bound False, "
+            "parent spread 0.0, gain shown False, unresolved False)"]

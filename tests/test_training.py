@@ -547,15 +547,16 @@ class TestCheckpoint:
     @pytest.mark.parametrize("name", ["input_proj.b", "block1.lstm.w_fh",
                                       "adam.m.output_proj.w", "adam.v.block0.ff.b",
                                       "block1.attn.lin_v_sig.w",
-                                      "block0.attn.lin_v_tanh.w", "block1.ff.w"])
+                                      "block0.attn.lin_v_tanh.w", "block1.ff.w",
+                                      "block0.ln0.g", "block1.ln4.b", "block0.attn.v"])
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_tensor_rejected(self, tmp_path, capsys, name, value):
         # by the full load, and by the enhance load for what it reads: the
-        # held entries and the moments. It steps over the streamed layers,
-        # the projections and the blocks' (block1.ff.w is the last block
-        # layer read), so `arn enhance` refuses those at their first read,
-        # with exit 4, naming the checkpoint and the entry, before the first
-        # file's output
+        # moments. It steps over every entry of the table, the projections
+        # and the blocks' layers, layer norms included (block0.ln0.g is the
+        # first block entry read, block1.ff.w the last), so `arn enhance`
+        # refuses those at their first read, with exit 4, naming the
+        # checkpoint and the entry, before the first file's output
         cfg, params, adam = self.make(seed=21, with_adam=True)
         ckpt = checkpoint_from(params, cfg, adam)
         if name.startswith("adam."):
@@ -615,23 +616,21 @@ class TestCheckpoint:
         path = tmp_path / "last.ckpt"
         save_checkpoint(checkpoint_from(params, cfg, adam), path)
         loaded = load_checkpoint(path, for_enhance=True)
-        assert loaded.adam is None
+        assert loaded.adam is None and loaded.tensors == {}
         table = params_from_checkpoint(loaded)
-        # the held tensors, then the projections and each block's layers
-        # (each direction of a BLSTM apart), read one at a time: the
-        # trainable table
-        assert [(k, t.shape) for k, t in table.items()] == \
-            list(model.held_shapes(cfg).items())
+        # nothing held: the projections and each block's layers (each layer
+        # norm and each direction of a BLSTM apart), read one at a time,
+        # are the trainable table
         layers = {}
         rnn = ("lstm.",) if causal else ("blstm.fwd.", "blstm.bwd.")
         with tensor.no_grad():
             for prefix in ("input_proj.", "output_proj."):
                 layers.update({k: t.shape for k, t in model.layer_table(table, prefix).items()})
             for i in range(cfg.num_blocks):
-                for prefix in (*rnn, "attn.", "ff."):
+                for prefix in (*(f"ln{j}." for j in range(5)), *rnn, "attn.", "ff."):
                     layer = model.layer_table(table.block(i), prefix)
                     layers.update({f"block{i}.{k}": t.shape for k, t in layer.items()})
-        assert {k: t.shape for k, t in table.items()} | layers == model.param_shapes(cfg)
+        assert layers == model.param_shapes(cfg)
         for i in range(cfg.num_blocks):
             with tensor.no_grad():
                 gate = model._v_gate_graph(model._sub(params, f"block{i}.attn."))
@@ -660,34 +659,36 @@ class TestCheckpoint:
         assert directory.index("block1.attn.lin_v_tanh.b") < directory.index("block0.attn.v")
         canonical = params_from_checkpoint(load_checkpoint(path, for_enhance=True))
         reordered = params_from_checkpoint(load_checkpoint(moved, for_enhance=True))
-        assert canonical.keys() == reordered.keys()
-        for k in canonical:
-            assert canonical[k].data.tobytes() == reordered[k].data.tobytes()
+        with tensor.no_grad():
+            for i in range(cfg.num_blocks):
+                for prefix in block_layers(cfg.causal):
+                    a = model.layer_table(canonical.block(i), prefix)
+                    b = model.layer_table(reordered.block(i), prefix)
+                    assert a.keys() == b.keys()
+                    for k in a:
+                        assert a[k].data.tobytes() == b[k].data.tobytes()
         x = np.random.default_rng(44).standard_normal(96)
         assert model.enhance(x, reordered, cfg).tobytes() == \
             model.enhance(x, canonical, cfg).tobytes()
 
     @pytest.mark.parametrize("with_adam", [False, True])
     def test_enhance_load_holds_kept_block_and_chunk_buffer(self, tmp_path, with_adam):
-        # the held tensors' one block (model.held_shapes), each entry
-        # rounded up to 16 floats, and, when there are moments, the chunk
-        # buffer that they are read through; then the loader's bookkeeping,
-        # under 1 KiB per directory entry. One (N, N) buffer, a held moment,
-        # a held block matrix or a chunk buffer with no moment to read
-        # would pass the bound
+        # no tensor is kept, so the kept block is empty; then, when there
+        # are moments, the chunk buffer that they are read through, and the
+        # loader's bookkeeping, under 1 KiB per directory entry. One (N, N)
+        # buffer, a held moment, a held block matrix or a chunk buffer with
+        # no moment to read would pass the bound
         cfg = toy_model_cfg(width=256, num_blocks=2)
         params = model.init_params(cfg, np.random.default_rng(44), np.float32)
         adam = AdamState.for_params(params) if with_adam else None
         path = tmp_path / "model.ckpt"
         save_checkpoint(checkpoint_from(params, cfg, adam), path)
-        kept = sum(-(-math.prod(shape) // 16) * 16
-                   for shape in model.held_shapes(cfg).values()) * 4
         loaded = []
         peak = traced_peak(lambda: loaded.append(load_checkpoint(path, for_enhance=True)))
-        assert loaded[0].adam is None
+        assert loaded[0].adam is None and loaded[0].tensors == {}
         bookkeeping = 1024 * len(params) * (3 if with_adam else 1)
         assert bookkeeping < cfg.width * cfg.width * 4
-        assert peak <= kept + (training._CHUNK * 4 if with_adam else 0) + bookkeeping
+        assert peak <= (training._CHUNK * 4 if with_adam else 0) + bookkeeping
 
     @pytest.mark.parametrize("fault", [
         "missing_v", "missing_lin_v_tanh_w", "lin_v_sig_w_shape", "v_shape",
@@ -797,23 +798,30 @@ def padded(shapes) -> int:
 
 def streamed_shapes(cfg: ARNConfig, start: str = "") -> dict:
     """Name -> shape of the entries that a streamed table reads from its
-    checkpoint, for names starting with ``start``."""
-    held = model.held_shapes(cfg)
+    checkpoint, every entry of the table, for names starting with
+    ``start``."""
     return {name: shape for name, shape in model.param_shapes(cfg).items()
-            if name.startswith(start) and name not in held}
+            if name.startswith(start)}
+
+
+def block_layers(causal: bool) -> list:
+    """A block's ``model.STREAMED_LAYERS``, in the order the forward pass
+    reads them."""
+    rnn = ["lstm."] if causal else ["blstm.fwd.", "blstm.bwd."]
+    return ["ln0.", *rnn, "ln1.", "ln2.", "attn.", "ln3.", "ln4.", "ff."]
 
 
 class TestStreamedTable:
-    """The enhance load's table holds each block's vectors, and reads the
-    projections and each block's weight layers (each direction of a BLSTM
-    apart) from the file, one at a time, as the forward pass reaches
-    them."""
+    """The enhance load's table holds no parameter: it reads the
+    projections and each block's layers (each layer norm and each direction
+    of a BLSTM apart) from the file, one at a time, as the forward pass
+    reaches them."""
 
     @pytest.mark.parametrize("causal", [True, False])
     def test_load_and_enhance_hold_one_layer(self, monkeypatch, tmp_path, causal):
-        # what `arn enhance` does, load and enhance, traced: at most the held
-        # tensors, the largest layer's streamed entries and 2.5 (T, N)
-        # arrays of activations, at TestEvalMemory's tile size. The largest
+        # what `arn enhance` does, load and enhance, traced: at most the
+        # largest layer's entries and 2.5 (T, N) arrays of activations, at
+        # TestEvalMemory's tile size; the table holds nothing. The largest
         # layer is the LSTM when causal, and the feedforward when not, since
         # each direction of the BLSTM is read apart. The activations
         # measured 2.3 arrays, causal and not; a reader that holds a whole
@@ -829,13 +837,10 @@ class TestStreamedTable:
         steps = 1024
         x = np.random.default_rng(2311).standard_normal(steps * cfg.shift)
 
-        held = padded(model.held_shapes(cfg).values())
         block = streamed_shapes(cfg, "block0.")
-        rnn = ["lstm."] if causal else ["blstm.fwd.", "blstm.bwd."]
-        layers = {prefix: padded(shape for name, shape in streamed_shapes(cfg).items()
-                                 if name.startswith(prefix))
+        layers = {prefix: padded(streamed_shapes(cfg, prefix).values())
                   for prefix in ["input_proj.", "output_proj.",
-                                 *(f"block0.{p}" for p in [*rnn, "attn.", "ff."])]}
+                                 *(f"block0.{p}" for p in block_layers(causal))]}
         layer = max(layers.values())
         assert layer == layers["block0.lstm." if causal else "block0.ff."]
         assert sum(layers.values()) == padded(streamed_shapes(cfg, "block0.").values()) \
@@ -846,15 +851,16 @@ class TestStreamedTable:
             x, params_from_checkpoint(load_checkpoint(path, for_enhance=True)), cfg)))
         assert out[0].tobytes() == model.enhance(x, params, cfg).tobytes()
         assert layer < padded(block.values())
-        assert held + layer + activations < padded(model.param_shapes(cfg).values())
-        assert peak <= held + layer + activations
+        assert layer + activations < padded(model.param_shapes(cfg).values())
+        assert peak <= layer + activations
 
     def test_directions_and_projections_read_when_they_run(self, monkeypatch, tmp_path):
         # every read of the reader and every LSTM direction's run, in order,
         # through a non-causal `arn enhance` of two files: block i's
         # backward direction is read only after its forward direction's
-        # loop has returned, no read falls inside a direction's run, and
-        # each projection is read once per file
+        # loop has returned, no read falls inside a direction's run, each
+        # layer norm is read just before it runs, and each projection is
+        # read once per file
         cfg = toy_model_cfg(num_blocks=2, causal=False)
         path = tmp_path / "model.ckpt"
         save_checkpoint(checkpoint_from(
@@ -878,29 +884,61 @@ class TestStreamedTable:
                          "--out", str(dst)]) == 0
         per_file = ["input_proj."]
         for i in range(cfg.num_blocks):
-            per_file += [f"block{i}.blstm.fwd.", ("run", False), ("ran", False),
+            per_file += [f"block{i}.ln0.",
+                         f"block{i}.blstm.fwd.", ("run", False), ("ran", False),
                          f"block{i}.blstm.bwd.", ("run", True), ("ran", True),
-                         f"block{i}.attn.", f"block{i}.ff."]
+                         f"block{i}.ln1.", f"block{i}.ln2.", f"block{i}.attn.",
+                         f"block{i}.ln3.", f"block{i}.ln4.", f"block{i}.ff."]
         assert events == (per_file + ["output_proj."]) * 2
+
+    def test_reader_allocates_its_buffer_once(self, monkeypatch, tmp_path):
+        # through a non-causal `arn enhance` of two files, after every read
+        # the reader's buffer is the one array, sized for the largest layer
+        # (the feedforward), not one sized for the layer just read: a
+        # buffer grown or remade per read leaves freed blocks that raise the
+        # process's peak resident memory
+        cfg = toy_model_cfg(num_blocks=2, causal=False)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint_from(
+            model.init_params(cfg, np.random.default_rng(2321), np.float32), cfg), path)
+        largest = max(padded(streamed_shapes(cfg, f"block0.{p}").values())
+                      for p in block_layers(False)) // 4
+        assert largest == padded(streamed_shapes(cfg, "block0.ff.").values()) // 4
+        buffers = []
+        read = training.BlockReader.read
+
+        def reading(self, layer):
+            views = read(self, layer)
+            buffers.append(self._buffer)
+            return views
+        monkeypatch.setattr(training.BlockReader, "read", reading)
+        src, dst = two_file_dir(tmp_path)
+        assert cli.main(["enhance", "--model", str(path), "--in", str(src),
+                         "--out", str(dst)]) == 0
+        assert len(buffers) == 2 * (2 + cfg.num_blocks * len(block_layers(False)))
+        assert all(b is buffers[0] for b in buffers)
+        assert buffers[0].shape == (largest,)
 
     @pytest.mark.parametrize("config", sorted((ROOT / "configs").glob("*.json")),
                              ids=lambda path: path.stem)
     def test_full_size_buffer_is_the_largest_op(self, config):
         # shapes only: the reader's buffer, laid out from the table's
-        # streamed layers as the enhance load lays it out, is 32.0 MiB for
-        # the causal presets (the LSTM, whose step needs w_x and w_h
-        # together) and 16.0 MiB non-causal (the feedforward, each BLSTM
-        # direction being 12.0 MiB); every entry that the table holds is 1-D
+        # layers as the enhance load lays it out, is 32.0 MiB for the causal
+        # presets (the LSTM, whose step needs w_x and w_h together) and
+        # 16.0 MiB non-causal (the feedforward, each BLSTM direction being
+        # 12.0 MiB); every entry of the table is in a streamed layer, and
+        # each layer norm is one layer of its two 1-D entries
         cfg = ARNConfig(**json.loads(config.read_text())["model"])
         layout = {}
         for name, shape in model.param_shapes(cfg).items():
-            layer = model.streamed_layer(name)
-            if layer is None:
-                assert len(shape) == 1, name
-            else:
-                layout.setdefault(layer, []).append((name, shape, 0, math.prod(shape)))
-        assert model.held_shapes(cfg).keys() == \
-            model.param_shapes(cfg).keys() - {n for e in layout.values() for n, *_ in e}
+            layout.setdefault(model.streamed_layer(name), []).append(
+                (name, shape, 0, math.prod(shape)))
+        assert set(layout) == {"input_proj.", "output_proj.", *(
+            f"block{i}.{p}" for i in range(cfg.num_blocks) for p in block_layers(cfg.causal))}
+        for layer, entries in layout.items():
+            if ".ln" in layer:
+                assert [(n, s) for n, s, *_ in entries] == \
+                    [(layer + "g", (cfg.width,)), (layer + "b", (cfg.width,))]
         with open(os.devnull, "rb") as fh:
             reader = training.BlockReader(fh, os.devnull, os.fstat(fh.fileno()), layout)
         assert round(reader._size * 4 / 2 ** 20, 1) == (32.0 if cfg.causal else 16.0)
@@ -927,9 +965,8 @@ class TestStreamedTable:
     @pytest.mark.parametrize("with_adam", [False, True])
     def test_enhance_load_reads_only_what_it_holds(self, monkeypatch, tmp_path, with_adam):
         # every payload read through _read_payload, counted by name: the
-        # load reads the held entries and the moments, each once, and steps
-        # over the blocks' weight layers; one enhance then reads each of
-        # those once
+        # load reads the moments, each once, and steps over every entry of
+        # the table; one enhance then reads each of those once
         cfg = toy_model_cfg(num_blocks=2)
         params = model.init_params(cfg, np.random.default_rng(2318), np.float32)
         adam = AdamState.for_params(params) if with_adam else None
@@ -944,18 +981,17 @@ class TestStreamedTable:
         monkeypatch.setattr(training, "_read_payload", counting)
         table = params_from_checkpoint(load_checkpoint(path, for_enhance=True))
         moments = [f"adam.{m}.{k}" for m in "mv" for k in params] if with_adam else []
-        assert names == collections.Counter(dict.fromkeys([*model.held_shapes(cfg), *moments],
-                                                          1))
+        assert names == collections.Counter(dict.fromkeys(moments, 1))
         names.clear()
         x = np.random.default_rng(2319).standard_normal(96)
         assert model.enhance(x, table, cfg).tobytes() == \
             model.enhance(x, params, cfg).tobytes()
-        assert names == collections.Counter(dict.fromkeys(streamed_shapes(cfg), 1))
+        assert names == collections.Counter(dict.fromkeys(model.param_shapes(cfg), 1))
 
     @pytest.mark.parametrize("causal", [True, False])
     def test_each_streamed_entry_read_once_per_file(self, monkeypatch, tmp_path, causal):
         # every payload read through _read_payload, counted by name and
-        # bytes: per enhanced file, each block's streamed entries once
+        # bytes: per enhanced file, every entry of the table once
         cfg = toy_model_cfg(num_blocks=2, causal=causal)
         params = model.init_params(cfg, np.random.default_rng(2314), np.float32)
         path = tmp_path / "model.ckpt"
@@ -975,20 +1011,20 @@ class TestStreamedTable:
             model.enhance(x, table, cfg)
             assert names == collections.Counter(dict.fromkeys(streamed, files))
             assert sum(read_bytes) == files * 4 * sum(map(math.prod, streamed.values()))
-        # at full size, each file reads the blocks' RNN, attention's three
-        # linear maps and feedforward, 15 or 13 (N, N) matrices and 11
+        # at full size, each file reads the blocks' layer norms, RNN,
+        # attention and feedforward, 15 or 13 (N, N) matrices and 24
         # N-vectors per block, and the two projections, 3 MiB of weights
         # and 5 KiB of biases at the default 512-sample input frame
         full = streamed_shapes(ARNConfig(causal=causal))
         assert 4 * sum(map(math.prod, full.values())) == \
-            ((240 if causal else 208) + 3) * 2 ** 20 + (176 + 5) * 2 ** 10
+            ((240 if causal else 208) + 3) * 2 ** 20 + (384 + 5) * 2 ** 10
 
     def test_checkpoint_rewritten_between_layer_reads_exit_4(self, monkeypatch, tmp_path,
                                                               capsys):
         # the input projection is read for the first file, then the
         # checkpoint is rewritten in place, at the same size with a later
-        # modification time: block 0's RNN read refuses it, naming the
-        # file, before that file's output is written
+        # modification time: block 0's first layer norm read refuses it,
+        # naming the file, before that file's output is written
         cfg = ARNConfig(width=16, frame_in=16, frame_out=8, shift=8, num_blocks=2,
                         causal=True, dropout=0.0)
         ckpt, other = tmp_path / "model.ckpt", tmp_path / "other.ckpt"
