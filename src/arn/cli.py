@@ -110,15 +110,22 @@ def _enhance_signal(x: np.ndarray, params, cfg, path, model_path) -> np.ndarray:
     r = mixing.rms(x) if x.size else 0.0
     if r == 0.0:
         return np.zeros_like(x)
+    seconds = x.size / wavio.SAMPLE_RATE
+    # normalized straight into float32, the forward pass's dtype: each
+    # sample is the float64 product rounded, as the pass's own cast would
+    # round it. The float64 input is then dropped, so that the pass does
+    # not hold it when the caller passed its only reference
+    xn = np.multiply(x, 1.0 / r, out=np.empty(x.shape, np.float32))
+    del x
     try:
         # weights that overflow the network are refused below, at its
         # output, so numpy's warnings on the way there are not printed
         with np.errstate(over="ignore", invalid="ignore"):
-            y = model.enhance(x * (1.0 / r), params, cfg)
+            y = model.enhance(xn, params, cfg)
     except MemoryError as exc:
         # numpy's message names the array that did not fit
         raise MemoryError(f"out of memory enhancing {path} "
-                          f"({x.size / wavio.SAMPLE_RATE:.2f} s of audio): {exc}") from None
+                          f"({seconds:.2f} s of audio): {exc}") from None
     if not np.isfinite(y).all():
         raise ModelOutputError(f"{model_path}: enhancing {path} gives non-finite values: "
                                "the checkpoint's weights overflow the network")

@@ -21,10 +21,12 @@ table, ``param_shapes``, is what training updates and checkpoints store.
 it, and reads every layer (``STREAMED_LAYERS``: the two projections, and
 in each block its five layer norms, each direction of its RNN, attention
 and the feedforward) from the checkpoint one at a time, each when the op
-that uses it runs. The pass gets each block's table through
-``block_table`` and each layer's through ``layer_table``, which a dict
-answers by prefix, so there is one forward path, and one value-gate path,
-for either table.
+that uses it runs. A causal LSTM's input weights are read a gate at a
+time, as each tile's input projection needs them, beside its recurrent
+weights, which its loop needs throughout. The pass gets each block's
+table through ``block_table`` and each layer's through ``layer_table``,
+which a dict answers by prefix, so there is one forward path, and one
+value-gate path, for either table.
 
 Outside recording, each (T, N) array is dropped after its last reader, or
 written over by it. The frame rows, each block's input and the attention's
@@ -173,10 +175,14 @@ def param_shapes(cfg: ARNConfig) -> dict:
 # the layers that a streamed table reads from its checkpoint one at a time,
 # each when the forward pass reaches it, by their prefix in the table or in
 # a block's: the two projections, and in each block its five layer norms,
-# the RNN (an LSTM, or each direction of a BLSTM, read when that direction
-# runs), attention (its three vectors and three linear maps) and the
-# feedforward
-STREAMED_LAYERS = ("input_proj.", "ln0.", "ln1.", "ln2.", "ln3.", "ln4.", "lstm.",
+# the RNN, attention (its three vectors and three linear maps) and the
+# feedforward. A BLSTM is read a direction at a time, when that direction
+# runs. An LSTM's recurrent weights and biases are one layer, read when its
+# loop starts; its input weights are one layer per gate, read as each tile's
+# input projection needs them, so a gate's layer is listed before the
+# ``lstm.`` that its name extends
+STREAMED_LAYERS = ("input_proj.", "ln0.", "ln1.", "ln2.", "ln3.", "ln4.",
+                   *(f"lstm.w_{g}x" for g in _GATES), "lstm.",
                    "blstm.fwd.", "blstm.bwd.", "attn.", "ff.", "output_proj.")
 
 
@@ -185,7 +191,8 @@ def streamed_layer(name: str) -> str:
     table belongs to, as its prefix in that table (``'input_proj.'``,
     ``'block1.ln0.'``, ``'block1.blstm.bwd.'``)."""
     block = name[:name.index(".") + 1] if name.startswith("block") else ""
-    return next(block + layer for layer in STREAMED_LAYERS if name.startswith(block + layer))
+    rest = name[len(block):]
+    return block + next(layer for layer in STREAMED_LAYERS if rest.startswith(layer))
 
 
 def init_params(cfg: ARNConfig, rng: np.random.Generator,
@@ -234,9 +241,11 @@ def layer_table(table: dict, prefix: str) -> dict:
     """The entries of a table whose names start with ``prefix``, their names
     kept: one layer's, a prefix of ``STREAMED_LAYERS``, of the whole table
     (the projections) or of a block's (a layer norm, the RNN or one
-    direction of it, attention, the feedforward). A streamed table reads the
-    layer from its checkpoint, into views that the next layer's read
-    overwrites; a dict answers by prefix."""
+    direction of it, one gate's LSTM input weights, attention, the
+    feedforward). A dict answers by prefix. A streamed table reads the
+    layer's own entries from its checkpoint (the LSTM's without its gates'
+    input weights, which are layers of their own), into views that a later
+    layer's read overwrites."""
     read = getattr(table, "read_layer", None)
     view = ({k: v for k, v in table.items() if k.startswith(prefix)} if read is None
             else read(prefix))
@@ -261,6 +270,21 @@ def _lstm_gates(w: dict) -> tuple:
             [w[f"w_{g}h"] for g in _GATES])
 
 
+def _lstm_direction(block_params: dict, prefix: str) -> tuple:
+    """The ``(w_x, b, w_h)`` of the LSTM direction under ``prefix``, taken
+    through ``layer_table``. Where the direction's layer holds no input
+    weights, as when a streamed table reads each gate's as its own layer,
+    ``w_x`` is a function of the gate's index that reads that gate's layer."""
+    w = _sub(layer_table(block_params, prefix), prefix)
+    if "w_ix" in w:
+        return _lstm_gates(w)
+
+    def w_x(j):
+        name = f"{prefix}w_{_GATES[j]}x"
+        return layer_table(block_params, name)[name]
+    return w_x, [w[f"b_{g}"] for g in _GATES], [w[f"w_{g}h"] for g in _GATES]
+
+
 def rnn_sequence(x: Tensor, block_params: dict, cfg: ARNConfig) -> Tensor:
     """The block's LSTM, or BLSTM when not causal, as one recorded node.
 
@@ -268,11 +292,15 @@ def rnn_sequence(x: Tensor, block_params: dict, cfg: ARNConfig) -> Tensor:
     ``layer_table`` by a function that ``tensor.lstm_sequence`` calls when
     that direction runs, outside recording, so a streamed table reads the
     backward direction only once the forward one is done, into the buffer
-    that the forward one's views used.
+    that the forward one's views used. A streamed table gives an LSTM's
+    input weights as a function of the gate, which the loop calls as each
+    tile's input projection needs that gate, so one gate's input weights
+    are read at a time, beside the recurrent weights; a dict gives them as
+    tensors.
     """
     prefixes = ("lstm.",) if cfg.causal else ("blstm.fwd.", "blstm.bwd.")
     return tensor.lstm_sequence(x, *(
-        lambda p=p: _lstm_gates(_sub(layer_table(block_params, p), p)) for p in prefixes))
+        lambda p=p: _lstm_direction(block_params, p) for p in prefixes))
 
 
 def _v_gate_graph(p: dict) -> Tensor:

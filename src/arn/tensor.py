@@ -413,9 +413,14 @@ def lstm_sequence(x: Tensor, fwd, bwd=None) -> Tensor:
     ``(w_x, b, w_h)``. Outside recording, it is called when its direction
     runs, after the loop of the one before has returned, so that a caller
     can fetch the second direction's weights into memory that the first
-    one's used; each direction's shapes are checked when it is called. When
-    recording, every function is called before anything runs, since the
-    graph needs all its parents.
+    one's used; each direction's shapes are checked when it is called. A
+    direction's ``w_x`` may in turn be a function of the gate's index, 0 to
+    3, that returns that gate's input weights. Outside recording, the loop
+    calls it for each tile and gate, just before that gate's part of the
+    tile's input projection, and checks the shape of what it returns, so
+    that a caller can fetch one gate's input weights at a time into the
+    same memory. When recording, every function is called before anything
+    runs, for each gate in turn, since the graph needs all its parents.
 
     The directions run one after the other and read the weights where they
     lie. Each writes its input projection, one tile of ``TILE_ROWS`` rows
@@ -455,8 +460,8 @@ def lstm_sequence(x: Tensor, fwd, bwd=None) -> Tensor:
                 for d in dirs[1:]]
     parents = (x, *(t for d in dirs for gates in d for t in gates)) if _grad_enabled else ()
     keep = any(p.requires_grad for p in parents)
-    hs = np.empty((steps, hidden * len(dirs)),
-                  dtype=np.result_type(xd, *(t.data for gates in dirs[0] for t in gates)))
+    hs = np.empty((steps, hidden * len(dirs)), dtype=np.result_type(
+        xd, *(t.data for gates in dirs[0] if not callable(gates) for t in gates)))
     cols = [slice(j * hidden, (j + 1) * hidden) for j in range(len(dirs))]
     kept = []
     for j, c in enumerate(cols):
@@ -479,14 +484,20 @@ def lstm_sequence(x: Tensor, fwd, bwd=None) -> Tensor:
 def _lstm_weights(d, k: int, hidden: int = None) -> tuple:
     """One direction's ``(w_x, b, w_h)`` of ``lstm_sequence``, from the
     function that returns it when ``d`` is one, checked against input width
-    ``k`` and ``hidden``, by default its own."""
-    d = tuple(tuple(g) for g in (d() if callable(d) else d))
-    if len(d) != 3 or any(len(g) != 4 for g in d):
+    ``k`` and ``hidden``, by default its own. Input weights given as a
+    function of the gate stay one outside recording, checked by ``_lstm_run``
+    as it calls it; recording, the function is called here for each gate."""
+    d = list(d() if callable(d) else d)
+    if d and callable(d[0]) and _grad_enabled:
+        d[0] = [d[0](j) for j in range(4)]
+    d = tuple(g if callable(g) else tuple(g) for g in d)
+    if len(d) != 3 or any(len(g) != 4 for g in d if not callable(g)):
         raise DimensionError("lstm_sequence needs (w_x, b, w_h) of four gates each")
     if hidden is None:
         hidden = d[2][0].data.shape[0]
     shapes = ((k, hidden), (hidden,), (hidden, hidden))
-    if any(t.data.shape != shape for shape, gates in zip(shapes, d) for t in gates):
+    if any(t.data.shape != shape for shape, gates in zip(shapes, d) if not callable(gates)
+           for t in gates):
         shown = [[t.shape for t in g] for g in d]
         raise DimensionError(f"need x (T, K) and per gate w_x (K, H), b (H,) and w_h (H, H) "
                              f"in each direction, got K = {k} and {shown}")
@@ -495,7 +506,9 @@ def _lstm_weights(d, k: int, hidden: int = None) -> tuple:
 
 def _lstm_run(xd, w_x, b, w_h, hs, reverse: bool, keep: bool):
     """One direction of ``lstm_sequence`` into ``hs``, its (T, H) column
-    block; returns the gate activations and cell states when ``keep``."""
+    block; returns the gate activations and cell states when ``keep``.
+    ``w_x`` is four tensors, or a function of the gate's index called for
+    each tile and gate."""
     steps, hidden = hs.shape
     dtype = hs.dtype
     h4 = 4 * hidden
@@ -523,7 +536,11 @@ def _lstm_run(xd, w_x, b, w_h, hs, reverse: bool, keep: bool):
         base = 0 if keep else lo
         tile = gates[lo - base:hi - base]
         for j in range(4):
-            np.matmul(xd[lo:hi], w_x[j].data, out=tile[:, j])
+            wx = (w_x(j) if callable(w_x) else w_x[j]).data
+            if wx.shape != (xd.shape[1], hidden):
+                raise DimensionError(f"need the input weights of gate {j} (K, H) = "
+                                     f"{(xd.shape[1], hidden)}, got {wx.shape}")
+            np.matmul(xd[lo:hi], wx, out=tile[:, j])
             tile[:, j] += b[j].data
         for t in range(hi - 1, lo - 1, -1) if reverse else range(lo, hi):
             z = acts[t - base]

@@ -33,10 +33,15 @@ lies, and keeps the file open. ``params_from_checkpoint`` makes that a
 (``model.STREAMED_LAYERS``: the input and output projections, and in each
 block its five layer norms, each direction of the RNN, attention and the
 feedforward) as the op that uses it runs, into one buffer reused across
-layers, blocks and files: every parameter once per file, 243 MiB + 389 KiB
-at full causal size and 211 MiB + 389 KiB non-causal. The buffer is sized
-for the largest layer, 32.0 MiB causal (the LSTM) and 16.0 MiB non-causal
-(the feedforward). Each such read is checked complete and finite before
+layers, blocks and files. A causal LSTM's input weights are read a gate at
+a time, once per tile of ``tensor.TILE_ROWS`` frames (0.51 s of audio at
+the presets' 2 ms shift); every other parameter is read once per file. At
+full size a file reads 211 MiB + 389 KiB non-causal, and causal 243 MiB +
+389 KiB for a file of one tile and 64 MiB more for each further tile. The
+buffer is sized for the largest layer, or for two layers in use together:
+20.0 MiB causal (the LSTM's recurrent weights and biases, 16 MiB + 16 KiB,
+and one gate's input weights, 4 MiB) and 16.0 MiB non-causal (the
+feedforward). Each such read is checked complete and finite before
 any op sees it. A fault found at a layer's first read was
 in the file at the load and is refused as the full load refuses it
 (``CheckpointFormatError`` or ``CheckpointTruncatedError``, naming the
@@ -279,14 +284,20 @@ class BlockReader:
 
     ``read(layer)`` reads the entries of ``layer``, a layer's prefix in the
     parameter table (``model.streamed_layer``: ``'input_proj.'``,
-    ``'block1.ln0.'``, ``'block1.blstm.fwd.'``), into one buffer, sized
-    for the largest layer, allocated on the first read and reused across
-    layers, blocks and calls, and returns a tensor viewing each entry, by
-    its name in the table; a prefix that names no such layer reads nothing.
-    At full size the buffer is 32.0 MiB causal, set by the LSTM, whose input
-    and recurrent weights one direction needs together, and 16.0 MiB
-    non-causal, set by the feedforward. The next read overwrites these
-    views, so ``read`` refuses to run while ops record
+    ``'block1.ln0.'``, ``'block1.blstm.fwd.'``, ``'block1.lstm.w_gx'``),
+    into one buffer, allocated on the first read and reused across layers,
+    blocks and calls, and returns a tensor viewing each entry, by its name
+    in the table; a prefix that names no such layer reads nothing. A layer
+    lies at the start of the buffer, unless its prefix extends another's
+    past that one's last dot: a gate's LSTM input weights
+    (``'block1.lstm.w_gx'``) lie after the rest of that LSTM
+    (``'block1.lstm.'``), whose views the step loop reads while each gate's
+    are read. So the buffer is sized for the largest layer or
+    such a pair: at full size 20.0 MiB causal, set by the LSTM's recurrent
+    weights and biases and one gate's input weights, and 16.0 MiB
+    non-causal, set by the feedforward. A read may overwrite the views of
+    any earlier read but those of the layer its own extends, so ``read``
+    refuses to run while ops record
     (``tensor.recording``): a recorded graph would read the next layer's
     weights. The load does not read these entries, so this is their only
     check: each read must be complete and finite, and the file's size and
@@ -300,14 +311,22 @@ class BlockReader:
     """
 
     def __init__(self, fh, path: str, stat, layout: dict):
-        self._fh, self.path = fh, path
+        # reads go to the file itself, not through the read-ahead buffer of
+        # ``fh``, which would serve a layer's bytes as they were when buffered
+        self._fh, self.path = fh.raw, path
         self._stat = (stat.st_size, stat.st_mtime_ns)
         # layer prefix -> (name, shape, byte position in the file, buffer
         # offset, count), each entry on a 16-float boundary of the buffer,
-        # as the full load lays out its block
+        # as the full load lays out its block. A layer whose name goes on
+        # past its last dot (a gate's input weights, 'block1.lstm.w_gx') is
+        # in use with the layer named up to that dot (the rest of its LSTM,
+        # 'block1.lstm.'), so it lies after that layer
+        spans = {layer: sum(-(-count // 16) * 16 for *_, count in entries)
+                 for layer, entries in layout.items()}
         self._layout, self._size = {}, 0
         for layer, entries in layout.items():
-            offset, placed = 0, []
+            offset = spans.get(layer[:layer.rindex(".") + 1], 0) if layer[-1] != "." else 0
+            placed = []
             for name, shape, position, count in entries:
                 placed.append((name, shape, position, offset, count))
                 offset += -(-count // 16) * 16

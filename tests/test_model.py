@@ -349,6 +349,42 @@ class TestLstm:
                                      lambda: (gates((4, 3)), gates(3), gates((3, 3))))
             with pytest.raises(tensor.DimensionError):
                 tensor.lstm_sequence(x, lambda: (gates((3, 2)), b, w_h))
+            # input weights by gate: checked as each gate's are called for
+            tensor.lstm_sequence(x, (lambda j: w_x[j], b, w_h))
+            with pytest.raises(tensor.DimensionError):
+                tensor.lstm_sequence(x, (lambda j: gates((4, 3 if j == 2 else 2))[j], b, w_h))
+
+    @pytest.mark.parametrize("recording", [False, True])
+    def test_input_weights_by_gate_give_list_bits(self, monkeypatch, recording):
+        # w_x as a function of the gate's index, on an input of three
+        # tiles: outside recording it is called for each tile and gate in
+        # turn, recording for each gate once, before anything runs. The
+        # output, and recording the gradients, are those of the list form,
+        # bitwise
+        monkeypatch.setattr(tensor, "TILE_ROWS", 4)
+        x = np.random.default_rng(53).standard_normal((10, 4)).astype(np.float32)
+        results, calls = [], []
+        for by_gate in (False, True):
+            w = lstm_weights(4, 3, seed=54, dtype=np.float32)
+            w_x, b, w_h = model._lstm_gates(w)
+            if by_gate:
+                def gate_x(j, w_x=w_x):
+                    calls.append(j)
+                    return w_x[j]
+                w_x = gate_x
+            leaf = Tensor(x, requires_grad=True)
+            with contextlib.ExitStack() as stack:
+                if not recording:
+                    stack.enter_context(tensor.no_grad())
+                out = tensor.lstm_sequence(leaf, (w_x, b, w_h))
+            got = [out.data]
+            if recording:
+                tensor.backward(tensor.mean_all(out))
+                got += [leaf.grad] + [t.grad for t in w.values()]
+            results.append(got)
+        assert calls == [0, 1, 2, 3] * (1 if recording else 3)
+        for plain, lazy in zip(*results):
+            assert plain.tobytes() == lazy.tobytes()
 
 
 class TestBlstm:

@@ -619,15 +619,14 @@ class TestCheckpoint:
         assert loaded.adam is None and loaded.tensors == {}
         table = params_from_checkpoint(loaded)
         # nothing held: the projections and each block's layers (each layer
-        # norm and each direction of a BLSTM apart), read one at a time,
-        # are the trainable table
+        # norm, each direction of a BLSTM and each gate's LSTM input weights
+        # apart), read one at a time, are the trainable table
         layers = {}
-        rnn = ("lstm.",) if causal else ("blstm.fwd.", "blstm.bwd.")
         with tensor.no_grad():
             for prefix in ("input_proj.", "output_proj."):
                 layers.update({k: t.shape for k, t in model.layer_table(table, prefix).items()})
             for i in range(cfg.num_blocks):
-                for prefix in (*(f"ln{j}." for j in range(5)), *rnn, "attn.", "ff."):
+                for prefix in block_layers(causal):
                     layer = model.layer_table(table.block(i), prefix)
                     layers.update({f"block{i}.{k}": t.shape for k, t in layer.items()})
         assert layers == model.param_shapes(cfg)
@@ -806,9 +805,18 @@ def streamed_shapes(cfg: ARNConfig, start: str = "") -> dict:
 
 def block_layers(causal: bool) -> list:
     """A block's ``model.STREAMED_LAYERS``, in the order the forward pass
-    reads them."""
-    rnn = ["lstm."] if causal else ["blstm.fwd.", "blstm.bwd."]
+    reads them for an input of one tile (an LSTM's gate layers are read
+    once per tile)."""
+    rnn = (["lstm.", *(f"lstm.w_{g}x" for g in "ifgo")] if causal
+           else ["blstm.fwd.", "blstm.bwd."])
     return ["ln0.", *rnn, "ln1.", "ln2.", "attn.", "ln3.", "ln4.", "ff."]
+
+
+def four_tile_causal(monkeypatch) -> ARNConfig:
+    """A two-block causal toy model, with ``tensor.TILE_ROWS`` set so that
+    each file of ``two_file_dir`` is four tiles of its LSTM."""
+    monkeypatch.setattr(tensor, "TILE_ROWS", 64)
+    return toy_model_cfg(num_blocks=2, frame_in=16)
 
 
 class TestStreamedTable:
@@ -820,13 +828,15 @@ class TestStreamedTable:
     @pytest.mark.parametrize("causal", [True, False])
     def test_load_and_enhance_hold_one_layer(self, monkeypatch, tmp_path, causal):
         # what `arn enhance` does, load and enhance, traced: at most the
-        # largest layer's entries and 2.5 (T, N) arrays of activations, at
-        # TestEvalMemory's tile size; the table holds nothing. The largest
-        # layer is the LSTM when causal, and the feedforward when not, since
-        # each direction of the BLSTM is read apart. The activations
-        # measured 2.3 arrays, causal and not; a reader that holds a whole
-        # BLSTM, 0.75 arrays more than the feedforward here, fails the
-        # non-causal bound, and a load holding the table fails both
+        # reader's buffer and 2.5 (T, N) arrays of activations, at
+        # TestEvalMemory's tile size; the table holds nothing. The buffer
+        # is the largest layer, or a layer together with the one whose
+        # prefix its own extends: when causal, the LSTM's recurrent weights
+        # and biases with one gate's input weights, and when not, the
+        # feedforward, since each direction of the BLSTM is read apart. The
+        # activations measured 2.3 arrays, causal and not; a reader that
+        # holds a whole LSTM or BLSTM, 0.75 arrays more than this buffer
+        # here, fails the bound, and a load holding the table fails both
         from test_model import TestEvalMemory as limits
         monkeypatch.setattr(tensor, "TILE_ROWS", limits.TILE)
         cfg = ARNConfig(width=256, frame_in=32 if causal else 16, frame_out=16,
@@ -841,10 +851,14 @@ class TestStreamedTable:
         layers = {prefix: padded(streamed_shapes(cfg, prefix).values())
                   for prefix in ["input_proj.", "output_proj.",
                                  *(f"block0.{p}" for p in block_layers(causal))]}
-        layer = max(layers.values())
-        assert layer == layers["block0.lstm." if causal else "block0.ff."]
-        assert sum(layers.values()) == padded(streamed_shapes(cfg, "block0.").values()) \
+        if causal:
+            # the names under 'lstm.' include the gates' input weights
+            layers["block0.lstm."] -= sum(layers[f"block0.lstm.w_{g}x"] for g in "ifgo")
+        assert sum(layers.values()) == padded(block.values()) \
             + layers["input_proj."] + layers["output_proj."]
+        layer = (layers["block0.lstm."] + layers["block0.lstm.w_ix"] if causal
+                 else layers["block0.ff."])
+        assert layer > max(layers.values()) if causal else layer == max(layers.values())
         activations = 2.5 * steps * cfg.width * 4
         out = []
         peak = traced_peak(lambda: out.append(model.enhance(
@@ -919,15 +933,138 @@ class TestStreamedTable:
         assert all(b is buffers[0] for b in buffers)
         assert buffers[0].shape == (largest,)
 
+    def test_lstm_gates_read_per_tile_between_steps(self, monkeypatch, tmp_path):
+        # through a causal `arn enhance` of two files of four tiles each:
+        # each block's 'lstm.' (recurrent weights and biases) is read once
+        # per file, before its loop runs, and each gate's input weights once
+        # per tile, in gate order, when exactly the steps before the tile
+        # have run (counted as the finite rows of the direction's output,
+        # which starts as NaN), so never inside a step. After every read the
+        # buffer is the one array, the recurrent layer and one gate in size,
+        # each gate's view lying after the recurrent layer; the enhanced
+        # signal is that of the in-memory table, bitwise
+        cfg = four_tile_causal(monkeypatch)
+        params = model.init_params(cfg, np.random.default_rng(2322), np.float32)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint_from(params, cfg), path)
+        recurrent = padded(shape for name, shape in streamed_shapes(cfg, "block0.lstm.").items()
+                           if not name.endswith("x")) // 4
+        gate = padded([(cfg.width, cfg.width)]) // 4
+        events, buffers, running_hs = [], [], []
+        read, run = training.BlockReader.read, tensor._lstm_run
+
+        def reading(self, layer):
+            done = (int(np.isfinite(running_hs[0][:, 0]).sum()) if running_hs else None)
+            views = read(self, layer)
+            events.append((layer, done))
+            buffers.append(self._buffer)
+            if ".lstm.w_" in layer:
+                assert views[layer].data.ctypes.data == self._buffer.ctypes.data + 4 * recurrent
+            return views
+
+        def running(xd, w_x, b, w_h, hs, reverse, keep):
+            hs[:] = np.nan
+            running_hs.append(hs)
+            try:
+                return run(xd, w_x, b, w_h, hs, reverse, keep)
+            finally:
+                running_hs.pop()
+        monkeypatch.setattr(training.BlockReader, "read", reading)
+        monkeypatch.setattr(tensor, "_lstm_run", running)
+        src, dst = two_file_dir(tmp_path)
+        assert cli.main(["enhance", "--model", str(path), "--in", str(src),
+                         "--out", str(dst)]) == 0
+        tiles = range(0, 1600 // cfg.shift, tensor.TILE_ROWS)
+        assert len(tiles) == 4
+        per_file = ["input_proj."]
+        for i in range(cfg.num_blocks):
+            per_file += [f"block{i}.ln0.", f"block{i}.lstm.",
+                         *((f"block{i}.lstm.w_{g}x", lo) for lo in tiles for g in "ifgo"),
+                         *(f"block{i}.{p}" for p in ("ln1.", "ln2.", "attn.", "ln3.", "ln4.",
+                                                     "ff."))]
+        per_file.append("output_proj.")
+        assert events == [e if isinstance(e, tuple) else (e, None) for e in per_file] * 2
+        assert all(b is buffers[0] for b in buffers)
+        assert buffers[0].shape == (recurrent + gate,)
+        assert recurrent + gate > max(padded(streamed_shapes(cfg, f"block0.{p}").values()) // 4
+                                      for p in ("attn.", "ff."))
+        table = params_from_checkpoint(load_checkpoint(path, for_enhance=True))
+        x = wavio.read_wav(src / "a.wav")
+        assert model.enhance(x, table, cfg).tobytes() == model.enhance(x, params, cfg).tobytes()
+
+    def test_non_finite_gate_input_weights_exit_4(self, monkeypatch, tmp_path, capsys):
+        # a NaN in one gate's input weights, on an input of four tiles: its
+        # first read refuses it as the full load does, with exit 4 and one
+        # line naming the checkpoint and the entry, before any output
+        cfg = four_tile_causal(monkeypatch)
+        ckpt = checkpoint_from(
+            model.init_params(cfg, np.random.default_rng(2323), np.float32), cfg)
+        ckpt.tensors["block1.lstm.w_gx"][3, 5] = np.nan
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        src, dst = two_file_dir(tmp_path)
+        assert cli.main(["enhance", "--model", str(path), "--in", str(src),
+                         "--out", str(dst)]) == 4
+        assert capsys.readouterr().err == \
+            f"error: {path}: block1.lstm.w_gx: non-finite values\n"
+        assert list(dst.iterdir()) == []
+
+    @pytest.mark.parametrize("rewrite", ["other_weights", "nan_same_stat"])
+    def test_checkpoint_rewritten_between_tiles_exit_4(self, monkeypatch, tmp_path, capsys,
+                                                      rewrite):
+        # the checkpoint is rewritten after block 0's gates are read for its
+        # first tile: with other weights and a later modification time, or
+        # with a NaN in the first gate's input weights, size and
+        # modification time kept. The second tile's first gate read refuses
+        # it as changed, since that layer passed its first read, with exit 4
+        # and no output. Read through the file object's read-ahead buffer,
+        # the second rewrite went unseen: the toy checkpoint fits in it
+        cfg = four_tile_causal(monkeypatch)
+        ckpt, other = tmp_path / "model.ckpt", tmp_path / "other.ckpt"
+        for seed, target in ((2324, ckpt), (2325, other)):
+            params = model.init_params(cfg, np.random.default_rng(seed), np.float32)
+            save_checkpoint(checkpoint_from(params, cfg), target)
+        reads = []
+        read = training.BlockReader.read
+
+        def read_then_rewrite(self, layer):
+            views = read(self, layer)
+            reads.append(layer)
+            if reads.count("block0.lstm.w_ox") == 1 and layer == "block0.lstm.w_ox":
+                before = ckpt.stat()
+                if rewrite == "other_weights":
+                    ckpt.write_bytes(other.read_bytes())
+                    mtime = before.st_mtime_ns + 10 ** 9
+                else:
+                    with open(ckpt, "r+b") as fh:
+                        fh.seek(self._layout["block0.lstm.w_ix"][0][2])
+                        fh.write(np.float32(np.nan).tobytes())
+                    mtime = before.st_mtime_ns
+                os.utime(ckpt, ns=(before.st_atime_ns, mtime))
+                assert ckpt.stat().st_size == before.st_size
+            return views
+        monkeypatch.setattr(training.BlockReader, "read", read_then_rewrite)
+        src, dst = two_file_dir(tmp_path)
+        assert cli.main(["enhance", "--model", str(ckpt),
+                         "--in", str(src), "--out", str(dst)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {ckpt} changed after it was loaded")
+        assert err.count("\n") == 1
+        assert reads == ["input_proj.", "block0.ln0.", "block0.lstm.",
+                         *(f"block0.lstm.w_{g}x" for g in "ifgo")]
+        assert list(dst.iterdir()) == []
+
     @pytest.mark.parametrize("config", sorted((ROOT / "configs").glob("*.json")),
                              ids=lambda path: path.stem)
     def test_full_size_buffer_is_the_largest_op(self, config):
         # shapes only: the reader's buffer, laid out from the table's
-        # layers as the enhance load lays it out, is 32.0 MiB for the causal
-        # presets (the LSTM, whose step needs w_x and w_h together) and
-        # 16.0 MiB non-causal (the feedforward, each BLSTM direction being
-        # 12.0 MiB); every entry of the table is in a streamed layer, and
-        # each layer norm is one layer of its two 1-D entries
+        # layers as the enhance load lays it out, is 20.0 MiB for the causal
+        # presets (the LSTM's recurrent weights and biases, which its step
+        # loop needs throughout, and one gate's input weights, 16 MiB +
+        # 16 KiB and 4 MiB) and 16.0 MiB non-causal (the feedforward, each
+        # BLSTM direction being 12.0 MiB); every entry of the table is in a
+        # streamed layer, each layer norm is one layer of its two 1-D
+        # entries, and each gate's LSTM input weights are one layer
         cfg = ARNConfig(**json.loads(config.read_text())["model"])
         layout = {}
         for name, shape in model.param_shapes(cfg).items():
@@ -939,11 +1076,17 @@ class TestStreamedTable:
             if ".ln" in layer:
                 assert [(n, s) for n, s, *_ in entries] == \
                     [(layer + "g", (cfg.width,)), (layer + "b", (cfg.width,))]
+            if ".lstm.w_" in layer:
+                assert [(n, s) for n, s, *_ in entries] == [(layer, (cfg.width, cfg.width))]
         with open(os.devnull, "rb") as fh:
             reader = training.BlockReader(fh, os.devnull, os.fstat(fh.fileno()), layout)
-        assert round(reader._size * 4 / 2 ** 20, 1) == (32.0 if cfg.causal else 16.0)
-        largest = max(layout, key=lambda layer: sum(c for *_, c in layout[layer]))
-        assert largest.endswith("lstm." if cfg.causal else "ff.")
+        assert round(reader._size * 4 / 2 ** 20, 1) == (20.0 if cfg.causal else 16.0)
+        spans = {layer: sum(-(-c // 16) * 16 for *_, c in entries)
+                 for layer, entries in layout.items()}
+        if cfg.causal:
+            assert reader._size == spans["block0.lstm."] + spans["block0.lstm.w_gx"]
+        else:
+            assert reader._size == spans["block0.ff."] == max(spans.values())
 
     def test_refuses_recording(self, tmp_path):
         cfg = toy_model_cfg(num_blocks=2)
@@ -991,7 +1134,8 @@ class TestStreamedTable:
     @pytest.mark.parametrize("causal", [True, False])
     def test_each_streamed_entry_read_once_per_file(self, monkeypatch, tmp_path, causal):
         # every payload read through _read_payload, counted by name and
-        # bytes: per enhanced file, every entry of the table once
+        # bytes: per enhanced file of one tile, every entry of the table
+        # once (a causal LSTM's input weights are read once per tile)
         cfg = toy_model_cfg(num_blocks=2, causal=causal)
         params = model.init_params(cfg, np.random.default_rng(2314), np.float32)
         path = tmp_path / "model.ckpt"
@@ -1011,10 +1155,10 @@ class TestStreamedTable:
             model.enhance(x, table, cfg)
             assert names == collections.Counter(dict.fromkeys(streamed, files))
             assert sum(read_bytes) == files * 4 * sum(map(math.prod, streamed.values()))
-        # at full size, each file reads the blocks' layer norms, RNN,
-        # attention and feedforward, 15 or 13 (N, N) matrices and 24
-        # N-vectors per block, and the two projections, 3 MiB of weights
-        # and 5 KiB of biases at the default 512-sample input frame
+        # at full size, each file of one tile reads the blocks' layer
+        # norms, RNN, attention and feedforward, 15 or 13 (N, N) matrices
+        # and 24 N-vectors per block, and the two projections, 3 MiB of
+        # weights and 5 KiB of biases at the default 512-sample input frame
         full = streamed_shapes(ARNConfig(causal=causal))
         assert 4 * sum(map(math.prod, full.values())) == \
             ((240 if causal else 208) + 3) * 2 ** 20 + (384 + 5) * 2 ** 10
