@@ -47,6 +47,7 @@ from pathlib import Path
 import numpy as np
 
 from . import losses, mixing, model, training, wavio
+from .dsp import DegenerateSignalError
 from .mixing import CorpusIndex, DynamicMixer, ListFileError, MixtureRecipe
 from .model import ARNConfig, ConfigurationError, check_type
 from .training import CheckpointError, DivergenceError, TrainConfig
@@ -182,6 +183,9 @@ def cmd_evaluate(args) -> int:
 def cmd_mix(args) -> int:
     speech = wavio.read_wav(args.speech)
     noise = wavio.read_wav(args.noise)
+    for role, path, samples in (("speech", args.speech, speech), ("noise", args.noise, noise)):
+        if samples.size == 0:
+            raise DegenerateSignalError(f"{role} file {path} has no samples")
     target_len = min(speech.size, noise.size, mixing.CHUNK_LEN)
     recipe = MixtureRecipe(
         speech_id=os.fspath(args.speech), noise_id=os.fspath(args.noise),

@@ -138,12 +138,21 @@ def read_list_file(path, types) -> list:
     """Rows of a tab-separated list file: one (1-based line number, fields)
     pair per non-blank line, the number for messages about the row.
 
-    Field ``i`` of each line is converted by ``types[i]``. A line with the
-    wrong number of fields, or a field that does not convert, raises
-    ``ListFileError`` naming the file and the line number.
+    The file is UTF-8 text. Field ``i`` of each line is converted by
+    ``types[i]``. A byte that is not UTF-8, a line with the wrong number of
+    fields, or a field that does not convert raises ``ListFileError``
+    naming the file and the line number.
     """
+    data = Path(path).read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the line breaks before the bad byte, counted as splitlines counts them
+        number = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        raise ListFileError(f"{path}, line {number}: not UTF-8 text "
+                            f"({exc.reason} at byte {exc.start})") from None
     rows = []
-    for number, line in enumerate(Path(path).read_text().splitlines(), start=1):
+    for number, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line:
             continue
@@ -209,11 +218,14 @@ class CorpusIndex(_Corpus):
         self.index_path = Path(index_path)
         self.root = self.index_path.parent
         self.entries = {}
-        for _, (utt_id, rel_path, count) in read_list_file(self.index_path,
-                                                           (str, str, int)):
+        first_lines = {}
+        for number, (utt_id, rel_path, count) in read_list_file(self.index_path,
+                                                                (str, str, int)):
             if utt_id in self.entries:
-                raise ListFileError(f"{self.index_path}: id {utt_id!r} is listed twice")
+                raise ListFileError(f"{self.index_path}: id {utt_id!r} is listed twice, "
+                                    f"on lines {first_lines[utt_id]} and {number}")
             self.entries[utt_id] = (rel_path, count)
+            first_lines[utt_id] = number
         self.ids = sorted(self.entries)
         self._samples = {}
 

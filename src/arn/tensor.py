@@ -49,7 +49,10 @@ act in place, the GELU's CDF a sub-block of rows at a time. The
 feedforward's backward pass likewise writes each tile's pre-activation
 into one buffer for the call and turns it into its gradient in place, a
 sub-block at a time, and adds the tile's weight gradient into ``dw`` one
-chunk of N columns at a time.
+chunk of N columns at a time. The GELU's CDF is the exact normal CDF,
+which ``_gelu_cdf`` computes in numpy, in the input's dtype, as two
+polynomials of clipped variables split at |z| = 1: over [-12, 12],
+float64 is within one ulp of max(Phi, 1/2) and float32 within 7.1e-8.
 ``layer_norm_rows`` writes its output in place and keeps only each row's
 mean and inverse deviation. ``rfft_magnitude`` keeps only the signs of its
 rows' spectrum, and its backward pass is the adjoint transform, an ``irfft``.
@@ -72,7 +75,6 @@ import weakref
 from contextlib import contextmanager
 
 import numpy as np
-from scipy.special import erf
 
 
 class DimensionError(ValueError):
@@ -623,8 +625,34 @@ def _pack(gates) -> np.ndarray:
 # row-tiled fused ops: attention and the feedforward layer
 # ---------------------------------------------------------------------------
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
+# the normal CDF's split, its clip for the tails and Q(1), the tail mass
+# beyond the split; then per dtype the coefficients of P and D (see
+# ``_gelu_cdf``), constant term first, from ``scripts/fit_normal_cdf.py``
+_CDF_SPLIT, _CDF_TAIL = 1.0, 8.6
+_CDF_TAIL_MASS = 0.15865525393145705
+_CDF_COEFFS = {
+    np.dtype(np.float32): (
+        (0.3989421994811009, -0.06648874104709387, 0.009964201008760361,
+         -0.001165390648582436, 9.248506231600487e-05),
+        (-1.525134891029058, -0.40045559531868713, -0.019474600143498805,
+         0.0032846707920120306, -0.0004093627729548445, 2.701284634164432e-05)),
+    np.dtype(np.float64): (
+        (0.3989422804014326, -0.06649038006689949, 0.009973557009906887,
+         -0.0011873282141977837, 0.00011543468059099394, -9.444633095179545e-06,
+         6.659213680710526e-07, -4.1163656058466416e-08, 2.2223618370306074e-09,
+         -8.92689318524223e-11),
+        (-1.5251352761609818, -0.4004511672147903, -0.019488532568411564,
+         0.0032989576610782216, -0.0004064923851168162, 1.1866527391342342e-05,
+         1.1090754182506704e-05, -3.744606651644966e-06, 6.545956024043859e-07,
+         -2.979401669098636e-08, -2.3183459411910995e-08, 9.686623018747976e-09,
+         -2.3454668734227763e-09, 4.1003627733530025e-10, -5.360974343697028e-11,
+         5.153498976968137e-12, -3.4493799296541696e-13, 1.435281490946609e-14,
+         -2.7901607881703347e-16)),
+}
+# bytes of each of the CDF's two scratch arrays: together they are the size
+# of numpy's ufunc buffer in float64, a quarter of a full-size sub-block
+_CDF_CHUNK_BYTES = 1 << 15
 
 
 @functools.lru_cache(maxsize=1)
@@ -788,13 +816,56 @@ def attention(x: Tensor, w: Tensor, b: Tensor, gate: Tensor, k: Tensor, v: Tenso
 
 
 def _gelu_cdf(pre: np.ndarray, out: np.ndarray = None) -> np.ndarray:
-    """Phi(pre), the standard-normal CDF, in erf form, written into ``out``
-    if given (which may be ``pre``)."""
-    cdf = np.multiply(pre, _INV_SQRT2, out=out)
-    erf(cdf, out=cdf)
-    cdf += 1.0
-    cdf *= 0.5
-    return cdf
+    """Phi(pre), the standard-normal CDF, computed in ``pre``'s dtype,
+    float32 or float64, and written into ``out`` if given, which may be
+    ``pre`` itself but no other view of it, and must be C-contiguous.
+
+    Two polynomials, split at |z| = 1, with Q(u) = Phi(-u) the upper tail
+    and both variables clipped, so no branch is taken per element:
+    Phi(z) = 1/2 + s P(s^2) + sign(z) (Q(1) - Q(1 + w)), where s is z
+    clipped to [-1, 1] and w is |z| clipped to [1, 8.6] minus 1. The tail
+    term is Q(1) (1 - exp(w D(w))), exactly 0 for |z| <= 1, and
+    Q(8.6) < 4e-18. ``scripts/fit_normal_cdf.py`` fits P and D, with fewer
+    coefficients for float32. Against 50-digit values, float64 is within
+    one ulp of max(Phi, 1/2) on 240,001 even steps over [-12, 12] and
+    40,000 around the split. Against float64's Phi, float32 is within
+    7.1e-8 absolute on every float32 of magnitude 1e-8 to 12 (scipy's
+    float32 erf reads 6.0e-8 on an even grid).
+
+    The input goes through in pieces of ``_CDF_CHUNK_BYTES``, and two
+    scratch arrays of that size are the kernel's only temporaries.
+    """
+    if out is None:
+        out = np.empty(pre.shape, pre.dtype)
+    near, tail = _CDF_COEFFS[pre.dtype]
+    src, dst = pre.reshape(-1), out.reshape(-1)
+    chunk = _CDF_CHUNK_BYTES // pre.itemsize
+    s_buf, w_buf = (np.empty(min(chunk, src.size), pre.dtype) for _ in range(2))
+    for lo in range(0, src.size, chunk):
+        z, cdf = src[lo:lo + chunk], dst[lo:lo + chunk]
+        s, w = s_buf[:z.size], w_buf[:z.size]
+        # both variables first: ``cdf`` may be ``z``
+        np.clip(z, -_CDF_SPLIT, _CDF_SPLIT, out=s)
+        np.abs(z, out=w)
+        np.clip(w, _CDF_SPLIT, _CDF_TAIL, out=w)
+        w -= _CDF_SPLIT
+        # the tails: w D(w) by Horner, then -Q(1) expm1 of it, signed as z
+        np.multiply(w, tail[-1], out=cdf)
+        for c in tail[-2::-1]:
+            cdf += c
+            cdf *= w
+        np.expm1(cdf, out=cdf)
+        cdf *= -_CDF_TAIL_MASS
+        np.copysign(cdf, s, out=cdf)
+        # near zero: s P(s^2) by Horner in s^2, in ``w``'s place
+        np.multiply(s, near[-1], out=w)
+        for c in near[-2::-1]:
+            w *= s
+            w += c
+            w *= s
+        cdf += w
+        cdf += 0.5
+    return out
 
 
 def feedforward(x: Tensor, w: Tensor, b: Tensor, keep=None, rate: float = 0.0,

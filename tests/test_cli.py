@@ -444,6 +444,19 @@ class TestMixAndEvaluate:
         assert "Traceback" not in err
         assert not list(tmp_path.glob("pair*"))
 
+    @pytest.mark.parametrize("empty", ["speech", "noise"])
+    def test_empty_input_named_exit_1_without_output(self, tmp_path, capsys, empty):
+        # an empty noise file was reported as an empty speech chunk
+        files = {role: tmp_path / f"{role}.wav" for role in ("speech", "noise")}
+        wavio.write_wav(files["speech"], tone(8000))
+        wavio.write_wav(files["noise"], 0.1 * np.random.default_rng(2).standard_normal(8000))
+        wavio.write_wav(files[empty], np.zeros(0))
+        prefix = tmp_path / "pair"
+        assert cli.main(["mix", "--speech", str(files["speech"]), "--noise", str(files["noise"]),
+                         "--snr", "0", "--out", str(prefix)]) == 1
+        assert capsys.readouterr().err == f"error: {empty} file {files[empty]} has no samples\n"
+        assert not list(tmp_path.glob("pair*"))
+
     def test_integer_snr_writes_what_an_int_recipe_mixes(self, tmp_path):
         # a whole-number --snr read as a float mixes the same bytes as the
         # integer it was read as before
@@ -549,6 +562,28 @@ class TestExitCodes:
                          "--out", str(tmp_path / "run")]) == 2
         assert f"{index}, line 2:" in capsys.readouterr().err
 
+    def test_manifest_not_utf8_exit_2_naming_the_line(self, tmp_path, capsys):
+        # the bad byte is on line 2; a codec error alone named neither
+        manifest = tmp_path / "pairs.tsv"
+        manifest.write_bytes(b"a.wav\tb.wav\n\xff\xfe\tc.wav\n")
+        assert cli.main(["evaluate", "--pairs", str(manifest)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {manifest}, line 2: not UTF-8 text "
+                                "(invalid start byte at byte 12)\n")
+        assert captured.out == ""
+
+    def test_index_not_utf8_exit_2_before_output(self, tmp_path, capsys):
+        speech_idx, noise_idx = write_corpus(tmp_path)
+        noise_idx.write_bytes(noise_idx.read_bytes() + b"n2\tnoise/n\xe9.wav\t6400\n")
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(tiny_train_config()))
+        out_dir = tmp_path / "run"
+        assert cli.main(["train", "--config", str(config), "--speech-index", str(speech_idx),
+                         "--noise-index", str(noise_idx), "--out", str(out_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {noise_idx}, line 3: not UTF-8 text") and err.count("\n") == 1
+        assert not out_dir.exists()
+
     def test_repeated_index_id_exit_2_before_output(self, tmp_path, capsys):
         speech_idx, noise_idx = write_corpus(tmp_path)
         speech_idx.write_text("s0\tspeech/s0.wav\t3200\ns0\tspeech/s1.wav\t3200\n")
@@ -558,7 +593,8 @@ class TestExitCodes:
         assert cli.main(["train", "--config", str(config), "--speech-index", str(speech_idx),
                          "--noise-index", str(noise_idx), "--out", str(out_dir)]) == 2
         err = capsys.readouterr().err
-        assert f"{speech_idx}: id 's0' is listed twice" in err and "Traceback" not in err
+        assert f"{speech_idx}: id 's0' is listed twice, on lines 1 and 2" in err
+        assert "Traceback" not in err
         assert not out_dir.exists()
 
     def test_corrupt_checkpoint_exit_4(self, tmp_path):

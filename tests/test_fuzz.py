@@ -1,14 +1,22 @@
 """Checkpoint bytes, mutated, through ``arn enhance`` and ``arn evaluate
 --model``: each run either succeeds with finite output and nothing on
 standard error, or is refused with exit 4 and one ``error:`` line, before
-any output of the file that it refuses. WAV bytes, mutated, through
+any output of the file that it refuses. The same bytes through the full
+load: it either raises a ``CheckpointError`` or returns every tensor and
+Adam moment finite, in its directory's shape. WAV bytes, mutated, through
 ``arn enhance``: each run either succeeds with finite output, or is refused
 with exit 3 and one ``error:`` line, with no output for the file that it
-refuses or after it."""
+refuses or after it. List-file bytes, mutated, through ``arn evaluate
+--pairs``, ``CorpusIndex`` and ``arn train --speech-index``: a file that
+does not parse is refused with exit 2 and one ``error:`` line naming it and
+the line, with no output; one that parses gives its fields their declared
+types, and the CLI exits with the documented code of what fails next."""
 
 import contextlib
 import io
+import json
 import math
+import os
 import re
 import shutil
 import struct
@@ -19,9 +27,13 @@ import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from arn import cli, model, wavio
+from arn import cli, model, training, wavio
+from arn.mixing import CorpusIndex, ListFileError
 from arn.model import ARNConfig
-from arn.training import checkpoint_from, save_checkpoint
+from arn.optim import AdamState
+from arn.training import CheckpointError, checkpoint_from, save_checkpoint
+
+from test_cli import tiny_train_config
 
 # width-8 toys of both presets' kinds, two blocks each
 CONFIGS = {causal: ARNConfig(width=8, frame_in=16 if causal else 8, frame_out=8, shift=8,
@@ -31,17 +43,23 @@ VALUES = [np.nan, np.inf, -np.inf, 3e38, -3e38]
 INPUTS = ("a.wav", "b.wav")
 
 
-@pytest.fixture(scope="module")
-def files(tmp_path_factory):
+def toy_checkpoints(root, with_adam: bool) -> dict:
     """The base checkpoint of each kind, as bytes, with its directory
-    ``[(name, first payload byte, count)]``; the input directory; and an
-    evaluate manifest of two pairs, the second file of each enhanced."""
-    root = tmp_path_factory.mktemp("fuzz")
+    ``[(name, first payload byte, count)]``, and with random Adam moments
+    if ``with_adam``."""
     bases = {}
     for causal, cfg in CONFIGS.items():
-        path = root / f"base{int(causal)}.ckpt"
-        params = model.init_params(cfg, np.random.default_rng(2400 + causal), np.float32)
-        save_checkpoint(checkpoint_from(params, cfg), path)
+        path = root / f"base{int(causal)}{'_adam' * with_adam}.ckpt"
+        rng = np.random.default_rng(2400 + causal)
+        params = model.init_params(cfg, rng, np.float32)
+        adam = None
+        if with_adam:
+            adam = AdamState.for_params(params)
+            for moments in (adam.m, adam.v):
+                for arr in moments.values():
+                    arr[...] = np.abs(rng.standard_normal(arr.shape))
+            adam.step_count = 7
+        save_checkpoint(checkpoint_from(params, cfg, adam), path)
         blob = path.read_bytes()
         head = blob[:blob.index(b"\nDATA ")]
         start = blob.index(b"\n", len(head) + 1) + 1
@@ -50,6 +68,15 @@ def files(tmp_path_factory):
                                                      head.decode().splitlines()
                                                      if line.startswith("tensor "))]
         bases[causal] = blob, entries
+    return bases
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    """The base checkpoints (``toy_checkpoints``); the input directory; and
+    an evaluate manifest of two pairs, the second file of each enhanced."""
+    root = tmp_path_factory.mktemp("fuzz")
+    bases = toy_checkpoints(root, with_adam=False)
     src = root / "in"
     src.mkdir()
     for j, name in enumerate(INPUTS):
@@ -227,3 +254,191 @@ def test_mutated_wav_enhances_or_exits_3(wav_files, data):
         # has any file after it
         assert str(src / bad) in err or str(dst / bad) in err, err
         assert written == list(INPUTS[:INPUTS.index(bad)])
+
+
+@pytest.fixture(scope="module")
+def adam_strategy(tmp_path_factory):
+    root = tmp_path_factory.mktemp("loadfuzz")
+    return root, mutated(toy_checkpoints(root, with_adam=True))
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_mutated_checkpoint_full_load_refused_or_finite(adam_strategy, data):
+    root, strategy = adam_strategy
+    path = root / "model.ckpt"
+    blob = data.draw(strategy)
+    path.write_bytes(blob)
+    try:
+        ckpt = training.load_checkpoint(path)
+    except CheckpointError as exc:
+        event(f"refused: {type(exc).__name__}")
+        return
+    event("loaded")
+    head = blob[:blob.index(b"\nDATA ")].decode("ascii")
+    shapes = {fields[1]: tuple(int(d) for d in fields[2].split("x"))
+              for fields in (line.split() for line in head.splitlines())
+              if fields and fields[0] == "tensor"}
+    loaded = dict(ckpt.tensors)
+    if ckpt.adam is not None:
+        loaded |= {f"adam.{kind}.{name}": arr for kind, moments in
+                   (("m", ckpt.adam.m), ("v", ckpt.adam.v)) for name, arr in moments.items()}
+    assert loaded
+    for name, arr in loaded.items():
+        assert arr.shape == shapes[name], name
+        assert np.isfinite(arr).all(), name
+
+
+# a list file's fields replaced by these, or by arbitrary bytes: empty,
+# blank, numbers that do and do not convert to int, bytes that are not
+# UTF-8, and characters that ``str.splitlines`` breaks a line at
+MANGLED = [b"", b" ", b"-1", b"0", b"1e3", b"nan", b"0x1e0", b" 480", b"4_80",
+           b"\xff", b"\xc3", b"\xed\xa0\x80", b"\r", b"\x0c", b"\xc2\x85", b"\xe2\x80\xa8"]
+
+
+@st.composite
+def mutated_list(draw, rows):
+    """The tab-separated lines of ``rows``, each a list of byte fields, with
+    one mutation: a field deleted, repeated or replaced, a line deleted or
+    repeated, one byte of the file replaced, or the file cut short."""
+    rows = [list(row) for row in rows]
+    kind = draw(st.sampled_from(["field", "line", "byte", "truncate"]))
+    i = draw(st.integers(0, len(rows) - 1))
+    if kind == "field":
+        j = draw(st.integers(0, len(rows[i]) - 1))
+        op = draw(st.sampled_from(["delete", "repeat", "replace"]))
+        if op == "delete":
+            del rows[i][j]
+        elif op == "repeat":
+            rows[i].insert(j, rows[i][j])
+        else:
+            rows[i][j] = draw(st.one_of(st.sampled_from(MANGLED), st.binary(max_size=6)))
+    elif kind == "line":
+        if draw(st.booleans()):
+            del rows[i]
+        else:
+            rows.insert(i, rows[i])
+    blob = b"".join(b"\t".join(row) + b"\n" for row in rows)
+    if kind == "byte":
+        k = draw(st.integers(0, len(blob) - 1))
+        blob = blob[:k] + draw(st.binary(min_size=1, max_size=1)) + blob[k + 1:]
+    elif kind == "truncate":
+        blob = blob[:draw(st.integers(0, len(blob) - 1))]
+    return blob
+
+
+def expected_rows(blob: bytes, types):
+    """What a list file of ``blob`` parses to: ``(rows, None)``, each row a
+    (line number, converted fields) pair, or ``(None, n)`` with ``n`` the
+    first line that does not parse. A line holding a byte that is not UTF-8
+    is found before any line's fields are read."""
+    lines = blob.decode("utf-8", "surrogateescape").splitlines()
+    for number, line in enumerate(lines, start=1):
+        if any("\udc80" <= ch <= "\udcff" for ch in line):
+            return None, number
+    rows = []
+    for number, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        fields = line.strip().split("\t")
+        try:
+            if len(fields) != len(types):
+                raise ValueError
+            rows.append((number, tuple(convert(f) for convert, f in zip(types, fields))))
+        except ValueError:
+            return None, number
+    return rows, None
+
+
+@pytest.fixture(scope="module")
+def list_files(tmp_path_factory):
+    """Two WAVs; the rows of an evaluate manifest of three pairs of them by
+    absolute path and of a corpus index of three utterances by relative
+    path; a valid noise index; and a training config."""
+    root = tmp_path_factory.mktemp("listfuzz")
+    for j, name in enumerate(INPUTS):
+        wavio.write_wav(root / name, 0.25 * np.sin(np.arange(480) / (5.0 + j)))
+    a, b = (os.fsencode(root / name) for name in INPUTS)
+    manifest_rows = [[a, a], [a, b], [b, a]]
+    index_rows = [[b"s0", b"a.wav", b"480"], [b"s1", b"b.wav", b"480"], [b"s2", b"a.wav", b"480"]]
+    noise_index = root / "noise.idx"
+    noise_index.write_text("n0\tb.wav\t480\n")
+    config = root / "config.json"
+    config.write_text(json.dumps(tiny_train_config()))
+    return root, manifest_rows, index_rows, noise_index, config
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_mutated_manifest_evaluates_or_exits_2(list_files, data):
+    root, manifest_rows, _, _, _ = list_files
+    manifest = root / "pairs.tsv"
+    blob = data.draw(mutated_list(manifest_rows))
+    manifest.write_bytes(blob)
+    rows, bad_line = expected_rows(blob, (str, str))
+
+    code, out, err = run_cli(["evaluate", "--pairs", str(manifest)])
+    event(f"evaluate exit {code}")
+    if rows is None:
+        assert code == 2, err
+        one_error_line(err)
+        assert err.startswith(f"error: {manifest}, line {bad_line}: "), err
+        assert out == ""
+        return
+    records = [line.split("\t") for line in out.splitlines()]
+    if code == 0:
+        assert err == ""
+        assert [r[:2] for r in records[:-1]] == [list(fields) for _, fields in rows]
+        assert records[-1][:2] == ["mean", str(len(rows))]
+    else:
+        # a pair's WAV is missing or is not one; the error names its line,
+        # and the pairs above it were scored
+        assert code in (1, 3), err
+        one_error_line(err)
+        failed = re.match(rf"error: {re.escape(str(manifest))}, line (\d+) \(", err)
+        assert failed, err
+        assert [r[:2] for r in records] == [list(fields) for number, fields in rows
+                                            if number < int(failed[1])]
+
+
+def expected_index(blob: bytes):
+    """``expected_rows`` for a corpus index, as ``(entries, None)`` or
+    ``(None, message)``, the message that refuses it: an id listed twice
+    does not parse either."""
+    rows, bad_line = expected_rows(blob, (str, str, int))
+    if rows is None:
+        return None, f", line {bad_line}: "
+    entries, first = {}, {}
+    for number, (utt_id, rel_path, count) in rows:
+        if utt_id in entries:
+            return None, f": id {utt_id!r} is listed twice, on lines {first[utt_id]} and {number}"
+        entries[utt_id], first[utt_id] = (rel_path, count), number
+    return entries, None
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(data=st.data())
+def test_mutated_corpus_index_loads_or_exits_2(list_files, data):
+    root, _, index_rows, noise_index, config = list_files
+    index = root / "speech.idx"
+    blob = data.draw(mutated_list(index_rows))
+    index.write_bytes(blob)
+    entries, message = expected_index(blob)
+    if entries is not None:
+        event("parsed")
+        corpus = CorpusIndex(index)
+        assert corpus.entries == entries
+        assert all(type(count) is int for _, count in corpus.entries.values())
+        assert corpus.ids == sorted(entries)
+        return
+    event("refused")
+    with pytest.raises(ListFileError) as refused:
+        CorpusIndex(index)
+    assert str(refused.value).startswith(f"{index}{message}"), refused.value
+    out_dir = root / "run"
+    code, out, err = run_cli(["train", "--config", str(config), "--speech-index", str(index),
+                              "--noise-index", str(noise_index), "--out", str(out_dir)])
+    assert code == 2, err
+    one_error_line(err)
+    assert err.startswith(f"error: {index}{message}"), err
+    assert out == "" and not out_dir.exists()

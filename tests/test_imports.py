@@ -1,7 +1,10 @@
-"""Every name a module of the ``arn`` package imports is used in it, and
-every name it defines is read by program code."""
+"""Every name a module of the ``arn`` package imports is used in it, every
+name it defines is read by program code, and the package needs numpy alone."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -116,3 +119,14 @@ def test_name_checker_counts_only_reads():
             "box = Box()\n")
     assert unread_names({"lib.py": lib}, [lib, user]) == [
         "lib.py: UNUSED (line 3)", "lib.py: helper (line 7)"]
+
+
+def test_cli_loads_no_scipy():
+    # in a fresh interpreter, so that no test's import of scipy counts;
+    # scipy serves the tests, perfbench and the demo-data script only
+    code = ("import sys, arn.cli; print(sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path}, check=True)
+    assert run.stdout.strip() == "[]", run.stdout

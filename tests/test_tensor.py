@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf, erfc
 
 from arn import losses, model, tensor
 from arn.optim import AdamState, adam_step
@@ -867,6 +868,71 @@ class TestRowTiledFeedforward:
         assert got.dtype == dtype and np.signbit(got[0]).all()
         np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
+
+
+class TestNormalCdf:
+    """``_gelu_cdf``, the GELU's Phi, against scipy: in float64 within two
+    ulp of the erf form 0.5 (1 + erf(z / sqrt 2)), an ulp taken at
+    max(Phi, 1/2), below which the erf form itself is only that accurate;
+    in float32 within 1e-7 absolute of float64's Phi."""
+
+    # even steps over [-12, 12], and around the split at |z| = 1, the
+    # clip at 8.6 and zero
+    GRID = np.concatenate([np.linspace(-12.0, 12.0, 240_001),
+                           *(sign * np.linspace(0.99, 1.01, 20_001) for sign in (1, -1)),
+                           *(sign * np.linspace(8.5, 8.7, 2_001) for sign in (1, -1)),
+                           *(sign * np.geomspace(1e-300, 1e-2, 601) for sign in (1, -1)),
+                           [0.0, -0.0]])
+
+    def test_float64_within_two_ulp_of_erf_form(self):
+        z = self.GRID
+        want = 0.5 * (1.0 + erf(z / math.sqrt(2.0)))
+        got = tensor._gelu_cdf(z)
+        assert got.dtype == np.float64
+        ulps = np.abs(got - want) / np.spacing(np.maximum(want, 0.5))
+        assert ulps.max() <= 2.0, z[ulps.argmax()]
+
+    def test_float32_within_1e7_of_float64_phi(self):
+        # the float32 grid, ten times finer, and every float32 within 0.01
+        # of the split, where the error peaks (7.1e-8 near 0.9995)
+        split = np.arange(np.float32(0.99).view(np.int32), np.float32(1.01).view(np.int32))
+        split = split.view(np.float32)
+        z = np.concatenate([np.linspace(-12.0, 12.0, 2_400_001, dtype=np.float32),
+                            split, -split, self.GRID.astype(np.float32)])
+        want = 0.5 * erfc(-z.astype(np.float64) / math.sqrt(2.0))
+        got = tensor._gelu_cdf(z)
+        assert got.dtype == np.float32
+        err = np.abs(got - want)
+        assert err.max() <= 1e-7, z[err.argmax()]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_in_place_and_chunked_give_the_same_bits(self, dtype):
+        # several of the kernel's pieces and a partial one, against slices
+        # that end elsewhere: each element's bits depend on it alone,
+        # written in place or not
+        z = (3.0 * rand((3 * tensor._CDF_CHUNK_BYTES // 8 + 5, 2), 41)).astype(dtype)
+        whole = tensor._gelu_cdf(z)
+        sliced = np.concatenate([tensor._gelu_cdf(z[lo:lo + 997])
+                                 for lo in range(0, len(z), 997)])
+        np.testing.assert_array_equal(whole, sliced)
+        tensor._gelu_cdf(z, out=z)
+        np.testing.assert_array_equal(z, whole)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_non_finite_and_signed_zero(self, dtype):
+        # no warning either: the suite turns numpy's into errors
+        z = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0], dtype=dtype)
+        np.testing.assert_array_equal(tensor._gelu_cdf(z), [np.nan, 1.0, 0.0, 0.5, 0.5])
+
+    def test_holds_two_scratch_pieces(self):
+        # besides ``out``, two scratch arrays of _CDF_CHUNK_BYTES, whatever
+        # the input's size; a temporary as large as the input would pass it
+        z = rand(64 * tensor._CDF_CHUNK_BYTES // 8, 42)
+        slack = 4096
+        assert traced_peak(lambda: tensor._gelu_cdf(z, out=z)) <= (
+            2 * tensor._CDF_CHUNK_BYTES + slack)
+        assert traced_peak(lambda: tensor._gelu_cdf(z)) <= (
+            z.nbytes + 2 * tensor._CDF_CHUNK_BYTES + slack)
 
 
 class TestFeedforwardBackwardBits:
