@@ -98,7 +98,7 @@ def _seed() -> int:
 
 
 def _load_model(ckpt_path):
-    # the streamed table: no Adam moment, and each layer read from the
+    # the checkpoint's reader: no Adam moment, and each layer read from the
     # file, for every enhanced file, when the op that uses it runs
     ckpt = training.load_checkpoint(ckpt_path, for_enhance=True)
     params = training.params_from_checkpoint(ckpt)

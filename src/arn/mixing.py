@@ -138,21 +138,23 @@ def read_list_file(path, types) -> list:
     """Rows of a tab-separated list file: one (1-based line number, fields)
     pair per non-blank line, the number for messages about the row.
 
-    The file is UTF-8 text. Field ``i`` of each line is converted by
-    ``types[i]``. A byte that is not UTF-8, a line with the wrong number of
-    fields, or a field that does not convert raises ``ListFileError``
-    naming the file and the line number.
+    The file is UTF-8 text whose lines end at a line feed alone, so a file
+    name may hold a form feed or U+2028. Each line is stripped of its
+    surrounding whitespace, a carriage return before its line feed with it.
+    Field ``i`` of each line is converted by ``types[i]``. A byte
+    that is not UTF-8, a line with the wrong number of fields, or a field
+    that does not convert raises ``ListFileError`` naming the file and the
+    line number.
     """
     data = Path(path).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        # the line breaks before the bad byte, counted as splitlines counts them
-        number = len((data[:exc.start].decode("utf-8") + "x").splitlines())
+        number = data.count(b"\n", 0, exc.start) + 1
         raise ListFileError(f"{path}, line {number}: not UTF-8 text "
                             f"({exc.reason} at byte {exc.start})") from None
     rows = []
-    for number, line in enumerate(text.splitlines(), start=1):
+    for number, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
         if not line:
             continue

@@ -14,19 +14,18 @@ the output frame, each output frame is emitted over the trailing part of
 its input frame's span so that every predicted sample lies within already
 observed input.
 
-Parameters live in a flat ordered dict of named tensors; one helper,
-``_sub``, derives each block's and each layer's view by name prefix. The
-table, ``param_shapes``, is what training updates and checkpoints store.
-``arn enhance`` streams it (``training.StreamedTable``): it holds none of
-it, and reads every layer (``STREAMED_LAYERS``: the two projections, and
-in each block its five layer norms, each direction of its RNN, attention
-and the feedforward) from the checkpoint one at a time, each when the op
-that uses it runs. A causal LSTM's input weights are read a gate at a
-time, as each tile's input projection needs them, beside its recurrent
-weights, which its loop needs throughout. The pass gets each block's
-table through ``block_table`` and each layer's through ``layer_table``,
-which a dict answers by prefix, so there is one forward path, and one
-value-gate path, for either table.
+Parameters live in a flat ordered dict of named tensors, ``param_shapes``,
+which training updates and checkpoints store. ``arn enhance`` holds none
+of it: its table is the checkpoint's reader (``training.BlockReader``),
+which reads every layer (``STREAMED_LAYERS``: the two projections, and in
+each block its five layer norms, each direction of its RNN, attention and
+the feedforward) one at a time, each when the op that uses it runs. A
+causal LSTM's input weights are read a gate at a time, as each tile's
+input projection needs them, beside its recurrent weights, which its loop
+needs throughout. The pass asks ``layer_table`` for each layer by its full
+prefix (``'block1.ln0.'``), which a dict answers by prefix and the reader
+by reading the layer, so there is one forward path, and one value-gate
+path, for either table.
 
 Outside recording, each (T, N) array is dropped after its last reader, or
 written over by it. The frame rows, each block's input and the attention's
@@ -40,7 +39,7 @@ norm into the attention output; as ``into``, the attention node's gated
 output into the query stream (one tile at a time, after the tile's queries
 are formed) and the feedforward's output into that layer norm's output.
 ``enhance`` thus holds at most two (T, N) arrays at once, beside the
-weights (from a streamed table, those of the op that runs), plus one tile's
+weights (from the reader, those of the op that runs), plus one tile's
 scratch: the scratch buffers of the op that runs, each allocated once per
 call and a tile in size (the LSTM's activation tile, attention's query,
 probability and output tiles, the feedforward's (rows, 4N) pre-activation
@@ -172,7 +171,7 @@ def param_shapes(cfg: ARNConfig) -> dict:
     return shapes
 
 
-# the layers that a streamed table reads from its checkpoint one at a time,
+# the layers that the enhance load's reader reads one at a time,
 # each when the forward pass reaches it, by their prefix in the table or in
 # a block's: the two projections, and in each block its five layer norms,
 # the RNN, attention (its three vectors and three linear maps) and the
@@ -222,33 +221,19 @@ def _prefixes(names) -> list:
     return sorted({name.split(".", 1)[0] + "." for name in names})
 
 
-def _sub(params: dict, prefix: str) -> dict:
-    view = {k[len(prefix):]: v for k, v in params.items() if k.startswith(prefix)}
-    if not view:
-        raise ConfigurationError(f"no parameters under prefix {prefix!r}")
-    return view
-
-
-def block_table(params: dict, i: int) -> dict:
-    """Block ``i``'s table, its names without the ``block<i>.`` prefix. A
-    streamed table gives one that reads the block's layers through
-    ``layer_table``; a dict answers by prefix, as ``_sub`` does."""
-    block = getattr(params, "block", None)
-    return _sub(params, f"block{i}.") if block is None else block(i)
-
-
-def layer_table(table: dict, prefix: str) -> dict:
-    """The entries of a table whose names start with ``prefix``, their names
-    kept: one layer's, a prefix of ``STREAMED_LAYERS``, of the whole table
-    (the projections) or of a block's (a layer norm, the RNN or one
-    direction of it, one gate's LSTM input weights, attention, the
-    feedforward). A dict answers by prefix. A streamed table reads the
-    layer's own entries from its checkpoint (the LSTM's without its gates'
-    input weights, which are layers of their own), into views that a later
-    layer's read overwrites."""
-    read = getattr(table, "read_layer", None)
-    view = ({k: v for k, v in table.items() if k.startswith(prefix)} if read is None
-            else read(prefix))
+def layer_table(table, prefix: str) -> dict:
+    """The entries of a parameter table under ``prefix``, by their names in
+    the table. The forward pass asks for each layer by its full prefix, a
+    ``STREAMED_LAYERS`` layer's, after ``'block<i>.'`` for a block's layers
+    (``'input_proj.'``, ``'block1.ln0.'``, ``'block1.blstm.bwd.'``,
+    ``'block1.lstm.w_gx'``). A dict answers by prefix. The enhance load's
+    reader (``training.BlockReader``) answers from ``read(prefix)``: the
+    layer's own entries (an LSTM's without its gates' input weights, which
+    are layers of their own), read from its checkpoint into views that a
+    later layer's read overwrites. A prefix under which no entry lies is
+    refused, naming it."""
+    view = ({k: v for k, v in table.items() if k.startswith(prefix)}
+            if isinstance(table, dict) else table.read(prefix))
     if not view:
         raise ConfigurationError(f"no parameters under prefix {prefix!r}")
     return view
@@ -263,44 +248,37 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
     return tensor.layer_norm_rows(x, gamma, beta, eps, overwrite)
 
 
-def _lstm_gates(w: dict) -> tuple:
-    """One LSTM direction's ``(w_x, b, w_h)``, each its four per-gate
-    tensors in gate order i, f, g, o, as ``tensor.lstm_sequence`` takes them."""
-    return ([w[f"w_{g}x"] for g in _GATES], [w[f"b_{g}"] for g in _GATES],
-            [w[f"w_{g}h"] for g in _GATES])
+def _lstm_direction(params, prefix: str):
+    """The LSTM direction under ``prefix`` as ``tensor.lstm_sequence`` takes
+    it: a function that takes the direction's layer through ``layer_table``
+    and returns its ``(w_x, b, w_h)``, ``w_x`` a function of the gate's
+    index. A gate's input weights come from that layer when it holds them,
+    as a dict's does, and otherwise from the gate's own layer, which the
+    reader reads on each call."""
+    def weights():
+        w = layer_table(params, prefix)
+
+        def w_x(j):
+            name = f"{prefix}w_{_GATES[j]}x"
+            return w[name] if name in w else layer_table(params, name)[name]
+        return (w_x, [w[f"{prefix}b_{g}"] for g in _GATES],
+                [w[f"{prefix}w_{g}h"] for g in _GATES])
+    return weights
 
 
-def _lstm_direction(block_params: dict, prefix: str) -> tuple:
-    """The ``(w_x, b, w_h)`` of the LSTM direction under ``prefix``, taken
-    through ``layer_table``. Where the direction's layer holds no input
-    weights, as when a streamed table reads each gate's as its own layer,
-    ``w_x`` is a function of the gate's index that reads that gate's layer."""
-    w = _sub(layer_table(block_params, prefix), prefix)
-    if "w_ix" in w:
-        return _lstm_gates(w)
+def rnn_sequence(x: Tensor, params, block: str, cfg: ARNConfig) -> Tensor:
+    """Block ``block``'s (``'block1.'``) LSTM, or BLSTM when not causal, as
+    one recorded node.
 
-    def w_x(j):
-        name = f"{prefix}w_{_GATES[j]}x"
-        return layer_table(block_params, name)[name]
-    return w_x, [w[f"b_{g}"] for g in _GATES], [w[f"w_{g}h"] for g in _GATES]
-
-
-def rnn_sequence(x: Tensor, block_params: dict, cfg: ARNConfig) -> Tensor:
-    """The block's LSTM, or BLSTM when not causal, as one recorded node.
-
-    Each direction's weights are taken from the block's table through
-    ``layer_table`` by a function that ``tensor.lstm_sequence`` calls when
-    that direction runs, outside recording, so a streamed table reads the
-    backward direction only once the forward one is done, into the buffer
-    that the forward one's views used. A streamed table gives an LSTM's
-    input weights as a function of the gate, which the loop calls as each
-    tile's input projection needs that gate, so one gate's input weights
-    are read at a time, beside the recurrent weights; a dict gives them as
-    tensors.
+    ``tensor.lstm_sequence`` calls each direction's function when that
+    direction runs, outside recording, so the reader reads the backward
+    direction only once the forward one is done, into the buffer that the
+    forward one's views used, and an LSTM's input weights as each tile's
+    input projection needs each gate, one gate at a time, beside the
+    recurrent weights.
     """
     prefixes = ("lstm.",) if cfg.causal else ("blstm.fwd.", "blstm.bwd.")
-    return tensor.lstm_sequence(x, *(
-        lambda p=p: _lstm_direction(block_params, p) for p in prefixes))
+    return tensor.lstm_sequence(x, *(_lstm_direction(params, block + p) for p in prefixes))
 
 
 def _v_gate_graph(p: dict) -> Tensor:
@@ -321,8 +299,8 @@ def attention_block(q: Tensor, k: Tensor, v: Tensor, p: dict, causal: bool,
     sigma(Lin(v)) * tanh(Lin(v)) of the third trainable vector ``v``. The
     value gate depends on no input, only on the parameters. It is
     recomputed on every call, from either table, so training optimizes it
-    and evaluation and enhancement see its current value; a streamed
-    table reads its two (N, N) maps with the query map, as one layer.
+    and evaluation and enhancement see its current value; the reader reads
+    its two (N, N) maps with the query map, as one layer.
 
     Both key and value gates scale columns, so they are folded out of the
     (T, N) operands: softmax(q_g (k s)^T) (v g) = softmax((q_g s) k^T) v g,
@@ -356,9 +334,10 @@ def feedforward_block(x: Tensor, w: Tensor, b: Tensor, dropout_rate: float,
     return tensor.feedforward(x, w, b, keep, dropout_rate, into)
 
 
-def arn_block_forward(x: Tensor, block_params: dict, cfg: ARNConfig,
+def arn_block_forward(x: Tensor, params, block: str, cfg: ARNConfig,
                       rng=None) -> Tensor:
-    """One full block with both residual connections; (T, N) -> (T, N).
+    """Block ``block`` (``'block1.'``) with both residual connections;
+    (T, N) -> (T, N).
 
     Each (T, N) local, the input included, is dropped after its last
     reader, or handed to it to write its output into, so that outside
@@ -369,30 +348,32 @@ def arn_block_forward(x: Tensor, block_params: dict, cfg: ARNConfig,
 
     Each layer's table, a layer norm's included, is taken through
     ``layer_table`` just before its op runs and dropped when the op returns
-    (the RNN's, one direction at a time, by ``rnn_sequence``), so a streamed
-    table's next layer read overwrites no view in use.
+    (the RNN's, one direction at a time, by ``rnn_sequence``), so the
+    reader's next layer read overwrites no view in use.
     """
     def norm(x, j, overwrite=False):
-        ln = layer_table(block_params, f"ln{j}.")
-        return layer_norm(x, ln[f"ln{j}.g"], ln[f"ln{j}.b"], cfg.ln_eps, overwrite)
+        ln = f"{block}ln{j}."
+        p = layer_table(params, ln)
+        return layer_norm(x, p[ln + "g"], p[ln + "b"], cfg.ln_eps, overwrite)
 
     y = norm(x, 0)
     del x
-    y = rnn_sequence(y, block_params, cfg)
+    y = rnn_sequence(y, params, block, cfg)
     q = norm(y, 1)
     kv = [norm(y, 2, overwrite=True)]
     del y
     # the keys and values go in by the list's only reference, so that the
     # attention node frees them; its output lands in the query stream
-    a = attention_block(q, kv[0], kv.pop(),
-                        _sub(layer_table(block_params, "attn."), "attn."), cfg.causal,
-                        into=q)
-    del q
+    attn = f"{block}attn."
+    p = {k[len(attn):]: t for k, t in layer_table(params, attn).items()}
+    a = attention_block(q, kv[0], kv.pop(), p, cfg.causal, into=q)
+    del q, p
     z1 = norm(a, 3)
     z2 = norm(a, 4, overwrite=True)
     del a
-    ff = layer_table(block_params, "ff.")
-    return feedforward_block(z1, ff["ff.w"], ff["ff.b"], cfg.dropout, rng, into=z2)
+    ff = f"{block}ff."
+    p = layer_table(params, ff)
+    return feedforward_block(z1, p[ff + "w"], p[ff + "b"], cfg.dropout, rng, into=z2)
 
 
 def arn_forward_frames(frames: Tensor, params: dict, cfg: ARNConfig,
@@ -403,8 +384,8 @@ def arn_forward_frames(frames: Tensor, params: dict, cfg: ARNConfig,
     into its product outside recording, and each block gets its input by
     the only reference, so that outside recording it frees that input after
     its first layer norm. Each projection's weights are taken through
-    ``layer_table`` just before its product, so a streamed table reads
-    them there, as it reads a block's layers.
+    ``layer_table`` just before its product, so the reader reads them
+    there, as it reads a block's layers.
     """
     proj = layer_table(params, "input_proj.")
     stream = [tensor.add(frames @ proj["input_proj.w"], proj["input_proj.b"],
@@ -413,7 +394,7 @@ def arn_forward_frames(frames: Tensor, params: dict, cfg: ARNConfig,
     for i in range(cfg.num_blocks):
         # popped, not named: a name here would keep the block's input alive
         # through the whole block
-        stream.append(arn_block_forward(stream.pop(), block_table(params, i), cfg, rng))
+        stream.append(arn_block_forward(stream.pop(), params, f"block{i}.", cfg, rng))
     proj = layer_table(params, "output_proj.")
     return stream[0] @ proj["output_proj.w"] + proj["output_proj.b"]
 
@@ -426,12 +407,11 @@ def arn_forward(x, params: dict, cfg: ARNConfig, rng=None) -> Tensor:
     depends only on input the model has already seen. The leading
     ``frame_in - frame_out`` samples are covered by no output frame and
     come out as zeros (the causal warm-up region). ``params`` must hold
-    exactly the names of ``param_shapes(cfg)``; a streamed table, which
-    reads each layer from its checkpoint, is float32, as the file is.
+    exactly the names of ``param_shapes(cfg)``; the enhance load's reader,
+    which reads each layer from its checkpoint, is float32, as the file is.
     """
-    if hasattr(params, "read_layer"):
-        dtype = np.float32
-    else:
+    dtype = np.float32
+    if isinstance(params, dict):
         expected = param_shapes(cfg).keys()
         if params.keys() != expected:
             raise ConfigurationError(
@@ -449,7 +429,7 @@ def arn_forward(x, params: dict, cfg: ARNConfig, rng=None) -> Tensor:
 
 def enhance(x, params: dict, cfg: ARNConfig) -> np.ndarray:
     """The forward pass without dropout and unrecorded, as a plain array.
-    A streamed table reads each layer from its checkpoint as the pass
-    reaches it, so at most one layer's weights are held."""
+    The enhance load's reader reads each layer from its checkpoint as the
+    pass reaches it, so at most one layer's weights are held."""
     with tensor.no_grad():
         return arn_forward(x, params, cfg).data

@@ -29,13 +29,15 @@ swept once: a second ``backward`` that reaches a swept node raises
 
 ``lstm_sequence`` records one node for all T time steps of an LSTM, or of
 a BLSTM whose two directions write the two halves of one output, and reads
-each gate's weights where they lie. Each direction's loop is plain numpy
-and allocates nothing per step: it writes the input projection, one tile
-of ``TILE_ROWS`` rows and one gate at a time, into one activation buffer
-and turns each row into the four gates in place with one tanh (sigmoid in
-its tanh form, as ``sigmoid`` computes it). Only when recording does it
-keep the gate activations and cell states that its backward pass, through
-time, reads; it keeps no copy of the weights.
+each gate's weights where they lie, from functions that the caller passes
+and that it calls when a direction, or a tile's gate, needs them. Each
+direction's loop is plain numpy and allocates nothing per step: it writes
+the input projection, one tile of ``TILE_ROWS`` rows and one gate at a
+time, into one activation buffer and turns each row into the four gates
+in place with one tanh (sigmoid in its tanh form, as ``sigmoid`` computes
+it). Only when recording does it keep the gate activations and cell
+states that its backward pass, through time, reads; it keeps no copy of
+the weights.
 ``attention`` and ``feedforward`` work over the same row tiles and recompute
 each tile in their backward pass, so their memory grows linearly in T;
 ``attention`` also forms each tile's queries from the query stream, so no
@@ -401,28 +403,25 @@ def lstm_sequence(x: Tensor, fwd, bwd=None) -> Tensor:
     """LSTM over the rows of ``x`` from a zero state, one direction or both,
     as one recorded op.
 
-    ``x`` is (T, K). ``fwd`` and ``bwd`` are each a direction's ``(w_x, b,
-    w_h)``, four tensors each in gate order i, f, g, o: the (K, H) input
-    weights, the (H,) biases and the (H, H) recurrent weights. ``fwd`` runs
-    forward in time into columns [0, H) of the output and ``bwd``, when
-    given, backward in time into columns [H, 2H). Row t of a direction's
-    columns is h_t, where z_t = x_t w_x + b + h_prev w_h over the gates side
-    by side (4H columns), c_t = f * c_prev + i * g and h_t = o * tanh(c_t);
-    the previous step is t - 1 forward in time and t + 1 backward. The
-    output has the dtype of ``x`` and ``fwd``'s weights.
+    ``x`` is (T, K). ``fwd`` and ``bwd`` are each a direction: a function of
+    no argument that returns its ``(w_x, b, w_h)``, where ``b`` is four (H,)
+    biases and ``w_h`` four (H, H) recurrent weights, in gate order i, f, g,
+    o, and ``w_x`` is a function of the gate's index, 0 to 3, that returns
+    that gate's (K, H) input weights. ``fwd`` runs forward in time into
+    columns [0, H) of the output and ``bwd``, when given, backward in time
+    into columns [H, 2H). Row t of a direction's columns is h_t, where z_t =
+    x_t w_x + b + h_prev w_h over the gates side by side (4H columns), c_t =
+    f * c_prev + i * g and h_t = o * tanh(c_t); the previous step is t - 1
+    forward in time and t + 1 backward. The output has the dtype of ``x``
+    and ``fwd``'s biases and recurrent weights.
 
-    A direction may also be a function of no argument that returns its
-    ``(w_x, b, w_h)``. Outside recording, it is called when its direction
-    runs, after the loop of the one before has returned, so that a caller
-    can fetch the second direction's weights into memory that the first
-    one's used; each direction's shapes are checked when it is called. A
-    direction's ``w_x`` may in turn be a function of the gate's index, 0 to
-    3, that returns that gate's input weights. Outside recording, the loop
-    calls it for each tile and gate, just before that gate's part of the
-    tile's input projection, and checks the shape of what it returns, so
-    that a caller can fetch one gate's input weights at a time into the
-    same memory. When recording, every function is called before anything
-    runs, for each gate in turn, since the graph needs all its parents.
+    The weights are fetched late, so that a caller can read each into
+    memory that the ones before it used. Outside recording, ``bwd`` is
+    called when its direction runs, after the loop of the one before has
+    returned, and ``w_x`` for each tile and gate, just before that gate's
+    part of the tile's input projection; what each call returns is checked
+    then. When recording, both directions and each gate's ``w_x`` are called
+    before anything runs, since the graph needs all its parents.
 
     The directions run one after the other and read the weights where they
     lie. Each writes its input projection, one tile of ``TILE_ROWS`` rows
@@ -450,25 +449,24 @@ def lstm_sequence(x: Tensor, fwd, bwd=None) -> Tensor:
     xd = x.data
     if xd.ndim != 2:
         raise DimensionError("lstm_sequence needs a rank-2 x")
-    steps, k = xd.shape
+    steps = xd.shape[0]
     if steps == 0:
         raise DimensionError("lstm_sequence on zero time steps")
-    dirs = [_lstm_weights(fwd, k)] + ([] if bwd is None else [bwd])
+    dirs = [_lstm_weights(fwd)] + ([] if bwd is None else [bwd])
     hidden = dirs[0][2][0].data.shape[0]
-    # a later direction given as a function is called when it runs, outside
-    # recording; recording, the graph needs all its parents before anything
-    # runs
-    dirs[1:] = [d if callable(d) and not _grad_enabled else _lstm_weights(d, k, hidden)
-                for d in dirs[1:]]
-    parents = (x, *(t for d in dirs for gates in d for t in gates)) if _grad_enabled else ()
-    keep = any(p.requires_grad for p in parents)
-    hs = np.empty((steps, hidden * len(dirs)), dtype=np.result_type(
-        xd, *(t.data for gates in dirs[0] if not callable(gates) for t in gates)))
+    # a later direction is called when it runs, outside recording;
+    # recording, the graph needs all its parents before anything runs
+    if _grad_enabled:
+        dirs[1:] = [_lstm_weights(d, hidden) for d in dirs[1:]]
+        parents = (x, *(t for w_x, b, w_h in dirs for t in (*map(w_x, range(4)), *b, *w_h)))
+    keep = _grad_enabled and any(p.requires_grad for p in parents)
+    hs = np.empty((steps, hidden * len(dirs)),
+                  dtype=np.result_type(xd, *(t.data for t in (*dirs[0][1], *dirs[0][2]))))
     cols = [slice(j * hidden, (j + 1) * hidden) for j in range(len(dirs))]
     kept = []
     for j, c in enumerate(cols):
         if callable(dirs[j]):
-            dirs[j] = _lstm_weights(dirs[j], k, hidden)
+            dirs[j] = _lstm_weights(dirs[j], hidden)
         kept.append(_lstm_run(xd, *dirs[j], hs[:, c], j == 1, keep))
     out = Tensor(hs)
     if not keep:
@@ -483,34 +481,32 @@ def lstm_sequence(x: Tensor, fwd, bwd=None) -> Tensor:
     return _record(out, parents, _bw)
 
 
-def _lstm_weights(d, k: int, hidden: int = None) -> tuple:
+def _lstm_weights(d, hidden: int = None) -> tuple:
     """One direction's ``(w_x, b, w_h)`` of ``lstm_sequence``, from the
-    function that returns it when ``d`` is one, checked against input width
-    ``k`` and ``hidden``, by default its own. Input weights given as a
-    function of the gate stay one outside recording, checked by ``_lstm_run``
-    as it calls it; recording, the function is called here for each gate."""
-    d = list(d() if callable(d) else d)
-    if d and callable(d[0]) and _grad_enabled:
-        d[0] = [d[0](j) for j in range(4)]
-    d = tuple(g if callable(g) else tuple(g) for g in d)
-    if len(d) != 3 or any(len(g) != 4 for g in d if not callable(g)):
-        raise DimensionError("lstm_sequence needs (w_x, b, w_h) of four gates each")
+    function ``d`` that returns it, its biases and recurrent weights checked
+    against ``hidden``, by default their own. Recording, ``w_x`` is called
+    here for each gate, and returns the tensors fetched; otherwise
+    ``_lstm_run`` calls it, and checks what it returns."""
+    d = d()
+    if len(d) != 3 or any(len(g) != 4 for g in d[1:]):
+        raise DimensionError("lstm_sequence needs (w_x, b, w_h), b and w_h of four gates each")
+    w_x, b, w_h = d
     if hidden is None:
-        hidden = d[2][0].data.shape[0]
-    shapes = ((k, hidden), (hidden,), (hidden, hidden))
-    if any(t.data.shape != shape for shape, gates in zip(shapes, d) if not callable(gates)
-           for t in gates):
-        shown = [[t.shape for t in g] for g in d]
-        raise DimensionError(f"need x (T, K) and per gate w_x (K, H), b (H,) and w_h (H, H) "
-                             f"in each direction, got K = {k} and {shown}")
-    return d
+        hidden = w_h[0].data.shape[0]
+    if any(t.data.shape != (hidden,) for t in b) or any(
+            t.data.shape != (hidden, hidden) for t in w_h):
+        raise DimensionError(f"need per gate b (H,) and w_h (H, H) in each direction, got "
+                             f"{[t.shape for t in (*b, *w_h)]}")
+    if _grad_enabled:
+        w_x = tuple(map(w_x, range(4))).__getitem__
+    return w_x, b, w_h
 
 
 def _lstm_run(xd, w_x, b, w_h, hs, reverse: bool, keep: bool):
     """One direction of ``lstm_sequence`` into ``hs``, its (T, H) column
     block; returns the gate activations and cell states when ``keep``.
-    ``w_x`` is four tensors, or a function of the gate's index called for
-    each tile and gate."""
+    ``w_x`` is a function of the gate's index, called for each tile and
+    gate."""
     steps, hidden = hs.shape
     dtype = hs.dtype
     h4 = 4 * hidden
@@ -538,7 +534,7 @@ def _lstm_run(xd, w_x, b, w_h, hs, reverse: bool, keep: bool):
         base = 0 if keep else lo
         tile = gates[lo - base:hi - base]
         for j in range(4):
-            wx = (w_x(j) if callable(w_x) else w_x[j]).data
+            wx = w_x(j).data
             if wx.shape != (xd.shape[1], hidden):
                 raise DimensionError(f"need the input weights of gate {j} (K, H) = "
                                      f"{(xd.shape[1], hidden)}, got {wx.shape}")
@@ -566,7 +562,8 @@ def _lstm_run(xd, w_x, b, w_h, hs, reverse: bool, keep: bool):
 
 def _lstm_bptt(x: Tensor, w_x, b, w_h, hs, acts, cells, dy, reverse: bool):
     """The backward pass of one direction of ``lstm_sequence`` from ``dy``,
-    its (T, H) column block of the output's gradient."""
+    its (T, H) column block of the output's gradient; ``w_x`` is a function
+    of the gate's index."""
     steps, hidden = hs.shape
     dtype = hs.dtype
     i, f, g, o = acts.reshape(steps, 4, hidden).swapaxes(0, 1)
@@ -604,9 +601,9 @@ def _lstm_bptt(x: Tensor, w_x, b, w_h, hs, acts, cells, dy, reverse: bool):
     # packed copy of the weights; each gate's weight and bias gradients are
     # their own products and sums, made for that gate alone
     if x.requires_grad:
-        x._acc(dz @ _pack(w_x).T)
+        x._acc(dz @ _pack(map(w_x, range(4))).T)
     h_prev, dz_next = (hs[1:], dz[:-1]) if reverse else (hs[:-1], dz[1:])
-    for j, (wx, bj, wh) in enumerate(zip(w_x, b, w_h)):
+    for j, (wx, bj, wh) in enumerate(zip(map(w_x, range(4)), b, w_h)):
         cols = slice(j * hidden, (j + 1) * hidden)
         if wx.requires_grad:
             wx._acc(x.data.T @ dz[:, cols], fresh=True)

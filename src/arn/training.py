@@ -28,8 +28,8 @@ when the file has them, for training, tests and checks. Its enhance load
 (``for_enhance=True``, what ``arn enhance`` and ``arn evaluate --model``
 use) holds no parameter: it reads and checks only Adam's moments, which it
 drops, steps over every entry of the table, recording where each layer
-lies, and keeps the file open. ``params_from_checkpoint`` makes that a
-``StreamedTable``, from which ``model.enhance`` reads each layer
+lies, and keeps the file open. ``params_from_checkpoint`` returns that
+``BlockReader`` as the table from which ``model.enhance`` reads each layer
 (``model.STREAMED_LAYERS``: the input and output projections, and in each
 block its five layer norms, each direction of the RNN, attention and the
 feedforward) as the op that uses it runs, into one buffer reused across
@@ -235,7 +235,8 @@ def params_from_checkpoint(ckpt: Checkpoint) -> dict:
     config's trainable shape table.
 
     From an enhance load, the table checked is the file's entries, none of
-    them read, and what is returned is a ``StreamedTable``. Otherwise nothing
+    them read, and what is returned is the load's ``BlockReader``, which
+    ``model.layer_table`` reads each layer from. Otherwise nothing
     is copied: each parameter's data is the array in ``ckpt.tensors``, so
     one copy of the weights is held, and an in-place update of a parameter
     also changes the checkpoint object.
@@ -252,35 +253,14 @@ def params_from_checkpoint(ckpt: Checkpoint) -> dict:
             raise CheckpointShapeError(
                 f"{name}: stored shape {stored[name]} != declared {shape}")
     if ckpt.blocks is not None:
-        return StreamedTable(ckpt.blocks)
+        return ckpt.blocks
     return {name: tensor.Tensor(ckpt.tensors[name], requires_grad=True) for name in expected}
-
-
-class StreamedTable:
-    """An enhance load's table for ``model.enhance``, which holds no
-    parameter: a reader of the checkpoint's layers bound to a prefix of the
-    table's names, ``''`` for the whole table. ``read_layer(prefix)``, which
-    ``model.layer_table`` calls just before the layer's op runs, reads the
-    layer under the two prefixes from the checkpoint (``BlockReader.read``)
-    and returns its tensors by name without the bound prefix; ``block(i)``,
-    which ``model.block_table`` calls as the forward pass reaches block
-    ``i``, is the reader bound to ``block<i>.``.
-    """
-
-    def __init__(self, blocks: BlockReader, prefix: str = ""):
-        self._blocks, self._prefix = blocks, prefix
-
-    def block(self, i: int) -> StreamedTable:
-        return StreamedTable(self._blocks, f"block{i}.")
-
-    def read_layer(self, prefix: str) -> dict:
-        return {k[len(self._prefix):]: t
-                for k, t in self._blocks.read(self._prefix + prefix).items()}
 
 
 class BlockReader:
     """Where each layer of ``model.STREAMED_LAYERS`` lies in an enhance
-    load's checkpoint, and the open file they are read from.
+    load's checkpoint, and the open file they are read from: the table that
+    ``model.layer_table`` reads each layer from, by its full prefix.
 
     ``read(layer)`` reads the entries of ``layer``, a layer's prefix in the
     parameter table (``model.streamed_layer``: ``'input_proj.'``,

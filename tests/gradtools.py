@@ -8,8 +8,9 @@ recorded backward pass against nothing but repeated forward evaluations;
 elementary recorded ops, as oracles for the fused ``tensor.lstm_sequence``;
 ``lstm_sequence_graph`` chains them over a whole sequence, ``lstm_stepwise``
 iterates ``lstm_graph_step`` over the op's own tiled projection,
-``flip_rows`` gives the time-reversed LSTM as flip, LSTM, flip, and
-``split_gates`` cuts packed gate columns into the op's per-gate operands.
+``flip_rows`` gives the time-reversed LSTM as flip, LSTM, flip,
+``split_gates`` cuts packed gate columns into the op's per-gate operands,
+and ``direction`` hands per-gate tensors to the op in the form it takes.
 ``sum_all`` reduces a tensor to the scalar loss most gradient tests sweep,
 and ``concat`` joins tensors along rows or columns, as the oracles need.
 ``batch_loss_graph`` records a whole batch's mean loss as one graph: the
@@ -383,8 +384,8 @@ def lstm_sequence_graph(x: Tensor, w_x, b, w_h, reverse: bool = False) -> Tensor
 
 
 def lstm_stepwise(x, w_x, b, w_h, reverse: bool = False) -> np.ndarray:
-    """The rows h_t of ``tensor.lstm_sequence(x, (w_x, b, w_h))``, or with
-    ``reverse`` the ``bwd`` columns of a call with ``(w_x, b, w_h)`` as
+    """The rows h_t of ``tensor.lstm_sequence(x, direction(w_x, b, w_h))``,
+    or with ``reverse`` the ``bwd`` columns of a call with that direction as
     ``bwd``, by iterating ``lstm_graph_step`` over an input projection made
     one ``tensor.TILE_ROWS`` tile at a time, as the op makes it: the op's
     bitwise oracle at any tile size. ``w_x``, ``b`` and ``w_h`` are four
@@ -402,6 +403,13 @@ def lstm_stepwise(x, w_x, b, w_h, reverse: bool = False) -> np.ndarray:
             h, c = lstm_graph_step(Tensor(z[t:t + 1]), h, c, w_h)
             rows[t] = h.data[0]
     return rows
+
+
+def direction(w_x, b, w_h):
+    """One LSTM direction of four per-gate tensors each, as
+    ``tensor.lstm_sequence`` takes it: a function of no argument that
+    returns ``(w_x, b, w_h)``, with ``w_x`` a function of the gate's index."""
+    return lambda: (lambda j: w_x[j], b, w_h)
 
 
 def split_gates(packed: np.ndarray) -> list:

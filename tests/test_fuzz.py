@@ -291,7 +291,8 @@ def test_mutated_checkpoint_full_load_refused_or_finite(adam_strategy, data):
 
 # a list file's fields replaced by these, or by arbitrary bytes: empty,
 # blank, numbers that do and do not convert to int, bytes that are not
-# UTF-8, and characters that ``str.splitlines`` breaks a line at
+# UTF-8, and characters other than the line feed that ``str.splitlines``
+# breaks a line at, which a list file keeps inside its line
 MANGLED = [b"", b" ", b"-1", b"0", b"1e3", b"nan", b"0x1e0", b" 480", b"4_80",
            b"\xff", b"\xc3", b"\xed\xa0\x80", b"\r", b"\x0c", b"\xc2\x85", b"\xe2\x80\xa8"]
 
@@ -331,8 +332,9 @@ def expected_rows(blob: bytes, types):
     """What a list file of ``blob`` parses to: ``(rows, None)``, each row a
     (line number, converted fields) pair, or ``(None, n)`` with ``n`` the
     first line that does not parse. A line holding a byte that is not UTF-8
-    is found before any line's fields are read."""
-    lines = blob.decode("utf-8", "surrogateescape").splitlines()
+    is found before any line's fields are read. Lines end at a line feed
+    alone."""
+    lines = blob.decode("utf-8", "surrogateescape").split("\n")
     for number, line in enumerate(lines, start=1):
         if any("\udc80" <= ch <= "\udcff" for ch in line):
             return None, number

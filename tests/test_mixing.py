@@ -103,6 +103,31 @@ class TestTrimSilence:
                 trim_silence(x, -20.0), trim_silence_loop(x.astype(np.float64), -20.0))
 
 
+class TestReadListFile:
+    # characters other than the line feed that str.splitlines breaks a line at
+    BREAKS = ["\x0c", " ", "\x0b", "\x1c", "\x1e", "\x85", " "]
+
+    def test_lines_end_at_line_feed_alone(self, tmp_path):
+        # file names holding each of BREAKS parse, one row per line, and a
+        # carriage return before a line feed goes with the line's
+        # whitespace; a bad row, or a byte that is not UTF-8, after them is
+        # numbered by the line feeds before it, the blank line counted
+        names = [f"long{ch}name.wav" for ch in self.BREAKS]
+        good = "".join(f"{name}\tz.wav\r\n" for name in names).encode() + b"\n"
+        path = tmp_path / "pairs.tsv"
+        path.write_bytes(good)
+        assert mixing.read_list_file(path, (str, str)) == \
+            [(i, (name, "z.wav")) for i, name in enumerate(names, start=1)]
+        line = len(names) + 2
+        path.write_bytes(good + "bad\x0cname.wav\n".encode())
+        with pytest.raises(ListFileError, match=f"line {line}: expected 2 tab-separated "
+                                                f"fields, found 1$"):
+            mixing.read_list_file(path, (str, str))
+        path.write_bytes(good + b"\xff\tz.wav\n")
+        with pytest.raises(ListFileError, match=f"line {line}: not UTF-8 text"):
+            mixing.read_list_file(path, (str, str))
+
+
 class TestMakeMixture:
     def test_equal_rms_at_zero_db_uses_unit_gain(self):
         rng = np.random.default_rng(4)

@@ -36,6 +36,7 @@ from gradtools import (
     TILE_STEPS,
     attention_block_graph,
     check_grads,
+    direction,
     feedforward_graph,
     finite_diff,
     lstm_graph_step,
@@ -140,8 +141,10 @@ def lstm_weights(n_in, hidden, seed=None, dtype=np.float64):
 
 def lstm_node(x, *directions):
     """``tensor.lstm_sequence`` over weight dicts as ``lstm_weights`` makes
-    them: one direction, or a forward-time and a backward-time one."""
-    return tensor.lstm_sequence(x, *(model._lstm_gates(w) for w in directions))
+    them, each taken by ``model._lstm_direction`` as the model takes a
+    direction from its table: one direction, or a forward-time and a
+    backward-time one."""
+    return tensor.lstm_sequence(x, *(model._lstm_direction(w, "") for w in directions))
 
 
 def sequence_grad_error(run, x, weights, seed):
@@ -234,8 +237,8 @@ class TestLstm:
                                  (0.5, (4 * hidden,)), (0.5, (hidden, 4 * hidden))))
         fused = tensor.lstm_sequence(
             Tensor(x, requires_grad=True),
-            [[Tensor(a, requires_grad=True) for a in split_gates(packed)]
-             for packed in (w_x, b, w_h)])
+            direction(*[[Tensor(a, requires_grad=True) for a in split_gates(packed)]
+                        for packed in (w_x, b, w_h)]))
         assert fused.data.dtype == np.float32
         z_in = x @ w_x + b  # one tile: the op's own projection
         w_h = Tensor(w_h)
@@ -259,33 +262,36 @@ class TestLstm:
         x = Tensor(np.zeros((3, 4)))
         gates = lambda shape: [Tensor(np.zeros(shape)) for _ in range(4)]
         w_x, b, w_h = gates((4, 2)), gates(2), gates((2, 2))
-        tensor.lstm_sequence(x, (w_x, b, w_h))
-        tensor.lstm_sequence(x, (w_x, b, w_h), (w_x, b, w_h))
+        tensor.lstm_sequence(x, direction(w_x, b, w_h))
+        tensor.lstm_sequence(x, direction(w_x, b, w_h), direction(w_x, b, w_h))
         with pytest.raises(tensor.DimensionError):
-            tensor.lstm_sequence(x, (w_x, b, w_h[:3] + [Tensor(np.zeros((2, 3)))]))
+            tensor.lstm_sequence(x, direction(w_x, b, w_h[:3] + [Tensor(np.zeros((2, 3)))]))
         with pytest.raises(tensor.DimensionError):
-            tensor.lstm_sequence(x, (gates((4, 3)), b, w_h))
+            tensor.lstm_sequence(x, direction(gates((4, 3)), b, w_h))
         with pytest.raises(tensor.DimensionError):
-            tensor.lstm_sequence(x, (w_x, b[:3] + [Tensor(np.zeros(3))], w_h))
+            tensor.lstm_sequence(x, direction(w_x, b[:3] + [Tensor(np.zeros(3))], w_h))
         with pytest.raises(tensor.DimensionError):
-            tensor.lstm_sequence(x, (w_x[:3], b, w_h))
+            tensor.lstm_sequence(x, direction(w_x[:3] + [Tensor(np.zeros((4, 3)))], b, w_h))
         with pytest.raises(tensor.DimensionError):
-            tensor.lstm_sequence(x, (w_x, b))
+            tensor.lstm_sequence(x, direction(w_x, b[:3], w_h))
         with pytest.raises(tensor.DimensionError):
-            tensor.lstm_sequence(x, ([Tensor(np.zeros((4, 8)))] * 4, b, w_h))
+            tensor.lstm_sequence(x, lambda: (lambda j: w_x[j], b))
+        with pytest.raises(tensor.DimensionError):
+            tensor.lstm_sequence(x, direction([Tensor(np.zeros((4, 8)))] * 4, b, w_h))
         # with K == H the input and recurrent weights are checked apart
         square = Tensor(np.zeros((3, 2)))
         with pytest.raises(tensor.DimensionError):
-            tensor.lstm_sequence(square, (gates((2, 3)), b, w_h))
+            tensor.lstm_sequence(square, direction(gates((2, 3)), b, w_h))
         with pytest.raises(tensor.DimensionError):
-            tensor.lstm_sequence(Tensor(np.zeros(4)), (w_x, b, w_h))
+            tensor.lstm_sequence(Tensor(np.zeros(4)), direction(w_x, b, w_h))
         with pytest.raises(tensor.DimensionError):
-            tensor.lstm_sequence(Tensor(np.zeros((0, 4))), (w_x, b, w_h))
+            tensor.lstm_sequence(Tensor(np.zeros((0, 4))), direction(w_x, b, w_h))
         # the backward-time direction is checked too, against the same H
         with pytest.raises(tensor.DimensionError):
-            tensor.lstm_sequence(x, (w_x, b, w_h), (w_x, b, w_h[:3]))
+            tensor.lstm_sequence(x, direction(w_x, b, w_h), direction(w_x, b, w_h[:3]))
         with pytest.raises(tensor.DimensionError):
-            tensor.lstm_sequence(x, (w_x, b, w_h), (gates((4, 3)), gates(3), gates((3, 3))))
+            tensor.lstm_sequence(x, direction(w_x, b, w_h),
+                                 direction(gates((4, 3)), gates(3), gates((3, 3))))
 
 
     @pytest.mark.parametrize("recording", [False, True])
@@ -294,7 +300,7 @@ class TestLstm:
         # recording, the backward direction's is called only after the
         # forward direction's loop has returned; recording, both are called
         # first. The output, and recording the gradients, are those of the
-        # tuple form, bitwise
+        # directions that the model takes from a weight dict, bitwise
         events = []
         run = tensor._lstm_run
 
@@ -304,23 +310,25 @@ class TestLstm:
         monkeypatch.setattr(tensor, "_lstm_run", running)
         x = np.random.default_rng(52).standard_normal((9, 4)).astype(np.float32)
         results = []
-        for lazy in (False, True):
+        for logged in (False, True):
             events.clear()
             weights = [lstm_weights(4, 3, seed=seed, dtype=np.float32) for seed in (50, 51)]
             leaf = Tensor(x, requires_grad=True)
 
-            def direction(j, w):
-                def gates():
+            def weights_of(j, w):
+                taken = model._lstm_direction(w, "")
+
+                def logging():
                     events.append(("call", j))
-                    return model._lstm_gates(w)
-                return gates if lazy else model._lstm_gates(w)
+                    return taken()
+                return logging if logged else taken
             with contextlib.ExitStack() as stack:
                 if not recording:
                     stack.enter_context(tensor.no_grad())
-                out = tensor.lstm_sequence(leaf, *(direction(j, w)
+                out = tensor.lstm_sequence(leaf, *(weights_of(j, w)
                                                    for j, w in enumerate(weights)))
             order = [("call", 0), ("run", False), ("call", 1), ("run", True)]
-            if not lazy:
+            if not logged:
                 order = [("run", False), ("run", True)]
             elif recording:
                 order = [("call", 0), ("call", 1), ("run", False), ("run", True)]
@@ -341,42 +349,45 @@ class TestLstm:
         with contextlib.ExitStack() as stack:
             if not recording:
                 stack.enter_context(tensor.no_grad())
-            tensor.lstm_sequence(x, lambda: (w_x, b, w_h), lambda: (w_x, b, w_h))
+            tensor.lstm_sequence(x, direction(w_x, b, w_h), direction(w_x, b, w_h))
             with pytest.raises(tensor.DimensionError):
-                tensor.lstm_sequence(x, (w_x, b, w_h), lambda: (w_x, b, w_h[:3]))
+                tensor.lstm_sequence(x, direction(w_x, b, w_h), direction(w_x, b, w_h[:3]))
             with pytest.raises(tensor.DimensionError):
-                tensor.lstm_sequence(x, lambda: (w_x, b, w_h),
-                                     lambda: (gates((4, 3)), gates(3), gates((3, 3))))
+                tensor.lstm_sequence(x, direction(w_x, b, w_h),
+                                     direction(gates((4, 3)), gates(3), gates((3, 3))))
             with pytest.raises(tensor.DimensionError):
-                tensor.lstm_sequence(x, lambda: (gates((3, 2)), b, w_h))
+                tensor.lstm_sequence(x, direction(gates((3, 2)), b, w_h))
             # input weights by gate: checked as each gate's are called for
-            tensor.lstm_sequence(x, (lambda j: w_x[j], b, w_h))
             with pytest.raises(tensor.DimensionError):
-                tensor.lstm_sequence(x, (lambda j: gates((4, 3 if j == 2 else 2))[j], b, w_h))
+                tensor.lstm_sequence(x, lambda: (lambda j: gates((4, 3 if j == 2 else 2))[j],
+                                                 b, w_h))
 
     @pytest.mark.parametrize("recording", [False, True])
     def test_input_weights_by_gate_give_list_bits(self, monkeypatch, recording):
-        # w_x as a function of the gate's index, on an input of three
-        # tiles: outside recording it is called for each tile and gate in
-        # turn, recording for each gate once, before anything runs. The
-        # output, and recording the gradients, are those of the list form,
-        # bitwise
+        # w_x fetched by a function of the gate's index, on an input of
+        # three tiles: outside recording it is called for each tile and gate
+        # in turn, recording for each gate once, before anything runs. The
+        # output, and recording the gradients, are those of the direction
+        # that the model takes from a weight dict, whose w_x looks each gate
+        # up in the dict, bitwise
         monkeypatch.setattr(tensor, "TILE_ROWS", 4)
         x = np.random.default_rng(53).standard_normal((10, 4)).astype(np.float32)
         results, calls = [], []
         for by_gate in (False, True):
             w = lstm_weights(4, 3, seed=54, dtype=np.float32)
-            w_x, b, w_h = model._lstm_gates(w)
+            weights = model._lstm_direction(w, "")
             if by_gate:
-                def gate_x(j, w_x=w_x):
-                    calls.append(j)
-                    return w_x[j]
-                w_x = gate_x
+                def weights(w=w):
+                    def gate_x(j):
+                        calls.append(j)
+                        return w[f"w_{'ifgo'[j]}x"]
+                    return (gate_x, [w[f"b_{g}"] for g in "ifgo"],
+                            [w[f"w_{g}h"] for g in "ifgo"])
             leaf = Tensor(x, requires_grad=True)
             with contextlib.ExitStack() as stack:
                 if not recording:
                     stack.enter_context(tensor.no_grad())
-                out = tensor.lstm_sequence(leaf, (w_x, b, w_h))
+                out = tensor.lstm_sequence(leaf, weights)
             got = [out.data]
             if recording:
                 tensor.backward(tensor.mean_all(out))
@@ -423,14 +434,10 @@ class TestBlstm:
         causal_params = init_params(toy_cfg(), np.random.default_rng(0))
         nc_params = init_params(toy_cfg(causal=False), np.random.default_rng(0))
         x = Tensor(np.zeros((3, 8)))
-        block_causal = {k.split(".", 1)[1]: v for k, v in causal_params.items()
-                        if k.startswith("block0.")}
-        block_nc = {k.split(".", 1)[1]: v for k, v in nc_params.items()
-                    if k.startswith("block0.")}
-        with pytest.raises(ConfigurationError):
-            rnn_sequence(x, block_causal, toy_cfg(causal=False))
-        with pytest.raises(ConfigurationError):
-            rnn_sequence(x, block_nc, toy_cfg())
+        with pytest.raises(ConfigurationError, match="'block0.blstm.fwd.'"):
+            rnn_sequence(x, causal_params, "block0.", toy_cfg(causal=False))
+        with pytest.raises(ConfigurationError, match="'block0.lstm.'"):
+            rnn_sequence(x, nc_params, "block0.", toy_cfg())
 
 
 def attn_params(n, seed, dtype=np.float64):
@@ -668,17 +675,12 @@ class TestFeedforward:
         assert check_grads([x.grad, w.grad, b.grad], fd) < 1e-5
 
 
-def block_view(params, i=0):
-    return {k.split(".", 1)[1]: v for k, v in params.items()
-            if k.startswith(f"block{i}.")}
-
-
 class TestBlock:
     def test_zero_init_fixed_point(self):
         cfg = toy_cfg()
         params = zero_params(cfg, np.float64)
         out = arn_block_forward(Tensor(np.zeros((4, cfg.width))),
-                                block_view(params), cfg)
+                                params, "block0.", cfg)
         np.testing.assert_array_equal(out.data, np.zeros((4, cfg.width)))
 
     @pytest.mark.parametrize("steps", [1, 2, 17])
@@ -686,7 +688,7 @@ class TestBlock:
         cfg = toy_cfg()
         params = init_params(cfg, np.random.default_rng(29), dtype=np.float64)
         x = np.random.default_rng(30).standard_normal((steps, cfg.width))
-        out = arn_block_forward(Tensor(x), block_view(params), cfg)
+        out = arn_block_forward(Tensor(x), params, "block0.", cfg)
         assert out.shape == (steps, cfg.width)
 
     def test_causal_rows_unaffected_by_future(self):
@@ -697,8 +699,8 @@ class TestBlock:
         for t in (0, 3, 8):
             y = x.copy()
             y[t + 1:] += rng.standard_normal(y[t + 1:].shape).astype(np.float32)
-            a = arn_block_forward(Tensor(x), block_view(params), cfg)
-            b = arn_block_forward(Tensor(y), block_view(params), cfg)
+            a = arn_block_forward(Tensor(x), params, "block0.", cfg)
+            b = arn_block_forward(Tensor(y), params, "block0.", cfg)
             assert np.abs(a.data[: t + 1] - b.data[: t + 1]).max() <= 1e-6
 
 
@@ -988,12 +990,12 @@ class TestRecordedLstmMemory:
         # copy, holds a seventh
         n = self.WIDTH
         cfg = toy_cfg(width=n, causal=False)
-        block = model._sub(init_params(cfg, np.random.default_rng(86), np.float64), "block0.")
+        params = init_params(cfg, np.random.default_rng(86), np.float64)
         x = Tensor(np.random.default_rng(87).standard_normal((self.STEPS, n)),
                    requires_grad=True)
         tracemalloc.start()
         try:
-            out = rnn_sequence(x, block, cfg)
+            out = rnn_sequence(x, params, "block0.", cfg)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()
@@ -1075,11 +1077,11 @@ class TestEvalMemory:
         monkeypatch.setattr(tensor, "TILE_ROWS", self.TILE)
         n = 2 * self.WIDTH
         cfg = toy_cfg(width=n, causal=False)
-        block = model._sub(init_params(cfg, np.random.default_rng(88)), "block0.")
+        params = init_params(cfg, np.random.default_rng(88))
         x = Tensor(np.random.default_rng(89).standard_normal(
             (self.STEPS, n)).astype(np.float32))
         with tensor.no_grad():
-            peak = traced_peak(lambda: rnn_sequence(x, block, cfg))
+            peak = traced_peak(lambda: rnn_sequence(x, params, "block0.", cfg))
         assert n // 2 > self.TILE
         bound = self.STEPS * n * 4 + (self.TILE + 16) * 2 * n * 4 + np.getbufsize() * 8
         assert bound < 1.5 * self.STEPS * n * 4

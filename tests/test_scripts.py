@@ -250,3 +250,53 @@ class TestBenchPairs:
             "parent spread 0.0, gain shown False, unresolved False)",
             "w score: 1.0 -> 1.0 1 (0/10 won; past bound False, "
             "parent spread 0.0, gain shown False, unresolved False)"]
+
+
+# a module of 20 lines: 8 of code (the blank line inside a string that is
+# not a docstring included), 5 of docstrings (the blank line inside one
+# included), 2 of comments (one inside brackets) and 5 blank
+COUNTED_MODULE = '''"""Module docstring,
+
+with a blank line inside."""
+
+# a comment line
+import os  # a trailing comment leaves this line code
+
+
+def f(x):
+    """One line."""
+    s = """a string
+
+that is code"""
+    return (x +
+            # a comment inside brackets
+            1)
+
+
+class C:
+    """Class doc."""
+'''
+
+
+def test_count_lines_splits_code_docstrings_comments_and_blanks(tmp_path):
+    (tmp_path / "counted.py").write_text(COUNTED_MODULE)
+    (tmp_path / "empty.py").write_text("")
+    (tmp_path / "notes.txt").write_text("not a module\n")
+    script = ROOT / "scripts" / "count_lines.py"
+    proc = subprocess.run([sys.executable, str(script), str(tmp_path)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split() for line in proc.stdout.splitlines()] == [
+        ["module", "code", "docstring", "comment", "blank", "total"],
+        ["counted.py", "8", "5", "2", "5", "20"],
+        ["empty.py", "0", "0", "0", "0", "0"],
+        ["total", "8", "5", "2", "5", "20"]]
+    # by default the package: every line of every module counted once
+    proc = subprocess.run([sys.executable, str(script)],
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    modules = sorted((ROOT / "src" / "arn").glob("*.py"))
+    rows = [line.split() for line in proc.stdout.splitlines()[1:]]
+    assert [row[0] for row in rows] == [m.name for m in modules] + ["total"]
+    assert int(rows[-1][-1]) == sum(len(m.read_text().splitlines()) for m in modules)
+    assert all(sum(map(int, row[1:5])) == int(row[5]) for row in rows)

@@ -26,6 +26,7 @@ from gradtools import (
     causal_mask,
     check_grads,
     concat,
+    direction,
     dropout_apply,
     feedforward_graph,
     finite_diff,
@@ -653,7 +654,7 @@ def gated(fn, **kwargs):
 def lstm_node(x, *w):
     """``tensor.lstm_sequence`` over the 13 operands of ``lstm_operands`` or
     the 25 of ``blstm_operands``: the second 12, when given, are ``bwd``."""
-    return tensor.lstm_sequence(x, *[(w[j:j + 4], w[j + 4:j + 8], w[j + 8:j + 12])
+    return tensor.lstm_sequence(x, *[direction(w[j:j + 4], w[j + 4:j + 8], w[j + 8:j + 12])
                                      for j in range(0, len(w), 12)])
 
 
@@ -665,7 +666,7 @@ def side_by_side(fwd_fn, bwd_fn):
 
 def flipped_lstm(x, w_x, b, w_h):
     """The time-reversed LSTM as flip, forward LSTM, flip."""
-    return flip_rows(tensor.lstm_sequence(flip_rows(x), (w_x, b, w_h)))
+    return flip_rows(tensor.lstm_sequence(flip_rows(x), direction(w_x, b, w_h)))
 
 
 class TestLstmNode:

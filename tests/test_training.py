@@ -627,14 +627,15 @@ class TestCheckpoint:
                 layers.update({k: t.shape for k, t in model.layer_table(table, prefix).items()})
             for i in range(cfg.num_blocks):
                 for prefix in block_layers(causal):
-                    layer = model.layer_table(table.block(i), prefix)
-                    layers.update({f"block{i}.{k}": t.shape for k, t in layer.items()})
+                    layer = model.layer_table(table, f"block{i}.{prefix}")
+                    layers.update({k: t.shape for k, t in layer.items()})
         assert layers == model.param_shapes(cfg)
         for i in range(cfg.num_blocks):
+            attn = f"block{i}.attn."
             with tensor.no_grad():
-                gate = model._v_gate_graph(model._sub(params, f"block{i}.attn."))
-                streamed = model._v_gate_graph(
-                    model._sub(model.layer_table(table.block(i), "attn."), "attn."))
+                gate, streamed = (model._v_gate_graph(
+                    {k[len(attn):]: t for k, t in model.layer_table(source, attn).items()})
+                    for source in (params, table))
             assert streamed.data.tobytes() == gate.data.tobytes()
         x = np.random.default_rng(42).standard_normal(96)
         full = params_from_checkpoint(load_checkpoint(path))
@@ -661,8 +662,8 @@ class TestCheckpoint:
         with tensor.no_grad():
             for i in range(cfg.num_blocks):
                 for prefix in block_layers(cfg.causal):
-                    a = model.layer_table(canonical.block(i), prefix)
-                    b = model.layer_table(reordered.block(i), prefix)
+                    a = model.layer_table(canonical, f"block{i}.{prefix}")
+                    b = model.layer_table(reordered, f"block{i}.{prefix}")
                     assert a.keys() == b.keys()
                     for k in a:
                         assert a[k].data.tobytes() == b[k].data.tobytes()
@@ -820,8 +821,8 @@ def four_tile_causal(monkeypatch) -> ARNConfig:
 
 
 class TestStreamedTable:
-    """The enhance load's table holds no parameter: it reads the
-    projections and each block's layers (each layer norm and each direction
+    """The enhance load's table, its ``BlockReader``, holds no parameter:
+    it reads the projections and each block's layers (each layer norm and each direction
     of a BLSTM apart) from the file, one at a time, as the forward pass
     reaches them."""
 
@@ -1098,12 +1099,34 @@ class TestStreamedTable:
         with pytest.raises(RuntimeError, match="unrecorded enhancement"):
             model.arn_forward(x, table, cfg)
         with pytest.raises(RuntimeError, match="unrecorded enhancement"):
-            model.layer_table(table.block(1), "ff.")
+            model.layer_table(table, "block1.ff.")
         with tensor.no_grad():
-            assert model.layer_table(table.block(1), "ff.")["ff.w"].data.tobytes() == \
+            assert model.layer_table(table, "block1.ff.")["block1.ff.w"].data.tobytes() == \
                 params["block1.ff.w"].data.tobytes()
         assert model.enhance(x, table, cfg).tobytes() == \
             model.enhance(x, params, cfg).tobytes()
+
+    @pytest.mark.parametrize("causal", [True, False])
+    def test_prefix_naming_no_layer_refused(self, monkeypatch, tmp_path, causal):
+        # a dict and the enhance load's reader alike refuse a prefix that
+        # names no layer with ConfigurationError naming the prefix: a block
+        # past the last, a block's layer without its block, a gate that is
+        # not one and the other RNN's layer; the reader reads no payload
+        cfg = toy_model_cfg(num_blocks=2, causal=causal)
+        params = model.init_params(cfg, np.random.default_rng(2326), np.float32)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(checkpoint_from(params, cfg), path)
+        table = params_from_checkpoint(load_checkpoint(path, for_enhance=True))
+        reads = []
+        monkeypatch.setattr(training, "_read_payload", lambda fh, name, arr: reads.append(name))
+        for source in (params, table):
+            for prefix in ("block2.ln0.", "ff.", "block0.lstm.w_zx",
+                           "block0.blstm.fwd." if causal else "block0.lstm."):
+                with tensor.no_grad(), pytest.raises(
+                        ConfigurationError,
+                        match=re.escape(f"no parameters under prefix {prefix!r}")):
+                    model.layer_table(source, prefix)
+        assert reads == []
 
     @pytest.mark.parametrize("with_adam", [False, True])
     def test_enhance_load_reads_only_what_it_holds(self, monkeypatch, tmp_path, with_adam):
