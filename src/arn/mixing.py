@@ -138,10 +138,11 @@ def read_list_file(path, types) -> list:
     """Rows of a tab-separated list file: one (1-based line number, fields)
     pair per non-blank line, the number for messages about the row.
 
-    The file is UTF-8 text whose lines end at a line feed alone, so a file
-    name may hold a form feed or U+2028. Each line is stripped of its
-    surrounding whitespace, a carriage return before its line feed with it.
-    Field ``i`` of each line is converted by ``types[i]``. A byte
+    The file is UTF-8 text whose lines end at a line feed alone. Each line
+    loses one carriage return at its end, then the spaces and tabs around
+    it, and nothing else, so a file name may start, hold or end with a form
+    feed or U+2028, and a line of such characters alone is a row, of one
+    field. Field ``i`` of each line is converted by ``types[i]``. A byte
     that is not UTF-8, a line with the wrong number of fields, or a field
     that does not convert raises ``ListFileError`` naming the file and the
     line number.
@@ -155,7 +156,7 @@ def read_list_file(path, types) -> list:
                             f"({exc.reason} at byte {exc.start})") from None
     rows = []
     for number, line in enumerate(text.split("\n"), start=1):
-        line = line.strip()
+        line = line.removesuffix("\r").strip(" \t")
         if not line:
             continue
         fields = line.split("\t")

@@ -15,17 +15,13 @@ its input frame's span so that every predicted sample lies within already
 observed input.
 
 Parameters live in a flat ordered dict of named tensors, ``param_shapes``,
-which training updates and checkpoints store. ``arn enhance`` holds none
-of it: its table is the checkpoint's reader (``training.BlockReader``),
-which reads every layer (``STREAMED_LAYERS``: the two projections, and in
-each block its five layer norms, each direction of its RNN, attention and
-the feedforward) one at a time, each when the op that uses it runs. A
-causal LSTM's input weights are read a gate at a time, as each tile's
-input projection needs them, beside its recurrent weights, which its loop
-needs throughout. The pass asks ``layer_table`` for each layer by its full
-prefix (``'block1.ln0.'``), which a dict answers by prefix and the reader
-by reading the layer, so there is one forward path, and one value-gate
-path, for either table.
+which training updates and checkpoints store. The forward pass reads each
+entry as ``params[name]`` just before the op that uses it runs, and holds
+it no longer than that op, so ``params`` may also be the enhance load's
+``training.BlockReader``, which holds no parameter: it reads an entry's
+layer from the checkpoint when a name of that layer is first asked for,
+into a buffer that the next layer's read overwrites. There is one forward
+path, and one value-gate path, for either table.
 
 Outside recording, each (T, N) array is dropped after its last reader, or
 written over by it. The frame rows, each block's input and the attention's
@@ -132,6 +128,9 @@ class ARNConfig:
 # ---------------------------------------------------------------------------
 
 _GATES = ("i", "f", "g", "o")
+# an attention layer's entries, by their names in ``attention_block``'s table
+_ATTN = ("q", "k", "v", "lin_q.w", "lin_q.b", "lin_v_sig.w", "lin_v_sig.b",
+         "lin_v_tanh.w", "lin_v_tanh.b")
 
 
 def _lstm_shapes(prefix: str, n_in: int, hidden: int) -> dict:
@@ -158,40 +157,13 @@ def param_shapes(cfg: ARNConfig) -> dict:
             half = n // 2
             shapes.update(_lstm_shapes(f"{b}blstm.fwd.", n, half))
             shapes.update(_lstm_shapes(f"{b}blstm.bwd.", n, half))
-        shapes[f"{b}attn.q"] = (n,)
-        shapes[f"{b}attn.k"] = (n,)
-        shapes[f"{b}attn.v"] = (n,)
-        for lin in ("lin_q", "lin_v_sig", "lin_v_tanh"):
-            shapes[f"{b}attn.{lin}.w"] = (n, n)
-            shapes[f"{b}attn.{lin}.b"] = (n,)
+        for name in _ATTN:
+            shapes[f"{b}attn.{name}"] = (n, n) if name.endswith(".w") else (n,)
         shapes[f"{b}ff.w"] = (n, 4 * n)
         shapes[f"{b}ff.b"] = (4 * n,)
     shapes["output_proj.w"] = (n, cfg.frame_out)
     shapes["output_proj.b"] = (cfg.frame_out,)
     return shapes
-
-
-# the layers that the enhance load's reader reads one at a time,
-# each when the forward pass reaches it, by their prefix in the table or in
-# a block's: the two projections, and in each block its five layer norms,
-# the RNN, attention (its three vectors and three linear maps) and the
-# feedforward. A BLSTM is read a direction at a time, when that direction
-# runs. An LSTM's recurrent weights and biases are one layer, read when its
-# loop starts; its input weights are one layer per gate, read as each tile's
-# input projection needs them, so a gate's layer is listed before the
-# ``lstm.`` that its name extends
-STREAMED_LAYERS = ("input_proj.", "ln0.", "ln1.", "ln2.", "ln3.", "ln4.",
-                   *(f"lstm.w_{g}x" for g in _GATES), "lstm.",
-                   "blstm.fwd.", "blstm.bwd.", "attn.", "ff.", "output_proj.")
-
-
-def streamed_layer(name: str) -> str:
-    """The ``STREAMED_LAYERS`` layer that entry ``name`` of the parameter
-    table belongs to, as its prefix in that table (``'input_proj.'``,
-    ``'block1.ln0.'``, ``'block1.blstm.bwd.'``)."""
-    block = name[:name.index(".") + 1] if name.startswith("block") else ""
-    rest = name[len(block):]
-    return block + next(layer for layer in STREAMED_LAYERS if rest.startswith(layer))
 
 
 def init_params(cfg: ARNConfig, rng: np.random.Generator,
@@ -221,24 +193,6 @@ def _prefixes(names) -> list:
     return sorted({name.split(".", 1)[0] + "." for name in names})
 
 
-def layer_table(table, prefix: str) -> dict:
-    """The entries of a parameter table under ``prefix``, by their names in
-    the table. The forward pass asks for each layer by its full prefix, a
-    ``STREAMED_LAYERS`` layer's, after ``'block<i>.'`` for a block's layers
-    (``'input_proj.'``, ``'block1.ln0.'``, ``'block1.blstm.bwd.'``,
-    ``'block1.lstm.w_gx'``). A dict answers by prefix. The enhance load's
-    reader (``training.BlockReader``) answers from ``read(prefix)``: the
-    layer's own entries (an LSTM's without its gates' input weights, which
-    are layers of their own), read from its checkpoint into views that a
-    later layer's read overwrites. A prefix under which no entry lies is
-    refused, naming it."""
-    view = ({k: v for k, v in table.items() if k.startswith(prefix)}
-            if isinstance(table, dict) else table.read(prefix))
-    if not view:
-        raise ConfigurationError(f"no parameters under prefix {prefix!r}")
-    return view
-
-
 # ---------------------------------------------------------------------------
 # building blocks
 # ---------------------------------------------------------------------------
@@ -250,19 +204,12 @@ def layer_norm(x: Tensor, gamma: Tensor, beta: Tensor, eps: float,
 
 def _lstm_direction(params, prefix: str):
     """The LSTM direction under ``prefix`` as ``tensor.lstm_sequence`` takes
-    it: a function that takes the direction's layer through ``layer_table``
-    and returns its ``(w_x, b, w_h)``, ``w_x`` a function of the gate's
-    index. A gate's input weights come from that layer when it holds them,
-    as a dict's does, and otherwise from the gate's own layer, which the
-    reader reads on each call."""
+    it: a function that returns its ``(w_x, b, w_h)`` from ``params``, each
+    entry by its name, ``w_x`` a function of the gate's index."""
     def weights():
-        w = layer_table(params, prefix)
-
-        def w_x(j):
-            name = f"{prefix}w_{_GATES[j]}x"
-            return w[name] if name in w else layer_table(params, name)[name]
-        return (w_x, [w[f"{prefix}b_{g}"] for g in _GATES],
-                [w[f"{prefix}w_{g}h"] for g in _GATES])
+        return (lambda j: params[f"{prefix}w_{_GATES[j]}x"],
+                [params[f"{prefix}b_{g}"] for g in _GATES],
+                [params[f"{prefix}w_{g}h"] for g in _GATES])
     return weights
 
 
@@ -271,10 +218,9 @@ def rnn_sequence(x: Tensor, params, block: str, cfg: ARNConfig) -> Tensor:
     one recorded node.
 
     ``tensor.lstm_sequence`` calls each direction's function when that
-    direction runs, outside recording, so the reader reads the backward
-    direction only once the forward one is done, into the buffer that the
-    forward one's views used, and an LSTM's input weights as each tile's
-    input projection needs each gate, one gate at a time, beside the
+    direction runs, and outside recording calls ``w_x`` per tile and gate,
+    so the reader reads the backward direction only once the forward one is
+    done, and a causal LSTM's input weights one gate at a time, beside its
     recurrent weights.
     """
     prefixes = ("lstm.",) if cfg.causal else ("blstm.fwd.", "blstm.bwd.")
@@ -298,9 +244,8 @@ def attention_block(q: Tensor, k: Tensor, v: Tensor, p: dict, causal: bool,
     linear map gated the same way, and values are scaled by the gate
     sigma(Lin(v)) * tanh(Lin(v)) of the third trainable vector ``v``. The
     value gate depends on no input, only on the parameters. It is
-    recomputed on every call, from either table, so training optimizes it
-    and evaluation and enhancement see its current value; the reader reads
-    its two (N, N) maps with the query map, as one layer.
+    recomputed on every call, so training optimizes it and evaluation and
+    enhancement see its current value.
 
     Both key and value gates scale columns, so they are folded out of the
     (T, N) operands: softmax(q_g (k s)^T) (v g) = softmax((q_g s) k^T) v g,
@@ -345,16 +290,10 @@ def arn_block_forward(x: Tensor, params, block: str, cfg: ARNConfig,
     here only when the caller keeps no reference of its own, as in
     ``arn_forward_frames``. Recording, every op allocates its output, and
     the graph is the one the block's formula writes out.
-
-    Each layer's table, a layer norm's included, is taken through
-    ``layer_table`` just before its op runs and dropped when the op returns
-    (the RNN's, one direction at a time, by ``rnn_sequence``), so the
-    reader's next layer read overwrites no view in use.
     """
     def norm(x, j, overwrite=False):
         ln = f"{block}ln{j}."
-        p = layer_table(params, ln)
-        return layer_norm(x, p[ln + "g"], p[ln + "b"], cfg.ln_eps, overwrite)
+        return layer_norm(x, params[ln + "g"], params[ln + "b"], cfg.ln_eps, overwrite)
 
     y = norm(x, 0)
     del x
@@ -365,15 +304,15 @@ def arn_block_forward(x: Tensor, params, block: str, cfg: ARNConfig,
     # the keys and values go in by the list's only reference, so that the
     # attention node frees them; its output lands in the query stream
     attn = f"{block}attn."
-    p = {k[len(attn):]: t for k, t in layer_table(params, attn).items()}
-    a = attention_block(q, kv[0], kv.pop(), p, cfg.causal, into=q)
-    del q, p
+    a = attention_block(q, kv[0], kv.pop(), {n: params[attn + n] for n in _ATTN},
+                        cfg.causal, into=q)
+    del q
     z1 = norm(a, 3)
     z2 = norm(a, 4, overwrite=True)
     del a
     ff = f"{block}ff."
-    p = layer_table(params, ff)
-    return feedforward_block(z1, p[ff + "w"], p[ff + "b"], cfg.dropout, rng, into=z2)
+    return feedforward_block(z1, params[ff + "w"], params[ff + "b"], cfg.dropout, rng,
+                             into=z2)
 
 
 def arn_forward_frames(frames: Tensor, params: dict, cfg: ARNConfig,
@@ -383,20 +322,16 @@ def arn_forward_frames(frames: Tensor, params: dict, cfg: ARNConfig,
     ``frames`` is dropped after the input projection, whose bias is added
     into its product outside recording, and each block gets its input by
     the only reference, so that outside recording it frees that input after
-    its first layer norm. Each projection's weights are taken through
-    ``layer_table`` just before its product, so the reader reads them
-    there, as it reads a block's layers.
+    its first layer norm.
     """
-    proj = layer_table(params, "input_proj.")
-    stream = [tensor.add(frames @ proj["input_proj.w"], proj["input_proj.b"],
+    stream = [tensor.add(frames @ params["input_proj.w"], params["input_proj.b"],
                          overwrite=True)]
-    del frames, proj
+    del frames
     for i in range(cfg.num_blocks):
         # popped, not named: a name here would keep the block's input alive
         # through the whole block
         stream.append(arn_block_forward(stream.pop(), params, f"block{i}.", cfg, rng))
-    proj = layer_table(params, "output_proj.")
-    return stream[0] @ proj["output_proj.w"] + proj["output_proj.b"]
+    return stream[0] @ params["output_proj.w"] + params["output_proj.b"]
 
 
 def arn_forward(x, params: dict, cfg: ARNConfig, rng=None) -> Tensor:
@@ -406,9 +341,9 @@ def arn_forward(x, params: dict, cfg: ARNConfig, rng=None) -> Tensor:
     input frame t's span, so for a causal configuration every output sample
     depends only on input the model has already seen. The leading
     ``frame_in - frame_out`` samples are covered by no output frame and
-    come out as zeros (the causal warm-up region). ``params`` must hold
-    exactly the names of ``param_shapes(cfg)``; the enhance load's reader,
-    which reads each layer from its checkpoint, is float32, as the file is.
+    come out as zeros (the causal warm-up region). A dict ``params`` must
+    hold exactly the names of ``param_shapes(cfg)``; the enhance load's
+    reader, whose names its load checked, is float32, as the file is.
     """
     dtype = np.float32
     if isinstance(params, dict):
@@ -428,8 +363,6 @@ def arn_forward(x, params: dict, cfg: ARNConfig, rng=None) -> Tensor:
 
 
 def enhance(x, params: dict, cfg: ARNConfig) -> np.ndarray:
-    """The forward pass without dropout and unrecorded, as a plain array.
-    The enhance load's reader reads each layer from its checkpoint as the
-    pass reaches it, so at most one layer's weights are held."""
+    """The forward pass without dropout and unrecorded, as a plain array."""
     with tensor.no_grad():
         return arn_forward(x, params, cfg).data

@@ -29,26 +29,16 @@ when the file has them, for training, tests and checks. Its enhance load
 use) holds no parameter: it reads and checks only Adam's moments, which it
 drops, steps over every entry of the table, recording where each layer
 lies, and keeps the file open. ``params_from_checkpoint`` returns that
-``BlockReader`` as the table from which ``model.enhance`` reads each layer
-(``model.STREAMED_LAYERS``: the input and output projections, and in each
-block its five layer norms, each direction of the RNN, attention and the
-feedforward) as the op that uses it runs, into one buffer reused across
-layers, blocks and files. A causal LSTM's input weights are read a gate at
-a time, once per tile of ``tensor.TILE_ROWS`` frames (0.51 s of audio at
-the presets' 2 ms shift); every other parameter is read once per file. At
-full size a file reads 211 MiB + 389 KiB non-causal, and causal 243 MiB +
-389 KiB for a file of one tile and 64 MiB more for each further tile. The
-buffer is sized for the largest layer, or for two layers in use together:
-20.0 MiB causal (the LSTM's recurrent weights and biases, 16 MiB + 16 KiB,
-and one gate's input weights, 4 MiB) and 16.0 MiB non-causal (the
-feedforward). Each such read is checked complete and finite before
-any op sees it. A fault found at a layer's first read was
-in the file at the load and is refused as the full load refuses it
-(``CheckpointFormatError`` or ``CheckpointTruncatedError``, naming the
-file and the entry); a layer that passed before and fails later, or any
-read from a file whose size or modification time is no longer what it was
-at the load, is refused with ``CheckpointChangedError``. An enhance load
-that enhances nothing reads no layer.
+load's ``BlockReader``, which the forward pass indexes by name as it
+indexes a dict, and which reads each layer (``STREAMED_LAYERS``) from the
+file as the op that uses it runs. A causal LSTM's input weights are read a
+gate at a time, once per tile of ``tensor.TILE_ROWS`` frames (0.51 s of
+audio at the presets' 2 ms shift); every other parameter is read once per
+file. At full size a file reads 211 MiB + 389 KiB non-causal, and causal
+243 MiB + 389 KiB for a file of one tile and 64 MiB more for each further
+tile. Each read is checked before any op sees it (``BlockReader`` says
+how a fault is refused). An enhance load that enhances nothing reads no
+layer.
 """
 
 from __future__ import annotations
@@ -236,10 +226,10 @@ def params_from_checkpoint(ckpt: Checkpoint) -> dict:
 
     From an enhance load, the table checked is the file's entries, none of
     them read, and what is returned is the load's ``BlockReader``, which
-    ``model.layer_table`` reads each layer from. Otherwise nothing
-    is copied: each parameter's data is the array in ``ckpt.tensors``, so
-    one copy of the weights is held, and an in-place update of a parameter
-    also changes the checkpoint object.
+    serves each entry by its name. Otherwise nothing is copied: each
+    parameter's data is the array in ``ckpt.tensors``, so one copy of the
+    weights is held, and an in-place update of a parameter also changes the
+    checkpoint object.
     """
     expected = model.param_shapes(ckpt.model_cfg)
     stored = {name: arr.shape for name, arr in ckpt.tensors.items()} | (ckpt.passed or {})
@@ -257,35 +247,54 @@ def params_from_checkpoint(ckpt: Checkpoint) -> dict:
     return {name: tensor.Tensor(ckpt.tensors[name], requires_grad=True) for name in expected}
 
 
-class BlockReader:
-    """Where each layer of ``model.STREAMED_LAYERS`` lies in an enhance
-    load's checkpoint, and the open file they are read from: the table that
-    ``model.layer_table`` reads each layer from, by its full prefix.
+# the layers that the enhance load's reader reads one at a time, by their
+# prefix in the table or in a block's: the two projections, and in each
+# block its five layer norms, the RNN, attention and the feedforward. A
+# BLSTM is read a direction at a time. An LSTM's recurrent weights and
+# biases are one layer, read when its loop starts; its input weights are one
+# layer per gate, read as each tile's input projection needs them, so a
+# gate's layer is listed before the ``lstm.`` that its name extends
+STREAMED_LAYERS = ("input_proj.", "ln0.", "ln1.", "ln2.", "ln3.", "ln4.",
+                   *(f"lstm.w_{g}x" for g in model._GATES), "lstm.",
+                   "blstm.fwd.", "blstm.bwd.", "attn.", "ff.", "output_proj.")
 
-    ``read(layer)`` reads the entries of ``layer``, a layer's prefix in the
-    parameter table (``model.streamed_layer``: ``'input_proj.'``,
-    ``'block1.ln0.'``, ``'block1.blstm.fwd.'``, ``'block1.lstm.w_gx'``),
-    into one buffer, allocated on the first read and reused across layers,
-    blocks and calls, and returns a tensor viewing each entry, by its name
-    in the table; a prefix that names no such layer reads nothing. A layer
-    lies at the start of the buffer, unless its prefix extends another's
-    past that one's last dot: a gate's LSTM input weights
-    (``'block1.lstm.w_gx'``) lie after the rest of that LSTM
+
+def streamed_layer(name: str) -> str:
+    """The ``STREAMED_LAYERS`` layer that entry ``name`` of the parameter
+    table belongs to, as its prefix in that table (``'input_proj.'``,
+    ``'block1.ln0.'``, ``'block1.blstm.bwd.'``, ``'block1.lstm.w_gx'``)."""
+    block = name[:name.index(".") + 1] if name.startswith("block") else ""
+    rest = name[len(block):]
+    return block + next(layer for layer in STREAMED_LAYERS if rest.startswith(layer))
+
+
+class BlockReader:
+    """An enhance load's parameter table: where each ``STREAMED_LAYERS``
+    layer lies in its checkpoint, and the open file they are read from.
+
+    ``reader[name]`` serves the entry ``name`` as a tensor viewing the
+    reader's one buffer, allocated on the first read and reused across
+    layers, blocks and calls. A name of the layer read last is served from
+    that read; any other name reads its layer (``streamed_layer``) first,
+    through ``read(layer)``, which returns the layer's views by name and
+    serves them from then on. A name outside the table raises ``KeyError``
+    and reads nothing. A layer lies at the start of the buffer, unless its
+    prefix extends another's past that one's last dot: a gate's LSTM input
+    weights (``'block1.lstm.w_gx'``) lie after the rest of that LSTM
     (``'block1.lstm.'``), whose views the step loop reads while each gate's
-    are read. So the buffer is sized for the largest layer or
-    such a pair: at full size 20.0 MiB causal, set by the LSTM's recurrent
-    weights and biases and one gate's input weights, and 16.0 MiB
-    non-causal, set by the feedforward. A read may overwrite the views of
-    any earlier read but those of the layer its own extends, so ``read``
-    refuses to run while ops record
-    (``tensor.recording``): a recorded graph would read the next layer's
-    weights. The load does not read these entries, so this is their only
-    check: each read must be complete and finite, and the file's size and
-    ``st_mtime_ns`` must be those it had when loaded. A layer that fails at
-    its first read, from the file as it was loaded, raises the load's own
-    ``CheckpointFormatError`` or ``CheckpointTruncatedError``, naming the
-    file and the entry. Once the layer has passed, or once the file's size
-    or modification time has changed, ``read`` raises
+    are read. So the buffer is sized for the largest layer or such a pair:
+    at full size 20.0 MiB causal, set by the LSTM's recurrent weights and
+    biases and one gate's input weights, and 16.0 MiB non-causal, set by
+    the feedforward. A read may overwrite the views of any earlier read but
+    those of the layer its own extends, so the reader refuses every name
+    while ops record (``tensor.recording``): a recorded graph would read the
+    next layer's weights. The load does not read these entries, so this is
+    their only check: each read must be complete and finite, and the file's
+    size and ``st_mtime_ns`` must be those it had when loaded. A layer that
+    fails at its first read, from the file as it was loaded, raises the
+    load's own ``CheckpointFormatError`` or ``CheckpointTruncatedError``,
+    naming the file and the entry. Once the layer has passed, or once the
+    file's size or modification time has changed, ``read`` raises
     ``CheckpointChangedError`` naming the file. The file is closed when the
     reader is collected.
     """
@@ -300,31 +309,40 @@ class BlockReader:
         # as the full load lays out its block. A layer whose name goes on
         # past its last dot (a gate's input weights, 'block1.lstm.w_gx') is
         # in use with the layer named up to that dot (the rest of its LSTM,
-        # 'block1.lstm.'), so it lies after that layer
+        # 'block1.lstm.'), so it lies after that layer; and entry name -> its
+        # layer
         spans = {layer: sum(-(-count // 16) * 16 for *_, count in entries)
                  for layer, entries in layout.items()}
-        self._layout, self._size = {}, 0
+        self._layout, self._layers, self._size = {}, {}, 0
         for layer, entries in layout.items():
             offset = spans.get(layer[:layer.rindex(".") + 1], 0) if layer[-1] != "." else 0
             placed = []
             for name, shape, position, count in entries:
                 placed.append((name, shape, position, offset, count))
+                self._layers[name] = layer
                 offset += -(-count // 16) * 16
             self._layout[layer], self._size = placed, max(self._size, offset)
-        # the layers read and checked at least once
-        self._buffer, self._verified = None, set()
+        # the buffer; the views of the layer read last, by name; the layers
+        # read and checked at least once
+        self._buffer, self._views, self._verified = None, {}, set()
         weakref.finalize(self, fh.close)
 
-    def read(self, layer: str) -> dict:
+    def __getitem__(self, name: str) -> tensor.Tensor:
         if tensor.recording():
             raise RuntimeError(
                 "a streamed checkpoint table serves only unrecorded enhancement "
                 "(under tensor.no_grad): each layer's weights are overwritten by the next's")
+        if name not in self._views:
+            self.read(self._layers[name])
+        return self._views[name]
+
+    def read(self, layer: str) -> dict:
         if self._buffer is None:
             self._buffer = np.empty(self._size, "<f4")
-        views, fault = {}, None
+        # what this read overwrites is served no more
+        self._views, views, fault = {}, {}, None
         try:
-            for name, shape, position, offset, count in self._layout.get(layer, ()):
+            for name, shape, position, offset, count in self._layout[layer]:
                 arr = self._buffer[offset:offset + count]
                 self._fh.seek(position)
                 _read_payload(self._fh, name, arr)
@@ -343,6 +361,7 @@ class BlockReader:
             # refuses it
             raise type(fault)(f"{self.path}: {fault}")
         self._verified.add(layer)
+        self._views = views
         return views
 
 
@@ -603,7 +622,7 @@ def _read_checkpoint(fh, path: str, for_enhance: bool = False) -> Checkpoint:
             if not name.startswith("cache."):
                 passed[name] = shape
             if name in streamed:
-                layout.setdefault(model.streamed_layer(name), []).append(
+                layout.setdefault(streamed_layer(name), []).append(
                     (name, shape, position, count))
             fh.seek(count * 4, os.SEEK_CUR)
         position += count * 4

@@ -292,7 +292,8 @@ def test_mutated_checkpoint_full_load_refused_or_finite(adam_strategy, data):
 # a list file's fields replaced by these, or by arbitrary bytes: empty,
 # blank, numbers that do and do not convert to int, bytes that are not
 # UTF-8, and characters other than the line feed that ``str.splitlines``
-# breaks a line at, which a list file keeps inside its line
+# breaks a line at, which a list file keeps inside its line and, but for a
+# carriage return at its end, at its ends too
 MANGLED = [b"", b" ", b"-1", b"0", b"1e3", b"nan", b"0x1e0", b" 480", b"4_80",
            b"\xff", b"\xc3", b"\xed\xa0\x80", b"\r", b"\x0c", b"\xc2\x85", b"\xe2\x80\xa8"]
 
@@ -333,16 +334,18 @@ def expected_rows(blob: bytes, types):
     (line number, converted fields) pair, or ``(None, n)`` with ``n`` the
     first line that does not parse. A line holding a byte that is not UTF-8
     is found before any line's fields are read. Lines end at a line feed
-    alone."""
+    alone, and each loses one carriage return at its end, then its
+    surrounding spaces and tabs."""
     lines = blob.decode("utf-8", "surrogateescape").split("\n")
     for number, line in enumerate(lines, start=1):
         if any("\udc80" <= ch <= "\udcff" for ch in line):
             return None, number
     rows = []
     for number, line in enumerate(lines, start=1):
-        if not line.strip():
+        line = line.removesuffix("\r").strip(" \t")
+        if not line:
             continue
-        fields = line.strip().split("\t")
+        fields = line.split("\t")
         try:
             if len(fields) != len(types):
                 raise ValueError

@@ -1,8 +1,11 @@
 """Every name a module of the ``arn`` package imports is used in it, every
-name it defines is read by program code, and the package needs numpy alone."""
+name it defines is read by program code, every name its documentation
+refers to exists, and the package needs numpy alone."""
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -130,3 +133,42 @@ def test_cli_loads_no_scipy():
     run = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env={**os.environ, "PYTHONPATH": path}, check=True)
     assert run.stdout.strip() == "[]", run.stdout
+
+
+# a backticked span that starts with a name of the package, with or without
+# ``arn.``, and may go on with a call's arguments: ``model.param_shapes``,
+# `arn.tensor.attention(x, ...)`, ``training.BlockReader.read``
+SPAN = re.compile(r"`+([^`]+?)`+")
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if not p.stem.startswith("_"))
+REFERENCE = re.compile(rf"(?:arn\.)?(?:{'|'.join(MODULES)})\.\w+(?:\.\w+)?")
+
+
+def unresolved_references(text: str) -> list:
+    """The package references at the start of ``text``'s backticked spans
+    that name nothing in the package, each once, in order."""
+    missing = []
+    for span in SPAN.finditer(text):
+        ref = REFERENCE.match(span[1])
+        if ref is None or ref[0] in missing:
+            continue
+        module, *attrs = ref[0].removeprefix("arn.").split(".")
+        obj = importlib.import_module(f"arn.{module}")
+        for attr in attrs:
+            obj = getattr(obj, attr, None)
+        if obj is None:
+            missing.append(ref[0])
+    return missing
+
+
+def test_doc_references_resolve():
+    docs = [ROOT / "README.md", *sorted(PACKAGE.glob("*.py"))]
+    assert [f"{path.name}: {ref}" for path in docs
+            for ref in unresolved_references(path.read_text())] == []
+
+
+def test_reference_checker_flags_only_missing_names():
+    text = ("`model.enhance`, ``arn.tensor.attention(x, w)``, `training.BlockReader.read`,\n"
+            "`model.layer_table`, ``arn.model.gone(x)``, `tensor.Tensor.nope`, "
+            "`model.layer_table`, `np.zeros`, `arn.model`, ``'block1.'``")
+    assert unresolved_references(text) == [
+        "model.layer_table", "arn.model.gone", "tensor.Tensor.nope"]

@@ -127,6 +127,20 @@ class TestReadListFile:
         with pytest.raises(ListFileError, match=f"line {line}: not UTF-8 text"):
             mixing.read_list_file(path, (str, str))
 
+    def test_only_spaces_tabs_and_carriage_return_stripped(self, tmp_path):
+        # a line loses one carriage return at its end, then its spaces and
+        # tabs; other whitespace at its ends is part of the file names, and
+        # a line of it alone is a row, refused for its field count
+        path = tmp_path / "pairs.tsv"
+        path.write_bytes(" a.wav\tb.wav \r\n\x0ca.wav\tb.wav\u2028\n\t\r\n".encode())
+        assert mixing.read_list_file(path, (str, str)) == \
+            [(1, ("a.wav", "b.wav")), (2, ("\x0ca.wav", "b.wav\u2028"))]
+        for ch in self.BREAKS:
+            path.write_bytes(f"a.wav\tb.wav\n \t{ch}\r\n".encode())
+            with pytest.raises(ListFileError, match="line 2: expected 2 tab-separated "
+                                                    "fields, found 1$"):
+                mixing.read_list_file(path, (str, str))
+
 
 class TestMakeMixture:
     def test_equal_rms_at_zero_db_uses_unit_gain(self):

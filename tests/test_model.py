@@ -434,9 +434,9 @@ class TestBlstm:
         causal_params = init_params(toy_cfg(), np.random.default_rng(0))
         nc_params = init_params(toy_cfg(causal=False), np.random.default_rng(0))
         x = Tensor(np.zeros((3, 8)))
-        with pytest.raises(ConfigurationError, match="'block0.blstm.fwd.'"):
+        with pytest.raises(KeyError, match="'block0.blstm.fwd.b_i'"):
             rnn_sequence(x, causal_params, "block0.", toy_cfg(causal=False))
-        with pytest.raises(ConfigurationError, match="'block0.lstm.'"):
+        with pytest.raises(KeyError, match="'block0.lstm.b_i'"):
             rnn_sequence(x, nc_params, "block0.", toy_cfg())
 
 

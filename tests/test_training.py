@@ -622,20 +622,15 @@ class TestCheckpoint:
         # norm, each direction of a BLSTM and each gate's LSTM input weights
         # apart), read one at a time, are the trainable table
         layers = {}
-        with tensor.no_grad():
-            for prefix in ("input_proj.", "output_proj."):
-                layers.update({k: t.shape for k, t in model.layer_table(table, prefix).items()})
-            for i in range(cfg.num_blocks):
-                for prefix in block_layers(causal):
-                    layer = model.layer_table(table, f"block{i}.{prefix}")
-                    layers.update({k: t.shape for k, t in layer.items()})
+        for prefix in ("input_proj.", "output_proj.", *(
+                f"block{i}.{p}" for i in range(cfg.num_blocks) for p in block_layers(causal))):
+            layers.update({k: t.shape for k, t in table.read(prefix).items()})
         assert layers == model.param_shapes(cfg)
         for i in range(cfg.num_blocks):
             attn = f"block{i}.attn."
             with tensor.no_grad():
-                gate, streamed = (model._v_gate_graph(
-                    {k[len(attn):]: t for k, t in model.layer_table(source, attn).items()})
-                    for source in (params, table))
+                gate, streamed = (model._v_gate_graph({n: source[attn + n] for n in model._ATTN})
+                                  for source in (params, table))
             assert streamed.data.tobytes() == gate.data.tobytes()
         x = np.random.default_rng(42).standard_normal(96)
         full = params_from_checkpoint(load_checkpoint(path))
@@ -659,14 +654,13 @@ class TestCheckpoint:
         assert directory.index("block1.attn.lin_v_tanh.b") < directory.index("block0.attn.v")
         canonical = params_from_checkpoint(load_checkpoint(path, for_enhance=True))
         reordered = params_from_checkpoint(load_checkpoint(moved, for_enhance=True))
-        with tensor.no_grad():
-            for i in range(cfg.num_blocks):
-                for prefix in block_layers(cfg.causal):
-                    a = model.layer_table(canonical, f"block{i}.{prefix}")
-                    b = model.layer_table(reordered, f"block{i}.{prefix}")
-                    assert a.keys() == b.keys()
-                    for k in a:
-                        assert a[k].data.tobytes() == b[k].data.tobytes()
+        for i in range(cfg.num_blocks):
+            for prefix in block_layers(cfg.causal):
+                a = canonical.read(f"block{i}.{prefix}")
+                b = reordered.read(f"block{i}.{prefix}")
+                assert a.keys() == b.keys()
+                for k in a:
+                    assert a[k].data.tobytes() == b[k].data.tobytes()
         x = np.random.default_rng(44).standard_normal(96)
         assert model.enhance(x, reordered, cfg).tobytes() == \
             model.enhance(x, canonical, cfg).tobytes()
@@ -805,7 +799,7 @@ def streamed_shapes(cfg: ARNConfig, start: str = "") -> dict:
 
 
 def block_layers(causal: bool) -> list:
-    """A block's ``model.STREAMED_LAYERS``, in the order the forward pass
+    """A block's ``training.STREAMED_LAYERS``, in the order the forward pass
     reads them for an input of one tile (an LSTM's gate layers are read
     once per tile)."""
     rnn = (["lstm.", *(f"lstm.w_{g}x" for g in "ifgo")] if causal
@@ -1069,7 +1063,7 @@ class TestStreamedTable:
         cfg = ARNConfig(**json.loads(config.read_text())["model"])
         layout = {}
         for name, shape in model.param_shapes(cfg).items():
-            layout.setdefault(model.streamed_layer(name), []).append(
+            layout.setdefault(training.streamed_layer(name), []).append(
                 (name, shape, 0, math.prod(shape)))
         assert set(layout) == {"input_proj.", "output_proj.", *(
             f"block{i}.{p}" for i in range(cfg.num_blocks) for p in block_layers(cfg.causal))}
@@ -1099,19 +1093,56 @@ class TestStreamedTable:
         with pytest.raises(RuntimeError, match="unrecorded enhancement"):
             model.arn_forward(x, table, cfg)
         with pytest.raises(RuntimeError, match="unrecorded enhancement"):
-            model.layer_table(table, "block1.ff.")
+            table["block1.ff.w"]
         with tensor.no_grad():
-            assert model.layer_table(table, "block1.ff.")["block1.ff.w"].data.tobytes() == \
-                params["block1.ff.w"].data.tobytes()
+            assert table["block1.ff.w"].data.tobytes() == params["block1.ff.w"].data.tobytes()
+        # the layer is read, and its views are still refused
+        for name in ("block1.ff.w", "block1.ff.b"):
+            with pytest.raises(RuntimeError, match="unrecorded enhancement"):
+                table[name]
         assert model.enhance(x, table, cfg).tobytes() == \
             model.enhance(x, params, cfg).tobytes()
 
+    def test_names_read_their_layer_once_and_never_stale(self, monkeypatch, tmp_path):
+        # by name: two names of one layer cost one read; a name of another
+        # layer reads that layer, and a name of a layer read before it reads
+        # its layer again. Each layer norm lies at the buffer's start, so a
+        # view taken before the other layer norm's read shows that layer's
+        # values, and a name served from it would be stale
+        cfg = toy_model_cfg(num_blocks=2)
+        ckpt = checkpoint_from(
+            model.init_params(cfg, np.random.default_rng(2328), np.float32), cfg)
+        rng = np.random.default_rng(2329)
+        for arr in ckpt.tensors.values():
+            arr[...] = rng.standard_normal(arr.shape)
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        table = params_from_checkpoint(load_checkpoint(path, for_enhance=True))
+        reads = []
+        read = training.BlockReader.read
+
+        def reading(self, layer):
+            reads.append(layer)
+            return read(self, layer)
+        monkeypatch.setattr(training.BlockReader, "read", reading)
+        names = ["block0.ln0.g", "block0.ln0.b", "block0.ln1.b", "block0.ln0.b",
+                 "block0.ln0.g", "block1.lstm.w_gx", "block1.lstm.b_g", "output_proj.w",
+                 "output_proj.b"]
+        with tensor.no_grad():
+            first = table["block0.ln0.g"]
+            for name in names:
+                assert table[name].data.tobytes() == ckpt.tensors[name].tobytes(), name
+                if name == "block0.ln1.b":
+                    assert first.data.tobytes() == ckpt.tensors["block0.ln1.g"].tobytes()
+        assert reads == ["block0.ln0.", "block0.ln1.", "block0.ln0.", "block1.lstm.w_gx",
+                         "block1.lstm.", "output_proj."]
+
     @pytest.mark.parametrize("causal", [True, False])
-    def test_prefix_naming_no_layer_refused(self, monkeypatch, tmp_path, causal):
-        # a dict and the enhance load's reader alike refuse a prefix that
-        # names no layer with ConfigurationError naming the prefix: a block
-        # past the last, a block's layer without its block, a gate that is
-        # not one and the other RNN's layer; the reader reads no payload
+    def test_name_outside_table_refused(self, monkeypatch, tmp_path, causal):
+        # a dict and the enhance load's reader alike refuse a name outside
+        # the table with KeyError naming it: a block past the last, a
+        # block's entry without its block, a gate that is not one, the other
+        # RNN's entry and a layer's prefix; the reader reads no payload
         cfg = toy_model_cfg(num_blocks=2, causal=causal)
         params = model.init_params(cfg, np.random.default_rng(2326), np.float32)
         path = tmp_path / "model.ckpt"
@@ -1120,12 +1151,11 @@ class TestStreamedTable:
         reads = []
         monkeypatch.setattr(training, "_read_payload", lambda fh, name, arr: reads.append(name))
         for source in (params, table):
-            for prefix in ("block2.ln0.", "ff.", "block0.lstm.w_zx",
-                           "block0.blstm.fwd." if causal else "block0.lstm."):
-                with tensor.no_grad(), pytest.raises(
-                        ConfigurationError,
-                        match=re.escape(f"no parameters under prefix {prefix!r}")):
-                    model.layer_table(source, prefix)
+            for name in ("block2.ln0.g", "ff.w", "block0.lstm.w_zx",
+                         "block0.blstm.fwd.w_ix" if causal else "block0.lstm.w_ix",
+                         "block0.ff."):
+                with tensor.no_grad(), pytest.raises(KeyError, match=re.escape(repr(name))):
+                    source[name]
         assert reads == []
 
     @pytest.mark.parametrize("with_adam", [False, True])
