@@ -170,6 +170,13 @@ def read_list_file(path, types) -> list:
     return rows
 
 
+def _sample_count(text: str) -> int:
+    """A corpus index's sample count: ASCII decimal digits alone."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"sample count {text!r} is not decimal digits")
+    return int(text)
+
+
 class _Corpus:
     """Named utterances: ``ids`` in sorted order and ``load(utt_id)``.
 
@@ -208,7 +215,8 @@ class ArrayCorpus(_Corpus):
 
 class CorpusIndex(_Corpus):
     """File-backed corpus: one tab-separated line per utterance,
-    ``<id>\\t<relative path>\\t<sample_count>``, paths relative to the index.
+    ``<id>\\t<relative path>\\t<sample_count>``, paths relative to the index,
+    the count in ASCII decimal digits.
 
     Each file is read and decoded on its first ``load`` only, and its samples
     are kept for every later one as a read-only float32 array, which holds
@@ -222,8 +230,8 @@ class CorpusIndex(_Corpus):
         self.root = self.index_path.parent
         self.entries = {}
         first_lines = {}
-        for number, (utt_id, rel_path, count) in read_list_file(self.index_path,
-                                                                (str, str, int)):
+        for number, (utt_id, rel_path, count) in read_list_file(
+                self.index_path, (str, str, _sample_count)):
             if utt_id in self.entries:
                 raise ListFileError(f"{self.index_path}: id {utt_id!r} is listed twice, "
                                     f"on lines {first_lines[utt_id]} and {number}")

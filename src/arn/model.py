@@ -7,45 +7,15 @@ attention (residual back onto the query stream) -> two parallel layer norms
 feeding a feedforward block (residual onto the second stream). The full
 network frames a 1-D waveform into ceil(M / shift) rows, projects them to
 width N, stacks blocks, projects back to output frames, and overlap-adds.
-
 Causal operation uses a unidirectional LSTM plus an attention mask that
-zeroes the contribution of future frames; with an input frame wider than
-the output frame, each output frame is emitted over the trailing part of
-its input frame's span so that every predicted sample lies within already
-observed input.
+zeroes the contribution of future frames.
 
-Parameters live in a flat ordered dict of named tensors, ``param_shapes``,
-which training updates and checkpoints store. The forward pass reads each
-entry as ``params[name]`` just before the op that uses it runs, and holds
-it no longer than that op, so ``params`` may also be the enhance load's
-``training.BlockReader``, which holds no parameter: it reads an entry's
-layer from the checkpoint when a name of that layer is first asked for,
-into a buffer that the next layer's read overwrites. There is one forward
-path, and one value-gate path, for either table.
-
-Outside recording, each (T, N) array is dropped after its last reader, or
-written over by it. The frame rows, each block's input and the attention's
-keys and values are passed on by their only reference, so that the callee
-frees them: after the input projection, after the block's first layer
-norm, and at the end of the attention node. Every other (T, N) array is
-handed to its last reader, which writes its output into it: with
-``overwrite=True``, the input projection's bias into the product, the
-layer norm of the keys and values into the RNN output and the last layer
-norm into the attention output; as ``into``, the attention node's gated
-output into the query stream (one tile at a time, after the tile's queries
-are formed) and the feedforward's output into that layer norm's output.
-``enhance`` thus holds at most two (T, N) arrays at once, beside the
-weights (from the reader, those of the op that runs), plus one tile's
-scratch: the scratch buffers of the op that runs, each allocated once per
-call and a tile in size (the LSTM's activation tile, attention's query,
-probability and output tiles, the feedforward's (rows, 4N) pre-activation
-tile), and, at widths up to ``tensor.TILE_ROWS``, the LSTM's packed
-recurrent weights, which are no larger than its tile.
-
-One forward pass serves training and enhancement. Feedforward dropout runs
-only when a generator is passed as ``rng``; whether the pass is recorded
-for backward is decided by ``tensor.no_grad``, as for every op. ``enhance``
-is the forward pass without a generator, under ``no_grad``.
+Parameters live in a flat ordered dict of named tensors (``param_shapes``),
+which training updates and checkpoints store. One forward pass,
+``arn_forward``, serves training and enhancement. It reads each entry by
+its name just before the op that uses it runs, and holds it no longer than
+that op, so the table may also be the enhance load's
+``training.BlockReader``.
 """
 
 from __future__ import annotations

@@ -7,66 +7,19 @@ normalization, signal framing / overlap-add, scalar reductions, and four
 fused ops: a whole LSTM recurrence, attention with its gated query
 projection, the feedforward layer, and the magnitude of a real FFT.
 
-Every operation that sees a gradient-requiring input records a backward
-closure on its output. The closure takes the output's gradient as its
-argument and holds the output itself only through a weak reference, so a
-graph contains no reference cycle: it is freed by reference counting as soon
-as its last tensor is dropped, whether or not ``backward`` ran on it.
-``backward`` runs one reverse topological sweep over the recorded graph;
-gradients accumulate additively (``+=``) into every reachable tensor that
-requires them, so a tensor feeding two consumers receives the sum of both
-adjoints. Explicit zeroing happens in the optimizer (see ``arn.optim``). A
-tensor's first gradient starts at zero; where an op made that gradient for
-the tensor alone (``matmul``'s products, ``attention``'s and
-``feedforward``'s input gradients), the tensor adopts the array instead of
-adding it into new zeros, so it is not held twice. The sweep frees the
-graph as it goes: once a node's closure has run, the node drops its
-gradient, its closure and its parent links, so the arrays only they held
-go in the middle of the sweep. Leaves keep their gradients; a non-leaf
-tensor keeps its ``data`` and ends with ``grad`` None. A graph is
-swept once: a second ``backward`` that reaches a swept node raises
-``RuntimeError`` before it writes any gradient.
+An op records a backward closure (``_record``) when ops record
+(``recording``) and an input requires gradients. ``backward`` sweeps the
+recorded graph once, and gradients accumulate into every tensor that
+requires them until the optimizer clears them. The fused ops work over
+tiles of ``TILE_ROWS`` rows; each op's docstring says what it keeps for
+its backward pass and what it recomputes there.
 
-``lstm_sequence`` records one node for all T time steps of an LSTM, or of
-a BLSTM whose two directions write the two halves of one output, and reads
-each gate's weights where they lie, from functions that the caller passes
-and that it calls when a direction, or a tile's gate, needs them. Each
-direction's loop is plain numpy and allocates nothing per step: it writes
-the input projection, one tile of ``TILE_ROWS`` rows and one gate at a
-time, into one activation buffer and turns each row into the four gates
-in place with one tanh (sigmoid in its tanh form, as ``sigmoid`` computes
-it). Only when recording does it keep the gate activations and cell
-states that its backward pass, through time, reads; it keeps no copy of
-the weights.
-``attention`` and ``feedforward`` work over the same row tiles and recompute
-each tile in their backward pass, so their memory grows linearly in T;
-``attention`` also forms each tile's queries from the query stream, so no
-(T, N) query array exists, in evaluation or in a recorded graph. Their
-forward pass holds one tile's scratch: each call allocates one buffer per
-per-tile array, a tile in size, and writes every tile into it. These are
-attention's queries and output, gated in place, beside one tile's (rows, S)
-probabilities, freed before the next tile's; and the feedforward's
-(rows, 4N) pre-activation, on which GELU, dropout and the four-chunk sum
-act in place, the GELU's CDF a sub-block of rows at a time. The
-feedforward's backward pass likewise writes each tile's pre-activation
-into one buffer for the call and turns it into its gradient in place, a
-sub-block at a time, and adds the tile's weight gradient into ``dw`` one
-chunk of N columns at a time. The GELU's CDF is the exact normal CDF,
-which ``_gelu_cdf`` computes in numpy, in the input's dtype, as two
-polynomials of clipped variables split at |z| = 1: over [-12, 12],
-float64 is within one ulp of max(Phi, 1/2) and float32 within 7.1e-8.
-``layer_norm_rows`` writes its output in place and keeps only each row's
-mean and inverse deviation. ``rfft_magnitude`` keeps only the signs of its
-rows' spectrum, and its backward pass is the adjoint transform, an ``irfft``.
-
-A caller may hand an op one operand's array, and under ``no_grad`` the op
-then writes its output into that array instead of a new one. ``add`` and
-``layer_norm_rows`` take their first operand so when called with
-``overwrite=True``; ``attention`` and ``feedforward`` take the ``into``
-array that their output is added to. With recording on, another op's
-backward pass may still read the array, even where this op records nothing,
-so there the op allocates as usual. An op never infers that it owns an
-array; the caller decides, once.
+A caller may hand an op one operand's array to write its output into:
+``add`` and ``layer_norm_rows`` their first operand with
+``overwrite=True``, ``attention`` and ``feedforward`` their ``into``
+array. The op does so only under ``no_grad`` (``_writable``), since while
+ops record another op's backward pass may read the array. An op never
+infers that it owns an array; the caller decides, once.
 """
 
 from __future__ import annotations

@@ -23,22 +23,10 @@ order: each entry's offset is the sum of the counts before it, and
 (a stored copy of each attention block's value gate); the loader skips
 them, since the gate is recomputed from the parameters.
 
-``load_checkpoint`` reads the whole trainable table, and Adam's moments
-when the file has them, for training, tests and checks. Its enhance load
-(``for_enhance=True``, what ``arn enhance`` and ``arn evaluate --model``
-use) holds no parameter: it reads and checks only Adam's moments, which it
-drops, steps over every entry of the table, recording where each layer
-lies, and keeps the file open. ``params_from_checkpoint`` returns that
-load's ``BlockReader``, which the forward pass indexes by name as it
-indexes a dict, and which reads each layer (``STREAMED_LAYERS``) from the
-file as the op that uses it runs. A causal LSTM's input weights are read a
-gate at a time, once per tile of ``tensor.TILE_ROWS`` frames (0.51 s of
-audio at the presets' 2 ms shift); every other parameter is read once per
-file. At full size a file reads 211 MiB + 389 KiB non-causal, and causal
-243 MiB + 389 KiB for a file of one tile and 64 MiB more for each further
-tile. Each read is checked before any op sees it (``BlockReader`` says
-how a fault is refused). An enhance load that enhances nothing reads no
-layer.
+``load_checkpoint`` reads and checks a file. Its enhance load, behind
+``arn enhance`` and ``arn evaluate --model``, holds no parameter: its
+``BlockReader`` reads each layer from the file as the op that uses it
+runs, and states what is read, when, and how a fault is refused.
 """
 
 from __future__ import annotations
@@ -200,12 +188,9 @@ class Checkpoint:
     adam: AdamState | None = None
     best_score: float = -math.inf
     epoch: int = 0
-    # enhance load only: ``tensors`` is empty, ``blocks`` reads the table's
-    # layers, and ``passed`` maps each entry of the file's table (the
-    # streamed entries and any that the table check refuses), none of them
-    # read, to its stored shape
+    # enhance load only: ``tensors`` is empty, and ``blocks`` reads the
+    # table's layers
     blocks: BlockReader | None = None
-    passed: dict | None = None
 
 
 def checkpoint_from(params: dict, model_cfg: ARNConfig, adam: AdamState | None = None,
@@ -220,31 +205,16 @@ def checkpoint_from(params: dict, model_cfg: ARNConfig, adam: AdamState | None =
     )
 
 
-def params_from_checkpoint(ckpt: Checkpoint) -> dict:
-    """Rebuild float32 tensors, validating the file's table against the
-    config's trainable shape table.
-
-    From an enhance load, the table checked is the file's entries, none of
-    them read, and what is returned is the load's ``BlockReader``, which
-    serves each entry by its name. Otherwise nothing is copied: each
-    parameter's data is the array in ``ckpt.tensors``, so one copy of the
-    weights is held, and an in-place update of a parameter also changes the
-    checkpoint object.
-    """
-    expected = model.param_shapes(ckpt.model_cfg)
-    stored = {name: arr.shape for name, arr in ckpt.tensors.items()} | (ckpt.passed or {})
-    if set(stored) != set(expected):
-        missing = sorted(set(expected) - set(stored))
-        extra = sorted(set(stored) - set(expected))
-        raise CheckpointShapeError(
-            f"tensor table mismatch (missing={missing}, unexpected={extra})")
-    for name, shape in expected.items():
-        if stored[name] != shape:
-            raise CheckpointShapeError(
-                f"{name}: stored shape {stored[name]} != declared {shape}")
+def params_from_checkpoint(ckpt: Checkpoint):
+    """The parameter table of a loaded checkpoint, whose table the load
+    checked: the enhance load's ``BlockReader``, or float32 tensors in
+    ``model.param_shapes`` order whose data are the arrays of
+    ``ckpt.tensors``, so one copy of the weights is held, and an in-place
+    update of a parameter also changes the checkpoint object."""
     if ckpt.blocks is not None:
         return ckpt.blocks
-    return {name: tensor.Tensor(ckpt.tensors[name], requires_grad=True) for name in expected}
+    return {name: tensor.Tensor(ckpt.tensors[name], requires_grad=True)
+            for name in model.param_shapes(ckpt.model_cfg)}
 
 
 # the layers that the enhance load's reader reads one at a time, by their
@@ -272,15 +242,24 @@ class BlockReader:
     """An enhance load's parameter table: where each ``STREAMED_LAYERS``
     layer lies in its checkpoint, and the open file they are read from.
 
+    The forward pass indexes it by name as it indexes a dict.
     ``reader[name]`` serves the entry ``name`` as a tensor viewing the
     reader's one buffer, allocated on the first read and reused across
     layers, blocks and calls. A name of the layer read last is served from
     that read; any other name reads its layer (``streamed_layer``) first,
     through ``read(layer)``, which returns the layer's views by name and
     serves them from then on. A name outside the table raises ``KeyError``
-    and reads nothing. A layer lies at the start of the buffer, unless its
-    prefix extends another's past that one's last dot: a gate's LSTM input
-    weights (``'block1.lstm.w_gx'``) lie after the rest of that LSTM
+    and reads nothing. So every layer is read once per file enhanced, as
+    the op that uses it runs, except a causal LSTM's input weights: they
+    are read a gate at a time, once per tile of ``tensor.TILE_ROWS`` frames
+    (0.51 s of audio at the presets' 2 ms shift). At full size a file reads
+    211 MiB + 389 KiB non-causal, and causal 243 MiB + 389 KiB for a file of
+    one tile and 64 MiB more for each further tile. A run that enhances
+    nothing reads no layer.
+
+    A layer lies at the start of the buffer, unless its prefix extends
+    another's past that one's last dot: a gate's LSTM input weights
+    (``'block1.lstm.w_gx'``) lie after the rest of that LSTM
     (``'block1.lstm.'``), whose views the step loop reads while each gate's
     are read. So the buffer is sized for the largest layer or such a pair:
     at full size 20.0 MiB causal, set by the LSTM's recurrent weights and
@@ -288,15 +267,17 @@ class BlockReader:
     the feedforward. A read may overwrite the views of any earlier read but
     those of the layer its own extends, so the reader refuses every name
     while ops record (``tensor.recording``): a recorded graph would read the
-    next layer's weights. The load does not read these entries, so this is
-    their only check: each read must be complete and finite, and the file's
-    size and ``st_mtime_ns`` must be those it had when loaded. A layer that
-    fails at its first read, from the file as it was loaded, raises the
-    load's own ``CheckpointFormatError`` or ``CheckpointTruncatedError``,
-    naming the file and the entry. Once the layer has passed, or once the
-    file's size or modification time has changed, ``read`` raises
-    ``CheckpointChangedError`` naming the file. The file is closed when the
-    reader is collected.
+    next layer's weights.
+
+    The load reads no entry of the table, so each read is the only check
+    of the entries' values: they must be complete and finite, and the
+    file's size and ``st_mtime_ns`` must be those it had when loaded. A
+    layer that fails at its first read, from the file as it was loaded,
+    raises the load's own ``CheckpointFormatError`` or
+    ``CheckpointTruncatedError``, naming the file and the entry. Once the
+    layer has passed, or once the file's size or modification time has
+    changed, ``read`` raises ``CheckpointChangedError`` naming the file. The
+    file is closed when the reader is collected.
     """
 
     def __init__(self, fh, path: str, stat, layout: dict):
@@ -469,21 +450,20 @@ def load_checkpoint(path, for_enhance: bool = False) -> Checkpoint:
     The directory must lay the payloads out contiguously in its own order,
     with ``DATA`` their total; a gap, an entry that starts before the end
     of the one above it, or another ``DATA`` count raises
-    ``CheckpointFormatError`` before any payload is read. The payloads are
-    then read in that order, a chunk of ``_CHUNK`` floats at a time, and
-    each chunk must be complete and finite; ``cache.*`` entries are stepped
-    over, not read. The full load reads the tensors straight into their
-    own float32 views of one block, so the weights are held once.
+    ``CheckpointFormatError``. The table, every entry but ``adam.*`` and
+    ``cache.*``, must be the config's ``model.param_shapes``, name for
+    name and shape for shape, or ``CheckpointShapeError`` is raised. Both
+    checks run before any payload is read. The payloads are then read in
+    directory order, a chunk of ``_CHUNK`` floats at a time, and each chunk
+    must be complete and finite; ``cache.*`` entries are stepped over, not
+    read. The full load reads the tensors straight into their own float32
+    views of one block, so the weights are held once.
 
-    With ``for_enhance``, the load holds no tensor, only the open file.
-    Adam's moments are read through one chunk buffer, allocated only when
-    there are any, checked, and dropped; ``adam`` is then None. Every other
-    payload is stepped over, not read: ``blocks`` records where each layer
-    of the table lies, and checks each as ``model.enhance`` reads it
-    (``BlockReader``), so a bad parameter is refused at its first read,
-    before the output of the file being enhanced is written, and a run
-    that enhances nothing reads none. ``params_from_checkpoint`` checks the
-    table, none of it read, as for a full load.
+    With ``for_enhance``, the load holds no tensor, only the open file. It
+    reads Adam's moments through one chunk buffer, allocated only when
+    there are any, checks them and drops them (``adam`` is then None), and
+    steps over the table: ``blocks`` reads and checks its layers as the
+    forward pass asks for them (``BlockReader``).
     """
     fh = open(path, "rb")
     try:
@@ -578,12 +558,22 @@ def _read_checkpoint(fh, path: str, for_enhance: bool = False) -> Checkpoint:
         model_cfg = ARNConfig.from_dict(config)
     except (TypeError, ConfigurationError) as exc:
         raise CheckpointFormatError(f"bad config block: {exc}") from None
+    # the table, every entry but Adam's moments and the cache's, must be the
+    # config's, name for name and shape for shape
+    table = {name: shape for name, shape, _ in directory
+             if not name.startswith(("adam.", "cache."))}
+    expected = model.param_shapes(model_cfg)
+    if table.keys() != expected.keys():
+        raise CheckpointShapeError(
+            f"tensor table mismatch (missing={sorted(expected.keys() - table.keys())}, "
+            f"unexpected={sorted(table.keys() - expected.keys())})")
+    for name, shape in expected.items():
+        if table[name] != shape:
+            raise CheckpointShapeError(f"{name}: stored shape {table[name]} != declared {shape}")
 
     # the full load keeps every entry but the cache's; the enhance load
     # keeps none: it reads, checks and drops Adam's moments, and steps over
-    # the rest, the table's layers, which it streams, and any entry the
-    # table check then refuses
-    streamed = model.param_shapes(model_cfg).keys() if for_enhance else ()
+    # the rest, the table's layers, which it streams
     kept = set() if for_enhance else {name for name, _, _ in directory
                                       if not name.startswith("cache.")}
 
@@ -597,12 +587,10 @@ def _read_checkpoint(fh, path: str, for_enhance: bool = False) -> Checkpoint:
     for name, span in spans.items():
         offsets[name], start = start, start + span
     tensors, adam_m, adam_v = {}, {}, {}
-    # the stored shape of each entry of the file's table not kept; each
-    # layer's streamed entries, layer prefix -> [(name, shape, byte
+    # each layer's streamed entries, layer prefix -> [(name, shape, byte
     # position, count)]; the chunk buffer that the moments go through, when
     # there are any
-    passed, layout = {}, {}
-    chunk = None
+    layout, chunk = {}, None
     if for_enhance and any(name.startswith("adam.") for name, _, _ in directory):
         chunk = np.empty(_CHUNK, "<f4")
     for name, shape, count in directory:
@@ -619,9 +607,7 @@ def _read_checkpoint(fh, path: str, for_enhance: bool = False) -> Checkpoint:
             for lo in range(0, count, chunk.size):
                 _read_payload(fh, name, chunk[:min(chunk.size, count - lo)])
         else:
-            if not name.startswith("cache."):
-                passed[name] = shape
-            if name in streamed:
+            if name in table:
                 layout.setdefault(streamed_layer(name), []).append(
                     (name, shape, position, count))
             fh.seek(count * 4, os.SEEK_CUR)
@@ -635,8 +621,7 @@ def _read_checkpoint(fh, path: str, for_enhance: bool = False) -> Checkpoint:
     return Checkpoint(model_cfg=model_cfg, tensors=tensors, adam=adam,
                       best_score=_meta_score(meta),
                       epoch=_meta_int(meta, "epoch"),
-                      blocks=BlockReader(fh, path, stat, layout) if for_enhance else None,
-                      passed=passed if for_enhance else None)
+                      blocks=BlockReader(fh, path, stat, layout) if for_enhance else None)
 
 
 def fit(params: dict, model_cfg: ARNConfig, cfg: TrainConfig, mixer,

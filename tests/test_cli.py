@@ -3,6 +3,8 @@
 import json
 import os
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -729,6 +731,32 @@ class TestExitCodes:
                          "--out", str(out)]) == 4
         assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
+
+
+def run_module(*args):
+    """``python -m arn`` with ``args`` in a fresh interpreter."""
+    src = Path(cli.__file__).resolve().parents[1]
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "arn", *args], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
+def test_module_exit_codes_at_process_boundary(tmp_path):
+    # ``python -m arn`` runs ``cli.entrypoint``, whose SystemExit carries the
+    # code that ``main`` returns
+    helped = run_module("mix", "--help")
+    assert helped.returncode == 0, helped.stderr
+    assert "--snr" in helped.stdout
+    bare = run_module()
+    assert bare.returncode == 2
+    assert "usage: arn" in bare.stderr and bare.stdout == ""
+    not_ckpt = tmp_path / "model.ckpt"
+    not_ckpt.write_bytes(b"not a checkpoint\n")
+    refused = run_module("enhance", "--model", str(not_ckpt),
+                         "--in", str(tmp_path / "in.wav"), "--out", str(tmp_path / "out.wav"))
+    assert refused.returncode == 4
+    assert refused.stderr.startswith("error: ") and refused.stderr.count("\n") == 1, refused.stderr
+    assert refused.stdout == "" and not (tmp_path / "out.wav").exists()
 
 
 def out_of_memory(fail_at):

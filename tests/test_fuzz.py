@@ -406,11 +406,18 @@ def test_mutated_manifest_evaluates_or_exits_2(list_files, data):
                                             if number < int(failed[1])]
 
 
+def decimal(field: str) -> int:
+    """A corpus index's sample count, which is ASCII decimal digits alone."""
+    if not re.fullmatch("[0-9]+", field):
+        raise ValueError(field)
+    return int(field)
+
+
 def expected_index(blob: bytes):
     """``expected_rows`` for a corpus index, as ``(entries, None)`` or
     ``(None, message)``, the message that refuses it: an id listed twice
     does not parse either."""
-    rows, bad_line = expected_rows(blob, (str, str, int))
+    rows, bad_line = expected_rows(blob, (str, str, decimal))
     if rows is None:
         return None, f", line {bad_line}: "
     entries, first = {}, {}

@@ -414,6 +414,15 @@ class TestCorpusCache:
         with pytest.raises(ListFileError, match=rf"{index}: id 's0' is listed twice"):
             CorpusIndex(index)
 
+    @pytest.mark.parametrize("count", ["4_80", "\u0664\u0668\u0660", " 480", "-1", "+480", ""])
+    def test_count_other_than_decimal_digits_rejected(self, tmp_path, count):
+        # int() would read each of these but the empty one as a number
+        index = write_index(tmp_path, "s", [speech_like(480, 63)])
+        utt_id, rel_path, _ = index.read_text().splitlines()[0].split("\t")
+        index.write_text(f"s9\tx.wav\t480\n{utt_id}\t{rel_path}\t{count}\n", encoding="utf-8")
+        with pytest.raises(ListFileError, match=rf"^{index}, line 2: "):
+            CorpusIndex(index)
+
     def test_trimmed_views_leave_array_corpus_inputs_writable(self):
         x = speech_like(2000, 60)
         corpus = ArrayCorpus({"a": x})

@@ -718,6 +718,44 @@ class TestCheckpoint:
 
         assert refusal(True) == refusal(False)
 
+    @pytest.mark.parametrize("fault", ["stored_gate", "missing_output_proj_b",
+                                       "input_proj_b_shape"])
+    def test_table_refused_before_any_payload(self, tmp_path, monkeypatch, fault):
+        # both loads check the file's table against the config's before
+        # they read a payload, Adam's moments included
+        cfg, params, adam = self.make(seed=46, with_adam=True)
+        ckpt = checkpoint_from(params, cfg, adam)
+        if fault == "stored_gate":
+            ckpt.tensors["block0.attn.v_gate"] = np.ones((1, cfg.width), "<f4")
+        elif fault == "missing_output_proj_b":
+            del ckpt.tensors["output_proj.b"]
+        else:
+            ckpt.tensors["input_proj.b"] = ckpt.tensors["input_proj.b"][:-1]
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        reads = []
+        monkeypatch.setattr(training, "_read_payload", lambda fh, name, arr: reads.append(name))
+        for for_enhance in (False, True):
+            with pytest.raises(CheckpointShapeError):
+                load_checkpoint(path, for_enhance=for_enhance)
+        assert reads == []
+
+    def test_table_fault_refused_before_payload_fault(self, tmp_path):
+        # a wrong table and a NaN in the first payload: both loads report
+        # the table
+        cfg, params, adam = self.make(seed=47, with_adam=True)
+        ckpt = checkpoint_from(params, cfg, adam)
+        first = next(iter(ckpt.tensors))
+        ckpt.tensors[first] = np.full_like(ckpt.tensors[first], np.nan)
+        ckpt.tensors["block0.attn.v_gate"] = np.ones((1, cfg.width), "<f4")
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(ckpt, path)
+        header = path.read_bytes().split(b"\nDATA ")[0].decode("ascii")
+        assert header.split("\ntensor ", 1)[1].startswith(f"{first} ")
+        for for_enhance in (False, True):
+            with pytest.raises(CheckpointShapeError, match=r"unexpected=\['block0.attn.v_gate'\]"):
+                params_from_checkpoint(load_checkpoint(path, for_enhance=for_enhance))
+
     def test_stored_value_gate_entries_ignored(self, tmp_path):
         # older checkpoints carry a copy of each block's value gate as a
         # cache.* tensor after the trainable ones; the loader skips it (here
